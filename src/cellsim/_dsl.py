@@ -64,14 +64,6 @@ def parse_dec(token: Token, lineno: int, what: str) -> int:
     return value
 
 
-def parse_float(token: Token, lineno: int, what: str) -> float:
-    text, col = token
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigSyntaxError(lineno, col, "%s: expected number, got %r" % (what, text))
-
-
 def parse_id_list(token: Token, lineno: int, what: str) -> list[int]:
     """Parse `2,3` or `32-160` or mixed `0-1,3` into a list of ints."""
     text, col = token

@@ -371,10 +371,8 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
     for index in sorted(cfg.cpus):
         check_unit(Cpu(index))
 
-    platform_mem = platform.mem_regions
     for region in cfg.mem:
-        host = next((p for p in platform_mem
-                     if p.base <= region.base and region.end <= p.end), None)
+        host = platform.host_region(region.base, region.end)
         if host is None:
             violations.append(Violation(ViolationKind.NO_SUCH_RESOURCE, region))
             continue

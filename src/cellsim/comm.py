@@ -173,8 +173,8 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
 
     peer_cell = hv.cells.get(peer)
     if peer_cell is not None and peer_cell.state is CellState.RUNNING:
-        stressed = bus_load(hv, measured=peer_cell).stressed
-        sample_latency(True, stressed, hv.platform.bus, hv._doorbell_rng)
+        sample_latency(True, bus_load(hv, peer_cell), hv.platform.bus,
+                       hv._doorbell_rng)
         hv._log(TrapKind.IRQ_REINJECTION, peer,
                 "doorbell ch=%d vector=%d" % (ch_id, vector))
     direction = "a->b" if from_cell == channel.cell_a else "b->a"

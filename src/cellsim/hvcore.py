@@ -141,6 +141,7 @@ class OwnershipLedger:
     """
 
     def __init__(self, platform: MachinePlatform, root: CellId = ROOT_CELL):
+        self._platform = platform
         self._units: dict = {}
         self._mem: dict[int, tuple[MemRegion, list[list[int]]]] = {}
         for resource in platform.resources:
@@ -154,10 +155,8 @@ class OwnershipLedger:
         return self._units.get(resource)
 
     def _find_region(self, lo: int, hi: int):
-        for region, segments in self._mem.values():
-            if region.base <= lo and hi <= region.end:
-                return region, segments
-        return None
+        region = self._platform.host_region(lo, hi)
+        return None if region is None else self._mem[region.base]
 
     def range_owner(self, lo: int, hi: int) -> Optional[CellId]:
         """Owner of [lo, hi) if it lies in one region under one owner."""
@@ -282,6 +281,12 @@ class Cell:
     @property
     def name(self) -> str:
         return self.config.name
+
+    @property
+    def loads_bus(self) -> bool:
+        """Running with a stress workload, which contends for the shared bus."""
+        return (self.state is CellState.RUNNING
+                and self.config.workload.kind is WorkloadKind.STRESS)
 
     def write_image(self, addr: int, data: bytes) -> None:
         if not data:
@@ -451,8 +456,7 @@ class Hypervisor:
             if index not in cpu_indices:
                 problems.append("cpu %d" % index)
         for region in cfg.mem:
-            host = next((p for p in plat.mem_regions
-                         if p.base <= region.base and region.end <= p.end), None)
+            host = plat.host_region(region.base, region.end)
             if host is None:
                 problems.append("mem [0x%x, 0x%x)" % (region.base, region.end))
             elif region.flags & ~host.flags:
@@ -570,9 +574,7 @@ class Hypervisor:
     def owner_of(self, resource) -> CellId:
         self._require_enabled()
         if isinstance(resource, MemRegion):
-            host = next((r for r in self.platform.mem_regions
-                         if r.base <= resource.base and resource.end <= r.end), None)
-            if host is None:
+            if self.platform.host_region(resource.base, resource.end) is None:
                 raise NoSuchResource("%r not within platform memory" % (resource,))
             owner = self.ledger.range_owner(resource.base, resource.end)
             if owner is None:
@@ -643,9 +645,7 @@ class Hypervisor:
         need = PermFlags.WRITE if write else PermFlags.READ
         if cell.id == ROOT_CELL:
             if self.ledger.range_owner(lo, hi) == ROOT_CELL:
-                host = next(r for r in self.platform.mem_regions
-                            if r.base <= lo and hi <= r.end)
-                return bool(host.flags & need)
+                return bool(self.platform.host_region(lo, hi).flags & need)
         else:
             for region in cell.config.mem:
                 if region.base <= lo and hi <= region.end:

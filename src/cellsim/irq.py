@@ -144,8 +144,7 @@ def raise_irq(hv: Hypervisor, line: int, t: int, rng) -> IrqDelivery:
                 "spurious irq line %d" % line, time_ns=t)
         raise UnownedIrq(
             "line %d owned by cell %d in state %s" % (line, owner, cell.state.value))
-    stressed = bus_load(hv, measured=cell).stressed
-    latency = sample_latency(True, stressed, bus, rng)
+    latency = sample_latency(True, bus_load(hv, cell), bus, rng)
     delivered = t + math.floor(latency * 1000.0 + 0.5)
     hv.clock = max(hv.clock, t)
     hv._log(TrapKind.IRQ_REINJECTION, owner, "line %d" % line, time_ns=t)

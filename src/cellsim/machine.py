@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from ._dsl import (
     iter_directives,
-    parse_float,
     parse_hex,
     parse_id_list,
     parse_plain_name,
@@ -33,7 +32,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .hvcore import Hypervisor
+    from .hvcore import Cell, Hypervisor
 
 PAGE_SIZE = 4096
 U64_MAX = (1 << 64) - 1
@@ -250,13 +249,6 @@ class BusModel:
         return replace(self, quantize_enabled=False, phase_jitter_enabled=False)
 
 
-@dataclass(frozen=True)
-class LoadLevel:
-    """Whether any neighbouring cell runs a stress workload."""
-
-    stressed: bool
-
-
 @dataclass
 class PlatformSpec:
     """Unvalidated platform description, as read from a file or built in code."""
@@ -276,39 +268,59 @@ class MachinePlatform:
     gic_version: GicVersion
     bus: BusModel
 
+    def __post_init__(self):
+        # A platform never changes, so its typed views are derived once,
+        # here.  They are plain attributes, not fields: equality, hashing
+        # and repr see only the fields above.
+        for attr, kind in (("_cpus", Cpu), ("_mem_regions", MemRegion),
+                           ("_mmio_devices", MmioDevice), ("_io_port_ranges", IoPortRange),
+                           ("_pci_devices", PciDevice)):
+            object.__setattr__(self, attr, tuple(
+                r for r in self.resources if isinstance(r, kind)))
+        object.__setattr__(self, "_irq_numbers", frozenset(
+            r.number for r in self.resources if isinstance(r, IrqLine)))
+        object.__setattr__(self, "_gic_dist_window", self.find_mmio(GIC_DIST_NAME))
+
     @property
     def cpus(self) -> tuple:
-        return tuple(r for r in self.resources if isinstance(r, Cpu))
+        return self._cpus
 
     @property
     def mem_regions(self) -> tuple:
-        return tuple(r for r in self.resources if isinstance(r, MemRegion))
+        return self._mem_regions
 
     @property
     def mmio_devices(self) -> tuple:
-        return tuple(r for r in self.resources if isinstance(r, MmioDevice))
+        return self._mmio_devices
 
     @property
     def irq_numbers(self) -> frozenset:
-        return frozenset(r.number for r in self.resources if isinstance(r, IrqLine))
+        return self._irq_numbers
 
     @property
     def io_port_ranges(self) -> tuple:
-        return tuple(r for r in self.resources if isinstance(r, IoPortRange))
+        return self._io_port_ranges
 
     @property
     def pci_devices(self) -> tuple:
-        return tuple(r for r in self.resources if isinstance(r, PciDevice))
+        return self._pci_devices
 
     def find_mmio(self, name: str) -> Optional[MmioDevice]:
-        for dev in self.mmio_devices:
+        for dev in self._mmio_devices:
             if dev.name == name:
                 return dev
         return None
 
     @property
     def gic_dist_window(self) -> Optional[MmioDevice]:
-        return self.find_mmio(GIC_DIST_NAME)
+        return self._gic_dist_window
+
+    def host_region(self, lo: int, hi: int) -> Optional[MemRegion]:
+        """The platform RAM region that contains [lo, hi), or None."""
+        for region in self._mem_regions:
+            if region.base <= lo and hi <= region.end:
+                return region
+        return None
 
 
 def build_platform(spec: PlatformSpec) -> MachinePlatform:
@@ -361,32 +373,15 @@ def _check_no_overlap(regions: Iterable) -> None:
             raise OverlapError("%r overlaps %r" % (prev, cur))
 
 
-def bus_load(hv: "Hypervisor", measured=None) -> LoadLevel:
-    """Load level seen by the measured cell.
+def bus_load(hv: "Hypervisor", measured: "Cell") -> bool:
+    """Whether the measured cell sees a loaded bus.
 
-    Stressed iff at least one *other* running cell declares a stress
-    workload.  When `measured` is None, the running cell with the
-    latency-responder workload (if any) counts as the measured one.
+    True iff at least one *other* running cell runs a stress workload.
     """
-    from .cellconfig import WorkloadKind
-    from .hvcore import CellState, HvState
-
-    if hv.state is not HvState.ENABLED:
+    if not hv.enabled:
         raise NotEnabled("bus load is defined only while the hypervisor runs")
-    if measured is not None and not isinstance(measured, int):
-        measured = measured.id
-    if measured is None:
-        for cell in hv.cells.values():
-            if (cell.state is CellState.RUNNING
-                    and cell.config.workload.kind is WorkloadKind.LATENCY_RESPONDER):
-                measured = cell.id
-                break
-    stressed = any(
-        cell.state is CellState.RUNNING
-        and cell.id != measured
-        and cell.config.workload.kind is WorkloadKind.STRESS
-        for cell in hv.cells.values())
-    return LoadLevel(stressed=stressed)
+    return any(cell.loads_bus and cell.id != measured.id
+               for cell in hv.cells.values())
 
 
 # --- platform file format ---------------------------------------------------

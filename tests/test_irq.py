@@ -24,9 +24,12 @@ from cellsim.errors import (
     InvariantViolation,
     NoSuchLine,
     NoSuchResource,
+    NotEnabled,
     UnownedIrq,
 )
+from cellsim.hvcore import Access, AccessKind
 from cellsim.irq import LATTICE_US, IrqPath, distributor_access
+from cellsim.machine import bus_load
 from cellsim.rng import make_rng
 
 from conftest import make_tiny_platform
@@ -212,6 +215,44 @@ class TestRaiseIrq:
         times = [e.time_ns for e in hv.events]
         assert times == sorted(times)
         assert hv.clock >= 9000
+
+
+class TestBusLoad:
+    @staticmethod
+    def _with_neighbour(kind, state):
+        """A running responder plus a neighbour with the given workload,
+        driven into the given state."""
+        hv = tiny_hv()
+        responder = hv.cells[hv.create_cell(small_cell(
+            "responder", cpu=1, workload=Workload(WorkloadKind.LATENCY_RESPONDER)))]
+        hv.start_cell(responder.id)
+        neighbour = hv.cells[hv.create_cell(small_cell(
+            "neighbour", cpu=2, base=RAM + 0xA_0000, workload=Workload(kind)))]
+        if state is not CellState.CREATED:
+            hv.start_cell(neighbour.id)
+        if state is CellState.STOPPED:
+            hv.stop_cell(neighbour.id)
+        elif state is CellState.FAILED:
+            hv.handle_access(neighbour.id, Access(AccessKind.MEM_READ, RAM, 4))
+        assert neighbour.state is state
+        return hv, responder, neighbour
+
+    @pytest.mark.parametrize("kind", [WorkloadKind.IDLE, WorkloadKind.STRESS,
+                                      WorkloadKind.LATENCY_RESPONDER])
+    @pytest.mark.parametrize("state", [CellState.CREATED, CellState.RUNNING,
+                                       CellState.STOPPED, CellState.FAILED])
+    def test_only_a_running_stress_neighbour_loads_the_bus(self, kind, state):
+        hv, responder, _ = self._with_neighbour(kind, state)
+        expected = kind is WorkloadKind.STRESS and state is CellState.RUNNING
+        assert bus_load(hv, responder) is expected
+
+    def test_own_stress_workload_does_not_count(self):
+        hv, _, stress = self._with_neighbour(WorkloadKind.STRESS, CellState.RUNNING)
+        assert bus_load(hv, stress) is False
+
+    def test_disabled_hypervisor_raises(self):
+        with pytest.raises(NotEnabled):
+            bus_load(Hypervisor(make_tiny_platform()), None)
 
 
 class TestDistributorAccess:

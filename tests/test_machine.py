@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,8 +29,11 @@ from cellsim.errors import (
     InvariantViolation,
     OverlapError,
 )
-from cellsim.machine import parse_perms, perms_to_str
+from cellsim.machine import GIC_DIST_NAME, MachinePlatform, parse_perms, perms_to_str
 from cellsim.rng import make_rng
+
+from conftest import make_tiny_platform
+from gen import random_platform
 
 
 class TestResources:
@@ -160,6 +165,102 @@ class TestBuildPlatform:
         with_pci = build_platform(PlatformSpec(
             name="p", resources=[Cpu(0), PciDevice(8)]))
         assert with_pci.has_pci is True
+
+
+_VIEW_TYPES = {
+    "cpus": Cpu,
+    "mem_regions": MemRegion,
+    "mmio_devices": MmioDevice,
+    "io_port_ranges": IoPortRange,
+    "pci_devices": PciDevice,
+}
+
+
+def _sample_platforms():
+    rnd = random.Random(0x71E5)
+    return [make_tiny_platform(), jetson_tk1()] + [random_platform(rnd) for _ in range(40)]
+
+
+class TestPlatformViews:
+    @staticmethod
+    def _check_views(platform):
+        for name, kind in _VIEW_TYPES.items():
+            assert getattr(platform, name) == tuple(
+                r for r in platform.resources if isinstance(r, kind))
+        assert platform.irq_numbers == frozenset(
+            r.number for r in platform.resources if isinstance(r, IrqLine))
+        assert platform.gic_dist_window == next(
+            (r for r in platform.resources
+             if isinstance(r, MmioDevice) and r.name == GIC_DIST_NAME), None)
+
+    def test_views_are_the_type_filters_in_order(self):
+        for platform in _sample_platforms():
+            self._check_views(platform)
+
+    def test_second_read_returns_the_same_object(self):
+        for platform in _sample_platforms():
+            for name in list(_VIEW_TYPES) + ["irq_numbers", "gic_dist_window"]:
+                assert getattr(platform, name) is getattr(platform, name)
+
+    def test_views_stay_plain_properties(self):
+        # A layer tracer wraps these by name on the class; a
+        # cached_property would be read once and then bypass it.
+        for name in list(_VIEW_TYPES) + ["irq_numbers", "gic_dist_window"]:
+            assert type(MachinePlatform.__dict__[name]) is property
+
+    def test_equal_specs_compare_and_hash_equal(self):
+        for seed in range(20):
+            first = random_platform(random.Random(seed))
+            second = random_platform(random.Random(seed))
+            assert first is not second
+            assert first == second
+            assert hash(first) == hash(second)
+            assert repr(first) == repr(second)
+            assert "_cpus" not in repr(first)
+        assert [f.name for f in dataclasses.fields(first)] == [
+            "name", "resources", "has_pci", "gic_version", "bus"]
+
+    def test_replace_recomputes_the_views(self):
+        platform = random_platform(random.Random(5))
+        window = MmioDevice(GIC_DIST_NAME, 0xF000_0000, 0x1000)
+        extra = (IrqLine(300), window, PciDevice(0x20), IoPortRange(0x60, 4))
+        grown = dataclasses.replace(platform, resources=platform.resources + extra)
+        self._check_views(grown)
+        assert 300 in grown.irq_numbers and 300 not in platform.irq_numbers
+        assert grown.gic_dist_window == window
+        assert platform.gic_dist_window is None
+        assert grown != platform
+
+
+class TestHostRegion:
+    def _platform(self):
+        return build_platform(_platform_of([(0x1000, 0x2000), (0x3000, 0x1000)]))
+
+    def test_finds_the_containing_region(self):
+        platform = self._platform()
+        low, high = platform.mem_regions
+        assert platform.host_region(0x1000, 0x3000) is low
+        assert platform.host_region(0x2000, 0x2008) is low
+        assert platform.host_region(0x3000, 0x4000) is high
+
+    def test_range_across_two_regions_or_outside_is_none(self):
+        platform = self._platform()
+        assert platform.host_region(0x2FF8, 0x3008) is None
+        assert platform.host_region(0x0, 0x1000) is None
+        assert platform.host_region(0x3FFF, 0x4001) is None
+        assert platform.host_region(0x8000, 0x9000) is None
+
+    def test_agrees_with_contains(self):
+        rnd = random.Random(3)
+        for platform in _sample_platforms():
+            for _ in range(50):
+                near = rnd.choice(platform.mem_regions)
+                lo = near.base + rnd.randrange(-0x2000, near.size + 0x2000, 8)
+                hi = lo + rnd.choice((1, 8, 0x1000, 0x10_0000))
+                hosts = [r for r in platform.mem_regions if r.contains(lo, hi - lo)]
+                assert platform.host_region(lo, hi) == (hosts[0] if hosts else None)
+            for region in platform.mem_regions:
+                assert platform.host_region(region.base, region.end) is region
 
 
 class TestJetsonPreset:
