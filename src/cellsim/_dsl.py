@@ -10,11 +10,19 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .errors import ConfigSyntaxError
+from .errors import ConfigSyntaxError, InvariantViolation
 
 NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 
 Token = tuple[str, int]  # (text, 1-based column)
+
+
+def decode_utf8(raw: bytes, what: str) -> str:
+    """Decode text read from a file or a byte stream; bad bytes are a domain error."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise InvariantViolation("%s is not valid UTF-8" % what)
 
 
 def split_tokens(line: str) -> list[Token]:

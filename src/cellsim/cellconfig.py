@@ -16,10 +16,10 @@ from typing import TYPE_CHECKING, Optional
 
 from ._dsl import (
     NAME_RE,
+    decode_utf8,
     iter_directives,
     parse_dec,
     parse_hex,
-    parse_id_list,
     parse_plain_name,
     parse_quoted_name,
     require_args,
@@ -41,8 +41,8 @@ from .machine import (
     MemRegion,
     MmioDevice,
     PciDevice,
-    PermFlags,
-    parse_perms,
+    parse_resource,
+    perms_from_bits,
 )
 
 if TYPE_CHECKING:
@@ -173,28 +173,21 @@ _WORKLOAD_NAMES = {
 def parse_config(text: str) -> CellConfig:
     """Parse the cell DSL.
 
-    Grammar (line-oriented, `#` starts a comment):
+    Grammar (line-oriented, `#` starts a comment), plus the resource
+    directives of `machine.parse_resource`:
 
         cell "<name>"
-        cpu <list>                      # e.g. 2,3 or 0-1,3
-        mem <hex-base> <hex-size> <perm-string>
-        mmio <name> <hex-base> <hex-size>
-        pci <bdf-hex>
-        ioport <hex-base> <hex-len>
-        irq <list>
         comm peer=<name> size=<hex> vectors=<n>
         run idle|stress|latency-responder|script <path>
     """
     name: Optional[str] = None
-    cpus: set[int] = set()
-    mem: list[MemRegion] = []
-    devices: list = []
-    irqs: set[int] = set()
+    resources: list = []
+    seen_units: set = set()
     comm: list[CommDecl] = []
     workload: Optional[Workload] = None
 
     for lineno, tokens in iter_directives(text):
-        keyword, kw_col = tokens[0]
+        keyword = tokens[0][0]
         if keyword == "cell":
             require_args(tokens, lineno, 1)
             if name is not None:
@@ -204,55 +197,6 @@ def parse_config(text: str) -> CellConfig:
                 raise ConfigSemanticError(
                     "cell name longer than %d bytes" % MAX_NAME_BYTES, lineno)
             name = cell_name
-        elif keyword == "cpu":
-            require_args(tokens, lineno, 1)
-            for idx in parse_id_list(tokens[1], lineno, "cpu list"):
-                if idx in cpus:
-                    raise ConfigSemanticError("cpu %d listed twice" % idx, lineno)
-                cpus.add(idx)
-        elif keyword == "mem":
-            require_args(tokens, lineno, 3)
-            base = parse_hex(tokens[1], lineno, "mem base")
-            size = parse_hex(tokens[2], lineno, "mem size")
-            perm_text, perm_col = tokens[3]
-            try:
-                flags = parse_perms(perm_text)
-            except ValueError as exc:
-                raise ConfigSyntaxError(lineno, perm_col, str(exc))
-            try:
-                mem.append(MemRegion(base, size, flags))
-            except InvariantViolation as exc:
-                raise ConfigSemanticError(str(exc), lineno)
-        elif keyword == "mmio":
-            require_args(tokens, lineno, 3)
-            dev_name = parse_plain_name(tokens[1], lineno, "mmio name")
-            base = parse_hex(tokens[2], lineno, "mmio base")
-            size = parse_hex(tokens[3], lineno, "mmio size")
-            try:
-                devices.append(MmioDevice(dev_name, base, size))
-            except InvariantViolation as exc:
-                raise ConfigSemanticError(str(exc), lineno)
-        elif keyword == "pci":
-            require_args(tokens, lineno, 1)
-            bdf = parse_hex(tokens[1], lineno, "pci bdf")
-            try:
-                devices.append(PciDevice(bdf))
-            except InvariantViolation as exc:
-                raise ConfigSemanticError(str(exc), lineno)
-        elif keyword == "ioport":
-            require_args(tokens, lineno, 2)
-            base = parse_hex(tokens[1], lineno, "ioport base")
-            length = parse_hex(tokens[2], lineno, "ioport len")
-            try:
-                devices.append(IoPortRange(base, length))
-            except InvariantViolation as exc:
-                raise ConfigSemanticError(str(exc), lineno)
-        elif keyword == "irq":
-            require_args(tokens, lineno, 1)
-            for num in parse_id_list(tokens[1], lineno, "irq list"):
-                if num in irqs:
-                    raise ConfigSemanticError("irq %d listed twice" % num, lineno)
-                irqs.add(num)
         elif keyword == "comm":
             comm.append(_parse_comm(tokens, lineno))
         elif keyword == "run":
@@ -260,19 +204,28 @@ def parse_config(text: str) -> CellConfig:
                 raise ConfigSemanticError("duplicate run directive", lineno)
             workload = _parse_run(tokens, lineno)
         else:
-            raise ConfigSyntaxError(lineno, kw_col, "unknown directive %r" % keyword)
+            for resource in parse_resource(tokens, lineno):
+                if isinstance(resource, (Cpu, IrqLine)):
+                    if resource in seen_units:
+                        raise ConfigSemanticError(
+                            "%s listed twice" % _describe(resource), lineno)
+                    seen_units.add(resource)
+                resources.append(resource)
 
     if name is None:
         raise ConfigSemanticError('missing cell "<name>" directive')
+    cpus = frozenset(r.index for r in resources if isinstance(r, Cpu))
+    mem = tuple(r for r in resources if isinstance(r, MemRegion))
     if not cpus:
         raise ConfigSemanticError("config declares no CPUs")
     if not mem:
         raise ConfigSemanticError("config declares no memory")
     try:
         return CellConfig(
-            name=name, cpus=frozenset(cpus), mem=tuple(mem), devices=tuple(devices),
-            irqs=frozenset(irqs), comm=tuple(comm),
-            workload=workload if workload is not None else Workload())
+            name=name, cpus=cpus, mem=mem,
+            devices=tuple(r for r in resources if type(r) in _DEVICE_SORT_CODE),
+            irqs=frozenset(r.number for r in resources if isinstance(r, IrqLine)),
+            comm=tuple(comm), workload=workload if workload is not None else Workload())
     except InvariantViolation as exc:
         raise ConfigSemanticError(str(exc))
 
@@ -491,10 +444,7 @@ def _unpad(raw: bytes, what: str) -> str:
     name, _, padding = raw.partition(b"\0")
     if padding.strip(b"\0"):
         raise InvariantViolation("%s padding must be zero" % what)
-    try:
-        return name.decode("utf-8")
-    except UnicodeDecodeError:
-        raise InvariantViolation("%s is not valid UTF-8" % what)
+    return decode_utf8(name, what)
 
 
 def load_binary(data: bytes) -> CellConfig:
@@ -512,9 +462,7 @@ def load_binary(data: bytes) -> CellConfig:
     mem = []
     for _ in range(mem_count):
         base, size, flags = reader.take(_MEM)
-        if flags & ~0xF:
-            raise InvariantViolation("unknown permission bits 0x%x" % flags)
-        mem.append(MemRegion(base, size, PermFlags(flags)))
+        mem.append(MemRegion(base, size, perms_from_bits(flags)))
     devices = []
     for _ in range(dev_count):
         kind, raw_dev_name, a, b = reader.take(_DEV)
@@ -544,7 +492,7 @@ def load_binary(data: bytes) -> CellConfig:
         raise InvariantViolation(
             "%d trailing bytes after the workload record" % (len(data) - reader.offset))
     if kind is WorkloadKind.SCRIPT:
-        workload = Workload(kind=kind, script_path=raw_path.decode("utf-8"))
+        workload = Workload(kind=kind, script_path=decode_utf8(raw_path, "script path"))
     else:
         if raw_path:
             raise InvariantViolation("non-script workload carries a path")

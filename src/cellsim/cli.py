@@ -17,8 +17,9 @@ from contextlib import contextmanager
 from typing import Optional
 
 from . import bench, cellconfig, snapshot
+from ._dsl import decode_utf8
 from .errors import AlreadyEnabled, CellSimError, NotEnabled, ValidationFailed
-from .hvcore import Hypervisor, ROOT_CELL
+from .hvcore import Hypervisor, OwnershipLedger
 from .machine import MachinePlatform, load_platform
 from .rng import GENERATOR_NAME
 
@@ -30,7 +31,7 @@ def _read_config(path: str) -> cellconfig.CellConfig:
         raw = handle.read()
     if raw[:4] == struct.pack("<I", cellconfig.MAGIC):
         return cellconfig.load_binary(raw)
-    return cellconfig.parse_config(raw.decode("utf-8"))
+    return cellconfig.parse_config(decode_utf8(raw, "config file"))
 
 
 @contextmanager
@@ -159,8 +160,7 @@ def _cmd_check_config(args) -> int:
     cfg = _read_config(args.config)
     if args.platform:
         platform = load_platform(args.platform)
-        hv = Hypervisor(platform).enable(bench.full_platform_config(platform))
-        violations = cellconfig.validate_against(cfg, platform, hv.ledger)
+        violations = cellconfig.validate_against(cfg, platform, OwnershipLedger(platform))
         if violations:
             for violation in violations:
                 print(str(violation))

@@ -15,9 +15,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
-from ._dsl import iter_directives, parse_dec, parse_hex
+from ._dsl import decode_utf8, iter_directives, parse_dec, parse_hex
 from .cellconfig import CellConfig, WorkloadKind, validate_against
 from .errors import (
     AlreadyEnabled,
@@ -34,16 +34,7 @@ from .errors import (
     RootCellImmortal,
     ValidationFailed,
 )
-from .machine import (
-    Cpu,
-    IoPortRange,
-    IrqLine,
-    MachinePlatform,
-    MemRegion,
-    MmioDevice,
-    PciDevice,
-    PermFlags,
-)
+from .machine import Cpu, IrqLine, MachinePlatform, MemRegion, PermFlags
 from .rng import make_rng
 
 CellId = int
@@ -436,40 +427,20 @@ class Hypervisor:
     def enable(self, root_cfg: CellConfig) -> "Hypervisor":
         if self.enabled:
             raise AlreadyEnabled("hypervisor already enabled")
-        mismatches = self._existence_mismatches(root_cfg)
-        if mismatches:
+        # On a fresh ledger root owns everything, so only resources the
+        # platform lacks (or permissions it does not grant) fail here.
+        ledger = OwnershipLedger(self.platform)
+        violations = validate_against(root_cfg, self.platform, ledger)
+        if violations:
             raise ConfigMismatch("root config does not fit the platform: "
-                                 + "; ".join(mismatches))
-        self.ledger = OwnershipLedger(self.platform)
+                                 + "; ".join(str(v) for v in violations))
+        self.ledger = ledger
         root = Cell(ROOT_CELL, root_cfg, CellState.RUNNING)
         self.cells = {ROOT_CELL: root}
         self._next_cell_id = 1
         self.state = HvState.ENABLED
         self._log(TrapKind.MANAGEMENT, ROOT_CELL, "enable")
         return self
-
-    def _existence_mismatches(self, cfg: CellConfig) -> list[str]:
-        problems = []
-        plat = self.platform
-        cpu_indices = {c.index for c in plat.cpus}
-        for index in sorted(cfg.cpus):
-            if index not in cpu_indices:
-                problems.append("cpu %d" % index)
-        for region in cfg.mem:
-            host = plat.host_region(region.base, region.end)
-            if host is None:
-                problems.append("mem [0x%x, 0x%x)" % (region.base, region.end))
-            elif region.flags & ~host.flags:
-                problems.append("mem [0x%x, 0x%x) permissions" % (region.base, region.end))
-        unit_set = set(plat.resources)
-        for dev in cfg.devices:
-            if dev not in unit_set:
-                problems.append(repr(dev))
-        irq_numbers = plat.irq_numbers
-        for number in sorted(cfg.irqs):
-            if number not in irq_numbers:
-                problems.append("irq %d" % number)
-        return problems
 
     def create_cell(self, cfg: CellConfig) -> CellId:
         self._require_enabled()
@@ -699,8 +670,8 @@ class Hypervisor:
         cell.script_ops = []
         workload = cell.config.workload
         if workload.kind is WorkloadKind.SCRIPT:
-            with open(workload.script_path, "r", encoding="utf-8") as handle:
-                cell.script_ops = parse_script(handle.read())
+            with open(workload.script_path, "rb") as handle:
+                cell.script_ops = parse_script(decode_utf8(handle.read(), "script file"))
 
     def _step_cell(self, cell: Cell) -> int:
         kind = cell.config.workload.kind

@@ -14,6 +14,8 @@ from enum import Enum, IntFlag
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from ._dsl import (
+    Token,
+    decode_utf8,
     iter_directives,
     parse_hex,
     parse_id_list,
@@ -69,6 +71,13 @@ def parse_perms(text: str) -> PermFlags:
             raise ValueError("duplicate permission letter %r" % ch)
         flags |= bit
     return flags
+
+
+def perms_from_bits(bits: int) -> PermFlags:
+    """Permission flags from their binary encoding, rejecting unknown bits."""
+    if bits & ~0xF:
+        raise InvariantViolation("unknown permission bits 0x%x" % bits)
+    return PermFlags(bits)
 
 
 def perms_to_str(flags: PermFlags) -> str:
@@ -172,6 +181,52 @@ def _check_region(base: int, size: int, what: str) -> None:
         raise InvariantViolation("%s: base and size must be multiples of %d" % (what, PAGE_SIZE))
     if base < 0 or base + size > U64_MAX:
         raise InvariantViolation("%s: range overflows 64 bits" % what)
+
+
+_RESOURCE_ARITY = {"cpu": 1, "mem": 3, "mmio": 3, "pci": 1, "ioport": 2, "irq": 1}
+
+
+def parse_resource(tokens: list[Token], lineno: int) -> list:
+    """The resources one directive line names, in either text format.
+
+    Platform files and cell configs share these directives; any other
+    keyword is an unknown directive:
+
+        cpu <list>                      # e.g. 0-3 or 0,1,2
+        mem <hex-base> <hex-size> <perm-string>
+        mmio <name> <hex-base> <hex-size>
+        pci <bdf-hex>
+        ioport <hex-base> <hex-len>
+        irq <list>
+    """
+    keyword, col = tokens[0]
+    if keyword not in _RESOURCE_ARITY:
+        raise ConfigSyntaxError(lineno, col, "unknown directive %r" % keyword)
+    require_args(tokens, lineno, _RESOURCE_ARITY[keyword])
+    try:
+        if keyword == "cpu":
+            return [Cpu(i) for i in parse_id_list(tokens[1], lineno, "cpu list")]
+        if keyword == "irq":
+            return [IrqLine(n) for n in parse_id_list(tokens[1], lineno, "irq list")]
+        if keyword == "mem":
+            base = parse_hex(tokens[1], lineno, "mem base")
+            size = parse_hex(tokens[2], lineno, "mem size")
+            perm_text, perm_col = tokens[3]
+            try:
+                flags = parse_perms(perm_text)
+            except ValueError as exc:
+                raise ConfigSyntaxError(lineno, perm_col, str(exc))
+            return [MemRegion(base, size, flags)]
+        if keyword == "mmio":
+            return [MmioDevice(parse_plain_name(tokens[1], lineno, "mmio name"),
+                               parse_hex(tokens[2], lineno, "mmio base"),
+                               parse_hex(tokens[3], lineno, "mmio size"))]
+        if keyword == "pci":
+            return [PciDevice(parse_hex(tokens[1], lineno, "pci bdf"))]
+        return [IoPortRange(parse_hex(tokens[1], lineno, "ioport base"),
+                            parse_hex(tokens[2], lineno, "ioport len"))]
+    except InvariantViolation as exc:
+        raise ConfigSemanticError(str(exc), lineno)
 
 
 @dataclass(frozen=True)
@@ -395,23 +450,18 @@ _BUS_KEYS = {
 def parse_platform(text: str) -> PlatformSpec:
     """Parse the line-based platform format.
 
-    Directives (same lexical rules as the cell DSL, `#` comments):
+    Directives (same lexical rules as the cell DSL, `#` comments), plus
+    the resource directives of `parse_resource`:
 
         platform "<name>"
         gic v2|v3
-        cpu <list>                      # e.g. 0-3 or 0,1,2
-        mem <hex-base> <hex-size> <perm-string>
-        mmio <name> <hex-base> <hex-size>
-        pci <bdf-hex>
-        ioport <hex-base> <hex-len>
-        irq <list>
         bus <key>=<value> ...           # latency model overrides
     """
     name = None
     resources: list = []
     gic = GicVersion.V2
     bus_kv: dict[str, str] = {}
-    seen_cpus: set[int] = set()
+    seen_cpus: set = set()
 
     for lineno, tokens in iter_directives(text):
         keyword, kw_col = tokens[0]
@@ -425,51 +475,6 @@ def parse_platform(text: str) -> PlatformSpec:
                 gic = GicVersion(text_val)
             except ValueError:
                 raise ConfigSyntaxError(lineno, col, "gic version must be v2 or v3")
-        elif keyword == "cpu":
-            require_args(tokens, lineno, 1)
-            for idx in parse_id_list(tokens[1], lineno, "cpu list"):
-                if idx in seen_cpus:
-                    raise ConfigSemanticError("cpu %d listed twice" % idx, lineno)
-                seen_cpus.add(idx)
-                resources.append(Cpu(idx))
-        elif keyword == "mem":
-            require_args(tokens, lineno, 3)
-            base = parse_hex(tokens[1], lineno, "mem base")
-            size = parse_hex(tokens[2], lineno, "mem size")
-            perm_text, perm_col = tokens[3]
-            try:
-                flags = parse_perms(perm_text)
-            except ValueError as exc:
-                raise ConfigSyntaxError(lineno, perm_col, str(exc))
-            resources.append(_region_or_semantic_error(base, size, flags, lineno))
-        elif keyword == "mmio":
-            require_args(tokens, lineno, 3)
-            dev_name = parse_plain_name(tokens[1], lineno, "mmio name")
-            base = parse_hex(tokens[2], lineno, "mmio base")
-            size = parse_hex(tokens[3], lineno, "mmio size")
-            try:
-                resources.append(MmioDevice(dev_name, base, size))
-            except InvariantViolation as exc:
-                raise ConfigSemanticError(str(exc), lineno)
-        elif keyword == "pci":
-            require_args(tokens, lineno, 1)
-            bdf = parse_hex(tokens[1], lineno, "pci bdf")
-            try:
-                resources.append(PciDevice(bdf))
-            except InvariantViolation as exc:
-                raise ConfigSemanticError(str(exc), lineno)
-        elif keyword == "ioport":
-            require_args(tokens, lineno, 2)
-            base = parse_hex(tokens[1], lineno, "ioport base")
-            length = parse_hex(tokens[2], lineno, "ioport len")
-            try:
-                resources.append(IoPortRange(base, length))
-            except InvariantViolation as exc:
-                raise ConfigSemanticError(str(exc), lineno)
-        elif keyword == "irq":
-            require_args(tokens, lineno, 1)
-            for num in parse_id_list(tokens[1], lineno, "irq list"):
-                resources.append(IrqLine(num))
         elif keyword == "bus":
             if len(tokens) == 1:
                 raise ConfigSyntaxError(lineno, kw_col, "bus needs key=value arguments")
@@ -481,19 +486,18 @@ def parse_platform(text: str) -> PlatformSpec:
                         % (text_val, ", ".join(sorted(_BUS_KEYS))))
                 bus_kv[key] = value
         else:
-            raise ConfigSyntaxError(lineno, kw_col, "unknown directive %r" % keyword)
+            for resource in parse_resource(tokens, lineno):
+                if isinstance(resource, Cpu):
+                    if resource in seen_cpus:
+                        raise ConfigSemanticError(
+                            "cpu %d listed twice" % resource.index, lineno)
+                    seen_cpus.add(resource)
+                resources.append(resource)
 
     if name is None:
         raise ConfigSemanticError('missing platform "<name>" directive')
     return PlatformSpec(
         name=name, resources=resources, gic_version=gic, bus=_bus_from_kv(bus_kv))
-
-
-def _region_or_semantic_error(base, size, flags, lineno) -> MemRegion:
-    try:
-        return MemRegion(base, size, flags)
-    except InvariantViolation as exc:
-        raise ConfigSemanticError(str(exc), lineno)
 
 
 def _bus_from_kv(kv: dict[str, str]) -> Optional[BusModel]:
@@ -502,7 +506,12 @@ def _bus_from_kv(kv: dict[str, str]) -> Optional[BusModel]:
     default = BusModel.default()
 
     def num(key, fallback):
-        return float(kv[key]) if key in kv else fallback
+        if key not in kv:
+            return fallback
+        try:
+            return float(kv[key])
+        except ValueError:
+            raise ConfigSemanticError("bus %s must be a number, got %r" % (key, kv[key]))
 
     def flag(key, fallback):
         if key not in kv:
@@ -561,5 +570,5 @@ def load_platform(source: str) -> MachinePlatform:
     preset = PRESETS.get(source)
     if preset is not None:
         return preset()
-    with open(source, "r", encoding="utf-8") as fh:
-        return build_platform(parse_platform(fh.read()))
+    with open(source, "rb") as fh:
+        return build_platform(parse_platform(decode_utf8(fh.read(), "platform file")))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
+from ._dsl import decode_utf8
 from .cellconfig import _Reader, emit_binary, load_binary
 from .errors import BadMagic, InvariantViolation, UnsupportedVersion
 from .hvcore import Cell, CellState, Hypervisor, HvState, OwnershipLedger, TrapEvent, TrapKind
@@ -26,9 +27,9 @@ from .machine import (
     MemRegion,
     MmioDevice,
     PciDevice,
-    PermFlags,
     PlatformSpec,
     build_platform,
+    perms_from_bits,
 )
 
 MAGIC = 0x4A485353
@@ -45,6 +46,7 @@ _SEGMENT = struct.Struct("<QQI")
 _EVENT = struct.Struct("<QIB")
 
 _RES_CPU, _RES_MEM, _RES_MMIO, _RES_PCI, _RES_IOPORT, _RES_IRQ = range(6)
+_ONE_NUMBER_KINDS = {_RES_CPU: Cpu, _RES_PCI: PciDevice, _RES_IRQ: IrqLine}
 _STATE_CODES = {state: code for code, state in enumerate(CellState)}
 _STATES_BY_CODE = {code: state for state, code in _STATE_CODES.items()}
 _TRAP_CODES = {kind: code for code, kind in enumerate(TrapKind)}
@@ -61,7 +63,7 @@ def _put_str(out: bytearray, text: str) -> None:
 
 def _get_str(reader: _Reader) -> str:
     (length,) = reader.take(_U16)
-    return reader.take_raw(length).decode("utf-8")
+    return decode_utf8(reader.take_raw(length), "snapshot string")
 
 
 def _put_bytes(out: bytearray, raw: bytes) -> None:
@@ -101,19 +103,20 @@ def _put_resource(out: bytearray, resource) -> None:
 def _get_resource(reader: _Reader):
     kind, a, b, c = reader.take(_RESOURCE)
     name = _get_str(reader)
-    if kind == _RES_CPU:
-        return Cpu(a)
     if kind == _RES_MEM:
-        return MemRegion(a, b, PermFlags(c))
-    if kind == _RES_MMIO:
-        return MmioDevice(name, a, b)
-    if kind == _RES_PCI:
-        return PciDevice(a)
-    if kind == _RES_IOPORT:
-        return IoPortRange(a, b)
-    if kind == _RES_IRQ:
-        return IrqLine(a)
-    raise InvariantViolation("unknown resource kind %d in snapshot" % kind)
+        resource, stray = MemRegion(a, b, perms_from_bits(c)), name
+    elif kind == _RES_MMIO:
+        resource, stray = MmioDevice(name, a, b), c
+    elif kind == _RES_IOPORT:
+        resource, stray = IoPortRange(a, b), c or name
+    elif kind in _ONE_NUMBER_KINDS:
+        resource, stray = _ONE_NUMBER_KINDS[kind](a), b or c or name
+    else:
+        raise InvariantViolation("unknown resource kind %d in snapshot" % kind)
+    if stray:
+        raise InvariantViolation("snapshot %s record carries stray fields"
+                                 % type(resource).__name__)
+    return resource
 
 
 def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:

@@ -307,6 +307,13 @@ class TestCodec:
         with pytest.raises(InvariantViolation):
             load_binary(bytes(blob))
 
+    def test_non_utf8_script_path_rejected(self):
+        cfg = CellConfig(name="a", cpus=[0], mem=[MemRegion(0x1000, 0x1000)],
+                         workload=Workload(WorkloadKind.SCRIPT, "s.txt"))
+        blob = emit_binary(cfg)
+        with pytest.raises(InvariantViolation, match="not valid UTF-8"):
+            load_binary(blob[:-5] + b"\xff\xfe.tx")
+
     def test_unknown_device_kind_rejected(self):
         cfg = CellConfig(name="a", cpus=[0], mem=[MemRegion(0x1000, 0x1000)],
                          devices=[PciDevice(8)])

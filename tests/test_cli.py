@@ -11,6 +11,7 @@ from cellsim import (
     parse_config,
     run_report,
 )
+from cellsim import cli
 from cellsim.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -199,6 +200,41 @@ class TestCheckConfig:
         assert main(["check-config", ROOT_CFG, "--platform", "jetson-tk1"]) == 0
         assert main(["check-config", RTOS_CFG, "--platform", "jetson-tk1"]) == 0
         capsys.readouterr()
+
+    def test_non_utf8_config_exits_one(self, ws, capsys):
+        bad = ws / "bad.cfg"
+        bad.write_bytes(b'cell "\xff"\ncpu 0\n')
+        assert run(ws, "check-config", str(bad)) == 1
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_validation_needs_no_hypervisor(self, ws, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check-config built a Hypervisor")
+        monkeypatch.setattr(cli, "Hypervisor", refuse)
+        assert run(ws, "check-config", str(ws / "guest.cfg"),
+                   "--platform", str(ws / "board.platform")) == 0
+
+
+class TestNoTracebacks:
+    def test_non_numeric_bus_value(self, ws, capsys):
+        (ws / "board.platform").write_text(PLATFORM_TEXT + "bus base=abc\n")
+        assert enable_board(ws) == 1
+        assert capsys.readouterr().err == "error: bus base must be a number, got 'abc'\n"
+
+    def test_non_utf8_platform_file(self, ws, capsys):
+        (ws / "board.platform").write_bytes(b"\xfe" + PLATFORM_TEXT.encode())
+        assert enable_board(ws) == 1
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_script_file(self, ws, capsys):
+        script = ws / "ops.txt"
+        script.write_bytes(b"idle \xff\n")
+        (ws / "guest.cfg").write_text(GUEST_TEXT + "run script %s\n" % script)
+        assert enable_board(ws) == 0
+        assert run(ws, "cell", "create", str(ws / "guest.cfg")) == 0
+        capsys.readouterr()
+        assert run(ws, "cell", "start", "guest") == 1
+        assert "not valid UTF-8" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -83,6 +83,24 @@ class TestEnable:
         with pytest.raises(ConfigMismatch):
             Hypervisor(tiny).enable(cfg)
 
+    def test_rejected_root_config_leaves_hypervisor_untouched(self, tiny):
+        hv = Hypervisor(tiny)
+        cfg = CellConfig(name="root", cpus=[0, 9],
+                         mem=[MemRegion(RAM, 0x1000, PermFlags.READ | PermFlags.EXECUTE),
+                              MemRegion(0xDEAD_0000, 0x1000)],
+                         irqs=[33, 99])
+        with pytest.raises(ConfigMismatch) as excinfo:
+            hv.enable(cfg)
+        message = str(excinfo.value)
+        for part in ("NoSuchResource(cpu 9)", "PermissionExceeded(mem [0x10000000, 0x10001000))",
+                     "NoSuchResource(mem [0xdead0000, 0xdead1000))", "NoSuchResource(irq 99)"):
+            assert part in message
+        assert "irq 33" not in message
+        assert hv.state is HvState.DISABLED
+        assert hv.ledger is None
+        assert hv.events == []
+        assert hv.cells == {}
+
     def test_operations_need_enable(self, tiny):
         hv = Hypervisor(tiny)
         with pytest.raises(NotEnabled):

@@ -23,6 +23,7 @@ from cellsim import (
     parse_platform,
 )
 from cellsim.errors import (
+    ConfigSemanticError,
     ConfigSyntaxError,
     DuplicateIrq,
     EmptyCpuSet,
@@ -326,6 +327,18 @@ class TestPlatformParsing:
     def test_unknown_directive(self):
         with pytest.raises(ConfigSyntaxError):
             parse_platform('platform "p"\nflux 1\n')
+
+    @pytest.mark.parametrize("key", ["base", "hv-shift", "cont-prob", "cont-mean"])
+    def test_non_numeric_bus_value_is_a_semantic_error(self, key):
+        with pytest.raises(ConfigSemanticError) as excinfo:
+            parse_platform('platform "p"\ncpu 0\nbus %s=abc\n' % key)
+        assert key in str(excinfo.value) and "'abc'" in str(excinfo.value)
+
+    def test_non_utf8_platform_file_rejected(self, tmp_path):
+        path = tmp_path / "board.platform"
+        path.write_bytes(b'platform "\xff"\ncpu 0\n')
+        with pytest.raises(InvariantViolation, match="not valid UTF-8"):
+            load_platform(str(path))
 
     def test_load_platform_preset(self):
         assert load_platform("jetson-tk1").name == "jetson-tk1"

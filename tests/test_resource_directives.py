@@ -1,0 +1,123 @@
+"""The six resource directives read the same in platform files and cell configs.
+
+Both text formats hand `cpu`, `mem`, `mmio`, `pci`, `ioport` and `irq`
+lines to `machine.parse_resource`, so a line names the same resources, or
+fails with the same error at the same line and column, in either format.
+"""
+
+import pytest
+
+from cellsim import (
+    Cpu,
+    IrqLine,
+    build_platform,
+    parse_config,
+    parse_platform,
+)
+from cellsim._dsl import split_tokens
+from cellsim.cli import main
+from cellsim.errors import (
+    CellSimError,
+    ConfigSemanticError,
+    ConfigSyntaxError,
+    DuplicateIrq,
+)
+from cellsim.machine import parse_resource
+
+# A cell config must name a CPU and memory; both formats get the same
+# filler after the line under test so the line stays on line 2.
+FILLER = "cpu 63\nmem 0xf0000000 0x1000 r\n"
+
+VALID = [
+    "cpu 1",
+    "cpu 0-2,5",
+    "mem 0x10000000 0x200000 rwxd",
+    "mem 0x20000000 0x1000 r",
+    "mmio uart 0x70006000 0x1000",
+    "pci 0x0010",
+    "ioport 0x3f8 0x8",
+    "irq 32-34",
+    "irq 40,7",
+]
+
+MALFORMED = {
+    "arity": ["cpu", "cpu 1 2", "mem 0x1000 0x1000", "mmio a 0x1000", "pci",
+              "ioport 0x10", "ioport 0x10 0x8 0x8", "irq"],
+    "bad hex": ["mem zz 0x1000 r", "mem 0x1000 zz r", "mem -0x1000 0x1000 r",
+                "mmio a 0xzz 0x1000", "pci zz", "ioport zz 0x8"],
+    "bad id": ["cpu x", "cpu 1-x", "irq a,b"],
+    "bad perms": ["mem 0x1000 0x1000 rq", "mem 0x1000 0x1000 rr"],
+    "bad name": ["mmio a! 0x1000 0x1000"],
+    "unaligned": ["mem 0x1001 0x1000 r", "mem 0x1000 0x1001 r", "mmio a 0x1000 0x10"],
+    "out-of-range id": ["cpu -1", "cpu 4294967296", "irq 4294967296", "pci 0x10000",
+                        "ioport 0xfff0 0x20", "mem 0xfffffffffffff000 0x2000 r"],
+    "empty range": ["cpu 3-1", "irq 5-3", "mem 0x1000 0 r", "ioport 0x10 0"],
+    "duplicate cpu": ["cpu 1,1", "cpu 0-2,2"],
+    "unknown directive": ["flux 1"],
+}
+MALFORMED_CASES = [pytest.param(line, id="%s: %s" % (group, line))
+                   for group, lines in MALFORMED.items() for line in lines]
+
+
+def _parse_both(line):
+    """(cell config or error, platform spec or error) for one line."""
+    results = []
+    for parse, header in ((parse_config, 'cell "c"'), (parse_platform, 'platform "p"')):
+        try:
+            results.append(parse("%s\n%s\n%s" % (header, line, FILLER)))
+        except CellSimError as exc:
+            results.append(exc)
+    return results
+
+
+def _config_resources(cfg):
+    return ({Cpu(i) for i in cfg.cpus} | set(cfg.mem) | set(cfg.devices)
+            | {IrqLine(n) for n in cfg.irqs})
+
+
+@pytest.mark.parametrize("line", VALID)
+def test_valid_line_names_the_same_resources(line):
+    cfg, spec = _parse_both(line)
+    named = parse_resource(split_tokens(line), 2)
+    filler = {r for filler_line in FILLER.splitlines()
+              for r in parse_resource(split_tokens(filler_line), 3)}
+    assert _config_resources(cfg) == set(spec.resources) == set(named) | filler
+
+
+@pytest.mark.parametrize("line", MALFORMED_CASES)
+def test_malformed_line_fails_the_same_way(line):
+    from_config, from_platform = _parse_both(line)
+    assert isinstance(from_config, (ConfigSyntaxError, ConfigSemanticError))
+    assert type(from_config) is type(from_platform)
+    assert from_config.line == from_platform.line == 2
+    assert getattr(from_config, "col", None) == getattr(from_platform, "col", None)
+    assert str(from_config) == str(from_platform)
+
+
+def test_duplicate_irq_rules_stay_per_format():
+    with pytest.raises(ConfigSemanticError, match="line 3: irq 33 listed twice"):
+        parse_config('cell "c"\nirq 33\nirq 32-33\n' + FILLER)
+    spec = parse_platform('platform "p"\nirq 33\nirq 32-33\ncpu 0\n')
+    with pytest.raises(DuplicateIrq):
+        build_platform(spec)
+
+
+@pytest.mark.parametrize("line", MALFORMED_CASES)
+def test_cli_rejects_malformed_config_line(line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text('cell "c"\n%s\n%s' % (line, FILLER))
+    assert main(["--state", str(tmp_path / "s"), "check-config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("line", MALFORMED_CASES)
+def test_cli_rejects_malformed_platform_line(line, tmp_path, capsys):
+    board = tmp_path / "bad.platform"
+    board.write_text('platform "p"\n%s\n%s' % (line, FILLER))
+    root = tmp_path / "root.cfg"
+    root.write_text('cell "root"\n' + FILLER)
+    argv = ["--state", str(tmp_path / "s"), "enable",
+            "--platform", str(board), "--root", str(root)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "s").exists()

@@ -17,6 +17,7 @@ from cellsim.errors import (
     TruncatedRecord,
     UnsupportedVersion,
 )
+from cellsim import snapshot
 from cellsim.snapshot import MAGIC, VERSION
 
 from conftest import make_tiny_platform
@@ -163,3 +164,48 @@ class TestRejection:
         blob = save_session(hv.platform, hv)
         with pytest.raises(InvariantViolation):
             load_session(blob)
+
+
+def _with_record(platform, index, kind, a, b, c, name=b""):
+    """A platform-only snapshot whose resource record `index` is replaced."""
+    blob = save_session(platform, None)
+    offset = (snapshot._HEADER.size + 2 + len(platform.name.encode()) + 2
+              + snapshot._BUS.size + 4)
+    sizes = [snapshot._RESOURCE.size + 2 + len(getattr(r, "name", "").encode())
+             for r in platform.resources]
+    offset += sum(sizes[:index])
+    record = snapshot._RESOURCE.pack(kind, a, b, c) + struct.pack("<H", len(name)) + name
+    return blob[:offset] + record + blob[offset + sizes[index]:]
+
+
+class TestRecordStrictness:
+    # make_tiny_platform: cpus 0-3, RAM, gic-dist, uart, ioport, pci, irqs 32-39.
+    CPU, MEM, MMIO, IOPORT, PCI, IRQ = 0, 4, 5, 7, 8, 9
+
+    def test_unknown_permission_bits_rejected(self, tiny):
+        blob = _with_record(tiny, self.MEM, snapshot._RES_MEM, RAM, 0x20_0000, 0xF0F)
+        with pytest.raises(InvariantViolation, match="permission bits"):
+            load_session(blob)
+
+    @pytest.mark.parametrize("index, kind, a, b, c, name", [
+        pytest.param(CPU, snapshot._RES_CPU, 0, 1, 0, b"", id="cpu-size"),
+        pytest.param(CPU, snapshot._RES_CPU, 0, 0, 0, b"x", id="cpu-name"),
+        pytest.param(MEM, snapshot._RES_MEM, RAM, 0x20_0000, 3, b"x", id="mem-name"),
+        pytest.param(MMIO, snapshot._RES_MMIO, 0x5004_1000, 0x1000, 1, b"gic-dist",
+                     id="mmio-flags"),
+        pytest.param(IOPORT, snapshot._RES_IOPORT, 0x3F8, 0x8, 1, b"", id="ioport-flags"),
+        pytest.param(IOPORT, snapshot._RES_IOPORT, 0x3F8, 0x8, 0, b"x", id="ioport-name"),
+        pytest.param(PCI, snapshot._RES_PCI, 0x10, 0, 7, b"", id="pci-flags"),
+        pytest.param(IRQ, snapshot._RES_IRQ, 32, 2, 0, b"", id="irq-size"),
+    ])
+    def test_stray_fields_rejected(self, tiny, index, kind, a, b, c, name):
+        with pytest.raises(InvariantViolation, match="stray fields"):
+            load_session(_with_record(tiny, index, kind, a, b, c, name))
+
+    def test_non_utf8_string_rejected(self, tiny):
+        blob = bytearray(save_session(tiny, None))
+        start = snapshot._HEADER.size + 2
+        assert blob[start:start + 4] == b"tiny"
+        blob[start] = 0xFF
+        with pytest.raises(InvariantViolation, match="not valid UTF-8"):
+            load_session(bytes(blob))
