@@ -29,7 +29,7 @@ from .cellconfig import (
     parse_config,
     validate_against,
 )
-from .comm import VirtPciDevice, create_channel, pci_cfg_read, poll, read_buffer, send
+from .comm import create_channel, pci_cfg_read, poll, read_buffer, send
 from .errors import CellSimError
 from .hvcore import (
     ROOT_CELL,

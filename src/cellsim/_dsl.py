@@ -72,8 +72,16 @@ def parse_dec(token: Token, lineno: int, what: str) -> int:
     return value
 
 
+MAX_ID = 0xFFFFFFFF
+MAX_LIST_IDS = 0x10000
+
+
 def parse_id_list(token: Token, lineno: int, what: str) -> list[int]:
-    """Parse `2,3` or `32-160` or mixed `0-1,3` into a list of ints."""
+    """Parse `2,3` or `32-160` or mixed `0-1,3` into a list of ints.
+
+    A range may not end above MAX_ID, and a list may not name more than
+    MAX_LIST_IDS ids; both are refused before the range is expanded.
+    """
     text, col = token
     ids: list[int] = []
     for part in text.split(","):
@@ -85,12 +93,19 @@ def parse_id_list(token: Token, lineno: int, what: str) -> list[int]:
                 raise ConfigSyntaxError(lineno, col, "%s: bad range %r" % (what, part))
             if hi < lo:
                 raise ConfigSyntaxError(lineno, col, "%s: empty range %r" % (what, part))
-            ids.extend(range(lo, hi + 1))
+            if hi > MAX_ID:
+                raise ConfigSyntaxError(
+                    lineno, col, "%s: range %r ends above 0x%x" % (what, part, MAX_ID))
+            new_ids = range(lo, hi + 1)
         else:
             try:
-                ids.append(int(part, 10))
+                new_ids = (int(part, 10),)
             except ValueError:
                 raise ConfigSyntaxError(lineno, col, "%s: bad id %r" % (what, part))
+        if len(ids) + len(new_ids) > MAX_LIST_IDS:
+            raise ConfigSyntaxError(
+                lineno, col, "%s: more than %d ids in one list" % (what, MAX_LIST_IDS))
+        ids.extend(new_ids)
     return ids
 
 

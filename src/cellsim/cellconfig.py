@@ -152,12 +152,19 @@ class CellConfig:
         for dev in self.devices:
             if type(dev) not in _DEVICE_SORT_CODE:
                 raise InvariantViolation("unsupported device type %r" % type(dev).__name__)
+        if len(set(self.devices)) != len(self.devices):
+            raise InvariantViolation("a device is listed twice")
         intervals = [(r.base, r.end, r) for r in self.mem]
         intervals += [(d.base, d.end, d) for d in self.devices if isinstance(d, MmioDevice)]
         intervals.sort(key=lambda t: t[0])
         for (_, prev_end, prev), (base, _, cur) in zip(intervals, intervals[1:]):
             if base < prev_end:
                 raise InvariantViolation("config ranges overlap: %r and %r" % (prev, cur))
+
+    def units(self) -> tuple:
+        """The unit resources the cell owns: its CPUs, devices and IRQ lines."""
+        return (tuple(Cpu(index) for index in sorted(self.cpus)) + self.devices
+                + tuple(IrqLine(number) for number in sorted(self.irqs)))
 
 
 # --- DSL parsing ------------------------------------------------------------
@@ -311,8 +318,7 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
     a create with this config would succeed against the same ledger.
     """
     violations: list[Violation] = []
-
-    def check_unit(resource):
+    for resource in cfg.units():
         owner = ledger.owner_of_unit(resource)
         if owner is None:
             violations.append(Violation(ViolationKind.NO_SUCH_RESOURCE, resource))
@@ -320,9 +326,6 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
             violations.append(Violation(
                 ViolationKind.NOT_OWNED_BY_ROOT, resource,
                 "owned by cell %d" % owner))
-
-    for index in sorted(cfg.cpus):
-        check_unit(Cpu(index))
 
     for region in cfg.mem:
         host = platform.host_region(region.base, region.end)
@@ -339,13 +342,6 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
             violations.append(Violation(
                 ViolationKind.NOT_OWNED_BY_ROOT, region,
                 "not root-owned" if owner is None else "owned by cell %d" % owner))
-
-    for dev in cfg.devices:
-        check_unit(dev)
-
-    for number in sorted(cfg.irqs):
-        check_unit(IrqLine(number))
-
     return violations
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
 import os
 import struct
 import sys
@@ -211,7 +212,9 @@ def _cmd_events_export(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="cellsim",
         description="Static-partitioning hypervisor simulator and latency benchmark.")
@@ -289,7 +292,7 @@ def main(argv=None) -> int:
     except CellSimError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

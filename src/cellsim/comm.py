@@ -37,20 +37,6 @@ ABSENT = 0xFFFFFFFF
 _RW = PermFlags.READ | PermFlags.WRITE
 
 
-@dataclass(frozen=True)
-class VirtPciDevice:
-    bdf: int
-    device_id: int = DEVICE_ID
-    msix_vectors: int = 1
-    vendor_id: int = VENDOR_ID
-
-    def __post_init__(self):
-        if not 0 <= self.bdf <= 0xFFFF:
-            raise InvariantViolation("bdf out of range")
-        if self.msix_vectors < 1:
-            raise InvariantViolation("a device needs at least one vector")
-
-
 @dataclass
 class Channel:
     id: int
@@ -114,18 +100,19 @@ def _carve(hv: Hypervisor, cell_id: int, size: int) -> MemRegion:
         "cell %d has no free read-write span of 0x%x bytes" % (cell_id, size))
 
 
-def _add_device(hv: Hypervisor, cell_id: int, vectors: int) -> int:
+def _alloc_bdf(hv: Hypervisor, cell_id: int) -> int:
     bdf = hv._next_bdf.get(cell_id, 0)
+    if bdf > 0xFFFF:
+        raise InvariantViolation("bdf out of range")
     hv._next_bdf[cell_id] = bdf + (1 << 3)  # next device number, function 0
-    hv.pci.setdefault(cell_id, {})[bdf] = VirtPciDevice(bdf, msix_vectors=vectors)
     return bdf
 
 
 def create_channel(hv: Hypervisor, a: int, b: int, size: int, vectors: int) -> int:
     """Set up a shared window between cells a and b with doorbells.
 
-    The window comes out of a's memory; b reaches it through an access
-    grant, so the ownership ledger keeps a single owner per byte.
+    The window comes out of a's memory; b may access it while the
+    channel exists, so the ownership ledger keeps a single owner per byte.
     """
     hv._require_enabled()
     if a == b:
@@ -141,11 +128,9 @@ def create_channel(hv: Hypervisor, a: int, b: int, size: int, vectors: int) -> i
     region = _carve(hv, a, size)
     channel = Channel(
         id=hv._next_channel_id, cell_a=a, cell_b=b, region=region,
-        vectors=vectors, bdf_a=_add_device(hv, a, vectors),
-        bdf_b=_add_device(hv, b, vectors))
+        vectors=vectors, bdf_a=_alloc_bdf(hv, a), bdf_b=_alloc_bdf(hv, b))
     hv.channels[channel.id] = channel
     hv._next_channel_id += 1
-    hv.grants.setdefault(b, set()).add((region.base, region.end))
     hv._log(TrapKind.MANAGEMENT, a, "channel %s-%s"
             % (hv.cells[a].config.name, hv.cells[b].config.name))
     return channel.id
@@ -219,15 +204,17 @@ def pci_cfg_read(hv: Hypervisor, cell_id: int, bdf: int, offset: int) -> int:
     if offset % 4:
         raise BadAlignment("config space reads must be 4-byte aligned")
     hv._log(TrapKind.INSTRUCTION_EMULATION, cell_id, "pci-cfg")
-    device = hv.pci.get(cell_id, {}).get(bdf)
-    if device is None:
+    channel = next((ch for ch in hv.channels.values()
+                    if (cell_id, bdf) in ((ch.cell_a, ch.bdf_a), (ch.cell_b, ch.bdf_b))),
+                   None)
+    if channel is None:
         return ABSENT
     if offset == 0:
-        return (device.device_id << 16) | device.vendor_id
+        return (DEVICE_ID << 16) | VENDOR_ID
     if offset == 8:
         return 0xFF000000  # class: unassigned
     if offset == 0x40:
-        return device.msix_vectors
+        return channel.vectors
     return 0
 
 

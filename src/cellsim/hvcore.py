@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Optional
 
 from ._dsl import decode_utf8, iter_directives, parse_dec, parse_hex
-from .cellconfig import CellConfig, WorkloadKind, validate_against
+from .cellconfig import CellConfig, WorkloadKind, _describe, validate_against
 from .errors import (
     AlreadyEnabled,
     BadState,
@@ -34,7 +34,7 @@ from .errors import (
     RootCellImmortal,
     ValidationFailed,
 )
-from .machine import Cpu, IrqLine, MachinePlatform, MemRegion, PermFlags
+from .machine import MachinePlatform, MemRegion, PermFlags
 from .rng import make_rng
 
 CellId = int
@@ -378,8 +378,6 @@ class Hypervisor:
         self.seed = seed
         self.sensitive_instructions = frozenset(sensitive_instructions)
         self.channels: dict = {}
-        self.grants: dict[CellId, set[tuple[int, int]]] = {}
-        self.pci: dict[CellId, dict] = {}
         self.channel_trace: list[dict] = []
         self._next_cell_id: CellId = 1
         self._next_channel_id: int = 0
@@ -447,23 +445,22 @@ class Hypervisor:
         for cell in self.cells.values():
             if cell.config.name == cfg.name:
                 raise NameCollision("cell named %r already exists" % cfg.name)
-        violations = validate_against(cfg, self.platform, self.ledger)
-        if violations:
-            raise ValidationFailed(violations)
-        for index in sorted(cfg.cpus):
-            self.ledger.transfer_unit(Cpu(index), ROOT_CELL, self._next_cell_id)
-        for region in cfg.mem:
-            self.ledger.transfer_range(region.base, region.end,
-                                       ROOT_CELL, self._next_cell_id)
-        for dev in cfg.devices:
-            self.ledger.transfer_unit(dev, ROOT_CELL, self._next_cell_id)
-        for number in sorted(cfg.irqs):
-            self.ledger.transfer_unit(IrqLine(number), ROOT_CELL, self._next_cell_id)
         cell_id = self._next_cell_id
+        self._claim(cell_id, cfg)
         self._next_cell_id += 1
         self.cells[cell_id] = Cell(cell_id, cfg)
         self._log(TrapKind.MANAGEMENT, cell_id, "create %s" % cfg.name)
         return cell_id
+
+    def _claim(self, cell_id: CellId, cfg: CellConfig) -> None:
+        """Move cfg's resources from root to cell_id; on any violation, move none."""
+        violations = validate_against(cfg, self.platform, self.ledger)
+        if violations:
+            raise ValidationFailed(violations)
+        for resource in cfg.units():
+            self.ledger.transfer_unit(resource, ROOT_CELL, cell_id)
+        for region in cfg.mem:
+            self.ledger.transfer_range(region.base, region.end, ROOT_CELL, cell_id)
 
     def load_image(self, cell_id: CellId, addr: int, data: bytes) -> None:
         self._require_enabled()
@@ -507,11 +504,10 @@ class Hypervisor:
         if cell_id == ROOT_CELL:
             raise RootCellImmortal("the root cell cannot be destroyed")
         cell = self._cell(cell_id)
-        self._drop_channels_of(cell_id)
+        self.channels = {ch_id: ch for ch_id, ch in self.channels.items()
+                         if cell_id not in ch.endpoints()}
         self.ledger.release_all(cell_id, ROOT_CELL)
         del self.cells[cell_id]
-        self.grants.pop(cell_id, None)
-        self.pci.pop(cell_id, None)
         self._next_bdf.pop(cell_id, None)
         self._log(TrapKind.MANAGEMENT, cell_id, "destroy %s" % cell.name)
 
@@ -535,9 +531,7 @@ class Hypervisor:
         self._log(TrapKind.MANAGEMENT, ROOT_CELL, "disable")
         self.cells = {}
         self.ledger = None
-        self.grants = {}
         self.channels = {}
-        self.pci = {}
         self._next_bdf = {}
         self._carve_ptr = {}
         self.state = HvState.DISABLED
@@ -567,11 +561,11 @@ class Hypervisor:
         for cell_id, cell in self.cells.items():
             if cell_id == ROOT_CELL:
                 continue
-            cfg = cell.config
-            for index in sorted(cfg.cpus):
-                if self.ledger.owner_of_unit(Cpu(index)) != cell_id:
-                    raise InvariantViolation("cell %d lost cpu %d" % (cell_id, index))
-            for region in cfg.mem:
+            for resource in cell.config.units():
+                if self.ledger.owner_of_unit(resource) != cell_id:
+                    raise InvariantViolation(
+                        "cell %d lost %s" % (cell_id, _describe(resource)))
+            for region in cell.config.mem:
                 if self.ledger.range_owner(region.base, region.end) != cell_id:
                     raise InvariantViolation(
                         "cell %d lost mem [0x%x, 0x%x)"
@@ -621,8 +615,9 @@ class Hypervisor:
             for region in cell.config.mem:
                 if region.base <= lo and hi <= region.end:
                     return bool(region.flags & need)
-        for g_lo, g_hi in self.grants.get(cell.id, ()):
-            if g_lo <= lo and hi <= g_hi:
+        for channel in self.channels.values():
+            window = channel.region
+            if channel.cell_b == cell.id and window.base <= lo and hi <= window.end:
                 return True
         for dev in self.platform.mmio_devices:
             if dev.base <= lo and hi <= dev.end:
@@ -633,17 +628,6 @@ class Hypervisor:
         self._log(TrapKind.ACCESS_VIOLATION, cell.id, access.describe())
         cell.state = CellState.FAILED
         return AccessOutcome.VIOLATION
-
-    def _drop_channels_of(self, cell_id: CellId) -> None:
-        doomed = [ch_id for ch_id, ch in self.channels.items()
-                  if cell_id in (ch.cell_a, ch.cell_b)]
-        for ch_id in doomed:
-            channel = self.channels.pop(ch_id)
-            span = (channel.region.base, channel.region.end)
-            for endpoint, bdf in ((channel.cell_a, channel.bdf_a),
-                                  (channel.cell_b, channel.bdf_b)):
-                self.grants.get(endpoint, set()).discard(span)
-                self.pci.get(endpoint, {}).pop(bdf, None)
 
     # -- turn-based guest stepping
 

@@ -2,9 +2,10 @@
 
 Persists a platform plus optional hypervisor state between CLI
 invocations, with the same little-endian framing style as the config
-codec. The load path rebuilds the platform through its validator and
-audits the restored ledger, so a corrupt snapshot cannot produce an
-inconsistent session.
+codec. Ownership is not stored: the load path rebuilds the platform
+through its validator and the ledger by claiming each cell's config in
+id order, then audits the result, so a corrupt snapshot cannot produce
+an inconsistent session.
 """
 
 from __future__ import annotations
@@ -14,8 +15,17 @@ from typing import Optional
 
 from ._dsl import decode_utf8
 from .cellconfig import _Reader, emit_binary, load_binary
-from .errors import BadMagic, InvariantViolation, UnsupportedVersion
-from .hvcore import Cell, CellState, Hypervisor, HvState, OwnershipLedger, TrapEvent, TrapKind
+from .errors import BadMagic, InvariantViolation, UnsupportedVersion, ValidationFailed
+from .hvcore import (
+    ROOT_CELL,
+    Cell,
+    CellState,
+    Hypervisor,
+    HvState,
+    OwnershipLedger,
+    TrapEvent,
+    TrapKind,
+)
 from .machine import (
     BusModel,
     Cpu,
@@ -33,7 +43,7 @@ from .machine import (
 )
 
 MAGIC = 0x4A485353
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<IH")
 _U8 = struct.Struct("<B")
@@ -42,7 +52,6 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _BUS = struct.Struct("<8d2B")
 _RESOURCE = struct.Struct("<BQQQ")
-_SEGMENT = struct.Struct("<QQI")
 _EVENT = struct.Struct("<QIB")
 
 _RES_CPU, _RES_MEM, _RES_MMIO, _RES_PCI, _RES_IOPORT, _RES_IRQ = range(6)
@@ -164,19 +173,6 @@ def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
         for addr in sorted(cell.memory_image):
             out += _U64.pack(addr)
             _put_bytes(out, cell.memory_image[addr])
-
-    ledger = hv.ledger
-    out += _U32.pack(len(ledger._units))
-    for resource in sorted(ledger._units, key=repr):
-        _put_resource(out, resource)
-        out += _U32.pack(ledger._units[resource])
-    out += _U32.pack(len(ledger._mem))
-    for base in sorted(ledger._mem):
-        _, segments = ledger._mem[base]
-        out += _U64.pack(base)
-        out += _U32.pack(len(segments))
-        for lo, hi, owner in segments:
-            out += _SEGMENT.pack(lo, hi, owner)
     return bytes(out)
 
 
@@ -238,6 +234,8 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     (n_cells,) = reader.take(_U32)
     for _ in range(n_cells):
         (cell_id,) = reader.take(_U32)
+        if cell_id in hv.cells:
+            raise InvariantViolation("cell %d appears twice in snapshot" % cell_id)
         (state_code,) = reader.take(_U8)
         state = _STATES_BY_CODE.get(state_code)
         if state is None:
@@ -253,30 +251,19 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
             (addr,) = reader.take(_U64)
             cell.memory_image[addr] = _get_bytes(reader)
         hv.cells[cell_id] = cell
+    if ROOT_CELL not in hv.cells:
+        raise InvariantViolation("snapshot has no root cell")
+    if max(hv.cells) >= hv._next_cell_id:
+        raise InvariantViolation("snapshot's next cell id %d is not above cell %d"
+                                 % (hv._next_cell_id, max(hv.cells)))
 
-    ledger = OwnershipLedger(platform)
-    (n_units,) = reader.take(_U32)
-    units: dict = {}
-    for _ in range(n_units):
-        resource = _get_resource(reader)
-        (owner,) = reader.take(_U32)
-        units[resource] = owner
-    if set(units) != set(ledger._units):
-        raise InvariantViolation("snapshot unit resources diverge from platform")
-    ledger._units = units
-    (n_regions,) = reader.take(_U32)
-    for _ in range(n_regions):
-        (base,) = reader.take(_U64)
-        if base not in ledger._mem:
-            raise InvariantViolation("snapshot region 0x%x not in platform" % base)
-        region, _ = ledger._mem[base]
-        (n_segments,) = reader.take(_U32)
-        segments = []
-        for _ in range(n_segments):
-            lo, hi, owner = reader.take(_SEGMENT)
-            segments.append([lo, hi, owner])
-        ledger._mem[base] = (region, segments)
-    hv.ledger = ledger
+    hv.ledger = OwnershipLedger(platform)
+    for cell_id in sorted(set(hv.cells) - {ROOT_CELL}):
+        try:
+            hv._claim(cell_id, hv.cells[cell_id].config)
+        except ValidationFailed as exc:
+            raise InvariantViolation("snapshot cell %d (%s) does not fit: %s" % (
+                cell_id, hv.cells[cell_id].name, "; ".join(map(str, exc.violations))))
     _expect_end(reader)
     hv.audit()
     return platform, hv

@@ -160,6 +160,13 @@ class TestCellConfigInvariants:
             CellConfig(name="c", cpus=[0], mem=[MemRegion(0x1000, 0x2000)],
                        devices=[MmioDevice("u", 0x2000, 0x1000)])
 
+    @pytest.mark.parametrize("device", [PciDevice(0x10), IoPortRange(0x3F8, 0x8)])
+    def test_duplicate_device_rejected(self, device):
+        # a second copy would pass validation, then fail halfway through a create
+        with pytest.raises(InvariantViolation, match="listed twice"):
+            CellConfig(name="c", cpus=[0], mem=[MemRegion(0x1000, 0x1000)],
+                       devices=[device, device])
+
     def test_bad_name_rejected(self):
         with pytest.raises(InvariantViolation):
             CellConfig(name="has space", cpus=[0], mem=[MemRegion(0x1000, 0x1000)])

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,6 +237,33 @@ class TestNoTracebacks:
         capsys.readouterr()
         assert run(ws, "cell", "start", "guest") == 1
         assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_config_path_is_a_directory(self, ws, capsys):
+        assert run(ws, "check-config", str(ws)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_platform_path_is_a_directory(self, ws, capsys):
+        assert run(ws, "enable", "--platform", str(ws), "--root", str(ws / "root.cfg")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (ws / "cellsim.state").exists()
+
+
+class TestParser:
+    def test_built_once_and_reused(self, ws, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        # options of one command do not leak into the next
+        far = ws / "far.cfg"
+        far.write_text('cell "far"\ncpu 9\nmem 0x10100000 0x1000 rw\n')
+        assert run(ws, "check-config", str(far), "--platform", str(ws / "board.platform")) == 1
+        assert run(ws, "check-config", str(far)) == 0
+        assert capsys.readouterr().out == "NoSuchResource(cpu 9)\nok: far\n"
+
+    def test_not_built_at_import(self):
+        probe = ("import cellsim.cli as cli; "
+                 "print(cli.build_parser.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "0\n"
 
 
 class TestUsageErrors:

@@ -9,7 +9,6 @@ from cellsim import (
     AccessOutcome,
     CellState,
     TrapKind,
-    VirtPciDevice,
     create_channel,
     pci_cfg_read,
     poll,
@@ -76,8 +75,8 @@ class TestCreateChannel:
     def test_both_endpoints_see_virtual_pci_devices(self):
         hv, a, b, ch = channel_pair(vectors=4)
         channel = hv.channels[ch]
-        assert hv.pci[a][channel.bdf_a] == VirtPciDevice(channel.bdf_a, msix_vectors=4)
-        assert hv.pci[b][channel.bdf_b] == VirtPciDevice(channel.bdf_b, msix_vectors=4)
+        assert pci_cfg_read(hv, a, channel.bdf_a, 0x40) == 4
+        assert pci_cfg_read(hv, b, channel.bdf_b, 0x40) == 4
 
     def test_bdfs_increment_per_cell(self):
         hv, a, b, _ = channel_pair()
@@ -261,10 +260,11 @@ class TestTeardown:
     def test_destroy_drops_channels_grants_and_devices(self):
         hv, a, b, ch = channel_pair()
         region = hv.channels[ch].region
+        bdf_b = hv.channels[ch].bdf_b
         hv.stop_cell(a)
         hv.destroy_cell(a)
         assert hv.channels == {}
-        assert hv.pci.get(b, {}) == {}
+        assert pci_cfg_read(hv, b, bdf_b, 0) == ABSENT
         # the grant dies with the channel
         assert hv.handle_access(b, Access(
             AccessKind.MEM_READ, region.base, 4)) is AccessOutcome.VIOLATION

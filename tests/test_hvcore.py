@@ -18,6 +18,7 @@ from cellsim import (
     HvState,
     IrqLine,
     MemRegion,
+    MmioDevice,
     OwnershipLedger,
     PermFlags,
     TrapKind,
@@ -536,6 +537,20 @@ class TestEvents:
             hv.owner_of(Cpu(9))
         with pytest.raises(NoSuchResource):
             hv.owner_of(MemRegion(0xF000_0000, 0x1000))
+
+
+class TestAudit:
+    UART = MmioDevice("uart", 0x7000_6000, 0x1000)
+
+    @pytest.mark.parametrize("unit, text", [
+        (IrqLine(33), "irq 33"), (UART, "mmio uart@0x70006000")])
+    def test_unit_handed_back_to_root_is_caught(self, unit, text):
+        hv = tiny_hv()
+        cell_id = hv.create_cell(small_cell(irqs=[33], devices=[self.UART]))
+        hv.audit()
+        hv.ledger._units[unit] = ROOT_CELL  # simulate corruption
+        with pytest.raises(InvariantViolation, match="cell %d lost %s" % (cell_id, text)):
+            hv.audit()
 
 
 class TestLedger:

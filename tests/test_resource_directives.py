@@ -121,3 +121,24 @@ def test_cli_rejects_malformed_platform_line(line, tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("irq 0-4294967296", "irq list: range '0-4294967296' ends above 0xffffffff"),
+    ("cpu 4294967295-18446744073709551616",
+     "cpu list: range '4294967295-18446744073709551616' ends above 0xffffffff"),
+    ("irq 0-4294967295", "irq list: more than 65536 ids in one list"),
+    ("cpu 1,0-65535", "cpu list: more than 65536 ids in one list"),
+])
+def test_id_list_is_bounded_before_it_expands(line, message):
+    with pytest.raises(ConfigSyntaxError, match=message):
+        parse_resource(split_tokens(line), 2)
+    for exc in _parse_both(line):
+        assert isinstance(exc, ConfigSyntaxError)
+        assert (exc.line, exc.col) == (2, 5)
+        assert message in str(exc)
+
+
+def test_id_list_limits_are_inclusive():
+    assert len(parse_resource(split_tokens("irq 0-65535"), 1)) == 0x10000
+    assert parse_resource(split_tokens("cpu 4294967295"), 1) == [Cpu(0xFFFFFFFF)]

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from cellsim import (
     Hypervisor,
     HvState,
     MemRegion,
+    emit_binary,
     load_session,
     save_session,
 )
@@ -154,16 +156,69 @@ class TestRejection:
     def test_ownership_by_dead_cell_rejected(self):
         hv = populated_hv()
         hv.ledger._units[Cpu(1)] = 99  # simulate corruption
-        blob = save_session(hv.platform, hv)
-        with pytest.raises(InvariantViolation):
-            load_session(blob)
+        with pytest.raises(InvariantViolation, match="dead cells"):
+            hv.audit()
+        # the ledger is not stored, so the corruption cannot be saved
+        _, restored = load_session(save_session(hv.platform, hv))
+        assert restored.owner_of(Cpu(1)) == 1
 
     def test_unit_set_divergence_rejected(self):
         hv = populated_hv()
         del hv.ledger._units[Cpu(1)]
+        with pytest.raises(InvariantViolation, match="diverge"):
+            hv.audit()
+
+    @pytest.mark.parametrize("field, ids, unit", [
+        ("cpus", {1}, "cpu 1"), ("irqs", {33}, "irq 33")])
+    def test_colliding_cell_configs_rejected(self, field, ids, unit):
+        hv = populated_hv()  # cell 1 owns cpu 1 and irq 33
+        cell = hv.cells[2]
+        cell.config = replace(cell.config, **{field: frozenset(ids)})
+        with pytest.raises(InvariantViolation, match="cell 2 lost %s" % unit):
+            hv.audit()
         blob = save_session(hv.platform, hv)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=r"cell 2 \(stopped\) does not fit: "
+                           r"NotOwnedByRoot\(%s\): owned by cell 1" % unit):
             load_session(blob)
+
+    def test_config_naming_absent_resource_rejected(self):
+        hv = populated_hv()
+        cell = hv.cells[3]
+        cell.config = replace(cell.config, irqs=frozenset({99}))
+        blob = save_session(hv.platform, hv)
+        with pytest.raises(InvariantViolation,
+                           match=r"cell 3 \(fresh\) does not fit: NoSuchResource\(irq 99\)"):
+            load_session(blob)
+
+
+def _with_cell_id(blob, cell, new_id):
+    """The snapshot with `cell`'s id field replaced by new_id."""
+    # a cell record starts: id u32, state u8, two u64 counters, config length u32
+    offset = blob.index(emit_binary(cell.config)) - (4 + 1 + 8 + 8 + 4)
+    assert struct.unpack_from("<I", blob, offset) == (cell.id,)
+    return blob[:offset] + struct.pack("<I", new_id) + blob[offset + 4:]
+
+
+class TestCellTable:
+    def test_duplicate_cell_id_rejected(self):
+        hv = populated_hv()
+        blob = _with_cell_id(save_session(hv.platform, hv), hv.cells[2], 1)
+        with pytest.raises(InvariantViolation, match="cell 1 appears twice"):
+            load_session(blob)
+
+    def test_missing_root_cell_rejected(self):
+        hv = populated_hv()
+        hv._next_cell_id = 10
+        blob = _with_cell_id(save_session(hv.platform, hv), hv.cells[0], 7)
+        with pytest.raises(InvariantViolation, match="no root cell"):
+            load_session(blob)
+
+    @pytest.mark.parametrize("next_id", [0, 1, 3])
+    def test_next_cell_id_must_exceed_every_cell(self, next_id):
+        hv = populated_hv()  # cells 0-3
+        hv._next_cell_id = next_id
+        with pytest.raises(InvariantViolation, match="next cell id %d" % next_id):
+            load_session(save_session(hv.platform, hv))
 
 
 def _with_record(platform, index, kind, a, b, c, name=b""):
