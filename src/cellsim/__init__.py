@@ -46,12 +46,15 @@ from .hvcore import (
     enable,
 )
 from .irq import (
+    IrqDeliveries,
     IrqDelivery,
     LatencyStats,
     Scenario,
     distributor_access,
+    latency_streams,
     quantize_62_5ns,
     raise_irq,
+    raise_irqs,
     sample_latency,
 )
 from .machine import (
@@ -72,7 +75,7 @@ from .machine import (
     load_platform,
     parse_platform,
 )
-from .rng import GENERATOR_NAME, make_rng
+from .rng import GENERATOR_NAME, make_rng, make_streams
 from .snapshot import load_session, save_session
 
 __version__ = "0.1.0"

@@ -16,9 +16,9 @@ import numpy as np
 from .cellconfig import CellConfig, Workload, WorkloadKind
 from .errors import EmptySamples, NoSuchLine, OutOfRegion
 from .hvcore import Hypervisor
-from .irq import IrqDelivery, LatencyStats, Scenario, raise_irq
+from .irq import IrqDeliveries, LatencyStats, Scenario, latency_streams, raise_irqs
 from .machine import MachinePlatform, MemRegion, PermFlags
-from .rng import GENERATOR_NAME, make_rng
+from .rng import GENERATOR_NAME
 
 RESPONDER_BYTES = 0x100000  # 1 MiB per benchmark cell
 _RW = PermFlags.READ | PermFlags.WRITE
@@ -70,10 +70,10 @@ def stress_config(platform: MachinePlatform) -> CellConfig:
 
 
 def run_scenario(platform: MachinePlatform,
-                 sc: Scenario) -> tuple[LatencyStats, list[IrqDelivery]]:
+                 sc: Scenario) -> tuple[LatencyStats, IrqDeliveries]:
     """Run one scenario on a fresh hypervisor instance.
 
-    Pure in (platform, sc): the RNG stream derives from sc.seed and the
+    Pure in (platform, sc): the RNG streams derive from sc.seed and the
     scenario settings, so reruns are bit-identical and scenarios can be
     run in any order or in parallel.
     """
@@ -89,12 +89,9 @@ def run_scenario(platform: MachinePlatform,
             neighbour = hv.create_cell(stress_config(platform))
             hv.start_cell(neighbour)
 
-    rng = make_rng(sc.seed, sc.tag())
-    period_ns = round(1e9 / sc.freq_hz)
-    deliveries = [raise_irq(hv, line, i * period_ns, rng)
-                  for i in range(sc.n_samples)]
-    stats = summarize([d.latency_us for d in deliveries])
-    return stats, deliveries
+    times = np.arange(sc.n_samples, dtype=np.int64) * round(1e9 / sc.freq_hz)
+    deliveries = raise_irqs(hv, line, times, latency_streams(sc.seed, sc.tag()))
+    return summarize(deliveries.latency_us), deliveries
 
 
 def summarize(samples) -> LatencyStats:

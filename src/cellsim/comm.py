@@ -27,7 +27,7 @@ from .errors import (
     SelfChannel,
 )
 from .hvcore import CellState, Hypervisor, TrapKind
-from .irq import sample_latency
+from .irq import latency_streams, sample_latency
 from .machine import PAGE_SIZE, MemRegion, PermFlags, bus_load
 
 VENDOR_ID = 0x110A
@@ -158,8 +158,10 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
 
     peer_cell = hv.cells.get(peer)
     if peer_cell is not None and peer_cell.state is CellState.RUNNING:
+        if hv._doorbell_streams is None:  # four streams cost ~100 us
+            hv._doorbell_streams = latency_streams(hv.seed, "hv-doorbell")
         sample_latency(True, bus_load(hv, peer_cell), hv.platform.bus,
-                       hv._doorbell_rng)
+                       hv._doorbell_streams)
         hv._log(TrapKind.IRQ_REINJECTION, peer,
                 "doorbell ch=%d vector=%d" % (ch_id, vector))
     direction = "a->b" if from_cell == channel.cell_a else "b->a"

@@ -35,7 +35,6 @@ from .errors import (
     ValidationFailed,
 )
 from .machine import MachinePlatform, MemRegion, PermFlags
-from .rng import make_rng
 
 CellId = int
 ROOT_CELL: CellId = 0
@@ -383,7 +382,10 @@ class Hypervisor:
         self._next_channel_id: int = 0
         self._next_bdf: dict[CellId, int] = {}
         self._carve_ptr: dict[tuple[CellId, int], int] = {}
-        self._doorbell_rng = make_rng(seed, "hv-doorbell")
+        # Doorbell latency streams, made by the first ring. Assigned here,
+        # not by a cached_property: a new instance attribute after
+        # __init__ makes every attribute read on this object slower.
+        self._doorbell_streams: Optional[tuple] = None
 
     # -- plumbing
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvariantViolation, NoSuchLine, NoSuchResource, UnownedIrq
 from .hvcore import (
     ROOT_CELL,
@@ -24,34 +26,45 @@ from .hvcore import (
     TrapKind,
 )
 from .machine import BusModel, IrqLine, bus_load
+from .rng import make_streams
 
 LATTICE_US = 0.0625  # 62.5 ns timer resolution
 
 
-def quantize_62_5ns(t_us: float) -> float:
-    """Snap a latency to the nearest lattice point; ties round up."""
-    if t_us < 0:
+def quantize_62_5ns(t_us):
+    """Snap a latency or an array to the nearest lattice point; ties round up."""
+    if (t_us < 0).any() if isinstance(t_us, np.ndarray) else t_us < 0:
         raise InvariantViolation("cannot quantize a negative time")
-    return math.floor(t_us / LATTICE_US + 0.5) * LATTICE_US
+    return (t_us / LATTICE_US + 0.5) // 1 * LATTICE_US  # // 1 floors floats and arrays alike
 
 
-def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, rng) -> float:
-    """Draw one measured latency in microseconds.
+def latency_streams(seed: int, tag: str = "") -> tuple:
+    """The four component streams of the latency model, in order:
+    overhead, contention trigger, contention size, phase jitter."""
+    return tuple(make_streams(seed, tag, 4))
+
+
+def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
+                   size=None):
+    """Draw one measured latency in microseconds, or an array of size.
 
     latency = base + H[vmm on] + C[vmm on and stressed, with probability
     contention_prob], observed through jitter and quantization when the
-    bus model has them enabled. Consumes rng draws in a fixed order, so
-    equal seeds give bit-identical streams.
+    bus model has them enabled. Each active component takes one draw per
+    sample from its own stream (the contention size even when the trigger
+    does not fire), so a batch of n equals n single calls.
     """
-    latency = bus.base_latency_us
+    overhead, trigger, contention, jitter = streams
+    latency = bus.base_latency_us if size is None else np.full(size, bus.base_latency_us)
     if vmm_on:
-        latency += bus.hv_overhead.draw(rng)
-        if stressed and rng.random() < bus.contention_prob:
-            latency += bus.contention.draw(rng)
+        latency = latency + bus.hv_overhead.draw(overhead, size)
+        if stressed:
+            fires = trigger.random(size) < bus.contention_prob
+            latency = latency + bus.contention.draw(contention, size) * fires
     if bus.phase_jitter_enabled:
-        latency += rng.random() * LATTICE_US - LATTICE_US / 2
+        latency = latency + (jitter.random(size) * LATTICE_US - LATTICE_US / 2)
     if bus.quantize_enabled:
-        latency = quantize_62_5ns(max(latency, 0.0))
+        latency = quantize_62_5ns(max(latency, 0.0) if size is None else np.maximum(latency, 0.0))
     return latency
 
 
@@ -74,6 +87,25 @@ class IrqDelivery:
             raise InvariantViolation("delivery before raise")
         # timestamps are whole ns, so allow half an ns of rounding
         if abs((self.delivered_at - self.raised_at) - self.latency_us * 1000.0) > 0.5:
+            raise InvariantViolation("timestamps disagree with latency")
+
+
+@dataclass(frozen=True, eq=False)
+class IrqDeliveries:
+    """One line's deliveries: raise/delivery times (int64 ns), latencies (us)."""
+    line: int
+    owner: int
+    path: str
+    raised_at: np.ndarray
+    delivered_at: np.ndarray
+    latency_us: np.ndarray
+
+    def __post_init__(self):
+        span = self.delivered_at - self.raised_at
+        if (span < 0).any():
+            raise InvariantViolation("delivery before raise")
+        # timestamps are whole ns, so allow half an ns of rounding
+        if (np.abs(span - self.latency_us * 1000.0) > 0.5).any():
             raise InvariantViolation("timestamps disagree with latency")
 
 
@@ -118,37 +150,47 @@ class LatencyStats:
             raise InvariantViolation("mean exceeds maximum")
 
 
-def raise_irq(hv: Hypervisor, line: int, t: int, rng) -> IrqDelivery:
-    """Deliver one interrupt raised at absolute time t ns.
+def raise_irq(hv: Hypervisor, line: int, t: int, streams) -> IrqDelivery:
+    """Deliver one interrupt raised at absolute time t ns: raise_irqs
+    with a single raise time."""
+    batch = raise_irqs(hv, line, [t], streams)
+    return IrqDelivery(line, batch.owner, t, int(batch.delivered_at[0]),
+                       float(batch.latency_us[0]), batch.path)
 
-    Disabled hypervisor: the line fires straight into the machine
-    (bare-metal path, no trap). Enabled: the owning running cell gets a
-    reinjected virtual IRQ and an IrqReinjection event is logged at the
-    raise time. A line owned by a non-running cell is spurious: it logs
-    a violation-class event and nothing is delivered.
+
+def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
+    """Deliver one interrupt per raise time (ns), routed once.
+
+    Disabled hypervisor: the line fires straight into the machine (no
+    trap). Enabled: the owning running cell gets a reinjected virtual IRQ
+    per raise, logged as IrqReinjection at its raise time. A line owned
+    by a non-running cell is spurious: a violation-class event is logged
+    at the first raise time and nothing is delivered.
     """
+    raised = np.asarray(times, dtype=np.int64)
+    if raised.ndim != 1 or raised.size == 0:
+        raise InvariantViolation("raise_irqs needs a non-empty sequence of raise times")
     if line not in hv.platform.irq_numbers:
         raise NoSuchLine("platform has no irq line %d" % line)
-    bus = hv.platform.bus
-
-    if not hv.enabled:
-        latency = sample_latency(False, False, bus, rng)
-        delivered = t + math.floor(latency * 1000.0 + 0.5)
-        hv.clock = max(hv.clock, t)
-        return IrqDelivery(line, ROOT_CELL, t, delivered, latency, IrqPath.BARE_METAL)
-
-    owner = hv.ledger.owner_of_unit(IrqLine(line))
-    cell = hv.cells[owner]
-    if cell.state is not CellState.RUNNING:
-        hv._log(TrapKind.ACCESS_VIOLATION, owner,
-                "spurious irq line %d" % line, time_ns=t)
-        raise UnownedIrq(
-            "line %d owned by cell %d in state %s" % (line, owner, cell.state.value))
-    latency = sample_latency(True, bus_load(hv, cell), bus, rng)
-    delivered = t + math.floor(latency * 1000.0 + 0.5)
-    hv.clock = max(hv.clock, t)
-    hv._log(TrapKind.IRQ_REINJECTION, owner, "line %d" % line, time_ns=t)
-    return IrqDelivery(line, owner, t, delivered, latency, IrqPath.REINJECTED)
+    owner, path, stressed = ROOT_CELL, IrqPath.BARE_METAL, False
+    if hv.enabled:
+        owner = hv.ledger.owner_of_unit(IrqLine(line))
+        cell = hv.cells[owner]
+        if cell.state is not CellState.RUNNING:
+            hv._log(TrapKind.ACCESS_VIOLATION, owner,
+                    "spurious irq line %d" % line, time_ns=int(raised[0]))
+            raise UnownedIrq(
+                "line %d owned by cell %d in state %s" % (line, owner, cell.state.value))
+        path, stressed = IrqPath.REINJECTED, bus_load(hv, cell)
+    latency = sample_latency(hv.enabled, stressed, hv.platform.bus, streams,
+                             size=raised.size)
+    delivered = raised + np.floor(latency * 1000.0 + 0.5).astype(np.int64)
+    hv.clock = max(hv.clock, int(raised.max()))
+    if hv.enabled:
+        detail = "line %d" % line
+        for t in raised.tolist():
+            hv._log(TrapKind.IRQ_REINJECTION, owner, detail, time_ns=t)
+    return IrqDeliveries(line, owner, path, raised, delivered, latency)
 
 
 def distributor_access(hv: Hypervisor, cell_id: int, offset: int) -> AccessOutcome:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 from enum import Enum, IntFlag
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
+import numpy as np
+
 from ._dsl import (
     Token,
     decode_utf8,
@@ -256,8 +258,11 @@ class DistParams:
     def mean_us(self) -> float:
         return self.shift_us + math.exp(self.log_mu + 0.5 * self.log_sigma ** 2)
 
-    def draw(self, rng) -> float:
-        return self.shift_us + math.exp(self.log_mu + self.log_sigma * rng.standard_normal())
+    def draw(self, rng, size=None):
+        """One draw as a float, or size draws as an array. Both use np.exp,
+        so a batch equals as many single draws (math.exp can differ by an ulp)."""
+        grown = np.exp(self.log_mu + self.log_sigma * rng.standard_normal(size))
+        return self.shift_us + (float(grown) if size is None else grown)
 
 
 @dataclass(frozen=True)

@@ -17,20 +17,22 @@ GENERATOR_NAME = "numpy-pcg64"
 _MASK64 = (1 << 64) - 1
 
 
-def derive_stream_seed(seed: int, tag: str) -> int:
-    """Derive an independent stream seed for a named purpose.
+def h64(tag: str) -> int:
+    """First eight bytes (little-endian) of SHA-256 over the UTF-8 tag."""
+    return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "little")
 
-    The stream seed is ``seed XOR h(tag)`` where h is the first eight
-    bytes (little-endian) of SHA-256 over the UTF-8 tag.  Distinct tags
-    give decorrelated streams; the function is pure, so a consumer's
-    stream never depends on what else runs in the same process.
-    """
-    digest = hashlib.sha256(tag.encode("utf-8")).digest()
-    return (seed ^ int.from_bytes(digest[:8], "little")) & _MASK64
+
+def _seed_sequence(seed: int, tag: str) -> np.random.SeedSequence:
+    """Pure in (seed, tag), which enter as two words: no XOR lets pairs collide."""
+    return np.random.SeedSequence([seed & _MASK64, h64(tag)])
 
 
 def make_rng(seed: int, tag: str = "") -> np.random.Generator:
     """Build the canonical generator for a seed and optional stream tag."""
-    if tag:
-        seed = derive_stream_seed(seed, tag)
-    return np.random.Generator(np.random.PCG64(seed & _MASK64))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, tag)))
+
+
+def make_streams(seed: int, tag: str, n: int) -> list[np.random.Generator]:
+    """n independent generators spawned from the (seed, tag) sequence."""
+    return [np.random.Generator(np.random.PCG64(child))
+            for child in _seed_sequence(seed, tag).spawn(n)]

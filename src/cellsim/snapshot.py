@@ -232,6 +232,7 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     hv.state = HvState.ENABLED
     (hv._next_cell_id,) = reader.take(_U32)
     (n_cells,) = reader.take(_U32)
+    ids_by_name: dict[str, int] = {}
     for _ in range(n_cells):
         (cell_id,) = reader.take(_U32)
         if cell_id in hv.cells:
@@ -243,6 +244,10 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         (dist_emu,) = reader.take(_U64)
         (tick,) = reader.take(_U64)
         config = load_binary(_get_bytes(reader))
+        twin = ids_by_name.setdefault(config.name, cell_id)
+        if twin != cell_id:
+            raise InvariantViolation("cells %d and %d are both named %r"
+                                     % (twin, cell_id, config.name))
         cell = Cell(cell_id, config, state)
         cell.dist_emulations = dist_emu
         cell.tick = tick

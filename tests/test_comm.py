@@ -159,6 +159,14 @@ class TestSendPoll:
         assert event.cell == b
         assert event.detail == "doorbell ch=%d vector=0" % ch
 
+    def test_doorbell_streams_are_made_on_the_first_ring(self):
+        hv, a, b, ch = channel_pair()
+        assert hv._doorbell_streams is None
+        send(hv, ch, a, 0, b"x", 0)
+        streams = hv._doorbell_streams
+        send(hv, ch, a, 0, b"y", 1)
+        assert hv._doorbell_streams is streams and len(streams) == 4
+
     def test_stopped_peer_queues_without_doorbell(self):
         hv, a, b, ch = channel_pair()
         hv.stop_cell(b)

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from cellsim import (
     BusModel,
     CellState,
     Hypervisor,
+    IrqDeliveries,
     IrqDelivery,
     LatencyStats,
     Scenario,
@@ -16,8 +19,10 @@ from cellsim import (
     WorkloadKind,
     enable,
     full_platform_config,
+    latency_streams,
     quantize_62_5ns,
     raise_irq,
+    raise_irqs,
     sample_latency,
 )
 from cellsim.errors import (
@@ -30,7 +35,7 @@ from cellsim.errors import (
 from cellsim.hvcore import Access, AccessKind
 from cellsim.irq import LATTICE_US, IrqPath, distributor_access
 from cellsim.machine import bus_load
-from cellsim.rng import make_rng
+from cellsim.rng import h64, make_rng, make_streams
 
 from conftest import make_tiny_platform
 from test_hvcore import RAM, small_cell, tiny_hv
@@ -68,30 +73,56 @@ class TestQuantize:
         lo, hi = sorted((a, b))
         assert quantize_62_5ns(lo) <= quantize_62_5ns(hi)
 
+    def test_array_equals_scalar(self):
+        t = np.array([0.0, 0.45, 0.46875, 1.3, 5.03125, 1e6 + 0.1])
+        assert quantize_62_5ns(t).tolist() == [quantize_62_5ns(x) for x in t.tolist()]
+        with pytest.raises(InvariantViolation):
+            quantize_62_5ns(np.array([0.5, -0.001]))
+
+
+class TestStreams:
+    def test_xor_partner_seed_does_not_collide(self):
+        # seed XOR h(tag) mapped (0, A) and (h(A)^h(B), B) to one stream
+        partner = h64("A") ^ h64("B")
+        assert make_rng(0, "A").random(4).tolist() != make_rng(partner, "B").random(4).tolist()
+        for a, b in zip(latency_streams(0, "A"), latency_streams(partner, "B")):
+            assert a.random(4).tolist() != b.random(4).tolist()
+
+    def test_streams_are_pure_and_distinct(self):
+        first = [g.random(4).tolist() for g in make_streams(5, "x", 3)]
+        assert first == [g.random(4).tolist() for g in make_streams(5, "x", 3)]
+        draws = first + [make_rng(5, "x").random(4).tolist()]
+        assert len({tuple(d) for d in draws}) == 4
+
+    def test_latency_streams_are_four_spawned_children(self):
+        streams = latency_streams(5, "x")
+        assert len(streams) == 4
+        assert [g.random() for g in streams] == [g.random() for g in make_streams(5, "x", 4)]
+
 
 class TestSampleLatency:
     def test_off_raw_is_exactly_base(self):
         bus = BusModel.default().without_measurement()
-        rng = make_rng(1)
+        rng = latency_streams(1)
         assert sample_latency(False, False, bus, rng) == 0.45
         assert sample_latency(False, True, bus, rng) == 0.45
 
     def test_off_measured_hits_two_lattice_points(self):
         bus = BusModel.default()
-        rng = make_rng(2)
+        rng = latency_streams(2)
         values = {sample_latency(False, False, bus, rng) for _ in range(5000)}
         assert values == {0.4375, 0.5}
 
     def test_off_measured_mean_is_unbiased(self):
         bus = BusModel.default()
-        rng = make_rng(3)
+        rng = latency_streams(3)
         n = 40_000
         mean = sum(sample_latency(False, False, bus, rng) for _ in range(n)) / n
         assert mean == pytest.approx(0.45, abs=0.001)
 
     def test_on_raw_has_floor_above_base_plus_shift(self):
         bus = BusModel.default().without_measurement()
-        rng = make_rng(4)
+        rng = latency_streams(4)
         values = [sample_latency(True, False, bus, rng) for _ in range(5000)]
         assert min(values) > 0.45 + 0.70
         n = len(values)
@@ -101,32 +132,44 @@ class TestSampleLatency:
 
     def test_stress_adds_contention_tail(self):
         bus = BusModel.default().without_measurement()
-        rng = make_rng(5)
+        rng = latency_streams(5)
         n = 40_000
         calm = sum(sample_latency(True, False, bus, rng) for _ in range(n)) / n
-        rng = make_rng(5)
+        rng = latency_streams(5)
         loaded = sum(sample_latency(True, True, bus, rng) for _ in range(n)) / n
         # contention fires with p=0.1 and adds 1.0 on average
         assert loaded - calm == pytest.approx(0.10, abs=0.02)
 
     def test_draw_order_is_pinned(self):
+        # one draw per component per sample, each from its own stream,
+        # summed in the order base, overhead, contention, jitter
         bus = BusModel.default()
-        value = sample_latency(True, True, bus, make_rng(6, "order"))
-        rng = make_rng(6, "order")
-        manual = bus.base_latency_us + bus.hv_overhead.draw(rng)
-        if rng.random() < bus.contention_prob:
-            manual += bus.contention.draw(rng)
-        manual += rng.random() * LATTICE_US - LATTICE_US / 2
+        value = sample_latency(True, True, bus, latency_streams(6, "order"))
+        overhead, trigger, contention, jitter = latency_streams(6, "order")
+        manual = bus.base_latency_us + bus.hv_overhead.draw(overhead)
+        manual += bus.contention.draw(contention) * (trigger.random() < bus.contention_prob)
+        manual += jitter.random() * LATTICE_US - LATTICE_US / 2
         assert value == quantize_62_5ns(max(manual, 0.0))
+
+    @pytest.mark.parametrize("vmm_on, stressed", [(False, False), (True, False), (True, True)])
+    @pytest.mark.parametrize("measured", [True, False])
+    def test_batch_equals_single_draws(self, vmm_on, stressed, measured):
+        bus = BusModel.default() if measured else BusModel.default().without_measurement()
+        batch = sample_latency(vmm_on, stressed, bus, latency_streams(9, "b"), size=3000)
+        streams = latency_streams(9, "b")
+        singles = [sample_latency(vmm_on, stressed, bus, streams) for _ in range(3000)]
+        assert batch.dtype == np.float64
+        assert {type(x) for x in singles} == {float}
+        assert batch.tolist() == singles
 
     def test_same_seed_same_stream(self):
         bus = BusModel.default()
-        first = [sample_latency(True, True, bus, make_rng(7, "s"))
+        first = [sample_latency(True, True, bus, latency_streams(7, "s"))
                  for _ in range(1)]
-        second = [sample_latency(True, True, bus, make_rng(7, "s"))
+        second = [sample_latency(True, True, bus, latency_streams(7, "s"))
                   for _ in range(1)]
         assert first == second
-        rng_a, rng_b = make_rng(8, "s"), make_rng(8, "s")
+        rng_a, rng_b = latency_streams(8, "s"), latency_streams(8, "s")
         stream_a = [sample_latency(True, True, bus, rng_a) for _ in range(100)]
         stream_b = [sample_latency(True, True, bus, rng_b) for _ in range(100)]
         assert stream_a == stream_b
@@ -136,12 +179,12 @@ class TestRaiseIrq:
     def test_unknown_line(self):
         hv = tiny_hv()
         with pytest.raises(NoSuchLine):
-            raise_irq(hv, 999, 0, make_rng(0))
+            raise_irq(hv, 999, 0, latency_streams(0))
 
     def test_bare_metal_path_without_hypervisor(self):
         platform = make_tiny_platform()
         hv = Hypervisor(platform)
-        delivery = raise_irq(hv, 33, 1000, make_rng(1))
+        delivery = raise_irq(hv, 33, 1000, latency_streams(1))
         assert delivery.path == IrqPath.BARE_METAL
         assert delivery.owner == 0
         assert delivery.latency_us in (0.4375, 0.5)
@@ -151,7 +194,7 @@ class TestRaiseIrq:
     def test_reinjected_path_logs_at_raise_time(self):
         hv = tiny_hv()
         before = len(hv.events)
-        delivery = raise_irq(hv, 33, 12345, make_rng(2))
+        delivery = raise_irq(hv, 33, 12345, latency_streams(2))
         assert delivery.path == IrqPath.REINJECTED
         assert delivery.owner == 0
         assert delivery.raised_at == 12345
@@ -165,7 +208,7 @@ class TestRaiseIrq:
         hv = tiny_hv()
         cell_id = hv.create_cell(small_cell(irqs=[34]))
         hv.start_cell(cell_id)
-        delivery = raise_irq(hv, 34, 0, make_rng(3))
+        delivery = raise_irq(hv, 34, 0, latency_streams(3))
         assert delivery.owner == cell_id
 
     def test_spurious_line_of_stopped_owner(self):
@@ -173,7 +216,7 @@ class TestRaiseIrq:
         cell_id = hv.create_cell(small_cell(irqs=[34]))
         before = len(hv.events)
         with pytest.raises(UnownedIrq):
-            raise_irq(hv, 34, 500, make_rng(4))
+            raise_irq(hv, 34, 500, latency_streams(4))
         (event,) = hv.events[before:]
         assert event.kind is TrapKind.ACCESS_VIOLATION
         assert event.cell == cell_id
@@ -191,7 +234,7 @@ class TestRaiseIrq:
                     "noisy", cpu=2, base=RAM + 0xA_0000,
                     workload=Workload(WorkloadKind.STRESS)))
                 hv.start_cell(noisy)
-            rng = make_rng(11, "stress-compare")
+            rng = latency_streams(11, "stress-compare")
             total = 0.0
             for i in range(n):
                 total += raise_irq(hv, 33, i * 1000, rng).latency_us
@@ -201,15 +244,35 @@ class TestRaiseIrq:
 
     def test_delivery_timestamps_match_latency(self):
         hv = tiny_hv()
-        rng = make_rng(5)
+        rng = latency_streams(5)
         for i in range(200):
             delivery = raise_irq(hv, 32, i * 10_000, rng)
             span = delivery.delivered_at - delivery.raised_at
             assert span == math.floor(delivery.latency_us * 1000.0 + 0.5)
 
+    def test_raise_irqs_unknown_line_and_bad_times(self):
+        hv = tiny_hv()
+        with pytest.raises(NoSuchLine):
+            raise_irqs(hv, 999, [0], latency_streams(0))
+        for times in ([], [[0, 1]]):
+            with pytest.raises(InvariantViolation):
+                raise_irqs(hv, 33, times, latency_streams(0))
+        assert hv.events[-1].kind is TrapKind.MANAGEMENT
+
+    def test_raise_irqs_spurious_line_of_stopped_owner(self):
+        hv = tiny_hv()
+        cell_id = hv.create_cell(small_cell(irqs=[34]))
+        before = len(hv.events)
+        with pytest.raises(UnownedIrq):
+            raise_irqs(hv, 34, [500, 900], latency_streams(4))
+        (event,) = hv.events[before:]
+        assert (event.kind, event.cell, event.time_ns) == (
+            TrapKind.ACCESS_VIOLATION, cell_id, 500)
+        assert event.detail == "spurious irq line 34"
+
     def test_event_log_times_never_regress(self):
         hv = tiny_hv()
-        rng = make_rng(6)
+        rng = latency_streams(6)
         raise_irq(hv, 32, 9000, rng)
         raise_irq(hv, 32, 4000, rng)  # out-of-order raise
         times = [e.time_ns for e in hv.events]
@@ -322,9 +385,65 @@ class TestRecordTypes:
         with pytest.raises(InvariantViolation):
             LatencyStats(1.0, 0.1, 2.0, 0)
 
+    def test_irq_deliveries_consistency(self):
+        def deliveries(delivered, latency):
+            return IrqDeliveries(33, 0, IrqPath.REINJECTED, np.array([1000, 2000]),
+                                 np.array(delivered), np.array(latency))
+        deliveries([1450, 2500], [0.45, 0.5])
+        with pytest.raises(InvariantViolation):
+            deliveries([1450, 1900], [0.45, 0.5])
+        with pytest.raises(InvariantViolation):
+            deliveries([1450, 3000], [0.45, 0.5])
+
     def test_irq_delivery_consistency(self):
         IrqDelivery(33, 0, 1000, 1450, 0.45, IrqPath.REINJECTED)
         with pytest.raises(InvariantViolation):
             IrqDelivery(33, 0, 1000, 900, 0.45, IrqPath.REINJECTED)
         with pytest.raises(InvariantViolation):
             IrqDelivery(33, 0, 1000, 2000, 0.45, IrqPath.REINJECTED)
+
+
+def _twin(row, measured):
+    """A hypervisor for one benchmark row on the tiny platform: off (not
+    enabled), on (a running responder owns irq 33) or stressed (plus a
+    running stress neighbour); the bus with or without measurement."""
+    tiny = make_tiny_platform()
+    bus = tiny.bus if measured else tiny.bus.without_measurement()
+    platform = replace(tiny, bus=bus)
+    if row == "off":
+        return Hypervisor(platform, seed=3)
+    hv = enable(platform, full_platform_config(platform), seed=3)
+    responder = hv.create_cell(small_cell(
+        "responder", cpu=1, irqs=[33],
+        workload=Workload(WorkloadKind.LATENCY_RESPONDER)))
+    hv.start_cell(responder)
+    if row == "stressed":
+        noisy = hv.create_cell(small_cell(
+            "noisy", cpu=2, base=RAM + 0xA_0000, workload=Workload(WorkloadKind.STRESS)))
+        hv.start_cell(noisy)
+    hv.step(1000)  # the log already ends after some raise times below
+    return hv
+
+
+class TestRaiseIrqsMatchesLoop:
+    @pytest.mark.parametrize("row", ["off", "on", "stressed"])
+    @pytest.mark.parametrize("measured", [True, False])
+    def test_batch_equals_loop_of_single_raises(self, row, measured):
+        # out of order, with repeats, partly before the last logged event
+        times = [(i * 7919) % 1500 * 2000 for i in range(2000)]
+        looped, batched = _twin(row, measured), _twin(row, measured)
+        streams = latency_streams(3, "twin")
+        singles = [raise_irq(looped, 33, t, streams) for t in times]
+        batch = raise_irqs(batched, 33, times, latency_streams(3, "twin"))
+
+        assert batch.latency_us.dtype == np.float64
+        assert batch.latency_us.tolist() == [d.latency_us for d in singles]
+        assert batch.raised_at.tolist() == times
+        assert batch.delivered_at.tolist() == [d.delivered_at for d in singles]
+        assert {(d.line, d.owner, d.path) for d in singles} == {
+            (batch.line, batch.owner, batch.path)}
+        assert batched.events == looped.events
+        assert batched.clock == looped.clock
+        if row == "stressed":  # only the contention term tells it from the calm row
+            calm = raise_irqs(_twin("on", measured), 33, times, latency_streams(3, "twin"))
+            assert 0.05 < np.mean(batch.latency_us != calm.latency_us) < 0.15

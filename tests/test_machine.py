@@ -374,6 +374,12 @@ class TestDistParams:
         second = [params.draw(make_rng(9, "t")) for _ in range(1)]
         assert first == second
 
+    def test_batch_draw_equals_single_draws(self):
+        params = DistParams.from_mean(1.0, log_sigma=0.38, shift_us=0.2)
+        batch = params.draw(make_rng(12, "b"), size=1000)
+        rng = make_rng(12, "b")
+        assert batch.tolist() == [params.draw(rng) for _ in range(1000)]
+
     def test_empirical_mean_tracks_parameter(self):
         params = DistParams.from_mean(1.0, log_sigma=0.38)
         rng = make_rng(11)

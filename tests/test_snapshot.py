@@ -213,6 +213,16 @@ class TestCellTable:
         with pytest.raises(InvariantViolation, match="no root cell"):
             load_session(blob)
 
+    def test_repeated_cell_name_rejected(self):
+        # find_cell would resolve the name to the lower id and never
+        # reach cell 3
+        hv = populated_hv()
+        cell = hv.cells[3]
+        cell.config = replace(cell.config, name="running")  # cell 1's name
+        with pytest.raises(InvariantViolation,
+                           match="cells 1 and 3 are both named 'running'"):
+            load_session(save_session(hv.platform, hv))
+
     @pytest.mark.parametrize("next_id", [0, 1, 3])
     def test_next_cell_id_must_exceed_every_cell(self, next_id):
         hv = populated_hv()  # cells 0-3
