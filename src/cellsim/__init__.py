@@ -32,6 +32,7 @@ from .cellconfig import (
 from .comm import create_channel, pci_cfg_read, poll, read_buffer, send
 from .errors import CellSimError
 from .hvcore import (
+    EXIT_SLOT,
     ROOT_CELL,
     Access,
     AccessKind,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import fcntl
 import functools
+import json
 import os
 import struct
 import sys
@@ -20,7 +21,7 @@ from typing import Optional
 from . import bench, cellconfig, snapshot
 from ._dsl import decode_utf8
 from .errors import AlreadyEnabled, CellSimError, NotEnabled, ValidationFailed
-from .hvcore import Hypervisor, OwnershipLedger
+from .hvcore import Hypervisor, OwnershipLedger, TrapKind
 from .machine import MachinePlatform, load_platform
 from .rng import GENERATOR_NAME
 
@@ -83,9 +84,10 @@ def _cmd_enable(args) -> int:
         if session.hv is not None and session.hv.enabled:
             raise AlreadyEnabled("hypervisor already enabled; disable first")
         hv = Hypervisor(platform, seed=args.seed)
-        if session.hv is not None:
-            hv.events = session.hv.events  # the log survives re-enabling
-            hv.clock = session.hv.clock
+        if session.hv is not None:  # the log and counters survive re-enabling
+            old = session.hv
+            hv.events, hv.exits, hv.clock = old.events, old.exits, old.clock
+            hv._next_cell_id = old._next_cell_id  # ids in them stay unique
         hv.enable(cfg)
         session.platform, session.hv = platform, hv
         session.save()
@@ -154,6 +156,25 @@ def _cmd_cell_list(args) -> int:
         cpus = ",".join(str(c) for c in sorted(cell.config.cpus))
         print("%-4d %-16s %-8s %s"
               % (cell_id, cell.config.name, cell.state.value, cpus))
+    return 0
+
+
+def _cmd_cell_stats(args) -> int:
+    session = Session(args.state)
+    hv = session.require_hv()
+    cell_ids = [session.resolve_cell(args.cell)] if args.cell else sorted(hv.cells)
+    if not args.json:
+        print("%-4s %-16s" % ("ID", "NAME")
+              + "".join(" %20s" % kind.value for kind in TrapKind))
+    for cell_id in cell_ids:
+        name = hv.cells[cell_id].config.name
+        counts = hv.exits.get(cell_id, [0] * len(TrapKind))
+        if args.json:
+            record = {"cell": cell_id, "name": name}
+            record.update(zip((kind.value for kind in TrapKind), counts))
+            print(json.dumps(record, separators=(",", ":")))
+        else:
+            print("%-4d %-16s" % (cell_id, name) + "".join(" %20d" % n for n in counts))
     return 0
 
 
@@ -253,6 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cell_sub.add_parser("list", help="list cells and their states")
     p.set_defaults(func=_cmd_cell_list)
+
+    p = cell_sub.add_parser("stats", help="exits per cause, for one cell or all cells")
+    p.add_argument("cell", nargs="?", help="cell name or id (default: every cell)")
+    p.add_argument("--json", action="store_true", help="print one JSON object per cell")
+    p.set_defaults(func=_cmd_cell_stats)
 
     p = sub.add_parser("check-config", help="parse and validate a cell config")
     p.add_argument("config")

@@ -142,7 +142,8 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
 
     The write is atomic at operation level; the peer's next poll sees
     the vector, and a reinjected virtual IRQ is delivered to a running
-    peer with latency drawn from the hypervisor-on model.
+    peer with latency drawn from the hypervisor-on model and recorded in
+    the channel trace.
     """
     channel = _channel(hv, ch_id)
     peer = channel.peer_of(from_cell)
@@ -157,17 +158,18 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
     channel.pending[peer].append(vector)
 
     peer_cell = hv.cells.get(peer)
+    latency = None  # no virtual IRQ reaches a peer that is not running
     if peer_cell is not None and peer_cell.state is CellState.RUNNING:
         if hv._doorbell_streams is None:  # four streams cost ~100 us
             hv._doorbell_streams = latency_streams(hv.seed, "hv-doorbell")
-        sample_latency(True, bus_load(hv, peer_cell), hv.platform.bus,
-                       hv._doorbell_streams)
+        latency = sample_latency(True, bus_load(hv, peer_cell), hv.platform.bus,
+                                 hv._doorbell_streams)
         hv._log(TrapKind.IRQ_REINJECTION, peer,
                 "doorbell ch=%d vector=%d" % (ch_id, vector))
     direction = "a->b" if from_cell == channel.cell_a else "b->a"
     hv.channel_trace.append(
         {"t": hv.clock, "ch": ch_id, "dir": direction,
-         "vector": vector, "len": len(payload)})
+         "vector": vector, "len": len(payload), "latency_us": latency})
 
 
 def poll(hv: Hypervisor, ch_id: int, cell_id: int) -> list[int]:
@@ -221,6 +223,7 @@ def pci_cfg_read(hv: Hypervisor, cell_id: int, bdf: int, offset: int) -> int:
 
 
 def export_trace(hv: Hypervisor) -> str:
-    """Channel traffic as JSON lines: {t, ch, dir, vector, len}."""
+    """Channel traffic as JSON lines: {t, ch, dir, vector, len, latency_us};
+    latency_us is null for a ring whose peer was not running."""
     lines = [json.dumps(rec, separators=(",", ":")) for rec in hv.channel_trace]
     return "\n".join(lines) + ("\n" if lines else "")

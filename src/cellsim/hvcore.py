@@ -62,6 +62,12 @@ class TrapKind(Enum):
     MANAGEMENT = "Management"
 
 
+# Slot of each kind in a cell's exit counters, in TrapKind order. A list
+# indexed through this table costs one enum hash per bump; a Counter
+# keyed by (cell, kind) costs two and a tuple.
+EXIT_SLOT = {kind: slot for slot, kind in enumerate(TrapKind)}
+
+
 @dataclass(frozen=True)
 class TrapEvent:
     time_ns: int
@@ -363,7 +369,9 @@ class Hypervisor:
 
     Construct disabled, then call enable() with a root config; or use the
     module-level enable() which does both. All mutating operations append
-    Management events so hypercall traffic can be audited.
+    Management events so hypercall traffic can be audited. Cell ids are
+    not reused, even across disable and enable, so an id in the event log
+    or the exit counters names one cell.
     """
 
     def __init__(self, platform: MachinePlatform, seed: int = 0,
@@ -373,6 +381,11 @@ class Hypervisor:
         self.cells: dict[CellId, Cell] = {}
         self.ledger: Optional[OwnershipLedger] = None
         self.events: list[TrapEvent] = []
+        # Per-cell exit counters, like Jailhouse's per-CPU
+        # JAILHOUSE_CPU_STAT_VMEXITS_* statistics: cell id -> one count per
+        # TrapKind, in EXIT_SLOT order. Kept for every cell that ever
+        # exited, as the event log is.
+        self.exits: dict[CellId, list[int]] = {}
         self.clock: int = 0
         self.seed = seed
         self.sensitive_instructions = frozenset(sensitive_instructions)
@@ -404,7 +417,15 @@ class Hypervisor:
             when = self.events[-1].time_ns  # keep the log time-ordered
         event = TrapEvent(when, cell, kind, detail)
         self.events.append(event)
+        self._count(kind, cell)
         return event
+
+    def _count(self, kind: TrapKind, cell: CellId, n: int = 1) -> None:
+        """Add n exits of one kind to a cell's counters."""
+        counters = self.exits.get(cell)
+        if counters is None:
+            counters = self.exits[cell] = [0] * len(EXIT_SLOT)
+        counters[EXIT_SLOT[kind]] += n
 
     def _cell(self, cell_id: CellId) -> Cell:
         cell = self.cells.get(cell_id)
@@ -437,7 +458,6 @@ class Hypervisor:
         self.ledger = ledger
         root = Cell(ROOT_CELL, root_cfg, CellState.RUNNING)
         self.cells = {ROOT_CELL: root}
-        self._next_cell_id = 1
         self.state = HvState.ENABLED
         self._log(TrapKind.MANAGEMENT, ROOT_CELL, "enable")
         return self
@@ -637,7 +657,8 @@ class Hypervisor:
         """Run every running non-root cell's workload for n turns.
 
         Returns the number of accesses issued. With workloads touching
-        only owned resources this adds nothing to the event log.
+        only owned resources this adds nothing to the event log or the
+        exit counters.
         """
         self._require_enabled()
         issued = 0

@@ -163,9 +163,11 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
 
     Disabled hypervisor: the line fires straight into the machine (no
     trap). Enabled: the owning running cell gets a reinjected virtual IRQ
-    per raise, logged as IrqReinjection at its raise time. A line owned
-    by a non-running cell is spurious: a violation-class event is logged
-    at the first raise time and nothing is delivered.
+    per raise, each adding one to its IrqReinjection exit counter; no
+    event is logged, as the returned arrays hold every raise and delivery
+    time. A line owned by a non-running cell is spurious: a
+    violation-class event is logged at the first raise time and nothing
+    is delivered.
     """
     raised = np.asarray(times, dtype=np.int64)
     if raised.ndim != 1 or raised.size == 0:
@@ -187,9 +189,7 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
     delivered = raised + np.floor(latency * 1000.0 + 0.5).astype(np.int64)
     hv.clock = max(hv.clock, int(raised.max()))
     if hv.enabled:
-        detail = "line %d" % line
-        for t in raised.tolist():
-            hv._log(TrapKind.IRQ_REINJECTION, owner, detail, time_ns=t)
+        hv._count(TrapKind.IRQ_REINJECTION, owner, raised.size)
     return IrqDeliveries(line, owner, path, raised, delivered, latency)
 
 

@@ -43,7 +43,7 @@ from .machine import (
 )
 
 MAGIC = 0x4A485353
-VERSION = 2
+VERSION = 3
 
 _HEADER = struct.Struct("<IH")
 _U8 = struct.Struct("<B")
@@ -53,6 +53,7 @@ _U64 = struct.Struct("<Q")
 _BUS = struct.Struct("<8d2B")
 _RESOURCE = struct.Struct("<BQQQ")
 _EVENT = struct.Struct("<QIB")
+_EXITS = struct.Struct("<I%dQ" % len(TrapKind))
 
 _RES_CPU, _RES_MEM, _RES_MMIO, _RES_PCI, _RES_IOPORT, _RES_IRQ = range(6)
 _ONE_NUMBER_KINDS = {_RES_CPU: Cpu, _RES_PCI: PciDevice, _RES_IRQ: IrqLine}
@@ -155,12 +156,15 @@ def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
     for event in hv.events:
         out += _EVENT.pack(event.time_ns, event.cell, _TRAP_CODES[event.kind])
         _put_str(out, event.detail)
+    out += _U32.pack(len(hv.exits))
+    for cell_id in sorted(hv.exits):
+        out += _EXITS.pack(cell_id, *hv.exits[cell_id])
+    out += _U32.pack(hv._next_cell_id)
 
     out += _U8.pack(1 if hv.enabled else 0)
     if not hv.enabled:
         return bytes(out)
 
-    out += _U32.pack(hv._next_cell_id)
     out += _U32.pack(len(hv.cells))
     for cell_id in sorted(hv.cells):
         cell = hv.cells[cell_id]
@@ -224,13 +228,21 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     hv = Hypervisor(platform, seed=seed)
     hv.clock = clock
     hv.events = events
+    (n_exit_records,) = reader.take(_U32)
+    for _ in range(n_exit_records):
+        cell_id, *counters = reader.take(_EXITS)
+        if cell_id in hv.exits:
+            raise InvariantViolation(
+                "exit counters of cell %d appear twice in snapshot" % cell_id)
+        hv.exits[cell_id] = counters
+    (hv._next_cell_id,) = reader.take(_U32)
     (enabled,) = reader.take(_U8)
     if not enabled:
         _expect_end(reader)
+        _check_exit_cells(hv)
         return platform, hv
 
     hv.state = HvState.ENABLED
-    (hv._next_cell_id,) = reader.take(_U32)
     (n_cells,) = reader.take(_U32)
     ids_by_name: dict[str, int] = {}
     for _ in range(n_cells):
@@ -261,6 +273,7 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     if max(hv.cells) >= hv._next_cell_id:
         raise InvariantViolation("snapshot's next cell id %d is not above cell %d"
                                  % (hv._next_cell_id, max(hv.cells)))
+    _check_exit_cells(hv)
 
     hv.ledger = OwnershipLedger(platform)
     for cell_id in sorted(set(hv.cells) - {ROOT_CELL}):
@@ -272,6 +285,13 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     _expect_end(reader)
     hv.audit()
     return platform, hv
+
+
+def _check_exit_cells(hv: Hypervisor) -> None:
+    if hv.exits and max(hv.exits) >= hv._next_cell_id:
+        raise InvariantViolation(
+            "snapshot's next cell id %d is not above exit counters of cell %d"
+            % (hv._next_cell_id, max(hv.exits)))
 
 
 def _expect_end(reader: _Reader) -> None:

@@ -6,12 +6,18 @@ from pathlib import Path
 import pytest
 
 from cellsim import (
+    TrapKind,
     canonical_scenarios,
+    distributor_access,
     emit_binary,
     export_csv,
     jetson_tk1,
+    latency_streams,
+    load_session,
     parse_config,
+    raise_irqs,
     run_report,
+    save_session,
 )
 from cellsim import cli
 from cellsim.cli import main
@@ -130,6 +136,64 @@ class TestWalkthrough:
         other_state = tmp_path / "other.state"
         assert main(["--state", str(other_state), "cell", "list"]) == 0
         assert "hypervisor: disabled" in capsys.readouterr().out
+
+
+def guest_with_exits(ws):
+    """Session: the guest runs and has taken 7 IRQs and 1 distributor write."""
+    enable_board(ws)
+    run(ws, "cell", "create", str(ws / "guest.cfg"))
+    run(ws, "cell", "start", "guest")
+    state = ws / "cellsim.state"
+    platform, hv = load_session(state.read_bytes())
+    raise_irqs(hv, 34, range(0, 7000, 1000), latency_streams(1))
+    distributor_access(hv, 1, 0x10)
+    state.write_bytes(save_session(platform, hv))
+
+
+class TestCellStats:
+    KINDS = [kind.value for kind in TrapKind]
+
+    def test_table_counts_exits_per_cause(self, ws, capsys):
+        guest_with_exits(ws)
+        capsys.readouterr()
+        assert run(ws, "cell", "stats") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["ID", "NAME"] + self.KINDS
+        assert lines[1].split() == ["0", "root", "0", "0", "0", "0", "1"]
+        assert lines[2].split() == ["1", "guest", "7", "1", "0", "0", "2"]
+        assert len(lines) == 3
+
+    def test_json_one_object_per_cell(self, ws, capsys):
+        guest_with_exits(ws)
+        capsys.readouterr()
+        assert run(ws, "cell", "stats", "guest", "--json") == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line) == dict(
+            cell=1, name="guest", **dict(zip(self.KINDS, [7, 1, 0, 0, 2])))
+        assert run(ws, "cell", "stats", "--json") == 0
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [(r["cell"], r["name"], r["Management"]) for r in records] == [
+            (0, "root", 1), (1, "guest", 2)]
+
+    def test_unknown_cell_exits_one(self, ws, capsys):
+        enable_board(ws)
+        capsys.readouterr()
+        assert run(ws, "cell", "stats", "ghost") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "ghost" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_reenable_keeps_counters_and_cell_ids(self, ws, capsys):
+        guest_with_exits(ws)
+        run(ws, "cell", "stop", "guest")
+        run(ws, "cell", "destroy", "guest")
+        run(ws, "disable")
+        enable_board(ws)
+        capsys.readouterr()
+        assert run(ws, "cell", "create", str(ws / "guest.cfg")) == 0
+        assert "cell 2 (guest) created" in capsys.readouterr().out
+        _, hv = load_session((ws / "cellsim.state").read_bytes())
+        assert hv.exits == {0: [0, 0, 0, 0, 3], 1: [7, 1, 0, 0, 4], 2: [0, 0, 0, 0, 1]}
 
 
 class TestManagementOneToOne:

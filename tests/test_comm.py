@@ -9,6 +9,8 @@ from cellsim import (
     AccessOutcome,
     CellState,
     TrapKind,
+    Workload,
+    WorkloadKind,
     create_channel,
     pci_cfg_read,
     poll,
@@ -27,6 +29,7 @@ from cellsim.errors import (
     OutOfRegion,
     SelfChannel,
 )
+from cellsim.irq import latency_streams, sample_latency
 
 from test_hvcore import RAM, small_cell, tiny_hv
 
@@ -173,6 +176,7 @@ class TestSendPoll:
         before = len(hv.events)
         send(hv, ch, a, 0, b"x", 0)
         assert hv.events[before:] == []
+        assert hv.channel_trace[-1]["latency_us"] is None
         assert poll(hv, ch, b) == [0]
 
     def test_send_rejects_bad_vector(self):
@@ -299,13 +303,20 @@ class TestTeardown:
 class TestTrace:
     def test_trace_records_each_send(self):
         hv, a, b, ch = channel_pair(vectors=2)
+        noisy = hv.create_cell(small_cell("noisy", cpu=3, base=RAM + 0xE_0000,
+                                          workload=Workload(WorkloadKind.STRESS)))
+        hv.start_cell(noisy)  # the doorbells below draw the stressed model
         send(hv, ch, a, 0, b"four", 1)
         send(hv, ch, b, 0, b"!", 0)
+        twin = latency_streams(hv.seed, "hv-doorbell")
+        drawn = [sample_latency(True, True, hv.platform.bus, twin) for _ in range(2)]
         lines = export_trace(hv).splitlines()
         records = [json.loads(line) for line in lines]
         assert records == [
-            {"t": hv.clock, "ch": ch, "dir": "a->b", "vector": 1, "len": 4},
-            {"t": hv.clock, "ch": ch, "dir": "b->a", "vector": 0, "len": 1},
+            {"t": hv.clock, "ch": ch, "dir": "a->b", "vector": 1, "len": 4,
+             "latency_us": drawn[0]},
+            {"t": hv.clock, "ch": ch, "dir": "b->a", "vector": 0, "len": 1,
+             "latency_us": drawn[1]},
         ]
 
     def test_empty_trace_is_empty_string(self):

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -32,7 +33,8 @@ from cellsim.errors import (
     NotEnabled,
     UnownedIrq,
 )
-from cellsim.hvcore import Access, AccessKind
+from cellsim.comm import create_channel, send
+from cellsim.hvcore import EXIT_SLOT, Access, AccessKind
 from cellsim.irq import LATTICE_US, IrqPath, distributor_access
 from cellsim.machine import bus_load
 from cellsim.rng import h64, make_rng, make_streams
@@ -191,17 +193,17 @@ class TestRaiseIrq:
         assert delivery.delivered_at - delivery.raised_at in (438, 500)
         assert hv.events == []
 
-    def test_reinjected_path_logs_at_raise_time(self):
+    def test_reinjected_path_counts_one_exit_at_raise_time(self):
         hv = tiny_hv()
-        before = len(hv.events)
+        events, exits = list(hv.events), copy.deepcopy(hv.exits)
         delivery = raise_irq(hv, 33, 12345, latency_streams(2))
         assert delivery.path == IrqPath.REINJECTED
         assert delivery.owner == 0
         assert delivery.raised_at == 12345
-        (event,) = hv.events[before:]
-        assert event.kind is TrapKind.IRQ_REINJECTION
-        assert event.time_ns == 12345
-        assert event.detail == "line 33"
+        exits[0][EXIT_SLOT[TrapKind.IRQ_REINJECTION]] += 1
+        assert hv.exits == exits
+        assert hv.events == events
+        assert hv.clock == 12345
         assert delivery.latency_us > 1.0
 
     def test_guest_owned_line_delivers_to_guest(self):
@@ -273,11 +275,93 @@ class TestRaiseIrq:
     def test_event_log_times_never_regress(self):
         hv = tiny_hv()
         rng = latency_streams(6)
-        raise_irq(hv, 32, 9000, rng)
-        raise_irq(hv, 32, 4000, rng)  # out-of-order raise
+        raise_irq(hv, 32, 9000, rng)  # moves the clock; logs nothing
+        hv.create_cell(small_cell(irqs=[34]))  # logged at 9000, never started
+        with pytest.raises(UnownedIrq):
+            raise_irq(hv, 34, 4000, rng)  # out-of-order spurious raise
         times = [e.time_ns for e in hv.events]
+        assert hv.events[-1].kind is TrapKind.ACCESS_VIOLATION
+        assert times[-2:] == [9000, 9000]
         assert times == sorted(times)
         assert hv.clock >= 9000
+
+
+REINJECTION = EXIT_SLOT[TrapKind.IRQ_REINJECTION]
+
+
+def tally(events):
+    """Exit counters rebuilt from an event log."""
+    exits = {}
+    for event in events:
+        exits.setdefault(event.cell, [0] * len(TrapKind))[EXIT_SLOT[event.kind]] += 1
+    return exits
+
+
+class TestExitCounters:
+    def test_slots_follow_trap_kind_order(self):
+        assert list(EXIT_SLOT) == list(TrapKind)
+        assert list(EXIT_SLOT.values()) == list(range(len(TrapKind)))
+
+    def test_every_logged_event_is_counted_once(self):
+        hv = tiny_hv()
+        a = hv.create_cell(small_cell("alpha", cpu=1, size=0x4000))
+        b = hv.create_cell(small_cell("beta", cpu=2, base=RAM + 0xC_0000, size=0x4000))
+        hv.start_cell(a)
+        hv.start_cell(b)
+        send(hv, create_channel(hv, a, b, 0x1000, 1), a, 0, b"ring", 0)
+        distributor_access(hv, b, 0x100)
+        hv.handle_access(a, Access(AccessKind.SENSITIVE_INSTR, instr="cpuid"))
+        hv.handle_access(b, Access(AccessKind.MEM_READ, RAM + 0x8_0000, 4))
+        assert {event.kind for event in hv.events} == set(TrapKind)
+        assert hv.exits == tally(hv.events)
+
+    def test_owned_only_workload_adds_no_exits(self):
+        # criterion 6 read off the counters
+        hv = tiny_hv()
+        idle = hv.create_cell(small_cell("reader", cpu=1))
+        noisy = hv.create_cell(small_cell("noisy", cpu=2, base=RAM + 0xA_0000,
+                                          workload=Workload(WorkloadKind.STRESS)))
+        hv.start_cell(idle)
+        hv.start_cell(noisy)
+        before = copy.deepcopy(hv.exits)
+        assert hv.step(500) == 1000
+        for offset in range(0, 0x2000, 0x80):
+            assert hv.handle_access(idle, Access(
+                AccessKind.MEM_WRITE, RAM + 0x8_0000 + offset, 8)) is AccessOutcome.DIRECT
+        assert hv.exits == before
+
+    @pytest.mark.parametrize("n", [1, 10, 1000])
+    def test_each_delivery_adds_one_reinjection(self, n):
+        hv = tiny_hv()
+        guest = hv.create_cell(small_cell(irqs=[34]))
+        hv.start_cell(guest)
+        before = copy.deepcopy(hv.exits)
+        raise_irqs(hv, 34, range(0, n * 1000, 1000), latency_streams(8))
+        before[guest][REINJECTION] += n
+        assert hv.exits == before
+
+    def test_bare_metal_path_adds_no_exit(self):
+        hv = Hypervisor(make_tiny_platform())
+        raise_irqs(hv, 33, range(100), latency_streams(8))
+        assert hv.exits == {}
+
+    def test_spurious_line_adds_one_violation(self):
+        hv = tiny_hv()
+        guest = hv.create_cell(small_cell(irqs=[34]))
+        before = copy.deepcopy(hv.exits)
+        with pytest.raises(UnownedIrq):
+            raise_irqs(hv, 34, range(0, 50_000, 1000), latency_streams(8))
+        before[guest][EXIT_SLOT[TrapKind.ACCESS_VIOLATION]] += 1
+        assert hv.exits == before
+
+    def test_event_log_does_not_grow_with_deliveries(self):
+        lengths = set()
+        for n in (10, 10 ** 5):
+            hv = tiny_hv()
+            raise_irqs(hv, 33, np.arange(n) * 1000, latency_streams(9))
+            assert hv.exits[0][REINJECTION] == n
+            lengths.add(len(hv.events))
+        assert lengths == {1}  # the enable event alone
 
 
 class TestBusLoad:
@@ -442,6 +526,7 @@ class TestRaiseIrqsMatchesLoop:
         assert batch.delivered_at.tolist() == [d.delivered_at for d in singles]
         assert {(d.line, d.owner, d.path) for d in singles} == {
             (batch.line, batch.owner, batch.path)}
+        assert batched.exits == looped.exits
         assert batched.events == looped.events
         assert batched.clock == looped.clock
         if row == "stressed":  # only the contention term tells it from the calm row

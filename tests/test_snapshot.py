@@ -4,17 +4,22 @@ from dataclasses import replace
 import pytest
 
 from cellsim import (
+    EXIT_SLOT,
     CellState,
     Cpu,
     Hypervisor,
     HvState,
     MemRegion,
+    TrapKind,
     emit_binary,
+    latency_streams,
     load_session,
+    raise_irqs,
     save_session,
 )
 from cellsim.errors import (
     BadMagic,
+    CellSimError,
     InvariantViolation,
     TruncatedRecord,
     UnsupportedVersion,
@@ -38,6 +43,16 @@ def populated_hv():
     hv.stop_cell(stopped)
     hv.create_cell(small_cell("fresh", cpu=3, base=RAM + 0xC_0000))
     hv.step(5)
+    return hv
+
+
+def disabled_after_populating():
+    """populated_hv with its cells destroyed and the hypervisor disabled."""
+    hv = populated_hv()
+    hv.stop_cell(1)
+    for cell_id in (1, 2, 3):
+        hv.destroy_cell(cell_id)
+    hv.disable()
     return hv
 
 
@@ -229,6 +244,75 @@ class TestCellTable:
         hv._next_cell_id = next_id
         with pytest.raises(InvariantViolation, match="next cell id %d" % next_id):
             load_session(save_session(hv.platform, hv))
+
+
+def _exit_section(hv):
+    """Offset of the exit-counter section in hv's snapshot."""
+    offset = len(save_session(hv.platform, None)) + 8 + 8 + 4  # clock, seed, event count
+    return offset + sum(snapshot._EVENT.size + 2 + len(event.detail.encode())
+                        for event in hv.events)
+
+
+def _with_exit_cell(blob, hv, index, new_id):
+    """The snapshot with exit record `index`'s cell id replaced by new_id."""
+    offset = _exit_section(hv) + 4 + index * snapshot._EXITS.size
+    return blob[:offset] + struct.pack("<I", new_id) + blob[offset + 4:]
+
+
+class TestExitCounters:
+    def test_round_trip_after_raise_irqs(self):
+        hv = populated_hv()  # cell 1 runs and owns irq 33
+        raise_irqs(hv, 33, range(0, 5_000_000, 1000), latency_streams(4))
+        assert hv.exits[1][EXIT_SLOT[TrapKind.IRQ_REINJECTION]] == 5000
+        _, restored = load_session(save_session(hv.platform, hv))
+        assert restored.exits == hv.exits
+        assert restored.clock == hv.clock
+        assert save_session(restored.platform, restored) == save_session(hv.platform, hv)
+
+    def test_disabled_session_keeps_counters_and_next_id(self):
+        hv = disabled_after_populating()
+        _, restored = load_session(save_session(hv.platform, hv))
+        assert restored.state is HvState.DISABLED
+        assert restored.exits == hv.exits and set(hv.exits) == {0, 1, 2, 3}
+        assert restored._next_cell_id == 4
+
+    def test_truncated_counter_section_rejected(self):
+        hv = populated_hv()
+        blob = save_session(hv.platform, hv)
+        start = _exit_section(hv)
+        records = len(hv.exits) * snapshot._EXITS.size
+        for cut in (start + 2, start + 4 + 10, start + 4 + records - 1):
+            with pytest.raises(CellSimError):
+                load_session(blob[:cut])
+        # a count that claims one record more than the section holds
+        (count,) = struct.unpack_from("<I", blob, start)
+        grown = blob[:start] + struct.pack("<I", count + 1) + blob[start + 4:]
+        with pytest.raises(CellSimError):
+            load_session(grown)
+
+    def test_repeated_cell_rejected(self):
+        hv = populated_hv()
+        blob = _with_exit_cell(save_session(hv.platform, hv), hv, 1, 0)
+        with pytest.raises(InvariantViolation,
+                           match="exit counters of cell 0 appear twice"):
+            load_session(blob)
+
+    @pytest.mark.parametrize("disabled", [False, True])
+    def test_cell_at_or_above_next_id_rejected(self, disabled):
+        hv = disabled_after_populating() if disabled else populated_hv()  # next id 4
+        for bad_id in (4, 9):
+            blob = _with_exit_cell(save_session(hv.platform, hv), hv, 3, bad_id)
+            with pytest.raises(InvariantViolation,
+                               match="next cell id 4 is not above exit counters of cell %d"
+                               % bad_id):
+                load_session(blob)
+
+    def test_version_2_blob_rejected(self):
+        hv = populated_hv()
+        blob = bytearray(save_session(hv.platform, hv))
+        struct.pack_into("<H", blob, 4, 2)
+        with pytest.raises(UnsupportedVersion, match="version 2, expected 3"):
+            load_session(bytes(blob))
 
 
 def _with_record(platform, index, kind, a, b, c, name=b""):
