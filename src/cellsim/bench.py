@@ -27,21 +27,18 @@ _RW = PermFlags.READ | PermFlags.WRITE
 @dataclass(frozen=True)
 class BenchReport:
     rows: tuple
-    rng_info: str = GENERATOR_NAME
     platform_name: str = ""
 
 
-def full_platform_config(platform: MachinePlatform, name: str = "root",
-                         workload: Workload = Workload()) -> CellConfig:
+def full_platform_config(platform: MachinePlatform) -> CellConfig:
     """Config claiming every platform resource; the usual root config."""
     return CellConfig(
-        name=name,
+        name="root",
         cpus=frozenset(c.index for c in platform.cpus),
         mem=tuple(platform.mem_regions),
         devices=tuple(platform.mmio_devices) + tuple(platform.pci_devices)
         + tuple(platform.io_port_ranges),
-        irqs=frozenset(platform.irq_numbers),
-        workload=workload)
+        irqs=frozenset(platform.irq_numbers))
 
 
 def _bench_slice(platform: MachinePlatform, index: int) -> MemRegion:
@@ -127,8 +124,7 @@ def run_report(platform: MachinePlatform, scenarios) -> BenchReport:
     for sc in scenarios:
         stats, _ = run_scenario(platform, sc)
         rows.append((sc, stats))
-    return BenchReport(rows=tuple(rows), rng_info=GENERATOR_NAME,
-                       platform_name=platform.name)
+    return BenchReport(rows=tuple(rows), platform_name=platform.name)
 
 
 def _row_cells(sc: Scenario, stats: LatencyStats) -> tuple:
@@ -151,7 +147,7 @@ def render_table(report: BenchReport) -> str:
         lines.append("")
         lines.append("# sigma is the population standard deviation (ddof=0)")
         lines.append("# platform: %s  rng: %s"
-                     % (report.platform_name or "-", report.rng_info))
+                     % (report.platform_name or "-", GENERATOR_NAME))
     return "\n".join(lines)
 
 

@@ -33,6 +33,7 @@ from .errors import (
     UnsupportedVersion,
 )
 from .machine import (
+    MMIO_NAME_BYTES,
     PAGE_SIZE,
     Cpu,
     IoPortRange,
@@ -397,7 +398,7 @@ def emit_binary(cfg: CellConfig) -> bytes:
         out += _MEM.pack(region.base, region.size, int(region.flags))
     for dev in cfg.devices:
         if isinstance(dev, MmioDevice):
-            out += _DEV.pack(_DEV_MMIO, _padded(dev.name, 16), dev.base, dev.size)
+            out += _DEV.pack(_DEV_MMIO, _padded(dev.name, MMIO_NAME_BYTES + 1), dev.base, dev.size)
         elif isinstance(dev, PciDevice):
             out += _DEV.pack(_DEV_PCI, b"", dev.bdf, 0)
         else:

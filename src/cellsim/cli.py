@@ -71,7 +71,7 @@ class Session:
 
     def resolve_cell(self, ref: str) -> int:
         hv = self.require_hv()
-        if ref.isdigit():
+        if ref.isascii() and ref.isdigit():  # str.isdigit also takes "²"
             return hv._cell(int(ref)).id
         return hv.find_cell(ref).id
 
@@ -122,7 +122,7 @@ def _cmd_cell_load(args) -> int:
         cell_id = session.resolve_cell(args.cell)
         with open(args.image, "rb") as handle:
             data = handle.read()
-        addr = int(args.addr, 16) if args.addr else hv.cells[cell_id].config.mem[0].base
+        addr = hv.cells[cell_id].config.mem[0].base if args.addr is None else args.addr
         hv.load_image(cell_id, addr, data)
         session.save()
     print("loaded %d bytes into cell %d at 0x%x" % (len(data), cell_id, addr))
@@ -191,15 +191,10 @@ def _cmd_check_config(args) -> int:
     return 0
 
 
-def _scenarios_from(args):
-    if args.scenarios != "canonical":
-        raise CellSimError("unknown scenario set %r" % args.scenarios)
-    return bench.canonical_scenarios(n_samples=args.samples, seed=args.seed)
-
-
 def _cmd_bench(args) -> int:
     platform = load_platform(args.platform)
-    report = bench.run_report(platform, _scenarios_from(args))
+    report = bench.run_report(platform, bench.canonical_scenarios(
+        n_samples=args.samples, seed=args.seed))
     if args.mode == "csv":
         payload = bench.export_csv(report)
         if args.out:
@@ -233,6 +228,16 @@ def _cmd_events_export(args) -> int:
     return 0
 
 
+def _hex_address(text: str) -> int:
+    try:
+        addr = int(text, 16)
+    except ValueError:
+        addr = -1
+    if addr < 0:
+        raise argparse.ArgumentTypeError("expected a hex address, got %r" % text)
+    return addr
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
@@ -263,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = cell_sub.add_parser("load", help="load a guest image into a cell")
     p.add_argument("cell")
     p.add_argument("image")
-    p.add_argument("--addr", help="hex load address (default: first region base)")
+    p.add_argument("--addr", type=_hex_address,
+                   help="hex load address (default: first region base)")
     p.set_defaults(func=_cmd_cell_load)
 
     for verb, op in (("start", "start_cell"), ("stop", "stop_cell"),
@@ -287,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the latency benchmark")
     p.add_argument("mode", choices=("run", "table", "csv"))
-    p.add_argument("--scenarios", default="canonical")
     p.add_argument("--samples", type=int, default=None,
                    help="samples per scenario (default: full four-hour scale)")
     p.add_argument("--seed", type=int, default=7)

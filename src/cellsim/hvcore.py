@@ -34,12 +34,15 @@ from .errors import (
     RootCellImmortal,
     ValidationFailed,
 )
-from .machine import MachinePlatform, MemRegion, PermFlags
+from .machine import U64_MAX, MachinePlatform, MemRegion, PermFlags
 
 CellId = int
 ROOT_CELL: CellId = 0
 
-DEFAULT_SENSITIVE_INSTRUCTIONS = frozenset({"cpuid"})
+# Instructions emulated by the hypervisor, and the simulated time one
+# step() turn takes.
+SENSITIVE_INSTRUCTIONS = frozenset({"cpuid"})
+STEP_NS = 1000
 
 
 class HvState(Enum):
@@ -136,16 +139,16 @@ class OwnershipLedger:
     and coalesce when neighbours share an owner again.
     """
 
-    def __init__(self, platform: MachinePlatform, root: CellId = ROOT_CELL):
+    def __init__(self, platform: MachinePlatform):
         self._platform = platform
         self._units: dict = {}
         self._mem: dict[int, tuple[MemRegion, list[list[int]]]] = {}
         for resource in platform.resources:
             if isinstance(resource, MemRegion):
                 self._mem[resource.base] = (
-                    resource, [[resource.base, resource.end, root]])
+                    resource, [[resource.base, resource.end, ROOT_CELL]])
             else:
-                self._units[resource] = root
+                self._units[resource] = ROOT_CELL
 
     def owner_of_unit(self, resource) -> Optional[CellId]:
         return self._units.get(resource)
@@ -211,14 +214,15 @@ class OwnershipLedger:
             else:
                 index += 1
 
-    def release_all(self, cell: CellId, to: CellId = ROOT_CELL) -> None:
+    def release_all(self, cell: CellId) -> None:
+        """Hand everything the cell owns back to the root cell."""
         for resource, owner in self._units.items():
             if owner == cell:
-                self._units[resource] = to
+                self._units[resource] = ROOT_CELL
         for _, segments in self._mem.values():
             for segment in segments:
                 if segment[2] == cell:
-                    segment[2] = to
+                    segment[2] = ROOT_CELL
             self._coalesce(segments)
 
     def owners(self) -> set:
@@ -236,15 +240,12 @@ class OwnershipLedger:
                 keys[MemRegion(s_lo, s_hi - s_lo, region.flags)] += 1
         return keys
 
-    def audit(self, platform: MachinePlatform) -> None:
+    def audit(self) -> None:
         """Raise unless conservation, exclusivity and canonical form hold."""
-        unit_resources = {r for r in platform.resources
-                          if not isinstance(r, MemRegion)}
-        if set(self._units) != unit_resources:
+        platform = self._platform
+        if set(self._units) != set(platform.resources) - set(platform.mem_regions):
             raise InvariantViolation("unit ledger keys diverge from platform")
-        mem_regions = {r.base: r for r in platform.resources
-                       if isinstance(r, MemRegion)}
-        if set(self._mem) != set(mem_regions):
+        if set(self._mem) != {region.base for region in platform.mem_regions}:
             raise InvariantViolation("memory ledger regions diverge from platform")
         for base, (region, segments) in self._mem.items():
             if not segments or segments[0][0] != region.base \
@@ -269,7 +270,6 @@ class Cell:
     config: CellConfig
     state: CellState = CellState.CREATED
     memory_image: dict[int, bytes] = field(default_factory=dict)
-    dist_emulations: int = 0
     tick: int = 0
     script_ops: list = field(default_factory=list)
     script_pos: int = 0
@@ -374,8 +374,9 @@ class Hypervisor:
     or the exit counters names one cell.
     """
 
-    def __init__(self, platform: MachinePlatform, seed: int = 0,
-                 sensitive_instructions: frozenset = DEFAULT_SENSITIVE_INSTRUCTIONS):
+    def __init__(self, platform: MachinePlatform, seed: int = 0):
+        if not 0 <= seed <= U64_MAX:
+            raise InvariantViolation("seed %d outside [0, 2^64)" % seed)
         self.platform = platform
         self.state = HvState.DISABLED
         self.cells: dict[CellId, Cell] = {}
@@ -388,7 +389,6 @@ class Hypervisor:
         self.exits: dict[CellId, list[int]] = {}
         self.clock: int = 0
         self.seed = seed
-        self.sensitive_instructions = frozenset(sensitive_instructions)
         self.channels: dict = {}
         self.channel_trace: list[dict] = []
         self._next_cell_id: CellId = 1
@@ -528,7 +528,7 @@ class Hypervisor:
         cell = self._cell(cell_id)
         self.channels = {ch_id: ch for ch_id, ch in self.channels.items()
                          if cell_id not in ch.endpoints()}
-        self.ledger.release_all(cell_id, ROOT_CELL)
+        self.ledger.release_all(cell_id)
         del self.cells[cell_id]
         self._next_bdf.pop(cell_id, None)
         self._log(TrapKind.MANAGEMENT, cell_id, "destroy %s" % cell.name)
@@ -575,7 +575,7 @@ class Hypervisor:
     def audit(self) -> None:
         """Check conservation, exclusivity, and owner liveness."""
         self._require_enabled()
-        self.ledger.audit(self.platform)
+        self.ledger.audit()
         live = set(self.cells)
         stray = self.ledger.owners() - live
         if stray:
@@ -602,7 +602,7 @@ class Hypervisor:
             raise BadState("cell %d is %s, not running" % (cell_id, cell.state.value))
 
         if access.kind is AccessKind.SENSITIVE_INSTR:
-            if access.instr in self.sensitive_instructions:
+            if access.instr in SENSITIVE_INSTRUCTIONS:
                 self._log(TrapKind.INSTRUCTION_EMULATION, cell_id, access.instr)
                 return AccessOutcome.EMULATED
             return AccessOutcome.DIRECT
@@ -613,7 +613,6 @@ class Hypervisor:
         if access.kind in _MEM_KINDS:
             window = self.platform.gic_dist_window
             if window is not None and window.base <= lo and hi <= window.end:
-                cell.dist_emulations += 1
                 self._log(TrapKind.DISTRIBUTOR_EMULATION, cell_id,
                           "offset 0x%x" % (lo - window.base))
                 return AccessOutcome.EMULATED
@@ -653,8 +652,8 @@ class Hypervisor:
 
     # -- turn-based guest stepping
 
-    def step(self, n: int = 1, step_ns: int = 1000) -> int:
-        """Run every running non-root cell's workload for n turns.
+    def step(self, n: int = 1) -> int:
+        """Run every running non-root cell's workload for n turns of STEP_NS.
 
         Returns the number of accesses issued. With workloads touching
         only owned resources this adds nothing to the event log or the
@@ -663,7 +662,7 @@ class Hypervisor:
         self._require_enabled()
         issued = 0
         for _ in range(n):
-            self.clock += step_ns
+            self.clock += STEP_NS
             for cell_id in sorted(self.cells):
                 cell = self.cells[cell_id]
                 if cell_id == ROOT_CELL or cell.state is not CellState.RUNNING:

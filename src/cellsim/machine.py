@@ -44,6 +44,10 @@ U64_MAX = (1 << 64) - 1
 # Name of the MMIO window that gets distributor emulation.
 GIC_DIST_NAME = "gic-dist"
 
+# Longest MMIO device name, in UTF-8 bytes: the binary config codec's
+# name field is 16 bytes and keeps one for the terminating NUL.
+MMIO_NAME_BYTES = 15
+
 
 class PermFlags(IntFlag):
     """Memory access permissions; bit layout matches the binary codec."""
@@ -124,6 +128,9 @@ class MmioDevice:
     size: int
 
     def __post_init__(self):
+        if len(self.name.encode("utf-8")) > MMIO_NAME_BYTES:
+            raise InvariantViolation("mmio device name %r longer than %d bytes"
+                                     % (self.name, MMIO_NAME_BYTES))
         _check_region(self.base, self.size, "mmio device %r" % self.name)
 
     @property
@@ -317,14 +324,12 @@ class PlatformSpec:
     resources: list
     gic_version: GicVersion = GicVersion.V2
     bus: Optional[BusModel] = None
-    has_pci: Optional[bool] = None  # None: derived from the resource list
 
 
 @dataclass(frozen=True)
 class MachinePlatform:
     name: str
     resources: tuple
-    has_pci: bool
     gic_version: GicVersion
     bus: BusModel
 
@@ -364,6 +369,10 @@ class MachinePlatform:
     @property
     def pci_devices(self) -> tuple:
         return self._pci_devices
+
+    @property
+    def has_pci(self) -> bool:
+        return bool(self._pci_devices)
 
     def find_mmio(self, name: str) -> Optional[MmioDevice]:
         for dev in self._mmio_devices:
@@ -409,9 +418,6 @@ def build_platform(spec: PlatformSpec) -> MachinePlatform:
     if len(mmio_names) != len(set(mmio_names)):
         raise InvariantViolation("mmio device names must be unique")
 
-    has_pci = spec.has_pci
-    if has_pci is None:
-        has_pci = any(isinstance(r, PciDevice) for r in resources)
     bdfs = [r.bdf for r in resources if isinstance(r, PciDevice)]
     if len(bdfs) != len(set(bdfs)):
         raise InvariantViolation("pci bdfs must be unique")
@@ -419,7 +425,6 @@ def build_platform(spec: PlatformSpec) -> MachinePlatform:
     return MachinePlatform(
         name=spec.name,
         resources=resources,
-        has_pci=has_pci,
         gic_version=spec.gic_version,
         bus=spec.bus if spec.bus is not None else BusModel.default(),
     )

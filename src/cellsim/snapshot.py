@@ -5,7 +5,9 @@ invocations, with the same little-endian framing style as the config
 codec. Ownership is not stored: the load path rebuilds the platform
 through its validator and the ledger by claiming each cell's config in
 id order, then audits the result, so a corrupt snapshot cannot produce
-an inconsistent session.
+an inconsistent session. Nothing else that can be derived is stored
+either: a platform's has_pci comes from its resources, and a cell's
+distributor emulation count is its exit counter.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .machine import (
 )
 
 MAGIC = 0x4A485353
-VERSION = 3
+VERSION = 4
 
 _HEADER = struct.Struct("<IH")
 _U8 = struct.Struct("<B")
@@ -51,12 +53,22 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _BUS = struct.Struct("<8d2B")
-_RESOURCE = struct.Struct("<BQQQ")
 _EVENT = struct.Struct("<QIB")
 _EXITS = struct.Struct("<I%dQ" % len(TrapKind))
 
-_RES_CPU, _RES_MEM, _RES_MMIO, _RES_PCI, _RES_IOPORT, _RES_IRQ = range(6)
-_ONE_NUMBER_KINDS = {_RES_CPU: Cpu, _RES_PCI: PciDevice, _RES_IRQ: IrqLine}
+# A resource record is a kind byte (the index here) and a body holding
+# that kind's fields in constructor order; only an MMIO body is followed
+# by its name.
+_RECORDS = (
+    (Cpu, struct.Struct("<I"), lambda r: (r.index,)),
+    (MemRegion, struct.Struct("<QQB"), lambda r: (r.base, r.size, r.flags)),
+    (MmioDevice, struct.Struct("<QQ"), lambda r: (r.base, r.size)),
+    (PciDevice, struct.Struct("<H"), lambda r: (r.bdf,)),
+    # a port range may span all 0x10000 ports
+    (IoPortRange, struct.Struct("<HI"), lambda r: (r.base, r.length)),
+    (IrqLine, struct.Struct("<I"), lambda r: (r.number,)),
+)
+_RECORD_CODES = {kind: code for code, (kind, _, _) in enumerate(_RECORDS)}
 _STATE_CODES = {state: code for code, state in enumerate(CellState)}
 _STATES_BY_CODE = {code: state for state, code in _STATE_CODES.items()}
 _TRAP_CODES = {kind: code for code, kind in enumerate(TrapKind)}
@@ -87,46 +99,27 @@ def _get_bytes(reader: _Reader) -> bytes:
 
 
 def _put_resource(out: bytearray, resource) -> None:
-    if isinstance(resource, Cpu):
-        out += _RESOURCE.pack(_RES_CPU, resource.index, 0, 0)
-        _put_str(out, "")
-    elif isinstance(resource, MemRegion):
-        out += _RESOURCE.pack(_RES_MEM, resource.base, resource.size,
-                              int(resource.flags))
-        _put_str(out, "")
-    elif isinstance(resource, MmioDevice):
-        out += _RESOURCE.pack(_RES_MMIO, resource.base, resource.size, 0)
-        _put_str(out, resource.name)
-    elif isinstance(resource, PciDevice):
-        out += _RESOURCE.pack(_RES_PCI, resource.bdf, 0, 0)
-        _put_str(out, "")
-    elif isinstance(resource, IoPortRange):
-        out += _RESOURCE.pack(_RES_IOPORT, resource.base, resource.length, 0)
-        _put_str(out, "")
-    elif isinstance(resource, IrqLine):
-        out += _RESOURCE.pack(_RES_IRQ, resource.number, 0, 0)
-        _put_str(out, "")
-    else:
+    code = _RECORD_CODES.get(type(resource))
+    if code is None:
         raise InvariantViolation("cannot snapshot resource %r" % (resource,))
+    kind, body, fields = _RECORDS[code]
+    out.append(code)
+    out += body.pack(*fields(resource))
+    if kind is MmioDevice:
+        _put_str(out, resource.name)
 
 
 def _get_resource(reader: _Reader):
-    kind, a, b, c = reader.take(_RESOURCE)
-    name = _get_str(reader)
-    if kind == _RES_MEM:
-        resource, stray = MemRegion(a, b, perms_from_bits(c)), name
-    elif kind == _RES_MMIO:
-        resource, stray = MmioDevice(name, a, b), c
-    elif kind == _RES_IOPORT:
-        resource, stray = IoPortRange(a, b), c or name
-    elif kind in _ONE_NUMBER_KINDS:
-        resource, stray = _ONE_NUMBER_KINDS[kind](a), b or c or name
-    else:
-        raise InvariantViolation("unknown resource kind %d in snapshot" % kind)
-    if stray:
-        raise InvariantViolation("snapshot %s record carries stray fields"
-                                 % type(resource).__name__)
-    return resource
+    (code,) = reader.take(_U8)
+    if code >= len(_RECORDS):
+        raise InvariantViolation("unknown resource kind %d in snapshot" % code)
+    kind, body, _ = _RECORDS[code]
+    fields = reader.take(body)
+    if kind is MemRegion:
+        return MemRegion(fields[0], fields[1], perms_from_bits(fields[2]))
+    if kind is MmioDevice:
+        return MmioDevice(_get_str(reader), *fields)
+    return kind(*fields)
 
 
 def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
@@ -135,7 +128,6 @@ def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
 
     _put_str(out, platform.name)
     out += _U8.pack(_GIC_CODES[platform.gic_version])
-    out += _U8.pack(1 if platform.has_pci else 0)
     bus = platform.bus
     out += _BUS.pack(
         bus.base_latency_us, bus.hv_overhead.shift_us, bus.hv_overhead.log_mu,
@@ -170,7 +162,6 @@ def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
         cell = hv.cells[cell_id]
         out += _U32.pack(cell_id)
         out += _U8.pack(_STATE_CODES[cell.state])
-        out += _U64.pack(cell.dist_emulations)
         out += _U64.pack(cell.tick)
         _put_bytes(out, emit_binary(cell.config))
         out += _U32.pack(len(cell.memory_image))
@@ -194,7 +185,6 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     gic = _GIC_BY_CODE.get(gic_code)
     if gic is None:
         raise InvariantViolation("unknown gic code %d" % gic_code)
-    (has_pci,) = reader.take(_U8)
     (base_us, hv_shift, hv_mu, hv_sigma, c_shift, c_mu, c_sigma, prob,
      quantize, jitter) = reader.take(_BUS)
     bus = BusModel(
@@ -206,8 +196,7 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     (n_resources,) = reader.take(_U32)
     resources = [_get_resource(reader) for _ in range(n_resources)]
     platform = build_platform(PlatformSpec(
-        name=name, resources=resources, gic_version=gic, bus=bus,
-        has_pci=bool(has_pci)))
+        name=name, resources=resources, gic_version=gic, bus=bus))
 
     (have_hv,) = reader.take(_U8)
     if not have_hv:
@@ -253,7 +242,6 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         state = _STATES_BY_CODE.get(state_code)
         if state is None:
             raise InvariantViolation("unknown cell state %d" % state_code)
-        (dist_emu,) = reader.take(_U64)
         (tick,) = reader.take(_U64)
         config = load_binary(_get_bytes(reader))
         twin = ids_by_name.setdefault(config.name, cell_id)
@@ -261,7 +249,6 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
             raise InvariantViolation("cells %d and %d are both named %r"
                                      % (twin, cell_id, config.name))
         cell = Cell(cell_id, config, state)
-        cell.dist_emulations = dist_emu
         cell.tick = tick
         (n_chunks,) = reader.take(_U32)
         for _ in range(n_chunks):

@@ -354,6 +354,45 @@ class TestUsageErrors:
         assert "not enabled" in capsys.readouterr().err
 
 
+class TestBadArguments:
+    """Malformed argument values end in one error line, never a traceback."""
+
+    @pytest.fixture()
+    def guest(self, ws, capsys):
+        enable_board(ws)
+        run(ws, "cell", "create", str(ws / "guest.cfg"))
+        image = ws / "guest.img"
+        image.write_bytes(b"abc")
+        capsys.readouterr()
+        return str(image)
+
+    @pytest.mark.parametrize("addr", ["zz", "-10"])
+    def test_load_address_must_be_non_negative_hex(self, ws, guest, capsys, addr):
+        with pytest.raises(SystemExit) as excinfo:
+            run(ws, "cell", "load", "guest", guest, "--addr", addr)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            "error: argument --addr: expected a hex address, got '%s'" % addr)
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_enable_seed_must_fit_64_bits(self, ws, capsys, seed):
+        assert run(ws, "enable", "--platform", str(ws / "board.platform"),
+                   "--root", str(ws / "root.cfg"), "--seed", seed) == 1
+        assert capsys.readouterr().err == "error: seed %s outside [0, 2^64)\n" % seed
+        assert not (ws / "cellsim.state").exists()
+
+    def test_enable_takes_the_largest_seed(self, ws, capsys):
+        assert run(ws, "enable", "--platform", str(ws / "board.platform"),
+                   "--root", str(ws / "root.cfg"), "--seed", str(2**64 - 1)) == 0
+        state = load_session((ws / "cellsim.state").read_bytes())[1]
+        assert state.seed == 2**64 - 1
+
+    def test_non_ascii_digit_is_a_name_not_an_id(self, ws, guest, capsys):
+        assert run(ws, "cell", "start", "\u00b2") == 1
+        assert capsys.readouterr().err == "error: no cell named '\u00b2'\n"
+
+
 class TestBenchCommand:
     def test_csv_matches_the_library(self, ws, tmp_path, capsys):
         out = tmp_path / "rows.csv"

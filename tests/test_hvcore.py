@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from cellsim import (
+    EXIT_SLOT,
     ROOT_CELL,
     Access,
     AccessKind,
@@ -41,7 +42,7 @@ from cellsim.errors import (
     RootCellImmortal,
     ValidationFailed,
 )
-from cellsim.hvcore import parse_script
+from cellsim.hvcore import STEP_NS, parse_script
 
 from conftest import make_tiny_platform
 from gen import config_from_units, random_platform
@@ -110,6 +111,13 @@ class TestEnable:
             hv.step()
         with pytest.raises(NotEnabled):
             hv.disable()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, tiny, seed):
+        # a snapshot stores the seed as a u64
+        with pytest.raises(InvariantViolation, match="seed .* outside"):
+            Hypervisor(tiny, seed=seed)
+        assert Hypervisor(tiny, seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestCreate:
@@ -377,7 +385,7 @@ class TestHandleAccess:
         outcome = hv.handle_access(ROOT_CELL, Access(
             AccessKind.MEM_WRITE, window.base + 0x100, 4))
         assert outcome is AccessOutcome.EMULATED
-        assert hv.cells[ROOT_CELL].dist_emulations == 1
+        assert hv.exits[ROOT_CELL][EXIT_SLOT[TrapKind.DISTRIBUTOR_EMULATION]] == 1
         assert hv.events[-1].kind is TrapKind.DISTRIBUTOR_EMULATION
 
     def test_own_memory_runs_direct(self):
@@ -473,8 +481,8 @@ class TestStep:
 
     def test_step_advances_clock_even_without_cells(self):
         hv = tiny_hv()
-        hv.step(3, step_ns=500)
-        assert hv.clock == 1500
+        hv.step(3)
+        assert hv.clock == 3 * STEP_NS
 
     def test_stopped_cells_do_not_run(self):
         hv = tiny_hv()
@@ -502,8 +510,7 @@ class TestScripts:
             workload=Workload(WorkloadKind.SCRIPT, str(script))))
         hv.start_cell(cell_id)
         hv.step(6)  # dist, idle, repeat->dist, idle, repeat->dist, idle
-        cell = hv.cells[cell_id]
-        assert cell.dist_emulations == 3
+        assert hv.exits[cell_id][EXIT_SLOT[TrapKind.DISTRIBUTOR_EMULATION]] == 3
         kinds = [e.kind for e in hv.events if e.cell == cell_id
                  and e.kind is not TrapKind.MANAGEMENT]
         assert kinds == [TrapKind.DISTRIBUTOR_EMULATION] * 3
@@ -562,7 +569,7 @@ class TestLedger:
         assert ledger.range_owner(RAM, RAM + 0x2000) is None
         ledger.transfer_range(RAM + 0x1000, RAM + 0x3000, 5, 0)
         assert ledger.keys_multiset() == baseline
-        ledger.audit(tiny)
+        ledger.audit()
 
     def test_transfer_verifies_current_owner(self, tiny):
         ledger = OwnershipLedger(tiny)
@@ -582,7 +589,7 @@ class TestLedger:
         ledger.transfer_range(RAM, RAM + 0x4000, 0, 4)
         ledger.release_all(4)
         assert ledger.owners() == {0}
-        ledger.audit(tiny)
+        ledger.audit()
 
 
 class LifecycleMachine(RuleBasedStateMachine):

@@ -406,7 +406,7 @@ class TestDistributorAccess:
     def test_window_write_is_emulated_and_counted(self):
         hv = tiny_hv()
         assert distributor_access(hv, 0, 0x100) is AccessOutcome.EMULATED
-        assert hv.cells[0].dist_emulations == 1
+        assert hv.exits[0][EXIT_SLOT[TrapKind.DISTRIBUTOR_EMULATION]] == 1
         assert hv.events[-1].kind is TrapKind.DISTRIBUTOR_EMULATION
         assert hv.events[-1].detail == "offset 0x100"
 
@@ -414,7 +414,7 @@ class TestDistributorAccess:
         hv = tiny_hv()
         for offset in range(0, 0x1000, 4):
             assert distributor_access(hv, 0, offset) is AccessOutcome.EMULATED
-        assert hv.cells[0].dist_emulations == 0x400
+        assert hv.exits[0][EXIT_SLOT[TrapKind.DISTRIBUTOR_EMULATION]] == 0x400
         assert not any(e.kind is TrapKind.ACCESS_VIOLATION for e in hv.events)
 
     def test_offset_past_window_violates(self):

@@ -219,7 +219,7 @@ class TestPlatformViews:
             assert repr(first) == repr(second)
             assert "_cpus" not in repr(first)
         assert [f.name for f in dataclasses.fields(first)] == [
-            "name", "resources", "has_pci", "gic_version", "bus"]
+            "name", "resources", "gic_version", "bus"]
 
     def test_replace_recomputes_the_views(self):
         platform = random_platform(random.Random(5))

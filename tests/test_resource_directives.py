@@ -47,7 +47,8 @@ MALFORMED = {
                 "mmio a 0xzz 0x1000", "pci zz", "ioport zz 0x8"],
     "bad id": ["cpu x", "cpu 1-x", "irq a,b"],
     "bad perms": ["mem 0x1000 0x1000 rq", "mem 0x1000 0x1000 rr"],
-    "bad name": ["mmio a! 0x1000 0x1000"],
+    "bad name": ["mmio a! 0x1000 0x1000", "mmio uart-controllers 0x1000 0x1000",
+                 "mmio uart-controller-a 0x1000 0x1000"],
     "unaligned": ["mem 0x1001 0x1000 r", "mem 0x1000 0x1001 r", "mmio a 0x1000 0x10"],
     "out-of-range id": ["cpu -1", "cpu 4294967296", "irq 4294967296", "pci 0x10000",
                         "ioport 0xfff0 0x20", "mem 0xfffffffffffff000 0x2000 r"],
@@ -142,3 +143,37 @@ def test_id_list_is_bounded_before_it_expands(line, message):
 def test_id_list_limits_are_inclusive():
     assert len(parse_resource(split_tokens("irq 0-65535"), 1)) == 0x10000
     assert parse_resource(split_tokens("cpu 4294967295"), 1) == [Cpu(0xFFFFFFFF)]
+
+
+# 17 bytes; the binary config's 16-byte name field holds 15 and a NUL
+LONG_MMIO = "mmio uart-controller-a 0x70006000 0x1000"
+
+
+def test_mmio_name_longer_than_15_bytes_is_refused_in_both_formats():
+    message = "line 2: mmio device name 'uart-controller-a' longer than 15 bytes"
+    with pytest.raises(ConfigSemanticError, match=message):
+        parse_resource(split_tokens(LONG_MMIO), 2)
+    for exc in _parse_both(LONG_MMIO):
+        assert isinstance(exc, ConfigSemanticError)
+        assert str(exc) == message
+    fits = parse_resource(split_tokens("mmio uart-controller 0x70006000 0x1000"), 2)
+    assert [dev.name for dev in fits] == ["uart-controller"]
+
+
+def test_cli_refuses_long_mmio_name_before_enable(tmp_path, capsys):
+    # both commands refuse the name while parsing, so check-config cannot
+    # pass a root config that enable then fails to save
+    text = "cpu 0\nmem 0x10000000 0x100000 rw\n%s\n" % LONG_MMIO
+    board = tmp_path / "board.platform"
+    board.write_text('platform "p"\n' + text)
+    root = tmp_path / "root.cfg"
+    root.write_text('cell "root"\n' + text)
+    state = str(tmp_path / "s")
+    assert main(["--state", state, "check-config", str(root), "--platform", str(board)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 4: mmio device name 'uart-controller-a' longer than 15 bytes\n")
+    assert main(["--state", state, "enable", "--platform", str(board),
+                 "--root", str(root)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 4: mmio device name 'uart-controller-a' longer than 15 bytes\n")
+    assert not (tmp_path / "s").exists()

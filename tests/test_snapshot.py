@@ -1,17 +1,28 @@
+import random
 import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellsim import (
     EXIT_SLOT,
     CellState,
     Cpu,
+    GicVersion,
     Hypervisor,
     HvState,
+    IoPortRange,
+    IrqLine,
     MemRegion,
+    MmioDevice,
+    PciDevice,
+    PermFlags,
+    PlatformSpec,
     TrapKind,
+    build_platform,
     emit_binary,
+    full_platform_config,
     latency_streams,
     load_session,
     raise_irqs,
@@ -25,9 +36,11 @@ from cellsim.errors import (
     UnsupportedVersion,
 )
 from cellsim import snapshot
+from cellsim.machine import MMIO_NAME_BYTES
 from cellsim.snapshot import MAGIC, VERSION
 
 from conftest import make_tiny_platform
+from gen import random_platform
 from test_hvcore import RAM, small_cell, tiny_hv
 
 
@@ -108,7 +121,7 @@ class TestEnabledSession:
             assert twin.config == cell.config
             assert twin.state is cell.state
             assert twin.memory_image == cell.memory_image
-            assert twin.dist_emulations == cell.dist_emulations
+            assert restored.exits[cell_id] == hv.exits[cell_id]
             assert twin.tick == cell.tick
         restored.audit()
 
@@ -208,8 +221,8 @@ class TestRejection:
 
 def _with_cell_id(blob, cell, new_id):
     """The snapshot with `cell`'s id field replaced by new_id."""
-    # a cell record starts: id u32, state u8, two u64 counters, config length u32
-    offset = blob.index(emit_binary(cell.config)) - (4 + 1 + 8 + 8 + 4)
+    # a cell record starts: id u32, state u8, tick u64, config length u32
+    offset = blob.index(emit_binary(cell.config)) - (4 + 1 + 8 + 4)
     assert struct.unpack_from("<I", blob, offset) == (cell.id,)
     return blob[:offset] + struct.pack("<I", new_id) + blob[offset + 4:]
 
@@ -307,49 +320,103 @@ class TestExitCounters:
                                % bad_id):
                 load_session(blob)
 
-    def test_version_2_blob_rejected(self):
+    @pytest.mark.parametrize("old", [2, 3])
+    def test_older_version_blob_rejected(self, old):
         hv = populated_hv()
         blob = bytearray(save_session(hv.platform, hv))
-        struct.pack_into("<H", blob, 4, 2)
-        with pytest.raises(UnsupportedVersion, match="version 2, expected 3"):
+        struct.pack_into("<H", blob, 4, old)
+        with pytest.raises(UnsupportedVersion, match="version %d, expected 4" % old):
             load_session(bytes(blob))
 
 
-def _with_record(platform, index, kind, a, b, c, name=b""):
-    """A platform-only snapshot whose resource record `index` is replaced."""
+def _record(resource) -> bytes:
+    """One resource's snapshot record: kind byte, body, and an MMIO name."""
+    out = bytearray()
+    snapshot._put_resource(out, resource)
+    return bytes(out)
+
+
+def _record_span(platform, index):
+    """A platform-only snapshot, and the offset and length of its resource
+    record `index`."""
     blob = save_session(platform, None)
-    offset = (snapshot._HEADER.size + 2 + len(platform.name.encode()) + 2
-              + snapshot._BUS.size + 4)
-    sizes = [snapshot._RESOURCE.size + 2 + len(getattr(r, "name", "").encode())
-             for r in platform.resources]
-    offset += sum(sizes[:index])
-    record = snapshot._RESOURCE.pack(kind, a, b, c) + struct.pack("<H", len(name)) + name
-    return blob[:offset] + record + blob[offset + sizes[index]:]
+    records = [_record(r) for r in platform.resources]
+    offset = blob.index(b"".join(records)) + sum(map(len, records[:index]))
+    return blob, offset, len(records[index])
+
+
+def _round_trip(platform):
+    blob = save_session(platform, None)
+    restored, _ = load_session(blob)
+    assert restored == platform
+    assert save_session(restored, None) == blob
+
+
+EXTREMES = [
+    Cpu(0), Cpu(1),
+    MemRegion(0x3000, 1 << 63, PermFlags(0)),
+    # the highest page that MemRegion accepts
+    MemRegion((1 << 64) - 0x2000, 0x1000, PermFlags(0xF)),
+    MmioDevice("a" * MMIO_NAME_BYTES, 0x1000, 0x1000),
+    MmioDevice("\u00e9" * 7 + "b", 0x2000, 0x1000),  # 15 UTF-8 bytes
+    PciDevice(0), PciDevice(0xFFFF),
+    IoPortRange(0, 0x10000), IoPortRange(0xFFFF, 1),
+    IrqLine(0), IrqLine(0xFFFFFFFF),
+]
 
 
 class TestRecordStrictness:
     # make_tiny_platform: cpus 0-3, RAM, gic-dist, uart, ioport, pci, irqs 32-39.
     CPU, MEM, MMIO, IOPORT, PCI, IRQ = 0, 4, 5, 7, 8, 9
 
-    def test_unknown_permission_bits_rejected(self, tiny):
-        blob = _with_record(tiny, self.MEM, snapshot._RES_MEM, RAM, 0x20_0000, 0xF0F)
-        with pytest.raises(InvariantViolation, match="permission bits"):
-            load_session(blob)
+    def test_extreme_values_round_trip(self):
+        _round_trip(build_platform(PlatformSpec(name="edges", resources=EXTREMES)))
 
-    @pytest.mark.parametrize("index, kind, a, b, c, name", [
-        pytest.param(CPU, snapshot._RES_CPU, 0, 1, 0, b"", id="cpu-size"),
-        pytest.param(CPU, snapshot._RES_CPU, 0, 0, 0, b"x", id="cpu-name"),
-        pytest.param(MEM, snapshot._RES_MEM, RAM, 0x20_0000, 3, b"x", id="mem-name"),
-        pytest.param(MMIO, snapshot._RES_MMIO, 0x5004_1000, 0x1000, 1, b"gic-dist",
-                     id="mmio-flags"),
-        pytest.param(IOPORT, snapshot._RES_IOPORT, 0x3F8, 0x8, 1, b"", id="ioport-flags"),
-        pytest.param(IOPORT, snapshot._RES_IOPORT, 0x3F8, 0x8, 0, b"x", id="ioport-name"),
-        pytest.param(PCI, snapshot._RES_PCI, 0x10, 0, 7, b"", id="pci-flags"),
-        pytest.param(IRQ, snapshot._RES_IRQ, 32, 2, 0, b"", id="irq-size"),
-    ])
-    def test_stray_fields_rejected(self, tiny, index, kind, a, b, c, name):
-        with pytest.raises(InvariantViolation, match="stray fields"):
-            load_session(_with_record(tiny, index, kind, a, b, c, name))
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_generated_platforms_round_trip(self, data):
+        base = random_platform(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+        bdfs = data.draw(st.sets(st.integers(0, 0xFFFF), max_size=3))
+        port = data.draw(st.integers(0, 0xFFFF))
+        length = data.draw(st.integers(1, 0x10000 - port))
+        resources = (list(base.resources) + [PciDevice(bdf) for bdf in sorted(bdfs)]
+                     + [IoPortRange(port, length)])
+        _round_trip(build_platform(PlatformSpec(
+            name=base.name, resources=resources, gic_version=GicVersion.V3)))
+
+    def test_enabled_jetson_session_is_small(self, jetson):
+        # v3 wrote 4,637 bytes, with 27 bytes per resource record of any kind
+        hv = Hypervisor(jetson).enable(full_platform_config(jetson))
+        assert len(save_session(jetson, hv)) <= 1700
+
+    def test_no_record_carries_an_unused_slot(self):
+        body = {Cpu: 4, MemRegion: 17, PciDevice: 2, IoPortRange: 6, IrqLine: 4}
+        for resource in EXTREMES:
+            name = getattr(resource, "name", None)
+            extra = 2 + len(name.encode()) if name is not None else 0
+            size = 1 + body.get(type(resource), 16) + extra
+            assert len(_record(resource)) == size, resource
+
+    def test_unknown_permission_bits_rejected(self, tiny):
+        blob, offset, length = _record_span(tiny, self.MEM)
+        code = snapshot._RECORD_CODES[MemRegion]
+        record = bytes([code]) + snapshot._RECORDS[code][1].pack(RAM, 0x20_0000, 0xF0)
+        with pytest.raises(InvariantViolation, match="permission bits"):
+            load_session(blob[:offset] + record + blob[offset + length:])
+
+    @pytest.mark.parametrize("index", [CPU, MEM, MMIO, IOPORT, PCI, IRQ])
+    def test_unknown_kind_rejected(self, tiny, index):
+        blob, offset, _ = _record_span(tiny, index)
+        unknown = len(snapshot._RECORDS)
+        with pytest.raises(CellSimError, match="unknown resource kind %d" % unknown):
+            load_session(blob[:offset] + bytes([unknown]) + blob[offset + 1:])
+
+    @pytest.mark.parametrize("index", [CPU, MEM, MMIO, IOPORT, PCI, IRQ])
+    def test_truncated_body_rejected(self, tiny, index):
+        blob, offset, length = _record_span(tiny, index)
+        for cut in range(offset + 1, offset + length):
+            with pytest.raises(CellSimError):
+                load_session(blob[:cut])
 
     def test_non_utf8_string_rejected(self, tiny):
         blob = bytearray(save_session(tiny, None))
