@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, groupby, starmap
 from typing import TYPE_CHECKING, Optional
 
 from ._dsl import (
@@ -33,6 +34,7 @@ from .errors import (
     UnsupportedVersion,
 )
 from .machine import (
+    MAX_NAME_BYTES,
     MMIO_NAME_BYTES,
     PAGE_SIZE,
     Cpu,
@@ -48,8 +50,6 @@ from .machine import (
 
 if TYPE_CHECKING:
     from .hvcore import OwnershipLedger
-
-MAX_NAME_BYTES = 31
 
 
 class WorkloadKind(Enum):
@@ -349,17 +349,34 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
 # --- binary codec -----------------------------------------------------------
 
 MAGIC = 0x4A484346
-VERSION = 1
+VERSION = 2
 
-_HEADER = struct.Struct("<IHHHHHH32s")
-_CPU = struct.Struct("<I")
-_MEM = struct.Struct("<QQI")
-_DEV = struct.Struct("<B16sQQ")
-_IRQ = struct.Struct("<I")
+_HEADER = struct.Struct("<IH32s")
+_U32 = struct.Struct("<I")
+_RUN = struct.Struct("<BI")
 _COMM = struct.Struct("<32sQH")
 _WORKLOAD = struct.Struct("<BH")
 
-_DEV_MMIO, _DEV_PCI, _DEV_IOPORT = 0, 1, 2
+# A resource list is a u32 run count and runs of consecutive resources of
+# one kind. A run is a kind byte (the index here), a u32 count and that
+# many bodies holding the kind's fields in constructor order, an MMIO name
+# NUL-padded to 16 bytes. Each kind also gives a resource's field tuple
+# and the resource a decoded tuple makes.
+_KINDS = (
+    (Cpu, struct.Struct("<I"), lambda r: (r.index,), Cpu),
+    (MemRegion, struct.Struct("<QQB"), lambda r: (r.base, r.size, r.flags),
+     lambda base, size, bits: MemRegion(base, size, perms_from_bits(bits))),
+    (MmioDevice, struct.Struct("<%dsQQ" % (MMIO_NAME_BYTES + 1)),
+     lambda r: (r.name.encode("utf-8"), r.base, r.size),
+     lambda raw, base, size: MmioDevice(_unpad(raw, "device name"), base, size)),
+    (PciDevice, struct.Struct("<H"), lambda r: (r.bdf,), PciDevice),
+    # a port range may span all 0x10000 ports
+    (IoPortRange, struct.Struct("<HI"), lambda r: (r.base, r.length), IoPortRange),
+    (IrqLine, struct.Struct("<I"), lambda r: (r.number,), IrqLine),
+)
+_KIND_CODES = {kind: code for code, (kind, *_) in enumerate(_KINDS)}
+_CPU, _IRQ = _KIND_CODES[Cpu], _KIND_CODES[IrqLine]
+
 _WORKLOAD_CODES = {
     WorkloadKind.IDLE: 0,
     WorkloadKind.STRESS: 1,
@@ -376,35 +393,45 @@ def _padded(name: str, width: int) -> bytes:
     return raw.ljust(width, b"\0")
 
 
+def _resource_runs(resources) -> list:
+    """The (kind code, field tuples) runs of consecutive resources of one kind."""
+    runs = []
+    for kind, group in groupby(resources, type):
+        code = _KIND_CODES.get(kind)
+        if code is None:
+            raise InvariantViolation("cannot encode resource type %r" % kind.__name__)
+        runs.append((code, list(map(_KINDS[code][2], group))))
+    return runs
+
+
+def _put_runs(out: bytearray, runs) -> None:
+    """Append the resource list of (kind code, field tuples) runs; empty runs
+    are left out."""
+    runs = [run for run in runs if run[1]]
+    out += _U32.pack(len(runs))
+    for code, rows in runs:
+        out += _RUN.pack(code, len(rows))
+        pack = _KINDS[code][1].pack
+        for row in rows:
+            out += pack(*row)
+
+
+def put_resources(out: bytearray, resources) -> None:
+    """Append the resource list that holds resources, in their order."""
+    _put_runs(out, _resource_runs(resources))
+
+
 def emit_binary(cfg: CellConfig) -> bytes:
     """Serialize a config to the canonical little-endian byte stream.
 
     Emission is deterministic and sorted, so emitting the result of a
     load reproduces the input byte-for-byte.
     """
-    for count, what in ((len(cfg.cpus), "cpus"), (len(cfg.mem), "mem"),
-                        (len(cfg.devices), "devices"), (len(cfg.irqs), "irqs"),
-                        (len(cfg.comm), "comm")):
-        if count > 0xFFFF:
-            raise InvariantViolation("too many %s for the binary format" % what)
-
-    out = bytearray()
-    out += _HEADER.pack(
-        MAGIC, VERSION, len(cfg.cpus), len(cfg.mem), len(cfg.devices),
-        len(cfg.irqs), len(cfg.comm), _padded(cfg.name, 32))
-    for index in sorted(cfg.cpus):
-        out += _CPU.pack(index)
-    for region in cfg.mem:
-        out += _MEM.pack(region.base, region.size, int(region.flags))
-    for dev in cfg.devices:
-        if isinstance(dev, MmioDevice):
-            out += _DEV.pack(_DEV_MMIO, _padded(dev.name, MMIO_NAME_BYTES + 1), dev.base, dev.size)
-        elif isinstance(dev, PciDevice):
-            out += _DEV.pack(_DEV_PCI, b"", dev.bdf, 0)
-        else:
-            out += _DEV.pack(_DEV_IOPORT, b"", dev.base, dev.length)
-    for number in sorted(cfg.irqs):
-        out += _IRQ.pack(number)
+    out = bytearray(_HEADER.pack(MAGIC, VERSION, _padded(cfg.name, 32)))
+    _put_runs(out, [(_CPU, [(index,) for index in sorted(cfg.cpus)])]
+              + _resource_runs(cfg.mem + cfg.devices)
+              + [(_IRQ, [(number,) for number in sorted(cfg.irqs)])])
+    out += _U32.pack(len(cfg.comm))
     for decl in cfg.comm:
         out += _COMM.pack(_padded(decl.peer, 32), decl.size, decl.vectors)
     path = (cfg.workload.script_path or "").encode("utf-8")
@@ -444,42 +471,46 @@ def _unpad(raw: bytes, what: str) -> str:
     return decode_utf8(name, what)
 
 
+def _take_runs(reader: _Reader) -> list:
+    """The (kind code, field tuples) runs of the resource list at the reader."""
+    (n_runs,) = reader.take(_U32)
+    runs = []
+    for _ in range(n_runs):
+        code, count = reader.take(_RUN)
+        if code >= len(_KINDS):
+            raise InvariantViolation("unknown resource kind %d" % code)
+        body = _KINDS[code][1]
+        runs.append((code, list(body.iter_unpack(reader.take_raw(count * body.size)))))
+    return runs
+
+
+def take_resources(reader: _Reader) -> list:
+    """The resources of the resource list at the reader, in their order."""
+    return list(chain.from_iterable(
+        starmap(_KINDS[code][3], rows) for code, rows in _take_runs(reader)))
+
+
 def load_binary(data: bytes) -> CellConfig:
     """Decode a byte stream produced by emit_binary."""
     reader = _Reader(data)
-    (magic, version, cpu_count, mem_count, dev_count,
-     irq_count, comm_count, raw_name) = reader.take(_HEADER)
+    magic, version, raw_name = reader.take(_HEADER)
     if magic != MAGIC:
         raise BadMagic("magic 0x%08x, expected 0x%08x" % (magic, MAGIC))
     if version != VERSION:
         raise UnsupportedVersion("version %d, expected %d" % (version, VERSION))
     name = _unpad(raw_name, "cell name")
 
-    cpus = [reader.take(_CPU)[0] for _ in range(cpu_count)]
-    mem = []
-    for _ in range(mem_count):
-        base, size, flags = reader.take(_MEM)
-        mem.append(MemRegion(base, size, perms_from_bits(flags)))
-    devices = []
-    for _ in range(dev_count):
-        kind, raw_dev_name, a, b = reader.take(_DEV)
-        if kind == _DEV_MMIO:
-            devices.append(MmioDevice(_unpad(raw_dev_name, "device name"), a, b))
-        elif kind == _DEV_PCI:
-            if raw_dev_name.strip(b"\0") or b:
-                raise InvariantViolation("pci record carries stray fields")
-            devices.append(PciDevice(a))
-        elif kind == _DEV_IOPORT:
-            if raw_dev_name.strip(b"\0"):
-                raise InvariantViolation("ioport record carries stray fields")
-            devices.append(IoPortRange(a, b))
+    cpus, irqs, others = [], [], []
+    for code, rows in _take_runs(reader):
+        if code == _CPU:
+            cpus += (index for (index,) in rows)
+        elif code == _IRQ:
+            irqs += (number for (number,) in rows)
         else:
-            raise InvariantViolation("unknown device kind %d" % kind)
-    irqs = [reader.take(_IRQ)[0] for _ in range(irq_count)]
-    comm = []
-    for _ in range(comm_count):
-        raw_peer, size, vectors = reader.take(_COMM)
-        comm.append(CommDecl(_unpad(raw_peer, "peer name"), size, vectors))
+            others += starmap(_KINDS[code][3], rows)
+    (comm_count,) = reader.take(_U32)
+    comm = [CommDecl(_unpad(raw_peer, "peer name"), size, vectors) for raw_peer, size, vectors
+            in _COMM.iter_unpack(reader.take_raw(comm_count * _COMM.size))]
     workload_code, path_len = reader.take(_WORKLOAD)
     kind = _WORKLOAD_BY_CODE.get(workload_code)
     if kind is None:
@@ -488,17 +519,15 @@ def load_binary(data: bytes) -> CellConfig:
     if reader.offset != len(data):
         raise InvariantViolation(
             "%d trailing bytes after the workload record" % (len(data) - reader.offset))
-    if kind is WorkloadKind.SCRIPT:
-        workload = Workload(kind=kind, script_path=decode_utf8(raw_path, "script path"))
-    else:
-        if raw_path:
-            raise InvariantViolation("non-script workload carries a path")
-        workload = Workload(kind=kind)
+    # Workload refuses a script without a path and a path on any other kind
+    workload = Workload(kind, decode_utf8(raw_path, "script path") if raw_path else None)
 
     if len(set(cpus)) != len(cpus):
         raise InvariantViolation("duplicate cpu ids in stream")
     if len(set(irqs)) != len(irqs):
         raise InvariantViolation("duplicate irq numbers in stream")
     return CellConfig(
-        name=name, cpus=frozenset(cpus), mem=tuple(mem), devices=tuple(devices),
+        name=name, cpus=frozenset(cpus),
+        mem=tuple(r for r in others if isinstance(r, MemRegion)),
+        devices=tuple(r for r in others if not isinstance(r, MemRegion)),
         irqs=frozenset(irqs), comm=tuple(comm), workload=workload)

@@ -44,6 +44,10 @@ U64_MAX = (1 << 64) - 1
 # Name of the MMIO window that gets distributor emulation.
 GIC_DIST_NAME = "gic-dist"
 
+# Longest cell, comm peer or platform name, in UTF-8 bytes: the binary
+# config codec's name fields are 32 bytes and keep one for the NUL.
+MAX_NAME_BYTES = 31
+
 # Longest MMIO device name, in UTF-8 bytes: the binary config codec's
 # name field is 16 bytes and keeps one for the terminating NUL.
 MMIO_NAME_BYTES = 15
@@ -398,6 +402,8 @@ def build_platform(spec: PlatformSpec) -> MachinePlatform:
     Deterministic: identical specs produce structurally identical
     platforms (resources keep their given order).
     """
+    if len(spec.name.encode("utf-8")) > MAX_NAME_BYTES:
+        raise InvariantViolation("platform name longer than %d bytes" % MAX_NAME_BYTES)
     resources = tuple(spec.resources)
 
     cpu_indices = [r.index for r in resources if isinstance(r, Cpu)]

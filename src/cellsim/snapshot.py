@@ -1,13 +1,14 @@
 """Versioned binary session snapshots.
 
 Persists a platform plus optional hypervisor state between CLI
-invocations, with the same little-endian framing style as the config
-codec. Ownership is not stored: the load path rebuilds the platform
-through its validator and the ledger by claiming each cell's config in
-id order, then audits the result, so a corrupt snapshot cannot produce
-an inconsistent session. Nothing else that can be derived is stored
-either: a platform's has_pci comes from its resources, and a cell's
-distributor emulation count is its exit counter.
+invocations. The platform's resources are a resource list of the config
+codec, which alone knows how a resource is encoded. Ownership is not
+stored: the load path rebuilds the platform through its validator and
+the ledger by claiming each cell's config in id order, then audits the
+result, so a corrupt snapshot cannot produce an inconsistent session.
+Nothing else that can be derived is stored either: a platform's has_pci
+comes from its resources, and a cell's distributor emulation count is
+its exit counter.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import struct
 from typing import Optional
 
 from ._dsl import decode_utf8
-from .cellconfig import _Reader, emit_binary, load_binary
+from .cellconfig import _Reader, emit_binary, load_binary, put_resources, take_resources
 from .errors import BadMagic, InvariantViolation, UnsupportedVersion, ValidationFailed
 from .hvcore import (
     ROOT_CELL,
@@ -28,24 +29,10 @@ from .hvcore import (
     TrapEvent,
     TrapKind,
 )
-from .machine import (
-    BusModel,
-    Cpu,
-    DistParams,
-    GicVersion,
-    IoPortRange,
-    IrqLine,
-    MachinePlatform,
-    MemRegion,
-    MmioDevice,
-    PciDevice,
-    PlatformSpec,
-    build_platform,
-    perms_from_bits,
-)
+from .machine import BusModel, DistParams, GicVersion, MachinePlatform, PlatformSpec, build_platform
 
 MAGIC = 0x4A485353
-VERSION = 4
+VERSION = 5
 
 _HEADER = struct.Struct("<IH")
 _U8 = struct.Struct("<B")
@@ -56,19 +43,6 @@ _BUS = struct.Struct("<8d2B")
 _EVENT = struct.Struct("<QIB")
 _EXITS = struct.Struct("<I%dQ" % len(TrapKind))
 
-# A resource record is a kind byte (the index here) and a body holding
-# that kind's fields in constructor order; only an MMIO body is followed
-# by its name.
-_RECORDS = (
-    (Cpu, struct.Struct("<I"), lambda r: (r.index,)),
-    (MemRegion, struct.Struct("<QQB"), lambda r: (r.base, r.size, r.flags)),
-    (MmioDevice, struct.Struct("<QQ"), lambda r: (r.base, r.size)),
-    (PciDevice, struct.Struct("<H"), lambda r: (r.bdf,)),
-    # a port range may span all 0x10000 ports
-    (IoPortRange, struct.Struct("<HI"), lambda r: (r.base, r.length)),
-    (IrqLine, struct.Struct("<I"), lambda r: (r.number,)),
-)
-_RECORD_CODES = {kind: code for code, (kind, _, _) in enumerate(_RECORDS)}
 _STATE_CODES = {state: code for code, state in enumerate(CellState)}
 _STATES_BY_CODE = {code: state for state, code in _STATE_CODES.items()}
 _TRAP_CODES = {kind: code for code, kind in enumerate(TrapKind)}
@@ -98,30 +72,6 @@ def _get_bytes(reader: _Reader) -> bytes:
     return reader.take_raw(length)
 
 
-def _put_resource(out: bytearray, resource) -> None:
-    code = _RECORD_CODES.get(type(resource))
-    if code is None:
-        raise InvariantViolation("cannot snapshot resource %r" % (resource,))
-    kind, body, fields = _RECORDS[code]
-    out.append(code)
-    out += body.pack(*fields(resource))
-    if kind is MmioDevice:
-        _put_str(out, resource.name)
-
-
-def _get_resource(reader: _Reader):
-    (code,) = reader.take(_U8)
-    if code >= len(_RECORDS):
-        raise InvariantViolation("unknown resource kind %d in snapshot" % code)
-    kind, body, _ = _RECORDS[code]
-    fields = reader.take(body)
-    if kind is MemRegion:
-        return MemRegion(fields[0], fields[1], perms_from_bits(fields[2]))
-    if kind is MmioDevice:
-        return MmioDevice(_get_str(reader), *fields)
-    return kind(*fields)
-
-
 def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
     out = bytearray()
     out += _HEADER.pack(MAGIC, VERSION)
@@ -134,9 +84,7 @@ def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
         bus.hv_overhead.log_sigma, bus.contention.shift_us, bus.contention.log_mu,
         bus.contention.log_sigma, bus.contention_prob,
         1 if bus.quantize_enabled else 0, 1 if bus.phase_jitter_enabled else 0)
-    out += _U32.pack(len(platform.resources))
-    for resource in platform.resources:
-        _put_resource(out, resource)
+    put_resources(out, platform.resources)
 
     if hv is None:
         out += _U8.pack(0)
@@ -193,10 +141,8 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         contention=DistParams(c_shift, c_mu, c_sigma),
         contention_prob=prob,
         quantize_enabled=bool(quantize), phase_jitter_enabled=bool(jitter))
-    (n_resources,) = reader.take(_U32)
-    resources = [_get_resource(reader) for _ in range(n_resources)]
     platform = build_platform(PlatformSpec(
-        name=name, resources=resources, gic_version=gic, bus=bus))
+        name=name, resources=take_resources(reader), gic_version=gic, bus=bus))
 
     (have_hv,) = reader.take(_U8)
     if not have_hv:

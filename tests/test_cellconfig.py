@@ -22,7 +22,7 @@ from cellsim import (
     parse_config,
     validate_against,
 )
-from cellsim.cellconfig import MAGIC, VERSION
+from cellsim.cellconfig import MAGIC
 from cellsim.errors import (
     BadMagic,
     ConfigSemanticError,
@@ -258,12 +258,18 @@ MINIMAL = CellConfig(name="a", cpus=[0], mem=[MemRegion(0x1000, 0x1000)])
 
 
 def _minimal_bytes():
-    # independent byte-level oracle for the frozen layout
-    out = struct.pack("<IHHHHHH32s", MAGIC, VERSION, 1, 1, 0, 0, 0, b"a")
-    out += struct.pack("<I", 0)
-    out += struct.pack("<QQI", 0x1000, 0x1000, int(PermFlags.READ | PermFlags.WRITE))
+    # independent byte-level oracle for the frozen v2 layout
+    out = struct.pack("<IH32s", MAGIC, 2, b"a")
+    out += struct.pack("<I", 2)  # resource runs
+    out += struct.pack("<BII", 0, 1, 0)  # cpu run: cpu 0
+    out += struct.pack("<BIQQB", 1, 1, 0x1000, 0x1000, int(PermFlags.READ | PermFlags.WRITE))
+    out += struct.pack("<I", 0)  # comm declarations
     out += struct.pack("<BH", 0, 0)
     return out
+
+
+HEADER_SIZE = struct.calcsize("<IH32s")
+RUN_SIZE = struct.calcsize("<BI")
 
 
 class TestCodec:
@@ -286,10 +292,12 @@ class TestCodec:
             load_binary(bytes(blob))
 
     def test_unsupported_version(self):
-        blob = bytearray(_minimal_bytes())
-        struct.pack_into("<H", blob, 4, 2)
-        with pytest.raises(UnsupportedVersion):
-            load_binary(bytes(blob))
+        # a version-1 blob is refused: re-emit it from its text config
+        for version in (1, 3):
+            blob = bytearray(_minimal_bytes())
+            struct.pack_into("<H", blob, 4, version)
+            with pytest.raises(UnsupportedVersion, match="version %d, expected 2" % version):
+                load_binary(bytes(blob))
 
     def test_truncation_detected_everywhere(self):
         blob = emit_binary(parse_config(FULL_TEXT))
@@ -303,15 +311,17 @@ class TestCodec:
 
     def test_nonzero_name_padding_rejected(self):
         blob = bytearray(_minimal_bytes())
-        blob[16 + 31] = 0x41  # last byte of the name field
+        blob[HEADER_SIZE - 1] = 0x41  # last byte of the name field
         with pytest.raises(InvariantViolation):
             load_binary(bytes(blob))
 
     def test_unknown_permission_bits_rejected(self):
         blob = bytearray(_minimal_bytes())
-        flags_off = struct.calcsize("<IHHHHHH32s") + 4 + 16
-        struct.pack_into("<I", blob, flags_off, 0x10)
-        with pytest.raises(InvariantViolation):
+        # after the run count, the cpu run, the mem run's header, base and size
+        flags_off = HEADER_SIZE + 4 + RUN_SIZE + 4 + RUN_SIZE + 16
+        assert blob[flags_off] == PermFlags.READ | PermFlags.WRITE
+        blob[flags_off] = 0x10
+        with pytest.raises(InvariantViolation, match="unknown permission bits 0x10"):
             load_binary(bytes(blob))
 
     def test_non_utf8_script_path_rejected(self):
@@ -321,13 +331,23 @@ class TestCodec:
         with pytest.raises(InvariantViolation, match="not valid UTF-8"):
             load_binary(blob[:-5] + b"\xff\xfe.tx")
 
+    @pytest.mark.parametrize("code, path, message", [
+        (0, b"s.txt", "only script workloads carry a path"),
+        (3, b"", "script workload needs a path")])
+    def test_workload_path_rules_hold_on_load(self, code, path, message):
+        blob = _minimal_bytes()[:-3] + struct.pack("<BH", code, len(path)) + path
+        with pytest.raises(InvariantViolation, match=message):
+            load_binary(blob)
+
     def test_unknown_device_kind_rejected(self):
         cfg = CellConfig(name="a", cpus=[0], mem=[MemRegion(0x1000, 0x1000)],
                          devices=[PciDevice(8)])
         blob = bytearray(emit_binary(cfg))
-        dev_off = struct.calcsize("<IHHHHHH32s") + 4 + 20
+        # the kind byte of the pci run, after the cpu and mem runs
+        dev_off = HEADER_SIZE + 4 + RUN_SIZE + 4 + RUN_SIZE + 17
+        assert struct.unpack_from("<BIH", blob, dev_off) == (3, 1, 8)
         blob[dev_off] = 9
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="unknown resource kind 9"):
             load_binary(bytes(blob))
 
     def test_unknown_workload_code_rejected(self):
@@ -339,9 +359,10 @@ class TestCodec:
     def test_duplicate_cpu_in_stream_rejected(self):
         cfg = CellConfig(name="a", cpus=[0, 1], mem=[MemRegion(0x1000, 0x1000)])
         blob = bytearray(emit_binary(cfg))
-        head = struct.calcsize("<IHHHHHH32s")
-        blob[head:head + 4] = blob[head + 4:head + 8]
-        with pytest.raises(InvariantViolation):
+        ids = HEADER_SIZE + 4 + RUN_SIZE  # the cpu run's two ids
+        assert struct.unpack_from("<II", blob, ids) == (0, 1)
+        blob[ids:ids + 4] = blob[ids + 4:ids + 8]
+        with pytest.raises(InvariantViolation, match="duplicate cpu ids"):
             load_binary(bytes(blob))
 
     def test_seeded_round_trips(self):

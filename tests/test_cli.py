@@ -302,6 +302,15 @@ class TestNoTracebacks:
         assert run(ws, "cell", "start", "guest") == 1
         assert "not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", [32, 70_000])
+    def test_platform_name_longer_than_31_bytes(self, ws, capsys, length):
+        # 70,000 bytes overflowed the snapshot's u16 string length
+        (ws / "board.platform").write_text(
+            PLATFORM_TEXT.replace('"testboard"', '"%s"' % ("p" * length)))
+        assert enable_board(ws) == 1
+        assert capsys.readouterr().err == "error: platform name longer than 31 bytes\n"
+        assert not (ws / "cellsim.state").exists()
+
     def test_config_path_is_a_directory(self, ws, capsys):
         assert run(ws, "check-config", str(ws)) == 1
         assert capsys.readouterr().err.startswith("error: ")

@@ -160,6 +160,13 @@ class TestBuildPlatform:
             build_platform(PlatformSpec(name="p", resources=[
                 Cpu(0), MemRegion(0x1000, 0x2000), MmioDevice("u", 0x2000, 0x1000)]))
 
+    def test_name_holds_at_most_31_utf8_bytes(self):
+        # the bound cell names have; a longer one overflowed the snapshot
+        fits = "\u00e9" * 15 + "p"  # 31 bytes
+        assert build_platform(PlatformSpec(name=fits, resources=[Cpu(0)])).name == fits
+        with pytest.raises(InvariantViolation, match="platform name longer than 31 bytes"):
+            build_platform(PlatformSpec(name="\u00e9" * 16, resources=[Cpu(0)]))
+
     def test_derives_has_pci(self):
         plain = build_platform(PlatformSpec(name="p", resources=[Cpu(0)]))
         assert plain.has_pci is False

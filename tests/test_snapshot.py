@@ -1,6 +1,7 @@
 import random
 import struct
 from dataclasses import replace
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from cellsim import (
     emit_binary,
     full_platform_config,
     latency_streams,
+    load_binary,
     load_session,
     raise_irqs,
     save_session,
@@ -35,12 +37,12 @@ from cellsim.errors import (
     TruncatedRecord,
     UnsupportedVersion,
 )
-from cellsim import snapshot
+from cellsim import cellconfig, snapshot
 from cellsim.machine import MMIO_NAME_BYTES
 from cellsim.snapshot import MAGIC, VERSION
 
 from conftest import make_tiny_platform
-from gen import random_platform
+from gen import random_config, random_platform
 from test_hvcore import RAM, small_cell, tiny_hv
 
 
@@ -320,29 +322,36 @@ class TestExitCounters:
                                % bad_id):
                 load_session(blob)
 
-    @pytest.mark.parametrize("old", [2, 3])
+    @pytest.mark.parametrize("old", [2, 3, 4])
     def test_older_version_blob_rejected(self, old):
         hv = populated_hv()
         blob = bytearray(save_session(hv.platform, hv))
         struct.pack_into("<H", blob, 4, old)
-        with pytest.raises(UnsupportedVersion, match="version %d, expected 4" % old):
+        with pytest.raises(UnsupportedVersion, match="version %d, expected 5" % old):
             load_session(bytes(blob))
 
 
-def _record(resource) -> bytes:
-    """One resource's snapshot record: kind byte, body, and an MMIO name."""
+def _record(resources) -> bytes:
+    """The run of consecutive resources of one kind: kind byte, count, bodies."""
     out = bytearray()
-    snapshot._put_resource(out, resource)
-    return bytes(out)
+    cellconfig.put_resources(out, resources)
+    assert struct.unpack_from("<I", out) == (1,)
+    return bytes(out[4:])
 
 
 def _record_span(platform, index):
-    """A platform-only snapshot, and the offset and length of its resource
-    record `index`."""
+    """A platform-only snapshot, and the offset and length of the run that
+    holds its resource `index`."""
     blob = save_session(platform, None)
-    records = [_record(r) for r in platform.resources]
-    offset = blob.index(b"".join(records)) + sum(map(len, records[:index]))
-    return blob, offset, len(records[index])
+    runs = [list(group) for _, group in groupby(platform.resources, type)]
+    records = [_record(run) for run in runs]
+    offset = blob.index(b"".join(records))
+    for run, record in zip(runs, records):
+        if index < len(run):
+            return blob, offset, len(record)
+        index -= len(run)
+        offset += len(record)
+    raise IndexError(index)
 
 
 def _round_trip(platform):
@@ -381,6 +390,8 @@ class TestRecordStrictness:
         length = data.draw(st.integers(1, 0x10000 - port))
         resources = (list(base.resources) + [PciDevice(bdf) for bdf in sorted(bdfs)]
                      + [IoPortRange(port, length)])
+        # in any order, so kinds interleave and one kind spans several runs
+        resources = data.draw(st.permutations(resources))
         _round_trip(build_platform(PlatformSpec(
             name=base.name, resources=resources, gic_version=GicVersion.V3)))
 
@@ -390,24 +401,23 @@ class TestRecordStrictness:
         assert len(save_session(jetson, hv)) <= 1700
 
     def test_no_record_carries_an_unused_slot(self):
-        body = {Cpu: 4, MemRegion: 17, PciDevice: 2, IoPortRange: 6, IrqLine: 4}
+        # a run is a kind byte, a u32 count and one fixed-size body per resource
+        body = {Cpu: 4, MemRegion: 17, MmioDevice: 32, PciDevice: 2, IoPortRange: 6, IrqLine: 4}
         for resource in EXTREMES:
-            name = getattr(resource, "name", None)
-            extra = 2 + len(name.encode()) if name is not None else 0
-            size = 1 + body.get(type(resource), 16) + extra
-            assert len(_record(resource)) == size, resource
+            for count in (1, 3):
+                assert len(_record([resource] * count)) == 5 + count * body[type(resource)]
 
     def test_unknown_permission_bits_rejected(self, tiny):
         blob, offset, length = _record_span(tiny, self.MEM)
-        code = snapshot._RECORD_CODES[MemRegion]
-        record = bytes([code]) + snapshot._RECORDS[code][1].pack(RAM, 0x20_0000, 0xF0)
-        with pytest.raises(InvariantViolation, match="permission bits"):
-            load_session(blob[:offset] + record + blob[offset + length:])
+        record = blob[offset:offset + length]
+        assert record == _record([MemRegion(RAM, 0x20_0000)]) and record[-1] == 3
+        with pytest.raises(InvariantViolation, match="unknown permission bits 0xf0"):
+            load_session(blob[:offset + length - 1] + b"\xf0" + blob[offset + length:])
 
     @pytest.mark.parametrize("index", [CPU, MEM, MMIO, IOPORT, PCI, IRQ])
     def test_unknown_kind_rejected(self, tiny, index):
         blob, offset, _ = _record_span(tiny, index)
-        unknown = len(snapshot._RECORDS)
+        unknown = len(cellconfig._KINDS)
         with pytest.raises(CellSimError, match="unknown resource kind %d" % unknown):
             load_session(blob[:offset] + bytes([unknown]) + blob[offset + 1:])
 
@@ -425,3 +435,43 @@ class TestRecordStrictness:
         blob[start] = 0xFF
         with pytest.raises(InvariantViolation, match="not valid UTF-8"):
             load_session(bytes(blob))
+
+
+def _mutated(data, blob):
+    """blob after one to four drawn byte flips, truncations and insertions."""
+    blob = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(["flip", "truncate", "insert"]))
+        at = data.draw(st.integers(0, max(len(blob) - 1, 0)))
+        if op == "flip" and blob:
+            blob[at] ^= data.draw(st.integers(1, 255))
+        elif op == "truncate":
+            del blob[at:]
+        else:
+            blob[at:at] = data.draw(st.binary(min_size=1, max_size=8))
+    return bytes(blob)
+
+
+class TestCorruption:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_corrupt_snapshot_is_refused_or_loads_sound(self, data):
+        hv = populated_hv()  # with a running guest
+        blob = _mutated(data, save_session(hv.platform, hv))
+        try:
+            _, restored = load_session(blob)
+        except CellSimError:
+            return
+        if restored is not None and restored.enabled:
+            restored.audit()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_corrupt_config_is_refused_or_loads_sound(self, data):
+        cfg = random_config(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+        blob = _mutated(data, emit_binary(cfg))
+        try:
+            loaded = load_binary(blob)
+        except CellSimError:
+            return
+        assert load_binary(emit_binary(loaded)) == loaded
