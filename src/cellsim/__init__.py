@@ -48,7 +48,6 @@ from .hvcore import (
 )
 from .irq import (
     IrqDeliveries,
-    IrqDelivery,
     LatencyStats,
     Scenario,
     distributor_access,

@@ -59,6 +59,10 @@ class WorkloadKind(Enum):
     SCRIPT = "script"
 
 
+# Longest script path, in UTF-8 bytes: the binary codec stores its length in a u16.
+MAX_PATH_BYTES = 0xFFFF
+
+
 @dataclass(frozen=True)
 class Workload:
     kind: WorkloadKind = WorkloadKind.IDLE
@@ -68,6 +72,8 @@ class Workload:
         if self.kind is WorkloadKind.SCRIPT:
             if not self.script_path:
                 raise InvariantViolation("script workload needs a path")
+            if len(self.script_path.encode("utf-8")) > MAX_PATH_BYTES:
+                raise InvariantViolation("script path longer than %d bytes" % MAX_PATH_BYTES)
         elif self.script_path is not None:
             raise InvariantViolation("only script workloads carry a path")
 
@@ -271,7 +277,10 @@ def _parse_run(tokens, lineno) -> Workload:
             % (kind_text, ", ".join(sorted(_WORKLOAD_NAMES))))
     if kind is WorkloadKind.SCRIPT:
         require_args(tokens, lineno, 2)
-        return Workload(kind=kind, script_path=tokens[2][0])
+        try:
+            return Workload(kind=kind, script_path=tokens[2][0])
+        except InvariantViolation as exc:
+            raise ConfigSemanticError(str(exc), lineno)
     require_args(tokens, lineno, 1)
     return Workload(kind=kind)
 

@@ -25,7 +25,7 @@ from .hvcore import (
     Hypervisor,
     TrapKind,
 )
-from .machine import BusModel, IrqLine, bus_load
+from .machine import BusModel, DistParams, IrqLine, bus_load
 from .rng import make_streams
 
 LATTICE_US = 0.0625  # 62.5 ns timer resolution
@@ -44,6 +44,14 @@ def latency_streams(seed: int, tag: str = "") -> tuple:
     return tuple(make_streams(seed, tag, 4))
 
 
+def draw(params: DistParams, rng, size=None):
+    """One draw of shift_us + exp(N(log_mu, log_sigma)) as a float, or size
+    draws as an array. Both use np.exp, so a batch equals as many single
+    draws (math.exp can differ by an ulp)."""
+    grown = np.exp(params.log_mu + params.log_sigma * rng.standard_normal(size))
+    return params.shift_us + (float(grown) if size is None else grown)
+
+
 def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
                    size=None):
     """Draw one measured latency in microseconds, or an array of size.
@@ -57,10 +65,10 @@ def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
     overhead, trigger, contention, jitter = streams
     latency = bus.base_latency_us if size is None else np.full(size, bus.base_latency_us)
     if vmm_on:
-        latency = latency + bus.hv_overhead.draw(overhead, size)
+        latency = latency + draw(bus.hv_overhead, overhead, size)
         if stressed:
             fires = trigger.random(size) < bus.contention_prob
-            latency = latency + bus.contention.draw(contention, size) * fires
+            latency = latency + draw(bus.contention, contention, size) * fires
     if bus.phase_jitter_enabled:
         latency = latency + (jitter.random(size) * LATTICE_US - LATTICE_US / 2)
     if bus.quantize_enabled:
@@ -71,23 +79,6 @@ def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
 class IrqPath:
     BARE_METAL = "bare-metal"
     REINJECTED = "reinjected"
-
-
-@dataclass(frozen=True, slots=True)
-class IrqDelivery:
-    line: int
-    owner: int
-    raised_at: int
-    delivered_at: int
-    latency_us: float
-    path: str
-
-    def __post_init__(self):
-        if self.delivered_at < self.raised_at:
-            raise InvariantViolation("delivery before raise")
-        # timestamps are whole ns, so allow half an ns of rounding
-        if abs((self.delivered_at - self.raised_at) - self.latency_us * 1000.0) > 0.5:
-            raise InvariantViolation("timestamps disagree with latency")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,12 +141,9 @@ class LatencyStats:
             raise InvariantViolation("mean exceeds maximum")
 
 
-def raise_irq(hv: Hypervisor, line: int, t: int, streams) -> IrqDelivery:
-    """Deliver one interrupt raised at absolute time t ns: raise_irqs
-    with a single raise time."""
-    batch = raise_irqs(hv, line, [t], streams)
-    return IrqDelivery(line, batch.owner, t, int(batch.delivered_at[0]),
-                       float(batch.latency_us[0]), batch.path)
+def raise_irq(hv: Hypervisor, line: int, t: int, streams) -> IrqDeliveries:
+    """raise_irqs with the one raise time t ns."""
+    return raise_irqs(hv, line, [t], streams)
 
 
 def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum, IntFlag
-from typing import TYPE_CHECKING, Iterable, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from ._dsl import (
+    NAME_RE,
     Token,
     decode_utf8,
     iter_directives,
@@ -48,8 +47,8 @@ GIC_DIST_NAME = "gic-dist"
 # config codec's name fields are 32 bytes and keep one for the NUL.
 MAX_NAME_BYTES = 31
 
-# Longest MMIO device name, in UTF-8 bytes: the binary config codec's
-# name field is 16 bytes and keeps one for the terminating NUL.
+# Longest MMIO device name, in bytes (names are ASCII): the binary config
+# codec's name field is 16 bytes and keeps one for the terminating NUL.
 MMIO_NAME_BYTES = 15
 
 
@@ -132,7 +131,10 @@ class MmioDevice:
     size: int
 
     def __post_init__(self):
-        if len(self.name.encode("utf-8")) > MMIO_NAME_BYTES:
+        if not NAME_RE.match(self.name):
+            raise InvariantViolation("mmio device name %r must match [A-Za-z0-9_-]+"
+                                     % (self.name,))
+        if len(self.name) > MMIO_NAME_BYTES:  # ASCII: one byte per character
             raise InvariantViolation("mmio device name %r longer than %d bytes"
                                      % (self.name, MMIO_NAME_BYTES))
         _check_region(self.base, self.size, "mmio device %r" % self.name)
@@ -244,7 +246,8 @@ def parse_resource(tokens: list[Token], lineno: int) -> list:
 
 @dataclass(frozen=True)
 class DistParams:
-    """Shifted log-normal distribution: shift_us + exp(N(log_mu, log_sigma))."""
+    """Shifted log-normal distribution: shift_us + exp(N(log_mu, log_sigma)),
+    sampled by irq.draw."""
 
     shift_us: float = 0.0
     log_mu: float = 0.0
@@ -268,12 +271,6 @@ class DistParams:
     @property
     def mean_us(self) -> float:
         return self.shift_us + math.exp(self.log_mu + 0.5 * self.log_sigma ** 2)
-
-    def draw(self, rng, size=None):
-        """One draw as a float, or size draws as an array. Both use np.exp,
-        so a batch equals as many single draws (math.exp can differ by an ulp)."""
-        grown = np.exp(self.log_mu + self.log_sigma * rng.standard_normal(size))
-        return self.shift_us + (float(grown) if size is None else grown)
 
 
 @dataclass(frozen=True)
@@ -330,6 +327,10 @@ class PlatformSpec:
     bus: Optional[BusModel] = None
 
 
+_VIEW_ATTRS = {Cpu: "_cpus", MemRegion: "_mem_regions", MmioDevice: "_mmio_devices",
+               IoPortRange: "_io_port_ranges", PciDevice: "_pci_devices", IrqLine: "_irq_lines"}
+
+
 @dataclass(frozen=True)
 class MachinePlatform:
     name: str
@@ -339,15 +340,17 @@ class MachinePlatform:
 
     def __post_init__(self):
         # A platform never changes, so its typed views are derived once,
-        # here.  They are plain attributes, not fields: equality, hashing
-        # and repr see only the fields above.
-        for attr, kind in (("_cpus", Cpu), ("_mem_regions", MemRegion),
-                           ("_mmio_devices", MmioDevice), ("_io_port_ranges", IoPortRange),
-                           ("_pci_devices", PciDevice)):
-            object.__setattr__(self, attr, tuple(
-                r for r in self.resources if isinstance(r, kind)))
-        object.__setattr__(self, "_irq_numbers", frozenset(
-            r.number for r in self.resources if isinstance(r, IrqLine)))
+        # here, in one pass.  They are plain attributes, not fields:
+        # equality, hashing and repr see only the fields above.
+        views = {kind: [] for kind in _VIEW_ATTRS}
+        for resource in self.resources:
+            view = views.get(type(resource))
+            if view is None:
+                raise InvariantViolation("unknown platform resource %r" % (resource,))
+            view.append(resource)
+        for kind, attr in _VIEW_ATTRS.items():
+            object.__setattr__(self, attr, tuple(views[kind]))
+        object.__setattr__(self, "_irq_numbers", frozenset(r.number for r in self._irq_lines))
         object.__setattr__(self, "_gic_dist_window", self.find_mmio(GIC_DIST_NAME))
 
     @property
@@ -404,43 +407,39 @@ def build_platform(spec: PlatformSpec) -> MachinePlatform:
     """
     if len(spec.name.encode("utf-8")) > MAX_NAME_BYTES:
         raise InvariantViolation("platform name longer than %d bytes" % MAX_NAME_BYTES)
-    resources = tuple(spec.resources)
-
-    cpu_indices = [r.index for r in resources if isinstance(r, Cpu)]
-    if not cpu_indices:
-        raise EmptyCpuSet("platform %r declares no CPUs" % spec.name)
-    if sorted(cpu_indices) != list(range(len(cpu_indices))):
-        raise InvariantViolation(
-            "cpu indices must be unique and contiguous from 0, got %s" % sorted(cpu_indices))
-
-    irqs = [r.number for r in resources if isinstance(r, IrqLine)]
-    if len(irqs) != len(set(irqs)):
-        dupes = sorted({n for n in irqs if irqs.count(n) > 1})
-        raise DuplicateIrq("irq lines listed twice: %s" % dupes)
-
-    _check_no_overlap(r for r in resources if isinstance(r, (MemRegion, MmioDevice)))
-
-    mmio_names = [r.name for r in resources if isinstance(r, MmioDevice)]
-    if len(mmio_names) != len(set(mmio_names)):
-        raise InvariantViolation("mmio device names must be unique")
-
-    bdfs = [r.bdf for r in resources if isinstance(r, PciDevice)]
-    if len(bdfs) != len(set(bdfs)):
-        raise InvariantViolation("pci bdfs must be unique")
-
-    return MachinePlatform(
+    platform = MachinePlatform(
         name=spec.name,
-        resources=resources,
+        resources=tuple(spec.resources),
         gic_version=spec.gic_version,
         bus=spec.bus if spec.bus is not None else BusModel.default(),
     )
 
+    cpu_indices = sorted(cpu.index for cpu in platform._cpus)
+    if not cpu_indices:
+        raise EmptyCpuSet("platform %r declares no CPUs" % spec.name)
+    if cpu_indices != list(range(len(cpu_indices))):
+        raise InvariantViolation(
+            "cpu indices must be unique and contiguous from 0, got %s" % cpu_indices)
 
-def _check_no_overlap(regions: Iterable) -> None:
-    intervals = sorted(
-        ((r.base, r.base + r.size, r) for r in regions), key=lambda t: t[0])
-    for (_, prev_end, prev), (base, _, cur) in zip(intervals, intervals[1:]):
-        if base < prev_end:
+    if len(platform._irq_numbers) != len(platform._irq_lines):
+        irqs = [line.number for line in platform._irq_lines]
+        dupes = sorted({n for n in irqs if irqs.count(n) > 1})
+        raise DuplicateIrq("irq lines listed twice: %s" % dupes)
+
+    _check_no_overlap(platform._mem_regions + platform._mmio_devices)
+    _check_no_overlap(platform._io_port_ranges)
+
+    if len({dev.name for dev in platform._mmio_devices}) != len(platform._mmio_devices):
+        raise InvariantViolation("mmio device names must be unique")
+    if len({dev.bdf for dev in platform._pci_devices}) != len(platform._pci_devices):
+        raise InvariantViolation("pci bdfs must be unique")
+    return platform
+
+
+def _check_no_overlap(ranges: tuple) -> None:
+    ordered = sorted(ranges, key=lambda r: r.base)
+    for prev, cur in zip(ordered, ordered[1:]):
+        if cur.base < prev.end:
             raise OverlapError("%r overlaps %r" % (prev, cur))
 
 

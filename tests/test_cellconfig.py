@@ -125,6 +125,16 @@ class TestDsl:
         with pytest.raises(ConfigSemanticError):
             parse_config('cell "%s"\ncpu 0\nmem 0x10000000 0x1000 rw\n' % ("x" * 32))
 
+    def test_overlong_script_path_refused_on_its_run_line(self):
+        # the binary codec stores the path length in a u16
+        text = 'cell "s"\ncpu 0\nmem 0x10000000 0x1000 rw\nrun script %s\n'
+        assert parse_config(text % ("p" * 0xFFFF)).workload.script_path == "p" * 0xFFFF
+        with pytest.raises(ConfigSemanticError,
+                           match="^line 4: script path longer than 65535 bytes$"):
+            parse_config(text % ("p" * 0x10000))
+        with pytest.raises(ConfigSemanticError, match="^line 4: "):
+            parse_config(text % ("\u00e9" * 0x8000))  # 0x10000 UTF-8 bytes
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config(
             "\n# leading comment\n\ncell \"s\"  # trailing\ncpu 0\n"
@@ -192,6 +202,15 @@ class TestCellConfigInvariants:
             Workload(WorkloadKind.SCRIPT)
         with pytest.raises(InvariantViolation):
             Workload(WorkloadKind.IDLE, script_path="x")
+
+    def test_script_path_holds_at_most_65535_utf8_bytes(self):
+        longest = "\u00e9" * 0x7FFF + "p"  # 65,535 bytes
+        cfg = CellConfig(name="a", cpus=[0], mem=[MemRegion(0x1000, 0x1000)],
+                         workload=Workload(WorkloadKind.SCRIPT, longest))
+        assert load_binary(emit_binary(cfg)) == cfg
+        for path in ("p" * 0x10000, "\u00e9" * 0x8000):
+            with pytest.raises(InvariantViolation, match="script path longer than 65535 bytes"):
+                Workload(WorkloadKind.SCRIPT, path)
 
 
 def _enabled_tiny_hv(tiny):
@@ -349,6 +368,17 @@ class TestCodec:
         blob[dev_off] = 9
         with pytest.raises(InvariantViolation, match="unknown resource kind 9"):
             load_binary(bytes(blob))
+
+    @pytest.mark.parametrize("raw", [b"", b"a b!", b"\xc3\xa9"])
+    def test_mmio_name_outside_the_text_formats_rejected(self, raw):
+        # a name both text formats refuse is refused in a binary config too
+        cfg = CellConfig(name="a", cpus=[0], mem=[MemRegion(0x1000, 0x1000)],
+                         devices=[MmioDevice("uart", 0x9000, 0x1000)])
+        blob = emit_binary(cfg)
+        field = b"uart".ljust(16, b"\0")
+        assert blob.count(field) == 1
+        with pytest.raises(InvariantViolation, match="must match"):
+            load_binary(blob.replace(field, raw.ljust(16, b"\0")))
 
     def test_unknown_workload_code_rejected(self):
         blob = bytearray(_minimal_bytes())

@@ -116,6 +116,22 @@ class TestWalkthrough:
         assert run(ws, "cell", "list") == 0
         assert "hypervisor: disabled" in capsys.readouterr().out
 
+    def test_colliding_config_lists_every_violation(self, ws, capsys):
+        assert enable_board(ws) == 0
+        assert run(ws, "cell", "create", str(ws / "guest.cfg")) == 0
+        before = (ws / "cellsim.state").read_bytes()
+        capsys.readouterr()
+        (ws / "twin.cfg").write_text(GUEST_TEXT.replace('"guest"', '"twin"'))
+        assert run(ws, "cell", "create", str(ws / "twin.cfg")) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: config rejected with 3 violation(s)\n"
+            "  NotOwnedByRoot(cpu 2): owned by cell 1\n"
+            "  NotOwnedByRoot(irq 34): owned by cell 1\n"
+            "  NotOwnedByRoot(mem [0x10100000, 0x10110000)): owned by cell 1\n")
+        assert (ws / "cellsim.state").read_bytes() == before
+
     def test_double_enable_fails(self, ws, capsys):
         enable_board(ws)
         assert enable_board(ws) == 1
@@ -311,6 +327,25 @@ class TestNoTracebacks:
         assert capsys.readouterr().err == "error: platform name longer than 31 bytes\n"
         assert not (ws / "cellsim.state").exists()
 
+    def test_overlapping_io_port_ranges(self, ws, capsys):
+        (ws / "board.platform").write_text(PLATFORM_TEXT + "ioport 0x60 0x10\nioport 0x68 0x8\n")
+        assert enable_board(ws) == 1
+        assert capsys.readouterr().err == (
+            "error: IoPortRange(base=96, length=16) overlaps IoPortRange(base=104, length=8)\n")
+        assert not (ws / "cellsim.state").exists()
+
+    def test_script_path_longer_than_65535_bytes(self, ws, capsys):
+        # it overflowed the binary config's u16 path length on save
+        (ws / "guest.cfg").write_text(GUEST_TEXT + "run script %s\n" % ("p" * 70_000))
+        message = "error: line 6: script path longer than 65535 bytes\n"
+        assert run(ws, "check-config", str(ws / "guest.cfg")) == 1
+        assert capsys.readouterr().err == message
+        assert enable_board(ws) == 0
+        capsys.readouterr()
+        assert run(ws, "cell", "create", str(ws / "guest.cfg")) == 1
+        assert capsys.readouterr().err == message
+        assert sorted(load_session((ws / "cellsim.state").read_bytes())[1].cells) == [0]
+
     def test_config_path_is_a_directory(self, ws, capsys):
         assert run(ws, "check-config", str(ws)) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -383,6 +418,15 @@ class TestBadArguments:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].endswith(
             "error: argument --addr: expected a hex address, got '%s'" % addr)
+
+    def test_load_address_in_the_cells_memory(self, ws, guest, capsys):
+        assert run(ws, "cell", "load", "guest", guest, "--addr", "1010fffd") == 0
+        assert capsys.readouterr().out == "loaded 3 bytes into cell 1 at 0x1010fffd\n"
+        cell = load_session((ws / "cellsim.state").read_bytes())[1].cells[1]
+        assert cell.memory_image == {0x1010FFFD: b"abc"}
+        # one byte further would end past the region
+        assert run(ws, "cell", "load", "guest", guest, "--addr", "0x1010fffe") == 1
+        assert capsys.readouterr().err.startswith("error: [0x1010fffe, 0x10110001) not within")
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_enable_seed_must_fit_64_bits(self, ws, capsys, seed):

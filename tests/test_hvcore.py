@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -17,14 +18,17 @@ from cellsim import (
     Cpu,
     Hypervisor,
     HvState,
+    IoPortRange,
     IrqLine,
     MemRegion,
     MmioDevice,
     OwnershipLedger,
     PermFlags,
+    PlatformSpec,
     TrapKind,
     Workload,
     WorkloadKind,
+    build_platform,
     enable,
     full_platform_config,
 )
@@ -423,6 +427,50 @@ class TestHandleAccess:
         assert violations[0].cell == cell_id
         with pytest.raises(BadState):
             hv.handle_access(cell_id, Access(AccessKind.MEM_READ, RAM + 0x8_0000, 4))
+
+    def test_root_ram_runs_direct_under_the_platform_flags(self):
+        # the root cell's RAM is checked against the ledger and the platform
+        # region, not against its config
+        read_only = MemRegion(RAM + 0x20_0000, 0x1000, PermFlags.READ)
+        platform = build_platform(PlatformSpec(name="ro", resources=[
+            Cpu(0), Cpu(1), MemRegion(RAM, 0x20_0000), read_only]))
+        hv = enable(platform, full_platform_config(platform))
+        guest = hv.create_cell(small_cell())
+        events, exits = list(hv.events), copy.deepcopy(hv.exits)
+        for addr in (RAM, RAM + 0x8_0000 - 8, RAM + 0x20_0000 - 8):
+            for kind in (AccessKind.MEM_READ, AccessKind.MEM_WRITE):
+                assert hv.handle_access(ROOT_CELL, Access(kind, addr, 8)) is AccessOutcome.DIRECT
+        assert hv.handle_access(ROOT_CELL, Access(
+            AccessKind.MEM_READ, read_only.base, 4)) is AccessOutcome.DIRECT
+        assert (hv.events, hv.exits) == (events, exits)
+        assert hv.handle_access(ROOT_CELL, Access(
+            AccessKind.MEM_WRITE, read_only.base, 4)) is AccessOutcome.VIOLATION
+        assert hv.cells[ROOT_CELL].state is CellState.FAILED
+        assert hv.cells[guest].state is CellState.CREATED
+
+    @pytest.mark.parametrize("offset", [0, 0x1FF8])
+    def test_root_access_to_a_guest_range_is_a_violation(self, offset):
+        # the first and the last eight bytes of the guest's range
+        hv = tiny_hv()
+        hv.create_cell(small_cell())
+        assert hv.handle_access(ROOT_CELL, Access(
+            AccessKind.MEM_WRITE, RAM + 0x8_0000 + offset, 8)) is AccessOutcome.VIOLATION
+        assert hv.events[-1].kind is TrapKind.ACCESS_VIOLATION
+        assert hv.cells[ROOT_CELL].state is CellState.FAILED
+
+    def test_io_ports_of_adjacent_ranges_stay_exclusive(self):
+        platform = build_platform(PlatformSpec(name="ports", resources=[
+            Cpu(0), Cpu(1), MemRegion(RAM, 0x20_0000), IoPortRange(0x60, 8), IoPortRange(0x68, 8)]))
+        hv = enable(platform, full_platform_config(platform))
+        guest = hv.create_cell(small_cell(devices=[IoPortRange(0x68, 8)]))
+        hv.start_cell(guest)
+        assert hv.handle_access(guest, Access(
+            AccessKind.IO_WRITE, 0x6A, 1)) is AccessOutcome.DIRECT
+        assert hv.handle_access(ROOT_CELL, Access(
+            AccessKind.IO_WRITE, 0x67, 1)) is AccessOutcome.DIRECT
+        assert hv.handle_access(ROOT_CELL, Access(
+            AccessKind.IO_WRITE, 0x6A, 1)) is AccessOutcome.VIOLATION
+        hv.audit()
 
     def test_root_loses_direct_access_to_granted_away_memory(self):
         hv = tiny_hv()

@@ -10,9 +10,9 @@ from cellsim import (
     AccessOutcome,
     BusModel,
     CellState,
+    DistParams,
     Hypervisor,
     IrqDeliveries,
-    IrqDelivery,
     LatencyStats,
     Scenario,
     TrapKind,
@@ -35,7 +35,7 @@ from cellsim.errors import (
 )
 from cellsim.comm import create_channel, send
 from cellsim.hvcore import EXIT_SLOT, Access, AccessKind
-from cellsim.irq import LATTICE_US, IrqPath, distributor_access
+from cellsim.irq import LATTICE_US, IrqPath, distributor_access, draw
 from cellsim.machine import bus_load
 from cellsim.rng import h64, make_rng, make_streams
 
@@ -102,6 +102,30 @@ class TestStreams:
         assert [g.random() for g in streams] == [g.random() for g in make_streams(5, "x", 4)]
 
 
+class TestDraw:
+    def test_zero_width_draw_is_exact(self):
+        params = DistParams(shift_us=0.25, log_mu=math.log(0.5), log_sigma=0.0)
+        assert draw(params, make_rng(3)) == pytest.approx(0.75)
+
+    def test_draws_are_deterministic_per_seed(self):
+        params = DistParams(0.1, -2.0, 0.6)
+        assert draw(params, make_rng(9, "t")) == draw(params, make_rng(9, "t"))
+
+    def test_batch_draw_equals_single_draws(self):
+        params = DistParams.from_mean(1.0, log_sigma=0.38, shift_us=0.2)
+        batch = draw(params, make_rng(12, "b"), size=1000)
+        rng = make_rng(12, "b")
+        singles = [draw(params, rng) for _ in range(1000)]
+        assert {type(x) for x in singles} == {float}
+        assert batch.tolist() == singles
+
+    def test_empirical_mean_tracks_parameter(self):
+        params = DistParams.from_mean(1.0, log_sigma=0.38)
+        rng = make_rng(11)
+        mean = sum(draw(params, rng) for _ in range(200_000)) / 200_000
+        assert mean == pytest.approx(1.0, rel=0.01)
+
+
 class TestSampleLatency:
     def test_off_raw_is_exactly_base(self):
         bus = BusModel.default().without_measurement()
@@ -148,8 +172,8 @@ class TestSampleLatency:
         bus = BusModel.default()
         value = sample_latency(True, True, bus, latency_streams(6, "order"))
         overhead, trigger, contention, jitter = latency_streams(6, "order")
-        manual = bus.base_latency_us + bus.hv_overhead.draw(overhead)
-        manual += bus.contention.draw(contention) * (trigger.random() < bus.contention_prob)
+        manual = bus.base_latency_us + draw(bus.hv_overhead, overhead)
+        manual += draw(bus.contention, contention) * (trigger.random() < bus.contention_prob)
         manual += jitter.random() * LATTICE_US - LATTICE_US / 2
         assert value == quantize_62_5ns(max(manual, 0.0))
 
@@ -187,10 +211,12 @@ class TestRaiseIrq:
         platform = make_tiny_platform()
         hv = Hypervisor(platform)
         delivery = raise_irq(hv, 33, 1000, latency_streams(1))
+        assert isinstance(delivery, IrqDeliveries)
         assert delivery.path == IrqPath.BARE_METAL
         assert delivery.owner == 0
-        assert delivery.latency_us in (0.4375, 0.5)
-        assert delivery.delivered_at - delivery.raised_at in (438, 500)
+        assert delivery.raised_at.tolist() == [1000]
+        assert delivery.latency_us[0] in (0.4375, 0.5)
+        assert delivery.delivered_at[0] - delivery.raised_at[0] in (438, 500)
         assert hv.events == []
 
     def test_reinjected_path_counts_one_exit_at_raise_time(self):
@@ -199,12 +225,12 @@ class TestRaiseIrq:
         delivery = raise_irq(hv, 33, 12345, latency_streams(2))
         assert delivery.path == IrqPath.REINJECTED
         assert delivery.owner == 0
-        assert delivery.raised_at == 12345
+        assert delivery.raised_at.tolist() == [12345]
         exits[0][EXIT_SLOT[TrapKind.IRQ_REINJECTION]] += 1
         assert hv.exits == exits
         assert hv.events == events
         assert hv.clock == 12345
-        assert delivery.latency_us > 1.0
+        assert delivery.latency_us[0] > 1.0
 
     def test_guest_owned_line_delivers_to_guest(self):
         hv = tiny_hv()
@@ -239,7 +265,7 @@ class TestRaiseIrq:
             rng = latency_streams(11, "stress-compare")
             total = 0.0
             for i in range(n):
-                total += raise_irq(hv, 33, i * 1000, rng).latency_us
+                total += raise_irq(hv, 33, i * 1000, rng).latency_us[0]
             return total / n
 
         assert mean_latency(True) - mean_latency(False) > 0.05
@@ -249,8 +275,8 @@ class TestRaiseIrq:
         rng = latency_streams(5)
         for i in range(200):
             delivery = raise_irq(hv, 32, i * 10_000, rng)
-            span = delivery.delivered_at - delivery.raised_at
-            assert span == math.floor(delivery.latency_us * 1000.0 + 0.5)
+            span = delivery.delivered_at[0] - delivery.raised_at[0]
+            assert span == math.floor(delivery.latency_us[0] * 1000.0 + 0.5)
 
     def test_raise_irqs_unknown_line_and_bad_times(self):
         hv = tiny_hv()
@@ -479,13 +505,6 @@ class TestRecordTypes:
         with pytest.raises(InvariantViolation):
             deliveries([1450, 3000], [0.45, 0.5])
 
-    def test_irq_delivery_consistency(self):
-        IrqDelivery(33, 0, 1000, 1450, 0.45, IrqPath.REINJECTED)
-        with pytest.raises(InvariantViolation):
-            IrqDelivery(33, 0, 1000, 900, 0.45, IrqPath.REINJECTED)
-        with pytest.raises(InvariantViolation):
-            IrqDelivery(33, 0, 1000, 2000, 0.45, IrqPath.REINJECTED)
-
 
 def _twin(row, measured):
     """A hypervisor for one benchmark row on the tiny platform: off (not
@@ -521,9 +540,9 @@ class TestRaiseIrqsMatchesLoop:
         batch = raise_irqs(batched, 33, times, latency_streams(3, "twin"))
 
         assert batch.latency_us.dtype == np.float64
-        assert batch.latency_us.tolist() == [d.latency_us for d in singles]
+        assert batch.latency_us.tolist() == [d.latency_us[0] for d in singles]
         assert batch.raised_at.tolist() == times
-        assert batch.delivered_at.tolist() == [d.delivered_at for d in singles]
+        assert batch.delivered_at.tolist() == [d.delivered_at[0] for d in singles]
         assert {(d.line, d.owner, d.path) for d in singles} == {
             (batch.line, batch.owner, batch.path)}
         assert batched.exits == looped.exits

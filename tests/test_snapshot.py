@@ -367,11 +367,13 @@ EXTREMES = [
     # the highest page that MemRegion accepts
     MemRegion((1 << 64) - 0x2000, 0x1000, PermFlags(0xF)),
     MmioDevice("a" * MMIO_NAME_BYTES, 0x1000, 0x1000),
-    MmioDevice("\u00e9" * 7 + "b", 0x2000, 0x1000),  # 15 UTF-8 bytes
+    MmioDevice("Zz09_-", 0x2000, 0x1000),  # every character a name may hold
     PciDevice(0), PciDevice(0xFFFF),
-    IoPortRange(0, 0x10000), IoPortRange(0xFFFF, 1),
+    IoPortRange(0, 0x10000),
     IrqLine(0), IrqLine(0xFFFFFFFF),
 ]
+# overlaps the full port range above, so it round-trips on a platform of its own
+LAST_PORT = IoPortRange(0xFFFF, 1)
 
 
 class TestRecordStrictness:
@@ -380,6 +382,7 @@ class TestRecordStrictness:
 
     def test_extreme_values_round_trip(self):
         _round_trip(build_platform(PlatformSpec(name="edges", resources=EXTREMES)))
+        _round_trip(build_platform(PlatformSpec(name="last-port", resources=[Cpu(0), LAST_PORT])))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -403,7 +406,7 @@ class TestRecordStrictness:
     def test_no_record_carries_an_unused_slot(self):
         # a run is a kind byte, a u32 count and one fixed-size body per resource
         body = {Cpu: 4, MemRegion: 17, MmioDevice: 32, PciDevice: 2, IoPortRange: 6, IrqLine: 4}
-        for resource in EXTREMES:
+        for resource in EXTREMES + [LAST_PORT]:
             for count in (1, 3):
                 assert len(_record([resource] * count)) == 5 + count * body[type(resource)]
 
