@@ -12,10 +12,12 @@ violation (fatal to the offending cell).
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from ._dsl import decode_utf8, iter_directives, parse_dec, parse_hex
 from .cellconfig import CellConfig, WorkloadKind, _describe, validate_against
@@ -24,6 +26,7 @@ from .errors import (
     BadState,
     CellsStillExist,
     ConfigMismatch,
+    ConfigSemanticError,
     ConfigSyntaxError,
     InvariantViolation,
     NameCollision,
@@ -71,8 +74,7 @@ class TrapKind(Enum):
 EXIT_SLOT = {kind: slot for slot, kind in enumerate(TrapKind)}
 
 
-@dataclass(frozen=True)
-class TrapEvent:
+class TrapEvent(NamedTuple):
     time_ns: int
     cell: CellId
     kind: TrapKind
@@ -130,44 +132,49 @@ class AccessOutcome(Enum):
 
 # --- ownership ledger -------------------------------------------------------
 
+# A ledger claim is (lo, hi, owner, flags); claims are sorted by lo.
+_CLAIM_LO = itemgetter(0)
+
+
 class OwnershipLedger:
     """Exclusive owner map over one platform's resources.
 
     Unit resources (CPUs, devices, IRQ lines) map directly to an owner.
-    Memory is kept as per-region interval segments so that configs may
-    claim sub-ranges of a platform RAM region; segments split on assign
-    and coalesce when neighbours share an owner again.
+    Memory is one address-sorted list of claims, (lo, hi, owner, flags)
+    for each RAM range a non-root cell holds. The root cell owns every
+    part of platform RAM that no claim covers, with the platform
+    region's flags. A claim moves whole, between root and one cell.
     """
 
     def __init__(self, platform: MachinePlatform):
         self._platform = platform
-        self._units: dict = {}
-        self._mem: dict[int, tuple[MemRegion, list[list[int]]]] = {}
-        for resource in platform.resources:
-            if isinstance(resource, MemRegion):
-                self._mem[resource.base] = (
-                    resource, [[resource.base, resource.end, ROOT_CELL]])
-            else:
-                self._units[resource] = ROOT_CELL
+        self._units = {resource: ROOT_CELL for resource in platform.resources
+                       if not isinstance(resource, MemRegion)}
+        self._claims: list[tuple[int, int, CellId, PermFlags]] = []
 
     def owner_of_unit(self, resource) -> Optional[CellId]:
         return self._units.get(resource)
 
-    def _find_region(self, lo: int, hi: int):
+    def owner_and_flags(self, lo: int, hi: int) -> Optional[tuple[CellId, PermFlags]]:
+        """Owner and flags of [lo, hi) if it lies in one claim, or in one
+        platform region where no claim is; None otherwise."""
+        claims = self._claims
+        index = bisect_right(claims, lo, key=_CLAIM_LO)
+        if index:
+            _, c_hi, owner, flags = claims[index - 1]
+            if lo < c_hi:
+                return (owner, flags) if hi <= c_hi else None
+        if index < len(claims) and claims[index][0] < hi:
+            return None
         region = self._platform.host_region(lo, hi)
-        return None if region is None else self._mem[region.base]
+        return None if region is None else (ROOT_CELL, region.flags)
 
     def range_owner(self, lo: int, hi: int) -> Optional[CellId]:
-        """Owner of [lo, hi) if it lies in one region under one owner."""
+        """The owner that owner_and_flags finds for [lo, hi), or None."""
         if lo >= hi:
             raise InvariantViolation("empty range [0x%x, 0x%x)" % (lo, hi))
-        found = self._find_region(lo, hi)
-        if found is None:
-            return None
-        _, segments = found
-        owners = {owner for s_lo, s_hi, owner in segments
-                  if s_lo < hi and lo < s_hi}
-        return owners.pop() if len(owners) == 1 else None
+        found = self.owner_and_flags(lo, hi)
+        return None if found is None else found[0]
 
     def transfer_unit(self, resource, frm: CellId, to: CellId) -> None:
         owner = self._units.get(resource)
@@ -178,88 +185,74 @@ class OwnershipLedger:
                 "%r owned by cell %d, not %d" % (resource, owner, frm))
         self._units[resource] = to
 
-    def transfer_range(self, lo: int, hi: int, frm: CellId, to: CellId) -> None:
-        found = self._find_region(lo, hi)
-        if found is None:
+    def transfer_range(self, region: MemRegion, frm: CellId, to: CellId) -> None:
+        """Give region to a cell as one claim, or take that whole claim back."""
+        lo, hi = region.base, region.end
+        if self._platform.host_region(lo, hi) is None:
             raise NoSuchResource(
                 "[0x%x, 0x%x) not within one platform memory region" % (lo, hi))
-        _, segments = found
-        self._split_at(segments, lo)
-        self._split_at(segments, hi)
-        for segment in segments:
-            if segment[0] >= lo and segment[1] <= hi:
-                if segment[2] != frm:
-                    raise InvariantViolation(
-                        "[0x%x, 0x%x) owned by cell %d, not %d"
-                        % (segment[0], segment[1], segment[2], frm))
-                segment[2] = to
-        self._coalesce(segments)
-
-    @staticmethod
-    def _split_at(segments: list[list[int]], point: int) -> None:
-        for index, (s_lo, s_hi, owner) in enumerate(segments):
-            if s_lo < point < s_hi:
-                segments[index] = [s_lo, point, owner]
-                segments.insert(index + 1, [point, s_hi, owner])
-                return
-
-    @staticmethod
-    def _coalesce(segments: list[list[int]]) -> None:
-        index = 1
-        while index < len(segments):
-            prev, cur = segments[index - 1], segments[index]
-            if prev[2] == cur[2] and prev[1] == cur[0]:
-                prev[1] = cur[1]
-                del segments[index]
-            else:
-                index += 1
+        claims = self._claims
+        index = bisect_left(claims, lo, key=_CLAIM_LO)
+        claim = (lo, hi, to if frm == ROOT_CELL else frm, region.flags)
+        if frm == ROOT_CELL != to and self.range_owner(lo, hi) == ROOT_CELL:
+            claims.insert(index, claim)
+        elif to == ROOT_CELL and claims[index:index + 1] == [claim]:
+            del claims[index]
+        else:
+            raise InvariantViolation(
+                "cannot move [0x%x, 0x%x) from cell %d to %d: memory moves as one"
+                " whole claim between the root cell and another cell" % (lo, hi, frm, to))
 
     def release_all(self, cell: CellId) -> None:
         """Hand everything the cell owns back to the root cell."""
         for resource, owner in self._units.items():
             if owner == cell:
                 self._units[resource] = ROOT_CELL
-        for _, segments in self._mem.values():
-            for segment in segments:
-                if segment[2] == cell:
-                    segment[2] = ROOT_CELL
-            self._coalesce(segments)
+        self._claims = [claim for claim in self._claims if claim[2] != cell]
+
+    def _root_share(self):
+        """Root's parts of platform RAM, as MemRegions with the region's flags."""
+        for region in self._platform.mem_regions:
+            lo = region.base
+            for c_lo, c_hi, _, _ in self._claims:
+                if region.base <= c_lo < region.end:
+                    if lo < c_lo:
+                        yield MemRegion(lo, c_lo - lo, region.flags)
+                    lo = c_hi
+            if lo < region.end:
+                yield MemRegion(lo, region.end - lo, region.flags)
 
     def owners(self) -> set:
         result = set(self._units.values())
-        for _, segments in self._mem.values():
-            result.update(owner for _, _, owner in segments)
+        result.update(owner for _, _, owner, _ in self._claims)
+        if next(self._root_share(), None) is not None:
+            result.add(ROOT_CELL)
         return result
 
     def keys_multiset(self) -> Counter:
-        """Ledger keys as a multiset; whole-region segments compare equal
-        to the platform's own MemRegion entries."""
+        """Ledger keys as a multiset: units, claims and root's share of RAM.
+        With no claims, root's share equals the platform's MemRegions."""
         keys = Counter(self._units.keys())
-        for region, segments in self._mem.values():
-            for s_lo, s_hi, _ in segments:
-                keys[MemRegion(s_lo, s_hi - s_lo, region.flags)] += 1
+        keys.update(MemRegion(lo, hi - lo, flags) for lo, hi, _, flags in self._claims)
+        keys.update(self._root_share())
         return keys
 
     def audit(self) -> None:
-        """Raise unless conservation, exclusivity and canonical form hold."""
+        """Raise unless the units match the platform and the claims are
+        ordered, disjoint and each inside one platform region's flags."""
         platform = self._platform
         if set(self._units) != set(platform.resources) - set(platform.mem_regions):
             raise InvariantViolation("unit ledger keys diverge from platform")
-        if set(self._mem) != {region.base for region in platform.mem_regions}:
-            raise InvariantViolation("memory ledger regions diverge from platform")
-        for base, (region, segments) in self._mem.items():
-            if not segments or segments[0][0] != region.base \
-                    or segments[-1][1] != region.end:
-                raise InvariantViolation("segments do not cover %r" % (region,))
-            for (a_lo, a_hi, a_owner), (b_lo, b_hi, b_owner) in \
-                    zip(segments, segments[1:]):
-                if a_hi != b_lo:
-                    raise InvariantViolation("segment gap in %r" % (region,))
-                if a_owner == b_owner:
-                    raise InvariantViolation("uncoalesced segments in %r" % (region,))
-            for s_lo, s_hi, _ in segments:
-                if s_lo >= s_hi:
-                    raise InvariantViolation("empty segment in %r" % (region,))
+        prev_hi = 0
+        for lo, hi, _, flags in self._claims:
+            if lo < prev_hi:
+                raise InvariantViolation("claim [0x%x, 0x%x) overlaps the one before" % (lo, hi))
+            host = platform.host_region(lo, hi)
+            if host is None or flags & ~host.flags:
+                raise InvariantViolation(
+                    "claim [0x%x, 0x%x) %r is not within one platform region's flags"
+                    % (lo, hi, flags))
+            prev_hi = hi
 
 
 # --- cells ------------------------------------------------------------------
@@ -343,7 +336,10 @@ def parse_script(text: str) -> list[tuple]:
             addr = parse_hex(tokens[1], lineno, "address")
             width = parse_dec(tokens[2], lineno, "width")
             kind = _SCRIPT_MEM_OPS.get(keyword) or _SCRIPT_IO_OPS[keyword]
-            ops.append(("access", Access(kind, addr, width)))
+            try:
+                ops.append(("access", Access(kind, addr, width)))
+            except InvariantViolation as exc:
+                raise ConfigSemanticError(str(exc), lineno)
         elif keyword == "instr":
             if len(tokens) != 2:
                 raise ConfigSyntaxError(lineno, col, "instr needs a name")
@@ -482,7 +478,7 @@ class Hypervisor:
         for resource in cfg.units():
             self.ledger.transfer_unit(resource, ROOT_CELL, cell_id)
         for region in cfg.mem:
-            self.ledger.transfer_range(region.base, region.end, ROOT_CELL, cell_id)
+            self.ledger.transfer_range(region, ROOT_CELL, cell_id)
 
     def load_image(self, cell_id: CellId, addr: int, data: bytes) -> None:
         self._require_enabled()
@@ -565,7 +561,8 @@ class Hypervisor:
                 raise NoSuchResource("%r not within platform memory" % (resource,))
             owner = self.ledger.range_owner(resource.base, resource.end)
             if owner is None:
-                raise InvariantViolation("%r spans multiple owners" % (resource,))
+                raise InvariantViolation(
+                    "%r is not within one claim or root's share of one region" % (resource,))
             return owner
         owner = self.ledger.owner_of_unit(resource)
         if owner is None:
@@ -573,13 +570,15 @@ class Hypervisor:
         return owner
 
     def audit(self) -> None:
-        """Check conservation, exclusivity, and owner liveness."""
+        """Check conservation, exclusivity, and owner liveness, and that
+        the ledger's claims are the non-root cells' configured regions."""
         self._require_enabled()
         self.ledger.audit()
         live = set(self.cells)
         stray = self.ledger.owners() - live
         if stray:
             raise InvariantViolation("resources owned by dead cells %s" % sorted(stray))
+        configured = set()
         for cell_id, cell in self.cells.items():
             if cell_id == ROOT_CELL:
                 continue
@@ -587,11 +586,14 @@ class Hypervisor:
                 if self.ledger.owner_of_unit(resource) != cell_id:
                     raise InvariantViolation(
                         "cell %d lost %s" % (cell_id, _describe(resource)))
-            for region in cell.config.mem:
-                if self.ledger.range_owner(region.base, region.end) != cell_id:
-                    raise InvariantViolation(
-                        "cell %d lost mem [0x%x, 0x%x)"
-                        % (cell_id, region.base, region.end))
+            configured.update((region.base, region.end, cell_id, region.flags)
+                              for region in cell.config.mem)
+        claims = set(self.ledger._claims)
+        if claims != configured:
+            lost = configured - claims
+            lo, hi, cell_id, flags = min(lost or claims - configured)
+            raise InvariantViolation("cell %d %s mem [0x%x, 0x%x) %r" % (
+                cell_id, "lost" if lost else "holds unconfigured", lo, hi, flags))
 
     # -- trap engine
 
@@ -628,14 +630,9 @@ class Hypervisor:
         return self._violate(cell, access)
 
     def _mem_allowed(self, cell: Cell, lo: int, hi: int, write: bool) -> bool:
-        need = PermFlags.WRITE if write else PermFlags.READ
-        if cell.id == ROOT_CELL:
-            if self.ledger.range_owner(lo, hi) == ROOT_CELL:
-                return bool(self.platform.host_region(lo, hi).flags & need)
-        else:
-            for region in cell.config.mem:
-                if region.base <= lo and hi <= region.end:
-                    return bool(region.flags & need)
+        found = self.ledger.owner_and_flags(lo, hi)
+        if found is not None and found[0] == cell.id:
+            return bool(found[1] & (PermFlags.WRITE if write else PermFlags.READ))
         for channel in self.channels.values():
             window = channel.region
             if channel.cell_b == cell.id and window.base <= lo and hi <= window.end:

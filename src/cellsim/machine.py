@@ -405,7 +405,9 @@ def build_platform(spec: PlatformSpec) -> MachinePlatform:
     Deterministic: identical specs produce structurally identical
     platforms (resources keep their given order).
     """
-    if len(spec.name.encode("utf-8")) > MAX_NAME_BYTES:
+    if not NAME_RE.match(spec.name):
+        raise InvariantViolation("platform name %r must match [A-Za-z0-9_-]+" % (spec.name,))
+    if len(spec.name.encode()) > MAX_NAME_BYTES:
         raise InvariantViolation("platform name longer than %d bytes" % MAX_NAME_BYTES)
     platform = MachinePlatform(
         name=spec.name,

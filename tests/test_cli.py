@@ -318,6 +318,20 @@ class TestNoTracebacks:
         assert run(ws, "cell", "start", "guest") == 1
         assert "not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("op, message", [
+        ("read 0x10100011 8", "memory access at 0x10100011 not aligned to width 8"),
+        ("read 0x10100010 3", "access width must be 1, 2, 4 or 8"),
+    ])
+    def test_bad_script_access_names_its_line(self, ws, capsys, op, message):
+        script = ws / "ops.txt"
+        script.write_text("idle\n%s\nrepeat\n" % op)
+        (ws / "guest.cfg").write_text(GUEST_TEXT + "run script %s\n" % script)
+        assert enable_board(ws) == 0
+        assert run(ws, "cell", "create", str(ws / "guest.cfg")) == 0
+        capsys.readouterr()
+        assert run(ws, "cell", "start", "guest") == 1
+        assert capsys.readouterr().err == "error: line 2: %s\n" % message
+
     @pytest.mark.parametrize("length", [32, 70_000])
     def test_platform_name_longer_than_31_bytes(self, ws, capsys, length):
         # 70,000 bytes overflowed the snapshot's u16 string length

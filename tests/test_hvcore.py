@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import random
 
@@ -37,6 +38,8 @@ from cellsim.errors import (
     BadState,
     CellsStillExist,
     ConfigMismatch,
+    ConfigSemanticError,
+    ConfigSyntaxError,
     InvariantViolation,
     NameCollision,
     NoSuchCell,
@@ -46,6 +49,7 @@ from cellsim.errors import (
     RootCellImmortal,
     ValidationFailed,
 )
+from cellsim.comm import create_channel
 from cellsim.hvcore import STEP_NS, parse_script
 
 from conftest import make_tiny_platform
@@ -572,6 +576,51 @@ class TestScripts:
         hv.start_cell(cell_id)
         assert hv.step(5) == 1
 
+    @pytest.mark.parametrize("line, text", [
+        ("read 0x10", "read needs addr and width"),
+        ("instr", "instr needs a name"),
+        ("distwrite", "distwrite needs an offset"),
+        ("jump 0x10", "unknown script op 'jump'"),
+    ])
+    def test_syntax_errors_carry_the_line(self, line, text):
+        with pytest.raises(ConfigSyntaxError, match=text) as excinfo:
+            parse_script("idle\n%s\nrepeat\n" % line)
+        assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("line, text", [
+        ("read 0x11 8", "line 2: memory access at 0x11 not aligned to width 8"),
+        ("write 0x10 3", "line 2: access width must be 1, 2, 4 or 8"),
+        ("iowrite 0x3f8 16", "line 2: access width must be 1, 2, 4 or 8"),
+    ])
+    def test_bad_access_names_its_line(self, line, text):
+        with pytest.raises(ConfigSemanticError, match=text) as excinfo:
+            parse_script("idle\n%s\nrepeat\n" % line)
+        assert excinfo.value.line == 2
+
+
+class TestTouchOwnMemory:
+    def test_stress_on_read_only_memory_reads(self):
+        hv = tiny_hv()
+        cell_id = hv.create_cell(small_cell(
+            flags=PermFlags.READ, workload=Workload(WorkloadKind.STRESS)))
+        hv.start_cell(cell_id)
+        assert hv.step(3) == 3
+        assert hv.cells[cell_id].state is CellState.RUNNING
+        access = hv._touch_own_memory(hv.cells[cell_id], True)
+        assert access == Access(AccessKind.MEM_READ, RAM + 0x8_0000 + 3 * 8, 8)
+
+    @pytest.mark.parametrize("kind, flags", [
+        (WorkloadKind.STRESS, PermFlags(0)),
+        (WorkloadKind.LATENCY_RESPONDER, PermFlags.WRITE)])
+    def test_no_readable_memory_issues_nothing(self, kind, flags):
+        hv = tiny_hv()
+        cell_id = hv.create_cell(small_cell(flags=flags, workload=Workload(kind)))
+        hv.start_cell(cell_id)
+        before = len(hv.events)
+        assert hv.step(4) == 0
+        assert hv.cells[cell_id].tick == 4
+        assert len(hv.events) == before
+
 
 class TestEvents:
     def test_export_is_json_lines_in_order(self):
@@ -607,37 +656,187 @@ class TestAudit:
         with pytest.raises(InvariantViolation, match="cell %d lost %s" % (cell_id, text)):
             hv.audit()
 
+    @pytest.fixture()
+    def two_guests(self):
+        hv = tiny_hv()
+        hv.create_cell(small_cell("a", cpu=1, base=RAM + 0x8_0000))
+        hv.create_cell(small_cell("b", cpu=2, base=RAM + 0xA_0000, flags=PermFlags.READ))
+        hv.audit()
+        return hv
+
+    @pytest.mark.parametrize("corrupt, text", [
+        (lambda a, b: [a[:3] + (PermFlags.READ,), b], r"cell 1 lost mem \[0x10080000"),
+        (lambda a, b: [a[:1] + (b[0] + 0x1000,) + a[2:], b], "overlaps the one before"),
+        (lambda a, b: [a, (0x2000_0000, 0x2000_2000) + b[2:]],
+         "not within one platform region"),
+        (lambda a, b: [a, b[:3] + (PermFlags.READ | PermFlags.WRITE,)],
+         r"cell 2 lost mem \[0x100a0000, 0x100a2000\) <PermFlags.READ: 1>"),
+        (lambda a, b: [a, b[:2] + (9,) + b[3:]], r"dead cells \[9\]"),
+        (lambda a, b: [b], "cell 1 lost mem"),
+        (lambda a, b: [a, b[:2] + (ROOT_CELL,) + b[3:]], "cell 2 lost mem"),
+        (lambda a, b: [a, b, (b[1], b[1] + 0x1000, 2, b[3])],
+         r"cell 2 holds unconfigured mem \[0x100a2000"),
+    ], ids=["flags", "overlap", "outside", "wider-flags", "dead-owner", "missing",
+            "root-claim", "extra"])
+    def test_each_claim_corruption_is_caught(self, two_guests, corrupt, text):
+        two_guests.ledger._claims = corrupt(*two_guests.ledger._claims)
+        with pytest.raises(InvariantViolation, match=text):
+            two_guests.audit()
+
+
+def old_mem_allowed(hv, cell_id, lo, hi, write):
+    """_mem_allowed as it was before the claim list: the root cell asked a
+    coalescing segment ledger, a guest scanned its own config."""
+    need = PermFlags.WRITE if write else PermFlags.READ
+    if cell_id == ROOT_CELL:
+        host = hv.platform.host_region(lo, hi)
+        claimed = any(region.base < hi and lo < region.end
+                      for guest_id, guest in hv.cells.items() if guest_id != ROOT_CELL
+                      for region in guest.config.mem)
+        if host is not None and not claimed:
+            return bool(host.flags & need)
+    else:
+        for region in hv.cells[cell_id].config.mem:
+            if region.base <= lo and hi <= region.end:
+                return bool(region.flags & need)
+    for channel in hv.channels.values():
+        window = channel.region
+        if channel.cell_b == cell_id and window.base <= lo and hi <= window.end:
+            return True
+    for dev in hv.platform.mmio_devices:
+        if dev.base <= lo and hi <= dev.end:
+            return hv.ledger.owner_of_unit(dev) == cell_id
+    return False
+
+
+class TestAccessRuleMatchesTheConfigScan:
+    """Criterion 5's partitions plus a channel: the claim lookup allows
+    exactly what the root segment ledger and the guest config scan did."""
+
+    RW = PermFlags.READ | PermFlags.WRITE
+
+    @settings(max_examples=40, deadline=None)
+    @given(a_page=st.integers(4, 200),
+           a_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+           a_flags=st.lists(st.sampled_from([RW, PermFlags.READ, PermFlags.WRITE]),
+                            min_size=2, max_size=2),
+           gap=st.integers(0, 2), b_pages=st.integers(2, 6))
+    def test_outcomes_match(self, a_page, a_sizes, a_flags, gap, b_pages):
+        page = 0x1000
+        hv = tiny_hv()
+        bases = [a_page, a_page + a_sizes[0]][:len(a_sizes)]
+        attacker = hv.create_cell(CellConfig(
+            name="attacker", cpus=[1],
+            mem=[MemRegion(RAM + base * page, size * page, flags)
+                 for base, size, flags in zip(bases, a_sizes, a_flags)]))
+        b_base = RAM + (a_page + sum(a_sizes) + gap) * page
+        victim = hv.create_cell(CellConfig(
+            name="victim", cpus=[3], mem=[MemRegion(b_base, b_pages * page, self.RW)],
+            devices=[MmioDevice("uart", 0x7000_6000, 0x1000), IoPortRange(0x3F8, 0x8)]))
+        window = hv.channels[create_channel(hv, victim, attacker, page, 1)].region
+        for cell_id in (attacker, victim):
+            hv.start_cell(cell_id)
+
+        a_lo, a_hi = RAM + a_page * page, RAM + (a_page + sum(a_sizes)) * page
+        edges = {RAM, RAM + 0x20_0000, a_lo, a_hi, RAM + bases[-1] * page, b_base,
+                 b_base + b_pages * page, window.base, 0x7000_6000, 0x5004_1000}
+        spans = [(a_lo, a_hi), (b_base, b_base + b_pages * page), (RAM, a_lo)]
+        for edge in edges:
+            spans += [(edge - 8, edge), (edge - 8, edge + 8), (edge, edge + 8),
+                      (edge - page, edge + page)]
+        for cell_id in (ROOT_CELL, attacker, victim):
+            cell = hv.cells[cell_id]
+            for (lo, hi), write in itertools.product(spans, (False, True)):
+                assert hv._mem_allowed(cell, lo, hi, write) \
+                    == old_mem_allowed(hv, cell_id, lo, hi, write), (cell_id, lo, hi, write)
+                if hi - lo != 8:
+                    continue
+                kind = AccessKind.MEM_WRITE if write else AccessKind.MEM_READ
+                emulated = 0x5004_1000 <= lo and hi <= 0x5004_2000
+                want = (AccessOutcome.EMULATED if emulated else AccessOutcome.DIRECT
+                        if old_mem_allowed(hv, cell_id, lo, hi, write)
+                        else AccessOutcome.VIOLATION)
+                assert hv.handle_access(cell_id, Access(kind, lo, 8)) is want
+                cell.state = CellState.RUNNING
+        if len(a_sizes) == 2:  # one span over both of the attacker's regions
+            assert hv.ledger.range_owner(a_lo, a_hi) is None
+            assert not hv._mem_allowed(hv.cells[attacker], a_lo, a_hi, False)
+
 
 class TestLedger:
     def test_transfer_and_return_coalesces(self, tiny):
         ledger = OwnershipLedger(tiny)
         baseline = ledger.keys_multiset()
-        ledger.transfer_range(RAM + 0x1000, RAM + 0x3000, 0, 5)
+        ledger.transfer_range(MemRegion(RAM + 0x1000, 0x2000), 0, 5)
         assert ledger.range_owner(RAM + 0x1000, RAM + 0x3000) == 5
         assert ledger.range_owner(RAM, RAM + 0x2000) is None
-        ledger.transfer_range(RAM + 0x1000, RAM + 0x3000, 5, 0)
+        ledger.transfer_range(MemRegion(RAM + 0x1000, 0x2000), 5, 0)
         assert ledger.keys_multiset() == baseline
         ledger.audit()
 
     def test_transfer_verifies_current_owner(self, tiny):
         ledger = OwnershipLedger(tiny)
         with pytest.raises(InvariantViolation):
-            ledger.transfer_range(RAM, RAM + 0x1000, 3, 4)
+            ledger.transfer_range(MemRegion(RAM, 0x1000), 3, 4)
         with pytest.raises(InvariantViolation):
             ledger.transfer_unit(Cpu(0), 2, 3)
 
     def test_transfer_range_needs_single_region(self, tiny):
         ledger = OwnershipLedger(tiny)
         with pytest.raises(NoSuchResource):
-            ledger.transfer_range(0x100, 0x200, 0, 1)
+            ledger.transfer_range(MemRegion(0x1000, 0x1000), 0, 1)
 
     def test_release_all(self, tiny):
         ledger = OwnershipLedger(tiny)
         ledger.transfer_unit(Cpu(1), 0, 4)
-        ledger.transfer_range(RAM, RAM + 0x4000, 0, 4)
+        ledger.transfer_range(MemRegion(RAM, 0x4000), 0, 4)
         ledger.release_all(4)
         assert ledger.owners() == {0}
         ledger.audit()
+
+    def test_claims_move_whole(self, tiny):
+        ledger = OwnershipLedger(tiny)
+        ledger.transfer_range(MemRegion(RAM, 0x4000), 0, 4)
+        for frm, to, region in [
+                (4, 0, MemRegion(RAM, 0x1000)),          # part of the claim
+                (4, 0, MemRegion(RAM, 0x8000)),          # more than the claim
+                (3, 0, MemRegion(RAM, 0x4000)),          # not the holder
+                (4, 5, MemRegion(RAM, 0x4000)),          # cell to cell
+                (0, 5, MemRegion(RAM + 0x2000, 0x4000)),  # overlaps a claim
+                (0, 0, MemRegion(RAM + 0x8000, 0x1000))]:
+            with pytest.raises(InvariantViolation):
+                ledger.transfer_range(region, frm, to)
+        assert ledger.range_owner(RAM, RAM + 0x4000) == 4
+
+    def test_adjacent_claims_answer_one_at_a_time(self, tiny):
+        ledger = OwnershipLedger(tiny)
+        ledger.transfer_range(MemRegion(RAM, 0x1000), 0, 4)
+        ledger.transfer_range(MemRegion(RAM + 0x1000, 0x1000, PermFlags.READ), 0, 4)
+        assert ledger.owner_and_flags(RAM, RAM + 8) == (4, PermFlags.READ | PermFlags.WRITE)
+        assert ledger.owner_and_flags(RAM + 0x1000, RAM + 0x1008) == (4, PermFlags.READ)
+        assert ledger.range_owner(RAM + 0xFFC, RAM + 0x1004) is None
+        assert ledger.range_owner(RAM + 0x2000, RAM + 0x3000) == ROOT_CELL
+        assert ledger.range_owner(RAM + 0x1FFC, RAM + 0x2004) is None
+        assert ledger.owners() == {0, 4}
+
+    def test_owner_of_answers_per_claim(self):
+        hv = tiny_hv()
+        cell_id = hv.create_cell(CellConfig(name="g", cpus=[1], mem=[
+            MemRegion(RAM, 0x1000), MemRegion(RAM + 0x1000, 0x1000)]))
+        assert hv.owner_of(MemRegion(RAM + 0x1000, 0x1000)) == cell_id
+        with pytest.raises(InvariantViolation, match="not within one claim"):
+            hv.owner_of(MemRegion(RAM, 0x2000))
+
+    def test_root_owns_what_no_claim_covers(self, tiny):
+        ledger = OwnershipLedger(tiny)
+        ledger.transfer_range(MemRegion(RAM + 0x1000, 0x1000), 0, 4)
+        ledger.transfer_range(MemRegion(RAM + 0x3000, 0x1000), 0, 5)
+        end = tiny.host_region(RAM, RAM + 1).end
+        mem = sorted((key.base, key.end) for key in ledger.keys_multiset()
+                     if isinstance(key, MemRegion))
+        bounds = [RAM, RAM + 0x1000, RAM + 0x2000, RAM + 0x3000, RAM + 0x4000, end]
+        assert mem == list(zip(bounds, bounds[1:]))
+        assert [ledger.range_owner(lo, hi) for lo, hi in mem] == [0, 4, 0, 5, 0]
 
 
 class LifecycleMachine(RuleBasedStateMachine):
@@ -702,7 +901,7 @@ class LifecycleMachine(RuleBasedStateMachine):
     def conserved(self):
         self.hv.audit()
         if len(self.hv.cells) == 1:
-            # segment keys fully coalesce once everything is back with root
+            # root's share is the whole platform RAM again once no claim is left
             assert self.hv.ledger.keys_multiset() == self.baseline
 
     def teardown(self):

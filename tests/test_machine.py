@@ -199,10 +199,17 @@ class TestBuildPlatform:
 
     def test_name_holds_at_most_31_utf8_bytes(self):
         # the bound cell names have; a longer one overflowed the snapshot
-        fits = "\u00e9" * 15 + "p"  # 31 bytes
+        fits = "board-" + "p" * 25  # 31 bytes
         assert build_platform(PlatformSpec(name=fits, resources=[Cpu(0)])).name == fits
         with pytest.raises(InvariantViolation, match="platform name longer than 31 bytes"):
-            build_platform(PlatformSpec(name="\u00e9" * 16, resources=[Cpu(0)]))
+            build_platform(PlatformSpec(name=fits + "p", resources=[Cpu(0)]))
+
+    @pytest.mark.parametrize("name", ["", "a b!", "\u00e9", "board\n"])
+    def test_name_must_be_a_plain_name(self, name):
+        # the rule a platform file's `platform "<name>"` line and cell
+        # names follow, so a platform built in code cannot differ
+        with pytest.raises(InvariantViolation, match="must match"):
+            build_platform(PlatformSpec(name=name, resources=[Cpu(0)]))
 
     def test_derives_has_pci(self):
         plain = build_platform(PlatformSpec(name="p", resources=[Cpu(0)]))
@@ -377,6 +384,31 @@ class TestPlatformParsing:
         with pytest.raises(ConfigSemanticError) as excinfo:
             parse_platform('platform "p"\ncpu 0\nbus %s=abc\n' % key)
         assert key in str(excinfo.value) and "'abc'" in str(excinfo.value)
+
+    @pytest.mark.parametrize("line, error, text", [
+        ("gic v4", ConfigSyntaxError, "gic version must be v2 or v3"),
+        ("bus", ConfigSyntaxError, "bus needs key=value arguments"),
+        ("bus speed=2", ConfigSyntaxError, "bad bus parameter 'speed=2'"),
+        ("bus base", ConfigSyntaxError, "bad bus parameter 'base'"),
+        ("bus cont-logsigma=wide", ConfigSemanticError, "cont-logsigma must be a number"),
+        ("bus jitter=yes", ConfigSemanticError, "jitter must be on or off"),
+    ])
+    def test_bad_gic_and_bus_lines_are_refused(self, line, error, text):
+        with pytest.raises(error, match=text):
+            parse_platform('platform "p"\ncpu 0\n%s\n' % line)
+
+    def test_platform_line_is_required(self):
+        with pytest.raises(ConfigSemanticError, match='missing platform "<name>"'):
+            parse_platform("cpu 0\nmem 0x10000000 0x100000 rw\n")
+
+    def test_cont_mean_overrides_the_contention_mean(self):
+        default = BusModel.default().contention
+        bus = parse_platform('platform "p"\ncpu 0\nbus cont-mean=2.5\n').bus
+        assert bus.contention.mean_us == pytest.approx(2.5)
+        assert bus.contention.log_sigma == default.log_sigma
+        wider = parse_platform('platform "p"\ncpu 0\nbus cont-logsigma=0.6\n').bus
+        assert wider.contention.mean_us == pytest.approx(default.mean_us)
+        assert wider.contention.log_sigma == 0.6
 
     def test_non_utf8_platform_file_rejected(self, tmp_path):
         path = tmp_path / "board.platform"

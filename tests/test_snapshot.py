@@ -220,6 +220,21 @@ class TestRejection:
                            match=r"cell 3 \(fresh\) does not fit: NoSuchResource\(irq 99\)"):
             load_session(blob)
 
+    def test_unknown_trap_code_rejected(self):
+        hv = populated_hv()
+        blob = bytearray(save_session(hv.platform, hv))
+        # the first event's kind byte follows its u64 time and u32 cell
+        blob[len(save_session(hv.platform, None)) + 8 + 8 + 4 + 8 + 4] = 0xEE
+        with pytest.raises(InvariantViolation, match="unknown trap code 238"):
+            load_session(bytes(blob))
+
+    @pytest.mark.parametrize("name", [b"jetson tk1", b"jetson\0tk1", b"jetson/tk1"])
+    def test_platform_name_outside_the_name_rule_rejected(self, jetson, name):
+        blob = save_session(jetson, None)
+        assert blob.count(b"jetson-tk1") == 1
+        with pytest.raises(InvariantViolation, match="platform name .* must match"):
+            load_session(blob.replace(b"jetson-tk1", name))
+
 
 def _with_cell_id(blob, cell, new_id):
     """The snapshot with `cell`'s id field replaced by new_id."""
@@ -252,6 +267,15 @@ class TestCellTable:
         with pytest.raises(InvariantViolation,
                            match="cells 1 and 3 are both named 'running'"):
             load_session(save_session(hv.platform, hv))
+
+    def test_unknown_cell_state_rejected(self):
+        hv = populated_hv()
+        blob = bytearray(save_session(hv.platform, hv))
+        # exit records, next cell id, enabled flag, cell count, first cell id
+        offset = _exit_section(hv) + 4 + len(hv.exits) * snapshot._EXITS.size
+        blob[offset + 4 + 1 + 4 + 4] = 0xEE
+        with pytest.raises(InvariantViolation, match="unknown cell state 238"):
+            load_session(bytes(blob))
 
     @pytest.mark.parametrize("next_id", [0, 1, 3])
     def test_next_cell_id_must_exceed_every_cell(self, next_id):
