@@ -320,6 +320,29 @@ def _describe(resource) -> str:
     return repr(resource)
 
 
+def _region_misfit(region: MemRegion, platform: MachinePlatform) -> Optional[Violation]:
+    """Why region lies outside one platform region's flags, or None."""
+    host = platform.host_region(region.base, region.end)
+    if host is None:
+        return Violation(ViolationKind.NO_SUCH_RESOURCE, region)
+    if region.flags & ~host.flags:
+        return Violation(ViolationKind.PERMISSION_EXCEEDED, region,
+                         "platform region allows only %r" % host.flags)
+    return None
+
+
+def platform_violations(cfg: CellConfig, platform: MachinePlatform) -> list[Violation]:
+    """validate_against on a fresh ledger, where root owns everything: the
+    resources the platform lacks and the permissions it does not grant.
+    CPUs and IRQ lines are compared as ints, and built only when missing."""
+    devices = set(platform.mmio_devices + platform.pci_devices + platform.io_port_ranges)
+    missing = ([Cpu(index) for index in sorted(cfg.cpus - {cpu.index for cpu in platform.cpus})]
+               + [dev for dev in cfg.devices if dev not in devices]
+               + [IrqLine(number) for number in sorted(cfg.irqs - platform.irq_numbers)])
+    return ([Violation(ViolationKind.NO_SUCH_RESOURCE, resource) for resource in missing]
+            + list(filter(None, (_region_misfit(region, platform) for region in cfg.mem))))
+
+
 def validate_against(cfg: CellConfig, platform: MachinePlatform,
                      ledger: "OwnershipLedger") -> list[Violation]:
     """Check that every requested resource exists and is root-owned.
@@ -338,14 +361,9 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
                 "owned by cell %d" % owner))
 
     for region in cfg.mem:
-        host = platform.host_region(region.base, region.end)
-        if host is None:
-            violations.append(Violation(ViolationKind.NO_SUCH_RESOURCE, region))
-            continue
-        if region.flags & ~host.flags:
-            violations.append(Violation(
-                ViolationKind.PERMISSION_EXCEEDED, region,
-                "platform region allows only %r" % host.flags))
+        misfit = _region_misfit(region, platform)
+        if misfit is not None:
+            violations.append(misfit)
             continue
         owner = ledger.range_owner(region.base, region.end)
         if owner != 0:

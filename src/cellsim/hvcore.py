@@ -3,8 +3,8 @@
 Models deferred activation over a running root OS: enabling hands every
 platform resource to the root cell (id 0), and creating a cell subtracts
 resources from the root. Ownership is tracked in an exclusive ledger
-whose conservation and exclusivity are global invariants. Guest activity
-funnels through handle_access, which implements the trap taxonomy:
+whose conservation and exclusivity are global invariants. Accesses that
+can trap go through handle_access, which implements the trap taxonomy:
 direct (no event), emulated (distributor, sensitive instructions), or
 violation (fatal to the offending cell).
 """
@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from ._dsl import decode_utf8, iter_directives, parse_dec, parse_hex
-from .cellconfig import CellConfig, WorkloadKind, _describe, validate_against
+from .cellconfig import CellConfig, WorkloadKind, _describe, platform_violations, validate_against
 from .errors import (
     AlreadyEnabled,
     BadState,
@@ -263,7 +263,6 @@ class Cell:
     config: CellConfig
     state: CellState = CellState.CREATED
     memory_image: dict[int, bytes] = field(default_factory=dict)
-    tick: int = 0
     script_ops: list = field(default_factory=list)
     script_pos: int = 0
 
@@ -444,14 +443,11 @@ class Hypervisor:
     def enable(self, root_cfg: CellConfig) -> "Hypervisor":
         if self.enabled:
             raise AlreadyEnabled("hypervisor already enabled")
-        # On a fresh ledger root owns everything, so only resources the
-        # platform lacks (or permissions it does not grant) fail here.
-        ledger = OwnershipLedger(self.platform)
-        violations = validate_against(root_cfg, self.platform, ledger)
-        if violations:
-            raise ConfigMismatch("root config does not fit the platform: "
-                                 + "; ".join(str(v) for v in violations))
-        self.ledger = ledger
+        try:
+            self._claim(ROOT_CELL, root_cfg)
+        except ValidationFailed as exc:
+            raise ConfigMismatch("root config does not fit the platform: %s" % exc)
+        self.ledger = OwnershipLedger(self.platform)
         root = Cell(ROOT_CELL, root_cfg, CellState.RUNNING)
         self.cells = {ROOT_CELL: root}
         self.state = HvState.ENABLED
@@ -472,9 +468,12 @@ class Hypervisor:
 
     def _claim(self, cell_id: CellId, cfg: CellConfig) -> None:
         """Move cfg's resources from root to cell_id; on any violation, move none."""
-        violations = validate_against(cfg, self.platform, self.ledger)
+        violations = (platform_violations(cfg, self.platform) if cell_id == ROOT_CELL
+                      else validate_against(cfg, self.platform, self.ledger))
         if violations:
             raise ValidationFailed(violations)
+        if cell_id == ROOT_CELL:
+            return  # root keeps what it has, so its own config need only fit
         for resource in cfg.units():
             self.ledger.transfer_unit(resource, ROOT_CELL, cell_id)
         for region in cfg.mem:
@@ -652,53 +651,37 @@ class Hypervisor:
     def step(self, n: int = 1) -> int:
         """Run every running non-root cell's workload for n turns of STEP_NS.
 
-        Returns the number of accesses issued. With workloads touching
-        only owned resources this adds nothing to the event log or the
-        exit counters.
+        Returns the number of accesses issued. Only a script cell's accesses
+        go through handle_access. Any other guest touches its own RAM once
+        a turn, which the MMU answers without an exit, so step counts it.
         """
         self._require_enabled()
-        issued = 0
+        issued, scripts = 0, []
+        for cell_id, cell in sorted(self.cells.items()):
+            if cell_id == ROOT_CELL or cell.state is not CellState.RUNNING:
+                continue
+            kind = cell.config.workload.kind
+            if kind is WorkloadKind.SCRIPT:
+                scripts.append(cell)
+            else:
+                # DIRECT without asking handle_access: audit checks that each
+                # non-root cell's claims equal its configured regions with their flags.
+                need = PermFlags.READ | (PermFlags.WRITE if kind is WorkloadKind.STRESS else 0)
+                issued += max(n, 0) * any(region.flags & need for region in cell.config.mem)
         for _ in range(n):
             self.clock += STEP_NS
-            for cell_id in sorted(self.cells):
-                cell = self.cells[cell_id]
-                if cell_id == ROOT_CELL or cell.state is not CellState.RUNNING:
-                    continue
-                issued += self._step_cell(cell)
+            for cell in scripts:
+                if cell.state is CellState.RUNNING:
+                    issued += self._step_script(cell)
         return issued
 
     def _prepare_workload(self, cell: Cell) -> None:
-        cell.tick = 0
         cell.script_pos = 0
         cell.script_ops = []
         workload = cell.config.workload
         if workload.kind is WorkloadKind.SCRIPT:
             with open(workload.script_path, "rb") as handle:
                 cell.script_ops = parse_script(decode_utf8(handle.read(), "script file"))
-
-    def _step_cell(self, cell: Cell) -> int:
-        kind = cell.config.workload.kind
-        if kind is WorkloadKind.SCRIPT:
-            return self._step_script(cell)
-        write = kind is WorkloadKind.STRESS
-        access = self._touch_own_memory(cell, write)
-        cell.tick += 1
-        if access is None:
-            return 0
-        self.handle_access(cell.id, access)
-        return 1
-
-    def _touch_own_memory(self, cell: Cell, write: bool) -> Optional[Access]:
-        need = PermFlags.WRITE if write else PermFlags.READ
-        region = next((r for r in cell.config.mem if r.flags & need), None)
-        if region is None:
-            if not write:
-                return None
-            return self._touch_own_memory(cell, False)
-        span = min(region.size, 4096)
-        offset = (cell.tick * 8) % (span - span % 8 or 8)
-        kind = AccessKind.MEM_WRITE if write else AccessKind.MEM_READ
-        return Access(kind, region.base + offset, 8)
 
     def _step_script(self, cell: Cell) -> int:
         if cell.script_pos >= len(cell.script_ops):

@@ -120,9 +120,6 @@ class MemRegion:
     def end(self) -> int:
         return self.base + self.size
 
-    def contains(self, addr: int, length: int = 1) -> bool:
-        return self.base <= addr and addr + length <= self.end
-
 
 @dataclass(frozen=True)
 class MmioDevice:
@@ -142,9 +139,6 @@ class MmioDevice:
     @property
     def end(self) -> int:
         return self.base + self.size
-
-    def contains(self, addr: int, length: int = 1) -> bool:
-        return self.base <= addr and addr + length <= self.end
 
 
 @dataclass(frozen=True)
@@ -172,9 +166,6 @@ class IoPortRange:
     @property
     def end(self) -> int:
         return self.base + self.length
-
-    def contains(self, port: int, width: int = 1) -> bool:
-        return self.base <= port and port + width <= self.end
 
 
 @dataclass(frozen=True)
@@ -376,10 +367,6 @@ class MachinePlatform:
     @property
     def pci_devices(self) -> tuple:
         return self._pci_devices
-
-    @property
-    def has_pci(self) -> bool:
-        return bool(self._pci_devices)
 
     def find_mmio(self, name: str) -> Optional[MmioDevice]:
         for dev in self._mmio_devices:

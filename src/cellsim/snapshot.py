@@ -4,11 +4,11 @@ Persists a platform plus optional hypervisor state between CLI
 invocations. The platform's resources are a resource list of the config
 codec, which alone knows how a resource is encoded. Ownership is not
 stored: the load path rebuilds the platform through its validator and
-the ledger by claiming each cell's config in id order, then audits the
-result, so a corrupt snapshot cannot produce an inconsistent session.
-Nothing else that can be derived is stored either: a platform's has_pci
-comes from its resources, and a cell's distributor emulation count is
-its exit counter.
+the ledger by claiming each cell's config in id order, root's first,
+then audits the result, so a corrupt snapshot cannot produce an
+inconsistent session. Nothing else that can be derived is stored
+either: a platform's typed views come from its resources, and a cell's
+distributor emulation count is its exit counter.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .hvcore import (
 from .machine import BusModel, DistParams, GicVersion, MachinePlatform, PlatformSpec, build_platform
 
 MAGIC = 0x4A485353
-VERSION = 5
+VERSION = 6
 
 _HEADER = struct.Struct("<IH")
 _U8 = struct.Struct("<B")
@@ -110,7 +110,6 @@ def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
         cell = hv.cells[cell_id]
         out += _U32.pack(cell_id)
         out += _U8.pack(_STATE_CODES[cell.state])
-        out += _U64.pack(cell.tick)
         _put_bytes(out, emit_binary(cell.config))
         out += _U32.pack(len(cell.memory_image))
         for addr in sorted(cell.memory_image):
@@ -188,14 +187,12 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         state = _STATES_BY_CODE.get(state_code)
         if state is None:
             raise InvariantViolation("unknown cell state %d" % state_code)
-        (tick,) = reader.take(_U64)
         config = load_binary(_get_bytes(reader))
         twin = ids_by_name.setdefault(config.name, cell_id)
         if twin != cell_id:
             raise InvariantViolation("cells %d and %d are both named %r"
                                      % (twin, cell_id, config.name))
         cell = Cell(cell_id, config, state)
-        cell.tick = tick
         (n_chunks,) = reader.take(_U32)
         for _ in range(n_chunks):
             (addr,) = reader.take(_U64)
@@ -209,7 +206,7 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     _check_exit_cells(hv)
 
     hv.ledger = OwnershipLedger(platform)
-    for cell_id in sorted(set(hv.cells) - {ROOT_CELL}):
+    for cell_id in sorted(hv.cells):
         try:
             hv._claim(cell_id, hv.cells[cell_id].config)
         except ValidationFailed as exc:

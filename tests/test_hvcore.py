@@ -50,10 +50,11 @@ from cellsim.errors import (
     ValidationFailed,
 )
 from cellsim.comm import create_channel
+from cellsim.cellconfig import platform_violations, validate_against
 from cellsim.hvcore import STEP_NS, parse_script
 
 from conftest import make_tiny_platform
-from gen import config_from_units, random_platform
+from gen import config_from_units, random_config, random_platform
 
 RAM = 0x1000_0000
 
@@ -110,6 +111,27 @@ class TestEnable:
         assert hv.ledger is None
         assert hv.events == []
         assert hv.cells == {}
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_fit_check_is_validate_against_on_a_fresh_ledger(self, seed):
+        # enable and snapshot load check a root config without building a
+        # ledger or a Cpu and IrqLine per id; the verdict must not change
+        rnd = random.Random(seed)
+        platform = random_platform(rnd)
+        other = random_config(rnd)
+
+        def some(items, share):
+            return [item for item in items if rnd.random() < share]
+
+        cfg = CellConfig(
+            name="root", cpus=rnd.sample(range(6), rnd.randint(1, 4)),
+            mem=[MemRegion(r.base, r.size, PermFlags(rnd.randint(0, 15)))
+                 for r in some(platform.mem_regions, 0.7)] + some(other.mem, 0.3)
+            or platform.mem_regions,
+            devices=some(platform.mmio_devices, 0.7) + some(other.devices, 0.5),
+            irqs=some(sorted(platform.irq_numbers), 0.7) + some(sorted(other.irqs), 0.5))
+        assert platform_violations(cfg, platform) == validate_against(
+            cfg, platform, OwnershipLedger(platform))
 
     def test_operations_need_enable(self, tiny):
         hv = Hypervisor(tiny)
@@ -604,10 +626,10 @@ class TestTouchOwnMemory:
         cell_id = hv.create_cell(small_cell(
             flags=PermFlags.READ, workload=Workload(WorkloadKind.STRESS)))
         hv.start_cell(cell_id)
+        events, exits = list(hv.events), copy.deepcopy(hv.exits)
         assert hv.step(3) == 3
         assert hv.cells[cell_id].state is CellState.RUNNING
-        access = hv._touch_own_memory(hv.cells[cell_id], True)
-        assert access == Access(AccessKind.MEM_READ, RAM + 0x8_0000 + 3 * 8, 8)
+        assert (hv.events, hv.exits) == (events, exits)
 
     @pytest.mark.parametrize("kind, flags", [
         (WorkloadKind.STRESS, PermFlags(0)),
@@ -618,8 +640,71 @@ class TestTouchOwnMemory:
         hv.start_cell(cell_id)
         before = len(hv.events)
         assert hv.step(4) == 0
-        assert hv.cells[cell_id].tick == 4
+        assert hv.clock == 4 * STEP_NS
         assert len(hv.events) == before
+
+
+def reference_step(hv, n):
+    """step as it was before it counted: every turn, each running guest
+    that runs no script builds an Access to the first region of its config
+    that grants the flag it needs (a stress guest writes, or else reads)
+    and hands it to handle_access, which must answer DIRECT."""
+    issued = 0
+    for turn in range(n):
+        hv.clock += STEP_NS
+        for cell_id, cell in sorted(hv.cells.items()):
+            if cell_id == ROOT_CELL or cell.state is not CellState.RUNNING:
+                continue
+            tries = [(AccessKind.MEM_READ, PermFlags.READ)]
+            if cell.config.workload.kind is WorkloadKind.STRESS:
+                tries.insert(0, (AccessKind.MEM_WRITE, PermFlags.WRITE))
+            for kind, need in tries:
+                region = next((r for r in cell.config.mem if r.flags & need), None)
+                if region is not None:
+                    access = Access(kind, region.base + turn * 8 % 4096, 8)
+                    assert hv.handle_access(cell_id, access) is AccessOutcome.DIRECT
+                    issued += 1
+                    break
+    return issued
+
+
+class TestStepCountsOwnedTouches:
+    """step counts what the trap engine would have answered DIRECT, once
+    per turn for each running guest that has a region to touch."""
+
+    FLAGS = (PermFlags.READ, PermFlags.WRITE, PermFlags.READ | PermFlags.WRITE, PermFlags(0))
+    KINDS = (WorkloadKind.IDLE, WorkloadKind.STRESS, WorkloadKind.LATENCY_RESPONDER)
+    FATES = ("created", "running", "running", "stopped", "failed")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_step_matches_the_trap_engine(self, seed):
+        rnd = random.Random(seed)
+        platform = build_platform(PlatformSpec(
+            name="steps", resources=[Cpu(i) for i in range(13)] + [MemRegion(RAM, 0x10_0000)]))
+        hv = enable(platform, full_platform_config(platform))
+        for index in range(rnd.randint(1, 12)):
+            base = RAM + index * 0x4000
+            cell_id = hv.create_cell(CellConfig(
+                name="g%d" % index, cpus=[index + 1],
+                mem=[MemRegion(base + k * 0x2000, 0x1000, rnd.choice(self.FLAGS))
+                     for k in range(rnd.randint(1, 2))],
+                workload=Workload(rnd.choice(self.KINDS))))
+            fate = rnd.choice(self.FATES)
+            if fate != "created":
+                hv.start_cell(cell_id)
+            if fate == "stopped":
+                hv.stop_cell(cell_id)
+            if fate == "failed":
+                assert hv.handle_access(cell_id, Access(AccessKind.MEM_READ, 0, 8)) \
+                    is AccessOutcome.VIOLATION
+        twin = copy.deepcopy(hv)
+        events, exits = list(hv.events), copy.deepcopy(hv.exits)
+        n = rnd.randint(2, 40)
+        assert hv.step(n) == reference_step(twin, n)
+        assert hv.clock == twin.clock
+        assert (twin.events, twin.exits) == (events, exits)
+        assert (hv.events, hv.exits) == (events, exits)
+        assert [c.state for c in hv.cells.values()] == [c.state for c in twin.cells.values()]
 
 
 class TestEvents:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellsim import (
     EXIT_SLOT,
+    ROOT_CELL,
     CellState,
     Cpu,
     GicVersion,
@@ -33,6 +34,7 @@ from cellsim import (
 from cellsim.errors import (
     BadMagic,
     CellSimError,
+    ConfigMismatch,
     InvariantViolation,
     TruncatedRecord,
     UnsupportedVersion,
@@ -124,8 +126,9 @@ class TestEnabledSession:
             assert twin.state is cell.state
             assert twin.memory_image == cell.memory_image
             assert restored.exits[cell_id] == hv.exits[cell_id]
-            assert twin.tick == cell.tick
         restored.audit()
+        assert restored.step(7) == hv.step(7)
+        assert (restored.clock, restored.events) == (hv.clock, hv.events)
 
     def test_ledger_segments_survive(self):
         hv = populated_hv()
@@ -220,6 +223,30 @@ class TestRejection:
                            match=r"cell 3 \(fresh\) does not fit: NoSuchResource\(irq 99\)"):
             load_session(blob)
 
+    def test_root_config_naming_absent_resources_rejected(self, jetson):
+        # enable refuses this root config, and audit checks no root claims
+        hv = Hypervisor(jetson).enable(full_platform_config(jetson))
+        root = hv.cells[ROOT_CELL]
+        root.config = replace(root.config, cpus=root.config.cpus | {9},
+                              irqs=root.config.irqs | {999})
+        hv.audit()
+        misfits = r"NoSuchResource\(cpu 9\); NoSuchResource\(irq 999\)$"
+        with pytest.raises(ConfigMismatch, match="^root config does not fit the platform: "
+                           + misfits):
+            Hypervisor(jetson).enable(root.config)
+        with pytest.raises(InvariantViolation,
+                           match=r"^snapshot cell 0 \(root\) does not fit: " + misfits):
+            load_session(save_session(jetson, hv))
+
+    def test_root_config_exceeding_platform_flags_rejected(self, tiny):
+        hv = Hypervisor(tiny).enable(full_platform_config(tiny))
+        root = hv.cells[ROOT_CELL]
+        root.config = replace(root.config, mem=(
+            MemRegion(RAM, 0x20_0000, PermFlags.READ | PermFlags.EXECUTE),))
+        with pytest.raises(InvariantViolation, match=r"snapshot cell 0 \(root\) does not fit: "
+                           r"PermissionExceeded\(mem \[0x10000000, 0x10200000\)\)"):
+            load_session(save_session(tiny, hv))
+
     def test_unknown_trap_code_rejected(self):
         hv = populated_hv()
         blob = bytearray(save_session(hv.platform, hv))
@@ -238,8 +265,8 @@ class TestRejection:
 
 def _with_cell_id(blob, cell, new_id):
     """The snapshot with `cell`'s id field replaced by new_id."""
-    # a cell record starts: id u32, state u8, tick u64, config length u32
-    offset = blob.index(emit_binary(cell.config)) - (4 + 1 + 8 + 4)
+    # a cell record starts: id u32, state u8, config length u32
+    offset = blob.index(emit_binary(cell.config)) - (4 + 1 + 4)
     assert struct.unpack_from("<I", blob, offset) == (cell.id,)
     return blob[:offset] + struct.pack("<I", new_id) + blob[offset + 4:]
 
@@ -346,12 +373,12 @@ class TestExitCounters:
                                % bad_id):
                 load_session(blob)
 
-    @pytest.mark.parametrize("old", [2, 3, 4])
+    @pytest.mark.parametrize("old", [2, 3, 4, 5])
     def test_older_version_blob_rejected(self, old):
         hv = populated_hv()
         blob = bytearray(save_session(hv.platform, hv))
         struct.pack_into("<H", blob, 4, old)
-        with pytest.raises(UnsupportedVersion, match="version %d, expected 5" % old):
+        with pytest.raises(UnsupportedVersion, match="version %d, expected 6" % old):
             load_session(bytes(blob))
 
 
