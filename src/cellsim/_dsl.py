@@ -13,6 +13,7 @@ from typing import Iterator
 from .errors import ConfigSyntaxError, InvariantViolation
 
 NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
+_TOKEN_RE = re.compile(r"[^\s#]+")
 
 Token = tuple[str, int]  # (text, 1-based column)
 
@@ -26,20 +27,7 @@ def decode_utf8(raw: bytes, what: str) -> str:
 
 
 def split_tokens(line: str) -> list[Token]:
-    tokens = []
-    i = 0
-    n = len(line)
-    while i < n:
-        if line[i] == "#":
-            break
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < n and not line[i].isspace() and line[i] != "#":
-            i += 1
-        tokens.append((line[start:i], start + 1))
-    return tokens
+    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line.partition("#")[0])]
 
 
 def iter_directives(text: str) -> Iterator[tuple[int, list[Token]]]:

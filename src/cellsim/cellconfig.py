@@ -176,12 +176,7 @@ class CellConfig:
 
 # --- DSL parsing ------------------------------------------------------------
 
-_WORKLOAD_NAMES = {
-    "idle": WorkloadKind.IDLE,
-    "stress": WorkloadKind.STRESS,
-    "latency-responder": WorkloadKind.LATENCY_RESPONDER,
-    "script": WorkloadKind.SCRIPT,
-}
+_WORKLOAD_NAMES = {kind.value: kind for kind in WorkloadKind}
 
 
 def parse_config(text: str) -> CellConfig:
@@ -404,12 +399,7 @@ _KINDS = (
 _KIND_CODES = {kind: code for code, (kind, *_) in enumerate(_KINDS)}
 _CPU, _IRQ = _KIND_CODES[Cpu], _KIND_CODES[IrqLine]
 
-_WORKLOAD_CODES = {
-    WorkloadKind.IDLE: 0,
-    WorkloadKind.STRESS: 1,
-    WorkloadKind.LATENCY_RESPONDER: 2,
-    WorkloadKind.SCRIPT: 3,
-}
+_WORKLOAD_CODES = {kind: code for code, kind in enumerate(WorkloadKind)}
 _WORKLOAD_BY_CODE = {v: k for k, v in _WORKLOAD_CODES.items()}
 
 
@@ -473,13 +463,7 @@ class _Reader:
         self.offset = 0
 
     def take(self, spec: struct.Struct):
-        if self.offset + spec.size > len(self.data):
-            raise TruncatedRecord(
-                "need %d bytes at offset %d, have %d"
-                % (spec.size, self.offset, len(self.data) - self.offset))
-        values = spec.unpack_from(self.data, self.offset)
-        self.offset += spec.size
-        return values
+        return spec.unpack(self.take_raw(spec.size))
 
     def take_raw(self, count: int) -> bytes:
         if self.offset + count > len(self.data):

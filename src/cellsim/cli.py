@@ -320,10 +320,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print("  %s" % violation, file=sys.stderr)
         return 1
-    except CellSimError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CellSimError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -130,6 +130,7 @@ def create_channel(hv: Hypervisor, a: int, b: int, size: int, vectors: int) -> i
         id=hv._next_channel_id, cell_a=a, cell_b=b, region=region,
         vectors=vectors, bdf_a=_alloc_bdf(hv, a), bdf_b=_alloc_bdf(hv, b))
     hv.channels[channel.id] = channel
+    hv._access_maps.clear()  # b may now access the window
     hv._next_channel_id += 1
     hv._log(TrapKind.MANAGEMENT, a, "channel %s-%s"
             % (hv.cells[a].config.name, hv.cells[b].config.name))

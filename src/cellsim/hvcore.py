@@ -96,7 +96,6 @@ class AccessKind(Enum):
 
 
 _MEM_KINDS = (AccessKind.MEM_READ, AccessKind.MEM_WRITE)
-_IO_KINDS = (AccessKind.IO_READ, AccessKind.IO_WRITE)
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,32 @@ class AccessOutcome(Enum):
     VIOLATION = "violation"
 
 
+# Rights of an access-map entry, as plain ints (an IntFlag & costs about
+# 1.5 us): READ and WRITE match PermFlags' bits.
+_READ, _WRITE, _RW, _EMULATE = 1, 2, 3, 4
+_WRITE_KINDS = (AccessKind.MEM_WRITE, AccessKind.IO_WRITE)
+
+
+# One cell's view of memory and of I/O ports, like the stage-2 tables
+# Jailhouse builds per cell: two lists of sorted, disjoint entries.
+AccessMap = NamedTuple("AccessMap", [("mem", list), ("io", list)])
+
+
+def _first_match(ranges: list) -> list:
+    """Sorted, disjoint entries in which each address keeps the rights of
+    the first of ranges that covers it. Memory boundaries are page-aligned
+    and an aligned access never crosses a page, and I/O port ranges never
+    overlap, so an access lies in one piece exactly when it lay in one range."""
+    edges = sorted({edge for lo, hi, _ in ranges for edge in (lo, hi)})
+    pieces = [(lo, hi, next((r for r_lo, r_hi, r in ranges if r_lo <= lo and hi <= r_hi), None))
+              for lo, hi in zip(edges, edges[1:])]
+    return [piece for piece in pieces if piece[2] is not None]
+
+
 # --- ownership ledger -------------------------------------------------------
 
-# A ledger claim is (lo, hi, owner, flags); claims are sorted by lo.
-_CLAIM_LO = itemgetter(0)
+# Ledger claims, (lo, hi, owner, flags), and access-map entries, (lo, hi, rights), sort by lo.
+_LO = itemgetter(0)
 
 
 class OwnershipLedger:
@@ -155,26 +176,20 @@ class OwnershipLedger:
     def owner_of_unit(self, resource) -> Optional[CellId]:
         return self._units.get(resource)
 
-    def owner_and_flags(self, lo: int, hi: int) -> Optional[tuple[CellId, PermFlags]]:
-        """Owner and flags of [lo, hi) if it lies in one claim, or in one
-        platform region where no claim is; None otherwise."""
-        claims = self._claims
-        index = bisect_right(claims, lo, key=_CLAIM_LO)
-        if index:
-            _, c_hi, owner, flags = claims[index - 1]
-            if lo < c_hi:
-                return (owner, flags) if hi <= c_hi else None
-        if index < len(claims) and claims[index][0] < hi:
-            return None
-        region = self._platform.host_region(lo, hi)
-        return None if region is None else (ROOT_CELL, region.flags)
-
     def range_owner(self, lo: int, hi: int) -> Optional[CellId]:
-        """The owner that owner_and_flags finds for [lo, hi), or None."""
+        """Owner of [lo, hi) if it lies in one claim, or in one platform
+        region where no claim is; None otherwise."""
         if lo >= hi:
             raise InvariantViolation("empty range [0x%x, 0x%x)" % (lo, hi))
-        found = self.owner_and_flags(lo, hi)
-        return None if found is None else found[0]
+        claims = self._claims
+        index = bisect_right(claims, lo, key=_LO)
+        if index:
+            _, c_hi, owner, _ = claims[index - 1]
+            if lo < c_hi:
+                return owner if hi <= c_hi else None
+        if index < len(claims) and claims[index][0] < hi:
+            return None
+        return None if self._platform.host_region(lo, hi) is None else ROOT_CELL
 
     def transfer_unit(self, resource, frm: CellId, to: CellId) -> None:
         owner = self._units.get(resource)
@@ -192,7 +207,7 @@ class OwnershipLedger:
             raise NoSuchResource(
                 "[0x%x, 0x%x) not within one platform memory region" % (lo, hi))
         claims = self._claims
-        index = bisect_left(claims, lo, key=_CLAIM_LO)
+        index = bisect_left(claims, lo, key=_LO)
         claim = (lo, hi, to if frm == ROOT_CELL else frm, region.flags)
         if frm == ROOT_CELL != to and self.range_owner(lo, hi) == ROOT_CELL:
             claims.insert(index, claim)
@@ -265,6 +280,15 @@ class Cell:
     memory_image: dict[int, bytes] = field(default_factory=dict)
     script_ops: list = field(default_factory=list)
     script_pos: int = 0
+    # Own-RAM touches in one step() turn: 1 for a guest that runs no script
+    # and has a region that grants READ (a stress guest's, READ or WRITE).
+    touches: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kind = self.config.workload.kind
+        need = _RW if kind is WorkloadKind.STRESS else _READ
+        self.touches = int(kind is not WorkloadKind.SCRIPT and any(
+            int(region.flags) & need for region in self.config.mem))
 
     @property
     def name(self) -> str:
@@ -280,16 +304,10 @@ class Cell:
         if not data:
             return
         lo, hi = addr, addr + len(data)
-        merged_lo, merged_hi = lo, hi
-        pieces = []
-        for start in sorted(self.memory_image):
-            chunk = self.memory_image[start]
-            end = start + len(chunk)
-            if end < lo or start > hi:
-                continue
-            pieces.append((start, chunk))
-            merged_lo = min(merged_lo, start)
-            merged_hi = max(merged_hi, end)
+        pieces = [(start, chunk) for start, chunk in sorted(self.memory_image.items())
+                  if lo <= start + len(chunk) and start <= hi]  # overlapping or adjacent
+        merged_lo = min([lo] + [start for start, _ in pieces])
+        merged_hi = max([hi] + [start + len(chunk) for start, chunk in pieces])
         buf = bytearray(merged_hi - merged_lo)
         for start, chunk in pieces:
             buf[start - merged_lo:start - merged_lo + len(chunk)] = chunk
@@ -312,8 +330,8 @@ class Cell:
 
 # --- workload scripts -------------------------------------------------------
 
-_SCRIPT_MEM_OPS = {"read": AccessKind.MEM_READ, "write": AccessKind.MEM_WRITE}
-_SCRIPT_IO_OPS = {"ioread": AccessKind.IO_READ, "iowrite": AccessKind.IO_WRITE}
+_SCRIPT_ACCESS_OPS = {"read": AccessKind.MEM_READ, "write": AccessKind.MEM_WRITE,
+                      "ioread": AccessKind.IO_READ, "iowrite": AccessKind.IO_WRITE}
 
 
 def parse_script(text: str) -> list[tuple]:
@@ -329,14 +347,13 @@ def parse_script(text: str) -> list[tuple]:
     ops: list[tuple] = []
     for lineno, tokens in iter_directives(text):
         keyword, col = tokens[0]
-        if keyword in _SCRIPT_MEM_OPS or keyword in _SCRIPT_IO_OPS:
+        if keyword in _SCRIPT_ACCESS_OPS:
             if len(tokens) != 3:
                 raise ConfigSyntaxError(lineno, col, "%s needs addr and width" % keyword)
             addr = parse_hex(tokens[1], lineno, "address")
             width = parse_dec(tokens[2], lineno, "width")
-            kind = _SCRIPT_MEM_OPS.get(keyword) or _SCRIPT_IO_OPS[keyword]
             try:
-                ops.append(("access", Access(kind, addr, width)))
+                ops.append(("access", Access(_SCRIPT_ACCESS_OPS[keyword], addr, width)))
             except InvariantViolation as exc:
                 raise ConfigSemanticError(str(exc), lineno)
         elif keyword == "instr":
@@ -390,6 +407,9 @@ class Hypervisor:
         self._next_channel_id: int = 0
         self._next_bdf: dict[CellId, int] = {}
         self._carve_ptr: dict[tuple[CellId, int], int] = {}
+        # Per-cell access maps, each built at the cell's first trap and
+        # dropped whenever ownership or channels change.
+        self._access_maps: dict[CellId, AccessMap] = {}
         # Doorbell latency streams, made by the first ring. Assigned here,
         # not by a cached_property: a new instance attribute after
         # __init__ makes every attribute read on this object slower.
@@ -472,6 +492,7 @@ class Hypervisor:
                       else validate_against(cfg, self.platform, self.ledger))
         if violations:
             raise ValidationFailed(violations)
+        self._access_maps.clear()
         if cell_id == ROOT_CELL:
             return  # root keeps what it has, so its own config need only fit
         for resource in cfg.units():
@@ -524,6 +545,7 @@ class Hypervisor:
         self.channels = {ch_id: ch for ch_id, ch in self.channels.items()
                          if cell_id not in ch.endpoints()}
         self.ledger.release_all(cell_id)
+        self._access_maps.clear()
         del self.cells[cell_id]
         self._next_bdf.pop(cell_id, None)
         self._log(TrapKind.MANAGEMENT, cell_id, "destroy %s" % cell.name)
@@ -551,6 +573,7 @@ class Hypervisor:
         self.channels = {}
         self._next_bdf = {}
         self._carve_ptr = {}
+        self._access_maps.clear()
         self.state = HvState.DISABLED
 
     def owner_of(self, resource) -> CellId:
@@ -569,8 +592,9 @@ class Hypervisor:
         return owner
 
     def audit(self) -> None:
-        """Check conservation, exclusivity, and owner liveness, and that
-        the ledger's claims are the non-root cells' configured regions."""
+        """Check conservation, exclusivity, and owner liveness, that the
+        ledger's claims are the non-root cells' configured regions, and
+        that every cached access map is what the ledger now gives."""
         self._require_enabled()
         self.ledger.audit()
         live = set(self.cells)
@@ -593,6 +617,13 @@ class Hypervisor:
             lo, hi, cell_id, flags = min(lost or claims - configured)
             raise InvariantViolation("cell %d %s mem [0x%x, 0x%x) %r" % (
                 cell_id, "lost" if lost else "holds unconfigured", lo, hi, flags))
+        for cell_id, access_map in self._access_maps.items():
+            if not (all(lo < hi <= next_lo for table in access_map
+                        for (lo, hi, _), (next_lo, _, _) in zip(table, table[1:]))
+                    and cell_id in self.cells and access_map == self._build_access_map(cell_id)):
+                raise InvariantViolation("cell %d access map is not sorted and disjoint, or"
+                                         " not what the ledger, channels and platform give"
+                                         % cell_id)
 
     # -- trap engine
 
@@ -602,44 +633,49 @@ class Hypervisor:
         if cell.state is not CellState.RUNNING:
             raise BadState("cell %d is %s, not running" % (cell_id, cell.state.value))
 
-        if access.kind is AccessKind.SENSITIVE_INSTR:
+        kind = access.kind
+        if kind is AccessKind.SENSITIVE_INSTR:
             if access.instr in SENSITIVE_INSTRUCTIONS:
                 self._log(TrapKind.INSTRUCTION_EMULATION, cell_id, access.instr)
                 return AccessOutcome.EMULATED
             return AccessOutcome.DIRECT
 
-        lo = access.addr_or_port
-        hi = lo + access.width
-
-        if access.kind in _MEM_KINDS:
-            window = self.platform.gic_dist_window
-            if window is not None and window.base <= lo and hi <= window.end:
-                self._log(TrapKind.DISTRIBUTOR_EMULATION, cell_id,
-                          "offset 0x%x" % (lo - window.base))
-                return AccessOutcome.EMULATED
-            write = access.kind is AccessKind.MEM_WRITE
-            if self._mem_allowed(cell, lo, hi, write):
-                return AccessOutcome.DIRECT
-            return self._violate(cell, access)
-
-        for port_range in self.platform.io_port_ranges:
-            if port_range.base <= lo and hi <= port_range.end:
-                if self.ledger.owner_of_unit(port_range) == cell_id:
+        lo, hi = access.addr_or_port, access.addr_or_port + access.width
+        access_map = self._access_maps.get(cell_id)
+        if access_map is None:
+            access_map = self._access_maps[cell_id] = self._build_access_map(cell_id)
+        table = access_map.mem if kind in _MEM_KINDS else access_map.io
+        index = bisect_right(table, lo, key=_LO)
+        if index:
+            e_lo, e_hi, rights = table[index - 1]
+            if hi <= e_hi:
+                if rights & (_WRITE if kind in _WRITE_KINDS else _READ):
                     return AccessOutcome.DIRECT
+                if rights & _EMULATE:
+                    self._log(TrapKind.DISTRIBUTOR_EMULATION, cell_id,
+                              "offset 0x%x" % (lo - e_lo))
+                    return AccessOutcome.EMULATED
         return self._violate(cell, access)
 
-    def _mem_allowed(self, cell: Cell, lo: int, hi: int, write: bool) -> bool:
-        found = self.ledger.owner_and_flags(lo, hi)
-        if found is not None and found[0] == cell.id:
-            return bool(found[1] & (PermFlags.WRITE if write else PermFlags.READ))
-        for channel in self.channels.values():
-            window = channel.region
-            if channel.cell_b == cell.id and window.base <= lo and hi <= window.end:
-                return True
-        for dev in self.platform.mmio_devices:
-            if dev.base <= lo and hi <= dev.end:
-                return self.ledger.owner_of_unit(dev) == cell.id
-        return False
+    def _build_access_map(self, cell_id: CellId) -> AccessMap:
+        """The trap rule, first match wins: the distributor window is
+        emulated; the cell's own RAM has its claim's flags (root: its share
+        of RAM, with the region's); the window of a channel whose peer it
+        is, an MMIO device or an I/O port range it owns is read-write."""
+        ledger, platform = self.ledger, self.platform
+        window = platform.gic_dist_window
+        mem = [] if window is None else [(window.base, window.end, _EMULATE)]
+        own = ledger._root_share() if cell_id == ROOT_CELL else (
+            MemRegion(lo, hi - lo, flags)
+            for lo, hi, owner, flags in ledger._claims if owner == cell_id)
+        mem += [(region.base, region.end, int(region.flags) & _RW) for region in own]
+        mem += [(ch.region.base, ch.region.end, _RW)
+                for ch in self.channels.values() if ch.cell_b == cell_id]
+        mem += [(dev.base, dev.end, _RW) for dev in platform.mmio_devices
+                if ledger.owner_of_unit(dev) == cell_id]
+        io = [(ports.base, ports.end, _RW) for ports in platform.io_port_ranges
+              if ledger.owner_of_unit(ports) == cell_id]
+        return AccessMap(_first_match(mem), _first_match(io))
 
     def _violate(self, cell: Cell, access: Access) -> AccessOutcome:
         self._log(TrapKind.ACCESS_VIOLATION, cell.id, access.describe())
@@ -656,18 +692,12 @@ class Hypervisor:
         a turn, which the MMU answers without an exit, so step counts it.
         """
         self._require_enabled()
-        issued, scripts = 0, []
-        for cell_id, cell in sorted(self.cells.items()):
-            if cell_id == ROOT_CELL or cell.state is not CellState.RUNNING:
-                continue
-            kind = cell.config.workload.kind
-            if kind is WorkloadKind.SCRIPT:
-                scripts.append(cell)
-            else:
-                # DIRECT without asking handle_access: audit checks that each
-                # non-root cell's claims equal its configured regions with their flags.
-                need = PermFlags.READ | (PermFlags.WRITE if kind is WorkloadKind.STRESS else 0)
-                issued += max(n, 0) * any(region.flags & need for region in cell.config.mem)
+        running = [cell for cell_id, cell in sorted(self.cells.items())
+                   if cell_id != ROOT_CELL and cell.state is CellState.RUNNING]
+        # DIRECT without asking handle_access: audit checks that each
+        # non-root cell's claims equal its configured regions with their flags.
+        issued = max(n, 0) * sum(cell.touches for cell in running)
+        scripts = [cell for cell in running if cell.config.workload.kind is WorkloadKind.SCRIPT]
         for _ in range(n):
             self.clock += STEP_NS
             for cell in scripts:

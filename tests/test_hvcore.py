@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -794,8 +795,22 @@ def old_mem_allowed(hv, cell_id, lo, hi, write):
     return False
 
 
+def map_outcome(hv, cell_id, lo, hi, write):
+    """What the cell's access map answers for [lo, hi): the rights of the
+    one memory entry that holds it, as handle_access reads them."""
+    table = hv._build_access_map(cell_id).mem
+    index = bisect_right([entry[0] for entry in table], lo)
+    if index and hi <= table[index - 1][1]:
+        rights = table[index - 1][2]
+        if rights & (2 if write else 1):
+            return AccessOutcome.DIRECT
+        if rights & 4:
+            return AccessOutcome.EMULATED
+    return AccessOutcome.VIOLATION
+
+
 class TestAccessRuleMatchesTheConfigScan:
-    """Criterion 5's partitions plus a channel: the claim lookup allows
+    """Criterion 5's partitions plus a channel: the access map allows
     exactly what the root segment ledger and the guest config scan did."""
 
     RW = PermFlags.READ | PermFlags.WRITE
@@ -832,20 +847,19 @@ class TestAccessRuleMatchesTheConfigScan:
         for cell_id in (ROOT_CELL, attacker, victim):
             cell = hv.cells[cell_id]
             for (lo, hi), write in itertools.product(spans, (False, True)):
-                assert hv._mem_allowed(cell, lo, hi, write) \
-                    == old_mem_allowed(hv, cell_id, lo, hi, write), (cell_id, lo, hi, write)
-                if hi - lo != 8:
-                    continue
-                kind = AccessKind.MEM_WRITE if write else AccessKind.MEM_READ
                 emulated = 0x5004_1000 <= lo and hi <= 0x5004_2000
                 want = (AccessOutcome.EMULATED if emulated else AccessOutcome.DIRECT
                         if old_mem_allowed(hv, cell_id, lo, hi, write)
                         else AccessOutcome.VIOLATION)
+                assert map_outcome(hv, cell_id, lo, hi, write) is want, (cell_id, lo, hi, write)
+                if hi - lo != 8:
+                    continue
+                kind = AccessKind.MEM_WRITE if write else AccessKind.MEM_READ
                 assert hv.handle_access(cell_id, Access(kind, lo, 8)) is want
                 cell.state = CellState.RUNNING
         if len(a_sizes) == 2:  # one span over both of the attacker's regions
             assert hv.ledger.range_owner(a_lo, a_hi) is None
-            assert not hv._mem_allowed(hv.cells[attacker], a_lo, a_hi, False)
+            assert map_outcome(hv, attacker, a_lo, a_hi, False) is AccessOutcome.VIOLATION
 
 
 class TestLedger:
@@ -897,8 +911,8 @@ class TestLedger:
         ledger = OwnershipLedger(tiny)
         ledger.transfer_range(MemRegion(RAM, 0x1000), 0, 4)
         ledger.transfer_range(MemRegion(RAM + 0x1000, 0x1000, PermFlags.READ), 0, 4)
-        assert ledger.owner_and_flags(RAM, RAM + 8) == (4, PermFlags.READ | PermFlags.WRITE)
-        assert ledger.owner_and_flags(RAM + 0x1000, RAM + 0x1008) == (4, PermFlags.READ)
+        assert ledger.range_owner(RAM, RAM + 8) == 4
+        assert ledger.range_owner(RAM + 0x1000, RAM + 0x1008) == 4
         assert ledger.range_owner(RAM + 0xFFC, RAM + 0x1004) is None
         assert ledger.range_owner(RAM + 0x2000, RAM + 0x3000) == ROOT_CELL
         assert ledger.range_owner(RAM + 0x1FFC, RAM + 0x2004) is None
@@ -911,6 +925,17 @@ class TestLedger:
         assert hv.owner_of(MemRegion(RAM + 0x1000, 0x1000)) == cell_id
         with pytest.raises(InvariantViolation, match="not within one claim"):
             hv.owner_of(MemRegion(RAM, 0x2000))
+
+    def test_adjacent_claims_keep_their_own_flags(self):
+        hv = tiny_hv()
+        cell_id = hv.create_cell(CellConfig(name="g", cpus=[1], mem=[
+            MemRegion(RAM, 0x1000), MemRegion(RAM + 0x1000, 0x1000, PermFlags.READ)]))
+        hv.start_cell(cell_id)
+        for kind, addr, want in [
+                (AccessKind.MEM_WRITE, RAM, AccessOutcome.DIRECT),
+                (AccessKind.MEM_READ, RAM + 0x1000, AccessOutcome.DIRECT),
+                (AccessKind.MEM_WRITE, RAM + 0x1000, AccessOutcome.VIOLATION)]:
+            assert hv.handle_access(cell_id, Access(kind, addr, 8)) is want
 
     def test_root_owns_what_no_claim_covers(self, tiny):
         ledger = OwnershipLedger(tiny)

@@ -6,6 +6,7 @@ fails with the same error at the same line and column, in either format.
 """
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cellsim import (
     Cpu,
@@ -178,3 +179,34 @@ def test_cli_refuses_long_mmio_name_before_enable(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line 4: mmio device name 'uart-controller-a' longer than 15 bytes\n")
     assert not (tmp_path / "s").exists()
+
+
+def loop_split_tokens(line):
+    """split_tokens as a character loop, the form the regex replaced."""
+    tokens = []
+    i = 0
+    n = len(line)
+    while i < n:
+        if line[i] == "#":
+            break
+        if line[i].isspace():
+            i += 1
+            continue
+        start = i
+        while i < n and not line[i].isspace() and line[i] != "#":
+            i += 1
+        tokens.append((line[start:i], start + 1))
+    return tokens
+
+
+# '#', quotes, ASCII and non-ASCII letters, and ASCII and Unicode whitespace
+TOKEN_ALPHABET = st.sampled_from(list(
+    "ab0x_-=,#\"'" "\u00e9\u00df\u03a9\u0416\u4e2d"
+    " \t\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000"))
+
+
+@given(line=st.text(TOKEN_ALPHABET, max_size=40) | st.text(max_size=40))
+@example(line=' mem\x0b0x10 "a\xa0b"#c d')
+@example(line="cpu\u30001 # \x85irq 2")
+def test_split_tokens_matches_the_character_loop(line):
+    assert split_tokens(line) == loop_split_tokens(line)
