@@ -19,7 +19,6 @@ from .bench import (
 )
 from .cellconfig import (
     CellConfig,
-    CommDecl,
     Violation,
     ViolationKind,
     Workload,

@@ -1,16 +1,16 @@
 """Cell configurations: the declarative description of a partition.
 
 A config names the resources a cell is built from (CPUs, memory,
-devices, IRQ lines), the communication channels it expects, and the
-workload the guest runs.  Configs are parsed from a line-based DSL,
-validated against a platform plus ownership ledger, and serialized to
-a versioned little-endian binary format.
+devices, IRQ lines) and the workload the guest runs.  Configs are
+parsed from a line-based DSL, validated against a platform plus
+ownership ledger, and serialized to a versioned little-endian binary
+format.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, groupby, starmap
 from typing import TYPE_CHECKING, Optional
@@ -19,9 +19,6 @@ from ._dsl import (
     NAME_RE,
     decode_utf8,
     iter_directives,
-    parse_dec,
-    parse_hex,
-    parse_plain_name,
     parse_quoted_name,
     require_args,
 )
@@ -36,7 +33,6 @@ from .errors import (
 from .machine import (
     MAX_NAME_BYTES,
     MMIO_NAME_BYTES,
-    PAGE_SIZE,
     Cpu,
     IoPortRange,
     IrqLine,
@@ -78,27 +74,6 @@ class Workload:
             raise InvariantViolation("only script workloads carry a path")
 
 
-@dataclass(frozen=True)
-class CommDecl:
-    """Declared shared-memory channel towards a peer cell."""
-
-    peer: str
-    size: int
-    vectors: int
-
-    def __post_init__(self):
-        if not NAME_RE.match(self.peer):
-            raise InvariantViolation("peer name must match [A-Za-z0-9_-]+")
-        if len(self.peer.encode()) > MAX_NAME_BYTES:
-            raise InvariantViolation("peer name longer than %d bytes" % MAX_NAME_BYTES)
-        if self.size <= 0 or self.size % PAGE_SIZE:
-            raise InvariantViolation("comm size must be positive and page-aligned")
-        if self.size > (1 << 64) - 1:
-            raise InvariantViolation("comm size overflows 64 bits")
-        if not 1 <= self.vectors <= 0xFFFF:
-            raise InvariantViolation("comm vectors must lie in 1..65535")
-
-
 _DEVICE_SORT_CODE = {MmioDevice: 0, PciDevice: 1, IoPortRange: 2}
 
 
@@ -125,7 +100,6 @@ class CellConfig:
     mem: tuple = ()
     devices: tuple = ()
     irqs: frozenset = frozenset()
-    comm: tuple = ()
     workload: Workload = Workload()
 
     def __post_init__(self):
@@ -133,9 +107,6 @@ class CellConfig:
         object.__setattr__(self, "mem", tuple(sorted(self.mem, key=lambda r: r.base)))
         object.__setattr__(self, "devices", tuple(sorted(self.devices, key=_device_sort_key)))
         object.__setattr__(self, "irqs", frozenset(self.irqs))
-        object.__setattr__(
-            self, "comm",
-            tuple(sorted(self.comm, key=lambda c: (c.peer, c.size, c.vectors))))
         self._validate()
 
     def _validate(self):
@@ -186,13 +157,11 @@ def parse_config(text: str) -> CellConfig:
     directives of `machine.parse_resource`:
 
         cell "<name>"
-        comm peer=<name> size=<hex> vectors=<n>
         run idle|stress|latency-responder|script <path>
     """
     name: Optional[str] = None
     resources: list = []
     seen_units: set = set()
-    comm: list[CommDecl] = []
     workload: Optional[Workload] = None
 
     for lineno, tokens in iter_directives(text):
@@ -206,8 +175,6 @@ def parse_config(text: str) -> CellConfig:
                 raise ConfigSemanticError(
                     "cell name longer than %d bytes" % MAX_NAME_BYTES, lineno)
             name = cell_name
-        elif keyword == "comm":
-            comm.append(_parse_comm(tokens, lineno))
         elif keyword == "run":
             if workload is not None:
                 raise ConfigSemanticError("duplicate run directive", lineno)
@@ -234,30 +201,9 @@ def parse_config(text: str) -> CellConfig:
             name=name, cpus=cpus, mem=mem,
             devices=tuple(r for r in resources if type(r) in _DEVICE_SORT_CODE),
             irqs=frozenset(r.number for r in resources if isinstance(r, IrqLine)),
-            comm=tuple(comm), workload=workload if workload is not None else Workload())
+            workload=workload if workload is not None else Workload())
     except InvariantViolation as exc:
         raise ConfigSemanticError(str(exc))
-
-
-def _parse_comm(tokens, lineno) -> CommDecl:
-    keyword, kw_col = tokens[0]
-    kv = {}
-    for text, col in tokens[1:]:
-        key, sep, value = text.partition("=")
-        if not sep or key not in ("peer", "size", "vectors"):
-            raise ConfigSyntaxError(lineno, col, "bad comm parameter %r" % text)
-        kv[key] = (value, col)
-    missing = {"peer", "size", "vectors"} - kv.keys()
-    if missing:
-        raise ConfigSyntaxError(
-            lineno, kw_col, "comm misses %s" % ", ".join(sorted(missing)))
-    peer = parse_plain_name(kv["peer"], lineno, "comm peer")
-    size = parse_hex(kv["size"], lineno, "comm size")
-    vectors = parse_dec(kv["vectors"], lineno, "comm vectors")
-    try:
-        return CommDecl(peer=peer, size=size, vectors=vectors)
-    except InvariantViolation as exc:
-        raise ConfigSemanticError(str(exc), lineno)
 
 
 def _parse_run(tokens, lineno) -> Workload:
@@ -315,68 +261,52 @@ def _describe(resource) -> str:
     return repr(resource)
 
 
-def _region_misfit(region: MemRegion, platform: MachinePlatform) -> Optional[Violation]:
-    """Why region lies outside one platform region's flags, or None."""
-    host = platform.host_region(region.base, region.end)
-    if host is None:
-        return Violation(ViolationKind.NO_SUCH_RESOURCE, region)
-    if region.flags & ~host.flags:
-        return Violation(ViolationKind.PERMISSION_EXCEEDED, region,
-                         "platform region allows only %r" % host.flags)
-    return None
-
-
-def platform_violations(cfg: CellConfig, platform: MachinePlatform) -> list[Violation]:
-    """validate_against on a fresh ledger, where root owns everything: the
-    resources the platform lacks and the permissions it does not grant.
-    CPUs and IRQ lines are compared as ints, and built only when missing."""
+def validate_against(cfg: CellConfig, platform: MachinePlatform,
+                     ledger: Optional["OwnershipLedger"] = None) -> list[Violation]:
+    """One violation per requested resource the platform lacks or does not
+    grant these permissions on and, given a ledger, per one root does not
+    own: an empty list means a create with this config would succeed. CPUs
+    and IRQ lines are compared as ints, built only to report or to ask the ledger."""
+    cpus = {cpu.index for cpu in platform.cpus}
     devices = set(platform.mmio_devices + platform.pci_devices + platform.io_port_ranges)
-    missing = ([Cpu(index) for index in sorted(cfg.cpus - {cpu.index for cpu in platform.cpus})]
+    missing = ([Cpu(index) for index in sorted(cfg.cpus - cpus)]
                + [dev for dev in cfg.devices if dev not in devices]
                + [IrqLine(number) for number in sorted(cfg.irqs - platform.irq_numbers)])
-    return ([Violation(ViolationKind.NO_SUCH_RESOURCE, resource) for resource in missing]
-            + list(filter(None, (_region_misfit(region, platform) for region in cfg.mem))))
-
-
-def validate_against(cfg: CellConfig, platform: MachinePlatform,
-                     ledger: "OwnershipLedger") -> list[Violation]:
-    """Check that every requested resource exists and is root-owned.
-
-    Returns one violation per offending resource; an empty list means
-    a create with this config would succeed against the same ledger.
-    """
-    violations: list[Violation] = []
-    for resource in cfg.units():
-        owner = ledger.owner_of_unit(resource)
-        if owner is None:
-            violations.append(Violation(ViolationKind.NO_SUCH_RESOURCE, resource))
-        elif owner != 0:
-            violations.append(Violation(
-                ViolationKind.NOT_OWNED_BY_ROOT, resource,
-                "owned by cell %d" % owner))
+    violations = [Violation(ViolationKind.NO_SUCH_RESOURCE, resource) for resource in missing]
+    if ledger is not None:
+        present = ([Cpu(index) for index in sorted(cfg.cpus & cpus)]
+                   + [dev for dev in cfg.devices if dev in devices]
+                   + [IrqLine(number) for number in sorted(cfg.irqs & platform.irq_numbers)])
+        for resource in present:
+            owner = ledger.owner_of_unit(resource)
+            if owner != 0:
+                violations.append(Violation(ViolationKind.NOT_OWNED_BY_ROOT, resource,
+                                            "owned by cell %d" % owner))
 
     for region in cfg.mem:
-        misfit = _region_misfit(region, platform)
-        if misfit is not None:
-            violations.append(misfit)
-            continue
-        owner = ledger.range_owner(region.base, region.end)
-        if owner != 0:
-            violations.append(Violation(
-                ViolationKind.NOT_OWNED_BY_ROOT, region,
-                "not root-owned" if owner is None else "owned by cell %d" % owner))
+        host = platform.host_region(region.base, region.end)
+        if host is None:
+            violations.append(Violation(ViolationKind.NO_SUCH_RESOURCE, region))
+        elif int(region.flags) & ~int(host.flags):  # an IntFlag & costs ~1.5 us
+            violations.append(Violation(ViolationKind.PERMISSION_EXCEEDED, region,
+                                        "platform region allows only %r" % host.flags))
+        elif ledger is not None:
+            owner = ledger.range_owner(region.base, region.end)
+            if owner != 0:
+                violations.append(Violation(
+                    ViolationKind.NOT_OWNED_BY_ROOT, region,
+                    "not root-owned" if owner is None else "owned by cell %d" % owner))
     return violations
 
 
 # --- binary codec -----------------------------------------------------------
 
 MAGIC = 0x4A484346
-VERSION = 2
+VERSION = 3
 
 _HEADER = struct.Struct("<IH32s")
 _U32 = struct.Struct("<I")
 _RUN = struct.Struct("<BI")
-_COMM = struct.Struct("<32sQH")
 _WORKLOAD = struct.Struct("<BH")
 
 # A resource list is a u32 run count and runs of consecutive resources of
@@ -448,9 +378,6 @@ def emit_binary(cfg: CellConfig) -> bytes:
     _put_runs(out, [(_CPU, [(index,) for index in sorted(cfg.cpus)])]
               + _resource_runs(cfg.mem + cfg.devices)
               + [(_IRQ, [(number,) for number in sorted(cfg.irqs)])])
-    out += _U32.pack(len(cfg.comm))
-    for decl in cfg.comm:
-        out += _COMM.pack(_padded(decl.peer, 32), decl.size, decl.vectors)
     path = (cfg.workload.script_path or "").encode("utf-8")
     out += _WORKLOAD.pack(_WORKLOAD_CODES[cfg.workload.kind], len(path))
     out += path
@@ -519,9 +446,6 @@ def load_binary(data: bytes) -> CellConfig:
             irqs += (number for (number,) in rows)
         else:
             others += starmap(_KINDS[code][3], rows)
-    (comm_count,) = reader.take(_U32)
-    comm = [CommDecl(_unpad(raw_peer, "peer name"), size, vectors) for raw_peer, size, vectors
-            in _COMM.iter_unpack(reader.take_raw(comm_count * _COMM.size))]
     workload_code, path_len = reader.take(_WORKLOAD)
     kind = _WORKLOAD_BY_CODE.get(workload_code)
     if kind is None:
@@ -541,4 +465,4 @@ def load_binary(data: bytes) -> CellConfig:
         name=name, cpus=frozenset(cpus),
         mem=tuple(r for r in others if isinstance(r, MemRegion)),
         devices=tuple(r for r in others if not isinstance(r, MemRegion)),
-        irqs=frozenset(irqs), comm=tuple(comm), workload=workload)
+        irqs=frozenset(irqs), workload=workload)

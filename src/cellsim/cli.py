@@ -21,7 +21,7 @@ from typing import Optional
 from . import bench, cellconfig, snapshot
 from ._dsl import decode_utf8
 from .errors import AlreadyEnabled, CellSimError, NotEnabled, ValidationFailed
-from .hvcore import Hypervisor, OwnershipLedger, TrapKind
+from .hvcore import Hypervisor, TrapKind
 from .machine import MachinePlatform, load_platform
 from .rng import GENERATOR_NAME
 
@@ -182,7 +182,7 @@ def _cmd_check_config(args) -> int:
     cfg = _read_config(args.config)
     if args.platform:
         platform = load_platform(args.platform)
-        violations = cellconfig.validate_against(cfg, platform, OwnershipLedger(platform))
+        violations = cellconfig.validate_against(cfg, platform)
         if violations:
             for violation in violations:
                 print(str(violation))

@@ -77,34 +77,39 @@ def _channel(hv: Hypervisor, ch_id: int) -> Channel:
 
 
 def _carve(hv: Hypervisor, cell_id: int, size: int) -> MemRegion:
-    """Take a page-aligned window from the top of the cell's memory.
+    """The highest page-aligned span of size bytes in read-write RAM the
+    cell owns that overlaps no live channel window.
 
     The carve is an allocation within memory the cell already owns;
-    ledger ownership does not change, so conservation is untouched.
-    Carved space is not reclaimed within a session.
+    ledger ownership does not change, so conservation is untouched. A
+    window is free again once its channel closes.
     """
-    cell = hv.cells[cell_id]
-    for region in reversed(cell.config.mem):
-        if (region.flags & _RW) != _RW:
-            continue
-        key = (cell_id, region.base)
-        ptr = hv._carve_ptr.get(key, region.end)
-        lo = ptr - size
-        if lo < region.base:
-            continue
-        if hv.ledger.range_owner(lo, ptr) != cell_id:
-            continue
-        hv._carve_ptr[key] = lo
-        return MemRegion(lo, size, _RW)
+    windows = sorted((ch.region.base, ch.region.end) for ch in hv.channels.values())
+    spans = sorted(((region.base, region.end) for region in hv.ledger.ram_of(cell_id)
+                    if (region.flags & _RW) == _RW), reverse=True)
+    for base, top in spans:
+        for w_lo, w_hi in reversed(windows):  # disjoint, so both ends descend
+            if w_hi <= base or top - w_hi >= size:
+                break  # the free span [base, top) or [w_hi, top) is low enough
+            top = min(top, w_lo)
+        if top - base >= size:
+            return MemRegion(top - size, size, _RW)
     raise OutOfRegion(
         "cell %d has no free read-write span of 0x%x bytes" % (cell_id, size))
 
 
+def _devices(hv: Hypervisor, cell_id: int) -> dict:
+    """The virtual PCI devices a cell sees: bdf -> channel."""
+    return {bdf: ch for ch in hv.channels.values()
+            for cell, bdf in ((ch.cell_a, ch.bdf_a), (ch.cell_b, ch.bdf_b)) if cell == cell_id}
+
+
 def _alloc_bdf(hv: Hypervisor, cell_id: int) -> int:
-    bdf = hv._next_bdf.get(cell_id, 0)
-    if bdf > 0xFFFF:
+    """The cell's lowest device number, function 0, that no live channel uses."""
+    used = _devices(hv, cell_id)
+    bdf = next((bdf for bdf in range(0, 0x10000, 1 << 3) if bdf not in used), None)
+    if bdf is None:
         raise InvariantViolation("bdf out of range")
-    hv._next_bdf[cell_id] = bdf + (1 << 3)  # next device number, function 0
     return bdf
 
 
@@ -209,9 +214,7 @@ def pci_cfg_read(hv: Hypervisor, cell_id: int, bdf: int, offset: int) -> int:
     if offset % 4:
         raise BadAlignment("config space reads must be 4-byte aligned")
     hv._log(TrapKind.INSTRUCTION_EMULATION, cell_id, "pci-cfg")
-    channel = next((ch for ch in hv.channels.values()
-                    if (cell_id, bdf) in ((ch.cell_a, ch.bdf_a), (ch.cell_b, ch.bdf_b))),
-                   None)
+    channel = _devices(hv, cell_id).get(bdf)
     if channel is None:
         return ABSENT
     if offset == 0:

@@ -20,7 +20,8 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from ._dsl import decode_utf8, iter_directives, parse_dec, parse_hex
-from .cellconfig import CellConfig, WorkloadKind, _describe, platform_violations, validate_against
+from .cellconfig import (
+    CellConfig, Violation, ViolationKind, WorkloadKind, _describe, validate_against)
 from .errors import (
     AlreadyEnabled,
     BadState,
@@ -225,8 +226,13 @@ class OwnershipLedger:
                 self._units[resource] = ROOT_CELL
         self._claims = [claim for claim in self._claims if claim[2] != cell]
 
-    def _root_share(self):
-        """Root's parts of platform RAM, as MemRegions with the region's flags."""
+    def ram_of(self, cell: CellId):
+        """The RAM a cell owns, as MemRegions with their flags: its claims,
+        or for root, each part of platform RAM that no claim covers."""
+        if cell != ROOT_CELL:
+            yield from (MemRegion(lo, hi - lo, flags)
+                        for lo, hi, owner, flags in self._claims if owner == cell)
+            return
         for region in self._platform.mem_regions:
             lo = region.base
             for c_lo, c_hi, _, _ in self._claims:
@@ -240,7 +246,7 @@ class OwnershipLedger:
     def owners(self) -> set:
         result = set(self._units.values())
         result.update(owner for _, _, owner, _ in self._claims)
-        if next(self._root_share(), None) is not None:
+        if next(self.ram_of(ROOT_CELL), None) is not None:
             result.add(ROOT_CELL)
         return result
 
@@ -249,7 +255,7 @@ class OwnershipLedger:
         With no claims, root's share equals the platform's MemRegions."""
         keys = Counter(self._units.keys())
         keys.update(MemRegion(lo, hi - lo, flags) for lo, hi, _, flags in self._claims)
-        keys.update(self._root_share())
+        keys.update(self.ram_of(ROOT_CELL))
         return keys
 
     def audit(self) -> None:
@@ -405,8 +411,6 @@ class Hypervisor:
         self.channel_trace: list[dict] = []
         self._next_cell_id: CellId = 1
         self._next_channel_id: int = 0
-        self._next_bdf: dict[CellId, int] = {}
-        self._carve_ptr: dict[tuple[CellId, int], int] = {}
         # Per-cell access maps, each built at the cell's first trap and
         # dropped whenever ownership or channels change.
         self._access_maps: dict[CellId, AccessMap] = {}
@@ -487,9 +491,15 @@ class Hypervisor:
         return cell_id
 
     def _claim(self, cell_id: CellId, cfg: CellConfig) -> None:
-        """Move cfg's resources from root to cell_id; on any violation, move none."""
-        violations = (platform_violations(cfg, self.platform) if cell_id == ROOT_CELL
-                      else validate_against(cfg, self.platform, self.ledger))
+        """Move cfg's resources from root to cell_id; on any violation, move
+        none. Root's config need only fit the platform. A channel window
+        carved from root's share stays root's while its channel lives."""
+        violations = validate_against(
+            cfg, self.platform, None if cell_id == ROOT_CELL else self.ledger) + [
+            Violation(ViolationKind.NOT_OWNED_BY_ROOT, region,
+                      "holds the window of channel %d" % ch.id)
+            for region in cfg.mem for ch in self.channels.values() if ch.cell_a == ROOT_CELL
+            and region.base < ch.region.end and ch.region.base < region.end]
         if violations:
             raise ValidationFailed(violations)
         self._access_maps.clear()
@@ -547,7 +557,6 @@ class Hypervisor:
         self.ledger.release_all(cell_id)
         self._access_maps.clear()
         del self.cells[cell_id]
-        self._next_bdf.pop(cell_id, None)
         self._log(TrapKind.MANAGEMENT, cell_id, "destroy %s" % cell.name)
 
     def relaunch_cell(self, cell_id: CellId) -> None:
@@ -571,8 +580,6 @@ class Hypervisor:
         self.cells = {}
         self.ledger = None
         self.channels = {}
-        self._next_bdf = {}
-        self._carve_ptr = {}
         self._access_maps.clear()
         self.state = HvState.DISABLED
 
@@ -593,8 +600,9 @@ class Hypervisor:
 
     def audit(self) -> None:
         """Check conservation, exclusivity, and owner liveness, that the
-        ledger's claims are the non-root cells' configured regions, and
-        that every cached access map is what the ledger now gives."""
+        ledger's claims are the non-root cells' configured regions, that
+        each channel window lies in its cell_a's memory and overlaps no
+        other, and that every cached access map is what the ledger now gives."""
         self._require_enabled()
         self.ledger.audit()
         live = set(self.cells)
@@ -617,6 +625,12 @@ class Hypervisor:
             lo, hi, cell_id, flags = min(lost or claims - configured)
             raise InvariantViolation("cell %d %s mem [0x%x, 0x%x) %r" % (
                 cell_id, "lost" if lost else "holds unconfigured", lo, hi, flags))
+        windows = sorted(self.channels.values(), key=lambda ch: ch.region.base)
+        for prev, ch in zip([None] + windows, windows):
+            if (self.ledger.range_owner(ch.region.base, ch.region.end) != ch.cell_a
+                    or prev is not None and ch.region.base < prev.region.end):
+                raise InvariantViolation("channel %d window %r is not cell %d's memory,"
+                                         " or overlaps another" % (ch.id, ch.region, ch.cell_a))
         for cell_id, access_map in self._access_maps.items():
             if not (all(lo < hi <= next_lo for table in access_map
                         for (lo, hi, _), (next_lo, _, _) in zip(table, table[1:]))
@@ -665,10 +679,8 @@ class Hypervisor:
         ledger, platform = self.ledger, self.platform
         window = platform.gic_dist_window
         mem = [] if window is None else [(window.base, window.end, _EMULATE)]
-        own = ledger._root_share() if cell_id == ROOT_CELL else (
-            MemRegion(lo, hi - lo, flags)
-            for lo, hi, owner, flags in ledger._claims if owner == cell_id)
-        mem += [(region.base, region.end, int(region.flags) & _RW) for region in own]
+        mem += [(region.base, region.end, int(region.flags) & _RW)
+                for region in ledger.ram_of(cell_id)]
         mem += [(ch.region.base, ch.region.end, _RW)
                 for ch in self.channels.values() if ch.cell_b == cell_id]
         mem += [(dev.base, dev.end, _RW) for dev in platform.mmio_devices

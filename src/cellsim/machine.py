@@ -43,8 +43,8 @@ U64_MAX = (1 << 64) - 1
 # Name of the MMIO window that gets distributor emulation.
 GIC_DIST_NAME = "gic-dist"
 
-# Longest cell, comm peer or platform name, in UTF-8 bytes: the binary
-# config codec's name fields are 32 bytes and keep one for the NUL.
+# Longest cell or platform name, in UTF-8 bytes: the binary config
+# codec's name field is 32 bytes and keeps one for the NUL.
 MAX_NAME_BYTES = 31
 
 # Longest MMIO device name, in bytes (names are ASCII): the binary config

@@ -32,7 +32,7 @@ from .hvcore import (
 from .machine import BusModel, DistParams, GicVersion, MachinePlatform, PlatformSpec, build_platform
 
 MAGIC = 0x4A485353
-VERSION = 6
+VERSION = 7
 
 _HEADER = struct.Struct("<IH")
 _U8 = struct.Struct("<B")

@@ -5,7 +5,6 @@ import string
 
 from cellsim import (
     CellConfig,
-    CommDecl,
     Cpu,
     IoPortRange,
     IrqLine,
@@ -59,9 +58,6 @@ def random_config(rnd: random.Random) -> CellConfig:
         mem=mem,
         devices=tuple(devices),
         irqs=frozenset(rnd.sample(range(32, 256), rnd.randint(0, 5))),
-        comm=tuple(CommDecl(random_name(rnd), rnd.randint(1, 4) * PAGE,
-                            rnd.randint(1, 16))
-                   for _ in range(rnd.randint(0, 2))),
         workload=workload)
 
 

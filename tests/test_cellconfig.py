@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from cellsim import (
     CellConfig,
-    CommDecl,
     Hypervisor,
     IoPortRange,
     MemRegion,
@@ -45,7 +44,6 @@ mmio uart 0x70006000 0x1000
 pci 0x0010
 ioport 0x3f8 0x8
 irq 33,40-41
-comm peer=other size=0x1000 vectors=4
 run latency-responder
 """
 
@@ -60,7 +58,6 @@ class TestDsl:
         assert [type(d).__name__ for d in cfg.devices] == [
             "MmioDevice", "PciDevice", "IoPortRange"]
         assert cfg.irqs == frozenset({33, 40, 41})
-        assert cfg.comm == (CommDecl("other", 0x1000, 4),)
         assert cfg.workload.kind is WorkloadKind.LATENCY_RESPONDER
 
     def test_script_workload_keeps_path(self):
@@ -104,10 +101,12 @@ class TestDsl:
             parse_config('cell "s"\ncpu 0\nmem 0x10000000 0x1000 rw\n'
                          "run idle\nrun stress\n")
 
-    def test_comm_missing_key(self):
-        with pytest.raises(ConfigSyntaxError):
+    def test_comm_line_is_an_unknown_directive(self):
+        # channels are opened by comm.create_channel; a config declares none
+        with pytest.raises(ConfigSyntaxError,
+                           match="^line 4, col 1: unknown directive 'comm'$"):
             parse_config('cell "s"\ncpu 0\nmem 0x10000000 0x1000 rw\n'
-                         "comm peer=x size=0x1000\n")
+                         "comm peer=x size=0x1000 vectors=4\n")
 
     def test_unknown_workload(self):
         with pytest.raises(ConfigSyntaxError):
@@ -147,11 +146,9 @@ class TestCellConfigInvariants:
         shuffled = CellConfig(
             name="c", cpus=[3, 1], irqs=[40, 33],
             mem=[MemRegion(0x2000, 0x1000), MemRegion(0x1000, 0x1000)],
-            devices=[IoPortRange(0x60, 4), PciDevice(8), MmioDevice("u", 0x9000, 0x1000)],
-            comm=[CommDecl("b", 0x1000, 1), CommDecl("a", 0x1000, 1)])
+            devices=[IoPortRange(0x60, 4), PciDevice(8), MmioDevice("u", 0x9000, 0x1000)])
         assert [r.base for r in shuffled.mem] == [0x1000, 0x2000]
         assert [type(d) for d in shuffled.devices] == [MmioDevice, PciDevice, IoPortRange]
-        assert [c.peer for c in shuffled.comm] == ["a", "b"]
 
     def test_equality_ignores_input_order(self):
         a = CellConfig(name="c", cpus=[0, 1],
@@ -186,16 +183,6 @@ class TestCellConfigInvariants:
             CellConfig(name="c", cpus=[], mem=[MemRegion(0x1000, 0x1000)])
         with pytest.raises(InvariantViolation):
             CellConfig(name="c", cpus=[0], mem=[])
-
-    def test_comm_decl_bounds(self):
-        with pytest.raises(InvariantViolation):
-            CommDecl("p", 0x800, 1)  # not page-aligned
-        with pytest.raises(InvariantViolation):
-            CommDecl("p", 0x1000, 0)
-        with pytest.raises(InvariantViolation):
-            CommDecl("p", 0x1000, 0x10000)
-        with pytest.raises(InvariantViolation):
-            CommDecl("bad name", 0x1000, 1)
 
     def test_workload_path_rules(self):
         with pytest.raises(InvariantViolation):
@@ -277,12 +264,11 @@ MINIMAL = CellConfig(name="a", cpus=[0], mem=[MemRegion(0x1000, 0x1000)])
 
 
 def _minimal_bytes():
-    # independent byte-level oracle for the frozen v2 layout
-    out = struct.pack("<IH32s", MAGIC, 2, b"a")
+    # independent byte-level oracle for the frozen v3 layout
+    out = struct.pack("<IH32s", MAGIC, 3, b"a")
     out += struct.pack("<I", 2)  # resource runs
     out += struct.pack("<BII", 0, 1, 0)  # cpu run: cpu 0
     out += struct.pack("<BIQQB", 1, 1, 0x1000, 0x1000, int(PermFlags.READ | PermFlags.WRITE))
-    out += struct.pack("<I", 0)  # comm declarations
     out += struct.pack("<BH", 0, 0)
     return out
 
@@ -311,11 +297,11 @@ class TestCodec:
             load_binary(bytes(blob))
 
     def test_unsupported_version(self):
-        # a version-1 blob is refused: re-emit it from its text config
-        for version in (1, 3):
+        # a version-1 or -2 blob is refused: re-emit it from its text config
+        for version in (1, 2, 4):
             blob = bytearray(_minimal_bytes())
             struct.pack_into("<H", blob, 4, version)
-            with pytest.raises(UnsupportedVersion, match="version %d, expected 2" % version):
+            with pytest.raises(UnsupportedVersion, match="version %d, expected 3" % version):
                 load_binary(bytes(blob))
 
     def test_truncation_detected_everywhere(self):

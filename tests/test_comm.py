@@ -2,12 +2,18 @@ import json
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from cellsim import (
+    ROOT_CELL,
     Access,
     AccessKind,
     AccessOutcome,
+    CellConfig,
     CellState,
+    MemRegion,
+    PermFlags,
     TrapKind,
     Workload,
     WorkloadKind,
@@ -23,17 +29,21 @@ from cellsim.errors import (
     BadSize,
     BadState,
     BadVector,
+    InvariantViolation,
     NoSuchCell,
     NoSuchResource,
     NotEndpoint,
     OutOfRegion,
     SelfChannel,
+    ValidationFailed,
 )
 from cellsim.irq import latency_streams, sample_latency
 
 from test_hvcore import RAM, small_cell, tiny_hv
 
 PAGE = 0x1000
+RAM_END = RAM + 0x20_0000  # the tiny platform's one RAM region
+RW = PermFlags.READ | PermFlags.WRITE
 
 
 def channel_pair(size=PAGE, vectors=4):
@@ -122,6 +132,75 @@ class TestCreateChannel:
         hv, a, b = _pair_without_channel()
         with pytest.raises(OutOfRegion):
             create_channel(hv, a, b, 0x10_0000, 1)
+
+
+class TestCarve:
+    def test_root_window_is_carved_below_a_guest_at_the_top(self):
+        # root still owns every page below the guest's
+        hv = tiny_hv()
+        g = hv.create_cell(small_cell("top", base=RAM_END - PAGE, size=PAGE))
+        ch = create_channel(hv, ROOT_CELL, g, PAGE, 1)
+        assert hv.channels[ch].region == MemRegion(RAM_END - 2 * PAGE, PAGE, RW)
+        hv.audit()
+
+    def test_guest_window_skips_regions_that_are_not_read_write(self):
+        hv = tiny_hv()
+        g = hv.create_cell(CellConfig(name="g", cpus=[1], mem=[
+            MemRegion(RAM + 0x8_0000, 2 * PAGE),
+            MemRegion(RAM + 0x9_0000, PAGE, PermFlags.READ)]))
+        b = hv.create_cell(small_cell("b", cpu=2, base=RAM + 0xC_0000))
+        ch = create_channel(hv, g, b, PAGE, 1)
+        assert hv.channels[ch].region.base == RAM + 0x8_1000
+        ch2 = create_channel(hv, g, b, PAGE, 1)
+        assert hv.channels[ch2].region.base == RAM + 0x8_0000
+        with pytest.raises(OutOfRegion):
+            create_channel(hv, g, b, PAGE, 1)
+
+    def test_closed_channels_free_their_window_and_bdfs(self):
+        hv = tiny_hv()
+        a = hv.create_cell(small_cell("alpha", cpu=1, base=RAM + 0x8_0000, size=0x4000))
+        b = hv.create_cell(small_cell("beta", cpu=2, base=RAM + 0xC_0000))
+        c = hv.create_cell(small_cell("gamma", cpu=3, base=RAM + 0xE_0000))
+        ab = hv.channels[create_channel(hv, a, b, PAGE, 1)]
+        ac = hv.channels[create_channel(hv, a, c, PAGE, 1)]
+        assert (ac.region.base, ac.bdf_a, ac.bdf_b) == (ab.region.base - PAGE, 8, 0)
+        hv.destroy_cell(b)  # closes a-b
+        again = hv.channels[create_channel(hv, a, c, PAGE, 1)]
+        assert (again.region, again.bdf_a, again.bdf_b) == (ab.region, 0, 8)
+        hv.audit()
+
+    def test_cell_cannot_claim_a_root_window(self):
+        # a window stays in root's share, and its peer may write to it, so
+        # no cell may claim it while the channel lives
+        hv = tiny_hv()
+        x = hv.create_cell(small_cell("x", cpu=1, base=RAM + 0x8_0000))
+        hv.start_cell(x)
+        ch = create_channel(hv, ROOT_CELL, x, PAGE, 1)
+        window = hv.channels[ch].region
+        with pytest.raises(ValidationFailed) as excinfo:
+            hv.create_cell(small_cell("c", cpu=2, base=window.base - PAGE, size=2 * PAGE))
+        (violation,) = excinfo.value.violations
+        assert str(violation) == (
+            "NotOwnedByRoot(mem [0x%x, 0x%x)): holds the window of channel %d"
+            % (window.base - PAGE, window.end, ch))
+        assert sorted(hv.cells) == [ROOT_CELL, x]
+        assert hv.owner_of(window) == ROOT_CELL
+        assert hv.handle_access(x, Access(
+            AccessKind.MEM_WRITE, window.base, 4)) is AccessOutcome.DIRECT
+        hv.audit()
+
+    def test_audit_refuses_a_window_outside_its_creators_memory(self):
+        hv, a, b, ch = channel_pair()
+        hv.channels[ch].region = MemRegion(RAM + 0xC_0000, PAGE, RW)  # beta's
+        with pytest.raises(InvariantViolation, match="is not cell %d's memory" % a):
+            hv.audit()
+
+    def test_audit_refuses_overlapping_windows(self):
+        hv, a, b, ch = channel_pair()
+        other = hv.channels[create_channel(hv, a, b, PAGE, 1)]
+        other.region = hv.channels[ch].region
+        with pytest.raises(InvariantViolation, match="overlaps another"):
+            hv.audit()
 
 
 def _pair_without_channel():
@@ -322,3 +401,107 @@ class TestTrace:
     def test_empty_trace_is_empty_string(self):
         hv = tiny_hv()
         assert export_trace(hv) == ""
+
+
+# --- window and bdf allocation against a page scan ---------------------------
+
+class ChannelAllocMachine(RuleBasedStateMachine):
+    """Creates, destroys and channels on the tiny platform, next to a model
+    of which cell owns each page. Every window must be the highest free span
+    a page-by-page scan finds, and every bdf the lowest free one."""
+
+    def __init__(self):
+        super().__init__()
+        self.hv = tiny_hv()
+        self.configs = {}  # guest id -> config
+        self.windows = {}  # channel id -> (lo, hi, a, b, bdf_a, bdf_b)
+        self.counter = 0
+
+    def spans(self):
+        """Page -> (owner, span) for the read-write RAM a cell owns: each guest
+        region is one span, and root's pages outside every guest region are
+        another; a guest page that is not read-write maps to None."""
+        owners = {page: (ROOT_CELL, None) for page in range(RAM, RAM_END, PAGE)}
+        for cell_id, cfg in self.configs.items():
+            for region in cfg.mem:
+                for page in range(region.base, region.end, PAGE):
+                    owners[page] = (cell_id, region.base) if region.flags == RW else None
+        return owners
+
+    def scan(self, a, size):
+        """The highest base of a free span of size bytes in a's read-write RAM."""
+        owners = self.spans()
+        taken = {page for lo, hi, *_ in self.windows.values() for page in range(lo, hi, PAGE)}
+        for lo in range(RAM_END - size, RAM - 1, -PAGE):
+            pages = range(lo, lo + size, PAGE)
+            found = {owners[page] for page in pages}
+            if (len(found) == 1 and None not in found and found.pop()[0] == a
+                    and taken.isdisjoint(pages)):
+                return lo
+        return None
+
+    def lowest_free_bdf(self, cell_id):
+        used = {bdf for _, _, a, b, bdf_a, bdf_b in self.windows.values()
+                for end, bdf in ((a, bdf_a), (b, bdf_b)) if end == cell_id}
+        return next(bdf for bdf in range(0, 0x10000, 8) if bdf not in used)
+
+    @rule(data=st.data())
+    def create(self, data):
+        # guests live in the top 32 pages, where root's windows start
+        start = data.draw(st.integers(0, 31))
+        pages = data.draw(st.integers(1, min(4, 32 - start)))
+        region = MemRegion(RAM_END - (32 - start) * PAGE, pages * PAGE,
+                           data.draw(st.sampled_from([RW, RW, PermFlags.READ])))
+        self.counter += 1
+        cfg = CellConfig(name="g%d" % self.counter, cpus=[data.draw(st.integers(0, 3))],
+                         mem=[region])
+        held = {page for other in self.configs.values() for r in other.mem
+                for page in range(r.base, r.end, PAGE)}
+        root_windows = {page for lo, hi, a, *_ in self.windows.values() if a == ROOT_CELL
+                        for page in range(lo, hi, PAGE)}
+        own = set(range(region.base, region.end, PAGE))
+        fits = (all(cfg.cpus.isdisjoint(other.cpus) for other in self.configs.values())
+                and own.isdisjoint(held) and own.isdisjoint(root_windows))
+        if not fits:
+            with pytest.raises(ValidationFailed):
+                self.hv.create_cell(cfg)
+            return
+        self.configs[self.hv.create_cell(cfg)] = cfg
+
+    @precondition(lambda self: self.configs)
+    @rule(data=st.data())
+    def destroy(self, data):
+        cell_id = data.draw(st.sampled_from(sorted(self.configs)))
+        self.hv.destroy_cell(cell_id)
+        del self.configs[cell_id]
+        self.windows = {ch: w for ch, w in self.windows.items() if cell_id not in w[2:4]}
+
+    @precondition(lambda self: self.configs)
+    @rule(data=st.data())
+    def channel(self, data):
+        cells = [ROOT_CELL] + sorted(self.configs)
+        a = data.draw(st.sampled_from(cells))
+        b = data.draw(st.sampled_from([cell_id for cell_id in cells if cell_id != a]))
+        size = data.draw(st.integers(1, 8)) * PAGE
+        lo = self.scan(a, size)
+        if lo is None:
+            with pytest.raises(OutOfRegion):
+                create_channel(self.hv, a, b, size, 1)
+            return
+        bdfs = self.lowest_free_bdf(a), self.lowest_free_bdf(b)
+        ch = self.hv.channels[create_channel(self.hv, a, b, size, 1)]
+        assert (ch.region, (ch.bdf_a, ch.bdf_b)) == (MemRegion(lo, size, RW), bdfs)
+        self.windows[ch.id] = (lo, lo + size, a, b) + bdfs
+
+    @invariant()
+    def windows_are_disjoint_and_audited(self):
+        assert {ch.id: (ch.region.base, ch.region.end, ch.cell_a, ch.cell_b, ch.bdf_a, ch.bdf_b)
+                for ch in self.hv.channels.values()} == self.windows
+        spans = sorted(w[:2] for w in self.windows.values())
+        assert all(hi <= next_lo for (_, hi), (next_lo, _) in zip(spans, spans[1:]))
+        self.hv.audit()
+
+
+ChannelAllocMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None)
+TestChannelAllocMatchesThePageScan = ChannelAllocMachine.TestCase

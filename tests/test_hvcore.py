@@ -51,7 +51,7 @@ from cellsim.errors import (
     ValidationFailed,
 )
 from cellsim.comm import create_channel
-from cellsim.cellconfig import platform_violations, validate_against
+from cellsim.cellconfig import validate_against
 from cellsim.hvcore import STEP_NS, parse_script
 
 from conftest import make_tiny_platform
@@ -115,8 +115,9 @@ class TestEnable:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_fit_check_is_validate_against_on_a_fresh_ledger(self, seed):
-        # enable and snapshot load check a root config without building a
-        # ledger or a Cpu and IrqLine per id; the verdict must not change
+        # enable, snapshot load and check-config check a config with no
+        # ledger, which builds no Cpu or IrqLine per present id; on a fresh
+        # ledger, where root owns everything, the verdict must not change
         rnd = random.Random(seed)
         platform = random_platform(rnd)
         other = random_config(rnd)
@@ -131,7 +132,7 @@ class TestEnable:
             or platform.mem_regions,
             devices=some(platform.mmio_devices, 0.7) + some(other.devices, 0.5),
             irqs=some(sorted(platform.irq_numbers), 0.7) + some(sorted(other.irqs), 0.5))
-        assert platform_violations(cfg, platform) == validate_against(
+        assert validate_against(cfg, platform) == validate_against(
             cfg, platform, OwnershipLedger(platform))
 
     def test_operations_need_enable(self, tiny):

@@ -373,12 +373,13 @@ class TestExitCounters:
                                % bad_id):
                 load_session(blob)
 
-    @pytest.mark.parametrize("old", [2, 3, 4, 5])
+    @pytest.mark.parametrize("old", [2, 3, 4, 5, 6])
     def test_older_version_blob_rejected(self, old):
+        # v6 embeds v2 configs, which still carried comm declarations
         hv = populated_hv()
         blob = bytearray(save_session(hv.platform, hv))
         struct.pack_into("<H", blob, 4, old)
-        with pytest.raises(UnsupportedVersion, match="version %d, expected 6" % old):
+        with pytest.raises(UnsupportedVersion, match="version %d, expected 7" % old):
             load_session(bytes(blob))
 
 
