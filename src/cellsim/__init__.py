@@ -7,16 +7,8 @@ behaviour, and ships a seeded microbenchmark that reproduces the shape
 of the interrupt-latency measurements the design is known for.
 """
 
-from .bench import (
-    BenchReport,
-    canonical_scenarios,
-    export_csv,
-    full_platform_config,
-    render_table,
-    run_report,
-    run_scenario,
-    summarize,
-)
+import importlib
+
 from .cellconfig import (
     CellConfig,
     Violation,
@@ -28,7 +20,6 @@ from .cellconfig import (
     parse_config,
     validate_against,
 )
-from .comm import create_channel, pci_cfg_read, poll, read_buffer, send
 from .errors import CellSimError
 from .hvcore import (
     EXIT_SLOT,
@@ -44,17 +35,6 @@ from .hvcore import (
     TrapEvent,
     TrapKind,
     enable,
-)
-from .irq import (
-    IrqDeliveries,
-    LatencyStats,
-    Scenario,
-    distributor_access,
-    latency_streams,
-    quantize_62_5ns,
-    raise_irq,
-    raise_irqs,
-    sample_latency,
 )
 from .machine import (
     BusModel,
@@ -74,7 +54,29 @@ from .machine import (
     load_platform,
     parse_platform,
 )
-from .rng import GENERATOR_NAME, make_rng, make_streams
 from .snapshot import load_session, save_session
 
 __version__ = "0.1.0"
+
+# Names whose modules import numpy, loaded on first access (PEP 562) so
+# that `import cellsim` and the lifecycle commands load no numpy.
+_LAZY = {name: module for module, names in (
+    ("bench", "BenchReport canonical_scenarios export_csv full_platform_config"
+              " render_table run_report run_scenario summarize"),
+    ("comm", "create_channel pci_cfg_read poll read_buffer send"),
+    ("irq", "IrqDeliveries LatencyStats Scenario distributor_access latency_streams"
+            " quantize_62_5ns raise_irq raise_irqs sample_latency"),
+    ("rng", "GENERATOR_NAME make_rng make_streams"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value  # later lookups no longer reach this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -18,12 +18,11 @@ import sys
 from contextlib import contextmanager
 from typing import Optional
 
-from . import bench, cellconfig, snapshot
+from . import cellconfig, snapshot
 from ._dsl import decode_utf8
 from .errors import AlreadyEnabled, CellSimError, NotEnabled, ValidationFailed
 from .hvcore import Hypervisor, TrapKind
 from .machine import MachinePlatform, load_platform
-from .rng import GENERATOR_NAME
 
 DEFAULT_STATE = "cellsim.state"
 
@@ -192,6 +191,8 @@ def _cmd_check_config(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench  # imports numpy, which no other command needs
+
     platform = load_platform(args.platform)
     report = bench.run_report(platform, bench.canonical_scenarios(
         n_samples=args.samples, seed=args.seed))
@@ -211,7 +212,7 @@ def _cmd_bench(args) -> int:
               % ("on" if sc.vmm_on else "off", sc.freq_hz,
                  "yes" if sc.stress else "no", stats.mean_us, stats.sigma_us,
                  stats.max_us, stats.n, sc.seed))
-    print("rng: %s" % GENERATOR_NAME)
+    print("rng: %s" % bench.GENERATOR_NAME)
     return 0
 
 

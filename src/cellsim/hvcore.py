@@ -431,10 +431,7 @@ class Hypervisor:
 
     def _log(self, kind: TrapKind, cell: CellId, detail: str,
              time_ns: Optional[int] = None) -> TrapEvent:
-        when = self.clock if time_ns is None else time_ns
-        if self.events and when < self.events[-1].time_ns:
-            when = self.events[-1].time_ns  # keep the log time-ordered
-        event = TrapEvent(when, cell, kind, detail)
+        event = TrapEvent(self.clock if time_ns is None else time_ns, cell, kind, detail)
         self.events.append(event)
         self._count(kind, cell)
         return event

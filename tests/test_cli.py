@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -370,6 +372,13 @@ class TestNoTracebacks:
         assert not (ws / "cellsim.state").exists()
 
 
+def run_in_fresh_process(code, *argv):
+    """Run code in a new interpreter that imports cellsim from src/; return stdout."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code), *argv], env=env,
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+
+
 class TestParser:
     def test_built_once_and_reused(self, ws, capsys):
         assert cli.build_parser() is cli.build_parser()
@@ -383,9 +392,45 @@ class TestParser:
     def test_not_built_at_import(self):
         probe = ("import cellsim.cli as cli; "
                  "print(cli.build_parser.cache_info().currsize)")
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                             text=True, check=True).stdout
-        assert out == "0\n"
+        assert run_in_fresh_process(probe) == "0\n"
+
+
+class TestColdStart:
+    """Only the bench command imports numpy."""
+
+    def test_lifecycle_commands_load_no_numpy(self, ws):
+        image = ws / "guest.img"
+        image.write_bytes(b"abc")
+        probe = """
+            import sys
+            from cellsim.cli import main
+            state, board, root, guest, image, events = sys.argv[1:]
+            for argv in (["enable", "--platform", board, "--root", root],
+                         ["cell", "create", guest], ["cell", "load", "guest", image],
+                         ["cell", "start", "guest"], ["cell", "list"],
+                         ["cell", "stats", "--json"],
+                         ["check-config", guest, "--platform", board],
+                         ["events", "export", "--out", events],
+                         ["cell", "stop", "guest"], ["cell", "destroy", "guest"],
+                         ["disable"]):
+                assert main(["--state", state, *argv]) == 0, argv
+            print("numpy loaded:", "numpy" in sys.modules)
+            """
+        out = run_in_fresh_process(
+            probe, str(ws / "cellsim.state"), str(ws / "board.platform"),
+            str(ws / "root.cfg"), str(ws / "guest.cfg"), str(image), str(ws / "events.jsonl"))
+        assert out.splitlines()[-1] == "numpy loaded: False"
+        assert (ws / "events.jsonl").read_text().count("\n") == 4  # enable, create, load, start
+
+    def test_bench_loads_numpy(self):
+        probe = """
+            import sys
+            from cellsim.cli import main
+            assert main(["bench", "run", "--samples", "100"]) == 0
+            print("numpy loaded:", "numpy" in sys.modules)
+            """
+        lines = run_in_fresh_process(probe).splitlines()
+        assert lines[-2:] == ["rng: numpy-pcg64", "numpy loaded: True"]
 
 
 class TestUsageErrors:
