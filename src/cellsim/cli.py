@@ -21,7 +21,7 @@ from typing import Optional
 from . import cellconfig, snapshot
 from ._dsl import decode_utf8
 from .errors import AlreadyEnabled, CellSimError, NotEnabled, ValidationFailed
-from .hvcore import Hypervisor, TrapKind
+from .hvcore import Hypervisor, TrapKind, parse_script, read_script
 from .machine import MachinePlatform, load_platform
 
 DEFAULT_STATE = "cellsim.state"
@@ -179,6 +179,7 @@ def _cmd_cell_stats(args) -> int:
 
 def _cmd_check_config(args) -> int:
     cfg = _read_config(args.config)
+    parse_script(read_script(cfg.workload))
     if args.platform:
         platform = load_platform(args.platform)
         violations = cellconfig.validate_against(cfg, platform)

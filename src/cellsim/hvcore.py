@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 from ._dsl import decode_utf8, iter_directives, parse_dec, parse_hex
 from .cellconfig import (
-    CellConfig, Violation, ViolationKind, WorkloadKind, _describe, validate_against)
+    CellConfig, Violation, ViolationKind, Workload, WorkloadKind, _describe, validate_against)
 from .errors import (
     AlreadyEnabled,
     BadState,
@@ -284,13 +284,17 @@ class Cell:
     config: CellConfig
     state: CellState = CellState.CREATED
     memory_image: dict[int, bytes] = field(default_factory=dict)
-    script_ops: list = field(default_factory=list)
+    # A script cell's script, as read at create (empty for other workloads),
+    # and its ops, parsed from it once, here; start and relaunch run them from 0.
+    script: str = ""
     script_pos: int = 0
+    script_ops: list = field(init=False, repr=False, compare=False)
     # Own-RAM touches in one step() turn: 1 for a guest that runs no script
     # and has a region that grants READ (a stress guest's, READ or WRITE).
     touches: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.script_ops = parse_script(self.script)
         kind = self.config.workload.kind
         need = _RW if kind is WorkloadKind.STRESS else _READ
         self.touches = int(kind is not WorkloadKind.SCRIPT and any(
@@ -378,6 +382,14 @@ def parse_script(text: str) -> list[tuple]:
         else:
             raise ConfigSyntaxError(lineno, col, "unknown script op %r" % keyword)
     return ops
+
+
+def read_script(workload: Workload) -> str:
+    """The text of a script workload's file; empty for any other workload."""
+    if workload.kind is not WorkloadKind.SCRIPT:
+        return ""
+    with open(workload.script_path, "rb") as handle:
+        return decode_utf8(handle.read(), "script file")
 
 
 # --- hypervisor -------------------------------------------------------------
@@ -480,12 +492,14 @@ class Hypervisor:
         for cell in self.cells.values():
             if cell.config.name == cfg.name:
                 raise NameCollision("cell named %r already exists" % cfg.name)
-        cell_id = self._next_cell_id
-        self._claim(cell_id, cfg)
+        # The script is read once, before anything is claimed, as `jailhouse
+        # cell load` copies an image in: later edits of the file change nothing.
+        cell = Cell(self._next_cell_id, cfg, script=read_script(cfg.workload))
+        self._claim(cell.id, cfg)
         self._next_cell_id += 1
-        self.cells[cell_id] = Cell(cell_id, cfg)
-        self._log(TrapKind.MANAGEMENT, cell_id, "create %s" % cfg.name)
-        return cell_id
+        self.cells[cell.id] = cell
+        self._log(TrapKind.MANAGEMENT, cell.id, "create %s" % cfg.name)
+        return cell.id
 
     def _claim(self, cell_id: CellId, cfg: CellConfig) -> None:
         """Move cfg's resources from root to cell_id; on any violation, move
@@ -529,7 +543,7 @@ class Hypervisor:
         if cell.state not in (CellState.CREATED, CellState.STOPPED):
             raise BadState("cell %d is %s; start needs created or stopped"
                            % (cell_id, cell.state.value))
-        self._prepare_workload(cell)
+        cell.script_pos = 0
         cell.state = CellState.RUNNING
         self._log(TrapKind.MANAGEMENT, cell_id, "start %s" % cell.name)
 
@@ -564,7 +578,7 @@ class Hypervisor:
         if cell.state is CellState.CREATED:
             raise BadState("cell %d was never started" % cell_id)
         cell.memory_image = {}
-        self._prepare_workload(cell)
+        cell.script_pos = 0
         cell.state = CellState.RUNNING
         self._log(TrapKind.MANAGEMENT, cell_id, "relaunch %s" % cell.name)
 
@@ -713,14 +727,6 @@ class Hypervisor:
                 if cell.state is CellState.RUNNING:
                     issued += self._step_script(cell)
         return issued
-
-    def _prepare_workload(self, cell: Cell) -> None:
-        cell.script_pos = 0
-        cell.script_ops = []
-        workload = cell.config.workload
-        if workload.kind is WorkloadKind.SCRIPT:
-            with open(workload.script_path, "rb") as handle:
-                cell.script_ops = parse_script(decode_utf8(handle.read(), "script file"))
 
     def _step_script(self, cell: Cell) -> int:
         if cell.script_pos >= len(cell.script_ops):

@@ -8,7 +8,9 @@ the ledger by claiming each cell's config in id order, root's first,
 then audits the result, so a corrupt snapshot cannot produce an
 inconsistent session. Nothing else that can be derived is stored
 either: a platform's typed views come from its resources, and a cell's
-distributor emulation count is its exit counter.
+distributor emulation count is its exit counter. A script cell's
+script is stored as the text read at cell create, with its position,
+and load parses that text: it never opens the script file.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ import struct
 from typing import Optional
 
 from ._dsl import decode_utf8
-from .cellconfig import _Reader, emit_binary, load_binary, put_resources, take_resources
-from .errors import BadMagic, InvariantViolation, UnsupportedVersion, ValidationFailed
+from .cellconfig import (
+    WorkloadKind, _Reader, emit_binary, load_binary, put_resources, take_resources)
+from .errors import (
+    BadMagic, ConfigSemanticError, ConfigSyntaxError, InvariantViolation, UnsupportedVersion,
+    ValidationFailed)
 from .hvcore import (
     ROOT_CELL,
     Cell,
@@ -32,7 +37,7 @@ from .hvcore import (
 from .machine import BusModel, DistParams, GicVersion, MachinePlatform, PlatformSpec, build_platform
 
 MAGIC = 0x4A485353
-VERSION = 7
+VERSION = 8
 
 _HEADER = struct.Struct("<IH")
 _U8 = struct.Struct("<B")
@@ -115,6 +120,9 @@ def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
         for addr in sorted(cell.memory_image):
             out += _U64.pack(addr)
             _put_bytes(out, cell.memory_image[addr])
+        if cell.config.workload.kind is WorkloadKind.SCRIPT:
+            out += _U32.pack(cell.script_pos)
+            _put_bytes(out, cell.script.encode("utf-8"))
     return bytes(out)
 
 
@@ -192,11 +200,22 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         if twin != cell_id:
             raise InvariantViolation("cells %d and %d are both named %r"
                                      % (twin, cell_id, config.name))
-        cell = Cell(cell_id, config, state)
+        image = {}
         (n_chunks,) = reader.take(_U32)
         for _ in range(n_chunks):
             (addr,) = reader.take(_U64)
-            cell.memory_image[addr] = _get_bytes(reader)
+            image[addr] = _get_bytes(reader)
+        script, script_pos = "", 0
+        if config.workload.kind is WorkloadKind.SCRIPT:
+            (script_pos,) = reader.take(_U32)
+            script = decode_utf8(_get_bytes(reader), "snapshot script")
+        try:
+            cell = Cell(cell_id, config, state, image, script=script, script_pos=script_pos)
+        except (ConfigSyntaxError, ConfigSemanticError) as exc:
+            raise InvariantViolation("snapshot cell %d script, %s" % (cell_id, exc))
+        if script_pos > len(cell.script_ops):
+            raise InvariantViolation("snapshot cell %d script position %d is past its %d ops"
+                                     % (cell_id, script_pos, len(cell.script_ops)))
         hv.cells[cell_id] = cell
     if ROOT_CELL not in hv.cells:
         raise InvariantViolation("snapshot has no root cell")

@@ -72,6 +72,20 @@ def enable_board(ws):
                "--root", str(ws / "root.cfg"))
 
 
+def refused_at_create(ws, capsys):
+    """Enable, then have `cell create` refuse a guest running ops.txt;
+    check that the state file is unchanged and return the error output."""
+    (ws / "guest.cfg").write_text(GUEST_TEXT + "run script %s\n" % (ws / "ops.txt"))
+    assert enable_board(ws) == 0
+    state = (ws / "cellsim.state").read_bytes()
+    capsys.readouterr()
+    assert run(ws, "cell", "create", str(ws / "guest.cfg")) == 1
+    assert (ws / "cellsim.state").read_bytes() == state
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
 class TestWalkthrough:
     def test_enable_create_start_list(self, ws, capsys):
         assert enable_board(ws) == 0
@@ -310,29 +324,37 @@ class TestNoTracebacks:
         assert enable_board(ws) == 1
         assert "not valid UTF-8" in capsys.readouterr().err
 
+    # A script is read and parsed at `cell create`, so a bad one is refused
+    # there, before the cell takes an id, and the state file stays as it was.
     def test_non_utf8_script_file(self, ws, capsys):
-        script = ws / "ops.txt"
-        script.write_bytes(b"idle \xff\n")
-        (ws / "guest.cfg").write_text(GUEST_TEXT + "run script %s\n" % script)
-        assert enable_board(ws) == 0
-        assert run(ws, "cell", "create", str(ws / "guest.cfg")) == 0
-        capsys.readouterr()
-        assert run(ws, "cell", "start", "guest") == 1
-        assert "not valid UTF-8" in capsys.readouterr().err
+        (ws / "ops.txt").write_bytes(b"idle \xff\n")
+        assert refused_at_create(ws, capsys) == "error: script file is not valid UTF-8\n"
 
     @pytest.mark.parametrize("op, message", [
         ("read 0x10100011 8", "memory access at 0x10100011 not aligned to width 8"),
         ("read 0x10100010 3", "access width must be 1, 2, 4 or 8"),
     ])
     def test_bad_script_access_names_its_line(self, ws, capsys, op, message):
-        script = ws / "ops.txt"
-        script.write_text("idle\n%s\nrepeat\n" % op)
-        (ws / "guest.cfg").write_text(GUEST_TEXT + "run script %s\n" % script)
-        assert enable_board(ws) == 0
-        assert run(ws, "cell", "create", str(ws / "guest.cfg")) == 0
-        capsys.readouterr()
-        assert run(ws, "cell", "start", "guest") == 1
-        assert capsys.readouterr().err == "error: line 2: %s\n" % message
+        (ws / "ops.txt").write_text("idle\n%s\nrepeat\n" % op)
+        assert refused_at_create(ws, capsys) == "error: line 2: %s\n" % message
+
+    def test_missing_script_file(self, ws, capsys):
+        err = refused_at_create(ws, capsys)
+        assert err.startswith("error: ") and "No such file or directory" in err
+
+    @pytest.mark.parametrize("op, message", [
+        ("read 0x10100011 8", "line 2: memory access at 0x10100011 not aligned to width 8"),
+        ("jump 0x10", "line 2, col 1: unknown script op 'jump'"),
+    ])
+    def test_check_config_parses_the_script(self, ws, capsys, op, message):
+        (ws / "ops.txt").write_text("idle\n%s\nrepeat\n" % op)
+        (ws / "guest.cfg").write_text(GUEST_TEXT + "run script %s\n" % (ws / "ops.txt"))
+        for platform in ([], ["--platform", str(ws / "board.platform")]):
+            assert run(ws, "check-config", str(ws / "guest.cfg"), *platform) == 1
+            assert capsys.readouterr() == ("", "error: %s\n" % message)
+        (ws / "ops.txt").write_text("idle\nrepeat\n")
+        assert run(ws, "check-config", str(ws / "guest.cfg")) == 0
+        assert capsys.readouterr().out == "ok: guest\n"
 
     @pytest.mark.parametrize("length", [32, 70_000])
     def test_platform_name_longer_than_31_bytes(self, ws, capsys, length):

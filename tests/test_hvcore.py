@@ -600,6 +600,47 @@ class TestScripts:
         hv.start_cell(cell_id)
         assert hv.step(5) == 1
 
+    def test_script_is_read_once_at_create(self, tmp_path):
+        # start and relaunch run the script as it was at create, like an
+        # image loaded into the cell, whatever became of the file since
+        script = tmp_path / "ops.txt"
+        script.write_text("distwrite 0x0\nidle\nrepeat\n")
+        hv = tiny_hv()
+        cell_id = hv.create_cell(small_cell(
+            workload=Workload(WorkloadKind.SCRIPT, str(script))))
+        script.write_text("instr cpuid\nrepeat\n")
+        hv.start_cell(cell_id)
+        assert hv.step(6) == 3
+        script.unlink()
+        hv.relaunch_cell(cell_id)
+        assert hv.step(6) == 3
+        hv.stop_cell(cell_id)
+        hv.start_cell(cell_id)
+        assert hv.step(6) == 3
+        counts = dict(zip(TrapKind, hv.exits[cell_id]))
+        assert counts[TrapKind.DISTRIBUTOR_EMULATION] == 9
+        assert counts[TrapKind.INSTRUCTION_EMULATION] == 0
+
+    @pytest.mark.parametrize("content, error", [
+        (None, FileNotFoundError),
+        (b"idle \xff\n", InvariantViolation),
+        (b"idle\njump 0x10\n", ConfigSyntaxError),
+        (b"read 0x10080001 4\n", ConfigSemanticError),
+    ])
+    def test_refused_script_changes_nothing(self, tmp_path, content, error):
+        script = tmp_path / "ops.txt"
+        if content is not None:
+            script.write_bytes(content)
+        hv = tiny_hv()
+        before = (hv._next_cell_id, list(hv.events), copy.deepcopy(hv.exits),
+                  list(hv.ledger._claims), dict(hv.ledger._units), list(hv.cells))
+        with pytest.raises(error):
+            hv.create_cell(small_cell(workload=Workload(WorkloadKind.SCRIPT, str(script))))
+        assert (hv._next_cell_id, hv.events, hv.exits, hv.ledger._claims,
+                hv.ledger._units, list(hv.cells)) == before
+        hv.audit()
+        assert hv.create_cell(small_cell()) == 1
+
     @pytest.mark.parametrize("line, text", [
         ("read 0x10", "read needs addr and width"),
         ("instr", "instr needs a name"),

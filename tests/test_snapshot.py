@@ -22,6 +22,8 @@ from cellsim import (
     PermFlags,
     PlatformSpec,
     TrapKind,
+    Workload,
+    WorkloadKind,
     build_platform,
     emit_binary,
     full_platform_config,
@@ -40,6 +42,7 @@ from cellsim.errors import (
     UnsupportedVersion,
 )
 from cellsim import cellconfig, snapshot
+from cellsim.cli import main
 from cellsim.machine import MMIO_NAME_BYTES
 from cellsim.snapshot import MAGIC, VERSION
 
@@ -373,14 +376,148 @@ class TestExitCounters:
                                % bad_id):
                 load_session(blob)
 
-    @pytest.mark.parametrize("old", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("old", [2, 3, 4, 5, 6, 7])
     def test_older_version_blob_rejected(self, old):
-        # v6 embeds v2 configs, which still carried comm declarations
+        # v6 embeds v2 configs, which still carried comm declarations, and
+        # v7 stores no script record
         hv = populated_hv()
         blob = bytearray(save_session(hv.platform, hv))
         struct.pack_into("<H", blob, 4, old)
-        with pytest.raises(UnsupportedVersion, match="version %d, expected 7" % old):
+        with pytest.raises(UnsupportedVersion, match="version %d, expected 8" % old):
             load_session(bytes(blob))
+
+
+SCRIPT_BASE = RAM + 0xD_0000  # above populated_hv's cells
+# Six ops: two direct accesses to the cell's own RAM, a distributor write and
+# a cpuid that trap, an idle turn and the jump back to the first op.
+SCRIPT = ("read 0x%x 4\nwrite 0x%x 8\ndistwrite 0x104\ninstr cpuid\nidle\nrepeat\n"
+          % (SCRIPT_BASE + 0x10, SCRIPT_BASE + 0x100))
+
+
+def script_hv(path, text=SCRIPT, steps=3):
+    """populated_hv plus cell 4, running the script `text` from `path`, after
+    `steps` turns."""
+    path.write_text(text)
+    hv = populated_hv()
+    cell_id = hv.create_cell(small_cell(
+        "scripted", cpu=0, base=SCRIPT_BASE,
+        workload=Workload(WorkloadKind.SCRIPT, str(path))))
+    hv.start_cell(cell_id)
+    hv.step(steps)
+    return hv
+
+
+def _script_record(blob, hv):
+    """Offset of the last cell's script record, which ends the snapshot."""
+    cell = hv.cells[max(hv.cells)]
+    offset = len(blob) - 8 - len(cell.script.encode())
+    assert struct.unpack_from("<II", blob, offset) == (cell.script_pos, len(cell.script.encode()))
+    return offset
+
+
+def assert_steps_alike(hv, restored, turns=14):
+    for _ in range(turns):
+        assert restored.step(1) == hv.step(1)
+    assert (restored.clock, restored.events, restored.exits) == (hv.clock, hv.events, hv.exits)
+    assert restored.cells[4].state is hv.cells[4].state is CellState.RUNNING
+
+
+@pytest.fixture(scope="module")
+def script_blob(tmp_path_factory):
+    hv = script_hv(tmp_path_factory.mktemp("script") / "ops.txt")
+    return save_session(hv.platform, hv)
+
+
+class TestScriptCells:
+    """A script cell's script travels in the snapshot as the text read at
+    cell create, with its position; load never opens the script file."""
+
+    @pytest.mark.parametrize("text, steps", [(SCRIPT, steps) for steps in range(8)] + [
+        ("idle\nread 0x%x 4\n" % SCRIPT_BASE, 3)],  # script_pos == len(ops)
+        ids=["after-%d-turns" % steps for steps in range(8)] + ["ran-off-the-end"])
+    def test_running_script_cell_resumes_where_it_was(self, tmp_path, text, steps):
+        hv = script_hv(tmp_path / "ops.txt", text, steps)
+        assert hv.cells[4].state is CellState.RUNNING
+        (tmp_path / "ops.txt").unlink()
+        _, restored = load_session(save_session(hv.platform, hv))
+        twin = restored.cells[4]
+        assert (twin.script, twin.script_pos) == (text, hv.cells[4].script_pos)
+        assert_steps_alike(hv, restored)
+
+    def test_stopped_script_cell_starts_from_its_stored_script(self, tmp_path):
+        hv = script_hv(tmp_path / "ops.txt", steps=4)
+        hv.stop_cell(4)
+        blob = save_session(hv.platform, hv)
+        (tmp_path / "ops.txt").unlink()
+        _, restored = load_session(blob)
+        for session in (hv, restored):
+            session.start_cell(4)
+        assert_steps_alike(hv, restored)
+        for session in (hv, restored):
+            session.relaunch_cell(4)
+        assert_steps_alike(hv, restored)
+
+    def test_only_script_cells_carry_a_record(self, tmp_path):
+        hv = script_hv(tmp_path / "ops.txt")
+        cell = hv.cells.pop(4)
+        without = len(save_session(hv.platform, hv))
+        hv.cells[4] = cell
+        blob = save_session(hv.platform, hv)
+        record = 4 + 1 + 4 + len(emit_binary(cell.config)) + 4 + 4 + 4 + len(SCRIPT)
+        assert len(blob) - without == record
+
+    @pytest.mark.parametrize("pos, raw, message", [
+        (7, SCRIPT.encode(), "script position 7 is past its 6 ops"),
+        (0, b"idle\njump 0x10\n", "cell 4 script, line 2, col 1: unknown script op 'jump'"),
+        (0, b"read 0x11 8\n", "cell 4 script, line 1: memory access at 0x11 not aligned"),
+        (0, b"idle \xff\n", "snapshot script is not valid UTF-8"),
+    ], ids=["position-past-the-ops", "unknown-op", "unaligned-access", "not-utf8"])
+    def test_malformed_script_record_rejected(self, tmp_path, capsys, pos, raw, message):
+        hv = script_hv(tmp_path / "ops.txt")
+        blob = save_session(hv.platform, hv)
+        offset = _script_record(blob, hv)
+        blob = blob[:offset] + struct.pack("<II", pos, len(raw)) + raw
+        with pytest.raises(InvariantViolation, match=message):
+            load_session(blob)
+        assert _cli_refuses(tmp_path, blob, capsys)
+
+    def test_truncated_script_record_rejected(self, tmp_path, capsys):
+        hv = script_hv(tmp_path / "ops.txt")
+        blob = save_session(hv.platform, hv)
+        for cut in range(_script_record(blob, hv), len(blob)):
+            with pytest.raises(TruncatedRecord):
+                load_session(blob[:cut])
+        assert _cli_refuses(tmp_path, blob[:-1], capsys)
+
+    def test_v7_blob_with_a_script_cell_rejected(self, tmp_path, capsys):
+        hv = script_hv(tmp_path / "ops.txt")
+        blob = bytearray(save_session(hv.platform, hv))
+        struct.pack_into("<H", blob, 4, 7)
+        with pytest.raises(UnsupportedVersion):
+            load_session(bytes(blob))
+        assert _cli_refuses(tmp_path, bytes(blob), capsys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_corrupt_script_session_is_refused_or_loads_sound(self, script_blob, data):
+        blob = _mutated(data, script_blob)
+        try:
+            _, restored = load_session(blob)
+        except CellSimError:
+            return
+        if restored is not None and restored.enabled:
+            restored.audit()
+            restored.step(8)
+
+
+def _cli_refuses(tmp_path, blob, capsys):
+    """`cell list` on a state file holding blob exits 1 with one error line."""
+    state = tmp_path / "bad.state"
+    state.write_bytes(blob)
+    capsys.readouterr()
+    status = main(["--state", str(state), "cell", "list"])
+    out, err = capsys.readouterr()
+    return status == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def _record(resources) -> bytes:
