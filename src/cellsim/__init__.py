@@ -30,7 +30,6 @@ from .hvcore import (
     Cell,
     CellState,
     Hypervisor,
-    HvState,
     OwnershipLedger,
     TrapEvent,
     TrapKind,

@@ -333,13 +333,6 @@ _WORKLOAD_CODES = {kind: code for code, kind in enumerate(WorkloadKind)}
 _WORKLOAD_BY_CODE = {v: k for k, v in _WORKLOAD_CODES.items()}
 
 
-def _padded(name: str, width: int) -> bytes:
-    raw = name.encode("utf-8")
-    if len(raw) >= width:
-        raise InvariantViolation("name %r does not fit %d bytes" % (name, width))
-    return raw.ljust(width, b"\0")
-
-
 def _resource_runs(resources) -> list:
     """The (kind code, field tuples) runs of consecutive resources of one kind."""
     runs = []
@@ -374,7 +367,7 @@ def emit_binary(cfg: CellConfig) -> bytes:
     Emission is deterministic and sorted, so emitting the result of a
     load reproduces the input byte-for-byte.
     """
-    out = bytearray(_HEADER.pack(MAGIC, VERSION, _padded(cfg.name, 32)))
+    out = bytearray(_HEADER.pack(MAGIC, VERSION, cfg.name.encode("utf-8")))
     _put_runs(out, [(_CPU, [(index,) for index in sorted(cfg.cpus)])]
               + _resource_runs(cfg.mem + cfg.devices)
               + [(_IRQ, [(number,) for number in sorted(cfg.irqs)])])

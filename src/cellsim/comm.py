@@ -10,7 +10,6 @@ emulated minimal host controller's config space.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -224,10 +223,3 @@ def pci_cfg_read(hv: Hypervisor, cell_id: int, bdf: int, offset: int) -> int:
     if offset == 0x40:
         return channel.vectors
     return 0
-
-
-def export_trace(hv: Hypervisor) -> str:
-    """Channel traffic as JSON lines: {t, ch, dir, vector, len, latency_us};
-    latency_us is null for a ring whose peer was not running."""
-    lines = [json.dumps(rec, separators=(",", ":")) for rec in hv.channel_trace]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -94,7 +94,7 @@ class NoSuchCell(CellSimError):
 
 
 class NoSuchResource(CellSimError):
-    """Resource is not part of the platform (or has no single owner)."""
+    """The platform has no such resource or memory range."""
 
 
 class BadState(CellSimError):

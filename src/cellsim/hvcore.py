@@ -49,11 +49,6 @@ SENSITIVE_INSTRUCTIONS = frozenset({"cpuid"})
 STEP_NS = 1000
 
 
-class HvState(Enum):
-    DISABLED = "disabled"
-    ENABLED = "enabled"
-
-
 class CellState(Enum):
     CREATED = "created"
     RUNNING = "running"
@@ -325,18 +320,6 @@ class Cell:
         buf[lo - merged_lo:hi - merged_lo] = data
         self.memory_image[merged_lo] = bytes(buf)
 
-    def read_image(self, addr: int, length: int) -> bytes:
-        buf = bytearray(length)
-        for start in sorted(self.memory_image):
-            chunk = self.memory_image[start]
-            end = start + len(chunk)
-            if end <= addr or start >= addr + length:
-                continue
-            src_lo = max(start, addr)
-            src_hi = min(end, addr + length)
-            buf[src_lo - addr:src_hi - addr] = chunk[src_lo - start:src_hi - start]
-        return bytes(buf)
-
 
 # --- workload scripts -------------------------------------------------------
 
@@ -374,7 +357,10 @@ def parse_script(text: str) -> list[tuple]:
         elif keyword == "distwrite":
             if len(tokens) != 2:
                 raise ConfigSyntaxError(lineno, col, "distwrite needs an offset")
-            ops.append(("distwrite", parse_hex(tokens[1], lineno, "offset")))
+            offset = parse_hex(tokens[1], lineno, "offset")
+            if offset % 4:
+                raise ConfigSemanticError("distwrite offset 0x%x not aligned to 4" % offset, lineno)
+            ops.append(("distwrite", offset, lineno))
         elif keyword == "idle":
             ops.append(("idle",))
         elif keyword == "repeat":
@@ -382,6 +368,13 @@ def parse_script(text: str) -> list[tuple]:
         else:
             raise ConfigSyntaxError(lineno, col, "unknown script op %r" % keyword)
     return ops
+
+
+def check_script(ops: list[tuple], platform: MachinePlatform) -> None:
+    """Refuse a distwrite on a platform without a gic-dist window, naming its line."""
+    for op in ops:
+        if op[0] == "distwrite" and platform.gic_dist_window is None:
+            raise ConfigSemanticError("platform %s has no gic-dist window" % platform.name, op[2])
 
 
 def read_script(workload: Workload) -> str:
@@ -408,9 +401,8 @@ class Hypervisor:
         if not 0 <= seed <= U64_MAX:
             raise InvariantViolation("seed %d outside [0, 2^64)" % seed)
         self.platform = platform
-        self.state = HvState.DISABLED
         self.cells: dict[CellId, Cell] = {}
-        self.ledger: Optional[OwnershipLedger] = None
+        self.ledger: Optional[OwnershipLedger] = None  # None while disabled
         self.events: list[TrapEvent] = []
         # Per-cell exit counters, like Jailhouse's per-CPU
         # JAILHOUSE_CPU_STAT_VMEXITS_* statistics: cell id -> one count per
@@ -435,7 +427,7 @@ class Hypervisor:
 
     @property
     def enabled(self) -> bool:
-        return self.state is HvState.ENABLED
+        return self.ledger is not None
 
     def _require_enabled(self) -> None:
         if not self.enabled:
@@ -483,7 +475,6 @@ class Hypervisor:
         self.ledger = OwnershipLedger(self.platform)
         root = Cell(ROOT_CELL, root_cfg, CellState.RUNNING)
         self.cells = {ROOT_CELL: root}
-        self.state = HvState.ENABLED
         self._log(TrapKind.MANAGEMENT, ROOT_CELL, "enable")
         return self
 
@@ -495,6 +486,7 @@ class Hypervisor:
         # The script is read once, before anything is claimed, as `jailhouse
         # cell load` copies an image in: later edits of the file change nothing.
         cell = Cell(self._next_cell_id, cfg, script=read_script(cfg.workload))
+        check_script(cell.script_ops, self.platform)
         self._claim(cell.id, cfg)
         self._next_cell_id += 1
         self.cells[cell.id] = cell
@@ -592,22 +584,6 @@ class Hypervisor:
         self.ledger = None
         self.channels = {}
         self._access_maps.clear()
-        self.state = HvState.DISABLED
-
-    def owner_of(self, resource) -> CellId:
-        self._require_enabled()
-        if isinstance(resource, MemRegion):
-            if self.platform.host_region(resource.base, resource.end) is None:
-                raise NoSuchResource("%r not within platform memory" % (resource,))
-            owner = self.ledger.range_owner(resource.base, resource.end)
-            if owner is None:
-                raise InvariantViolation(
-                    "%r is not within one claim or root's share of one region" % (resource,))
-            return owner
-        owner = self.ledger.owner_of_unit(resource)
-        if owner is None:
-            raise NoSuchResource("%r is not a platform resource" % (resource,))
-        return owner
 
     def audit(self) -> None:
         """Check conservation, exclusivity, and owner liveness, that the
@@ -741,11 +717,8 @@ class Hypervisor:
             cell.script_pos = 1
         if op[0] == "idle":
             return 0
-        if op[0] == "distwrite":
-            window = self.platform.gic_dist_window
-            if window is None:
-                raise NoSuchResource("platform has no gic-dist window")
-            access = Access(AccessKind.MEM_WRITE, window.base + op[1], 4)
+        if op[0] == "distwrite":  # create_cell and load_session refuse it without a window
+            access = Access(AccessKind.MEM_WRITE, self.platform.gic_dist_window.base + op[1], 4)
         else:
             access = op[1]
         self.handle_access(cell.id, access)

@@ -58,9 +58,9 @@ def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
 
     latency = base + H[vmm on] + C[vmm on and stressed, with probability
     contention_prob], observed through jitter and quantization when the
-    bus model has them enabled. Each active component takes one draw per
-    sample from its own stream (the contention size even when the trigger
-    does not fire), so a batch of n equals n single calls.
+    bus model has them enabled, and never below 0. Each active component
+    takes one draw per sample from its own stream (the contention size even
+    when the trigger does not fire), so a batch of n equals n single calls.
     """
     overhead, trigger, contention, jitter = streams
     latency = bus.base_latency_us if size is None else np.full(size, bus.base_latency_us)
@@ -71,19 +71,13 @@ def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
             latency = latency + draw(bus.contention, contention, size) * fires
     if bus.phase_jitter_enabled:
         latency = latency + (jitter.random(size) * LATTICE_US - LATTICE_US / 2)
-    if bus.quantize_enabled:
-        latency = quantize_62_5ns(max(latency, 0.0) if size is None else np.maximum(latency, 0.0))
-    return latency
-
-
-class IrqPath:
-    BARE_METAL = "bare-metal"
-    REINJECTED = "reinjected"
+    latency = max(latency, 0.0) if size is None else np.maximum(latency, 0.0)
+    return quantize_62_5ns(latency) if bus.quantize_enabled else latency
 
 
 @dataclass(frozen=True, eq=False)
 class IrqDeliveries:
-    """One line's deliveries: raise/delivery times (int64 ns), latencies (us)."""
+    """One line's deliveries: path "bare-metal" or "reinjected", times (ns), latencies (us)."""
     line: int
     owner: int
     path: str
@@ -162,7 +156,7 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
         raise InvariantViolation("raise_irqs needs a non-empty sequence of raise times")
     if line not in hv.platform.irq_numbers:
         raise NoSuchLine("platform has no irq line %d" % line)
-    owner, path, stressed = ROOT_CELL, IrqPath.BARE_METAL, False
+    owner, path, stressed = ROOT_CELL, "bare-metal", False
     if hv.enabled:
         owner = hv.ledger.owner_of_unit(IrqLine(line))
         cell = hv.cells[owner]
@@ -171,7 +165,7 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
                     "spurious irq line %d" % line, time_ns=int(raised[0]))
             raise UnownedIrq(
                 "line %d owned by cell %d in state %s" % (line, owner, cell.state.value))
-        path, stressed = IrqPath.REINJECTED, bus_load(hv, cell)
+        path, stressed = "reinjected", bus_load(hv, cell)
     latency = sample_latency(hv.enabled, stressed, hv.platform.bus, streams,
                              size=raised.size)
     delivered = raised + np.floor(latency * 1000.0 + 0.5).astype(np.int64)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum, IntFlag
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from ._dsl import (
     NAME_RE,
@@ -177,9 +177,6 @@ class IrqLine:
             raise InvariantViolation("irq number out of range: %d" % self.number)
 
 
-Resource = Union[Cpu, MemRegion, MmioDevice, PciDevice, IoPortRange, IrqLine]
-
-
 def _check_region(base: int, size: int, what: str) -> None:
     if size <= 0:
         raise InvariantViolation("%s: size must be positive" % what)
@@ -342,7 +339,8 @@ class MachinePlatform:
         for kind, attr in _VIEW_ATTRS.items():
             object.__setattr__(self, attr, tuple(views[kind]))
         object.__setattr__(self, "_irq_numbers", frozenset(r.number for r in self._irq_lines))
-        object.__setattr__(self, "_gic_dist_window", self.find_mmio(GIC_DIST_NAME))
+        object.__setattr__(self, "_gic_dist_window", next(
+            (dev for dev in self._mmio_devices if dev.name == GIC_DIST_NAME), None))
 
     @property
     def cpus(self) -> tuple:
@@ -367,12 +365,6 @@ class MachinePlatform:
     @property
     def pci_devices(self) -> tuple:
         return self._pci_devices
-
-    def find_mmio(self, name: str) -> Optional[MmioDevice]:
-        for dev in self._mmio_devices:
-            if dev.name == name:
-                return dev
-        return None
 
     @property
     def gic_dist_window(self) -> Optional[MmioDevice]:
@@ -463,7 +455,7 @@ def parse_platform(text: str) -> PlatformSpec:
     """
     name = None
     resources: list = []
-    gic = GicVersion.V2
+    gic = None
     bus_kv: dict[str, str] = {}
     seen_cpus: set = set()
 
@@ -471,9 +463,13 @@ def parse_platform(text: str) -> PlatformSpec:
         keyword, kw_col = tokens[0]
         if keyword == "platform":
             require_args(tokens, lineno, 1)
+            if name is not None:
+                raise ConfigSemanticError("duplicate platform directive", lineno)
             name = parse_quoted_name(tokens[1], lineno, "platform name")
         elif keyword == "gic":
             require_args(tokens, lineno, 1)
+            if gic is not None:
+                raise ConfigSemanticError("duplicate gic directive", lineno)
             text_val, col = tokens[1]
             try:
                 gic = GicVersion(text_val)
@@ -488,6 +484,8 @@ def parse_platform(text: str) -> PlatformSpec:
                     raise ConfigSyntaxError(
                         lineno, col, "bad bus parameter %r (known: %s)"
                         % (text_val, ", ".join(sorted(_BUS_KEYS))))
+                if key in bus_kv:
+                    raise ConfigSemanticError("bus %s given twice" % key, lineno)
                 bus_kv[key] = value
         else:
             for resource in parse_resource(tokens, lineno):
@@ -501,7 +499,7 @@ def parse_platform(text: str) -> PlatformSpec:
     if name is None:
         raise ConfigSemanticError('missing platform "<name>" directive')
     return PlatformSpec(
-        name=name, resources=resources, gic_version=gic, bus=_bus_from_kv(bus_kv))
+        name=name, resources=resources, gic_version=gic or GicVersion.V2, bus=_bus_from_kv(bus_kv))
 
 
 def _bus_from_kv(kv: dict[str, str]) -> Optional[BusModel]:

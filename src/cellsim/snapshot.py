@@ -29,10 +29,10 @@ from .hvcore import (
     Cell,
     CellState,
     Hypervisor,
-    HvState,
     OwnershipLedger,
     TrapEvent,
     TrapKind,
+    check_script,
 )
 from .machine import BusModel, DistParams, GicVersion, MachinePlatform, PlatformSpec, build_platform
 
@@ -184,7 +184,6 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         _check_exit_cells(hv)
         return platform, hv
 
-    hv.state = HvState.ENABLED
     (n_cells,) = reader.take(_U32)
     ids_by_name: dict[str, int] = {}
     for _ in range(n_cells):
@@ -211,6 +210,7 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
             script = decode_utf8(_get_bytes(reader), "snapshot script")
         try:
             cell = Cell(cell_id, config, state, image, script=script, script_pos=script_pos)
+            check_script(cell.script_ops, platform)
         except (ConfigSyntaxError, ConfigSemanticError) as exc:
             raise InvariantViolation("snapshot cell %d script, %s" % (cell_id, exc))
         if script_pos > len(cell.script_ops):

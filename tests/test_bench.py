@@ -17,7 +17,6 @@ from cellsim import (
 )
 from cellsim.bench import RESPONDER_BYTES, responder_config, stress_config
 from cellsim.errors import EmptySamples, OutOfRegion
-from cellsim.irq import IrqPath
 
 from conftest import make_tiny_platform
 
@@ -69,14 +68,14 @@ class TestScenarioRuns:
     def test_off_row_is_bare_metal(self, jetson):
         stats, deliveries = run_scenario(
             jetson, Scenario(False, 10.0, False, 200, seed=7))
-        assert deliveries.path == IrqPath.BARE_METAL
+        assert deliveries.path == "bare-metal"
         assert set(deliveries.latency_us.tolist()) <= {0.4375, 0.5}
         assert 0.43 < stats.mean_us < 0.47
 
     def test_on_row_is_reinjected(self, jetson):
         stats, deliveries = run_scenario(
             jetson, Scenario(True, 10.0, False, 200, seed=7))
-        assert deliveries.path == IrqPath.REINJECTED
+        assert deliveries.path == "reinjected"
         assert stats.mean_us > 1.1
 
     def test_reruns_are_bit_identical(self, jetson):

@@ -15,10 +15,12 @@ from cellsim import (
     export_csv,
     jetson_tk1,
     latency_streams,
+    load_platform,
     load_session,
     parse_config,
     raise_irqs,
     run_report,
+    run_scenario,
     save_session,
 )
 from cellsim import cli
@@ -333,6 +335,7 @@ class TestNoTracebacks:
     @pytest.mark.parametrize("op, message", [
         ("read 0x10100011 8", "memory access at 0x10100011 not aligned to width 8"),
         ("read 0x10100010 3", "access width must be 1, 2, 4 or 8"),
+        ("distwrite 0x3", "distwrite offset 0x3 not aligned to 4"),
     ])
     def test_bad_script_access_names_its_line(self, ws, capsys, op, message):
         (ws / "ops.txt").write_text("idle\n%s\nrepeat\n" % op)
@@ -345,6 +348,7 @@ class TestNoTracebacks:
     @pytest.mark.parametrize("op, message", [
         ("read 0x10100011 8", "line 2: memory access at 0x10100011 not aligned to width 8"),
         ("jump 0x10", "line 2, col 1: unknown script op 'jump'"),
+        ("distwrite 0x3", "line 2: distwrite offset 0x3 not aligned to 4"),
     ])
     def test_check_config_parses_the_script(self, ws, capsys, op, message):
         (ws / "ops.txt").write_text("idle\n%s\nrepeat\n" % op)
@@ -355,6 +359,20 @@ class TestNoTracebacks:
         (ws / "ops.txt").write_text("idle\nrepeat\n")
         assert run(ws, "check-config", str(ws / "guest.cfg")) == 0
         assert capsys.readouterr().out == "ok: guest\n"
+
+    def test_distwrite_needs_the_platforms_window(self, ws, capsys):
+        for name in ("board.platform", "root.cfg"):
+            text = (ws / name).read_text()
+            (ws / name).write_text(text.replace("mmio gic-dist 0x50041000 0x1000\n", ""))
+        (ws / "ops.txt").write_text("idle\ndistwrite 0x0\nrepeat\n")
+        (ws / "guest.cfg").write_text(GUEST_TEXT + "run script %s\n" % (ws / "ops.txt"))
+        assert run(ws, "check-config", str(ws / "guest.cfg")) == 0
+        assert capsys.readouterr().out == "ok: guest\n"
+        message = "error: line 2: platform testboard has no gic-dist window\n"
+        assert run(ws, "check-config", str(ws / "guest.cfg"),
+                   "--platform", str(ws / "board.platform")) == 1
+        assert capsys.readouterr() == ("", message)
+        assert refused_at_create(ws, capsys) == message
 
     @pytest.mark.parametrize("length", [32, 70_000])
     def test_platform_name_longer_than_31_bytes(self, ws, capsys, length):
@@ -540,6 +558,19 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[0].split()[:3] == ["VMM", "Freq", "Stress"]
         assert "population standard deviation" in out
+
+    def test_latency_floor_below_the_jitter_without_quantize(self, ws, capsys):
+        # a 0.01 us floor with up to half a tick of jitter either way used
+        # to exit 1 with "delivery before raise"
+        board = ws / "low.platform"
+        board.write_text(PLATFORM_TEXT + "bus base=0.01 quantize=off\n")
+        assert run(ws, "bench", "run", "--platform", str(board), "--samples", "1000") == 0
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 7
+        platform = load_platform(str(board))
+        for sc in canonical_scenarios(n_samples=1000):
+            _, deliveries = run_scenario(platform, sc)
+            assert deliveries.latency_us.min() >= 0.0
 
     def test_run_mode_prints_row_lines(self, ws, capsys):
         assert run(ws, "bench", "run", "--samples", "25", "--seed", "3") == 0

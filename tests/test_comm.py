@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -23,7 +22,7 @@ from cellsim import (
     read_buffer,
     send,
 )
-from cellsim.comm import ABSENT, VENDOR_ID, export_trace
+from cellsim.comm import ABSENT, VENDOR_ID
 from cellsim.errors import (
     BadAlignment,
     BadSize,
@@ -65,7 +64,7 @@ class TestCreateChannel:
         assert channel.region.base == top - PAGE
         assert channel.region.end == top
         # carving moves no ownership
-        assert hv.owner_of(channel.region) == a
+        assert hv.ledger.range_owner(channel.region.base, channel.region.end) == a
         hv.audit()
 
     def test_peer_gets_an_access_grant(self):
@@ -184,7 +183,7 @@ class TestCarve:
             "NotOwnedByRoot(mem [0x%x, 0x%x)): holds the window of channel %d"
             % (window.base - PAGE, window.end, ch))
         assert sorted(hv.cells) == [ROOT_CELL, x]
-        assert hv.owner_of(window) == ROOT_CELL
+        assert hv.ledger.range_owner(window.base, window.end) == ROOT_CELL
         assert hv.handle_access(x, Access(
             AccessKind.MEM_WRITE, window.base, 4)) is AccessOutcome.DIRECT
         hv.audit()
@@ -389,19 +388,12 @@ class TestTrace:
         send(hv, ch, b, 0, b"!", 0)
         twin = latency_streams(hv.seed, "hv-doorbell")
         drawn = [sample_latency(True, True, hv.platform.bus, twin) for _ in range(2)]
-        lines = export_trace(hv).splitlines()
-        records = [json.loads(line) for line in lines]
-        assert records == [
+        assert hv.channel_trace == [
             {"t": hv.clock, "ch": ch, "dir": "a->b", "vector": 1, "len": 4,
              "latency_us": drawn[0]},
             {"t": hv.clock, "ch": ch, "dir": "b->a", "vector": 0, "len": 1,
              "latency_us": drawn[1]},
         ]
-
-    def test_empty_trace_is_empty_string(self):
-        hv = tiny_hv()
-        assert export_trace(hv) == ""
-
 
 # --- window and bdf allocation against a page scan ---------------------------
 

@@ -19,7 +19,6 @@ from cellsim import (
     CellState,
     Cpu,
     Hypervisor,
-    HvState,
     IoPortRange,
     IrqLine,
     MemRegion,
@@ -65,6 +64,19 @@ def tiny_hv(seed=0):
     return enable(platform, full_platform_config(platform), seed=seed)
 
 
+def windowless_hv():
+    """An enabled hypervisor on the tiny platform without its gic-dist window."""
+    platform = build_platform(PlatformSpec("nogic", [
+        r for r in make_tiny_platform().resources if getattr(r, "name", "") != "gic-dist"]))
+    return enable(platform, full_platform_config(platform))
+
+
+def session_facts(hv):
+    """Copies of what a refused create must leave as it was."""
+    return (hv._next_cell_id, list(hv.events), copy.deepcopy(hv.exits),
+            list(hv.ledger._claims), dict(hv.ledger._units), list(hv.cells))
+
+
 def small_cell(name="guest", cpu=1, base=RAM + 0x8_0000, size=0x2000,
                flags=PermFlags.READ | PermFlags.WRITE, **extra):
     return CellConfig(name=name, cpus=[cpu],
@@ -74,7 +86,7 @@ def small_cell(name="guest", cpu=1, base=RAM + 0x8_0000, size=0x2000,
 class TestEnable:
     def test_enable_owns_everything(self, tiny):
         hv = tiny_hv()
-        assert hv.state is HvState.ENABLED
+        assert hv.enabled
         assert hv.cells[ROOT_CELL].state is CellState.RUNNING
         assert hv.ledger.owners() == {ROOT_CELL}
         hv.audit()
@@ -108,7 +120,7 @@ class TestEnable:
                      "NoSuchResource(mem [0xdead0000, 0xdead1000))", "NoSuchResource(irq 99)"):
             assert part in message
         assert "irq 33" not in message
-        assert hv.state is HvState.DISABLED
+        assert not hv.enabled
         assert hv.ledger is None
         assert hv.events == []
         assert hv.cells == {}
@@ -162,10 +174,10 @@ class TestCreate:
         hv = tiny_hv()
         cfg = small_cell(irqs=[33])
         cell_id = hv.create_cell(cfg)
-        assert hv.owner_of(Cpu(1)) == cell_id
-        assert hv.owner_of(IrqLine(33)) == cell_id
-        assert hv.owner_of(MemRegion(RAM + 0x8_0000, 0x2000)) == cell_id
-        assert hv.owner_of(Cpu(0)) == ROOT_CELL
+        assert hv.ledger.owner_of_unit(Cpu(1)) == cell_id
+        assert hv.ledger.owner_of_unit(IrqLine(33)) == cell_id
+        assert hv.ledger.range_owner(RAM + 0x8_0000, RAM + 0x8_2000) == cell_id
+        assert hv.ledger.owner_of_unit(Cpu(0)) == ROOT_CELL
         hv.audit()
 
     def test_name_collision(self):
@@ -188,7 +200,7 @@ class TestCreate:
         assert excinfo.value.violations
         # the failed create must not have moved anything
         hv.audit()
-        assert hv.owner_of(MemRegion(RAM + 0x9_0000, 0x1000)) == ROOT_CELL
+        assert hv.ledger.range_owner(RAM + 0x9_0000, RAM + 0x9_1000) == ROOT_CELL
 
     def test_new_cell_starts_created(self):
         hv = tiny_hv()
@@ -310,7 +322,7 @@ class TestDisable:
             hv.disable()
         hv.destroy_cell(cell_id)
         hv.disable()
-        assert hv.state is HvState.DISABLED
+        assert not hv.enabled
         assert hv.cells == {}
         assert hv.ledger is None
 
@@ -332,7 +344,7 @@ class TestLoadImage:
         hv = tiny_hv()
         cell_id = hv.create_cell(small_cell())
         hv.load_image(cell_id, RAM + 0x8_0000, b"hello")
-        assert hv.cells[cell_id].read_image(RAM + 0x8_0000, 5) == b"hello"
+        assert hv.cells[cell_id].memory_image == {RAM + 0x8_0000: b"hello"}
 
     def test_load_needs_created_or_stopped(self):
         hv = tiny_hv()
@@ -373,11 +385,6 @@ class TestImageChunks:
         cell.write_image(0x2000, b"bb")
         assert sorted(cell.memory_image) == [0x1000, 0x2000]
 
-    def test_read_zero_fills_gaps(self):
-        cell = Cell(1, small_cell())
-        cell.write_image(0x1001, b"z")
-        assert cell.read_image(0x1000, 4) == b"\0z\0\0"
-
     @given(st.lists(
         st.tuples(st.integers(0, 64), st.binary(min_size=1, max_size=16)),
         max_size=12))
@@ -387,7 +394,10 @@ class TestImageChunks:
         for addr, data in writes:
             cell.write_image(addr, data)
             oracle[addr:addr + len(data)] = data
-        assert cell.read_image(0, 128) == bytes(oracle)
+        flat = bytearray(128)
+        for start, chunk in cell.memory_image.items():
+            flat[start:start + len(chunk)] = chunk
+        assert flat == oracle
         # chunks must stay normalized: sorted, non-overlapping, non-adjacent
         starts = sorted(cell.memory_image)
         for a, b in zip(starts, starts[1:]):
@@ -508,7 +518,7 @@ class TestHandleAccess:
 
     def test_owned_mmio_runs_direct(self):
         hv = tiny_hv()
-        uart = hv.platform.find_mmio("uart")
+        uart = next(dev for dev in hv.platform.mmio_devices if dev.name == "uart")
         cfg = small_cell(devices=[uart])
         cell_id = hv.create_cell(cfg)
         hv.start_cell(cell_id)
@@ -626,20 +636,36 @@ class TestScripts:
         (b"idle \xff\n", InvariantViolation),
         (b"idle\njump 0x10\n", ConfigSyntaxError),
         (b"read 0x10080001 4\n", ConfigSemanticError),
+        (b"distwrite 0x3\n", ConfigSemanticError),
     ])
     def test_refused_script_changes_nothing(self, tmp_path, content, error):
         script = tmp_path / "ops.txt"
         if content is not None:
             script.write_bytes(content)
         hv = tiny_hv()
-        before = (hv._next_cell_id, list(hv.events), copy.deepcopy(hv.exits),
-                  list(hv.ledger._claims), dict(hv.ledger._units), list(hv.cells))
+        before = session_facts(hv)
         with pytest.raises(error):
             hv.create_cell(small_cell(workload=Workload(WorkloadKind.SCRIPT, str(script))))
-        assert (hv._next_cell_id, hv.events, hv.exits, hv.ledger._claims,
-                hv.ledger._units, list(hv.cells)) == before
+        assert session_facts(hv) == before
         hv.audit()
         assert hv.create_cell(small_cell()) == 1
+
+    def test_distwrite_without_a_window_is_refused_at_create(self, tmp_path):
+        # step used to raise on it after the clock had moved, and the cell
+        # stayed running
+        script = tmp_path / "ops.txt"
+        script.write_text("idle\ndistwrite 0x0\nrepeat\n")
+        hv = windowless_hv()
+        before = session_facts(hv)
+        with pytest.raises(ConfigSemanticError,
+                           match="^line 2: platform nogic has no gic-dist window$"):
+            hv.create_cell(small_cell(workload=Workload(WorkloadKind.SCRIPT, str(script))))
+        assert session_facts(hv) == before
+        hv.audit()
+        script.write_text("idle\nread 0x10080000 4\nrepeat\n")
+        cell_id = hv.create_cell(small_cell(workload=Workload(WorkloadKind.SCRIPT, str(script))))
+        hv.start_cell(cell_id)
+        assert hv.step(4) == 2 and hv.clock == 4 * STEP_NS
 
     @pytest.mark.parametrize("line, text", [
         ("read 0x10", "read needs addr and width"),
@@ -656,6 +682,7 @@ class TestScripts:
         ("read 0x11 8", "line 2: memory access at 0x11 not aligned to width 8"),
         ("write 0x10 3", "line 2: access width must be 1, 2, 4 or 8"),
         ("iowrite 0x3f8 16", "line 2: access width must be 1, 2, 4 or 8"),
+        ("distwrite 0x3", "line 2: distwrite offset 0x3 not aligned to 4"),
     ])
     def test_bad_access_names_its_line(self, line, text):
         with pytest.raises(ConfigSemanticError, match=text) as excinfo:
@@ -765,10 +792,12 @@ class TestEvents:
 
     def test_owner_of_unknown_resource(self):
         hv = tiny_hv()
+        assert hv.ledger.owner_of_unit(Cpu(9)) is None
+        assert hv.ledger.range_owner(0xF000_0000, 0xF000_1000) is None
         with pytest.raises(NoSuchResource):
-            hv.owner_of(Cpu(9))
+            hv.ledger.transfer_unit(Cpu(9), ROOT_CELL, 1)
         with pytest.raises(NoSuchResource):
-            hv.owner_of(MemRegion(0xF000_0000, 0x1000))
+            hv.ledger.transfer_range(MemRegion(0xF000_0000, 0x1000), ROOT_CELL, 1)
 
 
 class TestAudit:
@@ -964,9 +993,8 @@ class TestLedger:
         hv = tiny_hv()
         cell_id = hv.create_cell(CellConfig(name="g", cpus=[1], mem=[
             MemRegion(RAM, 0x1000), MemRegion(RAM + 0x1000, 0x1000)]))
-        assert hv.owner_of(MemRegion(RAM + 0x1000, 0x1000)) == cell_id
-        with pytest.raises(InvariantViolation, match="not within one claim"):
-            hv.owner_of(MemRegion(RAM, 0x2000))
+        assert hv.ledger.range_owner(RAM + 0x1000, RAM + 0x2000) == cell_id
+        assert hv.ledger.range_owner(RAM, RAM + 0x2000) is None  # spans two claims
 
     def test_adjacent_claims_keep_their_own_flags(self):
         hv = tiny_hv()
@@ -1011,7 +1039,7 @@ class LifecycleMachine(RuleBasedStateMachine):
     @rule(cpu=st.sampled_from([1, 2, 3]))
     def create(self, cpu):
         base = self._free_page()
-        if base is None or self.hv.owner_of(Cpu(cpu)) != ROOT_CELL:
+        if base is None or self.hv.ledger.owner_of_unit(Cpu(cpu)) != ROOT_CELL:
             return
         self.counter += 1
         self.hv.create_cell(CellConfig(

@@ -35,8 +35,8 @@ from cellsim.errors import (
 )
 from cellsim.comm import create_channel, send
 from cellsim.hvcore import EXIT_SLOT, Access, AccessKind
-from cellsim.irq import LATTICE_US, IrqPath, distributor_access, draw
-from cellsim.machine import bus_load
+from cellsim.irq import LATTICE_US, distributor_access, draw
+from cellsim.machine import bus_load, parse_platform
 from cellsim.rng import h64, make_rng, make_streams
 
 from conftest import make_tiny_platform
@@ -166,6 +166,32 @@ class TestSampleLatency:
         # contention fires with p=0.1 and adds 1.0 on average
         assert loaded - calm == pytest.approx(0.10, abs=0.02)
 
+    @pytest.mark.parametrize("quantize", ["on", "off"])
+    def test_latency_is_clamped_at_zero(self, quantize):
+        # a 0.01 us floor plus jitter of up to half a tick either way dips below 0
+        bus = low_floor_bus(quantize)
+        batch = sample_latency(False, False, bus, latency_streams(12, "clamp"), size=4000)
+        streams = latency_streams(12, "clamp")
+        singles = [sample_latency(False, False, bus, streams) for _ in range(4000)]
+        assert batch.tolist() == singles
+        assert batch.min() == 0.0 and batch.max() > 0.0
+
+    def test_clamped_deliveries_and_doorbells_are_never_early(self):
+        platform = replace(make_tiny_platform(), bus=low_floor_bus("off", "hv-logmu=-20"))
+        delivery = raise_irqs(Hypervisor(platform), 33, range(0, 4000_000, 1000),
+                              latency_streams(13))
+        assert (delivery.delivered_at >= delivery.raised_at).all()
+        assert delivery.latency_us.min() == 0.0
+        hv = enable(platform, full_platform_config(platform))
+        a = hv.create_cell(small_cell("alpha", cpu=1, size=0x4000))
+        b = hv.create_cell(small_cell("beta", cpu=2, base=RAM + 0xC_0000, size=0x4000))
+        hv.start_cell(b)
+        ch = create_channel(hv, a, b, 0x1000, 1)
+        for _ in range(200):
+            send(hv, ch, a, 0, b"ring", 0)
+        latencies = [record["latency_us"] for record in hv.channel_trace]
+        assert min(latencies) == 0.0 and max(latencies) > 0.0
+
     def test_draw_order_is_pinned(self):
         # one draw per component per sample, each from its own stream,
         # summed in the order base, overhead, contention, jitter
@@ -201,6 +227,12 @@ class TestSampleLatency:
         assert stream_a == stream_b
 
 
+def low_floor_bus(quantize, *extra):
+    """A bus model whose 0.01 us floor the phase jitter can take below 0."""
+    return parse_platform('platform "p"\ncpu 0\nbus base=0.01 hv-shift=0 quantize=%s %s\n'
+                          % (quantize, " ".join(extra))).bus
+
+
 class TestRaiseIrq:
     def test_unknown_line(self):
         hv = tiny_hv()
@@ -212,7 +244,7 @@ class TestRaiseIrq:
         hv = Hypervisor(platform)
         delivery = raise_irq(hv, 33, 1000, latency_streams(1))
         assert isinstance(delivery, IrqDeliveries)
-        assert delivery.path == IrqPath.BARE_METAL
+        assert delivery.path == "bare-metal"
         assert delivery.owner == 0
         assert delivery.raised_at.tolist() == [1000]
         assert delivery.latency_us[0] in (0.4375, 0.5)
@@ -223,7 +255,7 @@ class TestRaiseIrq:
         hv = tiny_hv()
         events, exits = list(hv.events), copy.deepcopy(hv.exits)
         delivery = raise_irq(hv, 33, 12345, latency_streams(2))
-        assert delivery.path == IrqPath.REINJECTED
+        assert delivery.path == "reinjected"
         assert delivery.owner == 0
         assert delivery.raised_at.tolist() == [12345]
         exits[0][EXIT_SLOT[TrapKind.IRQ_REINJECTION]] += 1
@@ -495,7 +527,7 @@ class TestRecordTypes:
 
     def test_irq_deliveries_consistency(self):
         def deliveries(delivered, latency):
-            return IrqDeliveries(33, 0, IrqPath.REINJECTED, np.array([1000, 2000]),
+            return IrqDeliveries(33, 0, "reinjected", np.array([1000, 2000]),
                                  np.array(delivered), np.array(latency))
         deliveries([1450, 2500], [0.45, 0.5])
         with pytest.raises(InvariantViolation):

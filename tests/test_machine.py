@@ -352,7 +352,9 @@ class TestPlatformParsing:
         assert platform.bus.base_latency_us == pytest.approx(0.5)
         assert platform.bus.quantize_enabled is False
         assert platform.bus.phase_jitter_enabled is True
-        assert platform.find_mmio("uart").base == 0x7000_6000
+        assert [dev.name for dev in platform.mmio_devices] == ["gic-dist", "uart"]
+        assert platform.gic_dist_window is platform.mmio_devices[0]
+        assert platform.mmio_devices[1].base == 0x7000_6000
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ConfigSyntaxError) as excinfo:
@@ -380,6 +382,21 @@ class TestPlatformParsing:
     def test_bad_gic_and_bus_lines_are_refused(self, line, error, text):
         with pytest.raises(error, match=text):
             parse_platform('platform "p"\ncpu 0\n%s\n' % line)
+
+    @pytest.mark.parametrize("lines, text", [
+        ('platform "q"', "line 3: duplicate platform directive"),
+        ("gic v3\ngic v2", "line 4: duplicate gic directive"),
+        ("bus base=0.5 base=0.6", "line 3: bus base given twice"),
+        ("bus quantize=off\nbus jitter=off quantize=on", "line 4: bus quantize given twice"),
+    ])
+    def test_repeated_directive_is_refused_on_its_line(self, lines, text):
+        # the first one used to be replaced silently by the last
+        with pytest.raises(ConfigSemanticError, match="^%s$" % text):
+            parse_platform('platform "p"\ncpu 0\n%s\n' % lines)
+
+    def test_bus_keys_may_span_lines(self):
+        bus = parse_platform('platform "p"\ncpu 0\nbus base=0.5\nbus quantize=off\n').bus
+        assert (bus.base_latency_us, bus.quantize_enabled) == (0.5, False)
 
     def test_platform_line_is_required(self):
         with pytest.raises(ConfigSemanticError, match='missing platform "<name>"'):

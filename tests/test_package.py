@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +29,12 @@ def test_dir_lists_lazy_names():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'cellsim' has no attribute 'no_such_name'"):
         cellsim.no_such_name
+
+
+def test_readme_library_use_block_prints_what_it_shows(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "1.3125 us via reinjected\n"
+    assert block.endswith("\n# 1.3125 us via reinjected\n")

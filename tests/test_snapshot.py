@@ -13,7 +13,6 @@ from cellsim import (
     Cpu,
     GicVersion,
     Hypervisor,
-    HvState,
     IoPortRange,
     IrqLine,
     MemRegion,
@@ -48,7 +47,7 @@ from cellsim.snapshot import MAGIC, VERSION
 
 from conftest import make_tiny_platform
 from gen import random_config, random_platform
-from test_hvcore import RAM, small_cell, tiny_hv
+from test_hvcore import RAM, small_cell, tiny_hv, windowless_hv
 
 
 def populated_hv():
@@ -101,7 +100,7 @@ class TestDisabledSession:
         hv = Hypervisor(tiny, seed=5)
         platform, restored = load_session(save_session(tiny, hv))
         assert restored is not None
-        assert restored.state is HvState.DISABLED
+        assert not restored.enabled and restored.ledger is None
         assert restored.seed == 5
         assert restored.events == []
 
@@ -109,7 +108,7 @@ class TestDisabledSession:
         hv = tiny_hv()
         hv.disable()
         _, restored = load_session(save_session(hv.platform, hv))
-        assert restored.state is HvState.DISABLED
+        assert not restored.enabled and restored.ledger is None
         assert [e.detail for e in restored.events] == ["enable", "disable"]
 
 
@@ -139,9 +138,10 @@ class TestEnabledSession:
         for resource in hv.platform.resources:
             if isinstance(resource, MemRegion):
                 continue
-            assert restored.owner_of(resource) == hv.owner_of(resource)
-        assert restored.owner_of(MemRegion(RAM + 0x8_0000, 0x2000)) == 1
-        assert restored.owner_of(MemRegion(RAM + 0x1_0000, 0x1000)) == 0
+            assert (restored.ledger.owner_of_unit(resource)
+                    == hv.ledger.owner_of_unit(resource))
+        assert restored.ledger.range_owner(RAM + 0x8_0000, RAM + 0x8_2000) == 1
+        assert restored.ledger.range_owner(RAM + 0x1_0000, RAM + 0x1_1000) == 0
         assert restored.ledger.keys_multiset() == hv.ledger.keys_multiset()
 
     def test_cell_id_sequence_continues(self):
@@ -196,7 +196,7 @@ class TestRejection:
             hv.audit()
         # the ledger is not stored, so the corruption cannot be saved
         _, restored = load_session(save_session(hv.platform, hv))
-        assert restored.owner_of(Cpu(1)) == 1
+        assert restored.ledger.owner_of_unit(Cpu(1)) == 1
 
     def test_unit_set_divergence_rejected(self):
         hv = populated_hv()
@@ -341,7 +341,7 @@ class TestExitCounters:
     def test_disabled_session_keeps_counters_and_next_id(self):
         hv = disabled_after_populating()
         _, restored = load_session(save_session(hv.platform, hv))
-        assert restored.state is HvState.DISABLED
+        assert not restored.enabled and restored.ledger is None
         assert restored.exits == hv.exits and set(hv.exits) == {0, 1, 2, 3}
         assert restored._next_cell_id == 4
 
@@ -478,6 +478,19 @@ class TestScriptCells:
         offset = _script_record(blob, hv)
         blob = blob[:offset] + struct.pack("<II", pos, len(raw)) + raw
         with pytest.raises(InvariantViolation, match=message):
+            load_session(blob)
+        assert _cli_refuses(tmp_path, blob, capsys)
+
+    def test_distwrite_on_a_windowless_platform_rejected(self, tmp_path, capsys):
+        # create_cell refuses this script, so only a crafted snapshot holds it
+        (tmp_path / "ops.txt").write_text("idle\nrepeat\n")
+        hv = windowless_hv()
+        cell_id = hv.create_cell(small_cell(
+            workload=Workload(WorkloadKind.SCRIPT, str(tmp_path / "ops.txt"))))
+        hv.cells[cell_id].script = "idle\ndistwrite 0x0\n"
+        blob = save_session(hv.platform, hv)
+        with pytest.raises(InvariantViolation,
+                           match="cell 1 script, line 2: platform nogic has no gic-dist window"):
             load_session(blob)
         assert _cli_refuses(tmp_path, blob, capsys)
 
