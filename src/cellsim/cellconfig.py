@@ -268,7 +268,7 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
     own: an empty list means a create with this config would succeed. CPUs
     and IRQ lines are compared as ints, built only to report or to ask the ledger."""
     cpus = {cpu.index for cpu in platform.cpus}
-    devices = set(platform.mmio_devices + platform.pci_devices + platform.io_port_ranges)
+    devices = platform.units  # a config's devices are units of the device kinds
     missing = ([Cpu(index) for index in sorted(cfg.cpus - cpus)]
                + [dev for dev in cfg.devices if dev not in devices]
                + [IrqLine(number) for number in sorted(cfg.irqs - platform.irq_numbers)])

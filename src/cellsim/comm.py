@@ -159,18 +159,18 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
     if not 0 <= vector < channel.vectors:
         raise BadVector("vector %d outside 0..%d" % (vector, channel.vectors - 1))
 
-    channel.buffer[offset:offset + len(payload)] = payload
-    channel.pending[peer].append(vector)
-
     peer_cell = hv.cells.get(peer)
     latency = None  # no virtual IRQ reaches a peer that is not running
     if peer_cell is not None and peer_cell.state is CellState.RUNNING:
         if hv._doorbell_streams is None:  # four streams cost ~100 us
             hv._doorbell_streams = latency_streams(hv.seed, "hv-doorbell")
+        # drawn first, so that a refused latency leaves the channel as it was
         latency = sample_latency(True, bus_load(hv, peer_cell), hv.platform.bus,
                                  hv._doorbell_streams)
         hv._log(TrapKind.IRQ_REINJECTION, peer,
                 "doorbell ch=%d vector=%d" % (ch_id, vector))
+    channel.buffer[offset:offset + len(payload)] = payload
+    channel.pending[peer].append(vector)
     direction = "a->b" if from_cell == channel.cell_a else "b->a"
     hv.channel_trace.append(
         {"t": hv.clock, "ch": ch_id, "dir": direction,

@@ -165,8 +165,7 @@ class OwnershipLedger:
 
     def __init__(self, platform: MachinePlatform):
         self._platform = platform
-        self._units = {resource: ROOT_CELL for resource in platform.resources
-                       if not isinstance(resource, MemRegion)}
+        self._units = dict.fromkeys(platform.units, ROOT_CELL)
         self._claims: list[tuple[int, int, CellId, PermFlags]] = []
 
     def owner_of_unit(self, resource) -> Optional[CellId]:
@@ -257,7 +256,7 @@ class OwnershipLedger:
         """Raise unless the units match the platform and the claims are
         ordered, disjoint and each inside one platform region's flags."""
         platform = self._platform
-        if set(self._units) != set(platform.resources) - set(platform.mem_regions):
+        if frozenset(self._units) != platform.units:
             raise InvariantViolation("unit ledger keys diverge from platform")
         prev_hi = 0
         for lo, hi, _, flags in self._claims:

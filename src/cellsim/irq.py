@@ -32,10 +32,15 @@ LATTICE_US = 0.0625  # 62.5 ns timer resolution
 
 
 def quantize_62_5ns(t_us):
-    """Snap a latency or an array to the nearest lattice point; ties round up."""
-    if (t_us < 0).any() if isinstance(t_us, np.ndarray) else t_us < 0:
+    """Snap a latency, or an array into one new array, to the lattice; ties round up."""
+    batch = isinstance(t_us, np.ndarray)
+    if (t_us.min(initial=0.0) if batch else t_us) < 0:
         raise InvariantViolation("cannot quantize a negative time")
-    return (t_us / LATTICE_US + 0.5) // 1 * LATTICE_US  # // 1 floors floats and arrays alike
+    if not batch:
+        return (t_us / LATTICE_US + 0.5) // 1 * LATTICE_US  # a float's // 1 is its floor
+    snapped = t_us / LATTICE_US
+    snapped += 0.5
+    return np.multiply(np.floor(snapped, out=snapped), LATTICE_US, out=snapped)
 
 
 def latency_streams(seed: int, tag: str = "") -> tuple:
@@ -46,10 +51,14 @@ def latency_streams(seed: int, tag: str = "") -> tuple:
 
 def draw(params: DistParams, rng, size=None):
     """One draw of shift_us + exp(N(log_mu, log_sigma)) as a float, or size
-    draws as an array. Both use np.exp, so a batch equals as many single
-    draws (math.exp can differ by an ulp)."""
-    grown = np.exp(params.log_mu + params.log_sigma * rng.standard_normal(size))
-    return params.shift_us + (float(grown) if size is None else grown)
+    draws as an array built in place. Both use np.exp, so a batch equals as
+    many single draws (math.exp can differ by an ulp)."""
+    grown = rng.standard_normal(size)
+    grown *= params.log_sigma  # in place for an array, a new float for one draw
+    grown += params.log_mu
+    grown = float(np.exp(grown)) if size is None else np.exp(grown, out=grown)
+    grown += params.shift_us
+    return grown
 
 
 def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
@@ -64,15 +73,29 @@ def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
     """
     overhead, trigger, contention, jitter = streams
     latency = bus.base_latency_us if size is None else np.full(size, bus.base_latency_us)
-    if vmm_on:
-        latency = latency + draw(bus.hv_overhead, overhead, size)
+    if vmm_on:  # an array is summed in place, a term at a time, in this order
+        latency += draw(bus.hv_overhead, overhead, size)
         if stressed:
-            fires = trigger.random(size) < bus.contention_prob
-            latency = latency + draw(bus.contention, contention, size) * fires
+            extra = draw(bus.contention, contention, size)
+            extra *= trigger.random(size) < bus.contention_prob
+            latency += extra
     if bus.phase_jitter_enabled:
-        latency = latency + (jitter.random(size) * LATTICE_US - LATTICE_US / 2)
-    latency = max(latency, 0.0) if size is None else np.maximum(latency, 0.0)
-    return quantize_62_5ns(latency) if bus.quantize_enabled else latency
+        phase = jitter.random(size)
+        phase *= LATTICE_US
+        phase -= LATTICE_US / 2
+        latency += phase
+    latency = max(latency, 0.0) if size is None else np.maximum(latency, 0.0, out=latency)
+    latency = quantize_62_5ns(latency) if bus.quantize_enabled else latency
+    return _check_fits(latency, 0) if size is None else latency  # raise_irqs checks a batch
+
+
+def _check_fits(top_us: float, last_ns: int) -> float:
+    """top_us, unless it is not finite or delivers at or past 2^63 ns after
+    raise time last_ns (floor(x) < n iff x < n; NaN and inf fail the <)."""
+    if not top_us * 1000.0 + 0.5 < 2 ** 63 - last_ns:
+        raise InvariantViolation("latency %r us is not finite or delivers past the"
+                                 " int64 ns clock" % top_us)
+    return top_us
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +110,12 @@ class IrqDeliveries:
 
     def __post_init__(self):
         span = self.delivered_at - self.raised_at
-        if (span < 0).any():
+        if span.min(initial=0) < 0:
             raise InvariantViolation("delivery before raise")
         # timestamps are whole ns, so allow half an ns of rounding
-        if (np.abs(span - self.latency_us * 1000.0) > 0.5).any():
+        gap = self.latency_us * 1000.0
+        np.subtract(span, gap, out=gap)
+        if np.abs(gap, out=gap).max(initial=0.0) > 0.5:
             raise InvariantViolation("timestamps disagree with latency")
 
 
@@ -166,10 +191,15 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
             raise UnownedIrq(
                 "line %d owned by cell %d in state %s" % (line, owner, cell.state.value))
         path, stressed = "reinjected", bus_load(hv, cell)
-    latency = sample_latency(hv.enabled, stressed, hv.platform.bus, streams,
-                             size=raised.size)
-    delivered = raised + np.floor(latency * 1000.0 + 0.5).astype(np.int64)
-    hv.clock = max(hv.clock, int(raised.max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        latency = sample_latency(hv.enabled, stressed, hv.platform.bus, streams, size=raised.size)
+    last = int(raised.max())
+    _check_fits(float(latency.max()), last)
+    delivered = latency * 1000.0  # whole ns, in one float buffer freed by the cast
+    delivered += 0.5
+    delivered = np.floor(delivered, out=delivered).astype(np.int64)
+    delivered += raised
+    hv.clock = max(hv.clock, last)
     if hv.enabled:
         hv._count(TrapKind.IRQ_REINJECTION, owner, raised.size)
     return IrqDeliveries(line, owner, path, raised, delivered, latency)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum, IntFlag
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from ._dsl import (
@@ -339,36 +340,20 @@ class MachinePlatform:
         for kind, attr in _VIEW_ATTRS.items():
             object.__setattr__(self, attr, tuple(views[kind]))
         object.__setattr__(self, "_irq_numbers", frozenset(r.number for r in self._irq_lines))
+        object.__setattr__(self, "_units", frozenset(self.resources) - set(self._mem_regions))
         object.__setattr__(self, "_gic_dist_window", next(
             (dev for dev in self._mmio_devices if dev.name == GIC_DIST_NAME), None))
 
-    @property
-    def cpus(self) -> tuple:
-        return self._cpus
-
-    @property
-    def mem_regions(self) -> tuple:
-        return self._mem_regions
-
-    @property
-    def mmio_devices(self) -> tuple:
-        return self._mmio_devices
-
-    @property
-    def irq_numbers(self) -> frozenset:
-        return self._irq_numbers
-
-    @property
-    def io_port_ranges(self) -> tuple:
-        return self._io_port_ranges
-
-    @property
-    def pci_devices(self) -> tuple:
-        return self._pci_devices
-
-    @property
-    def gic_dist_window(self) -> Optional[MmioDevice]:
-        return self._gic_dist_window
+    # Public views: plain properties over derived attributes, so a tracer can
+    # wrap the getters. units (all but RAM) is hashed once, for every ledger.
+    cpus = property(attrgetter("_cpus"))
+    mem_regions = property(attrgetter("_mem_regions"))
+    mmio_devices = property(attrgetter("_mmio_devices"))
+    irq_numbers = property(attrgetter("_irq_numbers"))
+    io_port_ranges = property(attrgetter("_io_port_ranges"))
+    pci_devices = property(attrgetter("_pci_devices"))
+    gic_dist_window = property(attrgetter("_gic_dist_window"))  # Optional[MmioDevice]
+    units = property(attrgetter("_units"))
 
     def host_region(self, lo: int, hi: int) -> Optional[MemRegion]:
         """The platform RAM region that contains [lo, hi), or None."""

@@ -63,6 +63,20 @@ class TestSummarize:
         with pytest.raises(EmptySamples):
             summarize([1.0, float("inf")])
 
+    def test_negative_infinity_rejected(self):
+        # only the minimum sees it: the maximum of these is 1.0
+        with pytest.raises(EmptySamples):
+            summarize([1.0, float("-inf")])
+
+    def test_equals_numpy_mean_and_std_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            arr = rng.lognormal(rng.normal(), 2.0, size=int(rng.integers(1, 20_000)))
+            arr *= 10.0 ** int(rng.integers(-6, 6))
+            stats = summarize(arr)
+            assert (stats.mean_us, stats.sigma_us, stats.max_us) == (
+                float(arr.mean()), float(arr.std()), float(arr.max()))
+
 
 class TestScenarioRuns:
     def test_off_row_is_bare_metal(self, jetson):

@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -227,10 +228,14 @@ class TestSampleLatency:
         assert stream_a == stream_b
 
 
+def _bus(extra):
+    """The bus model of a platform file's `bus` line."""
+    return parse_platform('platform "p"\ncpu 0\nbus %s\n' % extra).bus
+
+
 def low_floor_bus(quantize, *extra):
     """A bus model whose 0.01 us floor the phase jitter can take below 0."""
-    return parse_platform('platform "p"\ncpu 0\nbus base=0.01 hv-shift=0 quantize=%s %s\n'
-                          % (quantize, " ".join(extra))).bus
+    return _bus("base=0.01 hv-shift=0 quantize=%s %s" % (quantize, " ".join(extra)))
 
 
 class TestRaiseIrq:
@@ -536,12 +541,14 @@ class TestRecordTypes:
             deliveries([1450, 3000], [0.45, 0.5])
 
 
-def _twin(row, measured):
+def _twin(row, measured, bus=None):
     """A hypervisor for one benchmark row on the tiny platform: off (not
     enabled), on (a running responder owns irq 33) or stressed (plus a
-    running stress neighbour); the bus with or without measurement."""
+    running stress neighbour); the bus with or without measurement, or
+    the bus given."""
     tiny = make_tiny_platform()
-    bus = tiny.bus if measured else tiny.bus.without_measurement()
+    if bus is None:
+        bus = tiny.bus if measured else tiny.bus.without_measurement()
     platform = replace(tiny, bus=bus)
     if row == "off":
         return Hypervisor(platform, seed=3)
@@ -581,3 +588,77 @@ class TestRaiseIrqsMatchesLoop:
         if row == "stressed":  # only the contention term tells it from the calm row
             calm = raise_irqs(_twin("on", measured), 33, times, latency_streams(3, "twin"))
             assert 0.05 < np.mean(batch.latency_us != calm.latency_us) < 0.15
+
+
+class TestOverflowingModelIsRefused:
+    """A latency that is not finite, or whose delivery time does not fit
+    int64 ns, is refused with one domain error on both sampler paths."""
+
+    @pytest.mark.parametrize("extra", [
+        "hv-logmu=800", "base=1e300", "cont-mean=1e300 cont-prob=1"])
+    def test_batch_is_refused_without_a_warning(self, extra):
+        hv = _twin("stressed", True, bus=_bus(extra))
+        before = (copy.deepcopy(hv.exits), hv.clock, list(hv.events))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="not finite or delivers past"):
+                raise_irqs(hv, 33, range(0, 1000_000, 1000), latency_streams(1))
+        assert (hv.exits, hv.clock, hv.events) == before
+
+    def test_delivery_must_fit_int64_ns(self):
+        # 10^12 us is exactly 10^15 ns, so the last raise time that still
+        # fits delivers at 2^63 - 1 ns, and one ns later does not fit
+        bus = _bus("base=1e12 quantize=off jitter=off")
+        hv = Hypervisor(replace(make_tiny_platform(), bus=bus))
+        last = 2 ** 63 - 1 - 10 ** 15
+        deliveries = raise_irqs(hv, 33, [0, last], latency_streams(2))
+        assert deliveries.delivered_at.tolist() == [10 ** 15, 2 ** 63 - 1]
+        with pytest.raises(InvariantViolation, match="int64 ns clock"):
+            raise_irqs(hv, 33, [0, last + 1], latency_streams(2))
+
+    @pytest.mark.parametrize("extra", ["base=1e300", "base=1e308"])
+    def test_single_draw_is_refused(self, extra):
+        # 1e300 us fits no int64 ns; 1e308 us overflows the lattice snap to NaN
+        with pytest.raises(InvariantViolation, match="not finite or delivers past"):
+            sample_latency(True, True, _bus(extra), latency_streams(3))
+
+    def test_doorbell_is_refused_and_leaves_the_channel_alone(self):
+        hv = enable(replace(make_tiny_platform(), bus=_bus("base=1e308")),
+                    full_platform_config(make_tiny_platform()))
+        a = hv.create_cell(small_cell("alpha", cpu=1, size=0x4000))
+        b = hv.create_cell(small_cell("beta", cpu=2, base=RAM + 0xC_0000, size=0x4000))
+        hv.start_cell(b)
+        ch = create_channel(hv, a, b, 0x1000, 1)
+        events = list(hv.events)
+        with pytest.raises(InvariantViolation, match="not finite"):
+            send(hv, ch, a, 0, b"ring", 0)
+        assert hv.channel_trace == [] and hv.events == events
+        assert not any(hv.channels[ch].pending.values())
+        assert bytes(hv.channels[ch].buffer[:4]) == bytes(4)
+
+
+class TestKernelLeavesCallerArraysAlone:
+    def test_raise_irqs_keeps_the_raise_times(self):
+        times = np.arange(0, 3_000_000, 1000, dtype=np.int64)
+        kept = times.copy()
+        hv = _twin("stressed", True)
+        first = raise_irqs(hv, 33, times, latency_streams(5))
+        seen = (first.raised_at.copy(), first.delivered_at.copy(), first.latency_us.copy())
+        raise_irqs(hv, 33, times, latency_streams(6))  # a later call on the same input
+        assert np.array_equal(times, kept)
+        assert all(np.array_equal(now, then) for now, then in zip(
+            (first.raised_at, first.delivered_at, first.latency_us), seen))
+
+    def test_quantize_returns_a_new_array(self):
+        t = np.array([0.0, 0.03125, 0.45, 1.27, 5.3])
+        kept = t.copy()
+        snapped = quantize_62_5ns(t)
+        assert snapped is not t and np.array_equal(t, kept)
+        assert snapped.tolist() == [0.0, 0.0625, 0.4375, 1.25, 5.3125]
+
+    def test_delivery_checks_write_nothing(self):
+        raised, delivered = np.array([1000, 2000]), np.array([1450, 2500])
+        latency = np.array([0.45, 0.5])
+        IrqDeliveries(33, 0, "reinjected", raised, delivered, latency)
+        assert (raised.tolist(), delivered.tolist(), latency.tolist()) == (
+            [1000, 2000], [1450, 2500], [0.45, 0.5])

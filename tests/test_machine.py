@@ -231,6 +231,8 @@ class TestPlatformViews:
         assert platform.gic_dist_window == next(
             (r for r in platform.resources
              if isinstance(r, MmioDevice) and r.name == GIC_DIST_NAME), None)
+        assert isinstance(platform.units, frozenset)
+        assert platform.units == set(platform.resources) - set(platform.mem_regions)
 
     def test_views_are_the_type_filters_in_order(self):
         for platform in _sample_platforms():
@@ -238,13 +240,13 @@ class TestPlatformViews:
 
     def test_second_read_returns_the_same_object(self):
         for platform in _sample_platforms():
-            for name in list(_VIEW_TYPES) + ["irq_numbers", "gic_dist_window"]:
+            for name in list(_VIEW_TYPES) + ["irq_numbers", "gic_dist_window", "units"]:
                 assert getattr(platform, name) is getattr(platform, name)
 
     def test_views_stay_plain_properties(self):
         # A layer tracer wraps these by name on the class; a
         # cached_property would be read once and then bypass it.
-        for name in list(_VIEW_TYPES) + ["irq_numbers", "gic_dist_window"]:
+        for name in list(_VIEW_TYPES) + ["irq_numbers", "gic_dist_window", "units"]:
             assert type(MachinePlatform.__dict__[name]) is property
 
     def test_equal_specs_compare_and_hash_equal(self):

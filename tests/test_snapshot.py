@@ -204,6 +204,15 @@ class TestRejection:
         with pytest.raises(InvariantViolation, match="diverge"):
             hv.audit()
 
+    def test_extra_unit_key_rejected(self):
+        hv = populated_hv()
+        hv.ledger._units[Cpu(9)] = 0  # one key more than the platform has
+        with pytest.raises(InvariantViolation, match="diverge"):
+            hv.audit()
+        del hv.ledger._units[Cpu(1)]  # as many keys as the platform, one of them foreign
+        with pytest.raises(InvariantViolation, match="diverge"):
+            hv.audit()
+
     @pytest.mark.parametrize("field, ids, unit", [
         ("cpus", {1}, "cpu 1"), ("irqs", {33}, "irq 33")])
     def test_colliding_cell_configs_rejected(self, field, ids, unit):
