@@ -25,7 +25,7 @@ from .errors import (
     OutOfRegion,
     SelfChannel,
 )
-from .hvcore import CellState, Hypervisor, TrapKind
+from .hvcore import _REINJECT, _RUNNING, CellState, Hypervisor, TrapKind
 from .irq import latency_streams, sample_latency
 from .machine import PAGE_SIZE, MemRegion, PermFlags, bus_load
 
@@ -161,14 +161,13 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
 
     peer_cell = hv.cells.get(peer)
     latency = None  # no virtual IRQ reaches a peer that is not running
-    if peer_cell is not None and peer_cell.state is CellState.RUNNING:
+    if peer_cell is not None and peer_cell.state is _RUNNING:
         if hv._doorbell_streams is None:  # four streams cost ~100 us
             hv._doorbell_streams = latency_streams(hv.seed, "hv-doorbell")
         # drawn first, so that a refused latency leaves the channel as it was
         latency = sample_latency(True, bus_load(hv, peer_cell), hv.platform.bus,
                                  hv._doorbell_streams)
-        hv._log(TrapKind.IRQ_REINJECTION, peer,
-                "doorbell ch=%d vector=%d" % (ch_id, vector))
+        hv._log(_REINJECT, peer, "doorbell ch=%d vector=%d" % (ch_id, vector))
     channel.buffer[offset:offset + len(payload)] = payload
     channel.pending[peer].append(vector)
     direction = "a->b" if from_cell == channel.cell_a else "b->a"

@@ -62,11 +62,13 @@ class TrapKind(Enum):
     INSTRUCTION_EMULATION = "InstructionEmulation"
     ACCESS_VIOLATION = "AccessViolation"
     MANAGEMENT = "Management"
+    __hash__ = object.__hash__  # see EXIT_SLOT
 
 
 # Slot of each kind in a cell's exit counters, in TrapKind order. A list
-# indexed through this table costs one enum hash per bump; a Counter
-# keyed by (cell, kind) costs two and a tuple.
+# indexed through this table costs one hash per bump; a Counter keyed by
+# (cell, kind) costs two and a tuple. TrapKind hashes by identity, in C, as
+# its members are singletons; Enum's own __hash__ is Python code.
 EXIT_SLOT = {kind: slot for slot, kind in enumerate(TrapKind)}
 
 
@@ -110,7 +112,7 @@ class Access:
             raise InvariantViolation(
                 "memory access at 0x%x not aligned to width %d"
                 % (self.addr_or_port, self.width))
-        if self.kind is AccessKind.SENSITIVE_INSTR and not self.instr:
+        if self.kind is _SENSITIVE_INSTR and not self.instr:
             raise InvariantViolation("sensitive-instruction access needs a name")
 
     def describe(self) -> str:
@@ -124,6 +126,16 @@ class AccessOutcome(Enum):
     EMULATED = "emulated"
     VIOLATION = "violation"
 
+
+# Members the trap path reads, as module constants: on Python 3.10 and 3.11
+# a class-level lookup such as CellState.RUNNING runs EnumType's __getattr__
+# hook, about 125 ns against 10 ns for a global (timeit, Python 3.11.7).
+_RUNNING, _FAILED, _STRESS = CellState.RUNNING, CellState.FAILED, WorkloadKind.STRESS
+_MEM_WRITE, _SENSITIVE_INSTR = AccessKind.MEM_WRITE, AccessKind.SENSITIVE_INSTR
+_DIRECT, _EMULATED = AccessOutcome.DIRECT, AccessOutcome.EMULATED
+_VIOLATION, _VIOLATE = AccessOutcome.VIOLATION, TrapKind.ACCESS_VIOLATION
+_EMULATE_DIST, _EMULATE_INSTR = TrapKind.DISTRIBUTOR_EMULATION, TrapKind.INSTRUCTION_EMULATION
+_REINJECT = TrapKind.IRQ_REINJECTION
 
 # Rights of an access-map entry, as plain ints (an IntFlag & costs about
 # 1.5 us): READ and WRITE match PermFlags' bits.
@@ -301,8 +313,7 @@ class Cell:
     @property
     def loads_bus(self) -> bool:
         """Running with a stress workload, which contends for the shared bus."""
-        return (self.state is CellState.RUNNING
-                and self.config.workload.kind is WorkloadKind.STRESS)
+        return self.state is _RUNNING and self.config.workload.kind is _STRESS
 
     def write_image(self, addr: int, data: bytes) -> None:
         if not data:
@@ -585,12 +596,14 @@ class Hypervisor:
         self._access_maps.clear()
 
     def audit(self) -> None:
-        """Check conservation, exclusivity, and owner liveness, that the
-        ledger's claims are the non-root cells' configured regions, that
+        """Check id order, conservation, exclusivity and owner liveness, that
+        the ledger's claims are the non-root cells' configured regions, that
         each channel window lies in its cell_a's memory and overlaps no
         other, and that every cached access map is what the ledger now gives."""
         self._require_enabled()
         self.ledger.audit()
+        if list(self.cells) != sorted(self.cells):
+            raise InvariantViolation("cells %s are not in id order" % list(self.cells))
         live = set(self.cells)
         stray = self.ledger.owners() - live
         if stray:
@@ -630,15 +643,15 @@ class Hypervisor:
     def handle_access(self, cell_id: CellId, access: Access) -> AccessOutcome:
         self._require_enabled()
         cell = self._cell(cell_id)
-        if cell.state is not CellState.RUNNING:
+        if cell.state is not _RUNNING:
             raise BadState("cell %d is %s, not running" % (cell_id, cell.state.value))
 
         kind = access.kind
-        if kind is AccessKind.SENSITIVE_INSTR:
+        if kind is _SENSITIVE_INSTR:
             if access.instr in SENSITIVE_INSTRUCTIONS:
-                self._log(TrapKind.INSTRUCTION_EMULATION, cell_id, access.instr)
-                return AccessOutcome.EMULATED
-            return AccessOutcome.DIRECT
+                self._log(_EMULATE_INSTR, cell_id, access.instr)
+                return _EMULATED
+            return _DIRECT
 
         lo, hi = access.addr_or_port, access.addr_or_port + access.width
         access_map = self._access_maps.get(cell_id)
@@ -650,11 +663,10 @@ class Hypervisor:
             e_lo, e_hi, rights = table[index - 1]
             if hi <= e_hi:
                 if rights & (_WRITE if kind in _WRITE_KINDS else _READ):
-                    return AccessOutcome.DIRECT
+                    return _DIRECT
                 if rights & _EMULATE:
-                    self._log(TrapKind.DISTRIBUTOR_EMULATION, cell_id,
-                              "offset 0x%x" % (lo - e_lo))
-                    return AccessOutcome.EMULATED
+                    self._log(_EMULATE_DIST, cell_id, "offset 0x%x" % (lo - e_lo))
+                    return _EMULATED
         return self._violate(cell, access)
 
     def _build_access_map(self, cell_id: CellId) -> AccessMap:
@@ -676,9 +688,9 @@ class Hypervisor:
         return AccessMap(_first_match(mem), _first_match(io))
 
     def _violate(self, cell: Cell, access: Access) -> AccessOutcome:
-        self._log(TrapKind.ACCESS_VIOLATION, cell.id, access.describe())
-        cell.state = CellState.FAILED
-        return AccessOutcome.VIOLATION
+        self._log(_VIOLATE, cell.id, access.describe())
+        cell.state = _FAILED
+        return _VIOLATION
 
     # -- turn-based guest stepping
 
@@ -690,16 +702,19 @@ class Hypervisor:
         a turn, which the MMU answers without an exit, so step counts it.
         """
         self._require_enabled()
-        running = [cell for cell_id, cell in sorted(self.cells.items())
-                   if cell_id != ROOT_CELL and cell.state is CellState.RUNNING]
+        touches, scripts = 0, []
+        for cell in self.cells.values():  # one pass, in id order
+            if cell.state is _RUNNING and cell.id != ROOT_CELL:
+                touches += cell.touches  # 0 for a script cell
+                if cell.script_ops:  # only a script cell has ops
+                    scripts.append(cell)
         # DIRECT without asking handle_access: audit checks that each
         # non-root cell's claims equal its configured regions with their flags.
-        issued = max(n, 0) * sum(cell.touches for cell in running)
-        scripts = [cell for cell in running if cell.config.workload.kind is WorkloadKind.SCRIPT]
+        issued = max(n, 0) * touches
         for _ in range(n):
             self.clock += STEP_NS
             for cell in scripts:
-                if cell.state is CellState.RUNNING:
+                if cell.state is _RUNNING:  # a violation stops it from the next turn
                     issued += self._step_script(cell)
         return issued
 
@@ -717,7 +732,7 @@ class Hypervisor:
         if op[0] == "idle":
             return 0
         if op[0] == "distwrite":  # create_cell and load_session refuse it without a window
-            access = Access(AccessKind.MEM_WRITE, self.platform.gic_dist_window.base + op[1], 4)
+            access = Access(_MEM_WRITE, self.platform.gic_dist_window.base + op[1], 4)
         else:
             access = op[1]
         self.handle_access(cell.id, access)

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import InvariantViolation, NoSuchLine, NoSuchResource, UnownedIrq
 from .hvcore import (
+    _MEM_WRITE,
     ROOT_CELL,
     Access,
-    AccessKind,
     AccessOutcome,
     CellState,
     Hypervisor,
@@ -176,7 +176,7 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
     violation-class event is logged at the first raise time and nothing
     is delivered.
     """
-    raised = np.asarray(times, dtype=np.int64)
+    raised = np.array(times, dtype=np.int64)  # a copy: the record must outlive the caller's array
     if raised.ndim != 1 or raised.size == 0:
         raise InvariantViolation("raise_irqs needs a non-empty sequence of raise times")
     if line not in hv.platform.irq_numbers:
@@ -218,4 +218,4 @@ def distributor_access(hv: Hypervisor, cell_id: int, offset: int) -> AccessOutco
     if offset < 0:
         raise InvariantViolation("negative distributor offset")
     return hv.handle_access(
-        cell_id, Access(AccessKind.MEM_WRITE, window.base + offset, 4))
+        cell_id, Access(_MEM_WRITE, window.base + offset, 4))

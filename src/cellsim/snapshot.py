@@ -217,6 +217,7 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
             raise InvariantViolation("snapshot cell %d script position %d is past its %d ops"
                                      % (cell_id, script_pos, len(cell.script_ops)))
         hv.cells[cell_id] = cell
+    hv.cells = dict(sorted(hv.cells.items()))  # step walks the cells in id order
     if ROOT_CELL not in hv.cells:
         raise InvariantViolation("snapshot has no root cell")
     if max(hv.cells) >= hv._next_cell_id:

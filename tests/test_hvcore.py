@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import pickle
 import random
 from bisect import bisect_right
 
@@ -51,6 +52,7 @@ from cellsim.errors import (
 )
 from cellsim.comm import create_channel
 from cellsim.cellconfig import validate_against
+from cellsim import hvcore
 from cellsim.hvcore import STEP_NS, parse_script
 
 from conftest import make_tiny_platform
@@ -714,16 +716,41 @@ class TestTouchOwnMemory:
         assert len(hv.events) == before
 
 
+def reference_script_turn(hv, cell):
+    """One turn of a script cell: its next op, where repeat goes back to the
+    first op; an idle op or a script that ran out issues nothing."""
+    ops = cell.script_ops
+    if cell.script_pos >= len(ops):
+        return 0
+    if ops[cell.script_pos] == ("repeat",):
+        cell.script_pos = 0
+        if ops[0] == ("repeat",):
+            return 0
+    op = ops[cell.script_pos]
+    cell.script_pos += 1
+    if op == ("idle",):
+        return 0
+    window = hv.platform.gic_dist_window
+    access = op[1] if op[0] == "access" else Access(AccessKind.MEM_WRITE, window.base + op[1], 4)
+    hv.handle_access(cell.id, access)
+    return 1
+
+
 def reference_step(hv, n):
-    """step as it was before it counted: every turn, each running guest
-    that runs no script builds an Access to the first region of its config
-    that grants the flag it needs (a stress guest writes, or else reads)
-    and hands it to handle_access, which must answer DIRECT."""
+    """step as it was before it counted, turn by turn: each running guest,
+    in id order, either runs its script's next op or, running no script,
+    builds an Access to the first region of its config that grants the flag
+    it needs (a stress guest writes, or else reads) and hands it to
+    handle_access, which must answer DIRECT. A script guest that violates
+    is no longer running, so it issues nothing from the next turn on."""
     issued = 0
     for turn in range(n):
         hv.clock += STEP_NS
         for cell_id, cell in sorted(hv.cells.items()):
             if cell_id == ROOT_CELL or cell.state is not CellState.RUNNING:
+                continue
+            if cell.config.workload.kind is WorkloadKind.SCRIPT:
+                issued += reference_script_turn(hv, cell)
                 continue
             tries = [(AccessKind.MEM_READ, PermFlags.READ)]
             if cell.config.workload.kind is WorkloadKind.STRESS:
@@ -740,41 +767,132 @@ def reference_step(hv, n):
 
 class TestStepCountsOwnedTouches:
     """step counts what the trap engine would have answered DIRECT, once
-    per turn for each running guest that has a region to touch."""
+    per turn for each running guest that has a region to touch, and runs
+    one op a turn of each running script guest, in id order."""
 
     FLAGS = (PermFlags.READ, PermFlags.WRITE, PermFlags.READ | PermFlags.WRITE, PermFlags(0))
-    KINDS = (WorkloadKind.IDLE, WorkloadKind.STRESS, WorkloadKind.LATENCY_RESPONDER)
-    FATES = ("created", "running", "running", "stopped", "failed")
+    KINDS = (WorkloadKind.IDLE, WorkloadKind.STRESS, WorkloadKind.LATENCY_RESPONDER,
+             WorkloadKind.SCRIPT, WorkloadKind.SCRIPT)
+    FATES = ("created", "running", "running", "stopped", "failed", "relaunched")
+    GIC = MmioDevice("gic-dist", 0x5004_1000, 0x1000)
+
+    @staticmethod
+    def script(rnd, base):
+        """Random script ops over the guest's first page: emulated and direct
+        ones, idles, and with some luck a read of root's RAM, which violates."""
+        pool = ["read 0x%x 8" % (base + 8 * k) for k in range(4)] + [
+            "instr cpuid", "instr wfi", "distwrite 0x%x" % (4 * rnd.randrange(64)), "idle",
+            "read 0x%x 4" % (RAM + 0xF_F000)]
+        weights = [3, 3, 3, 3, 4, 2, 4, 3, 1]
+        ops = rnd.choices(pool, weights, k=rnd.randint(0, 8))
+        return "\n".join(ops + ["repeat"] * rnd.randint(0, 1)) + "\n"
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_step_matches_the_trap_engine(self, seed):
+    def test_step_matches_the_trap_engine(self, seed, tmp_path):
         rnd = random.Random(seed)
-        platform = build_platform(PlatformSpec(
-            name="steps", resources=[Cpu(i) for i in range(13)] + [MemRegion(RAM, 0x10_0000)]))
+        platform = build_platform(PlatformSpec(name="steps", resources=[
+            Cpu(i) for i in range(13)] + [MemRegion(RAM, 0x10_0000), self.GIC]))
         hv = enable(platform, full_platform_config(platform))
         for index in range(rnd.randint(1, 12)):
             base = RAM + index * 0x4000
+            kind, path = rnd.choice(self.KINDS), None
+            if kind is WorkloadKind.SCRIPT:
+                path = tmp_path / ("g%d.txt" % index)
+                path.write_text(self.script(rnd, base))
             cell_id = hv.create_cell(CellConfig(
                 name="g%d" % index, cpus=[index + 1],
                 mem=[MemRegion(base + k * 0x2000, 0x1000, rnd.choice(self.FLAGS))
                      for k in range(rnd.randint(1, 2))],
-                workload=Workload(rnd.choice(self.KINDS))))
+                workload=Workload(kind, path and str(path))))
             fate = rnd.choice(self.FATES)
             if fate != "created":
                 hv.start_cell(cell_id)
             if fate == "stopped":
                 hv.stop_cell(cell_id)
-            if fate == "failed":
+            if fate in ("failed", "relaunched"):
                 assert hv.handle_access(cell_id, Access(AccessKind.MEM_READ, 0, 8)) \
                     is AccessOutcome.VIOLATION
+            if fate == "relaunched":
+                hv.relaunch_cell(cell_id)
         twin = copy.deepcopy(hv)
         events, exits = list(hv.events), copy.deepcopy(hv.exits)
-        n = rnd.randint(2, 40)
-        assert hv.step(n) == reference_step(twin, n)
-        assert hv.clock == twin.clock
-        assert (twin.events, twin.exits) == (events, exits)
-        assert (hv.events, hv.exits) == (events, exits)
-        assert [c.state for c in hv.cells.values()] == [c.state for c in twin.cells.values()]
+        scripted = any(c.script_ops for c in hv.cells.values())
+        for n in (rnd.randint(2, 40), rnd.randint(0, 5)):
+            assert hv.step(n) == reference_step(twin, n)
+            assert hv.clock == twin.clock
+            assert (hv.events, hv.exits) == (twin.events, twin.exits)
+            assert [(c.id, c.state, c.script_pos) for c in hv.cells.values()] == \
+                [(c.id, c.state, c.script_pos) for c in twin.cells.values()]
+        if not scripted:  # only a script reaches the trap engine
+            assert (hv.events, hv.exits) == (events, exits)
+        hv.audit()
+
+    def test_script_guests_step_in_id_order_and_stop_at_a_violation(self, tmp_path):
+        """Two script guests trap in every turn, so the event log gives their
+        order; the second violates on its third op and issues nothing after."""
+        (tmp_path / "a.txt").write_text("instr cpuid\nrepeat\n")
+        (tmp_path / "b.txt").write_text("distwrite 0x0\nidle\nread 0x%x 8\ninstr cpuid\n" % RAM)
+        hv = tiny_hv()
+        ids = [hv.create_cell(small_cell(
+            name, cpu=cpu, base=RAM + 0x8_0000 + cpu * 0x2000,
+            workload=Workload(WorkloadKind.SCRIPT, str(tmp_path / ("%s.txt" % name)))))
+            for name, cpu in (("a", 1), ("b", 2))]
+        for cell_id in reversed(ids):
+            hv.start_cell(cell_id)
+        before = len(hv.events)
+        assert hv.step(5) == 5 + 2
+        assert [(e.time_ns, e.cell, e.kind) for e in hv.events[before:]] == [
+            (1000, 1, TrapKind.INSTRUCTION_EMULATION), (1000, 2, TrapKind.DISTRIBUTOR_EMULATION),
+            (2000, 1, TrapKind.INSTRUCTION_EMULATION),
+            (3000, 1, TrapKind.INSTRUCTION_EMULATION), (3000, 2, TrapKind.ACCESS_VIOLATION),
+            (4000, 1, TrapKind.INSTRUCTION_EMULATION), (5000, 1, TrapKind.INSTRUCTION_EMULATION)]
+        assert [hv.cells[i].script_pos for i in ids] == [1, 3]
+        assert hv.cells[2].state is CellState.FAILED
+
+
+class TestEnumMembers:
+    """The enums' public behaviour, which the trap path's module constants
+    and TrapKind's identity hash must leave as it was."""
+
+    ENUMS = {
+        CellState: ["created", "running", "stopped", "failed"],
+        TrapKind: ["IrqReinjection", "DistributorEmulation", "InstructionEmulation",
+                   "AccessViolation", "Management"],
+        AccessKind: ["MemRead", "MemWrite", "IoRead", "IoWrite", "SensitiveInstr"],
+        AccessOutcome: ["direct", "emulated", "violation"],
+        WorkloadKind: ["idle", "stress", "latency-responder", "script"],
+    }
+
+    @pytest.mark.parametrize("enum", list(ENUMS), ids=lambda enum: enum.__name__)
+    def test_lookup_iteration_and_copies(self, enum):
+        assert [member.value for member in enum] == self.ENUMS[enum]
+        assert list(enum.__members__) == [member.name for member in enum]
+        for member in enum:
+            assert enum(member.value) is member
+            assert enum[member.name] is member
+            assert getattr(enum, member.name) is member
+            assert enum.__members__[member.name] is member
+            assert copy.copy(member) is member
+            assert copy.deepcopy(member) is member
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert hash(member) == hash(copy.deepcopy(member))
+        assert CellState("running") is CellState.RUNNING
+        assert CellState["RUNNING"] is CellState.RUNNING
+
+    def test_exit_slots_follow_trap_kind_order(self):
+        assert list(EXIT_SLOT.items()) == [(kind, slot) for slot, kind in enumerate(TrapKind)]
+        for kind in TrapKind:
+            assert EXIT_SLOT[pickle.loads(pickle.dumps(kind))] == EXIT_SLOT[kind]
+            assert {kind: 1}.get(TrapKind(kind.value)) == 1
+
+    def test_trap_path_constants_are_the_members(self):
+        assert (hvcore._RUNNING, hvcore._FAILED, hvcore._STRESS) == (
+            CellState.RUNNING, CellState.FAILED, WorkloadKind.STRESS)
+        assert (hvcore._MEM_WRITE, hvcore._SENSITIVE_INSTR) == (
+            AccessKind.MEM_WRITE, AccessKind.SENSITIVE_INSTR)
+        assert (hvcore._DIRECT, hvcore._EMULATED, hvcore._VIOLATION) == tuple(AccessOutcome)
+        assert (hvcore._REINJECT, hvcore._EMULATE_DIST, hvcore._EMULATE_INSTR,
+                hvcore._VIOLATE) == tuple(TrapKind)[:4]
 
 
 class TestEvents:

@@ -315,6 +315,16 @@ class TestRaiseIrq:
             span = delivery.delivered_at[0] - delivery.raised_at[0]
             assert span == math.floor(delivery.latency_us[0] * 1000.0 + 0.5)
 
+    def test_record_keeps_its_own_raise_times(self):
+        hv = tiny_hv()
+        times = np.arange(0, 8000, 1000, dtype=np.int64)
+        delivery = raise_irqs(hv, 32, times, latency_streams(7))
+        raised, span = delivery.raised_at.copy(), delivery.delivered_at - delivery.raised_at
+        times[0] = 10**9  # the caller reuses its array
+        assert delivery.raised_at.tolist() == raised.tolist() == list(range(0, 8000, 1000))
+        assert (delivery.delivered_at - delivery.raised_at).tolist() == span.tolist()
+        assert span.min() >= 0
+
     def test_raise_irqs_unknown_line_and_bad_times(self):
         hv = tiny_hv()
         with pytest.raises(NoSuchLine):
