@@ -84,7 +84,7 @@ def run_scenario(platform: MachinePlatform,
             neighbour = hv.create_cell(stress_config(platform))
             hv.start_cell(neighbour)
 
-    times = np.arange(sc.n_samples, dtype=np.int64) * round(1e9 / sc.freq_hz)
+    times = np.arange(sc.n_samples, dtype=np.int64) * sc.period_ns
     deliveries = raise_irqs(hv, line, times, latency_streams(sc.seed, sc.tag()))
     return summarize(deliveries.latency_us), deliveries
 

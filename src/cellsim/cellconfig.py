@@ -15,13 +15,7 @@ from enum import Enum
 from itertools import chain, groupby, starmap
 from typing import TYPE_CHECKING, Optional
 
-from ._dsl import (
-    NAME_RE,
-    decode_utf8,
-    iter_directives,
-    parse_quoted_name,
-    require_args,
-)
+from ._dsl import NAME_RE, decode_utf8, require_args
 from .errors import (
     BadMagic,
     ConfigSemanticError,
@@ -40,8 +34,9 @@ from .machine import (
     MemRegion,
     MmioDevice,
     PciDevice,
-    parse_resource,
+    check_no_overlap,
     perms_from_bits,
+    read_directives,
 )
 
 if TYPE_CHECKING:
@@ -132,12 +127,8 @@ class CellConfig:
                 raise InvariantViolation("unsupported device type %r" % type(dev).__name__)
         if len(set(self.devices)) != len(self.devices):
             raise InvariantViolation("a device is listed twice")
-        intervals = [(r.base, r.end, r) for r in self.mem]
-        intervals += [(d.base, d.end, d) for d in self.devices if isinstance(d, MmioDevice)]
-        intervals.sort(key=lambda t: t[0])
-        for (_, prev_end, prev), (base, _, cur) in zip(intervals, intervals[1:]):
-            if base < prev_end:
-                raise InvariantViolation("config ranges overlap: %r and %r" % (prev, cur))
+        check_no_overlap(self.mem + tuple(d for d in self.devices if type(d) is MmioDevice))
+        check_no_overlap(tuple(d for d in self.devices if type(d) is IoPortRange))
 
     def units(self) -> tuple:
         """The unit resources the cell owns: its CPUs, devices and IRQ lines."""
@@ -151,45 +142,31 @@ _WORKLOAD_NAMES = {kind.value: kind for kind in WorkloadKind}
 
 
 def parse_config(text: str) -> CellConfig:
-    """Parse the cell DSL.
+    """Parse the cell DSL: `machine.read_directives` with the head
+    `cell "<name>"` and this own directive:
 
-    Grammar (line-oriented, `#` starts a comment), plus the resource
-    directives of `machine.parse_resource`:
-
-        cell "<name>"
         run idle|stress|latency-responder|script <path>
     """
-    name: Optional[str] = None
-    resources: list = []
-    seen_units: set = set()
-    workload: Optional[Workload] = None
+    workload: list = []
 
-    for lineno, tokens in iter_directives(text):
-        keyword = tokens[0][0]
-        if keyword == "cell":
-            require_args(tokens, lineno, 1)
-            if name is not None:
-                raise ConfigSemanticError("duplicate cell directive", lineno)
-            cell_name = parse_quoted_name(tokens[1], lineno, "cell name")
-            if len(cell_name.encode()) > MAX_NAME_BYTES:
-                raise ConfigSemanticError(
-                    "cell name longer than %d bytes" % MAX_NAME_BYTES, lineno)
-            name = cell_name
-        elif keyword == "run":
-            if workload is not None:
-                raise ConfigSemanticError("duplicate run directive", lineno)
-            workload = _parse_run(tokens, lineno)
-        else:
-            for resource in parse_resource(tokens, lineno):
-                if isinstance(resource, (Cpu, IrqLine)):
-                    if resource in seen_units:
-                        raise ConfigSemanticError(
-                            "%s listed twice" % _describe(resource), lineno)
-                    seen_units.add(resource)
-                resources.append(resource)
+    def read_run(tokens, lineno):
+        if workload:
+            raise ConfigSemanticError("duplicate run directive", lineno)
+        if len(tokens) < 2:
+            raise ConfigSyntaxError(lineno, tokens[0][1], "run needs a workload name")
+        kind_text, col = tokens[1]
+        kind = _WORKLOAD_NAMES.get(kind_text)
+        if kind is None:
+            raise ConfigSyntaxError(
+                lineno, col, "unknown workload %r (known: %s)"
+                % (kind_text, ", ".join(sorted(_WORKLOAD_NAMES))))
+        require_args(tokens, lineno, 2 if kind is WorkloadKind.SCRIPT else 1)
+        try:
+            workload.append(Workload(kind, tokens[2][0] if kind is WorkloadKind.SCRIPT else None))
+        except InvariantViolation as exc:
+            raise ConfigSemanticError(str(exc), lineno)
 
-    if name is None:
-        raise ConfigSemanticError('missing cell "<name>" directive')
+    name, resources = read_directives(text, "cell", {"run": read_run})
     cpus = frozenset(r.index for r in resources if isinstance(r, Cpu))
     mem = tuple(r for r in resources if isinstance(r, MemRegion))
     if not cpus:
@@ -201,29 +178,9 @@ def parse_config(text: str) -> CellConfig:
             name=name, cpus=cpus, mem=mem,
             devices=tuple(r for r in resources if type(r) in _DEVICE_SORT_CODE),
             irqs=frozenset(r.number for r in resources if isinstance(r, IrqLine)),
-            workload=workload if workload is not None else Workload())
+            workload=workload[0] if workload else Workload())
     except InvariantViolation as exc:
         raise ConfigSemanticError(str(exc))
-
-
-def _parse_run(tokens, lineno) -> Workload:
-    keyword, kw_col = tokens[0]
-    if len(tokens) < 2:
-        raise ConfigSyntaxError(lineno, kw_col, "run needs a workload name")
-    kind_text, col = tokens[1]
-    kind = _WORKLOAD_NAMES.get(kind_text)
-    if kind is None:
-        raise ConfigSyntaxError(
-            lineno, col, "unknown workload %r (known: %s)"
-            % (kind_text, ", ".join(sorted(_WORKLOAD_NAMES))))
-    if kind is WorkloadKind.SCRIPT:
-        require_args(tokens, lineno, 2)
-        try:
-            return Workload(kind=kind, script_path=tokens[2][0])
-        except InvariantViolation as exc:
-            raise ConfigSemanticError(str(exc), lineno)
-    require_args(tokens, lineno, 1)
-    return Workload(kind=kind)
 
 
 # --- validation against a platform ------------------------------------------

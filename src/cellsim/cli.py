@@ -35,18 +35,6 @@ def _read_config(path: str) -> cellconfig.CellConfig:
     return cellconfig.parse_config(decode_utf8(raw, "config file"))
 
 
-@contextmanager
-def _locked(path: str):
-    """Hold an exclusive advisory lock for the span of one mutation."""
-    lock_path = path + ".lock"
-    with open(lock_path, "a+b") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
-
-
 class Session:
     def __init__(self, path: str):
         self.path = path
@@ -75,9 +63,22 @@ class Session:
         return hv.find_cell(ref).id
 
 
+@contextmanager
+def _mutation(path: str):
+    """Lock the session at path, load it, yield it and save it when the
+    block completes; an exclusive advisory lock spans all of it."""
+    with open(path + ".lock", "a+b") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        try:
+            session = Session(path)
+            yield session
+            session.save()
+        finally:
+            fcntl.flock(handle, fcntl.LOCK_UN)
+
+
 def _cmd_enable(args) -> int:
-    with _locked(args.state):
-        session = Session(args.state)
+    with _mutation(args.state) as session:
         platform = load_platform(args.platform)
         cfg = _read_config(args.root)
         if session.hv is not None and session.hv.enabled:
@@ -89,54 +90,45 @@ def _cmd_enable(args) -> int:
             hv._next_cell_id = old._next_cell_id  # ids in them stay unique
         hv.enable(cfg)
         session.platform, session.hv = platform, hv
-        session.save()
     print("enabled: platform %s, root cell 0 running" % platform.name)
     return 0
 
 
 def _cmd_disable(args) -> int:
-    with _locked(args.state):
-        session = Session(args.state)
+    with _mutation(args.state) as session:
         session.require_hv().disable()
-        session.save()
     print("disabled")
     return 0
 
 
 def _cmd_cell_create(args) -> int:
-    with _locked(args.state):
-        session = Session(args.state)
+    with _mutation(args.state) as session:
         hv = session.require_hv()
         cfg = _read_config(args.config)
         cell_id = hv.create_cell(cfg)
-        session.save()
     print("cell %d (%s) created" % (cell_id, cfg.name))
     return 0
 
 
 def _cmd_cell_load(args) -> int:
-    with _locked(args.state):
-        session = Session(args.state)
+    with _mutation(args.state) as session:
         hv = session.require_hv()
         cell_id = session.resolve_cell(args.cell)
         with open(args.image, "rb") as handle:
             data = handle.read()
         addr = hv.cells[cell_id].config.mem[0].base if args.addr is None else args.addr
         hv.load_image(cell_id, addr, data)
-        session.save()
     print("loaded %d bytes into cell %d at 0x%x" % (len(data), cell_id, addr))
     return 0
 
 
 def _make_lifecycle_cmd(op_name: str):
     def run(args) -> int:
-        with _locked(args.state):
-            session = Session(args.state)
+        with _mutation(args.state) as session:
             hv = session.require_hv()
             cell_id = session.resolve_cell(args.cell)
             name = hv.cells[cell_id].config.name
             getattr(hv, op_name)(cell_id)
-            session.save()
         verb = op_name.split("_")[0]
         print("cell %d (%s): %s" % (cell_id, name, verb))
         return 0
@@ -323,8 +315,8 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print("  %s" % violation, file=sys.stderr)
         return 1
-    except (CellSimError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (CellSimError, OSError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 1
 
 

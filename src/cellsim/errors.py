@@ -15,8 +15,8 @@ class InvariantViolation(CellSimError):
     """A domain-type invariant does not hold (bad alignment, empty set, ...)."""
 
 
-class OverlapError(CellSimError):
-    """Two physical address ranges intersect."""
+class OverlapError(InvariantViolation):
+    """Two address or I/O port ranges intersect."""
 
 
 class EmptyCpuSet(CellSimError):

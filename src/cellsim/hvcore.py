@@ -148,17 +148,6 @@ _WRITE_KINDS = (AccessKind.MEM_WRITE, AccessKind.IO_WRITE)
 AccessMap = NamedTuple("AccessMap", [("mem", list), ("io", list)])
 
 
-def _first_match(ranges: list) -> list:
-    """Sorted, disjoint entries in which each address keeps the rights of
-    the first of ranges that covers it. Memory boundaries are page-aligned
-    and an aligned access never crosses a page, and I/O port ranges never
-    overlap, so an access lies in one piece exactly when it lay in one range."""
-    edges = sorted({edge for lo, hi, _ in ranges for edge in (lo, hi)})
-    pieces = [(lo, hi, next((r for r_lo, r_hi, r in ranges if r_lo <= lo and hi <= r_hi), None))
-              for lo, hi in zip(edges, edges[1:])]
-    return [piece for piece in pieces if piece[2] is not None]
-
-
 # --- ownership ledger -------------------------------------------------------
 
 # Ledger claims, (lo, hi, owner, flags), and access-map entries, (lo, hi, rights), sort by lo.
@@ -670,10 +659,13 @@ class Hypervisor:
         return self._violate(cell, access)
 
     def _build_access_map(self, cell_id: CellId) -> AccessMap:
-        """The trap rule, first match wins: the distributor window is
-        emulated; the cell's own RAM has its claim's flags (root: its share
-        of RAM, with the region's); the window of a channel whose peer it
-        is, an MMIO device or an I/O port range it owns is read-write."""
+        """The trap rule: the distributor window is emulated; the cell's own
+        RAM has its claim's flags (root: its share of RAM, with the region's);
+        the window of a channel whose peer it is, an I/O port range or an
+        MMIO device other than the distributor it owns is read-write. The
+        entries are disjoint: RAM claims are exclusive, each channel window
+        is carved from its cell_a's RAM, and the platform refuses overlapping
+        RAM and MMIO devices and overlapping port ranges."""
         ledger, platform = self.ledger, self.platform
         window = platform.gic_dist_window
         mem = [] if window is None else [(window.base, window.end, _EMULATE)]
@@ -682,10 +674,10 @@ class Hypervisor:
         mem += [(ch.region.base, ch.region.end, _RW)
                 for ch in self.channels.values() if ch.cell_b == cell_id]
         mem += [(dev.base, dev.end, _RW) for dev in platform.mmio_devices
-                if ledger.owner_of_unit(dev) == cell_id]
+                if dev is not window and ledger.owner_of_unit(dev) == cell_id]
         io = [(ports.base, ports.end, _RW) for ports in platform.io_port_ranges
               if ledger.owner_of_unit(ports) == cell_id]
-        return AccessMap(_first_match(mem), _first_match(io))
+        return AccessMap(sorted(mem, key=_LO), sorted(io, key=_LO))
 
     def _violate(self, cell: Cell, access: Access) -> AccessOutcome:
         self._log(_VIOLATE, cell.id, access.describe())

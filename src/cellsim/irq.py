@@ -134,6 +134,14 @@ class Scenario:
             raise InvariantViolation("n_samples must be at least 1")
         if self.seed < 0:
             raise InvariantViolation("seed must be non-negative")
+        # the raise times are int64 ns, which wrap without an error
+        if not 1e9 / self.freq_hz < 2 ** 63 or (self.n_samples - 1) * self.period_ns >= 2 ** 63:
+            raise InvariantViolation("%d samples at %r Hz do not fit the int64 ns clock"
+                                     % (self.n_samples, self.freq_hz))
+
+    @property
+    def period_ns(self) -> int:
+        return round(1e9 / self.freq_hz)
 
     def tag(self) -> str:
         """Stream tag; a function of the scenario settings, not of any

@@ -233,6 +233,43 @@ def parse_resource(tokens: list[Token], lineno: int) -> list:
         raise ConfigSemanticError(str(exc), lineno)
 
 
+def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
+    """The name and resources of a text config or platform file.
+
+    The head line, `<head> "<name>"`, comes once and names at most
+    MAX_NAME_BYTES bytes. Each line of one of the format's own directives
+    goes, in line order, to own[keyword](tokens, lineno); every other line
+    is a resource directive of `parse_resource`. A CPU or IRQ listed twice
+    is refused on the line that repeats it.
+    """
+    name = None
+    resources: list = []
+    seen: set = set()
+    for lineno, tokens in iter_directives(text):
+        keyword = tokens[0][0]
+        if keyword == head:
+            require_args(tokens, lineno, 1)
+            if name is not None:
+                raise ConfigSemanticError("duplicate %s directive" % head, lineno)
+            name = parse_quoted_name(tokens[1], lineno, "%s name" % head)
+            if len(name.encode()) > MAX_NAME_BYTES:
+                raise ConfigSemanticError(
+                    "%s name longer than %d bytes" % (head, MAX_NAME_BYTES), lineno)
+        elif keyword in own:
+            own[keyword](tokens, lineno)
+        else:
+            for resource in parse_resource(tokens, lineno):
+                if keyword in ("cpu", "irq"):
+                    if resource in seen:
+                        raise ConfigSemanticError("%s %d listed twice" % (keyword, (
+                            resource.index if keyword == "cpu" else resource.number)), lineno)
+                    seen.add(resource)
+                resources.append(resource)
+    if name is None:
+        raise ConfigSemanticError('missing %s "<name>" directive' % head)
+    return name, resources
+
+
 @dataclass(frozen=True)
 class DistParams:
     """Shifted log-normal distribution: shift_us + exp(N(log_mu, log_sigma)),
@@ -392,8 +429,8 @@ def build_platform(spec: PlatformSpec) -> MachinePlatform:
         dupes = sorted({n for n in irqs if irqs.count(n) > 1})
         raise DuplicateIrq("irq lines listed twice: %s" % dupes)
 
-    _check_no_overlap(platform._mem_regions + platform._mmio_devices)
-    _check_no_overlap(platform._io_port_ranges)
+    check_no_overlap(platform._mem_regions + platform._mmio_devices)
+    check_no_overlap(platform._io_port_ranges)
 
     if len({dev.name for dev in platform._mmio_devices}) != len(platform._mmio_devices):
         raise InvariantViolation("mmio device names must be unique")
@@ -402,7 +439,8 @@ def build_platform(spec: PlatformSpec) -> MachinePlatform:
     return platform
 
 
-def _check_no_overlap(ranges: tuple) -> None:
+def check_no_overlap(ranges) -> None:
+    """Refuse two of ranges (each with a base and an end) that share an address."""
     ordered = sorted(ranges, key=lambda r: r.base)
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.base < prev.end:
@@ -429,62 +467,41 @@ _BUS_KEYS = {
 
 
 def parse_platform(text: str) -> PlatformSpec:
-    """Parse the line-based platform format.
+    """Parse the line-based platform format: `read_directives` with the head
+    `platform "<name>"` and these own directives:
 
-    Directives (same lexical rules as the cell DSL, `#` comments), plus
-    the resource directives of `parse_resource`:
-
-        platform "<name>"
         gic v2|v3
         bus <key>=<value> ...           # latency model overrides
     """
-    name = None
-    resources: list = []
-    gic = None
+    gic: list = []
     bus_kv: dict[str, str] = {}
-    seen_cpus: set = set()
 
-    for lineno, tokens in iter_directives(text):
-        keyword, kw_col = tokens[0]
-        if keyword == "platform":
-            require_args(tokens, lineno, 1)
-            if name is not None:
-                raise ConfigSemanticError("duplicate platform directive", lineno)
-            name = parse_quoted_name(tokens[1], lineno, "platform name")
-        elif keyword == "gic":
-            require_args(tokens, lineno, 1)
-            if gic is not None:
-                raise ConfigSemanticError("duplicate gic directive", lineno)
-            text_val, col = tokens[1]
-            try:
-                gic = GicVersion(text_val)
-            except ValueError:
-                raise ConfigSyntaxError(lineno, col, "gic version must be v2 or v3")
-        elif keyword == "bus":
-            if len(tokens) == 1:
-                raise ConfigSyntaxError(lineno, kw_col, "bus needs key=value arguments")
-            for text_val, col in tokens[1:]:
-                key, sep, value = text_val.partition("=")
-                if not sep or key not in _BUS_KEYS:
-                    raise ConfigSyntaxError(
-                        lineno, col, "bad bus parameter %r (known: %s)"
-                        % (text_val, ", ".join(sorted(_BUS_KEYS))))
-                if key in bus_kv:
-                    raise ConfigSemanticError("bus %s given twice" % key, lineno)
-                bus_kv[key] = value
-        else:
-            for resource in parse_resource(tokens, lineno):
-                if isinstance(resource, Cpu):
-                    if resource in seen_cpus:
-                        raise ConfigSemanticError(
-                            "cpu %d listed twice" % resource.index, lineno)
-                    seen_cpus.add(resource)
-                resources.append(resource)
+    def read_gic(tokens, lineno):
+        require_args(tokens, lineno, 1)
+        if gic:
+            raise ConfigSemanticError("duplicate gic directive", lineno)
+        text_val, col = tokens[1]
+        try:
+            gic.append(GicVersion(text_val))
+        except ValueError:
+            raise ConfigSyntaxError(lineno, col, "gic version must be v2 or v3")
 
-    if name is None:
-        raise ConfigSemanticError('missing platform "<name>" directive')
-    return PlatformSpec(
-        name=name, resources=resources, gic_version=gic or GicVersion.V2, bus=_bus_from_kv(bus_kv))
+    def read_bus(tokens, lineno):
+        if len(tokens) == 1:
+            raise ConfigSyntaxError(lineno, tokens[0][1], "bus needs key=value arguments")
+        for text_val, col in tokens[1:]:
+            key, sep, value = text_val.partition("=")
+            if not sep or key not in _BUS_KEYS:
+                raise ConfigSyntaxError(
+                    lineno, col, "bad bus parameter %r (known: %s)"
+                    % (text_val, ", ".join(sorted(_BUS_KEYS))))
+            if key in bus_kv:
+                raise ConfigSemanticError("bus %s given twice" % key, lineno)
+            bus_kv[key] = value
+
+    name, resources = read_directives(text, "platform", {"gic": read_gic, "bus": read_bus})
+    return PlatformSpec(name=name, resources=resources,
+                        gic_version=gic[0] if gic else GicVersion.V2, bus=_bus_from_kv(bus_kv))
 
 
 def _bus_from_kv(kv: dict[str, str]) -> Optional[BusModel]:

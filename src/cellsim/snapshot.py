@@ -199,11 +199,21 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         if twin != cell_id:
             raise InvariantViolation("cells %d and %d are both named %r"
                                      % (twin, cell_id, config.name))
-        image = {}
+        # chunks as write_image keeps them and save writes them: in address
+        # order, non-empty, neither overlapping nor adjacent, and inside the
+        # cell's memory, which a merged chunk may cross between adjacent regions
+        image, prev_end = {}, -1
         (n_chunks,) = reader.take(_U32)
         for _ in range(n_chunks):
             (addr,) = reader.take(_U64)
-            image[addr] = _get_bytes(reader)
+            image[addr] = chunk = _get_bytes(reader)
+            end = addr + len(chunk)
+            inside = sum(max(0, min(end, r.end) - max(addr, r.base)) for r in config.mem)
+            if not (prev_end < addr < end and inside == end - addr):
+                raise InvariantViolation("snapshot cell %d image chunk [0x%x, 0x%x) is empty, not"
+                                         " after the last one or outside the cell's memory"
+                                         % (cell_id, addr, end))
+            prev_end = end
         script, script_pos = "", 0
         if config.workload.kind is WorkloadKind.SCRIPT:
             (script_pos,) = reader.take(_U32)
@@ -220,6 +230,9 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     hv.cells = dict(sorted(hv.cells.items()))  # step walks the cells in id order
     if ROOT_CELL not in hv.cells:
         raise InvariantViolation("snapshot has no root cell")
+    if hv.cells[ROOT_CELL].state not in (CellState.RUNNING, CellState.FAILED):
+        raise InvariantViolation("snapshot root cell is %s, not running or failed"
+                                 % hv.cells[ROOT_CELL].state.value)
     if max(hv.cells) >= hv._next_cell_id:
         raise InvariantViolation("snapshot's next cell id %d is not above cell %d"
                                  % (hv._next_cell_id, max(hv.cells)))

@@ -27,6 +27,7 @@ from cellsim.errors import (
     ConfigSemanticError,
     ConfigSyntaxError,
     InvariantViolation,
+    OverlapError,
     TruncatedRecord,
     UnsupportedVersion,
 )
@@ -166,6 +167,23 @@ class TestCellConfigInvariants:
         with pytest.raises(InvariantViolation):
             CellConfig(name="c", cpus=[0], mem=[MemRegion(0x1000, 0x2000)],
                        devices=[MmioDevice("u", 0x2000, 0x1000)])
+
+    def test_overlapping_io_port_ranges_rejected_from_text_binary_and_code(self):
+        # a platform refused them, but a config let them through all three ways
+        mem = [MemRegion(0x1000, 0x1000)]
+        message = r"IoPortRange\(base=1016, length=8\) overlaps IoPortRange\(base=1020, length=8\)"
+        with pytest.raises(OverlapError, match=message):
+            CellConfig(name="c", cpus=[0], mem=mem,
+                       devices=[IoPortRange(0x3F8, 0x8), IoPortRange(0x3FC, 0x8)])
+        with pytest.raises(ConfigSemanticError, match="^%s$" % message):
+            parse_config('cell "c"\ncpu 0\nmem 0x1000 0x1000 rw\n'
+                         'ioport 0x3f8 0x8\nioport 0x3fc 0x8\n')
+        touching = CellConfig(name="c", cpus=[0], mem=mem,
+                              devices=[IoPortRange(0x3F8, 0x8), IoPortRange(0x400, 0x8)])
+        blob = emit_binary(touching)
+        assert load_binary(blob) == touching
+        with pytest.raises(OverlapError, match=message):
+            load_binary(blob.replace(struct.pack("<HI", 0x400, 8), struct.pack("<HI", 0x3FC, 8)))
 
     @pytest.mark.parametrize("device", [PciDevice(0x10), IoPortRange(0x3F8, 0x8)])
     def test_duplicate_device_rejected(self, device):

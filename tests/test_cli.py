@@ -380,7 +380,8 @@ class TestNoTracebacks:
         (ws / "board.platform").write_text(
             PLATFORM_TEXT.replace('"testboard"', '"%s"' % ("p" * length)))
         assert enable_board(ws) == 1
-        assert capsys.readouterr().err == "error: platform name longer than 31 bytes\n"
+        # refused on its line while the file is read, as a long cell name is
+        assert capsys.readouterr().err == "error: line 2: platform name longer than 31 bytes\n"
         assert not (ws / "cellsim.state").exists()
 
     def test_overlapping_io_port_ranges(self, ws, capsys):
@@ -389,6 +390,12 @@ class TestNoTracebacks:
         assert capsys.readouterr().err == (
             "error: IoPortRange(base=96, length=16) overlaps IoPortRange(base=104, length=8)\n")
         assert not (ws / "cellsim.state").exists()
+
+    def test_overlapping_io_port_ranges_in_a_config(self, ws, capsys):
+        (ws / "guest.cfg").write_text(GUEST_TEXT + "ioport 0x60 0x10\nioport 0x68 0x8\n")
+        assert run(ws, "check-config", str(ws / "guest.cfg")) == 1
+        assert capsys.readouterr().err == (
+            "error: IoPortRange(base=96, length=16) overlaps IoPortRange(base=104, length=8)\n")
 
     def test_script_path_longer_than_65535_bytes(self, ws, capsys):
         # it overflowed the binary config's u16 path length on save
@@ -571,6 +578,28 @@ class TestBenchCommand:
         for sc in canonical_scenarios(n_samples=1000):
             _, deliveries = run_scenario(platform, sc)
             assert deliveries.latency_us.min() >= 0.0
+
+    def test_samples_past_the_int64_clock_are_refused(self, ws, capsys):
+        # numpy printed a traceback: it could not allocate 72.8 TiB
+        assert run(ws, "bench", "run", "--samples", "10000000000000") == 1
+        assert capsys.readouterr() == (
+            "", "error: 10000000000000 samples at 10.0 Hz do not fit the int64 ns clock\n")
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 1.00 TiB for an array with shape (137438953472,)"
+                     " and data type int64"),
+         "error: Unable to allocate 1.00 TiB for an array with shape (137438953472,)"
+         " and data type int64\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ])
+    def test_out_of_memory_is_one_error_line(self, ws, capsys, monkeypatch, exc, line):
+        from cellsim import bench
+
+        def exhausted(*args):
+            raise exc
+        monkeypatch.setattr(bench, "run_report", exhausted)
+        assert run(ws, "bench", "run", "--samples", "10") == 1
+        assert capsys.readouterr() == ("", line)
 
     def test_run_mode_prints_row_lines(self, ws, capsys):
         assert run(ws, "bench", "run", "--samples", "25", "--seed", "3") == 0

@@ -529,6 +529,23 @@ class TestScenario:
         with pytest.raises(InvariantViolation):
             Scenario(True, 10.0, False, 1, -1)
 
+    @pytest.mark.parametrize("freq_hz", [10.0, 50.0])
+    def test_last_raise_time_must_fit_the_int64_clock(self, freq_hz):
+        # np.arange(n) * period wraps around int64 without an error; only
+        # Scenarios are built here, so nothing of that size is allocated
+        period = round(1e9 / freq_hz)
+        most = (2 ** 63 - 1) // period + 1  # the last raise at or below 2^63 - 1 ns
+        assert Scenario(True, freq_hz, False, most, 0).period_ns == period
+        with pytest.raises(InvariantViolation, match="^%d samples at %r Hz do not fit the int64"
+                           " ns clock$" % (most + 1, freq_hz)):
+            Scenario(True, freq_hz, False, most + 1, 0)
+
+    @pytest.mark.parametrize("freq_hz", [1e-10, 1e-320])
+    def test_period_past_the_int64_clock_is_refused(self, freq_hz):
+        # 1e9 / 1e-320 is infinite, which round() cannot convert
+        with pytest.raises(InvariantViolation, match="do not fit the int64 ns clock"):
+            Scenario(True, freq_hz, False, 1, 0)
+
 
 class TestRecordTypes:
     def test_latency_stats_bounds(self):

@@ -1,8 +1,10 @@
 """The six resource directives read the same in platform files and cell configs.
 
-Both text formats hand `cpu`, `mem`, `mmio`, `pci`, `ioport` and `irq`
-lines to `machine.parse_resource`, so a line names the same resources, or
-fails with the same error at the same line and column, in either format.
+Both text formats are read by `machine.read_directives`, which hands
+`cpu`, `mem`, `mmio`, `pci`, `ioport` and `irq` lines to
+`machine.parse_resource`, so a line names the same resources, or fails
+with the same error at the same line and column, in either format. The
+head line and the rule that a CPU or IRQ is listed once are the same too.
 """
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, strategies as st
 from cellsim import (
     Cpu,
     IrqLine,
+    PlatformSpec,
     build_platform,
     parse_config,
     parse_platform,
@@ -55,18 +58,20 @@ MALFORMED = {
                         "ioport 0xfff0 0x20", "mem 0xfffffffffffff000 0x2000 r"],
     "empty range": ["cpu 3-1", "irq 5-3", "mem 0x1000 0 r", "ioport 0x10 0"],
     "duplicate cpu": ["cpu 1,1", "cpu 0-2,2"],
+    "duplicate irq": ["irq 33,33", "irq 32-34,33"],
     "unknown directive": ["flux 1"],
 }
 MALFORMED_CASES = [pytest.param(line, id="%s: %s" % (group, line))
                    for group, lines in MALFORMED.items() for line in lines]
 
 
-def _parse_both(line):
-    """(cell config or error, platform spec or error) for one line."""
+def _parse_both(line, head='{head} "n"'):
+    """(cell config or error, platform spec or error) for the head line,
+    then line, then FILLER; {head} stands for the format's head keyword."""
     results = []
-    for parse, header in ((parse_config, 'cell "c"'), (parse_platform, 'platform "p"')):
+    for parse, keyword in ((parse_config, "cell"), (parse_platform, "platform")):
         try:
-            results.append(parse("%s\n%s\n%s" % (header, line, FILLER)))
+            results.append(parse(("%s\n%s\n%s" % (head, line, FILLER)).replace("{head}", keyword)))
         except CellSimError as exc:
             results.append(exc)
     return results
@@ -96,12 +101,31 @@ def test_malformed_line_fails_the_same_way(line):
     assert str(from_config) == str(from_platform)
 
 
-def test_duplicate_irq_rules_stay_per_format():
-    with pytest.raises(ConfigSemanticError, match="line 3: irq 33 listed twice"):
-        parse_config('cell "c"\nirq 33\nirq 32-33\n' + FILLER)
-    spec = parse_platform('platform "p"\nirq 33\nirq 32-33\ncpu 0\n')
-    with pytest.raises(DuplicateIrq):
-        build_platform(spec)
+@pytest.mark.parametrize("line, head, message", [
+    ('{head} "m"', '{head} "n"', 'line 2: duplicate {head} directive'),
+    ("cpu 1", "", 'missing {head} "<name>" directive'),
+    ("", '{head} "%s"' % ("n" * 32), "line 1: {head} name longer than 31 bytes"),
+    ("cpu 1\ncpu 0-1", '{head} "n"', "line 3: cpu 1 listed twice"),
+    ("irq 33\nirq 32-33", '{head} "n"', "line 3: irq 33 listed twice"),
+], ids=["repeated head", "missing head", "long name", "cpu twice", "irq twice"])
+def test_head_and_unit_rules_are_the_same_in_both_formats(line, head, message):
+    # a platform file refused neither a long name nor an irq listed twice
+    # itself: build_platform did, without naming the line
+    from_config, from_platform = _parse_both(line, head)
+    for exc, keyword in ((from_config, "cell"), (from_platform, "platform")):
+        assert isinstance(exc, ConfigSemanticError)
+        assert str(exc) == message.replace("{head}", keyword)
+    assert from_config.line == from_platform.line
+
+
+def test_name_of_31_bytes_is_read_in_both_formats():
+    cfg, spec = _parse_both("", '{head} "%s"' % ("n" * 31))
+    assert cfg.name == spec.name == "n" * 31
+
+
+def test_build_platform_still_refuses_a_repeated_irq_built_in_code():
+    with pytest.raises(DuplicateIrq, match=r"irq lines listed twice: \[33\]"):
+        build_platform(PlatformSpec("p", [Cpu(0), IrqLine(33), IrqLine(32), IrqLine(33)]))
 
 
 @pytest.mark.parametrize("line", MALFORMED_CASES)

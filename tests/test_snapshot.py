@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from cellsim import (
     EXIT_SLOT,
     ROOT_CELL,
+    Access,
+    AccessKind,
+    CellConfig,
     CellState,
     Cpu,
     GicVersion,
@@ -321,6 +324,76 @@ class TestCellTable:
         hv = populated_hv()  # cells 0-3
         hv._next_cell_id = next_id
         with pytest.raises(InvariantViolation, match="next cell id %d" % next_id):
+            load_session(save_session(hv.platform, hv))
+
+
+class TestStatesNoCallMakes:
+    """Snapshots of states that no sequence of API calls produces."""
+
+    @pytest.mark.parametrize("state", [CellState.CREATED, CellState.STOPPED])
+    def test_root_cell_neither_running_nor_failed_rejected(self, state):
+        # `cell start 0` then "started" root
+        hv = populated_hv()
+        hv.cells[ROOT_CELL].state = state
+        with pytest.raises(InvariantViolation, match="^snapshot root cell is %s, not running"
+                           " or failed$" % state.value):
+            load_session(save_session(hv.platform, hv))
+
+    def test_failed_root_cell_loads(self):
+        hv = populated_hv()
+        hv.handle_access(ROOT_CELL, Access(AccessKind.MEM_READ, 0xDEAD_0000))
+        assert hv.cells[ROOT_CELL].state is CellState.FAILED
+        assert load_session(save_session(hv.platform, hv))[1].cells[ROOT_CELL].state \
+            is CellState.FAILED
+
+    def test_cli_refuses_the_session_with_one_line(self, tmp_path, capsys):
+        hv = populated_hv()
+        hv.cells[ROOT_CELL].state = CellState.STOPPED
+        state = tmp_path / "cellsim.state"
+        state.write_bytes(save_session(hv.platform, hv))
+        for argv in (["cell", "list"], ["cell", "start", "0"]):
+            assert main(["--state", str(state), *argv]) == 1
+            assert capsys.readouterr() == (
+                "", "error: snapshot root cell is stopped, not running or failed\n")
+
+    # cell 1 of populated_hv owns [RAM + 0x8_0000, RAM + 0x8_2000)
+    @pytest.mark.parametrize("image", [
+        {RAM + 0x8_0000: b""},
+        {RAM + 0x8_0000: b"\1" * 8, RAM + 0x8_0004: b"\2" * 8},
+        {RAM + 0x8_0000: b"\1" * 4, RAM + 0x8_0004: b"\2" * 4},
+        {RAM + 0x7_FFFC: b"\1" * 8},
+        {RAM + 0x8_1FFC: b"\1" * 8},
+        {RAM + 0x9_0000: b"\1"},
+    ], ids=["empty", "overlapping", "adjacent", "below", "past the end", "root's ram"])
+    def test_image_write_image_never_makes_rejected(self, image):
+        hv = populated_hv()
+        hv.cells[1].memory_image = image
+        with pytest.raises(InvariantViolation, match="^snapshot cell 1 image chunk "):
+            load_session(save_session(hv.platform, hv))
+
+    def test_repeated_image_chunk_address_rejected(self):
+        # the second chunk used to replace the first without a word
+        hv = populated_hv()
+        blob = save_session(hv.platform, hv)
+        second = struct.pack("<Q", RAM + 0x8_1000)
+        assert sorted(hv.cells[1].memory_image) == [RAM + 0x8_0000, RAM + 0x8_1000]
+        assert blob.count(second) == 1
+        with pytest.raises(InvariantViolation, match="snapshot cell 1 image chunk"):
+            load_session(blob.replace(second, struct.pack("<Q", RAM + 0x8_0000)))
+
+    def test_merged_chunk_may_span_adjacent_regions_only(self):
+        hv = tiny_hv()
+        two = hv.create_cell(CellConfig(name="two", cpus=[1], mem=[
+            MemRegion(RAM + 0x8_0000, 0x1000), MemRegion(RAM + 0x8_1000, 0x1000)]))
+        hv.load_image(two, RAM + 0x8_0FFC, b"\1" * 4)
+        hv.load_image(two, RAM + 0x8_1000, b"\2" * 4)
+        assert hv.cells[two].memory_image == {RAM + 0x8_0FFC: b"\1" * 4 + b"\2" * 4}
+        restored = load_session(save_session(hv.platform, hv))[1]
+        assert restored.cells[two].memory_image == hv.cells[two].memory_image
+        gap = hv.create_cell(CellConfig(name="gap", cpus=[2], mem=[
+            MemRegion(RAM + 0x9_0000, 0x1000), MemRegion(RAM + 0x9_2000, 0x1000)]))
+        hv.cells[gap].memory_image = {RAM + 0x9_0FFC: b"\1" * 0x1008}
+        with pytest.raises(InvariantViolation, match="snapshot cell %d image chunk" % gap):
             load_session(save_session(hv.platform, hv))
 
 
