@@ -26,7 +26,7 @@ from .errors import (
     SelfChannel,
 )
 from .hvcore import _REINJECT, _RUNNING, CellState, Hypervisor, TrapKind
-from .irq import latency_streams, sample_latency
+from .irq import DoorbellLatencies
 from .machine import PAGE_SIZE, MemRegion, PermFlags, bus_load
 
 VENDOR_ID = 0x110A
@@ -163,10 +163,9 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
     latency = None  # no virtual IRQ reaches a peer that is not running
     if peer_cell is not None and peer_cell.state is _RUNNING:
         if hv._doorbell_streams is None:  # four streams cost ~100 us
-            hv._doorbell_streams = latency_streams(hv.seed, "hv-doorbell")
+            hv._doorbell_streams = DoorbellLatencies(hv.platform.bus, hv.seed)
         # drawn first, so that a refused latency leaves the channel as it was
-        latency = sample_latency(True, bus_load(hv, peer_cell), hv.platform.bus,
-                                 hv._doorbell_streams)
+        latency = hv._doorbell_streams.ring(bus_load(hv, peer_cell))
         hv._log(_REINJECT, peer, "doorbell ch=%d vector=%d" % (ch_id, vector))
     channel.buffer[offset:offset + len(payload)] = payload
     channel.pending[peer].append(vector)

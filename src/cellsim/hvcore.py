@@ -299,11 +299,6 @@ class Cell:
     def name(self) -> str:
         return self.config.name
 
-    @property
-    def loads_bus(self) -> bool:
-        """Running with a stress workload, which contends for the shared bus."""
-        return self.state is _RUNNING and self.config.workload.kind is _STRESS
-
     def write_image(self, addr: int, data: bytes) -> None:
         if not data:
             return
@@ -417,10 +412,10 @@ class Hypervisor:
         # Per-cell access maps, each built at the cell's first trap and
         # dropped whenever ownership or channels change.
         self._access_maps: dict[CellId, AccessMap] = {}
-        # Doorbell latency streams, made by the first ring. Assigned here,
-        # not by a cached_property: a new instance attribute after
-        # __init__ makes every attribute read on this object slower.
-        self._doorbell_streams: Optional[tuple] = None
+        # Doorbell latencies (irq.DoorbellLatencies), made by the first ring.
+        # Assigned here, not by a cached_property: a new instance attribute
+        # after __init__ makes every attribute read on this object slower.
+        self._doorbell_streams = None
 
     # -- plumbing
 

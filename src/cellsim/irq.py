@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,44 +50,92 @@ def latency_streams(seed: int, tag: str = "") -> tuple:
     return tuple(make_streams(seed, tag, 4))
 
 
-def draw(params: DistParams, rng, size=None):
-    """One draw of shift_us + exp(N(log_mu, log_sigma)) as a float, or size
-    draws as an array built in place. Both use np.exp, so a batch equals as
-    many single draws (math.exp can differ by an ulp)."""
+def draw(params: DistParams, rng, size: int) -> np.ndarray:
+    """size draws of shift_us + exp(N(log_mu, log_sigma)), built in one array.
+    Draws are made in stream order, so two batches equal one batch of both sizes."""
     grown = rng.standard_normal(size)
-    grown *= params.log_sigma  # in place for an array, a new float for one draw
+    grown *= params.log_sigma
     grown += params.log_mu
-    grown = float(np.exp(grown)) if size is None else np.exp(grown, out=grown)
+    np.exp(grown, out=grown)
     grown += params.shift_us
     return grown
 
 
+def _phase(jitter, size: int) -> np.ndarray:
+    """size uniform phase offsets of half a lattice tick either way."""
+    phase = jitter.random(size)
+    phase *= LATTICE_US
+    phase -= LATTICE_US / 2
+    return phase
+
+
 def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
-                   size=None):
-    """Draw one measured latency in microseconds, or an array of size.
+                   size: int) -> np.ndarray:
+    """Draw size measured latencies in microseconds, as one array.
 
     latency = base + H[vmm on] + C[vmm on and stressed, with probability
     contention_prob], observed through jitter and quantization when the
     bus model has them enabled, and never below 0. Each active component
     takes one draw per sample from its own stream (the contention size even
-    when the trigger does not fire), so a batch of n equals n single calls.
+    when the trigger does not fire). raise_irqs checks that a batch fits.
     """
     overhead, trigger, contention, jitter = streams
-    latency = bus.base_latency_us if size is None else np.full(size, bus.base_latency_us)
-    if vmm_on:  # an array is summed in place, a term at a time, in this order
+    latency = np.full(size, bus.base_latency_us)
+    if vmm_on:  # summed in place, a term at a time, in this order
         latency += draw(bus.hv_overhead, overhead, size)
         if stressed:
             extra = draw(bus.contention, contention, size)
             extra *= trigger.random(size) < bus.contention_prob
             latency += extra
     if bus.phase_jitter_enabled:
-        phase = jitter.random(size)
-        phase *= LATTICE_US
-        phase -= LATTICE_US / 2
-        latency += phase
-    latency = max(latency, 0.0) if size is None else np.maximum(latency, 0.0, out=latency)
-    latency = quantize_62_5ns(latency) if bus.quantize_enabled else latency
-    return _check_fits(latency, 0) if size is None else latency  # raise_irqs checks a batch
+        latency += _phase(jitter, size)
+    np.maximum(latency, 0.0, out=latency)
+    return quantize_62_5ns(latency) if bus.quantize_enabled else latency
+
+
+class _Blocks:
+    """One stream's values, drawn fill(n) at a time with n = 16, 32, ... up
+    to 1024 (a session that rings once draws few) and taken one at a time."""
+
+    __slots__ = ("fill", "size", "values")
+
+    def __init__(self, fill):
+        self.fill, self.size, self.values = fill, 16, []
+
+    def take(self) -> float:
+        if not self.values:
+            with np.errstate(over="ignore", invalid="ignore"):  # a ring refuses an overflow
+                self.values = self.fill(self.size).tolist()[::-1]  # taken from the end
+            self.size = min(2 * self.size, 1024)
+        return self.values.pop()
+
+
+class DoorbellLatencies:
+    """Doorbell latencies, one per ring, from the four "hv-doorbell" streams
+    drawn in blocks. A ring repeats sample_latency's arithmetic, in its
+    order, on the next value of each stream it uses: overhead and jitter
+    advance on every ring, trigger and contention only on a stressed one.
+    So each ring equals the batch of its run of calm or stressed rings."""
+
+    def __init__(self, bus: BusModel, seed: int):
+        overhead, trigger, contention, jitter = latency_streams(seed, "hv-doorbell")
+        self.bus = bus  # partials, not closures, so that a deep copy copies the streams
+        self.overhead = _Blocks(partial(draw, bus.hv_overhead, overhead))
+        self.trigger = _Blocks(trigger.random)
+        self.contention = _Blocks(partial(draw, bus.contention, contention))
+        self.jitter = _Blocks(partial(_phase, jitter))
+
+    def ring(self, stressed: bool) -> float:
+        bus = self.bus
+        latency = bus.base_latency_us + self.overhead.take()
+        if stressed:
+            extra = self.contention.take()
+            extra *= self.trigger.take() < bus.contention_prob
+            latency += extra
+        if bus.phase_jitter_enabled:
+            latency += self.jitter.take()
+        latency = max(latency, 0.0)
+        return _check_fits(quantize_62_5ns(latency) if bus.quantize_enabled else latency, 0)
 
 
 def _check_fits(top_us: float, last_ns: int) -> float:
@@ -138,6 +187,8 @@ class Scenario:
         if not 1e9 / self.freq_hz < 2 ** 63 or (self.n_samples - 1) * self.period_ns >= 2 ** 63:
             raise InvariantViolation("%d samples at %r Hz do not fit the int64 ns clock"
                                      % (self.n_samples, self.freq_hz))
+        if self.period_ns < 1:  # else every raise lands at the same instant
+            raise InvariantViolation("%r Hz gives a raise period under 1 ns" % self.freq_hz)
 
     @property
     def period_ns(self) -> int:
@@ -200,7 +251,7 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
                 "line %d owned by cell %d in state %s" % (line, owner, cell.state.value))
         path, stressed = "reinjected", bus_load(hv, cell)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        latency = sample_latency(hv.enabled, stressed, hv.platform.bus, streams, size=raised.size)
+        latency = sample_latency(hv.enabled, stressed, hv.platform.bus, streams, raised.size)
     last = int(raised.max())
     _check_fits(float(latency.max()), last)
     delivered = latency * 1000.0  # whole ns, in one float buffer freed by the cast

@@ -233,18 +233,23 @@ def parse_resource(tokens: list[Token], lineno: int) -> list:
         raise ConfigSemanticError(str(exc), lineno)
 
 
+# A span's address space: RAM and MMIO share one; I/O ports have their own.
+_SPACE = {"mem": "address", "mmio": "address", "ioport": "port"}
+
+
 def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
     """The name and resources of a text config or platform file.
 
     The head line, `<head> "<name>"`, comes once and names at most
     MAX_NAME_BYTES bytes. Each line of one of the format's own directives
     goes, in line order, to own[keyword](tokens, lineno); every other line
-    is a resource directive of `parse_resource`. A CPU or IRQ listed twice
-    is refused on the line that repeats it.
+    is a resource directive of `parse_resource`. A CPU or IRQ listed twice,
+    or a span that overlaps an earlier one, is refused on its second line.
     """
     name = None
     resources: list = []
     seen: set = set()
+    spans: dict = {"address": [], "port": []}  # space -> [(span, line text, lineno)]
     for lineno, tokens in iter_directives(text):
         keyword = tokens[0][0]
         if keyword == head:
@@ -264,6 +269,14 @@ def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
                         raise ConfigSemanticError("%s %d listed twice" % (keyword, (
                             resource.index if keyword == "cpu" else resource.number)), lineno)
                     seen.add(resource)
+                space = spans.get(_SPACE.get(keyword))
+                if space is not None:
+                    line = " ".join(word for word, _ in tokens)  # as written, in hex
+                    for other, other_line, at in space:
+                        if resource.base < other.end and other.base < resource.end:
+                            raise ConfigSemanticError("%s overlaps %s on line %d"
+                                                      % (line, other_line, at), lineno)
+                    space.append((resource, line, lineno))
                 resources.append(resource)
     if name is None:
         raise ConfigSemanticError('missing %s "<name>" directive' % head)
@@ -447,15 +460,25 @@ def check_no_overlap(ranges) -> None:
             raise OverlapError("%r overlaps %r" % (prev, cur))
 
 
+_LOADS_BUS = None  # (RUNNING, STRESS) from hvcore, which imports this module
+
+
 def bus_load(hv: "Hypervisor", measured: "Cell") -> bool:
     """Whether the measured cell sees a loaded bus.
 
     True iff at least one *other* running cell runs a stress workload.
     """
-    if not hv.enabled:
+    global _LOADS_BUS
+    if hv.ledger is None:
         raise NotEnabled("bus load is defined only while the hypervisor runs")
-    return any(cell.loads_bus and cell.id != measured.id
-               for cell in hv.cells.values())
+    if _LOADS_BUS is None:
+        from .hvcore import _RUNNING, _STRESS
+        _LOADS_BUS = _RUNNING, _STRESS
+    running, stress = _LOADS_BUS
+    for cell in hv.cells.values():
+        if cell.state is running and cell.config.workload.kind is stress and cell is not measured:
+            return True
+    return False
 
 
 # --- platform file format ---------------------------------------------------

@@ -387,15 +387,19 @@ class TestNoTracebacks:
     def test_overlapping_io_port_ranges(self, ws, capsys):
         (ws / "board.platform").write_text(PLATFORM_TEXT + "ioport 0x60 0x10\nioport 0x68 0x8\n")
         assert enable_board(ws) == 1
+        line = PLATFORM_TEXT.count("\n") + 2
         assert capsys.readouterr().err == (
-            "error: IoPortRange(base=96, length=16) overlaps IoPortRange(base=104, length=8)\n")
+            "error: line %d: ioport 0x68 0x8 overlaps ioport 0x60 0x10 on line %d\n"
+            % (line, line - 1))
         assert not (ws / "cellsim.state").exists()
 
     def test_overlapping_io_port_ranges_in_a_config(self, ws, capsys):
         (ws / "guest.cfg").write_text(GUEST_TEXT + "ioport 0x60 0x10\nioport 0x68 0x8\n")
         assert run(ws, "check-config", str(ws / "guest.cfg")) == 1
+        line = GUEST_TEXT.count("\n") + 2
         assert capsys.readouterr().err == (
-            "error: IoPortRange(base=96, length=16) overlaps IoPortRange(base=104, length=8)\n")
+            "error: line %d: ioport 0x68 0x8 overlaps ioport 0x60 0x10 on line %d\n"
+            % (line, line - 1))
 
     def test_script_path_longer_than_65535_bytes(self, ws, capsys):
         # it overflowed the binary config's u16 path length on save

@@ -1,4 +1,9 @@
+import copy
+import hashlib
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -36,7 +41,7 @@ from cellsim.errors import (
     SelfChannel,
     ValidationFailed,
 )
-from cellsim.irq import latency_streams, sample_latency
+from cellsim.irq import DoorbellLatencies, latency_streams, sample_latency
 
 from test_hvcore import RAM, small_cell, tiny_hv
 
@@ -244,9 +249,10 @@ class TestSendPoll:
         hv, a, b, ch = channel_pair()
         assert hv._doorbell_streams is None
         send(hv, ch, a, 0, b"x", 0)
-        streams = hv._doorbell_streams
+        doorbells = hv._doorbell_streams
         send(hv, ch, a, 0, b"y", 1)
-        assert hv._doorbell_streams is streams and len(streams) == 4
+        assert isinstance(doorbells, DoorbellLatencies)
+        assert hv._doorbell_streams is doorbells
 
     def test_stopped_peer_queues_without_doorbell(self):
         hv, a, b, ch = channel_pair()
@@ -386,14 +392,79 @@ class TestTrace:
         hv.start_cell(noisy)  # the doorbells below draw the stressed model
         send(hv, ch, a, 0, b"four", 1)
         send(hv, ch, b, 0, b"!", 0)
-        twin = latency_streams(hv.seed, "hv-doorbell")
-        drawn = [sample_latency(True, True, hv.platform.bus, twin) for _ in range(2)]
+        drawn = sample_latency(True, True, hv.platform.bus,
+                               latency_streams(hv.seed, "hv-doorbell"), 2).tolist()
         assert hv.channel_trace == [
             {"t": hv.clock, "ch": ch, "dir": "a->b", "vector": 1, "len": 4,
              "latency_us": drawn[0]},
             {"t": hv.clock, "ch": ch, "dir": "b->a", "vector": 0, "len": 1,
              "latency_us": drawn[1]},
         ]
+
+
+class TestDoorbellLatencies:
+    """Doorbells draw their streams in blocks and use them one ring at a
+    time: each ring equals the batch kernel's sample for it."""
+
+    def test_rings_equal_batches_of_their_runs(self):
+        # a stress neighbour stopped and started at random interleaves calm
+        # and stressed rings, and 5,000 rings cross many block boundaries;
+        # a run of calm or stressed rings draws like one batch
+        hv, a, b, ch = channel_pair(vectors=2)
+        noisy = hv.create_cell(small_cell("noisy", cpu=3, base=RAM + 0xE_0000,
+                                          workload=Workload(WorkloadKind.STRESS)))
+        rnd = random.Random(21)
+        stressed = []
+        for _ in range(5000):
+            if rnd.random() < 0.3:
+                (hv.stop_cell if hv.cells[noisy].state is CellState.RUNNING
+                 else hv.start_cell)(noisy)
+            stressed.append(hv.cells[noisy].state is CellState.RUNNING)
+            send(hv, ch, rnd.choice((a, b)), 0, b"ring", rnd.randrange(2))
+        streams = latency_streams(hv.seed, "hv-doorbell")
+        expected = [value for flag, run in itertools.groupby(stressed)
+                    for value in sample_latency(True, flag, hv.platform.bus, streams,
+                                                len(list(run))).tolist()]
+        assert [record["latency_us"] for record in hv.channel_trace] == expected
+        assert 1000 < sum(stressed) < 4000
+
+    def test_a_deep_copy_rings_like_the_original(self):
+        # 20 rings reach into the second block; each copy draws its own
+        hv, a, b, ch = channel_pair()
+        for _ in range(20):
+            send(hv, ch, a, 0, b"x", 0)
+        twin = copy.deepcopy(hv)
+        for each in (hv, twin):
+            for _ in range(40):
+                send(each, ch, b, 0, b"y", 0)
+        assert twin.channel_trace == hv.channel_trace
+
+    TRAP_MIX_SHA256 = {
+        1: "bae032d2f48f2a86591fae83dfe3e14c657994b217587ec0dc841fb0fc41ef62",
+        31: "7d2fd002fcf12f30a6d3cff8d5de5857f726e00d46f3ec420ea7c2b581036e3b"}
+
+    @pytest.mark.parametrize("seed", sorted(TRAP_MIX_SHA256))
+    def test_trap_mix_doorbells_are_pinned(self, seed, tmp_path, monkeypatch):
+        # the benchmark's trap-mix episode rings 900 doorbells; the sha256 of
+        # their latencies as JSON was taken when each ring drew one sample
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench import workloads
+        made = []
+        build = workloads.TrapMix.build_state
+
+        def build_state(*args):
+            hv, channel = build(*args)
+            made.append(hv)
+            return hv, channel
+
+        monkeypatch.setattr(workloads.TrapMix, "build_state", staticmethod(build_state))
+        episode = workloads.TrapMix(seed, str(tmp_path)).episode()
+        assert episode.failed == 0
+        latencies = [record["latency_us"] for record in made[0].channel_trace]
+        assert len(latencies) == 900
+        assert (hashlib.sha256(json.dumps(latencies).encode()).hexdigest()
+                == self.TRAP_MIX_SHA256[seed])
+
 
 # --- window and bdf allocation against a page scan ---------------------------
 

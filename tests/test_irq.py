@@ -36,7 +36,7 @@ from cellsim.errors import (
 )
 from cellsim.comm import create_channel, send
 from cellsim.hvcore import EXIT_SLOT, Access, AccessKind
-from cellsim.irq import LATTICE_US, distributor_access, draw
+from cellsim.irq import LATTICE_US, DoorbellLatencies, distributor_access, draw
 from cellsim.machine import bus_load, parse_platform
 from cellsim.rng import h64, make_rng, make_streams
 
@@ -103,67 +103,62 @@ class TestStreams:
         assert [g.random() for g in streams] == [g.random() for g in make_streams(5, "x", 4)]
 
 
+def in_pieces(sampler, sizes):
+    """sampler(n) for each n in sizes, in turn, as one list."""
+    return [value for n in sizes for value in sampler(n).tolist()]
+
+
 class TestDraw:
     def test_zero_width_draw_is_exact(self):
         params = DistParams(shift_us=0.25, log_mu=math.log(0.5), log_sigma=0.0)
-        assert draw(params, make_rng(3)) == pytest.approx(0.75)
+        assert draw(params, make_rng(3), 4).tolist() == pytest.approx([0.75] * 4)
 
     def test_draws_are_deterministic_per_seed(self):
         params = DistParams(0.1, -2.0, 0.6)
-        assert draw(params, make_rng(9, "t")) == draw(params, make_rng(9, "t"))
+        assert (draw(params, make_rng(9, "t"), 50).tolist()
+                == draw(params, make_rng(9, "t"), 50).tolist())
 
     def test_batch_draw_equals_single_draws(self):
+        # a batch equals size-1 draws and any other split of the stream
         params = DistParams.from_mean(1.0, log_sigma=0.38, shift_us=0.2)
-        batch = draw(params, make_rng(12, "b"), size=1000)
+        batch = draw(params, make_rng(12, "b"), 1000)
         rng = make_rng(12, "b")
-        singles = [draw(params, rng) for _ in range(1000)]
-        assert {type(x) for x in singles} == {float}
-        assert batch.tolist() == singles
+        assert batch.tolist() == in_pieces(lambda n: draw(params, rng, n), [1] * 1000)
+        rng = make_rng(12, "b")
+        assert batch.tolist() == in_pieces(lambda n: draw(params, rng, n), [16, 32, 952])
 
     def test_empirical_mean_tracks_parameter(self):
         params = DistParams.from_mean(1.0, log_sigma=0.38)
-        rng = make_rng(11)
-        mean = sum(draw(params, rng) for _ in range(200_000)) / 200_000
-        assert mean == pytest.approx(1.0, rel=0.01)
+        assert draw(params, make_rng(11), 200_000).mean() == pytest.approx(1.0, rel=0.01)
 
 
 class TestSampleLatency:
     def test_off_raw_is_exactly_base(self):
         bus = BusModel.default().without_measurement()
         rng = latency_streams(1)
-        assert sample_latency(False, False, bus, rng) == 0.45
-        assert sample_latency(False, True, bus, rng) == 0.45
+        assert sample_latency(False, False, bus, rng, 3).tolist() == [0.45] * 3
+        assert sample_latency(False, True, bus, rng, 3).tolist() == [0.45] * 3
 
     def test_off_measured_hits_two_lattice_points(self):
-        bus = BusModel.default()
-        rng = latency_streams(2)
-        values = {sample_latency(False, False, bus, rng) for _ in range(5000)}
-        assert values == {0.4375, 0.5}
+        values = sample_latency(False, False, BusModel.default(), latency_streams(2), 5000)
+        assert set(values.tolist()) == {0.4375, 0.5}
 
     def test_off_measured_mean_is_unbiased(self):
-        bus = BusModel.default()
-        rng = latency_streams(3)
-        n = 40_000
-        mean = sum(sample_latency(False, False, bus, rng) for _ in range(n)) / n
-        assert mean == pytest.approx(0.45, abs=0.001)
+        values = sample_latency(False, False, BusModel.default(), latency_streams(3), 40_000)
+        assert values.mean() == pytest.approx(0.45, abs=0.001)
 
     def test_on_raw_has_floor_above_base_plus_shift(self):
         bus = BusModel.default().without_measurement()
-        rng = latency_streams(4)
-        values = [sample_latency(True, False, bus, rng) for _ in range(5000)]
-        assert min(values) > 0.45 + 0.70
-        n = len(values)
-        mean = sum(values) / n
-        assert mean == pytest.approx(0.45 + 0.70 + math.exp(-2.3 + 0.5 * 0.36),
-                                     rel=0.01)
+        values = sample_latency(True, False, bus, latency_streams(4), 5000)
+        assert values.min() > 0.45 + 0.70
+        assert values.mean() == pytest.approx(0.45 + 0.70 + math.exp(-2.3 + 0.5 * 0.36),
+                                              rel=0.01)
 
     def test_stress_adds_contention_tail(self):
         bus = BusModel.default().without_measurement()
-        rng = latency_streams(5)
         n = 40_000
-        calm = sum(sample_latency(True, False, bus, rng) for _ in range(n)) / n
-        rng = latency_streams(5)
-        loaded = sum(sample_latency(True, True, bus, rng) for _ in range(n)) / n
+        calm = sample_latency(True, False, bus, latency_streams(5), n).mean()
+        loaded = sample_latency(True, True, bus, latency_streams(5), n).mean()
         # contention fires with p=0.1 and adds 1.0 on average
         assert loaded - calm == pytest.approx(0.10, abs=0.02)
 
@@ -171,10 +166,11 @@ class TestSampleLatency:
     def test_latency_is_clamped_at_zero(self, quantize):
         # a 0.01 us floor plus jitter of up to half a tick either way dips below 0
         bus = low_floor_bus(quantize)
-        batch = sample_latency(False, False, bus, latency_streams(12, "clamp"), size=4000)
+        batch = sample_latency(False, False, bus, latency_streams(12, "clamp"), 4000)
         streams = latency_streams(12, "clamp")
-        singles = [sample_latency(False, False, bus, streams) for _ in range(4000)]
-        assert batch.tolist() == singles
+        pieces = in_pieces(lambda n: sample_latency(False, False, bus, streams, n),
+                           [1, 999, 3000])
+        assert batch.tolist() == pieces
         assert batch.min() == 0.0 and batch.max() > 0.0
 
     def test_clamped_deliveries_and_doorbells_are_never_early(self):
@@ -195,37 +191,48 @@ class TestSampleLatency:
 
     def test_draw_order_is_pinned(self):
         # one draw per component per sample, each from its own stream,
-        # summed in the order base, overhead, contention, jitter
+        # summed in the order base, overhead, contention, jitter; a
+        # stressed doorbell ring draws the same way from "hv-doorbell"
         bus = BusModel.default()
-        value = sample_latency(True, True, bus, latency_streams(6, "order"))
-        overhead, trigger, contention, jitter = latency_streams(6, "order")
-        manual = bus.base_latency_us + draw(bus.hv_overhead, overhead)
-        manual += draw(bus.contention, contention) * (trigger.random() < bus.contention_prob)
-        manual += jitter.random() * LATTICE_US - LATTICE_US / 2
-        assert value == quantize_62_5ns(max(manual, 0.0))
+        value = sample_latency(True, True, bus, latency_streams(6, "order"), 1)[0]
+        ring = DoorbellLatencies(bus, 6).ring(True)
+        for tag, got in (("order", value), ("hv-doorbell", ring)):
+            overhead, trigger, contention, jitter = latency_streams(6, tag)
+            manual = bus.base_latency_us + draw(bus.hv_overhead, overhead, 1)[0]
+            manual += (draw(bus.contention, contention, 1)[0]
+                       * (trigger.random() < bus.contention_prob))
+            manual += jitter.random() * LATTICE_US - LATTICE_US / 2
+            assert got == quantize_62_5ns(max(float(manual), 0.0))
 
     @pytest.mark.parametrize("vmm_on, stressed", [(False, False), (True, False), (True, True)])
     @pytest.mark.parametrize("measured", [True, False])
     def test_batch_equals_single_draws(self, vmm_on, stressed, measured):
+        # a batch equals size-1 batches, and a hypervisor-on batch equals
+        # as many doorbell rings, which draw their streams in blocks
         bus = BusModel.default() if measured else BusModel.default().without_measurement()
-        batch = sample_latency(vmm_on, stressed, bus, latency_streams(9, "b"), size=3000)
+        batch = sample_latency(vmm_on, stressed, bus, latency_streams(9, "b"), 3000)
         streams = latency_streams(9, "b")
-        singles = [sample_latency(vmm_on, stressed, bus, streams) for _ in range(3000)]
+        singles = in_pieces(lambda n: sample_latency(vmm_on, stressed, bus, streams, n),
+                            [1] * 3000)
         assert batch.dtype == np.float64
-        assert {type(x) for x in singles} == {float}
         assert batch.tolist() == singles
+        if vmm_on:
+            doorbells = DoorbellLatencies(bus, 9)
+            rings = [doorbells.ring(stressed) for _ in range(3000)]
+            assert {type(x) for x in rings} == {float}
+            assert rings == sample_latency(
+                True, stressed, bus, latency_streams(9, "hv-doorbell"), 3000).tolist()
 
     def test_same_seed_same_stream(self):
         bus = BusModel.default()
-        first = [sample_latency(True, True, bus, latency_streams(7, "s"))
-                 for _ in range(1)]
-        second = [sample_latency(True, True, bus, latency_streams(7, "s"))
-                  for _ in range(1)]
-        assert first == second
-        rng_a, rng_b = latency_streams(8, "s"), latency_streams(8, "s")
-        stream_a = [sample_latency(True, True, bus, rng_a) for _ in range(100)]
-        stream_b = [sample_latency(True, True, bus, rng_b) for _ in range(100)]
-        assert stream_a == stream_b
+        first = DoorbellLatencies(bus, 7).ring(True)
+        assert first == DoorbellLatencies(bus, 7).ring(True)
+        ring_a, ring_b = DoorbellLatencies(bus, 8), DoorbellLatencies(bus, 8)
+        stream_a = [ring_a.ring(True) for _ in range(100)]
+        assert stream_a == [ring_b.ring(True) for _ in range(100)]
+        assert stream_a != [DoorbellLatencies(bus, 9).ring(True) for _ in range(100)]
+        assert (sample_latency(True, True, bus, latency_streams(8, "s"), 100).tolist()
+                == sample_latency(True, True, bus, latency_streams(8, "s"), 100).tolist())
 
 
 def _bus(extra):
@@ -546,6 +553,13 @@ class TestScenario:
         with pytest.raises(InvariantViolation, match="do not fit the int64 ns clock"):
             Scenario(True, freq_hz, False, 1, 0)
 
+    @pytest.mark.parametrize("freq_hz", [2e9, 3e9, 1e15])
+    def test_period_under_a_nanosecond_is_refused(self, freq_hz):
+        # round(1e9 / 2e9) is 0, so every raise would land at t = 0
+        with pytest.raises(InvariantViolation, match="raise period under 1 ns"):
+            Scenario(True, freq_hz, False, 5, 0)
+        assert Scenario(True, 1.9e9, False, 5, 0).period_ns == 1
+
 
 class TestRecordTypes:
     def test_latency_stats_bounds(self):
@@ -647,7 +661,7 @@ class TestOverflowingModelIsRefused:
     def test_single_draw_is_refused(self, extra):
         # 1e300 us fits no int64 ns; 1e308 us overflows the lattice snap to NaN
         with pytest.raises(InvariantViolation, match="not finite or delivers past"):
-            sample_latency(True, True, _bus(extra), latency_streams(3))
+            DoorbellLatencies(_bus(extra), 3).ring(True)
 
     def test_doorbell_is_refused_and_leaves_the_channel_alone(self):
         hv = enable(replace(make_tiny_platform(), bus=_bus("base=1e308")),

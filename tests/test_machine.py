@@ -177,9 +177,15 @@ class TestBuildPlatform:
     def test_overlapping_io_port_ranges_are_rejected(self):
         # handing the inner range to a guest let the guest and the root
         # both reach port 0x6a directly, and audit() did not notice
+        # refused on the line that makes the overlap while a file is read,
+        # and at the end for a platform built in code
         text = PORTS_TEXT % "ioport 0x60 0x10\nioport 0x68 0x8\n"
+        with pytest.raises(ConfigSemanticError,
+                           match="^line 5: ioport 0x68 0x8 overlaps ioport 0x60 0x10 on line 4$"):
+            parse_platform(text)
         with pytest.raises(OverlapError, match="IoPortRange"):
-            build_platform(parse_platform(text))
+            build_platform(PlatformSpec(name="p", resources=[
+                Cpu(0), IoPortRange(0x60, 0x10), IoPortRange(0x68, 0x8)]))
         touching = build_platform(parse_platform(PORTS_TEXT % "ioport 0x60 0x8\nioport 0x68 0x8\n"))
         assert touching.io_port_ranges == (IoPortRange(0x60, 8), IoPortRange(0x68, 8))
         # ports and addresses are separate spaces
