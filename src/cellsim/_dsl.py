@@ -38,23 +38,13 @@ def iter_directives(text: str) -> Iterator[tuple[int, list[Token]]]:
             yield lineno, tokens
 
 
-def parse_hex(token: Token, lineno: int, what: str) -> int:
+def parse_number(token: Token, lineno: int, what: str, base: int = 16) -> int:
     text, col = token
     try:
-        value = int(text, 16)
+        value = int(text, base)
     except ValueError:
-        raise ConfigSyntaxError(lineno, col, "%s: expected hex number, got %r" % (what, text))
-    if value < 0:
-        raise ConfigSyntaxError(lineno, col, "%s must not be negative" % what)
-    return value
-
-
-def parse_dec(token: Token, lineno: int, what: str) -> int:
-    text, col = token
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise ConfigSyntaxError(lineno, col, "%s: expected decimal number, got %r" % (what, text))
+        raise ConfigSyntaxError(lineno, col, "%s: expected %s number, got %r"
+                                % (what, "hex" if base == 16 else "decimal", text))
     if value < 0:
         raise ConfigSyntaxError(lineno, col, "%s must not be negative" % what)
     return value

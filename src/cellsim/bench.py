@@ -123,9 +123,14 @@ def run_report(platform: MachinePlatform, scenarios) -> BenchReport:
     return BenchReport(rows=rows, platform_name=platform.name)
 
 
+def _row_head(sc: Scenario) -> tuple:
+    """A row's first three columns: VMM on/off, frequency in Hz, stress yes/no."""
+    return "on" if sc.vmm_on else "off", sc.freq_hz, "yes" if sc.stress else "no"
+
+
 def _row_cells(sc: Scenario, stats: LatencyStats) -> tuple:
-    return ("on" if sc.vmm_on else "off", "%gHz" % sc.freq_hz,
-            "yes" if sc.stress else "no", "%.2f" % stats.mean_us,
+    vmm, freq_hz, stress = _row_head(sc)
+    return (vmm, "%gHz" % freq_hz, stress, "%.2f" % stats.mean_us,
             "%.2f" % stats.sigma_us, "%.2f" % stats.max_us)
 
 
@@ -152,7 +157,5 @@ def export_csv(report: BenchReport) -> bytes:
     lines = ["vmm,freq_hz,stress,mean_us,sigma_us,max_us,n,seed"]
     for sc, stats in report.rows:
         lines.append("%s,%.6f,%s,%.6f,%.6f,%.6f,%d,%d" % (
-            "on" if sc.vmm_on else "off", sc.freq_hz,
-            "yes" if sc.stress else "no", stats.mean_us, stats.sigma_us,
-            stats.max_us, stats.n, sc.seed))
+            *_row_head(sc), stats.mean_us, stats.sigma_us, stats.max_us, stats.n, sc.seed))
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -203,9 +203,8 @@ def _cmd_bench(args) -> int:
         return 0
     for sc, stats in report.rows:
         print("vmm=%s freq=%gHz stress=%s: mean=%.6f sigma=%.6f max=%.6f n=%d seed=%d"
-              % ("on" if sc.vmm_on else "off", sc.freq_hz,
-                 "yes" if sc.stress else "no", stats.mean_us, stats.sigma_us,
-                 stats.max_us, stats.n, sc.seed))
+              % (*bench._row_head(sc), stats.mean_us, stats.sigma_us, stats.max_us,
+                 stats.n, sc.seed))
     print("rng: %s" % bench.GENERATOR_NAME)
     return 0
 

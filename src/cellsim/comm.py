@@ -16,16 +16,14 @@ from dataclasses import dataclass, field
 from .errors import (
     BadAlignment,
     BadSize,
-    BadState,
     BadVector,
     InvariantViolation,
-    NoSuchCell,
     NoSuchResource,
     NotEndpoint,
     OutOfRegion,
     SelfChannel,
 )
-from .hvcore import _REINJECT, _RUNNING, CellState, Hypervisor, TrapKind
+from .hvcore import _REINJECT, _RUNNING, Hypervisor, TrapKind
 from .irq import DoorbellLatencies
 from .machine import PAGE_SIZE, MemRegion, PermFlags, bus_load
 
@@ -121,9 +119,7 @@ def create_channel(hv: Hypervisor, a: int, b: int, size: int, vectors: int) -> i
     hv._require_enabled()
     if a == b:
         raise SelfChannel("a channel needs two distinct cells")
-    for cell_id in (a, b):
-        if cell_id not in hv.cells:
-            raise NoSuchCell("no cell with id %d" % cell_id)
+    cell_a, cell_b = hv._cell(a), hv._cell(b)
     if size <= 0 or size % PAGE_SIZE:
         raise BadSize("channel size must be positive and page-aligned")
     if not 1 <= vectors <= 0xFFFF:
@@ -136,8 +132,7 @@ def create_channel(hv: Hypervisor, a: int, b: int, size: int, vectors: int) -> i
     hv.channels[channel.id] = channel
     hv._access_maps.clear()  # b may now access the window
     hv._next_channel_id += 1
-    hv._log(TrapKind.MANAGEMENT, a, "channel %s-%s"
-            % (hv.cells[a].config.name, hv.cells[b].config.name))
+    hv._log(TrapKind.MANAGEMENT, a, "channel %s-%s" % (cell_a.name, cell_b.name))
     return channel.id
 
 
@@ -202,12 +197,7 @@ def pci_cfg_read(hv: Hypervisor, cell_id: int, bdf: int, offset: int) -> int:
     offset 8 reports an unassigned class code; offset 0x40 reports the
     MSI-X vector count. Reads of absent devices answer all-ones.
     """
-    hv._require_enabled()
-    cell = hv.cells.get(cell_id)
-    if cell is None:
-        raise NoSuchCell("no cell with id %d" % cell_id)
-    if cell.state is not CellState.RUNNING:
-        raise BadState("cell %d is %s, not running" % (cell_id, cell.state.value))
+    hv._running(cell_id)
     if offset % 4:
         raise BadAlignment("config space reads must be 4-byte aligned")
     hv._log(TrapKind.INSTRUCTION_EMULATION, cell_id, "pci-cfg")

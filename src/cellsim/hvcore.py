@@ -19,7 +19,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from ._dsl import decode_utf8, iter_directives, parse_dec, parse_hex
+from ._dsl import decode_utf8, iter_directives, parse_number
 from .cellconfig import (
     CellConfig, Violation, ViolationKind, Workload, WorkloadKind, _describe, validate_against)
 from .errors import (
@@ -273,6 +273,21 @@ class OwnershipLedger:
 
 # --- cells ------------------------------------------------------------------
 
+# The cell lifecycle, stated once, as Jailhouse's JAILHOUSE_CELL_* states in
+# include/jailhouse/hypercall.h: per operation, the states it acts on, the word
+# refusing it on root (None: root's state refuses it) and its BadState text.
+_CREATED, _STOPPED = CellState.CREATED, CellState.STOPPED
+_NEEDS = "cell %(id)d is %(state)s; %(op)s needs %(needs)s"
+_LIFECYCLE = {
+    "load": ((_CREATED, _STOPPED), None, _NEEDS),
+    "start": ((_CREATED, _STOPPED), None, _NEEDS),
+    "stop": ((_RUNNING, _FAILED), "stopped", _NEEDS),
+    "destroy": (tuple(CellState), "destroyed", None),
+    "relaunch": ((_RUNNING, _STOPPED, _FAILED), "relaunched", "cell %(id)d was never started"),
+}
+ROOT_STATES = (_RUNNING, _FAILED)  # enable starts root; a violation fails it
+
+
 @dataclass
 class Cell:
     id: CellId
@@ -337,8 +352,8 @@ def parse_script(text: str) -> list[tuple]:
         if keyword in _SCRIPT_ACCESS_OPS:
             if len(tokens) != 3:
                 raise ConfigSyntaxError(lineno, col, "%s needs addr and width" % keyword)
-            addr = parse_hex(tokens[1], lineno, "address")
-            width = parse_dec(tokens[2], lineno, "width")
+            addr = parse_number(tokens[1], lineno, "address")
+            width = parse_number(tokens[2], lineno, "width", 10)
             try:
                 ops.append(("access", Access(_SCRIPT_ACCESS_OPS[keyword], addr, width)))
             except InvariantViolation as exc:
@@ -351,7 +366,7 @@ def parse_script(text: str) -> list[tuple]:
         elif keyword == "distwrite":
             if len(tokens) != 2:
                 raise ConfigSyntaxError(lineno, col, "distwrite needs an offset")
-            offset = parse_hex(tokens[1], lineno, "offset")
+            offset = parse_number(tokens[1], lineno, "offset")
             if offset % 4:
                 raise ConfigSemanticError("distwrite offset 0x%x not aligned to 4" % offset, lineno)
             ops.append(("distwrite", offset, lineno))
@@ -444,7 +459,25 @@ class Hypervisor:
     def _cell(self, cell_id: CellId) -> Cell:
         cell = self.cells.get(cell_id)
         if cell is None:
+            self._require_enabled()  # a disabled hypervisor has no cells
             raise NoSuchCell("no cell with id %d" % cell_id)
+        return cell
+
+    def _running(self, cell_id: CellId) -> Cell:
+        cell = self.cells.get(cell_id) or self._cell(cell_id)  # _cell raises on a miss
+        if cell.state is not _RUNNING:
+            raise BadState("cell %d is %s, not running" % (cell_id, cell.state.value))
+        return cell
+
+    def _cell_for(self, op: str, cell_id: CellId) -> Cell:
+        """The cell, if the lifecycle table lets op act on it; else its refusal."""
+        cell = self._cell(cell_id)
+        states, root_word, text = _LIFECYCLE[op]
+        if root_word and cell_id == ROOT_CELL:
+            raise RootCellImmortal("the root cell cannot be %s" % root_word)
+        if cell.state not in states:
+            raise BadState(text % {"id": cell_id, "state": cell.state.value, "op": op,
+                                   "needs": " or ".join(state.value for state in states)})
         return cell
 
     def find_cell(self, name: str) -> Cell:
@@ -467,7 +500,7 @@ class Hypervisor:
         except ValidationFailed as exc:
             raise ConfigMismatch("root config does not fit the platform: %s" % exc)
         self.ledger = OwnershipLedger(self.platform)
-        root = Cell(ROOT_CELL, root_cfg, CellState.RUNNING)
+        root = Cell(ROOT_CELL, root_cfg, _RUNNING)
         self.cells = {ROOT_CELL: root}
         self._log(TrapKind.MANAGEMENT, ROOT_CELL, "enable")
         return self
@@ -508,47 +541,27 @@ class Hypervisor:
             self.ledger.transfer_range(region, ROOT_CELL, cell_id)
 
     def load_image(self, cell_id: CellId, addr: int, data: bytes) -> None:
-        self._require_enabled()
-        cell = self._cell(cell_id)
-        if cell.state not in (CellState.CREATED, CellState.STOPPED):
-            raise BadState("cell %d is %s; load needs created or stopped"
-                           % (cell_id, cell.state.value))
+        cell = self._cell_for("load", cell_id)
         end = addr + len(data)
-        host = next((r for r in cell.config.mem
-                     if r.base <= addr and end <= r.end), None)
-        if host is None:
-            raise OutOfRegion(
-                "[0x%x, 0x%x) not within one region owned by cell %d"
-                % (addr, end, cell_id))
+        if not any(r.base <= addr and end <= r.end for r in cell.config.mem):
+            raise OutOfRegion("[0x%x, 0x%x) not within one region owned by cell %d"
+                              % (addr, end, cell_id))
         cell.write_image(addr, data)
         self._log(TrapKind.MANAGEMENT, cell_id, "load %s" % cell.name)
 
     def start_cell(self, cell_id: CellId) -> None:
-        self._require_enabled()
-        cell = self._cell(cell_id)
-        if cell.state not in (CellState.CREATED, CellState.STOPPED):
-            raise BadState("cell %d is %s; start needs created or stopped"
-                           % (cell_id, cell.state.value))
+        cell = self._cell_for("start", cell_id)
         cell.script_pos = 0
-        cell.state = CellState.RUNNING
+        cell.state = _RUNNING
         self._log(TrapKind.MANAGEMENT, cell_id, "start %s" % cell.name)
 
     def stop_cell(self, cell_id: CellId) -> None:
-        self._require_enabled()
-        if cell_id == ROOT_CELL:
-            raise RootCellImmortal("the root cell cannot be stopped")
-        cell = self._cell(cell_id)
-        if cell.state not in (CellState.RUNNING, CellState.FAILED):
-            raise BadState("cell %d is %s; stop needs running or failed"
-                           % (cell_id, cell.state.value))
-        cell.state = CellState.STOPPED
+        cell = self._cell_for("stop", cell_id)
+        cell.state = _STOPPED
         self._log(TrapKind.MANAGEMENT, cell_id, "stop %s" % cell.name)
 
     def destroy_cell(self, cell_id: CellId) -> None:
-        self._require_enabled()
-        if cell_id == ROOT_CELL:
-            raise RootCellImmortal("the root cell cannot be destroyed")
-        cell = self._cell(cell_id)
+        cell = self._cell_for("destroy", cell_id)
         self.channels = {ch_id: ch for ch_id, ch in self.channels.items()
                          if cell_id not in ch.endpoints()}
         self.ledger.release_all(cell_id)
@@ -557,15 +570,10 @@ class Hypervisor:
         self._log(TrapKind.MANAGEMENT, cell_id, "destroy %s" % cell.name)
 
     def relaunch_cell(self, cell_id: CellId) -> None:
-        self._require_enabled()
-        if cell_id == ROOT_CELL:
-            raise RootCellImmortal("the root cell cannot be relaunched")
-        cell = self._cell(cell_id)
-        if cell.state is CellState.CREATED:
-            raise BadState("cell %d was never started" % cell_id)
+        cell = self._cell_for("relaunch", cell_id)
         cell.memory_image = {}
         cell.script_pos = 0
-        cell.state = CellState.RUNNING
+        cell.state = _RUNNING
         self._log(TrapKind.MANAGEMENT, cell_id, "relaunch %s" % cell.name)
 
     def disable(self) -> None:
@@ -585,6 +593,10 @@ class Hypervisor:
         each channel window lies in its cell_a's memory and overlaps no
         other, and that every cached access map is what the ledger now gives."""
         self._require_enabled()
+        root = self.cells.get(ROOT_CELL)
+        if root is None or root.state not in ROOT_STATES:
+            raise InvariantViolation("root cell is %s, not running or failed"
+                                     % (root.state.value if root else "missing"))
         self.ledger.audit()
         if list(self.cells) != sorted(self.cells):
             raise InvariantViolation("cells %s are not in id order" % list(self.cells))
@@ -625,11 +637,7 @@ class Hypervisor:
     # -- trap engine
 
     def handle_access(self, cell_id: CellId, access: Access) -> AccessOutcome:
-        self._require_enabled()
-        cell = self._cell(cell_id)
-        if cell.state is not _RUNNING:
-            raise BadState("cell %d is %s, not running" % (cell_id, cell.state.value))
-
+        cell = self._running(cell_id)
         kind = access.kind
         if kind is _SENSITIVE_INSTR:
             if access.instr in SENSITIVE_INSTRUCTIONS:

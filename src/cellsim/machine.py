@@ -19,8 +19,8 @@ from ._dsl import (
     Token,
     decode_utf8,
     iter_directives,
-    parse_hex,
     parse_id_list,
+    parse_number,
     parse_plain_name,
     parse_quoted_name,
     require_args,
@@ -213,8 +213,8 @@ def parse_resource(tokens: list[Token], lineno: int) -> list:
         if keyword == "irq":
             return [IrqLine(n) for n in parse_id_list(tokens[1], lineno, "irq list")]
         if keyword == "mem":
-            base = parse_hex(tokens[1], lineno, "mem base")
-            size = parse_hex(tokens[2], lineno, "mem size")
+            base = parse_number(tokens[1], lineno, "mem base")
+            size = parse_number(tokens[2], lineno, "mem size")
             perm_text, perm_col = tokens[3]
             try:
                 flags = parse_perms(perm_text)
@@ -223,12 +223,12 @@ def parse_resource(tokens: list[Token], lineno: int) -> list:
             return [MemRegion(base, size, flags)]
         if keyword == "mmio":
             return [MmioDevice(parse_plain_name(tokens[1], lineno, "mmio name"),
-                               parse_hex(tokens[2], lineno, "mmio base"),
-                               parse_hex(tokens[3], lineno, "mmio size"))]
+                               parse_number(tokens[2], lineno, "mmio base"),
+                               parse_number(tokens[3], lineno, "mmio size"))]
         if keyword == "pci":
-            return [PciDevice(parse_hex(tokens[1], lineno, "pci bdf"))]
-        return [IoPortRange(parse_hex(tokens[1], lineno, "ioport base"),
-                            parse_hex(tokens[2], lineno, "ioport len"))]
+            return [PciDevice(parse_number(tokens[1], lineno, "pci bdf"))]
+        return [IoPortRange(parse_number(tokens[1], lineno, "ioport base"),
+                            parse_number(tokens[2], lineno, "ioport len"))]
     except InvariantViolation as exc:
         raise ConfigSemanticError(str(exc), lineno)
 

@@ -26,6 +26,7 @@ from .errors import (
     ValidationFailed)
 from .hvcore import (
     ROOT_CELL,
+    ROOT_STATES,
     Cell,
     CellState,
     Hypervisor,
@@ -230,7 +231,7 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     hv.cells = dict(sorted(hv.cells.items()))  # step walks the cells in id order
     if ROOT_CELL not in hv.cells:
         raise InvariantViolation("snapshot has no root cell")
-    if hv.cells[ROOT_CELL].state not in (CellState.RUNNING, CellState.FAILED):
+    if hv.cells[ROOT_CELL].state not in ROOT_STATES:
         raise InvariantViolation("snapshot root cell is %s, not running or failed"
                                  % hv.cells[ROOT_CELL].state.value)
     if max(hv.cells) >= hv._next_cell_id:

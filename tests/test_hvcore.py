@@ -50,7 +50,7 @@ from cellsim.errors import (
     RootCellImmortal,
     ValidationFailed,
 )
-from cellsim.comm import create_channel
+from cellsim.comm import create_channel, pci_cfg_read
 from cellsim.cellconfig import validate_against
 from cellsim import hvcore
 from cellsim.hvcore import STEP_NS, parse_script
@@ -314,6 +314,119 @@ class TestLifecycle:
         assert [e.kind for e in tail] == [TrapKind.MANAGEMENT] * 7
         assert [e.detail.split()[0] for e in tail] == [
             "create", "load", "start", "stop", "relaunch", "stop", "destroy"]
+
+
+# The lifecycle each operation follows, written out case by case: for each
+# state of the target, success or the exact refusal. Root is cell 0, the
+# guest cell 1; states that no call gives root are set by hand.
+_LIFECYCLE_OPS = ("load", "start", "stop", "destroy", "relaunch")
+_NEEDS = {"load": "load needs created or stopped", "start": "start needs created or stopped",
+          "stop": "stop needs running or failed"}
+_ROOT_WORD = {"stop": "stopped", "destroy": "destroyed", "relaunch": "relaunched"}
+
+
+def expected_outcome(op, state, cell_id):
+    """(error class, exact text) for a refusal, or the state left by success
+    (None once the cell is gone)."""
+    if cell_id == ROOT_CELL and op in _ROOT_WORD:
+        return RootCellImmortal, "the root cell cannot be %s" % _ROOT_WORD[op]
+    created_or_stopped = state in (CellState.CREATED, CellState.STOPPED)
+    if op in ("load", "start") and not created_or_stopped:
+        return BadState, "cell %d is %s; %s" % (cell_id, state.value, _NEEDS[op])
+    if op == "stop" and created_or_stopped:
+        return BadState, "cell %d is %s; %s" % (cell_id, state.value, _NEEDS[op])
+    if op == "relaunch" and state is CellState.CREATED:
+        return BadState, "cell %d was never started" % cell_id
+    return {"load": state, "start": CellState.RUNNING, "stop": CellState.STOPPED,
+            "destroy": None, "relaunch": CellState.RUNNING}[op]
+
+
+def run_lifecycle_op(hv, op, cell_id):
+    if op == "load":
+        hv.load_image(cell_id, hv.cells[cell_id].config.mem[0].base, b"xy")
+    else:
+        getattr(hv, "%s_cell" % op)(cell_id)
+
+
+class TestLifecycleTable:
+    @pytest.mark.parametrize("cell_id", [ROOT_CELL, 1], ids=["root", "guest"])
+    @pytest.mark.parametrize("state", list(CellState), ids=lambda s: s.value)
+    @pytest.mark.parametrize("op", _LIFECYCLE_OPS)
+    def test_each_op_from_each_state(self, op, state, cell_id):
+        hv = tiny_hv()
+        hv.create_cell(small_cell())
+        cell = hv.cells[cell_id]
+        cell.state = state
+        base = cell.config.mem[0].base
+        cell.memory_image = {base + 0x100: b"old"}
+        cell.script_pos = 3
+        events, exits = list(hv.events), copy.deepcopy(hv.exits)
+        expected = expected_outcome(op, state, cell_id)
+        if isinstance(expected, tuple):
+            error, text = expected
+            with pytest.raises(error) as caught:
+                run_lifecycle_op(hv, op, cell_id)
+            assert type(caught.value) is error and str(caught.value) == text
+            assert (hv.events, hv.exits, cell.state) == (events, exits, state)
+            assert hv.cells[cell_id] is cell
+            return
+        run_lifecycle_op(hv, op, cell_id)
+        assert hv.events[:-1] == events
+        assert hv.events[-1] == hvcore.TrapEvent(
+            hv.clock, cell_id, TrapKind.MANAGEMENT, "%s %s" % (op, cell.name))
+        exits[cell_id][EXIT_SLOT[TrapKind.MANAGEMENT]] += 1
+        assert hv.exits == exits
+        if expected is None:
+            assert cell_id not in hv.cells
+            return
+        assert hv.cells[cell_id].state is expected
+        image = {base: b"xy", base + 0x100: b"old"} if op == "load" else {base + 0x100: b"old"}
+        assert cell.memory_image == ({} if op == "relaunch" else image)
+        assert cell.script_pos == (0 if op in ("start", "relaunch") else 3)
+
+    @pytest.mark.parametrize("op", _LIFECYCLE_OPS)
+    def test_unknown_cell(self, op):
+        hv = tiny_hv()
+        events = list(hv.events)
+        with pytest.raises(NoSuchCell, match="^no cell with id 9$"):
+            if op == "load":
+                hv.load_image(9, RAM, b"x")
+            else:
+                getattr(hv, "%s_cell" % op)(9)
+        assert hv.events == events
+
+
+class TestDisabledRefusesFirst:
+    """Every API that names a cell says NotEnabled on a disabled hypervisor,
+    for any cell id, before any other check."""
+
+    CALLS = {
+        "load": lambda hv, c: hv.load_image(c, RAM, b"x"),
+        "start": lambda hv, c: hv.start_cell(c),
+        "stop": lambda hv, c: hv.stop_cell(c),
+        "destroy": lambda hv, c: hv.destroy_cell(c),
+        "relaunch": lambda hv, c: hv.relaunch_cell(c),
+        "handle_access": lambda hv, c: hv.handle_access(c, Access(AccessKind.MEM_READ, RAM)),
+        "pci_cfg_read": lambda hv, c: pci_cfg_read(hv, c, 0, 1),
+        "create_channel": lambda hv, c: create_channel(hv, c, 1, 0x1000, 1),
+        "create_channel_to_self": lambda hv, c: create_channel(hv, c, c, 0x1000, 1),
+        "create_cell": lambda hv, c: hv.create_cell(small_cell()),
+    }
+
+    @pytest.fixture(params=["never-enabled", "disabled"])
+    def hv(self, request):
+        if request.param == "never-enabled":
+            return Hypervisor(make_tiny_platform())
+        hv = tiny_hv()
+        hv.disable()
+        return hv
+
+    @pytest.mark.parametrize("cell_id", [ROOT_CELL, 1, 9])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_not_enabled_wins(self, hv, call, cell_id):
+        with pytest.raises(NotEnabled) as caught:
+            self.CALLS[call](hv, cell_id)
+        assert type(caught.value) is NotEnabled and str(caught.value) == "hypervisor is disabled"
 
 
 class TestDisable:
@@ -930,6 +1043,26 @@ class TestAudit:
         hv.ledger._units[unit] = ROOT_CELL  # simulate corruption
         with pytest.raises(InvariantViolation, match="cell %d lost %s" % (cell_id, text)):
             hv.audit()
+
+    @pytest.mark.parametrize("state", [CellState.CREATED, CellState.STOPPED])
+    def test_root_neither_running_nor_failed_is_caught(self, state):
+        hv = tiny_hv()
+        hv.cells[ROOT_CELL].state = state
+        with pytest.raises(InvariantViolation,
+                           match="^root cell is %s, not running or failed$" % state.value):
+            hv.audit()
+
+    def test_missing_root_is_caught(self):
+        hv = tiny_hv()
+        del hv.cells[ROOT_CELL]
+        with pytest.raises(InvariantViolation, match="^root cell is missing, not running"):
+            hv.audit()
+
+    def test_failed_root_passes(self):
+        hv = tiny_hv()
+        hv.handle_access(ROOT_CELL, Access(AccessKind.MEM_READ, 0xDEAD_0000))
+        assert hv.cells[ROOT_CELL].state is CellState.FAILED
+        hv.audit()
 
     @pytest.fixture()
     def two_guests(self):
