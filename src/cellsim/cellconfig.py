@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, groupby, starmap
+from itertools import starmap
 from typing import TYPE_CHECKING, Optional
 
 from ._dsl import NAME_RE, decode_utf8, require_args
@@ -37,6 +37,7 @@ from .machine import (
     check_no_overlap,
     perms_from_bits,
     read_directives,
+    resource_layout,
 )
 
 if TYPE_CHECKING:
@@ -224,19 +225,14 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
     grant these permissions on and, given a ledger, per one root does not
     own: an empty list means a create with this config would succeed. CPUs
     and IRQ lines are compared as ints, built only to report or to ask the ledger."""
-    cpus = {cpu.index for cpu in platform.cpus}
-    devices = platform.units  # a config's devices are units of the device kinds
-    missing = ([Cpu(index) for index in sorted(cfg.cpus - cpus)]
-               + [dev for dev in cfg.devices if dev not in devices]
+    missing = ([Cpu(index) for index in sorted(cfg.cpus) if index >= len(platform.cpus)]
+               + [dev for dev in cfg.devices if dev not in platform.units]
                + [IrqLine(number) for number in sorted(cfg.irqs - platform.irq_numbers)])
     violations = [Violation(ViolationKind.NO_SUCH_RESOURCE, resource) for resource in missing]
     if ledger is not None:
-        present = ([Cpu(index) for index in sorted(cfg.cpus & cpus)]
-                   + [dev for dev in cfg.devices if dev in devices]
-                   + [IrqLine(number) for number in sorted(cfg.irqs & platform.irq_numbers)])
-        for resource in present:
+        for resource in cfg.units():
             owner = ledger.owner_of_unit(resource)
-            if owner != 0:
+            if owner:  # None for a unit the platform lacks, reported above; 0 for root
                 violations.append(Violation(ViolationKind.NOT_OWNED_BY_ROOT, resource,
                                             "owned by cell %d" % owner))
 
@@ -267,12 +263,12 @@ _RUN = struct.Struct("<BI")
 _WORKLOAD = struct.Struct("<BH")
 
 # A resource list is a u32 run count and runs of consecutive resources of
-# one kind. A run is a kind byte (the index here), a u32 count and that
-# many bodies holding the kind's fields in constructor order, an MMIO name
-# NUL-padded to 16 bytes. Each kind also gives a resource's field tuple
-# and the resource a decoded tuple makes.
+# one kind, (kind, items) as a platform's layout holds them. A run is a kind
+# byte (the index here), a u32 count and that many bodies: a CPU's or IRQ
+# line's u32, or the kind's fields in constructor order, an MMIO name
+# NUL-padded to 16 bytes, with a getter of the fields and a builder here.
 _KINDS = (
-    (Cpu, struct.Struct("<I"), lambda r: (r.index,), Cpu),
+    (Cpu, _U32, None, None),
     (MemRegion, struct.Struct("<QQB"), lambda r: (r.base, r.size, r.flags),
      lambda base, size, bits: MemRegion(base, size, perms_from_bits(bits))),
     (MmioDevice, struct.Struct("<%dsQQ" % (MMIO_NAME_BYTES + 1)),
@@ -281,41 +277,24 @@ _KINDS = (
     (PciDevice, struct.Struct("<H"), lambda r: (r.bdf,), PciDevice),
     # a port range may span all 0x10000 ports
     (IoPortRange, struct.Struct("<HI"), lambda r: (r.base, r.length), IoPortRange),
-    (IrqLine, struct.Struct("<I"), lambda r: (r.number,), IrqLine),
+    (IrqLine, _U32, None, None),
 )
 _KIND_CODES = {kind: code for code, (kind, *_) in enumerate(_KINDS)}
-_CPU, _IRQ = _KIND_CODES[Cpu], _KIND_CODES[IrqLine]
 
 _WORKLOAD_CODES = {kind: code for code, kind in enumerate(WorkloadKind)}
 _WORKLOAD_BY_CODE = {v: k for k, v in _WORKLOAD_CODES.items()}
 
 
-def _resource_runs(resources) -> list:
-    """The (kind code, field tuples) runs of consecutive resources of one kind."""
-    runs = []
-    for kind, group in groupby(resources, type):
-        code = _KIND_CODES.get(kind)
-        if code is None:
-            raise InvariantViolation("cannot encode resource type %r" % kind.__name__)
-        runs.append((code, list(map(_KINDS[code][2], group))))
-    return runs
-
-
-def _put_runs(out: bytearray, runs) -> None:
-    """Append the resource list of (kind code, field tuples) runs; empty runs
-    are left out."""
+def put_runs(out: bytearray, runs) -> None:
+    """Append the resource list of (kind, items) runs; empty runs are left out."""
     runs = [run for run in runs if run[1]]
     out += _U32.pack(len(runs))
-    for code, rows in runs:
-        out += _RUN.pack(code, len(rows))
-        pack = _KINDS[code][1].pack
-        for row in rows:
-            out += pack(*row)
-
-
-def put_resources(out: bytearray, resources) -> None:
-    """Append the resource list that holds resources, in their order."""
-    _put_runs(out, _resource_runs(resources))
+    for kind, items in runs:
+        code = _KIND_CODES[kind]
+        _, body, fields, _ = _KINDS[code]
+        out += _RUN.pack(code, len(items))
+        out += (struct.pack("<%dI" % len(items), *items) if fields is None
+                else b"".join(body.pack(*fields(item)) for item in items))
 
 
 def emit_binary(cfg: CellConfig) -> bytes:
@@ -325,9 +304,8 @@ def emit_binary(cfg: CellConfig) -> bytes:
     load reproduces the input byte-for-byte.
     """
     out = bytearray(_HEADER.pack(MAGIC, VERSION, cfg.name.encode("utf-8")))
-    _put_runs(out, [(_CPU, [(index,) for index in sorted(cfg.cpus)])]
-              + _resource_runs(cfg.mem + cfg.devices)
-              + [(_IRQ, [(number,) for number in sorted(cfg.irqs)])])
+    put_runs(out, ((Cpu, sorted(cfg.cpus)),) + resource_layout(cfg.mem + cfg.devices)
+             + ((IrqLine, sorted(cfg.irqs)),))
     path = (cfg.workload.script_path or "").encode("utf-8")
     out += _WORKLOAD.pack(_WORKLOAD_CODES[cfg.workload.kind], len(path))
     out += path
@@ -359,23 +337,19 @@ def _unpad(raw: bytes, what: str) -> str:
     return decode_utf8(name, what)
 
 
-def _take_runs(reader: _Reader) -> list:
-    """The (kind code, field tuples) runs of the resource list at the reader."""
+def take_runs(reader: _Reader) -> list:
+    """The (kind, items) runs of the resource list at the reader."""
     (n_runs,) = reader.take(_U32)
     runs = []
     for _ in range(n_runs):
         code, count = reader.take(_RUN)
         if code >= len(_KINDS):
             raise InvariantViolation("unknown resource kind %d" % code)
-        body = _KINDS[code][1]
-        runs.append((code, list(body.iter_unpack(reader.take_raw(count * body.size)))))
+        kind, body, _, make = _KINDS[code]
+        raw = reader.take_raw(count * body.size)
+        runs.append((kind, struct.unpack("<%dI" % count, raw) if make is None
+                     else tuple(starmap(make, body.iter_unpack(raw)))))
     return runs
-
-
-def take_resources(reader: _Reader) -> list:
-    """The resources of the resource list at the reader, in their order."""
-    return list(chain.from_iterable(
-        starmap(_KINDS[code][3], rows) for code, rows in _take_runs(reader)))
 
 
 def load_binary(data: bytes) -> CellConfig:
@@ -388,14 +362,9 @@ def load_binary(data: bytes) -> CellConfig:
         raise UnsupportedVersion("version %d, expected %d" % (version, VERSION))
     name = _unpad(raw_name, "cell name")
 
-    cpus, irqs, others = [], [], []
-    for code, rows in _take_runs(reader):
-        if code == _CPU:
-            cpus += (index for (index,) in rows)
-        elif code == _IRQ:
-            irqs += (number for (number,) in rows)
-        else:
-            others += starmap(_KINDS[code][3], rows)
+    cpus, irqs, mem, devices = [], [], [], []
+    for kind, items in take_runs(reader):
+        {Cpu: cpus, IrqLine: irqs, MemRegion: mem}.get(kind, devices).extend(items)
     workload_code, path_len = reader.take(_WORKLOAD)
     kind = _WORKLOAD_BY_CODE.get(workload_code)
     if kind is None:
@@ -407,12 +376,8 @@ def load_binary(data: bytes) -> CellConfig:
     # Workload refuses a script without a path and a path on any other kind
     workload = Workload(kind, decode_utf8(raw_path, "script path") if raw_path else None)
 
-    if len(set(cpus)) != len(cpus):
-        raise InvariantViolation("duplicate cpu ids in stream")
-    if len(set(irqs)) != len(irqs):
-        raise InvariantViolation("duplicate irq numbers in stream")
-    return CellConfig(
-        name=name, cpus=frozenset(cpus),
-        mem=tuple(r for r in others if isinstance(r, MemRegion)),
-        devices=tuple(r for r in others if not isinstance(r, MemRegion)),
-        irqs=frozenset(irqs), workload=workload)
+    for what, ids in (("cpu ids", cpus), ("irq numbers", irqs)):
+        if len(set(ids)) != len(ids):
+            raise InvariantViolation("duplicate %s in stream" % what)
+    return CellConfig(name=name, cpus=frozenset(cpus), mem=mem, devices=devices,
+                      irqs=frozenset(irqs), workload=workload)

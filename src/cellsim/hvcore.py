@@ -38,7 +38,7 @@ from .errors import (
     RootCellImmortal,
     ValidationFailed,
 )
-from .machine import U64_MAX, MachinePlatform, MemRegion, PermFlags
+from .machine import U64_MAX, Cpu, IrqLine, MachinePlatform, MemRegion, PermFlags
 
 CellId = int
 ROOT_CELL: CellId = 0
@@ -157,20 +157,40 @@ _LO = itemgetter(0)
 class OwnershipLedger:
     """Exclusive owner map over one platform's resources.
 
-    Unit resources (CPUs, devices, IRQ lines) map directly to an owner.
-    Memory is one address-sorted list of claims, (lo, hi, owner, flags)
-    for each RAM range a non-root cell holds. The root cell owns every
-    part of platform RAM that no claim covers, with the platform
-    region's flags. A claim moves whole, between root and one cell.
+    Each holder has a CPU mask and an IRQ mask (MachinePlatform.cpu_bits,
+    irq_bits); root's are the platform's minus the others'. Devices map to an
+    owner. Memory is one address-sorted list of claims, (lo, hi, owner, flags)
+    for each RAM range a non-root cell holds; root owns the rest of platform
+    RAM, with the region's flags. A claim moves whole, between root and one cell.
     """
 
     def __init__(self, platform: MachinePlatform):
         self._platform = platform
-        self._units = dict.fromkeys(platform.units, ROOT_CELL)
+        self._cpus = {ROOT_CELL: platform.cpu_mask}  # holder -> CPU mask
+        self._irqs = {ROOT_CELL: platform.irq_mask}  # holder -> IRQ mask
+        self._devices = dict.fromkeys(platform.units, ROOT_CELL)
         self._claims: list[tuple[int, int, CellId, PermFlags]] = []
 
     def owner_of_unit(self, resource) -> Optional[CellId]:
-        return self._units.get(resource)
+        """Owner of a CPU, IRQ line or device; None if the platform lacks it."""
+        if type(resource) is Cpu:  # CPU i is bit i, which no mask has if the platform lacks it
+            return self._holder(self._cpus, resource.index)
+        if type(resource) is IrqLine:
+            return self.irq_owner(resource.number)
+        return self._devices.get(resource)
+
+    def irq_owner(self, number: int) -> Optional[CellId]:
+        """Owner of IRQ line number; None if the platform lacks it."""
+        return self._holder(self._irqs, self._platform.irq_index.get(number))
+
+    @staticmethod
+    def _holder(masks: dict, bit: Optional[int]) -> Optional[CellId]:
+        """The cell whose mask has bit, None if none has or bit is None."""
+        if bit is not None:
+            for cell, mask in masks.items():
+                if mask >> bit & 1:
+                    return cell
+        return None
 
     def range_owner(self, lo: int, hi: int) -> Optional[CellId]:
         """Owner of [lo, hi) if it lies in one claim, or in one platform
@@ -187,14 +207,18 @@ class OwnershipLedger:
             return None
         return None if self._platform.host_region(lo, hi) is None else ROOT_CELL
 
-    def transfer_unit(self, resource, frm: CellId, to: CellId) -> None:
-        owner = self._units.get(resource)
-        if owner is None:
-            raise NoSuchResource("%r is not a platform resource" % (resource,))
-        if owner != frm:
-            raise InvariantViolation(
-                "%r owned by cell %d, not %d" % (resource, owner, frm))
-        self._units[resource] = to
+    def transfer_units(self, cell: CellId, cpus: int, irqs: int, devices) -> None:
+        """Give a non-root cell root's CPUs and IRQ lines in two masks, and devices: all or none."""
+        platform, owners = self._platform, {self._devices.get(device) for device in devices}
+        units = cpus, irqs, devices
+        if None in owners or cpus & ~platform.cpu_mask or irqs & ~platform.irq_mask:
+            raise NoSuchResource("cpus 0x%x, irqs 0x%x, %r: not all on the platform" % units)
+        if owners - {ROOT_CELL} or cpus & ~self._cpus[ROOT_CELL] or irqs & ~self._irqs[ROOT_CELL]:
+            raise InvariantViolation("cpus 0x%x, irqs 0x%x, %r: not all root's" % units)
+        for masks, mask in ((self._cpus, cpus), (self._irqs, irqs)):
+            masks[ROOT_CELL] &= ~mask
+            masks[cell] = masks.get(cell, 0) | mask
+        self._devices.update(dict.fromkeys(devices, cell))
 
     def transfer_range(self, region: MemRegion, frm: CellId, to: CellId) -> None:
         """Give region to a cell as one claim, or take that whole claim back."""
@@ -216,9 +240,11 @@ class OwnershipLedger:
 
     def release_all(self, cell: CellId) -> None:
         """Hand everything the cell owns back to the root cell."""
-        for resource, owner in self._units.items():
+        for masks in (self._cpus, self._irqs):
+            masks[ROOT_CELL] |= masks.pop(cell, 0)
+        for device, owner in self._devices.items():
             if owner == cell:
-                self._units[resource] = ROOT_CELL
+                self._devices[device] = ROOT_CELL
         self._claims = [claim for claim in self._claims if claim[2] != cell]
 
     def ram_of(self, cell: CellId):
@@ -239,26 +265,36 @@ class OwnershipLedger:
                 yield MemRegion(lo, region.end - lo, region.flags)
 
     def owners(self) -> set:
-        result = set(self._units.values())
-        result.update(owner for _, _, owner, _ in self._claims)
-        if next(self.ram_of(ROOT_CELL), None) is not None:
-            result.add(ROOT_CELL)
-        return result
+        """The cells the ledger names: root, which always has masks, and each holder."""
+        return {*self._cpus, *self._irqs, *self._devices.values(),
+                *(owner for _, _, owner, _ in self._claims)}
 
     def keys_multiset(self) -> Counter:
-        """Ledger keys as a multiset: units, claims and root's share of RAM.
-        With no claims, root's share equals the platform's MemRegions."""
-        keys = Counter(self._units.keys())
+        """Ledger keys as a multiset: CPUs and IRQ lines built from each mask,
+        devices, claims and root's share of RAM (no claims: the platform's)."""
+        keys = Counter(self._devices.keys())
+        for kind, order, masks in ((Cpu, range(len(self._platform.cpus)), self._cpus),
+                                   (IrqLine, sorted(self._platform.irq_index), self._irqs)):
+            keys.update(kind(unit) for mask in masks.values()
+                        for bit, unit in enumerate(order) if mask >> bit & 1)
         keys.update(MemRegion(lo, hi - lo, flags) for lo, hi, _, flags in self._claims)
         keys.update(self.ram_of(ROOT_CELL))
         return keys
 
     def audit(self) -> None:
-        """Raise unless the units match the platform and the claims are
-        ordered, disjoint and each inside one platform region's flags."""
+        """Raise unless the devices match the platform, each kind's masks part
+        the platform's, and the claims are ordered, disjoint and in one region's flags."""
         platform = self._platform
-        if frozenset(self._units) != platform.units:
+        if frozenset(self._devices) != platform.units:
             raise InvariantViolation("unit ledger keys diverge from platform")
+        for what, masks, full in (("cpu", self._cpus, platform.cpu_mask),
+                                  ("irq", self._irqs, platform.irq_mask)):
+            # pairwise disjoint iff their sum carries nowhere: as many bits as the parts
+            if (sum(masks.values()) != full
+                    or sum(mask.bit_count() for mask in masks.values()) != full.bit_count()):
+                held = ", ".join("cell %d: 0x%x" % item for item in masks.items())
+                raise InvariantViolation("%s masks (%s) overlap, or their union is not the"
+                                         " platform's 0x%x" % (what, held, full))
         prev_hi = 0
         for lo, hi, _, flags in self._claims:
             if lo < prev_hi:
@@ -535,8 +571,8 @@ class Hypervisor:
         self._access_maps.clear()
         if cell_id == ROOT_CELL:
             return  # root keeps what it has, so its own config need only fit
-        for resource in cfg.units():
-            self.ledger.transfer_unit(resource, ROOT_CELL, cell_id)
+        self.ledger.transfer_units(cell_id, self.platform.cpu_bits(cfg.cpus),
+                                   self.platform.irq_bits(cfg.irqs), cfg.devices)
         for region in cfg.mem:
             self.ledger.transfer_range(region, ROOT_CELL, cell_id)
 
@@ -587,16 +623,20 @@ class Hypervisor:
         self.channels = {}
         self._access_maps.clear()
 
-    def audit(self) -> None:
-        """Check id order, conservation, exclusivity and owner liveness, that
-        the ledger's claims are the non-root cells' configured regions, that
-        each channel window lies in its cell_a's memory and overlaps no
-        other, and that every cached access map is what the ledger now gives."""
-        self._require_enabled()
+    def check_root(self) -> None:
+        """Raise unless there is a root cell, running or failed."""
         root = self.cells.get(ROOT_CELL)
         if root is None or root.state not in ROOT_STATES:
             raise InvariantViolation("root cell is %s, not running or failed"
                                      % (root.state.value if root else "missing"))
+
+    def audit(self) -> None:
+        """Check the root cell, id order, conservation, exclusivity and owner liveness, that
+        the ledger's claims are the non-root cells' configured regions, that
+        each channel window lies in its cell_a's memory and overlaps no
+        other, and that every cached access map is what the ledger now gives."""
+        self._require_enabled()
+        self.check_root()
         self.ledger.audit()
         if list(self.cells) != sorted(self.cells):
             raise InvariantViolation("cells %s are not in id order" % list(self.cells))

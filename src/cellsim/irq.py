@@ -26,7 +26,7 @@ from .hvcore import (
     Hypervisor,
     TrapKind,
 )
-from .machine import BusModel, DistParams, IrqLine, bus_load
+from .machine import BusModel, DistParams, bus_load
 from .rng import make_streams
 
 LATTICE_US = 0.0625  # 62.5 ns timer resolution
@@ -242,7 +242,7 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
         raise NoSuchLine("platform has no irq line %d" % line)
     owner, path, stressed = ROOT_CELL, "bare-metal", False
     if hv.enabled:
-        owner = hv.ledger.owner_of_unit(IrqLine(line))
+        owner = hv.ledger.irq_owner(line)
         cell = hv.cells[owner]
         if cell.state is not CellState.RUNNING:
             hv._log(TrapKind.ACCESS_VIOLATION, owner,

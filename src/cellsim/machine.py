@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum, IntFlag
+from functools import cached_property
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
@@ -366,36 +368,66 @@ class PlatformSpec:
     bus: Optional[BusModel] = None
 
 
-_VIEW_ATTRS = {Cpu: "_cpus", MemRegion: "_mem_regions", MmioDevice: "_mmio_devices",
-               IoPortRange: "_io_port_ranges", PciDevice: "_pci_devices", IrqLine: "_irq_lines"}
+# The unit kinds a layout keeps as plain ints: a CPU's index, an IRQ line's number.
+_INT_KINDS = {Cpu: attrgetter("index"), IrqLine: attrgetter("number")}
+
+
+def resource_layout(resources) -> tuple:
+    """Resources as runs of consecutive resources of one kind, (kind, items),
+    in their order: a run of CPUs or IRQ lines holds plain ints."""
+    return tuple((kind, tuple(map(_INT_KINDS[kind], group) if kind in _INT_KINDS else group))
+                 for kind, group in groupby(resources, type))
 
 
 @dataclass(frozen=True)
 class MachinePlatform:
+    """A checked platform. Its layout holds its resources as resource_layout
+    gives them, which the snapshot codec writes and reads as they are."""
+
     name: str
-    resources: tuple
+    layout: tuple
     gic_version: GicVersion
     bus: BusModel
 
     def __post_init__(self):
-        # A platform never changes, so its typed views are derived once,
-        # here, in one pass.  They are plain attributes, not fields:
-        # equality, hashing and repr see only the fields above.
-        views = {kind: [] for kind in _VIEW_ATTRS}
-        for resource in self.resources:
-            view = views.get(type(resource))
+        if not NAME_RE.match(self.name):
+            raise InvariantViolation("platform name %r must match [A-Za-z0-9_-]+" % (self.name,))
+        if len(self.name.encode()) > MAX_NAME_BYTES:
+            raise InvariantViolation("platform name longer than %d bytes" % MAX_NAME_BYTES)
+        views = {kind: [] for kind in (Cpu, MemRegion, MmioDevice, IoPortRange, PciDevice, IrqLine)}
+        for kind, items in self.layout:
+            view = views.get(kind)
             if view is None:
-                raise InvariantViolation("unknown platform resource %r" % (resource,))
-            view.append(resource)
-        for kind, attr in _VIEW_ATTRS.items():
-            object.__setattr__(self, attr, tuple(views[kind]))
-        object.__setattr__(self, "_irq_numbers", frozenset(r.number for r in self._irq_lines))
-        object.__setattr__(self, "_units", frozenset(self.resources) - set(self._mem_regions))
-        object.__setattr__(self, "_gic_dist_window", next(
-            (dev for dev in self._mmio_devices if dev.name == GIC_DIST_NAME), None))
+                raise InvariantViolation("unknown platform resource %r" % (items[0],))
+            view += items
+        cpus, mem, mmio, ports, pci, irqs = views.values()
+        if not cpus:
+            raise EmptyCpuSet("platform %r declares no CPUs" % self.name)
+        if sorted(cpus) != list(range(len(cpus))):
+            raise InvariantViolation(
+                "cpu indices must be unique and contiguous from 0, got %s" % sorted(cpus))
+        irq_numbers = frozenset(irqs)
+        if len(irq_numbers) != len(irqs):
+            dupes = sorted({n for n in irqs if irqs.count(n) > 1})
+            raise DuplicateIrq("irq lines listed twice: %s" % dupes)
+        check_no_overlap(mem + mmio)
+        check_no_overlap(ports)
+        if len({dev.name for dev in mmio}) != len(mmio):
+            raise InvariantViolation("mmio device names must be unique")
+        if len({dev.bdf for dev in pci}) != len(pci):
+            raise InvariantViolation("pci bdfs must be unique")
+        # A platform never changes, so its views are derived once, here, past
+        # the frozen __setattr__: equality, hashing and repr see only fields.
+        self.__dict__.update(
+            _cpus=tuple(map(Cpu, cpus)), _mem_regions=tuple(mem), _mmio_devices=tuple(mmio),
+            _io_port_ranges=tuple(ports), _pci_devices=tuple(pci), _irq_numbers=irq_numbers,
+            irq_index={number: bit for bit, number in enumerate(sorted(irq_numbers))},
+            cpu_mask=(1 << len(cpus)) - 1, irq_mask=(1 << len(irqs)) - 1,
+            _units=frozenset(mmio + pci + ports),
+            _gic_dist_window=next((dev for dev in mmio if dev.name == GIC_DIST_NAME), None))
 
     # Public views: plain properties over derived attributes, so a tracer can
-    # wrap the getters. units (all but RAM) is hashed once, for every ledger.
+    # wrap the getters. units, the devices, is hashed once, for every ledger.
     cpus = property(attrgetter("_cpus"))
     mem_regions = property(attrgetter("_mem_regions"))
     mmio_devices = property(attrgetter("_mmio_devices"))
@@ -404,6 +436,20 @@ class MachinePlatform:
     pci_devices = property(attrgetter("_pci_devices"))
     gic_dist_window = property(attrgetter("_gic_dist_window"))  # Optional[MmioDevice]
     units = property(attrgetter("_units"))
+
+    @cached_property
+    def resources(self) -> tuple:
+        """The resources in their order, CPUs and IRQ lines built on first read."""
+        return tuple(chain.from_iterable(
+            map(kind, items) if kind in _INT_KINDS else items for kind, items in self.layout))
+
+    def cpu_bits(self, indices) -> int:
+        """The mask of those of the distinct CPU indices the platform has: bit i is CPU i."""
+        return sum(1 << index for index in indices if 0 <= index < len(self._cpus))
+
+    def irq_bits(self, numbers) -> int:
+        """The mask of those of the distinct IRQ numbers the platform has: bit i, i-th lowest."""
+        return sum(1 << self.irq_index[number] for number in numbers if number in self.irq_index)
 
     def host_region(self, lo: int, hi: int) -> Optional[MemRegion]:
         """The platform RAM region that contains [lo, hi), or None."""
@@ -414,42 +460,10 @@ class MachinePlatform:
 
 
 def build_platform(spec: PlatformSpec) -> MachinePlatform:
-    """Validate a platform spec and freeze it into a MachinePlatform.
-
-    Deterministic: identical specs produce structurally identical
-    platforms (resources keep their given order).
-    """
-    if not NAME_RE.match(spec.name):
-        raise InvariantViolation("platform name %r must match [A-Za-z0-9_-]+" % (spec.name,))
-    if len(spec.name.encode()) > MAX_NAME_BYTES:
-        raise InvariantViolation("platform name longer than %d bytes" % MAX_NAME_BYTES)
-    platform = MachinePlatform(
-        name=spec.name,
-        resources=tuple(spec.resources),
-        gic_version=spec.gic_version,
-        bus=spec.bus if spec.bus is not None else BusModel.default(),
-    )
-
-    cpu_indices = sorted(cpu.index for cpu in platform._cpus)
-    if not cpu_indices:
-        raise EmptyCpuSet("platform %r declares no CPUs" % spec.name)
-    if cpu_indices != list(range(len(cpu_indices))):
-        raise InvariantViolation(
-            "cpu indices must be unique and contiguous from 0, got %s" % cpu_indices)
-
-    if len(platform._irq_numbers) != len(platform._irq_lines):
-        irqs = [line.number for line in platform._irq_lines]
-        dupes = sorted({n for n in irqs if irqs.count(n) > 1})
-        raise DuplicateIrq("irq lines listed twice: %s" % dupes)
-
-    check_no_overlap(platform._mem_regions + platform._mmio_devices)
-    check_no_overlap(platform._io_port_ranges)
-
-    if len({dev.name for dev in platform._mmio_devices}) != len(platform._mmio_devices):
-        raise InvariantViolation("mmio device names must be unique")
-    if len({dev.bdf for dev in platform._pci_devices}) != len(platform._pci_devices):
-        raise InvariantViolation("pci bdfs must be unique")
-    return platform
+    """Check a platform spec and freeze it into a MachinePlatform; equal
+    specs give equal platforms, whose resources keep their given order."""
+    return MachinePlatform(spec.name, resource_layout(spec.resources), spec.gic_version,
+                           spec.bus if spec.bus is not None else BusModel.default())
 
 
 def check_no_overlap(ranges) -> None:
@@ -574,19 +588,15 @@ def jetson_tk1() -> MachinePlatform:
     Addresses follow the public Tegra K1 memory map; they are
     representative, not authoritative.
     """
-    resources: list = [Cpu(i) for i in range(4)]
-    resources.append(MemRegion(0x8000_0000, 0x8000_0000,
-                               PermFlags.READ | PermFlags.WRITE | PermFlags.EXECUTE | PermFlags.DMA))
-    resources.append(MmioDevice(GIC_DIST_NAME, 0x5004_1000, 0x1000))
-    resources.append(MmioDevice("gpio", 0x6000_D000, 0x1000))
-    resources.append(MmioDevice("uart-a", 0x7000_6000, 0x1000))
-    resources.extend(IrqLine(n) for n in range(32, 161))
-    return build_platform(PlatformSpec(
-        name="jetson-tk1",
-        resources=resources,
-        gic_version=GicVersion.V2,
-        bus=BusModel.default(),
-    ))
+    rwxd = PermFlags.READ | PermFlags.WRITE | PermFlags.EXECUTE | PermFlags.DMA
+    return MachinePlatform("jetson-tk1", (
+        (Cpu, (0, 1, 2, 3)),
+        (MemRegion, (MemRegion(0x8000_0000, 0x8000_0000, rwxd),)),
+        (MmioDevice, (MmioDevice(GIC_DIST_NAME, 0x5004_1000, 0x1000),
+                      MmioDevice("gpio", 0x6000_D000, 0x1000),
+                      MmioDevice("uart-a", 0x7000_6000, 0x1000))),
+        (IrqLine, tuple(range(32, 161))),
+    ), GicVersion.V2, BusModel.default())
 
 
 PRESETS = {"jetson-tk1": jetson_tk1}

@@ -1,7 +1,7 @@
 """Versioned binary session snapshots.
 
 Persists a platform plus optional hypervisor state between CLI
-invocations. The platform's resources are a resource list of the config
+invocations. The platform's layout is a resource list of the config
 codec, which alone knows how a resource is encoded. Ownership is not
 stored: the load path rebuilds the platform through its validator and
 the ledger by claiming each cell's config in id order, root's first,
@@ -20,22 +20,12 @@ from typing import Optional
 
 from ._dsl import decode_utf8
 from .cellconfig import (
-    WorkloadKind, _Reader, emit_binary, load_binary, put_resources, take_resources)
+    WorkloadKind, _Reader, emit_binary, load_binary, put_runs, take_runs)
 from .errors import (
     BadMagic, ConfigSemanticError, ConfigSyntaxError, InvariantViolation, UnsupportedVersion,
     ValidationFailed)
-from .hvcore import (
-    ROOT_CELL,
-    ROOT_STATES,
-    Cell,
-    CellState,
-    Hypervisor,
-    OwnershipLedger,
-    TrapEvent,
-    TrapKind,
-    check_script,
-)
-from .machine import BusModel, DistParams, GicVersion, MachinePlatform, PlatformSpec, build_platform
+from .hvcore import Cell, CellState, Hypervisor, OwnershipLedger, TrapEvent, TrapKind, check_script
+from .machine import BusModel, DistParams, GicVersion, MachinePlatform
 
 MAGIC = 0x4A485353
 VERSION = 8
@@ -90,7 +80,7 @@ def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
         bus.hv_overhead.log_sigma, bus.contention.shift_us, bus.contention.log_mu,
         bus.contention.log_sigma, bus.contention_prob,
         1 if bus.quantize_enabled else 0, 1 if bus.phase_jitter_enabled else 0)
-    put_resources(out, platform.resources)
+    put_runs(out, platform.layout)
 
     if hv is None:
         out += _U8.pack(0)
@@ -149,8 +139,7 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         contention=DistParams(c_shift, c_mu, c_sigma),
         contention_prob=prob,
         quantize_enabled=bool(quantize), phase_jitter_enabled=bool(jitter))
-    platform = build_platform(PlatformSpec(
-        name=name, resources=take_resources(reader), gic_version=gic, bus=bus))
+    platform = MachinePlatform(name, tuple(take_runs(reader)), gic, bus)
 
     (have_hv,) = reader.take(_U8)
     if not have_hv:
@@ -229,11 +218,7 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
                                      % (cell_id, script_pos, len(cell.script_ops)))
         hv.cells[cell_id] = cell
     hv.cells = dict(sorted(hv.cells.items()))  # step walks the cells in id order
-    if ROOT_CELL not in hv.cells:
-        raise InvariantViolation("snapshot has no root cell")
-    if hv.cells[ROOT_CELL].state not in ROOT_STATES:
-        raise InvariantViolation("snapshot root cell is %s, not running or failed"
-                                 % hv.cells[ROOT_CELL].state.value)
+    hv.check_root()  # audit's rule, before max() and the claims meet an empty table
     if max(hv.cells) >= hv._next_cell_id:
         raise InvariantViolation("snapshot's next cell id %d is not above cell %d"
                                  % (hv._next_cell_id, max(hv.cells)))

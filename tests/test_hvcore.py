@@ -33,6 +33,10 @@ from cellsim import (
     build_platform,
     enable,
     full_platform_config,
+    latency_streams,
+    load_session,
+    raise_irqs,
+    save_session,
 )
 from cellsim.errors import (
     AlreadyEnabled,
@@ -76,7 +80,8 @@ def windowless_hv():
 def session_facts(hv):
     """Copies of what a refused create must leave as it was."""
     return (hv._next_cell_id, list(hv.events), copy.deepcopy(hv.exits),
-            list(hv.ledger._claims), dict(hv.ledger._units), list(hv.cells))
+            list(hv.ledger._claims), dict(hv.ledger._cpus), dict(hv.ledger._irqs),
+            dict(hv.ledger._devices), list(hv.cells))
 
 
 def small_cell(name="guest", cpu=1, base=RAM + 0x8_0000, size=0x2000,
@@ -1026,7 +1031,9 @@ class TestEvents:
         assert hv.ledger.owner_of_unit(Cpu(9)) is None
         assert hv.ledger.range_owner(0xF000_0000, 0xF000_1000) is None
         with pytest.raises(NoSuchResource):
-            hv.ledger.transfer_unit(Cpu(9), ROOT_CELL, 1)
+            hv.ledger.transfer_units(1, 1 << 9, 0, ())  # the tiny platform has 4 CPUs
+        with pytest.raises(NoSuchResource):
+            hv.ledger.transfer_units(1, 0, 0, [MmioDevice("nope", 0xF000_0000, 0x1000)])
         with pytest.raises(NoSuchResource):
             hv.ledger.transfer_range(MemRegion(0xF000_0000, 0x1000), ROOT_CELL, 1)
 
@@ -1035,12 +1042,20 @@ class TestAudit:
     UART = MmioDevice("uart", 0x7000_6000, 0x1000)
 
     @pytest.mark.parametrize("unit, text", [
-        (IrqLine(33), "irq 33"), (UART, "mmio uart@0x70006000")])
+        (IrqLine(33), "irq 33"), (UART, "mmio uart@0x70006000"), (Cpu(1), "cpu 1")])
     def test_unit_handed_back_to_root_is_caught(self, unit, text):
         hv = tiny_hv()
         cell_id = hv.create_cell(small_cell(irqs=[33], devices=[self.UART]))
         hv.audit()
-        hv.ledger._units[unit] = ROOT_CELL  # simulate corruption
+        ledger = hv.ledger  # simulate corruption: hand the device, or the unit's bit, to root
+        if isinstance(unit, MmioDevice):
+            ledger._devices[unit] = ROOT_CELL
+        else:
+            masks, bit = ((ledger._irqs, hv.platform.irq_bits([33])) if isinstance(unit, IrqLine)
+                          else (ledger._cpus, hv.platform.cpu_bits([1])))
+            masks[cell_id] &= ~bit
+            masks[ROOT_CELL] |= bit
+        assert ledger.owner_of_unit(unit) == ROOT_CELL
         with pytest.raises(InvariantViolation, match="cell %d lost %s" % (cell_id, text)):
             hv.audit()
 
@@ -1199,8 +1214,9 @@ class TestLedger:
         ledger = OwnershipLedger(tiny)
         with pytest.raises(InvariantViolation):
             ledger.transfer_range(MemRegion(RAM, 0x1000), 3, 4)
-        with pytest.raises(InvariantViolation):
-            ledger.transfer_unit(Cpu(0), 2, 3)
+        ledger.transfer_units(2, 0b1, 0, ())
+        with pytest.raises(InvariantViolation):  # cpu 0 is cell 2's now, not root's
+            ledger.transfer_units(3, 0b1, 0, ())
 
     def test_transfer_range_needs_single_region(self, tiny):
         ledger = OwnershipLedger(tiny)
@@ -1209,11 +1225,35 @@ class TestLedger:
 
     def test_release_all(self, tiny):
         ledger = OwnershipLedger(tiny)
-        ledger.transfer_unit(Cpu(1), 0, 4)
+        ledger.transfer_units(4, 0b10, tiny.irq_bits([33, 39]), tiny.units)
         ledger.transfer_range(MemRegion(RAM, 0x4000), 0, 4)
+        assert ledger.owners() == {0, 4}
         ledger.release_all(4)
         assert ledger.owners() == {0}
+        assert (ledger._cpus, ledger._irqs) == ({0: tiny.cpu_mask}, {0: tiny.irq_mask})
+        assert {ledger.owner_of_unit(unit) for unit in tiny.resources
+                if not isinstance(unit, MemRegion)} == {0}
         ledger.audit()
+
+    def test_masks_index_units_not_irq_numbers(self):
+        # bit i of an IRQ mask is the platform's i-th IRQ number: a line
+        # 2^32 - 1 takes bit 1 here, not a 512 MiB int
+        platform = build_platform(PlatformSpec(name="huge", resources=[
+            Cpu(0), Cpu(1), MemRegion(RAM, 0x20_0000), IrqLine(0), IrqLine(0xFFFF_FFFF)]))
+        hv = enable(platform, full_platform_config(platform))
+        cell_id = hv.create_cell(small_cell(irqs=[0xFFFF_FFFF]))
+        hv.start_cell(cell_id)
+        ledger = hv.ledger
+        assert ledger._irqs == {ROOT_CELL: 0b01, cell_id: 0b10}
+        assert max(mask.bit_length() for mask in ledger._irqs.values()) <= 2
+        assert (ledger.irq_owner(0xFFFF_FFFF), ledger.irq_owner(0)) == (cell_id, ROOT_CELL)
+        assert ledger.owner_of_unit(IrqLine(0xFFFF_FFFE)) is None
+        hv.audit()
+        assert raise_irqs(hv, 0xFFFF_FFFF, [0], latency_streams(1)).owner == cell_id
+        _, restored = load_session(save_session(platform, hv))
+        assert restored.ledger._irqs == ledger._irqs
+        hv.destroy_cell(cell_id)
+        assert ledger._irqs == {ROOT_CELL: 0b11}
 
     def test_claims_move_whole(self, tiny):
         ledger = OwnershipLedger(tiny)

@@ -29,7 +29,8 @@ from cellsim.errors import (
     InvariantViolation,
     OverlapError,
 )
-from cellsim.machine import GIC_DIST_NAME, MachinePlatform, parse_perms, perms_to_str
+from cellsim.machine import (
+    GIC_DIST_NAME, MachinePlatform, parse_perms, perms_to_str, resource_layout)
 
 from conftest import make_tiny_platform
 from gen import random_platform
@@ -237,8 +238,11 @@ class TestPlatformViews:
         assert platform.gic_dist_window == next(
             (r for r in platform.resources
              if isinstance(r, MmioDevice) and r.name == GIC_DIST_NAME), None)
+        # units are the devices the ledger keeps by object; CPUs and IRQ
+        # lines it keeps as masks
         assert isinstance(platform.units, frozenset)
-        assert platform.units == set(platform.resources) - set(platform.mem_regions)
+        assert platform.units == set(
+            platform.mmio_devices + platform.pci_devices + platform.io_port_ranges)
 
     def test_views_are_the_type_filters_in_order(self):
         for platform in _sample_platforms():
@@ -265,13 +269,13 @@ class TestPlatformViews:
             assert repr(first) == repr(second)
             assert "_cpus" not in repr(first)
         assert [f.name for f in dataclasses.fields(first)] == [
-            "name", "resources", "gic_version", "bus"]
+            "name", "layout", "gic_version", "bus"]
 
     def test_replace_recomputes_the_views(self):
         platform = random_platform(random.Random(5))
         window = MmioDevice(GIC_DIST_NAME, 0xF000_0000, 0x1000)
         extra = (IrqLine(300), window, PciDevice(0x20), IoPortRange(0x60, 4))
-        grown = dataclasses.replace(platform, resources=platform.resources + extra)
+        grown = dataclasses.replace(platform, layout=resource_layout(platform.resources + extra))
         self._check_views(grown)
         assert 300 in grown.irq_numbers and 300 not in platform.irq_numbers
         assert grown.gic_dist_window == window

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 from dataclasses import replace
@@ -20,6 +21,7 @@ from cellsim import (
     IrqLine,
     MemRegion,
     MmioDevice,
+    OwnershipLedger,
     PciDevice,
     PermFlags,
     PlatformSpec,
@@ -29,6 +31,7 @@ from cellsim import (
     build_platform,
     emit_binary,
     full_platform_config,
+    jetson_tk1,
     latency_streams,
     load_binary,
     load_session,
@@ -45,7 +48,7 @@ from cellsim.errors import (
 )
 from cellsim import cellconfig, snapshot
 from cellsim.cli import main
-from cellsim.machine import MMIO_NAME_BYTES
+from cellsim.machine import MMIO_NAME_BYTES, resource_layout
 from cellsim.snapshot import MAGIC, VERSION
 
 from conftest import make_tiny_platform
@@ -194,7 +197,7 @@ class TestRejection:
 
     def test_ownership_by_dead_cell_rejected(self):
         hv = populated_hv()
-        hv.ledger._units[Cpu(1)] = 99  # simulate corruption
+        hv.ledger._cpus[99] = hv.ledger._cpus.pop(1)  # simulate corruption
         with pytest.raises(InvariantViolation, match="dead cells"):
             hv.audit()
         # the ledger is not stored, so the corruption cannot be saved
@@ -203,18 +206,58 @@ class TestRejection:
 
     def test_unit_set_divergence_rejected(self):
         hv = populated_hv()
-        del hv.ledger._units[Cpu(1)]
+        del hv.ledger._devices[hv.platform.mmio_devices[0]]
         with pytest.raises(InvariantViolation, match="diverge"):
             hv.audit()
 
     def test_extra_unit_key_rejected(self):
         hv = populated_hv()
-        hv.ledger._units[Cpu(9)] = 0  # one key more than the platform has
+        hv.ledger._devices[PciDevice(0x99)] = 0  # one key more than the platform has
         with pytest.raises(InvariantViolation, match="diverge"):
             hv.audit()
-        del hv.ledger._units[Cpu(1)]  # as many keys as the platform, one of them foreign
+        del hv.ledger._devices[hv.platform.mmio_devices[0]]  # as many keys, one foreign
         with pytest.raises(InvariantViolation, match="diverge"):
             hv.audit()
+
+    @pytest.mark.parametrize("what, masks", [("cpu", "_cpus"), ("irq", "_irqs")])
+    def test_overlapping_masks_rejected(self, what, masks):
+        hv = populated_hv()  # cell 1 owns cpu 1 and irq 33, cell 2 cpu 2
+        held = getattr(hv.ledger, masks)
+        held[2] = held.get(2, 0) | held[1]
+        with pytest.raises(InvariantViolation, match=r"^%s masks \(cell 0: .*, cell 2: 0x[0-9a-f]+,"
+                           r" .*\) overlap, or their union is not the platform's" % what):
+            hv.audit()
+
+    @pytest.mark.parametrize("what, masks, full", [("cpu", "_cpus", 0xF), ("irq", "_irqs", 0xFF)])
+    @pytest.mark.parametrize("change", ["beyond", "dropped"])
+    def test_masks_whose_union_is_not_the_platform_mask_rejected(self, what, masks, full, change):
+        hv = populated_hv()  # the tiny platform: 4 CPUs, 8 IRQ lines
+        held = getattr(hv.ledger, masks)
+        if change == "beyond":
+            held[1] |= full + 1  # a unit the platform lacks
+        else:
+            held[ROOT_CELL] &= ~1  # root's cpu 0 or irq 32, which no mask holds now
+        with pytest.raises(InvariantViolation, match=r"^%s masks \(.*\) overlap, or their union"
+                           r" is not the platform's 0x%x$" % (what, full)):
+            hv.audit()
+
+    @pytest.mark.parametrize("fault, held", [
+        ("grab", "cell 0: 0x1, cell 1: 0x2, cell 2: 0x6, cell 3: 0xa"),  # overlap
+        ("drop", "cell 0: 0x1, cell 1: 0x0, cell 2: 0x0, cell 3: 0x0")],  # union short
+        ids=["grab", "drop"])
+    def test_load_refuses_masks_a_faulty_claim_leaves(self, monkeypatch, fault, held):
+        hv = populated_hv()  # cells 1-3 hold cpus 1-3
+        blob = save_session(hv.platform, hv)
+
+        def faulty(ledger, cell, cpus, irqs, devices):
+            # grab takes cpu 1 too, whoever holds it; drop takes the cpus from root only
+            ledger._cpus[ROOT_CELL] &= ~cpus
+            ledger._cpus[cell] = cpus | 0b10 if fault == "grab" else 0
+
+        monkeypatch.setattr(OwnershipLedger, "transfer_units", faulty)
+        with pytest.raises(InvariantViolation, match=r"^cpu masks \(%s\) overlap, or their union"
+                           r" is not the platform's 0xf$" % held):
+            load_session(blob)
 
     @pytest.mark.parametrize("field, ids, unit", [
         ("cpus", {1}, "cpu 1"), ("irqs", {33}, "irq 33")])
@@ -297,7 +340,8 @@ class TestCellTable:
         hv = populated_hv()
         hv._next_cell_id = 10
         blob = _with_cell_id(save_session(hv.platform, hv), hv.cells[0], 7)
-        with pytest.raises(InvariantViolation, match="no root cell"):
+        with pytest.raises(InvariantViolation,
+                           match="^root cell is missing, not running or failed$"):
             load_session(blob)
 
     def test_repeated_cell_name_rejected(self):
@@ -335,7 +379,7 @@ class TestStatesNoCallMakes:
         # `cell start 0` then "started" root
         hv = populated_hv()
         hv.cells[ROOT_CELL].state = state
-        with pytest.raises(InvariantViolation, match="^snapshot root cell is %s, not running"
+        with pytest.raises(InvariantViolation, match="^root cell is %s, not running"
                            " or failed$" % state.value):
             load_session(save_session(hv.platform, hv))
 
@@ -354,7 +398,7 @@ class TestStatesNoCallMakes:
         for argv in (["cell", "list"], ["cell", "start", "0"]):
             assert main(["--state", str(state), *argv]) == 1
             assert capsys.readouterr() == (
-                "", "error: snapshot root cell is stopped, not running or failed\n")
+                "", "error: root cell is stopped, not running or failed\n")
 
     # cell 1 of populated_hv owns [RAM + 0x8_0000, RAM + 0x8_2000)
     @pytest.mark.parametrize("image", [
@@ -618,7 +662,7 @@ def _cli_refuses(tmp_path, blob, capsys):
 def _record(resources) -> bytes:
     """The run of consecutive resources of one kind: kind byte, count, bodies."""
     out = bytearray()
-    cellconfig.put_resources(out, resources)
+    cellconfig.put_runs(out, resource_layout(resources))
     assert struct.unpack_from("<I", out) == (1,)
     return bytes(out[4:])
 
@@ -762,3 +806,83 @@ class TestCorruption:
         except CellSimError:
             return
         assert load_binary(emit_binary(loaded)) == loaded
+
+
+# --- bytes pinned on a jetson session -----------------------------------------
+
+def pinned_jetson_hv():
+    """A jetson-tk1 session built through the API: two guests with images,
+    a script cell, a stopped cell and a destroyed one. The script file is
+    ops.txt in the working directory, so its path, and the bytes, are fixed."""
+    jetson = jetson_tk1()
+    hv = Hypervisor(jetson, seed=23).enable(full_platform_config(jetson))
+    rw = PermFlags.READ | PermFlags.WRITE
+
+    def guest(name, cpu, base, irqs, kind=WorkloadKind.IDLE, path=None, devices=()):
+        return hv.create_cell(CellConfig(
+            name=name, cpus=frozenset({cpu}), mem=(MemRegion(base, 0x10_0000, rw),),
+            devices=devices, irqs=frozenset(irqs), workload=Workload(kind, path)))
+
+    rtos = guest("rtos", 3, 0xFFF0_0000, {33, 160}, WorkloadKind.LATENCY_RESPONDER,
+                 devices=(MmioDevice("uart-a", 0x7000_6000, 0x1000),))
+    hv.load_image(rtos, 0xFFF0_0000, b"\x7fELF" + bytes(60))
+    hv.start_cell(rtos)
+    stress = guest("stress", 2, 0xFFE0_0000, {40}, WorkloadKind.STRESS)
+    hv.load_image(stress, 0xFFE0_1000, b"\xAA" * 300)
+    hv.start_cell(stress)
+    gone = guest("gone", 1, 0xFFB0_0000, {50, 51})
+    hv.start_cell(gone)
+    hv.stop_cell(gone)
+    hv.destroy_cell(gone)
+    with open("ops.txt", "w") as handle:
+        handle.write("read 0xffd00010 4\ndistwrite 0x104\ninstr cpuid\nidle\nrepeat\n")
+    scripted = guest("scripted", 1, 0xFFD0_0000, {32}, WorkloadKind.SCRIPT, "ops.txt")
+    hv.start_cell(scripted)
+    hv.step(6)
+    hv.stop_cell(scripted)
+    guest("parked", 0, 0xFFC0_0000, {34, 35, 36})
+    hv.step(2)
+    return hv
+
+
+class TestPinnedJetsonSession:
+    """The bytes of a jetson session's snapshot and of its configs, as the
+    object-per-IRQ-line ledger wrote them: keeping CPU and IRQ ownership
+    as masks changed no byte of either format."""
+
+    SNAPSHOT = "8e25f39b21fb078c8ca0840322b28e55942f8eb54688e212219d34b9720c31d9"
+    ROOT_CONFIG = "07357837766ad91049872f2ef24342297d07e155687b600cef22b2c0bf85853f"
+    RTOS_CONFIG = "2fe864d3f2e8244638e585fa611ca2c79c4035c80e8d450eea820f52816e3a36"
+
+    @pytest.fixture()
+    def hv(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        return pinned_jetson_hv()
+
+    def test_snapshot_bytes(self, hv):
+        blob = save_session(hv.platform, hv)
+        assert hashlib.sha256(blob).hexdigest() == self.SNAPSHOT
+
+    def test_save_load_save_is_a_fixed_point(self, hv):
+        blob = save_session(hv.platform, hv)
+        platform, restored = load_session(blob)
+        assert save_session(platform, restored) == blob
+
+    def test_load_and_save_build_no_object_per_platform_irq_line(self, hv, monkeypatch):
+        blob = save_session(hv.platform, hv)
+        built = []
+        check = IrqLine.__post_init__
+        monkeypatch.setattr(IrqLine, "__post_init__",
+                            lambda line: (built.append(line.number), check(line))[1])
+        platform, restored = load_session(blob)
+        assert save_session(platform, restored) == blob
+        # only the guests' own lines, when a claim and the audit ask the ledger
+        guest_lines = {n for cell_id, cell in restored.cells.items() if cell_id
+                       for n in cell.config.irqs}
+        assert set(built) == guest_lines and len(built) <= 2 * len(guest_lines) < 20
+
+    def test_config_bytes(self, hv):
+        assert hashlib.sha256(emit_binary(hv.cells[ROOT_CELL].config)).hexdigest() \
+            == self.ROOT_CONFIG
+        assert hashlib.sha256(emit_binary(hv.find_cell("rtos").config)).hexdigest() \
+            == self.RTOS_CONFIG
