@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .cellconfig import CellConfig, Workload, WorkloadKind
-from .errors import EmptySamples, NoSuchLine, OutOfRegion
+from .errors import EmptyCpuSet, EmptySamples, NoSuchLine, OutOfRegion
 from .hvcore import Hypervisor
 from .irq import IrqDeliveries, LatencyStats, Scenario, latency_streams, raise_irqs
-from .machine import MachinePlatform, MemRegion, PermFlags
+from .machine import MachinePlatform, MemRegion
 from .rng import GENERATOR_NAME
 
 RESPONDER_BYTES = 0x100000  # 1 MiB per benchmark cell
-_RW = PermFlags.READ | PermFlags.WRITE
 
 
 @dataclass(frozen=True)
@@ -39,29 +39,41 @@ def full_platform_config(platform: MachinePlatform) -> CellConfig:
         irqs=platform.irq_numbers)
 
 
-def _bench_slice(platform: MachinePlatform, index: int) -> MemRegion:
-    """The index-th 1 MiB window counting down from the top of RAM."""
+def _bench_cell(platform: MachinePlatform, index: int, name: str, kind: WorkloadKind,
+                irqs: frozenset = frozenset()) -> CellConfig:
+    """The index-th benchmark cell: the index-th CPU and 1 MiB window of RAM,
+    each counting down from the top, so that the root cell keeps the rest."""
     host = platform.mem_regions[-1]
     base = host.end - RESPONDER_BYTES * (index + 1)
     if base < host.base:
         raise OutOfRegion("platform RAM too small for the benchmark cells")
-    return MemRegion(base, RESPONDER_BYTES, host.flags)
+    if index >= len(platform.cpus):
+        raise EmptyCpuSet("platform has too few CPUs for the benchmark cells")
+    return CellConfig(name=name, cpus=frozenset({len(platform.cpus) - 1 - index}),
+                      mem=(MemRegion(base, RESPONDER_BYTES, host.flags),), irqs=irqs,
+                      workload=Workload(kind))
 
 
 def responder_config(platform: MachinePlatform, line: int) -> CellConfig:
-    cpu = max(c.index for c in platform.cpus)
-    return CellConfig(
-        name="responder", cpus=frozenset({cpu}),
-        mem=(_bench_slice(platform, 0),), irqs=frozenset({line}),
-        workload=Workload(WorkloadKind.LATENCY_RESPONDER))
+    return _bench_cell(platform, 0, "responder", WorkloadKind.LATENCY_RESPONDER, frozenset({line}))
 
 
 def stress_config(platform: MachinePlatform) -> CellConfig:
-    cpu = max(c.index for c in platform.cpus) - 1
-    return CellConfig(
-        name="stress", cpus=frozenset({cpu}),
-        mem=(_bench_slice(platform, 1),),
-        workload=Workload(WorkloadKind.STRESS))
+    return _bench_cell(platform, 1, "stress", WorkloadKind.STRESS)
+
+
+@lru_cache(maxsize=24)
+def _row_setup(platform: MachinePlatform, vmm_on: bool, stress: bool) -> tuple:
+    """A row's line and the configs it enables and creates, in order, built once
+    per equal platform (an id() can name a new platform after a collection)."""
+    if not platform.irq_numbers:
+        raise NoSuchLine("platform has no irq lines to raise")
+    line = min(platform.irq_numbers)
+    if not vmm_on:
+        return line, ()
+    if stress:
+        return line, _row_setup(platform, True, False)[1] + (stress_config(platform),)
+    return line, (full_platform_config(platform), responder_config(platform, line))
 
 
 def run_scenario(platform: MachinePlatform,
@@ -72,17 +84,12 @@ def run_scenario(platform: MachinePlatform,
     scenario settings, so reruns are bit-identical and scenarios can be
     run in any order or in parallel.
     """
-    if not platform.irq_numbers:
-        raise NoSuchLine("platform has no irq lines to raise")
-    line = min(platform.irq_numbers)
+    line, configs = _row_setup(platform, sc.vmm_on, sc.stress)
     hv = Hypervisor(platform, seed=sc.seed)
-    if sc.vmm_on:
-        hv.enable(full_platform_config(platform))
-        responder = hv.create_cell(responder_config(platform, line))
-        hv.start_cell(responder)
-        if sc.stress:
-            neighbour = hv.create_cell(stress_config(platform))
-            hv.start_cell(neighbour)
+    if configs:
+        hv.enable(configs[0])
+    for cfg in configs[1:]:
+        hv.start_cell(hv.create_cell(cfg))
 
     times = np.arange(sc.n_samples, dtype=np.int64) * sc.period_ns
     deliveries = raise_irqs(hv, line, times, latency_streams(sc.seed, sc.tag()))

@@ -70,16 +70,17 @@ class Workload:
             raise InvariantViolation("only script workloads carry a path")
 
 
-_DEVICE_SORT_CODE = {MmioDevice: 0, PciDevice: 1, IoPortRange: 2}
+# the devices a config can hold, each kind with its canonical sort key
+_DEVICE_SORT_KEY = {MmioDevice: lambda dev: (0, dev.name, dev.base),
+                    PciDevice: lambda dev: (1, "", dev.bdf),
+                    IoPortRange: lambda dev: (2, "", dev.base)}
 
 
 def _device_sort_key(dev):
-    code = _DEVICE_SORT_CODE[type(dev)]
-    if isinstance(dev, MmioDevice):
-        return (code, dev.name, dev.base)
-    if isinstance(dev, PciDevice):
-        return (code, "", dev.bdf)
-    return (code, "", dev.base)
+    key = _DEVICE_SORT_KEY.get(type(dev))
+    if key is None:
+        raise InvariantViolation("unsupported device type %r" % type(dev).__name__)
+    return key(dev)
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,7 @@ class CellConfig:
     def __post_init__(self):
         object.__setattr__(self, "cpus", frozenset(self.cpus))
         object.__setattr__(self, "mem", tuple(sorted(self.mem, key=lambda r: r.base)))
+        # the sort key checks each device's type, before _validate's checks
         object.__setattr__(self, "devices", tuple(sorted(self.devices, key=_device_sort_key)))
         object.__setattr__(self, "irqs", frozenset(self.irqs))
         self._validate()
@@ -123,9 +125,6 @@ class CellConfig:
         for region in self.mem:
             if not isinstance(region, MemRegion):
                 raise InvariantViolation("mem entries must be memory regions")
-        for dev in self.devices:
-            if type(dev) not in _DEVICE_SORT_CODE:
-                raise InvariantViolation("unsupported device type %r" % type(dev).__name__)
         if len(set(self.devices)) != len(self.devices):
             raise InvariantViolation("a device is listed twice")
         check_no_overlap(self.mem + tuple(d for d in self.devices if type(d) is MmioDevice))
@@ -177,7 +176,7 @@ def parse_config(text: str) -> CellConfig:
     try:
         return CellConfig(
             name=name, cpus=cpus, mem=mem,
-            devices=tuple(r for r in resources if type(r) in _DEVICE_SORT_CODE),
+            devices=tuple(r for r in resources if type(r) in _DEVICE_SORT_KEY),
             irqs=frozenset(r.number for r in resources if isinstance(r, IrqLine)),
             workload=workload[0] if workload else Workload())
     except InvariantViolation as exc:

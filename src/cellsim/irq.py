@@ -27,7 +27,7 @@ from .hvcore import (
     TrapKind,
 )
 from .machine import BusModel, DistParams, bus_load
-from .rng import make_streams
+from .rng import make_stream
 
 LATTICE_US = 0.0625  # 62.5 ns timer resolution
 
@@ -44,10 +44,21 @@ def quantize_62_5ns(t_us):
     return np.multiply(np.floor(snapped, out=snapped), LATTICE_US, out=snapped)
 
 
-def latency_streams(seed: int, tag: str = "") -> tuple:
-    """The four component streams of the latency model, in order:
-    overhead, contention trigger, contention size, phase jitter."""
-    return tuple(make_streams(seed, tag, 4))
+class latency_streams:  # lower case like functools.partial: called as a function
+    """The four component streams of the latency model, in order: overhead,
+    contention trigger, contention size, phase jitter. Stream i is built when
+    first indexed, so a row builds only the streams it draws from."""
+
+    def __init__(self, seed: int, tag: str = ""):
+        self.seed, self.tag, self.built = seed, tag, [None] * 4
+
+    def __len__(self) -> int:
+        return 4
+
+    def __getitem__(self, i: int):
+        if self.built[i] is None:  # past the end, the IndexError that ends an unpacking
+            self.built[i] = make_stream(self.seed, self.tag, range(4)[i])
+        return self.built[i]
 
 
 def draw(params: DistParams, rng, size: int) -> np.ndarray:
@@ -76,19 +87,18 @@ def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
     latency = base + H[vmm on] + C[vmm on and stressed, with probability
     contention_prob], observed through jitter and quantization when the
     bus model has them enabled, and never below 0. Each active component
-    takes one draw per sample from its own stream (the contention size even
-    when the trigger does not fire). raise_irqs checks that a batch fits.
+    takes one draw per sample from its own stream, indexed only when used (the
+    contention size even when the trigger does not fire); raise_irqs checks fit.
     """
-    overhead, trigger, contention, jitter = streams
     latency = np.full(size, bus.base_latency_us)
     if vmm_on:  # summed in place, a term at a time, in this order
-        latency += draw(bus.hv_overhead, overhead, size)
+        latency += draw(bus.hv_overhead, streams[0], size)
         if stressed:
-            extra = draw(bus.contention, contention, size)
-            extra *= trigger.random(size) < bus.contention_prob
+            extra = draw(bus.contention, streams[2], size)
+            extra *= streams[1].random(size) < bus.contention_prob
             latency += extra
     if bus.phase_jitter_enabled:
-        latency += _phase(jitter, size)
+        latency += _phase(streams[3], size)
     np.maximum(latency, 0.0, out=latency)
     return quantize_62_5ns(latency) if bus.quantize_enabled else latency
 

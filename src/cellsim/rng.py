@@ -22,9 +22,9 @@ def h64(tag: str) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "little")
 
 
-def _seed_sequence(seed: int, tag: str) -> np.random.SeedSequence:
+def _seed_sequence(seed: int, tag: str, spawn_key: tuple = ()) -> np.random.SeedSequence:
     """Pure in (seed, tag), which enter as two words: no XOR lets pairs collide."""
-    return np.random.SeedSequence([seed & _MASK64, h64(tag)])
+    return np.random.SeedSequence([seed & _MASK64, h64(tag)], spawn_key=spawn_key)
 
 
 def make_rng(seed: int, tag: str = "") -> np.random.Generator:
@@ -32,7 +32,11 @@ def make_rng(seed: int, tag: str = "") -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_sequence(seed, tag)))
 
 
+def make_stream(seed: int, tag: str, i: int) -> np.random.Generator:
+    """Child i of the (seed, tag) sequence: exactly the i-th of its spawn(n), n > i."""
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, tag, (i,))))
+
+
 def make_streams(seed: int, tag: str, n: int) -> list[np.random.Generator]:
     """n independent generators spawned from the (seed, tag) sequence."""
-    return [np.random.Generator(np.random.PCG64(child))
-            for child in _seed_sequence(seed, tag).spawn(n)]
+    return [make_stream(seed, tag, i) for i in range(n)]

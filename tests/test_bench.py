@@ -6,17 +6,21 @@ import pytest
 
 from cellsim import (
     BenchReport,
+    CellConfig,
     GENERATOR_NAME,
     Scenario,
+    bench,
     canonical_scenarios,
     export_csv,
+    full_platform_config,
+    jetson_tk1,
     render_table,
     run_report,
     run_scenario,
     summarize,
 )
 from cellsim.bench import RESPONDER_BYTES, responder_config, stress_config
-from cellsim.errors import EmptySamples, OutOfRegion
+from cellsim.errors import EmptyCpuSet, EmptySamples, OutOfRegion
 
 from conftest import make_tiny_platform
 
@@ -150,6 +154,71 @@ class TestScenarioRuns:
         platform = make_tiny_platform()
         stats, _ = run_scenario(platform, Scenario(True, 10.0, True, 100, seed=1))
         assert stats.n == 100
+
+
+def one_cpu_board():
+    from cellsim import Cpu, IrqLine, MemRegion, PlatformSpec, build_platform
+    return build_platform(PlatformSpec(name="one", resources=[
+        Cpu(0), MemRegion(0x1000_0000, 0x40_0000), IrqLine(32)]))
+
+
+class TestRowSetup:
+    """A row's line and configs come from a bounded memo keyed by the platform."""
+
+    def test_platforms_in_turn_match_fresh_runs(self, jetson):
+        tiny = make_tiny_platform()
+        scenarios = canonical_scenarios(n_samples=200, seed=5)
+
+        def rows(platform, order):
+            return dict(run_report(platform, order).rows)
+        fresh = {}
+        for platform in (jetson, tiny):
+            bench._row_setup.cache_clear()
+            fresh[platform.name] = rows(platform, scenarios)
+        for order in (scenarios, scenarios[::-1]):
+            bench._row_setup.cache_clear()
+            for platform in (jetson, tiny, jetson):
+                assert rows(platform, order) == fresh[platform.name]
+
+    def test_an_equal_platform_gets_equal_configs(self, jetson):
+        twin = jetson_tk1()
+        assert twin is not jetson
+        expected = (32, (full_platform_config(twin), responder_config(twin, 32),
+                         stress_config(twin)))
+        assert bench._row_setup(jetson, True, True) == expected
+        assert bench._row_setup(twin, True, True) == expected
+        assert bench._row_setup(twin, False, False) == (32, ())
+
+    def test_the_memo_stays_within_its_bound(self):
+        bound = bench._row_setup.cache_info().maxsize
+        for i in range(bound):  # three kinds of row on each of more platforms than that
+            run_report(make_tiny_platform("tiny%d" % i), canonical_scenarios(n_samples=5))
+            assert bench._row_setup.cache_info().currsize <= bound
+        assert bench._row_setup.cache_info().currsize == bound
+
+    def test_a_one_cpu_board_runs_its_off_and_calm_rows(self):
+        board = one_cpu_board()
+        *runnable, stressed, _ = canonical_scenarios(n_samples=50)
+        assert [sc.stress for sc in runnable] == [False] * 4
+        for sc in runnable:
+            assert run_scenario(board, sc)[0].n == 50
+        with pytest.raises(EmptyCpuSet, match="^platform has too few CPUs for the benchmark"
+                                              " cells$"):
+            run_scenario(board, stressed)
+
+    def test_a_second_report_builds_no_config(self, jetson, monkeypatch):
+        built = []
+        check = CellConfig.__post_init__
+
+        def counted(cfg):
+            built.append(cfg.name)
+            check(cfg)
+        monkeypatch.setattr(CellConfig, "__post_init__", counted)
+        bench._row_setup.cache_clear()
+        run_report(jetson, canonical_scenarios(n_samples=10))
+        assert built == ["root", "responder", "stress"]
+        run_report(jetson, canonical_scenarios(n_samples=10))
+        assert built == ["root", "responder", "stress"]
 
 
 class TestBenchCells:

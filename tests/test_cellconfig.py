@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 
 from cellsim import (
     CellConfig,
+    Cpu,
     Hypervisor,
     IoPortRange,
+    IrqLine,
     MemRegion,
     MmioDevice,
     PciDevice,
@@ -200,6 +202,12 @@ class TestCellConfigInvariants:
         with pytest.raises(InvariantViolation, match="listed twice"):
             CellConfig(name="c", cpus=[0], mem=[MemRegion(0x1000, 0x1000)],
                        devices=[device, device])
+
+    @pytest.mark.parametrize("devices", [[Cpu(1)], [IrqLine(33), PciDevice(0x10)]])
+    def test_unsupported_device_type_rejected(self, devices):
+        # the canonical sort met the type first and raised a KeyError
+        with pytest.raises(InvariantViolation, match="^unsupported device type '(Cpu|IrqLine)'$"):
+            CellConfig(name="x", cpus={0}, mem=[MemRegion(0x1000, 0x1000)], devices=devices)
 
     def test_bad_name_rejected(self):
         with pytest.raises(InvariantViolation):

@@ -583,6 +583,14 @@ class TestBenchCommand:
             _, deliveries = run_scenario(platform, sc)
             assert deliveries.latency_us.min() >= 0.0
 
+    def test_a_one_cpu_board_is_refused_at_its_stressed_row(self, ws, capsys):
+        # the stress cell took CPU -1: "error: cpu id out of range: -1"
+        board = ws / "one.platform"
+        board.write_text('platform "one"\ncpu 0\nmem 0x10000000 0x400000 rw\nirq 32\n')
+        assert run(ws, "bench", "run", "--platform", str(board), "--samples", "10") == 1
+        assert capsys.readouterr() == (
+            "", "error: platform has too few CPUs for the benchmark cells\n")
+
     def test_samples_past_the_int64_clock_are_refused(self, ws, capsys):
         # numpy printed a traceback: it could not allocate 72.8 TiB
         assert run(ws, "bench", "run", "--samples", "10000000000000") == 1

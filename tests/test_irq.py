@@ -34,11 +34,12 @@ from cellsim.errors import (
     NotEnabled,
     UnownedIrq,
 )
+from cellsim import irq
 from cellsim.comm import create_channel, send
 from cellsim.hvcore import EXIT_SLOT, Access, AccessKind
 from cellsim.irq import LATTICE_US, DoorbellLatencies, distributor_access, draw
 from cellsim.machine import bus_load, parse_platform
-from cellsim.rng import h64, make_rng, make_streams
+from cellsim.rng import h64, make_rng, make_stream, make_streams
 
 from conftest import make_tiny_platform
 from test_hvcore import RAM, small_cell, tiny_hv
@@ -101,6 +102,46 @@ class TestStreams:
         streams = latency_streams(5, "x")
         assert len(streams) == 4
         assert [g.random() for g in streams] == [g.random() for g in make_streams(5, "x", 4)]
+
+    SEEDS = (0, 7, 2**64 - 1)
+    TAGS = ("", "hv-doorbell", "scenario vmm=1 freq=50.0 stress=1", "stre\u00df \u2192 \u00fc")
+
+    @staticmethod
+    def spawned(seed, tag):
+        """The four streams as SeedSequence.spawn builds them: the reference."""
+        children = np.random.SeedSequence([seed, h64(tag)]).spawn(4)
+        return [np.random.Generator(np.random.PCG64(child)) for child in children]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_a_stream_built_alone_is_the_spawned_child(self, seed, tag):
+        spawned = [g.bit_generator.state for g in self.spawned(seed, tag)]
+        assert [g.bit_generator.state for g in make_streams(seed, tag, 4)] == spawned
+        for i in range(4):  # stream i first, then all four in order
+            assert latency_streams(seed, tag)[i].bit_generator.state == spawned[i]
+        assert [g.bit_generator.state for g in latency_streams(seed, tag)] == spawned
+        assert make_stream(seed, tag, 2).bit_generator.state == spawned[2]
+        streams = latency_streams(seed, tag)
+        assert streams[-1] is streams[3]
+        with pytest.raises(IndexError):
+            streams[4]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("vmm_on, stressed, drawn", [
+        (False, False, [3]), (True, False, [0, 3]), (True, True, [0, 1, 2, 3])])
+    def test_a_row_builds_only_the_streams_it_draws(self, seed, vmm_on, stressed, drawn,
+                                                     monkeypatch):
+        bus = BusModel.default()
+        eager = sample_latency(vmm_on, stressed, bus, self.spawned(seed, "row"), 3000)
+        built = []
+
+        def counted(seed, tag, i):
+            built.append(i)
+            return make_stream(seed, tag, i)
+        monkeypatch.setattr(irq, "make_stream", counted)
+        lazy = sample_latency(vmm_on, stressed, bus, latency_streams(seed, "row"), 3000)
+        assert lazy.tolist() == eager.tolist()
+        assert sorted(built) == drawn
 
 
 def in_pieces(sampler, sizes):
