@@ -126,6 +126,9 @@ def canonical_scenarios(n_samples=None, seed: int = 7) -> list[Scenario]:
 
 
 def run_report(platform: MachinePlatform, scenarios) -> BenchReport:
+    scenarios = tuple(scenarios)
+    for sc in scenarios:  # a board some row does not fit is refused before any row draws
+        _row_setup(platform, sc.vmm_on, sc.stress)
     rows = tuple((sc, run_scenario(platform, sc)[0]) for sc in scenarios)
     return BenchReport(rows=rows, platform_name=platform.name)
 

@@ -280,8 +280,7 @@ _KINDS = (
 )
 _KIND_CODES = {kind: code for code, (kind, *_) in enumerate(_KINDS)}
 
-_WORKLOAD_CODES = {kind: code for code, kind in enumerate(WorkloadKind)}
-_WORKLOAD_BY_CODE = {v: k for k, v in _WORKLOAD_CODES.items()}
+_WORKLOADS = tuple(WorkloadKind)
 
 
 def put_runs(out: bytearray, runs) -> None:
@@ -306,8 +305,7 @@ def emit_binary(cfg: CellConfig) -> bytes:
     put_runs(out, ((Cpu, sorted(cfg.cpus)),) + resource_layout(cfg.mem + cfg.devices)
              + ((IrqLine, sorted(cfg.irqs)),))
     path = (cfg.workload.script_path or "").encode("utf-8")
-    out += _WORKLOAD.pack(_WORKLOAD_CODES[cfg.workload.kind], len(path))
-    out += path
+    out += _WORKLOAD.pack(_WORKLOADS.index(cfg.workload.kind), len(path)) + path
     return bytes(out)
 
 
@@ -316,17 +314,27 @@ class _Reader:
         self.data = data
         self.offset = 0
 
-    def take(self, spec: struct.Struct):
-        return spec.unpack(self.take_raw(spec.size))
+    def take(self, spec: struct.Struct) -> tuple:
+        return spec.unpack_from(self.data, self._skip(spec.size))
 
     def take_raw(self, count: int) -> bytes:
-        if self.offset + count > len(self.data):
-            raise TruncatedRecord(
-                "need %d bytes at offset %d, have %d"
-                % (count, self.offset, len(self.data) - self.offset))
-        raw = self.data[self.offset:self.offset + count]
-        self.offset += count
-        return raw
+        return self.data[self._skip(count):self.offset]
+
+    def _skip(self, count: int) -> int:
+        """Move past the next count bytes and return where they start."""
+        start = self.offset
+        if start + count > len(self.data):
+            raise TruncatedRecord("need %d bytes at offset %d, have %d"
+                                  % (count, start, len(self.data) - start))
+        self.offset = start + count
+        return start
+
+
+def from_code(table: tuple, code: int, what: str):
+    """The entry a coded field's table holds at its code, else the refusal."""
+    if code < len(table) and table[code] is not None:
+        return table[code]
+    raise InvariantViolation("unknown %s %d" % (what, code))
 
 
 def _unpad(raw: bytes, what: str) -> str:
@@ -342,9 +350,7 @@ def take_runs(reader: _Reader) -> list:
     runs = []
     for _ in range(n_runs):
         code, count = reader.take(_RUN)
-        if code >= len(_KINDS):
-            raise InvariantViolation("unknown resource kind %d" % code)
-        kind, body, _, make = _KINDS[code]
+        kind, body, _, make = from_code(_KINDS, code, "resource kind")
         raw = reader.take_raw(count * body.size)
         runs.append((kind, struct.unpack("<%dI" % count, raw) if make is None
                      else tuple(starmap(make, body.iter_unpack(raw)))))
@@ -365,9 +371,7 @@ def load_binary(data: bytes) -> CellConfig:
     for kind, items in take_runs(reader):
         {Cpu: cpus, IrqLine: irqs, MemRegion: mem}.get(kind, devices).extend(items)
     workload_code, path_len = reader.take(_WORKLOAD)
-    kind = _WORKLOAD_BY_CODE.get(workload_code)
-    if kind is None:
-        raise InvariantViolation("unknown workload code %d" % workload_code)
+    kind = from_code(_WORKLOADS, workload_code, "workload code")
     raw_path = reader.take_raw(path_len)
     if reader.offset != len(data):
         raise InvariantViolation(

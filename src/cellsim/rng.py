@@ -12,9 +12,10 @@ import hashlib
 
 import numpy as np
 
-GENERATOR_NAME = "numpy-pcg64"
+from .errors import InvariantViolation
+from .machine import U64_MAX
 
-_MASK64 = (1 << 64) - 1
+GENERATOR_NAME = "numpy-pcg64"
 
 
 def h64(tag: str) -> int:
@@ -23,8 +24,10 @@ def h64(tag: str) -> int:
 
 
 def _seed_sequence(seed: int, tag: str, spawn_key: tuple = ()) -> np.random.SeedSequence:
-    """Pure in (seed, tag), which enter as two words: no XOR lets pairs collide."""
-    return np.random.SeedSequence([seed & _MASK64, h64(tag)], spawn_key=spawn_key)
+    """Pure in (seed, tag), which enter as two words: no XOR or mask lets two collide."""
+    if not 0 <= seed <= U64_MAX:
+        raise InvariantViolation("seed %d outside [0, 2^64)" % seed)
+    return np.random.SeedSequence([seed, h64(tag)], spawn_key=spawn_key)
 
 
 def make_rng(seed: int, tag: str = "") -> np.random.Generator:

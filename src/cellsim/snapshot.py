@@ -1,7 +1,10 @@
 """Versioned binary session snapshots.
 
 Persists a platform plus optional hypervisor state between CLI
-invocations. The platform's layout is a resource list of the config
+invocations as the fixed little-endian records below, one struct each,
+in order; a record that ends in a length is followed by that many bytes.
+A coded enum is a tuple indexed by its code: a trap kind's code is its
+EXIT_SLOT. The platform's layout is a resource list of the config
 codec, which alone knows how a resource is encoded. Ownership is not
 stored: the load path rebuilds the platform through its validator and
 the ledger by claiming each cell's config in id order, root's first,
@@ -20,100 +23,72 @@ from typing import Optional
 
 from ._dsl import decode_utf8
 from .cellconfig import (
-    WorkloadKind, _Reader, emit_binary, load_binary, put_runs, take_runs)
+    WorkloadKind, _Reader, emit_binary, from_code, load_binary, put_runs, take_runs)
 from .errors import (
     BadMagic, ConfigSemanticError, ConfigSyntaxError, InvariantViolation, UnsupportedVersion,
     ValidationFailed)
-from .hvcore import Cell, CellState, Hypervisor, OwnershipLedger, TrapEvent, TrapKind, check_script
+from .hvcore import (
+    EXIT_SLOT, Cell, CellState, Hypervisor, OwnershipLedger, TrapEvent, check_script)
 from .machine import BusModel, DistParams, GicVersion, MachinePlatform
 
 MAGIC = 0x4A485353
 VERSION = 8
 
-_HEADER = struct.Struct("<IH")
-_U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_BUS = struct.Struct("<8d2B")
-_EVENT = struct.Struct("<QIB")
-_EXITS = struct.Struct("<I%dQ" % len(TrapKind))
+_HEADER = struct.Struct("<IH")  # magic, version
+_NAME = struct.Struct("<H")  # platform name length, then the UTF-8 name
+_PLATFORM = struct.Struct("<B8d2B")  # gic code, bus model; then the platform's resource list
+_FLAG = struct.Struct("<B")  # 1 if a hypervisor follows, else the end
+_SESSION = struct.Struct("<QQI")  # clock, seed, event count
+_EVENT = struct.Struct("<QIBH")  # per event: time, cell, trap code, detail length
+_COUNT = struct.Struct("<I")  # of exit records, then of cells and of a cell's chunks
+_EXITS = struct.Struct("<I%dQ" % len(EXIT_SLOT))  # cell id, a counter per trap kind
+_NEXT = struct.Struct("<IB")  # next cell id, enabled; a disabled session ends here
+_CELL = struct.Struct("<IBI")  # per cell in id order: id, state code, config length
+_CHUNK = struct.Struct("<QI")  # per image chunk in address order: address, length
+_SCRIPT = struct.Struct("<II")  # a script cell's position, script text length
 
-_STATE_CODES = {state: code for code, state in enumerate(CellState)}
-_STATES_BY_CODE = {code: state for state, code in _STATE_CODES.items()}
-_TRAP_CODES = {kind: code for code, kind in enumerate(TrapKind)}
-_TRAPS_BY_CODE = {code: kind for kind, code in _TRAP_CODES.items()}
-_GIC_CODES = {GicVersion.V2: 2, GicVersion.V3: 3}
-_GIC_BY_CODE = {code: gic for gic, code in _GIC_CODES.items()}
-
-
-def _put_str(out: bytearray, text: str) -> None:
-    raw = text.encode("utf-8")
-    out += _U16.pack(len(raw))
-    out += raw
-
-
-def _get_str(reader: _Reader) -> str:
-    (length,) = reader.take(_U16)
-    return decode_utf8(reader.take_raw(length), "snapshot string")
-
-
-def _put_bytes(out: bytearray, raw: bytes) -> None:
-    out += _U32.pack(len(raw))
-    out += raw
-
-
-def _get_bytes(reader: _Reader) -> bytes:
-    (length,) = reader.take(_U32)
-    return reader.take_raw(length)
+_GICS = (None, None, GicVersion.V2, GicVersion.V3)
+_TRAPS = tuple(EXIT_SLOT)
+_STATES = tuple(CellState)
 
 
 def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
-    out = bytearray()
-    out += _HEADER.pack(MAGIC, VERSION)
-
-    _put_str(out, platform.name)
-    out += _U8.pack(_GIC_CODES[platform.gic_version])
+    name = platform.name.encode("utf-8")
     bus = platform.bus
-    out += _BUS.pack(
-        bus.base_latency_us, bus.hv_overhead.shift_us, bus.hv_overhead.log_mu,
-        bus.hv_overhead.log_sigma, bus.contention.shift_us, bus.contention.log_mu,
-        bus.contention.log_sigma, bus.contention_prob,
-        1 if bus.quantize_enabled else 0, 1 if bus.phase_jitter_enabled else 0)
+    out = bytearray(_HEADER.pack(MAGIC, VERSION) + _NAME.pack(len(name)) + name)
+    out += _PLATFORM.pack(
+        _GICS.index(platform.gic_version), bus.base_latency_us, bus.hv_overhead.shift_us,
+        bus.hv_overhead.log_mu, bus.hv_overhead.log_sigma, bus.contention.shift_us,
+        bus.contention.log_mu, bus.contention.log_sigma, bus.contention_prob,
+        bus.quantize_enabled, bus.phase_jitter_enabled)
     put_runs(out, platform.layout)
-
+    out += _FLAG.pack(hv is not None)
     if hv is None:
-        out += _U8.pack(0)
         return bytes(out)
-    out += _U8.pack(1)
-    out += _U64.pack(hv.clock)
-    out += _U64.pack(hv.seed)
-    out += _U32.pack(len(hv.events))
+
+    out += _SESSION.pack(hv.clock, hv.seed, len(hv.events))
     for event in hv.events:
-        out += _EVENT.pack(event.time_ns, event.cell, _TRAP_CODES[event.kind])
-        _put_str(out, event.detail)
-    out += _U32.pack(len(hv.exits))
+        detail = event.detail.encode("utf-8")
+        out += _EVENT.pack(event.time_ns, event.cell, EXIT_SLOT[event.kind], len(detail)) + detail
+    out += _COUNT.pack(len(hv.exits))
     for cell_id in sorted(hv.exits):
         out += _EXITS.pack(cell_id, *hv.exits[cell_id])
-    out += _U32.pack(hv._next_cell_id)
-
-    out += _U8.pack(1 if hv.enabled else 0)
+    out += _NEXT.pack(hv._next_cell_id, hv.enabled)
     if not hv.enabled:
         return bytes(out)
 
-    out += _U32.pack(len(hv.cells))
+    out += _COUNT.pack(len(hv.cells))
     for cell_id in sorted(hv.cells):
         cell = hv.cells[cell_id]
-        out += _U32.pack(cell_id)
-        out += _U8.pack(_STATE_CODES[cell.state])
-        _put_bytes(out, emit_binary(cell.config))
-        out += _U32.pack(len(cell.memory_image))
+        config = emit_binary(cell.config)
+        out += _CELL.pack(cell_id, _STATES.index(cell.state), len(config)) + config
+        out += _COUNT.pack(len(cell.memory_image))
         for addr in sorted(cell.memory_image):
-            out += _U64.pack(addr)
-            _put_bytes(out, cell.memory_image[addr])
+            chunk = cell.memory_image[addr]
+            out += _CHUNK.pack(addr, len(chunk)) + chunk
         if cell.config.workload.kind is WorkloadKind.SCRIPT:
-            out += _U32.pack(cell.script_pos)
-            _put_bytes(out, cell.script.encode("utf-8"))
+            script = cell.script.encode("utf-8")
+            out += _SCRIPT.pack(cell.script_pos, len(script)) + script
     return bytes(out)
 
 
@@ -126,13 +101,11 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         raise UnsupportedVersion("snapshot version %d, expected %d"
                                  % (version, VERSION))
 
-    name = _get_str(reader)
-    (gic_code,) = reader.take(_U8)
-    gic = _GIC_BY_CODE.get(gic_code)
-    if gic is None:
-        raise InvariantViolation("unknown gic code %d" % gic_code)
-    (base_us, hv_shift, hv_mu, hv_sigma, c_shift, c_mu, c_sigma, prob,
-     quantize, jitter) = reader.take(_BUS)
+    (length,) = reader.take(_NAME)
+    name = decode_utf8(reader.take_raw(length), "snapshot string")
+    (gic_code, base_us, hv_shift, hv_mu, hv_sigma, c_shift, c_mu, c_sigma, prob,
+     quantize, jitter) = reader.take(_PLATFORM)
+    gic = from_code(_GICS, gic_code, "gic code")
     bus = BusModel(
         base_latency_us=base_us,
         hv_overhead=DistParams(hv_shift, hv_mu, hv_sigma),
@@ -141,50 +114,42 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         quantize_enabled=bool(quantize), phase_jitter_enabled=bool(jitter))
     platform = MachinePlatform(name, tuple(take_runs(reader)), gic, bus)
 
-    (have_hv,) = reader.take(_U8)
+    (have_hv,) = reader.take(_FLAG)
     if not have_hv:
         _expect_end(reader)
         return platform, None
 
-    clock = reader.take(_U64)[0]
-    seed = reader.take(_U64)[0]
+    clock, seed, n_events = reader.take(_SESSION)
     events = []
-    (n_events,) = reader.take(_U32)
     for _ in range(n_events):
-        time_ns, cell, kind_code = reader.take(_EVENT)
-        kind = _TRAPS_BY_CODE.get(kind_code)
-        if kind is None:
-            raise InvariantViolation("unknown trap code %d" % kind_code)
-        events.append(TrapEvent(time_ns, cell, kind, _get_str(reader)))
+        time_ns, cell, code, length = reader.take(_EVENT)
+        events.append(TrapEvent(time_ns, cell, from_code(_TRAPS, code, "trap code"),
+                                decode_utf8(reader.take_raw(length), "snapshot string")))
 
     hv = Hypervisor(platform, seed=seed)
     hv.clock = clock
     hv.events = events
-    (n_exit_records,) = reader.take(_U32)
+    (n_exit_records,) = reader.take(_COUNT)
     for _ in range(n_exit_records):
         cell_id, *counters = reader.take(_EXITS)
         if cell_id in hv.exits:
             raise InvariantViolation(
                 "exit counters of cell %d appear twice in snapshot" % cell_id)
         hv.exits[cell_id] = counters
-    (hv._next_cell_id,) = reader.take(_U32)
-    (enabled,) = reader.take(_U8)
+    hv._next_cell_id, enabled = reader.take(_NEXT)
     if not enabled:
         _expect_end(reader)
         _check_exit_cells(hv)
         return platform, hv
 
-    (n_cells,) = reader.take(_U32)
+    (n_cells,) = reader.take(_COUNT)
     ids_by_name: dict[str, int] = {}
     for _ in range(n_cells):
-        (cell_id,) = reader.take(_U32)
+        cell_id, state_code, length = reader.take(_CELL)
         if cell_id in hv.cells:
             raise InvariantViolation("cell %d appears twice in snapshot" % cell_id)
-        (state_code,) = reader.take(_U8)
-        state = _STATES_BY_CODE.get(state_code)
-        if state is None:
-            raise InvariantViolation("unknown cell state %d" % state_code)
-        config = load_binary(_get_bytes(reader))
+        state = from_code(_STATES, state_code, "cell state")
+        config = load_binary(reader.take_raw(length))
         twin = ids_by_name.setdefault(config.name, cell_id)
         if twin != cell_id:
             raise InvariantViolation("cells %d and %d are both named %r"
@@ -193,11 +158,11 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         # order, non-empty, neither overlapping nor adjacent, and inside the
         # cell's memory, which a merged chunk may cross between adjacent regions
         image, prev_end = {}, -1
-        (n_chunks,) = reader.take(_U32)
+        (n_chunks,) = reader.take(_COUNT)
         for _ in range(n_chunks):
-            (addr,) = reader.take(_U64)
-            image[addr] = chunk = _get_bytes(reader)
-            end = addr + len(chunk)
+            addr, length = reader.take(_CHUNK)
+            image[addr] = reader.take_raw(length)
+            end = addr + length
             inside = sum(max(0, min(end, r.end) - max(addr, r.base)) for r in config.mem)
             if not (prev_end < addr < end and inside == end - addr):
                 raise InvariantViolation("snapshot cell %d image chunk [0x%x, 0x%x) is empty, not"
@@ -206,8 +171,8 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
             prev_end = end
         script, script_pos = "", 0
         if config.workload.kind is WorkloadKind.SCRIPT:
-            (script_pos,) = reader.take(_U32)
-            script = decode_utf8(_get_bytes(reader), "snapshot script")
+            script_pos, length = reader.take(_SCRIPT)
+            script = decode_utf8(reader.take_raw(length), "snapshot script")
         try:
             cell = Cell(cell_id, config, state, image, script=script, script_pos=script_pos)
             check_script(cell.script_ops, platform)

@@ -206,6 +206,14 @@ class TestRowSetup:
                                               " cells$"):
             run_scenario(board, stressed)
 
+    def test_a_report_a_row_does_not_fit_is_refused_before_any_row_draws(self, monkeypatch):
+        raised, real = [], bench.raise_irqs
+        monkeypatch.setattr(bench, "raise_irqs", lambda *args: raised.append(1) or real(*args))
+        with pytest.raises(EmptyCpuSet, match="^platform has too few CPUs for the benchmark"
+                                              " cells$"):
+            run_report(one_cpu_board(), canonical_scenarios())
+        assert len(raised) == 0
+
     def test_a_second_report_builds_no_config(self, jetson, monkeypatch):
         built = []
         check = CellConfig.__post_init__

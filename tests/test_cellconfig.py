@@ -403,8 +403,8 @@ class TestCodec:
 
     def test_unknown_workload_code_rejected(self):
         blob = bytearray(_minimal_bytes())
-        blob[-3] = 7
-        with pytest.raises(InvariantViolation):
+        blob[-3] = 9
+        with pytest.raises(InvariantViolation, match="^unknown workload code 9$"):
             load_binary(bytes(blob))
 
     def test_duplicate_cpu_in_stream_rejected(self):

@@ -126,6 +126,16 @@ class TestStreams:
         with pytest.raises(IndexError):
             streams[4]
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("build", [
+        lambda seed: make_rng(seed, "x"), lambda seed: make_stream(seed, "x", 0),
+        lambda seed: make_streams(seed, "x", 4), lambda seed: tuple(latency_streams(seed, "x"))],
+        ids=["make_rng", "make_stream", "make_streams", "latency_streams"])
+    def test_a_seed_outside_u64_is_refused_not_aliased(self, seed, build):
+        # masked to 64 bits, 2^64 drew what 0 draws and -1 what 2^64 - 1 draws
+        with pytest.raises(InvariantViolation, match=r"^seed %d outside \[0, 2\^64\)$" % seed):
+            build(seed)
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("vmm_on, stressed, drawn", [
         (False, False, [3]), (True, False, [0, 3]), (True, True, [0, 1, 2, 3])])

@@ -313,6 +313,15 @@ class TestRejection:
         with pytest.raises(InvariantViolation, match="unknown trap code 238"):
             load_session(bytes(blob))
 
+    def test_unknown_gic_code_rejected(self, jetson):
+        blob = bytearray(save_session(jetson, None))
+        # the gic byte follows the u32 magic, the u16 version and the u16-counted name
+        offset = 4 + 2 + 2 + len(jetson.name.encode())
+        assert blob[offset] == 2
+        blob[offset] = 4
+        with pytest.raises(InvariantViolation, match="^unknown gic code 4$"):
+            load_session(bytes(blob))
+
     @pytest.mark.parametrize("name", [b"jetson tk1", b"jetson\0tk1", b"jetson/tk1"])
     def test_platform_name_outside_the_name_rule_rejected(self, jetson, name):
         blob = save_session(jetson, None)
@@ -444,7 +453,7 @@ class TestStatesNoCallMakes:
 def _exit_section(hv):
     """Offset of the exit-counter section in hv's snapshot."""
     offset = len(save_session(hv.platform, None)) + 8 + 8 + 4  # clock, seed, event count
-    return offset + sum(snapshot._EVENT.size + 2 + len(event.detail.encode())
+    return offset + sum(snapshot._EVENT.size + len(event.detail.encode())
                         for event in hv.events)
 
 
@@ -862,6 +871,12 @@ class TestPinnedJetsonSession:
     def test_snapshot_bytes(self, hv):
         blob = save_session(hv.platform, hv)
         assert hashlib.sha256(blob).hexdigest() == self.SNAPSHOT
+
+    def test_every_strict_prefix_is_refused_as_truncated(self, hv):
+        blob = save_session(hv.platform, hv)
+        for cut in range(len(blob)):
+            with pytest.raises(TruncatedRecord):
+                load_session(blob[:cut])
 
     def test_save_load_save_is_a_fixed_point(self, hv):
         blob = save_session(hv.platform, hv)
