@@ -10,11 +10,11 @@ optionally stressed neighbour cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._value import Value
 from .cellconfig import CellConfig, Workload, WorkloadKind
 from .errors import EmptyCpuSet, EmptySamples, NoSuchLine, OutOfRegion
 from .hvcore import Hypervisor
@@ -25,10 +25,11 @@ from .rng import GENERATOR_NAME
 RESPONDER_BYTES = 0x100000  # 1 MiB per benchmark cell
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple
-    platform_name: str = ""
+class BenchReport(Value):
+    __slots__ = ("rows", "platform_name")
+
+    def __init__(self, rows: tuple, platform_name: str = ""):
+        self._freeze(rows, platform_name)
 
 
 def full_platform_config(platform: MachinePlatform) -> CellConfig:

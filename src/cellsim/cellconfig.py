@@ -10,12 +10,12 @@ format.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from itertools import starmap
 from typing import TYPE_CHECKING, Optional
 
 from ._dsl import NAME_RE, decode_utf8, require_args
+from ._value import Value
 from .errors import (
     BadMagic,
     ConfigSemanticError,
@@ -55,19 +55,18 @@ class WorkloadKind(Enum):
 MAX_PATH_BYTES = 0xFFFF
 
 
-@dataclass(frozen=True)
-class Workload:
-    kind: WorkloadKind = WorkloadKind.IDLE
-    script_path: Optional[str] = None
+class Workload(Value):
+    __slots__ = ("kind", "script_path")
 
-    def __post_init__(self):
-        if self.kind is WorkloadKind.SCRIPT:
-            if not self.script_path:
+    def __init__(self, kind: WorkloadKind = WorkloadKind.IDLE, script_path: Optional[str] = None):
+        if kind is WorkloadKind.SCRIPT:
+            if not script_path:
                 raise InvariantViolation("script workload needs a path")
-            if len(self.script_path.encode("utf-8")) > MAX_PATH_BYTES:
+            if len(script_path.encode("utf-8")) > MAX_PATH_BYTES:
                 raise InvariantViolation("script path longer than %d bytes" % MAX_PATH_BYTES)
-        elif self.script_path is not None:
+        elif script_path is not None:
             raise InvariantViolation("only script workloads carry a path")
+        self._freeze(kind, script_path)
 
 
 # the devices a config can hold, each kind with its canonical sort key
@@ -83,8 +82,7 @@ def _device_sort_key(dev):
     return key(dev)
 
 
-@dataclass(frozen=True)
-class CellConfig:
+class CellConfig(Value):
     """Immutable, canonically ordered cell description.
 
     Field order is normalized on construction (cpus/irqs as frozensets,
@@ -92,19 +90,13 @@ class CellConfig:
     and canonical serialization coincide.
     """
 
-    name: str
-    cpus: frozenset = frozenset()
-    mem: tuple = ()
-    devices: tuple = ()
-    irqs: frozenset = frozenset()
-    workload: Workload = Workload()
+    __slots__ = ("name", "cpus", "mem", "devices", "irqs", "workload")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cpus", frozenset(self.cpus))
-        object.__setattr__(self, "mem", tuple(sorted(self.mem, key=lambda r: r.base)))
-        # the sort key checks each device's type, before _validate's checks
-        object.__setattr__(self, "devices", tuple(sorted(self.devices, key=_device_sort_key)))
-        object.__setattr__(self, "irqs", frozenset(self.irqs))
+    def __init__(self, name, cpus=frozenset(), mem=(), devices=(), irqs=frozenset(),
+                 workload=Workload()):
+        # the device sort key checks each device's type, before _validate's checks
+        self._freeze(name, frozenset(cpus), tuple(sorted(mem, key=lambda r: r.base)),
+                     tuple(sorted(devices, key=_device_sort_key)), frozenset(irqs), workload)
         self._validate()
 
     def _validate(self):
@@ -191,31 +183,27 @@ class ViolationKind(Enum):
     PERMISSION_EXCEEDED = "PermissionExceeded"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: ViolationKind
-    resource: object
-    message: str = ""
+class Violation(Value):
+    __slots__ = ("kind", "resource", "message")
+
+    def __init__(self, kind: ViolationKind, resource: object, message: str = ""):
+        self._freeze(kind, resource, message)
 
     def __str__(self):
         text = "%s(%s)" % (self.kind.value, _describe(self.resource))
         return "%s: %s" % (text, self.message) if self.message else text
 
 
-def _describe(resource) -> str:
-    if isinstance(resource, Cpu):
-        return "cpu %d" % resource.index
-    if isinstance(resource, MemRegion):
-        return "mem [0x%x, 0x%x)" % (resource.base, resource.end)
-    if isinstance(resource, MmioDevice):
-        return "mmio %s@0x%x" % (resource.name, resource.base)
-    if isinstance(resource, PciDevice):
-        return "pci 0x%04x" % resource.bdf
-    if isinstance(resource, IoPortRange):
-        return "ioport [0x%x, 0x%x)" % (resource.base, resource.end)
-    if isinstance(resource, IrqLine):
-        return "irq %d" % resource.number
-    return repr(resource)
+_DESCRIBE = {Cpu: lambda r: "cpu %d" % r.index,
+             MemRegion: lambda r: "mem [0x%x, 0x%x)" % (r.base, r.end),
+             MmioDevice: lambda r: "mmio %s@0x%x" % (r.name, r.base),
+             PciDevice: lambda r: "pci 0x%04x" % r.bdf,
+             IoPortRange: lambda r: "ioport [0x%x, 0x%x)" % (r.base, r.end),
+             IrqLine: lambda r: "irq %d" % r.number}
+
+
+def _describe(resource) -> str:  # how a violation or an audit names a resource
+    return _DESCRIBE.get(type(resource), repr)(resource)
 
 
 def validate_against(cfg: CellConfig, platform: MachinePlatform,

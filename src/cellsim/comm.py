@@ -11,8 +11,9 @@ emulated minimal host controller's config space.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from operator import attrgetter
 
+from ._value import Record
 from .errors import (
     BadAlignment,
     BadSize,
@@ -34,26 +35,24 @@ ABSENT = 0xFFFFFFFF
 _RW = PermFlags.READ | PermFlags.WRITE
 
 
-@dataclass
-class Channel:
-    id: int
-    cell_a: int
-    cell_b: int
-    region: MemRegion
-    vectors: int
-    bdf_a: int
-    bdf_b: int
-    buffer: bytearray = field(default_factory=bytearray)
-    pending: dict = field(default_factory=dict)
+class Channel(Record):
+    """A channel between two cells. Unless given, buffer starts zeroed, at the
+    region's size, and pending, each endpoint's queue of rung vectors, empty."""
 
-    def __post_init__(self):
-        if self.cell_a == self.cell_b:
+    __slots__ = ("id", "cell_a", "cell_b", "region", "vectors", "bdf_a", "bdf_b", "buffer",
+                 "pending")
+    _key = property(attrgetter(*__slots__))
+
+    def __init__(self, id, cell_a, cell_b, region, vectors, bdf_a, bdf_b, buffer=None,
+                 pending=None):
+        if cell_a == cell_b:
             raise InvariantViolation("channel endpoints must differ")
-        if self.region.size < PAGE_SIZE:
+        if region.size < PAGE_SIZE:
             raise InvariantViolation("channel region smaller than a page")
-        if not self.buffer:
-            self.buffer = bytearray(self.region.size)
-        self.pending = {self.cell_a: deque(), self.cell_b: deque()}
+        self.id, self.cell_a, self.cell_b, self.region = id, cell_a, cell_b, region
+        self.vectors, self.bdf_a, self.bdf_b = vectors, bdf_a, bdf_b
+        self.buffer = buffer or bytearray(region.size)
+        self.pending = pending or {cell_a: deque(), cell_b: deque()}
 
     def endpoints(self) -> tuple[int, int]:
         return (self.cell_a, self.cell_b)

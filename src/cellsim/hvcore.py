@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 from ._dsl import decode_utf8, iter_directives, parse_number
+from ._value import Record, Value
 from .cellconfig import (
     CellConfig, Violation, ViolationKind, Workload, WorkloadKind, _describe, validate_against)
 from .errors import (
@@ -96,24 +96,20 @@ class AccessKind(Enum):
 _MEM_KINDS = (AccessKind.MEM_READ, AccessKind.MEM_WRITE)
 
 
-@dataclass(frozen=True)
-class Access:
-    kind: AccessKind
-    addr_or_port: int = 0
-    width: int = 4
-    instr: Optional[str] = None
+class Access(Value):
+    __slots__ = ("kind", "addr_or_port", "width", "instr")
 
-    def __post_init__(self):
-        if self.width not in (1, 2, 4, 8):
+    def __init__(self, kind, addr_or_port=0, width=4, instr=None):
+        if width not in (1, 2, 4, 8):
             raise InvariantViolation("access width must be 1, 2, 4 or 8")
-        if self.addr_or_port < 0:
+        if addr_or_port < 0:
             raise InvariantViolation("address must be non-negative")
-        if self.kind in _MEM_KINDS and self.addr_or_port % self.width:
+        if kind in _MEM_KINDS and addr_or_port % width:
             raise InvariantViolation(
-                "memory access at 0x%x not aligned to width %d"
-                % (self.addr_or_port, self.width))
-        if self.kind is _SENSITIVE_INSTR and not self.instr:
+                "memory access at 0x%x not aligned to width %d" % (addr_or_port, width))
+        if kind is _SENSITIVE_INSTR and not instr:
             raise InvariantViolation("sensitive-instruction access needs a name")
+        self._freeze(kind, addr_or_port, width, instr)
 
     def describe(self) -> str:
         if self.kind is AccessKind.SENSITIVE_INSTR:
@@ -324,27 +320,22 @@ _LIFECYCLE = {
 ROOT_STATES = (_RUNNING, _FAILED)  # enable starts root; a violation fails it
 
 
-@dataclass
-class Cell:
-    id: CellId
-    config: CellConfig
-    state: CellState = CellState.CREATED
-    memory_image: dict[int, bytes] = field(default_factory=dict)
-    # A script cell's script, as read at create (empty for other workloads),
-    # and its ops, parsed from it once, here; start and relaunch run them from 0.
-    script: str = ""
-    script_pos: int = 0
-    script_ops: list = field(init=False, repr=False, compare=False)
-    # Own-RAM touches in one step() turn: 1 for a guest that runs no script
-    # and has a region that grants READ (a stress guest's, READ or WRITE).
-    touches: int = field(init=False, repr=False, compare=False)
+class Cell(Record):
+    # script is the script read at create; script_ops, parsed from it here, run from 0 at
+    # start and relaunch. touches, a step() turn's own-RAM touches, is 1 for a guest with no
+    # script and a region granting READ (stress: READ or WRITE).
+    __slots__ = ("id", "config", "state", "memory_image", "script", "script_pos",
+                 "script_ops", "touches")
+    _key = property(attrgetter(*__slots__[:6]))  # script_ops and touches neither compare nor print
 
-    def __post_init__(self):
-        self.script_ops = parse_script(self.script)
-        kind = self.config.workload.kind
+    def __init__(self, id, config, state=CellState.CREATED, memory_image=None, script="",
+                 script_pos=0):
+        self.id, self.config, self.state, self.memory_image = id, config, state, memory_image or {}
+        self.script, self.script_pos, self.script_ops = script, script_pos, parse_script(script)
+        kind = config.workload.kind
         need = _RW if kind is WorkloadKind.STRESS else _READ
         self.touches = int(kind is not WorkloadKind.SCRIPT and any(
-            int(region.flags) & need for region in self.config.mem))
+            int(region.flags) & need for region in config.mem))
 
     @property
     def name(self) -> str:

@@ -11,11 +11,11 @@ quantization to the 62.5 ns timer lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from ._value import Value
 from .errors import InvariantViolation, NoSuchLine, NoSuchResource, UnownedIrq
 from .hvcore import (
     _MEM_WRITE,
@@ -157,48 +157,41 @@ def _check_fits(top_us: float, last_ns: int) -> float:
     return top_us
 
 
-@dataclass(frozen=True, eq=False)
-class IrqDeliveries:
+class IrqDeliveries(Value):
     """One line's deliveries: path "bare-metal" or "reinjected", times (ns), latencies (us)."""
-    line: int
-    owner: int
-    path: str
-    raised_at: np.ndarray
-    delivered_at: np.ndarray
-    latency_us: np.ndarray
 
-    def __post_init__(self):
-        span = self.delivered_at - self.raised_at
+    __slots__ = ("line", "owner", "path", "raised_at", "delivered_at", "latency_us")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: arrays have no truth value
+
+    def __init__(self, line, owner, path, raised_at, delivered_at, latency_us):
+        span = delivered_at - raised_at
         if span.min(initial=0) < 0:
             raise InvariantViolation("delivery before raise")
         # timestamps are whole ns, so allow half an ns of rounding
-        gap = self.latency_us * 1000.0
+        gap = latency_us * 1000.0
         np.subtract(span, gap, out=gap)
         if np.abs(gap, out=gap).max(initial=0.0) > 0.5:
             raise InvariantViolation("timestamps disagree with latency")
+        self._freeze(line, owner, path, raised_at, delivered_at, latency_us)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    vmm_on: bool
-    freq_hz: float
-    stress: bool
-    n_samples: int
-    seed: int
+class Scenario(Value):
+    __slots__ = ("vmm_on", "freq_hz", "stress", "n_samples", "seed")
 
-    def __post_init__(self):
-        if not (self.freq_hz > 0 and math.isfinite(self.freq_hz)):
+    def __init__(self, vmm_on: bool, freq_hz: float, stress: bool, n_samples: int, seed: int):
+        if not (freq_hz > 0 and math.isfinite(freq_hz)):
             raise InvariantViolation("freq_hz must be positive and finite")
-        if self.n_samples < 1:
+        if n_samples < 1:
             raise InvariantViolation("n_samples must be at least 1")
-        if self.seed < 0:
+        if seed < 0:
             raise InvariantViolation("seed must be non-negative")
+        self._freeze(vmm_on, freq_hz, stress, n_samples, seed)
         # the raise times are int64 ns, which wrap without an error
-        if not 1e9 / self.freq_hz < 2 ** 63 or (self.n_samples - 1) * self.period_ns >= 2 ** 63:
+        if not 1e9 / freq_hz < 2 ** 63 or (n_samples - 1) * self.period_ns >= 2 ** 63:
             raise InvariantViolation("%d samples at %r Hz do not fit the int64 ns clock"
-                                     % (self.n_samples, self.freq_hz))
+                                     % (n_samples, freq_hz))
         if self.period_ns < 1:  # else every raise lands at the same instant
-            raise InvariantViolation("%r Hz gives a raise period under 1 ns" % self.freq_hz)
+            raise InvariantViolation("%r Hz gives a raise period under 1 ns" % freq_hz)
 
     @property
     def period_ns(self) -> int:
@@ -211,22 +204,19 @@ class Scenario:
             self.vmm_on, float(self.freq_hz), self.stress)
 
 
-@dataclass(frozen=True)
-class LatencyStats:
-    mean_us: float
-    sigma_us: float
-    max_us: float
-    n: int
+class LatencyStats(Value):
+    __slots__ = ("mean_us", "sigma_us", "max_us", "n")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, mean_us: float, sigma_us: float, max_us: float, n: int):
+        if n < 1:
             raise InvariantViolation("stats need at least one sample")
-        if self.mean_us < 0 or self.sigma_us < 0:
+        if mean_us < 0 or sigma_us < 0:
             raise InvariantViolation("negative latency statistics")
         # tiny slack: float summation can push a constant-sample mean
         # a few ulps past the maximum
-        if self.mean_us > self.max_us * (1 + 1e-12) + 1e-15:
+        if mean_us > max_us * (1 + 1e-12) + 1e-15:
             raise InvariantViolation("mean exceeds maximum")
+        self._freeze(mean_us, sigma_us, max_us, n)
 
 
 def raise_irq(hv: Hypervisor, line: int, t: int, streams) -> IrqDeliveries:

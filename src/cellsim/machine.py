@@ -9,9 +9,7 @@ are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum, IntFlag
-from functools import cached_property
 from itertools import chain, groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
@@ -27,6 +25,7 @@ from ._dsl import (
     parse_quoted_name,
     require_args,
 )
+from ._value import Record, Value
 from .errors import (
     ConfigSemanticError,
     ConfigSyntaxError,
@@ -101,83 +100,74 @@ class GicVersion(Enum):
     V3 = "v3"
 
 
-@dataclass(frozen=True)
-class Cpu:
-    index: int
+class Cpu(Value):
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if not 0 <= self.index <= 0xFFFFFFFF:
-            raise InvariantViolation("cpu index out of range: %d" % self.index)
+    def __init__(self, index: int):
+        if not 0 <= index <= 0xFFFFFFFF:
+            raise InvariantViolation("cpu index out of range: %d" % index)
+        self._freeze(index)
 
 
-@dataclass(frozen=True)
-class MemRegion:
-    base: int
-    size: int
-    flags: PermFlags = PermFlags.READ | PermFlags.WRITE
+class MemRegion(Value):
+    __slots__ = ("base", "size", "flags")
 
-    def __post_init__(self):
-        _check_region(self.base, self.size, "memory region")
+    def __init__(self, base: int, size: int, flags: PermFlags = PermFlags.READ | PermFlags.WRITE):
+        _check_region(base, size, "memory region")
+        self._freeze(base, size, flags)
 
     @property
     def end(self) -> int:
         return self.base + self.size
 
 
-@dataclass(frozen=True)
-class MmioDevice:
-    name: str
-    base: int
-    size: int
+class MmioDevice(Value):
+    __slots__ = ("name", "base", "size")
 
-    def __post_init__(self):
-        if not NAME_RE.match(self.name):
-            raise InvariantViolation("mmio device name %r must match [A-Za-z0-9_-]+"
-                                     % (self.name,))
-        if len(self.name) > MMIO_NAME_BYTES:  # ASCII: one byte per character
+    def __init__(self, name: str, base: int, size: int):
+        if not NAME_RE.match(name):
+            raise InvariantViolation("mmio device name %r must match [A-Za-z0-9_-]+" % (name,))
+        if len(name) > MMIO_NAME_BYTES:  # ASCII: one byte per character
             raise InvariantViolation("mmio device name %r longer than %d bytes"
-                                     % (self.name, MMIO_NAME_BYTES))
-        _check_region(self.base, self.size, "mmio device %r" % self.name)
+                                     % (name, MMIO_NAME_BYTES))
+        _check_region(base, size, "mmio device %r" % name)
+        self._freeze(name, base, size)
 
-    @property
-    def end(self) -> int:
-        return self.base + self.size
-
-
-@dataclass(frozen=True)
-class PciDevice:
-    bdf: int
-
-    def __post_init__(self):
-        if not 0 <= self.bdf <= 0xFFFF:
-            raise InvariantViolation("pci bdf out of range: 0x%x" % self.bdf)
+    end = MemRegion.end  # base + size
 
 
-@dataclass(frozen=True)
-class IoPortRange:
-    base: int
-    length: int
+class PciDevice(Value):
+    __slots__ = ("bdf",)
 
-    def __post_init__(self):
-        if self.length <= 0:
+    def __init__(self, bdf: int):
+        if not 0 <= bdf <= 0xFFFF:
+            raise InvariantViolation("pci bdf out of range: 0x%x" % bdf)
+        self._freeze(bdf)
+
+
+class IoPortRange(Value):
+    __slots__ = ("base", "length")
+
+    def __init__(self, base: int, length: int):
+        if length <= 0:
             raise InvariantViolation("io port range must not be empty")
-        if self.base < 0 or self.base + self.length > 65536:
-            raise InvariantViolation(
-                "io port range [0x%x, 0x%x) exceeds the 16-bit port space"
-                % (self.base, self.base + self.length))
+        if base < 0 or base + length > 65536:
+            raise InvariantViolation("io port range [0x%x, 0x%x) exceeds the 16-bit port space"
+                                     % (base, base + length))
+        self._freeze(base, length)
 
     @property
     def end(self) -> int:
         return self.base + self.length
 
 
-@dataclass(frozen=True)
-class IrqLine:
-    number: int
+class IrqLine(Value):
+    __slots__ = ("number",)
 
-    def __post_init__(self):
-        if not 0 <= self.number <= 0xFFFFFFFF:
-            raise InvariantViolation("irq number out of range: %d" % self.number)
+    def __init__(self, number: int):
+        if not 0 <= number <= 0xFFFFFFFF:
+            raise InvariantViolation("irq number out of range: %d" % number)
+        self._freeze(number)
 
 
 def _check_region(base: int, size: int, what: str) -> None:
@@ -285,21 +275,19 @@ def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
     return name, resources
 
 
-@dataclass(frozen=True)
-class DistParams:
+class DistParams(Value):
     """Shifted log-normal distribution: shift_us + exp(N(log_mu, log_sigma)),
     sampled by irq.draw."""
 
-    shift_us: float = 0.0
-    log_mu: float = 0.0
-    log_sigma: float = 0.0
+    __slots__ = ("shift_us", "log_mu", "log_sigma")
 
-    def __post_init__(self):
-        for value in (self.shift_us, self.log_mu, self.log_sigma):
+    def __init__(self, shift_us: float = 0.0, log_mu: float = 0.0, log_sigma: float = 0.0):
+        for value in (shift_us, log_mu, log_sigma):
             if not math.isfinite(value):
                 raise InvariantViolation("distribution parameters must be finite")
-        if self.log_sigma < 0:
+        if log_sigma < 0:
             raise InvariantViolation("log_sigma must not be negative")
+        self._freeze(shift_us, log_mu, log_sigma)
 
     @classmethod
     def from_mean(cls, mean_us: float, log_sigma: float, shift_us: float = 0.0) -> "DistParams":
@@ -314,8 +302,7 @@ class DistParams:
         return self.shift_us + math.exp(self.log_mu + 0.5 * self.log_sigma ** 2)
 
 
-@dataclass(frozen=True)
-class BusModel:
+class BusModel(Value):
     """Shared-system-bus latency model.
 
     Latency of one interrupt delivery is
@@ -326,18 +313,17 @@ class BusModel:
     model latencies.
     """
 
-    base_latency_us: float
-    hv_overhead: DistParams
-    contention: DistParams
-    contention_prob: float
-    quantize_enabled: bool = True
-    phase_jitter_enabled: bool = True
+    __slots__ = ("base_latency_us", "hv_overhead", "contention", "contention_prob",
+                 "quantize_enabled", "phase_jitter_enabled")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.base_latency_us) and self.base_latency_us > 0):
+    def __init__(self, base_latency_us, hv_overhead, contention, contention_prob,
+                 quantize_enabled=True, phase_jitter_enabled=True):
+        if not (math.isfinite(base_latency_us) and base_latency_us > 0):
             raise InvariantViolation("base latency must be positive and finite")
-        if not (math.isfinite(self.contention_prob) and 0.0 <= self.contention_prob <= 1.0):
+        if not (math.isfinite(contention_prob) and 0.0 <= contention_prob <= 1.0):
             raise InvariantViolation("contention probability must lie in [0, 1]")
+        self._freeze(base_latency_us, hv_overhead, contention, contention_prob,
+                     quantize_enabled, phase_jitter_enabled)
 
     @classmethod
     def default(cls) -> "BusModel":
@@ -355,17 +341,17 @@ class BusModel:
         )
 
     def without_measurement(self) -> "BusModel":
-        return replace(self, quantize_enabled=False, phase_jitter_enabled=False)
+        return BusModel(*self._key[:4], quantize_enabled=False, phase_jitter_enabled=False)
 
 
-@dataclass
-class PlatformSpec:
+class PlatformSpec(Record):
     """Unvalidated platform description, as read from a file or built in code."""
 
-    name: str
-    resources: list
-    gic_version: GicVersion = GicVersion.V2
-    bus: Optional[BusModel] = None
+    __slots__ = ("name", "resources", "gic_version", "bus")
+    _key = property(attrgetter(*__slots__))
+
+    def __init__(self, name, resources, gic_version=GicVersion.V2, bus=None):
+        self.name, self.resources, self.gic_version, self.bus = name, resources, gic_version, bus
 
 
 # The unit kinds a layout keeps as plain ints: a CPU's index, an IRQ line's number.
@@ -379,30 +365,28 @@ def resource_layout(resources) -> tuple:
                  for kind, group in groupby(resources, type))
 
 
-@dataclass(frozen=True)
-class MachinePlatform:
+class MachinePlatform(Value):
     """A checked platform. Its layout holds its resources as resource_layout
     gives them, which the snapshot codec writes and reads as they are."""
 
-    name: str
-    layout: tuple
-    gic_version: GicVersion
-    bus: BusModel
+    __slots__ = ("name", "layout", "gic_version", "bus", "_cpus", "_mem_regions",
+                 "_mmio_devices", "_io_port_ranges", "_pci_devices", "_irq_numbers", "irq_index",
+                 "cpu_mask", "irq_mask", "_units", "_gic_dist_window", "_hash")
 
-    def __post_init__(self):
-        if not NAME_RE.match(self.name):
-            raise InvariantViolation("platform name %r must match [A-Za-z0-9_-]+" % (self.name,))
-        if len(self.name.encode()) > MAX_NAME_BYTES:
+    def __init__(self, name: str, layout: tuple, gic_version: GicVersion, bus: BusModel):
+        if not NAME_RE.match(name):
+            raise InvariantViolation("platform name %r must match [A-Za-z0-9_-]+" % (name,))
+        if len(name.encode()) > MAX_NAME_BYTES:
             raise InvariantViolation("platform name longer than %d bytes" % MAX_NAME_BYTES)
         views = {kind: [] for kind in (Cpu, MemRegion, MmioDevice, IoPortRange, PciDevice, IrqLine)}
-        for kind, items in self.layout:
+        for kind, items in layout:
             view = views.get(kind)
             if view is None:
                 raise InvariantViolation("unknown platform resource %r" % (items[0],))
             view += items
         cpus, mem, mmio, ports, pci, irqs = views.values()
         if not cpus:
-            raise EmptyCpuSet("platform %r declares no CPUs" % self.name)
+            raise EmptyCpuSet("platform %r declares no CPUs" % name)
         if sorted(cpus) != list(range(len(cpus))):
             raise InvariantViolation(
                 "cpu indices must be unique and contiguous from 0, got %s" % sorted(cpus))
@@ -416,15 +400,18 @@ class MachinePlatform:
             raise InvariantViolation("mmio device names must be unique")
         if len({dev.bdf for dev in pci}) != len(pci):
             raise InvariantViolation("pci bdfs must be unique")
-        # A platform never changes, so its views are derived once, here, past
-        # the frozen __setattr__: equality, hashing and repr see only fields.
-        self.__dict__.update(
+        # Views and hash, derived once into further slots that equality and repr skip.
+        self._freeze(name, layout, gic_version, bus)
+        for attr, value in dict(
+            _hash=hash(self._key),
             _cpus=tuple(map(Cpu, cpus)), _mem_regions=tuple(mem), _mmio_devices=tuple(mmio),
             _io_port_ranges=tuple(ports), _pci_devices=tuple(pci), _irq_numbers=irq_numbers,
             irq_index={number: bit for bit, number in enumerate(sorted(irq_numbers))},
             cpu_mask=(1 << len(cpus)) - 1, irq_mask=(1 << len(irqs)) - 1,
             _units=frozenset(mmio + pci + ports),
-            _gic_dist_window=next((dev for dev in mmio if dev.name == GIC_DIST_NAME), None))
+            _gic_dist_window=next((dev for dev in mmio if dev.name == GIC_DIST_NAME), None),
+        ).items():
+            object.__setattr__(self, attr, value)
 
     # Public views: plain properties over derived attributes, so a tracer can
     # wrap the getters. units, the devices, is hashed once, for every ledger.
@@ -437,9 +424,12 @@ class MachinePlatform:
     gic_dist_window = property(attrgetter("_gic_dist_window"))  # Optional[MmioDevice]
     units = property(attrgetter("_units"))
 
-    @cached_property
+    def __hash__(self):
+        return self._hash
+
+    @property
     def resources(self) -> tuple:
-        """The resources in their order, CPUs and IRQ lines built on first read."""
+        """The resources in their order, CPUs and IRQ lines built on each read."""
         return tuple(chain.from_iterable(
             map(kind, items) if kind in _INT_KINDS else items for kind, items in self.layout))
 

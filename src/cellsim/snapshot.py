@@ -106,12 +106,8 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     (gic_code, base_us, hv_shift, hv_mu, hv_sigma, c_shift, c_mu, c_sigma, prob,
      quantize, jitter) = reader.take(_PLATFORM)
     gic = from_code(_GICS, gic_code, "gic code")
-    bus = BusModel(
-        base_latency_us=base_us,
-        hv_overhead=DistParams(hv_shift, hv_mu, hv_sigma),
-        contention=DistParams(c_shift, c_mu, c_sigma),
-        contention_prob=prob,
-        quantize_enabled=bool(quantize), phase_jitter_enabled=bool(jitter))
+    bus = BusModel(base_us, DistParams(hv_shift, hv_mu, hv_sigma),
+                   DistParams(c_shift, c_mu, c_sigma), prob, bool(quantize), bool(jitter))
     platform = MachinePlatform(name, tuple(take_runs(reader)), gic, bus)
 
     (have_hv,) = reader.take(_FLAG)

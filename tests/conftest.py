@@ -3,9 +3,11 @@ import time
 import pytest
 
 from cellsim import (
+    CellConfig,
     Cpu,
     IoPortRange,
     IrqLine,
+    MachinePlatform,
     MemRegion,
     MmioDevice,
     PciDevice,
@@ -33,6 +35,17 @@ def make_tiny_platform(name="tiny"):
         PciDevice(0x0010),
     ] + [IrqLine(n) for n in range(32, 40)]
     return build_platform(PlatformSpec(name=name, resources=resources))
+
+
+def with_bus(platform, bus):
+    """The platform with the given bus model, built anew from its fields."""
+    return MachinePlatform(platform.name, platform.layout, platform.gic_version, bus)
+
+
+def config_with(cfg, **changes):
+    """The cell config with the named fields changed, built anew by keyword."""
+    return CellConfig(**dict(dict(name=cfg.name, cpus=cfg.cpus, mem=cfg.mem, devices=cfg.devices,
+                                  irqs=cfg.irqs, workload=cfg.workload), **changes))
 
 
 @pytest.fixture()

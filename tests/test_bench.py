@@ -216,12 +216,12 @@ class TestRowSetup:
 
     def test_a_second_report_builds_no_config(self, jetson, monkeypatch):
         built = []
-        check = CellConfig.__post_init__
+        check = CellConfig.__init__
 
-        def counted(cfg):
+        def counted(cfg, *args, **kwargs):
+            check(cfg, *args, **kwargs)
             built.append(cfg.name)
-            check(cfg)
-        monkeypatch.setattr(CellConfig, "__post_init__", counted)
+        monkeypatch.setattr(CellConfig, "__init__", counted)
         bench._row_setup.cache_clear()
         run_report(jetson, canonical_scenarios(n_samples=10))
         assert built == ["root", "responder", "stress"]

@@ -190,7 +190,7 @@ class TestCellConfigInvariants:
 
     def test_address_overlap_is_refused_on_its_line_in_hex(self):
         # RAM and MMIO share one address space; an overlap printed decimal
-        # dataclass reprs after the whole file was read
+        # reprs after the whole file was read
         with pytest.raises(ConfigSemanticError, match="^line 5: mmio uart 0x2000 0x1000 overlaps"
                            " mem 0x1000 0x2000 rw on line 3$"):
             parse_config('cell "c"\ncpu 0\nmem 0x1000 0x2000 rw\nmem 0x8000 0x1000 r\n'

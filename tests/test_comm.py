@@ -434,6 +434,9 @@ class TestDoorbellLatencies:
         for _ in range(20):
             send(hv, ch, a, 0, b"x", 0)
         twin = copy.deepcopy(hv)
+        # the copy keeps the 20 vectors b has not polled yet
+        assert twin.channels[ch].pending == hv.channels[ch].pending
+        assert list(twin.channels[ch].pending[b]) == [0] * 20
         for each in (hv, twin):
             for _ in range(40):
                 send(each, ch, b, 0, b"y", 0)

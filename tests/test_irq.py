@@ -1,7 +1,6 @@
 import copy
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ from cellsim.irq import LATTICE_US, DoorbellLatencies, distributor_access, draw
 from cellsim.machine import bus_load, parse_platform
 from cellsim.rng import h64, make_rng, make_stream, make_streams
 
-from conftest import make_tiny_platform
+from conftest import make_tiny_platform, with_bus
 from test_hvcore import RAM, small_cell, tiny_hv
 
 
@@ -225,7 +224,7 @@ class TestSampleLatency:
         assert batch.min() == 0.0 and batch.max() > 0.0
 
     def test_clamped_deliveries_and_doorbells_are_never_early(self):
-        platform = replace(make_tiny_platform(), bus=low_floor_bus("off", "hv-logmu=-20"))
+        platform = with_bus(make_tiny_platform(), low_floor_bus("off", "hv-logmu=-20"))
         delivery = raise_irqs(Hypervisor(platform), 33, range(0, 4000_000, 1000),
                               latency_streams(13))
         assert (delivery.delivered_at >= delivery.raised_at).all()
@@ -641,7 +640,7 @@ def _twin(row, measured, bus=None):
     tiny = make_tiny_platform()
     if bus is None:
         bus = tiny.bus if measured else tiny.bus.without_measurement()
-    platform = replace(tiny, bus=bus)
+    platform = with_bus(tiny, bus)
     if row == "off":
         return Hypervisor(platform, seed=3)
     hv = enable(platform, full_platform_config(platform), seed=3)
@@ -701,7 +700,7 @@ class TestOverflowingModelIsRefused:
         # 10^12 us is exactly 10^15 ns, so the last raise time that still
         # fits delivers at 2^63 - 1 ns, and one ns later does not fit
         bus = _bus("base=1e12 quantize=off jitter=off")
-        hv = Hypervisor(replace(make_tiny_platform(), bus=bus))
+        hv = Hypervisor(with_bus(make_tiny_platform(), bus))
         last = 2 ** 63 - 1 - 10 ** 15
         deliveries = raise_irqs(hv, 33, [0, last], latency_streams(2))
         assert deliveries.delivered_at.tolist() == [10 ** 15, 2 ** 63 - 1]
@@ -715,7 +714,7 @@ class TestOverflowingModelIsRefused:
             DoorbellLatencies(_bus(extra), 3).ring(True)
 
     def test_doorbell_is_refused_and_leaves_the_channel_alone(self):
-        hv = enable(replace(make_tiny_platform(), bus=_bus("base=1e308")),
+        hv = enable(with_bus(make_tiny_platform(), _bus("base=1e308")),
                     full_platform_config(make_tiny_platform()))
         a = hv.create_cell(small_cell("alpha", cpu=1, size=0x4000))
         b = hv.create_cell(small_cell("beta", cpu=2, base=RAM + 0xC_0000, size=0x4000))

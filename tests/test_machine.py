@@ -1,5 +1,6 @@
-import dataclasses
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -268,14 +269,31 @@ class TestPlatformViews:
             assert hash(first) == hash(second)
             assert repr(first) == repr(second)
             assert "_cpus" not in repr(first)
-        assert [f.name for f in dataclasses.fields(first)] == [
+        # the four constructor fields are the whole value; the views are derived
+        assert list(inspect.signature(MachinePlatform).parameters) == [
             "name", "layout", "gic_version", "bus"]
+        rebuilt = MachinePlatform(first.name, first.layout, first.gic_version, first.bus)
+        assert rebuilt == first and hash(rebuilt) == hash(first) and repr(rebuilt) == repr(first)
+
+    def test_hash_is_computed_once_at_construction(self):
+        # a bench row's cache hit hashes the platform; it re-hashes no layout
+        platform = jetson_tk1()
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code)
+                       if event == "call" else None)
+        try:
+            value = hash(platform)
+        finally:
+            sys.setprofile(None)
+        assert calls == [type(platform).__hash__.__code__]
+        assert value == hash(jetson_tk1())
 
     def test_replace_recomputes_the_views(self):
         platform = random_platform(random.Random(5))
         window = MmioDevice(GIC_DIST_NAME, 0xF000_0000, 0x1000)
         extra = (IrqLine(300), window, PciDevice(0x20), IoPortRange(0x60, 4))
-        grown = dataclasses.replace(platform, layout=resource_layout(platform.resources + extra))
+        grown = MachinePlatform(platform.name, resource_layout(platform.resources + extra),
+                                platform.gic_version, platform.bus)
         self._check_views(grown)
         assert 300 in grown.irq_numbers and 300 not in platform.irq_numbers
         assert grown.gic_dist_window == window

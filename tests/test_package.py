@@ -8,8 +8,12 @@ import cellsim
 from test_cli import run_in_fresh_process
 
 
-def test_import_loads_no_numpy():
-    out = run_in_fresh_process("import sys, cellsim; print('numpy' in sys.modules)")
+@pytest.mark.parametrize("module, forbidden", [
+    ("cellsim", "numpy"), ("cellsim.cli", "numpy"),
+    # the value types are plain slotted classes: no dataclass machinery on the CLI path
+    ("cellsim.cli", "dataclasses"), ("cellsim.cli", "inspect")])
+def test_import_loads_no_numpy(module, forbidden):
+    out = run_in_fresh_process("import sys, %s; print(%r in sys.modules)" % (module, forbidden))
     assert out == "False\n"
 
 

@@ -1,7 +1,6 @@
 import hashlib
 import random
 import struct
-from dataclasses import replace
 from itertools import groupby
 
 import pytest
@@ -12,6 +11,7 @@ from cellsim import (
     ROOT_CELL,
     Access,
     AccessKind,
+    BusModel,
     CellConfig,
     CellState,
     Cpu,
@@ -51,7 +51,7 @@ from cellsim.cli import main
 from cellsim.machine import MMIO_NAME_BYTES, resource_layout
 from cellsim.snapshot import MAGIC, VERSION
 
-from conftest import make_tiny_platform
+from conftest import config_with, make_tiny_platform, with_bus
 from gen import random_config, random_platform
 from test_hvcore import RAM, small_cell, tiny_hv, windowless_hv
 
@@ -88,9 +88,9 @@ class TestPlatformOnly:
         assert platform == tiny
 
     def test_round_trip_keeps_bus_overrides(self, tiny):
-        from dataclasses import replace
-        custom = replace(tiny, bus=replace(
-            tiny.bus, base_latency_us=0.5, quantize_enabled=False))
+        bus = tiny.bus
+        custom = with_bus(tiny, BusModel(0.5, bus.hv_overhead, bus.contention,
+                                         bus.contention_prob, quantize_enabled=False))
         platform, _ = load_session(save_session(custom, None))
         assert platform.bus.base_latency_us == 0.5
         assert platform.bus.quantize_enabled is False
@@ -264,7 +264,7 @@ class TestRejection:
     def test_colliding_cell_configs_rejected(self, field, ids, unit):
         hv = populated_hv()  # cell 1 owns cpu 1 and irq 33
         cell = hv.cells[2]
-        cell.config = replace(cell.config, **{field: frozenset(ids)})
+        cell.config = config_with(cell.config, **{field: frozenset(ids)})
         with pytest.raises(InvariantViolation, match="cell 2 lost %s" % unit):
             hv.audit()
         blob = save_session(hv.platform, hv)
@@ -275,7 +275,7 @@ class TestRejection:
     def test_config_naming_absent_resource_rejected(self):
         hv = populated_hv()
         cell = hv.cells[3]
-        cell.config = replace(cell.config, irqs=frozenset({99}))
+        cell.config = config_with(cell.config, irqs=frozenset({99}))
         blob = save_session(hv.platform, hv)
         with pytest.raises(InvariantViolation,
                            match=r"cell 3 \(fresh\) does not fit: NoSuchResource\(irq 99\)"):
@@ -285,8 +285,8 @@ class TestRejection:
         # enable refuses this root config, and audit checks no root claims
         hv = Hypervisor(jetson).enable(full_platform_config(jetson))
         root = hv.cells[ROOT_CELL]
-        root.config = replace(root.config, cpus=root.config.cpus | {9},
-                              irqs=root.config.irqs | {999})
+        root.config = config_with(root.config, cpus=root.config.cpus | {9},
+                                  irqs=root.config.irqs | {999})
         hv.audit()
         misfits = r"NoSuchResource\(cpu 9\); NoSuchResource\(irq 999\)$"
         with pytest.raises(ConfigMismatch, match="^root config does not fit the platform: "
@@ -299,7 +299,7 @@ class TestRejection:
     def test_root_config_exceeding_platform_flags_rejected(self, tiny):
         hv = Hypervisor(tiny).enable(full_platform_config(tiny))
         root = hv.cells[ROOT_CELL]
-        root.config = replace(root.config, mem=(
+        root.config = config_with(root.config, mem=(
             MemRegion(RAM, 0x20_0000, PermFlags.READ | PermFlags.EXECUTE),))
         with pytest.raises(InvariantViolation, match=r"snapshot cell 0 \(root\) does not fit: "
                            r"PermissionExceeded\(mem \[0x10000000, 0x10200000\)\)"):
@@ -358,7 +358,7 @@ class TestCellTable:
         # reach cell 3
         hv = populated_hv()
         cell = hv.cells[3]
-        cell.config = replace(cell.config, name="running")  # cell 1's name
+        cell.config = config_with(cell.config, name="running")  # cell 1's name
         with pytest.raises(InvariantViolation,
                            match="cells 1 and 3 are both named 'running'"):
             load_session(save_session(hv.platform, hv))
@@ -886,9 +886,9 @@ class TestPinnedJetsonSession:
     def test_load_and_save_build_no_object_per_platform_irq_line(self, hv, monkeypatch):
         blob = save_session(hv.platform, hv)
         built = []
-        check = IrqLine.__post_init__
-        monkeypatch.setattr(IrqLine, "__post_init__",
-                            lambda line: (built.append(line.number), check(line))[1])
+        check = IrqLine.__init__
+        monkeypatch.setattr(IrqLine, "__init__",
+                            lambda line, number: (built.append(number), check(line, number))[1])
         platform, restored = load_session(blob)
         assert save_session(platform, restored) == blob
         # only the guests' own lines, when a claim and the audit ask the ledger
