@@ -17,28 +17,12 @@ from typing import TYPE_CHECKING, Optional
 from ._dsl import NAME_RE, decode_utf8, require_args
 from ._value import Value
 from .errors import (
-    BadMagic,
-    ConfigSemanticError,
-    ConfigSyntaxError,
-    InvariantViolation,
-    TruncatedRecord,
-    UnsupportedVersion,
-)
+    BadMagic, ConfigSemanticError, ConfigSyntaxError, InvariantViolation, TruncatedRecord,
+    UnsupportedVersion)
 from .machine import (
-    MAX_NAME_BYTES,
-    MMIO_NAME_BYTES,
-    Cpu,
-    IoPortRange,
-    IrqLine,
-    MachinePlatform,
-    MemRegion,
-    MmioDevice,
-    PciDevice,
-    check_no_overlap,
-    perms_from_bits,
-    read_directives,
-    resource_layout,
-)
+    BASE, MAX_NAME_BYTES, MMIO_NAME_BYTES, Cpu, IoPortRange, IrqLine, MachinePlatform,
+    MemRegion, MmioDevice, PciDevice, check_ids, check_no_overlap, perms_from_bits,
+    read_directives, resource_layout)
 
 if TYPE_CHECKING:
     from .hvcore import OwnershipLedger
@@ -94,12 +78,9 @@ class CellConfig(Value):
 
     def __init__(self, name, cpus=frozenset(), mem=(), devices=(), irqs=frozenset(),
                  workload=Workload()):
-        # the device sort key checks each device's type, before _validate's checks
-        self._freeze(name, frozenset(cpus), tuple(sorted(mem, key=lambda r: r.base)),
+        # the device sort key checks each device's type, before the checks below
+        self._freeze(name, frozenset(cpus), tuple(sorted(mem, key=BASE)),
                      tuple(sorted(devices, key=_device_sort_key)), frozenset(irqs), workload)
-        self._validate()
-
-    def _validate(self):
         if not NAME_RE.match(self.name):
             raise InvariantViolation("cell name must match [A-Za-z0-9_-]+")
         if len(self.name.encode()) > MAX_NAME_BYTES:
@@ -108,19 +89,15 @@ class CellConfig(Value):
             raise InvariantViolation("a cell needs at least one CPU")
         if not self.mem:
             raise InvariantViolation("a cell needs memory")
-        for cpu in self.cpus:
-            if not 0 <= cpu <= 0xFFFFFFFF:
-                raise InvariantViolation("cpu id out of range: %d" % cpu)
-        for irq in self.irqs:
-            if not 0 <= irq <= 0xFFFFFFFF:
-                raise InvariantViolation("irq number out of range: %d" % irq)
+        check_ids(self.cpus, "cpu id")
+        check_ids(self.irqs, "irq number")
         for region in self.mem:
             if not isinstance(region, MemRegion):
                 raise InvariantViolation("mem entries must be memory regions")
         if len(set(self.devices)) != len(self.devices):
             raise InvariantViolation("a device is listed twice")
-        check_no_overlap(self.mem + tuple(d for d in self.devices if type(d) is MmioDevice))
-        check_no_overlap(tuple(d for d in self.devices if type(d) is IoPortRange))
+        check_no_overlap(self.mem + tuple([d for d in self.devices if type(d) is MmioDevice]))
+        check_no_overlap([d for d in self.devices if type(d) is IoPortRange])
 
     def units(self) -> tuple:
         """The unit resources the cell owns: its CPUs, devices and IRQ lines."""
@@ -158,21 +135,26 @@ def parse_config(text: str) -> CellConfig:
         except InvariantViolation as exc:
             raise ConfigSemanticError(str(exc), lineno)
 
-    name, resources = read_directives(text, "cell", {"run": read_run})
-    cpus = frozenset(r.index for r in resources if isinstance(r, Cpu))
-    mem = tuple(r for r in resources if isinstance(r, MemRegion))
+    name, runs = read_directives(text, "cell", {"run": read_run})
+    cpus, irqs, mem, devices = _gather(runs)
     if not cpus:
         raise ConfigSemanticError("config declares no CPUs")
     if not mem:
         raise ConfigSemanticError("config declares no memory")
     try:
-        return CellConfig(
-            name=name, cpus=cpus, mem=mem,
-            devices=tuple(r for r in resources if type(r) in _DEVICE_SORT_KEY),
-            irqs=frozenset(r.number for r in resources if isinstance(r, IrqLine)),
-            workload=workload[0] if workload else Workload())
+        return CellConfig(name=name, cpus=cpus, mem=mem, devices=devices, irqs=irqs,
+                          workload=workload[0] if workload else Workload())
     except InvariantViolation as exc:
         raise ConfigSemanticError(str(exc))
+
+
+def _gather(runs) -> tuple:
+    """The CPU ids, IRQ numbers, memory regions and devices of (kind, items) runs."""
+    cpus, irqs, mem, devices = [], [], [], []
+    parts = {Cpu: cpus, IrqLine: irqs, MemRegion: mem}
+    for kind, items in runs:
+        parts.get(kind, devices).extend(items)
+    return cpus, irqs, mem, devices
 
 
 # --- validation against a platform ------------------------------------------
@@ -210,14 +192,14 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
                      ledger: Optional["OwnershipLedger"] = None) -> list[Violation]:
     """One violation per requested resource the platform lacks or does not
     grant these permissions on and, given a ledger, per one root does not
-    own: an empty list means a create with this config would succeed. CPUs
-    and IRQ lines are compared as ints, built only to report or to ask the ledger."""
-    missing = ([Cpu(index) for index in sorted(cfg.cpus) if index >= len(platform.cpus)]
+    own: an empty list means a create with this config would succeed. CPUs and IRQ
+    lines are asked of the masks and built only to be reported: a load builds none."""
+    missing = ([Cpu(index) for index in sorted(cfg.cpus) if index >= platform.cpu_mask.bit_length()]
                + [dev for dev in cfg.devices if dev not in platform.units]
                + [IrqLine(number) for number in sorted(cfg.irqs - platform.irq_numbers)])
     violations = [Violation(ViolationKind.NO_SUCH_RESOURCE, resource) for resource in missing]
-    if ledger is not None:
-        for resource in cfg.units():
+    if ledger is not None:  # root (0) holding each CPU and IRQ line leaves the devices to ask
+        for resource in cfg.devices if ledger.holds(0, cfg.cpus, cfg.irqs) else cfg.units():
             owner = ledger.owner_of_unit(resource)
             if owner:  # None for a unit the platform lacks, reported above; 0 for root
                 violations.append(Violation(ViolationKind.NOT_OWNED_BY_ROOT, resource,
@@ -303,19 +285,24 @@ class _Reader:
         self.offset = 0
 
     def take(self, spec: struct.Struct) -> tuple:
-        return spec.unpack_from(self.data, self._skip(spec.size))
+        try:
+            fields = spec.unpack_from(self.data, self.offset)
+        except struct.error:  # fewer than spec.size bytes left
+            raise self.short(spec.size, self.offset) from None
+        self.offset += spec.size
+        return fields
 
     def take_raw(self, count: int) -> bytes:
-        return self.data[self._skip(count):self.offset]
-
-    def _skip(self, count: int) -> int:
-        """Move past the next count bytes and return where they start."""
         start = self.offset
         if start + count > len(self.data):
-            raise TruncatedRecord("need %d bytes at offset %d, have %d"
-                                  % (count, start, len(self.data) - start))
+            raise self.short(count, start)
         self.offset = start + count
-        return start
+        return self.data[start:start + count]
+
+    def short(self, count: int, start: int) -> TruncatedRecord:
+        """The refusal of count bytes at start, past the end of the data."""
+        return TruncatedRecord("need %d bytes at offset %d, have %d"
+                               % (count, start, len(self.data) - start))
 
 
 def from_code(table: tuple, code: int, what: str):
@@ -355,9 +342,7 @@ def load_binary(data: bytes) -> CellConfig:
         raise UnsupportedVersion("version %d, expected %d" % (version, VERSION))
     name = _unpad(raw_name, "cell name")
 
-    cpus, irqs, mem, devices = [], [], [], []
-    for kind, items in take_runs(reader):
-        {Cpu: cpus, IrqLine: irqs, MemRegion: mem}.get(kind, devices).extend(items)
+    cpus, irqs, mem, devices = _gather(take_runs(reader))
     workload_code, path_len = reader.take(_WORKLOAD)
     kind = from_code(_WORKLOADS, workload_code, "workload code")
     raw_path = reader.take_raw(path_len)
@@ -366,9 +351,8 @@ def load_binary(data: bytes) -> CellConfig:
             "%d trailing bytes after the workload record" % (len(data) - reader.offset))
     # Workload refuses a script without a path and a path on any other kind
     workload = Workload(kind, decode_utf8(raw_path, "script path") if raw_path else None)
-
-    for what, ids in (("cpu ids", cpus), ("irq numbers", irqs)):
-        if len(set(ids)) != len(ids):
+    cpu_set, irq_set = frozenset(cpus), frozenset(irqs)  # CellConfig keeps these very sets
+    for what, ids, unique in (("cpu ids", cpus, cpu_set), ("irq numbers", irqs, irq_set)):
+        if len(unique) != len(ids):
             raise InvariantViolation("duplicate %s in stream" % what)
-    return CellConfig(name=name, cpus=frozenset(cpus), mem=mem, devices=devices,
-                      irqs=frozenset(irqs), workload=workload)
+    return CellConfig(name, cpu_set, mem, devices, irq_set, workload)

@@ -23,21 +23,9 @@ from ._value import Record, Value
 from .cellconfig import (
     CellConfig, Violation, ViolationKind, Workload, WorkloadKind, _describe, validate_against)
 from .errors import (
-    AlreadyEnabled,
-    BadState,
-    CellsStillExist,
-    ConfigMismatch,
-    ConfigSemanticError,
-    ConfigSyntaxError,
-    InvariantViolation,
-    NameCollision,
-    NoSuchCell,
-    NoSuchResource,
-    NotEnabled,
-    OutOfRegion,
-    RootCellImmortal,
-    ValidationFailed,
-)
+    AlreadyEnabled, BadState, CellsStillExist, ConfigMismatch, ConfigSemanticError,
+    ConfigSyntaxError, InvariantViolation, NameCollision, NoSuchCell, NoSuchResource, NotEnabled,
+    OutOfRegion, RootCellImmortal, ValidationFailed)
 from .machine import U64_MAX, Cpu, IrqLine, MachinePlatform, MemRegion, PermFlags
 
 CellId = int
@@ -147,7 +135,7 @@ AccessMap = NamedTuple("AccessMap", [("mem", list), ("io", list)])
 # --- ownership ledger -------------------------------------------------------
 
 # Ledger claims, (lo, hi, owner, flags), and access-map entries, (lo, hi, rights), sort by lo.
-_LO = itemgetter(0)
+_LO, _OWNER = itemgetter(0), itemgetter(2)
 
 
 class OwnershipLedger:
@@ -177,7 +165,15 @@ class OwnershipLedger:
 
     def irq_owner(self, number: int) -> Optional[CellId]:
         """Owner of IRQ line number; None if the platform lacks it."""
-        return self._holder(self._irqs, self._platform.irq_index.get(number))
+        order = self._platform.irq_order
+        bit = bisect_left(order, number)
+        return self._holder(self._irqs, bit if order[bit:bit + 1] == (number,) else None)
+
+    def holds(self, cell: CellId, cpus, irqs) -> bool:
+        """Whether the cell owns each of the distinct CPU indices and IRQ numbers."""
+        cpu_bits, irq_bits = self._platform.cpu_bits(cpus), self._platform.irq_bits(irqs)
+        return (cpu_bits.bit_count() == len(cpus) and irq_bits.bit_count() == len(irqs)
+                and not cpu_bits & ~self._cpus.get(cell, 0) | irq_bits & ~self._irqs.get(cell, 0))
 
     @staticmethod
     def _holder(masks: dict, bit: Optional[int]) -> Optional[CellId]:
@@ -262,15 +258,14 @@ class OwnershipLedger:
 
     def owners(self) -> set:
         """The cells the ledger names: root, which always has masks, and each holder."""
-        return {*self._cpus, *self._irqs, *self._devices.values(),
-                *(owner for _, _, owner, _ in self._claims)}
+        return {*self._cpus, *self._irqs, *self._devices.values(), *map(_OWNER, self._claims)}
 
     def keys_multiset(self) -> Counter:
         """Ledger keys as a multiset: CPUs and IRQ lines built from each mask,
         devices, claims and root's share of RAM (no claims: the platform's)."""
         keys = Counter(self._devices.keys())
         for kind, order, masks in ((Cpu, range(len(self._platform.cpus)), self._cpus),
-                                   (IrqLine, sorted(self._platform.irq_index), self._irqs)):
+                                   (IrqLine, self._platform.irq_order, self._irqs)):
             keys.update(kind(unit) for mask in masks.values()
                         for bit, unit in enumerate(order) if mask >> bit & 1)
         keys.update(MemRegion(lo, hi - lo, flags) for lo, hi, _, flags in self._claims)
@@ -296,7 +291,7 @@ class OwnershipLedger:
             if lo < prev_hi:
                 raise InvariantViolation("claim [0x%x, 0x%x) overlaps the one before" % (lo, hi))
             host = platform.host_region(lo, hi)
-            if host is None or flags & ~host.flags:
+            if host is None or int(flags) & ~int(host.flags):  # an IntFlag & costs ~1.5 us
                 raise InvariantViolation(
                     "claim [0x%x, 0x%x) %r is not within one platform region's flags"
                     % (lo, hi, flags))
@@ -333,7 +328,7 @@ class Cell(Record):
         self.id, self.config, self.state, self.memory_image = id, config, state, memory_image or {}
         self.script, self.script_pos, self.script_ops = script, script_pos, parse_script(script)
         kind = config.workload.kind
-        need = _RW if kind is WorkloadKind.STRESS else _READ
+        need = _RW if kind is _STRESS else _READ
         self.touches = int(kind is not WorkloadKind.SCRIPT and any(
             int(region.flags) & need for region in config.mem))
 
@@ -639,7 +634,8 @@ class Hypervisor:
         for cell_id, cell in self.cells.items():
             if cell_id == ROOT_CELL:
                 continue
-            for resource in cell.config.units():
+            held = self.ledger.holds(cell_id, cell.config.cpus, cell.config.irqs)  # by the masks
+            for resource in cell.config.devices if held else cell.config.units():
                 if self.ledger.owner_of_unit(resource) != cell_id:
                     raise InvariantViolation(
                         "cell %d lost %s" % (cell_id, _describe(resource)))

@@ -9,32 +9,19 @@ are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from enum import Enum, IntFlag
 from itertools import chain, groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from ._dsl import (
-    NAME_RE,
-    Token,
-    decode_utf8,
-    iter_directives,
-    parse_id_list,
-    parse_number,
-    parse_plain_name,
-    parse_quoted_name,
-    require_args,
-)
+    MAX_ID, NAME_RE, Token, decode_utf8, iter_directives, parse_id_list, parse_number,
+    parse_plain_name, parse_quoted_name, require_args)
 from ._value import Record, Value
 from .errors import (
-    ConfigSemanticError,
-    ConfigSyntaxError,
-    DuplicateIrq,
-    EmptyCpuSet,
-    InvariantViolation,
-    NotEnabled,
-    OverlapError,
-)
+    ConfigSemanticError, ConfigSyntaxError, DuplicateIrq, EmptyCpuSet, InvariantViolation,
+    NotEnabled, OverlapError)
 
 if TYPE_CHECKING:
     from .hvcore import Cell, Hypervisor
@@ -69,6 +56,7 @@ _PERM_LETTERS = {
     "x": PermFlags.EXECUTE,
     "d": PermFlags.DMA,
 }
+_PERMS = tuple(map(PermFlags, range(16)))  # by bits: a PermFlags call runs Enum's Python code
 
 
 def parse_perms(text: str) -> PermFlags:
@@ -88,7 +76,7 @@ def perms_from_bits(bits: int) -> PermFlags:
     """Permission flags from their binary encoding, rejecting unknown bits."""
     if bits & ~0xF:
         raise InvariantViolation("unknown permission bits 0x%x" % bits)
-    return PermFlags(bits)
+    return _PERMS[bits]
 
 
 def perms_to_str(flags: PermFlags) -> str:
@@ -109,20 +97,18 @@ class Cpu(Value):
         self._freeze(index)
 
 
+# A span's end (base + size or length) is a further slot that equality and repr skip.
 class MemRegion(Value):
-    __slots__ = ("base", "size", "flags")
+    __slots__ = ("base", "size", "flags", "end")
 
     def __init__(self, base: int, size: int, flags: PermFlags = PermFlags.READ | PermFlags.WRITE):
-        _check_region(base, size, "memory region")
+        end = _check_region(base, size, "memory region")
         self._freeze(base, size, flags)
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
+        object.__setattr__(self, "end", end)
 
 
 class MmioDevice(Value):
-    __slots__ = ("name", "base", "size")
+    __slots__ = ("name", "base", "size", "end")
 
     def __init__(self, name: str, base: int, size: int):
         if not NAME_RE.match(name):
@@ -130,10 +116,9 @@ class MmioDevice(Value):
         if len(name) > MMIO_NAME_BYTES:  # ASCII: one byte per character
             raise InvariantViolation("mmio device name %r longer than %d bytes"
                                      % (name, MMIO_NAME_BYTES))
-        _check_region(base, size, "mmio device %r" % name)
+        end = _check_region(base, size, "mmio device %r" % name)
         self._freeze(name, base, size)
-
-    end = MemRegion.end  # base + size
+        object.__setattr__(self, "end", end)
 
 
 class PciDevice(Value):
@@ -146,7 +131,7 @@ class PciDevice(Value):
 
 
 class IoPortRange(Value):
-    __slots__ = ("base", "length")
+    __slots__ = ("base", "length", "end")
 
     def __init__(self, base: int, length: int):
         if length <= 0:
@@ -155,10 +140,7 @@ class IoPortRange(Value):
             raise InvariantViolation("io port range [0x%x, 0x%x) exceeds the 16-bit port space"
                                      % (base, base + length))
         self._freeze(base, length)
-
-    @property
-    def end(self) -> int:
-        return self.base + self.length
+        object.__setattr__(self, "end", base + length)
 
 
 class IrqLine(Value):
@@ -170,20 +152,32 @@ class IrqLine(Value):
         self._freeze(number)
 
 
-def _check_region(base: int, size: int, what: str) -> None:
+def _check_region(base: int, size: int, what: str) -> int:
     if size <= 0:
         raise InvariantViolation("%s: size must be positive" % what)
     if base % PAGE_SIZE or size % PAGE_SIZE:
         raise InvariantViolation("%s: base and size must be multiples of %d" % (what, PAGE_SIZE))
     if base < 0 or base + size > U64_MAX:
         raise InvariantViolation("%s: range overflows 64 bits" % what)
+    return base + size
 
 
+def check_ids(ids, what: str) -> None:
+    """Refuse an id outside [0, 2^32), the first named; one sort bounds them all in C."""
+    ordered = sorted(ids)
+    if ordered and not 0 <= ordered[0] <= ordered[-1] <= MAX_ID:
+        raise InvariantViolation("%s out of range: %d"
+                                 % (what, next(i for i in ids if not 0 <= i <= MAX_ID)))
+
+
+BASE = attrgetter("base")  # a sort key in C
 _RESOURCE_ARITY = {"cpu": 1, "mem": 3, "mmio": 3, "pci": 1, "ioport": 2, "irq": 1}
+_ID_KINDS = {"cpu": (Cpu, "cpu index"), "irq": (IrqLine, "irq number")}
 
 
-def parse_resource(tokens: list[Token], lineno: int) -> list:
-    """The resources one directive line names, in either text format.
+def parse_resource(tokens: list[Token], lineno: int) -> tuple:
+    """The resources one directive line names, in either text format, as one
+    (kind, items) run of `resource_layout`: a cpu or irq line's ids stay ints.
 
     Platform files and cell configs share these directives; any other
     keyword is an unknown directive:
@@ -200,10 +194,11 @@ def parse_resource(tokens: list[Token], lineno: int) -> list:
         raise ConfigSyntaxError(lineno, col, "unknown directive %r" % keyword)
     require_args(tokens, lineno, _RESOURCE_ARITY[keyword])
     try:
-        if keyword == "cpu":
-            return [Cpu(i) for i in parse_id_list(tokens[1], lineno, "cpu list")]
-        if keyword == "irq":
-            return [IrqLine(n) for n in parse_id_list(tokens[1], lineno, "irq list")]
+        if keyword in _ID_KINDS:
+            kind, what = _ID_KINDS[keyword]
+            ids = parse_id_list(tokens[1], lineno, "%s list" % keyword)
+            check_ids(ids, what)
+            return kind, ids
         if keyword == "mem":
             base = parse_number(tokens[1], lineno, "mem base")
             size = parse_number(tokens[2], lineno, "mem size")
@@ -212,15 +207,15 @@ def parse_resource(tokens: list[Token], lineno: int) -> list:
                 flags = parse_perms(perm_text)
             except ValueError as exc:
                 raise ConfigSyntaxError(lineno, perm_col, str(exc))
-            return [MemRegion(base, size, flags)]
+            return MemRegion, [MemRegion(base, size, flags)]
         if keyword == "mmio":
-            return [MmioDevice(parse_plain_name(tokens[1], lineno, "mmio name"),
-                               parse_number(tokens[2], lineno, "mmio base"),
-                               parse_number(tokens[3], lineno, "mmio size"))]
+            return MmioDevice, [MmioDevice(parse_plain_name(tokens[1], lineno, "mmio name"),
+                                           parse_number(tokens[2], lineno, "mmio base"),
+                                           parse_number(tokens[3], lineno, "mmio size"))]
         if keyword == "pci":
-            return [PciDevice(parse_number(tokens[1], lineno, "pci bdf"))]
-        return [IoPortRange(parse_number(tokens[1], lineno, "ioport base"),
-                            parse_number(tokens[2], lineno, "ioport len"))]
+            return PciDevice, [PciDevice(parse_number(tokens[1], lineno, "pci bdf"))]
+        return IoPortRange, [IoPortRange(parse_number(tokens[1], lineno, "ioport base"),
+                                         parse_number(tokens[2], lineno, "ioport len"))]
     except InvariantViolation as exc:
         raise ConfigSemanticError(str(exc), lineno)
 
@@ -230,7 +225,7 @@ _SPACE = {"mem": "address", "mmio": "address", "ioport": "port"}
 
 
 def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
-    """The name and resources of a text config or platform file.
+    """The name and the resource runs, one per line, of a text config or platform file.
 
     The head line, `<head> "<name>"`, comes once and names at most
     MAX_NAME_BYTES bytes. Each line of one of the format's own directives
@@ -239,8 +234,8 @@ def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
     or a span that overlaps an earlier one, is refused on its second line.
     """
     name = None
-    resources: list = []
-    seen: set = set()
+    runs: list = []
+    listed: dict = {Cpu: set(), IrqLine: set()}  # the ids of each kind listed so far
     spans: dict = {"address": [], "port": []}  # space -> [(span, line text, lineno)]
     for lineno, tokens in iter_directives(text):
         keyword = tokens[0][0]
@@ -255,24 +250,25 @@ def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
         elif keyword in own:
             own[keyword](tokens, lineno)
         else:
-            for resource in parse_resource(tokens, lineno):
-                if keyword in ("cpu", "irq"):
-                    if resource in seen:
-                        raise ConfigSemanticError("%s %d listed twice" % (keyword, (
-                            resource.index if keyword == "cpu" else resource.number)), lineno)
-                    seen.add(resource)
-                space = spans.get(_SPACE.get(keyword))
-                if space is not None:
-                    line = " ".join(word for word, _ in tokens)  # as written, in hex
-                    for other, other_line, at in space:
-                        if resource.base < other.end and other.base < resource.end:
-                            raise ConfigSemanticError("%s overlaps %s on line %d"
-                                                      % (line, other_line, at), lineno)
-                    space.append((resource, line, lineno))
-                resources.append(resource)
+            kind, items = parse_resource(tokens, lineno)
+            seen = listed.get(kind)
+            for number in items if seen is not None else ():
+                if number in seen:
+                    raise ConfigSemanticError("%s %d listed twice" % (keyword, number), lineno)
+                seen.add(number)
+            space = spans.get(_SPACE.get(keyword))
+            if space is not None:
+                (span,) = items
+                line = " ".join(word for word, _ in tokens)  # as written, in hex
+                for other, other_line, at in space:
+                    if span.base < other.end and other.base < span.end:
+                        raise ConfigSemanticError("%s overlaps %s on line %d"
+                                                  % (line, other_line, at), lineno)
+                space.append((span, line, lineno))
+            runs.append((kind, items))
     if name is None:
         raise ConfigSemanticError('missing %s "<name>" directive' % head)
-    return name, resources
+    return name, runs
 
 
 class DistParams(Value):
@@ -365,12 +361,18 @@ def resource_layout(resources) -> tuple:
                  for kind, group in groupby(resources, type))
 
 
+def layout_resources(runs):
+    """The resources of (kind, items) runs, in their order, CPUs and IRQ lines built."""
+    return chain.from_iterable(map(kind, items) if kind in _INT_KINDS else items
+                               for kind, items in runs)
+
+
 class MachinePlatform(Value):
     """A checked platform. Its layout holds its resources as resource_layout
     gives them, which the snapshot codec writes and reads as they are."""
 
     __slots__ = ("name", "layout", "gic_version", "bus", "_cpus", "_mem_regions",
-                 "_mmio_devices", "_io_port_ranges", "_pci_devices", "_irq_numbers", "irq_index",
+                 "_mmio_devices", "_io_port_ranges", "_pci_devices", "_irq_numbers", "irq_order",
                  "cpu_mask", "irq_mask", "_units", "_gic_dist_window", "_hash")
 
     def __init__(self, name: str, layout: tuple, gic_version: GicVersion, bus: BusModel):
@@ -400,13 +402,15 @@ class MachinePlatform(Value):
             raise InvariantViolation("mmio device names must be unique")
         if len({dev.bdf for dev in pci}) != len(pci):
             raise InvariantViolation("pci bdfs must be unique")
-        # Views and hash, derived once into further slots that equality and repr skip.
+        # Views and hash, derived once into further slots that equality and repr skip; the
+        # hash is of name, CPU count and IRQ numbers, which equal platforms share, all in C.
+        order = tuple(sorted(irqs))
         self._freeze(name, layout, gic_version, bus)
         for attr, value in dict(
-            _hash=hash(self._key),
-            _cpus=tuple(map(Cpu, cpus)), _mem_regions=tuple(mem), _mmio_devices=tuple(mmio),
+            _hash=hash((name, len(cpus), order)),
+            _cpus=None, _mem_regions=tuple(mem), _mmio_devices=tuple(mmio),
             _io_port_ranges=tuple(ports), _pci_devices=tuple(pci), _irq_numbers=irq_numbers,
-            irq_index={number: bit for bit, number in enumerate(sorted(irq_numbers))},
+            irq_order=order,
             cpu_mask=(1 << len(cpus)) - 1, irq_mask=(1 << len(irqs)) - 1,
             _units=frozenset(mmio + pci + ports),
             _gic_dist_window=next((dev for dev in mmio if dev.name == GIC_DIST_NAME), None),
@@ -415,7 +419,12 @@ class MachinePlatform(Value):
 
     # Public views: plain properties over derived attributes, so a tracer can
     # wrap the getters. units, the devices, is hashed once, for every ledger.
-    cpus = property(attrgetter("_cpus"))
+    @property
+    def cpus(self) -> tuple:  # built at the first read, which a snapshot load never makes
+        if self._cpus is None:  # CPU i is bit i of cpu_mask
+            object.__setattr__(self, "_cpus", tuple(map(Cpu, range(self.cpu_mask.bit_length()))))
+        return self._cpus
+
     mem_regions = property(attrgetter("_mem_regions"))
     mmio_devices = property(attrgetter("_mmio_devices"))
     irq_numbers = property(attrgetter("_irq_numbers"))
@@ -430,16 +439,15 @@ class MachinePlatform(Value):
     @property
     def resources(self) -> tuple:
         """The resources in their order, CPUs and IRQ lines built on each read."""
-        return tuple(chain.from_iterable(
-            map(kind, items) if kind in _INT_KINDS else items for kind, items in self.layout))
+        return tuple(layout_resources(self.layout))
 
     def cpu_bits(self, indices) -> int:
         """The mask of those of the distinct CPU indices the platform has: bit i is CPU i."""
-        return sum(1 << index for index in indices if 0 <= index < len(self._cpus))
+        return sum([1 << index for index in indices if 0 <= index < self.cpu_mask.bit_length()])
 
     def irq_bits(self, numbers) -> int:
-        """The mask of those of the distinct IRQ numbers the platform has: bit i, i-th lowest."""
-        return sum(1 << self.irq_index[number] for number in numbers if number in self.irq_index)
+        """The mask of those of the distinct IRQ numbers the platform has: bit i is irq_order[i]."""
+        return sum([1 << bisect_left(self.irq_order, n) for n in numbers if n in self._irq_numbers])
 
     def host_region(self, lo: int, hi: int) -> Optional[MemRegion]:
         """The platform RAM region that contains [lo, hi), or None."""
@@ -458,7 +466,7 @@ def build_platform(spec: PlatformSpec) -> MachinePlatform:
 
 def check_no_overlap(ranges) -> None:
     """Refuse two of ranges (each with a base and an end) that share an address."""
-    ordered = sorted(ranges, key=lambda r: r.base)
+    ordered = sorted(ranges, key=BASE)
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.base < prev.end:
             raise OverlapError("%r overlaps %r" % (prev, cur))
@@ -526,8 +534,8 @@ def parse_platform(text: str) -> PlatformSpec:
                 raise ConfigSemanticError("bus %s given twice" % key, lineno)
             bus_kv[key] = value
 
-    name, resources = read_directives(text, "platform", {"gic": read_gic, "bus": read_bus})
-    return PlatformSpec(name=name, resources=resources,
+    name, runs = read_directives(text, "platform", {"gic": read_gic, "bus": read_bus})
+    return PlatformSpec(name=name, resources=list(layout_resources(runs)),
                         gic_version=gic[0] if gic else GicVersion.V2, bus=_bus_from_kv(bus_kv))
 
 

@@ -116,11 +116,23 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         return platform, None
 
     clock, seed, n_events = reader.take(_SESSION)
-    events = []
-    for _ in range(n_events):
-        time_ns, cell, code, length = reader.take(_EVENT)
-        events.append(TrapEvent(time_ns, cell, from_code(_TRAPS, code, "trap code"),
-                                decode_utf8(reader.take_raw(length), "snapshot string")))
+    # The events in one pass, all it reads in locals: unpack_from refuses a cut record, one test
+    # each its trap code and detail length, and tuple.__new__ skips NamedTuple's Python __new__.
+    data, at, events, new, traps = reader.data, reader.offset, [], tuple.__new__, _TRAPS
+    unpack, size, end, append = _EVENT.unpack_from, _EVENT.size, len(data), events.append
+    try:
+        for _ in range(n_events):
+            time_ns, cell, code, length = unpack(data, at)
+            kind = traps[code] if code < len(traps) else from_code(traps, code, "trap code")
+            start, at = at + size, at + size + length
+            if at > end:
+                raise reader.short(length, start)
+            append(new(TrapEvent, (time_ns, cell, kind, data[start:at].decode())))
+    except struct.error:  # at is the cut record's start
+        raise reader.short(size, at) from None
+    except UnicodeDecodeError:
+        raise InvariantViolation("snapshot string is not valid UTF-8") from None
+    reader.offset = at
 
     hv = Hypervisor(platform, seed=seed)
     hv.clock = clock

@@ -7,12 +7,15 @@ with the same error at the same line and column, in either format. The
 head line and the rule that a CPU or IRQ is listed once are the same too.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from cellsim import (
     Cpu,
     IrqLine,
+    MmioDevice,
     PlatformSpec,
     build_platform,
     parse_config,
@@ -26,7 +29,7 @@ from cellsim.errors import (
     ConfigSyntaxError,
     DuplicateIrq,
 )
-from cellsim.machine import parse_resource
+from cellsim.machine import layout_resources, parse_resource
 
 # A cell config must name a CPU and memory; both formats get the same
 # filler after the line under test so the line stays on line 2.
@@ -82,13 +85,38 @@ def _config_resources(cfg):
             | {IrqLine(n) for n in cfg.irqs})
 
 
+def _named(line, lineno=2):
+    """The resources of the one (kind, items) run parse_resource gives for a line."""
+    return list(layout_resources([parse_resource(split_tokens(line), lineno)]))
+
+
 @pytest.mark.parametrize("line", VALID)
 def test_valid_line_names_the_same_resources(line):
     cfg, spec = _parse_both(line)
-    named = parse_resource(split_tokens(line), 2)
-    filler = {r for filler_line in FILLER.splitlines()
-              for r in parse_resource(split_tokens(filler_line), 3)}
-    assert _config_resources(cfg) == set(spec.resources) == set(named) | filler
+    filler = {r for filler_line in FILLER.splitlines() for r in _named(filler_line, 3)}
+    assert _config_resources(cfg) == set(spec.resources) == set(_named(line)) | filler
+
+
+@pytest.mark.parametrize("line", VALID)
+def test_a_line_is_one_run_with_cpu_and_irq_ids_as_ints(line):
+    kind, items = parse_resource(split_tokens(line), 2)
+    if kind in (Cpu, IrqLine):
+        assert all(type(item) is int for item in items)
+        assert [kind(item) for item in items] == _named(line)
+    else:
+        assert [type(item) for item in items] == [kind]
+
+
+def test_parsing_the_root_config_builds_no_cpu_or_irq_line(monkeypatch):
+    # "listed twice" is checked on ints, so the 129 IRQ lines of the jetson
+    # root config stay ints from the text to the config
+    built = []
+    for kind in (Cpu, IrqLine):
+        check = kind.__init__
+        monkeypatch.setattr(kind, "__init__", lambda unit, number, check=check: (
+            built.append((type(unit), number)), check(unit, number))[1])
+    cfg = parse_config((Path(__file__).parent.parent / "configs" / "root-jetson.cfg").read_text())
+    assert built == [] and len(cfg.irqs) == 129
 
 
 @pytest.mark.parametrize("line", MALFORMED_CASES)
@@ -167,8 +195,9 @@ def test_id_list_is_bounded_before_it_expands(line, message):
 
 
 def test_id_list_limits_are_inclusive():
-    assert len(parse_resource(split_tokens("irq 0-65535"), 1)) == 0x10000
-    assert parse_resource(split_tokens("cpu 4294967295"), 1) == [Cpu(0xFFFFFFFF)]
+    kind, ids = parse_resource(split_tokens("irq 0-65535"), 1)
+    assert kind is IrqLine and len(ids) == 0x10000
+    assert parse_resource(split_tokens("cpu 4294967295"), 1) == (Cpu, [0xFFFFFFFF])
 
 
 # 17 bytes; the binary config's 16-byte name field holds 15 and a NUL
@@ -182,8 +211,8 @@ def test_mmio_name_longer_than_15_bytes_is_refused_in_both_formats():
     for exc in _parse_both(LONG_MMIO):
         assert isinstance(exc, ConfigSemanticError)
         assert str(exc) == message
-    fits = parse_resource(split_tokens("mmio uart-controller 0x70006000 0x1000"), 2)
-    assert [dev.name for dev in fits] == ["uart-controller"]
+    kind, fits = parse_resource(split_tokens("mmio uart-controller 0x70006000 0x1000"), 2)
+    assert kind is MmioDevice and [dev.name for dev in fits] == ["uart-controller"]
 
 
 def test_cli_refuses_long_mmio_name_before_enable(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import random
 import struct
+import sys
+from collections import Counter
 from itertools import groupby
 
 import pytest
@@ -25,6 +28,7 @@ from cellsim import (
     PciDevice,
     PermFlags,
     PlatformSpec,
+    TrapEvent,
     TrapKind,
     Workload,
     WorkloadKind,
@@ -886,18 +890,50 @@ class TestPinnedJetsonSession:
     def test_load_and_save_build_no_object_per_platform_irq_line(self, hv, monkeypatch):
         blob = save_session(hv.platform, hv)
         built = []
-        check = IrqLine.__init__
-        monkeypatch.setattr(IrqLine, "__init__",
-                            lambda line, number: (built.append(number), check(line, number))[1])
+        for kind in (Cpu, IrqLine):
+            check = kind.__init__
+            monkeypatch.setattr(kind, "__init__", lambda unit, number, check=check: (
+                built.append((type(unit), number)), check(unit, number))[1])
         platform, restored = load_session(blob)
         assert save_session(platform, restored) == blob
-        # only the guests' own lines, when a claim and the audit ask the ledger
-        guest_lines = {n for cell_id, cell in restored.cells.items() if cell_id
-                       for n in cell.config.irqs}
-        assert set(built) == guest_lines and len(built) <= 2 * len(guest_lines) < 20
+        # the claims and the audit ask the ledger's masks, root's and the guests'
+        assert any(cell_id and cell.config.irqs for cell_id, cell in restored.cells.items())
+        assert built == []
 
     def test_config_bytes(self, hv):
         assert hashlib.sha256(emit_binary(hv.cells[ROOT_CELL].config)).hexdigest() \
             == self.ROOT_CONFIG
         assert hashlib.sha256(emit_binary(hv.find_cell("rtos").config)).hexdigest() \
             == self.RTOS_CONFIG
+
+
+def _python_calls(fn, *args) -> Counter:
+    """The Python functions fn(*args) enters, by code object, with their counts;
+    the collector is off, so that no gc callback of another library is counted."""
+    calls: Counter = Counter()
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(lambda frame, event, arg: calls.update((frame.f_code,))
+                   if event == "call" else None)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls
+
+
+def test_a_stored_event_costs_at_most_one_python_call_to_load():
+    # the event section is decoded in one loop: no helper call per record,
+    # at most the TrapEvent's own __new__
+    jetson = jetson_tk1()
+    hv = Hypervisor(jetson, seed=5).enable(full_platform_config(jetson))
+    short = save_session(jetson, hv)
+    for index in range(1000):
+        hv._log(TrapKind.MANAGEMENT, ROOT_CELL, "note %d" % index)
+    long = save_session(jetson, hv)
+    assert len(load_session(long)[1].events) == 1001
+    extra = _python_calls(load_session, long) - _python_calls(load_session, short)
+    assert sum(extra.values()) <= 1000
+    assert set(extra) <= {TrapEvent.__new__.__code__}
