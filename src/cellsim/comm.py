@@ -57,19 +57,14 @@ class Channel(Record):
     def endpoints(self) -> tuple[int, int]:
         return (self.cell_a, self.cell_b)
 
-    def peer_of(self, cell_id: int) -> int:
-        if cell_id == self.cell_a:
-            return self.cell_b
-        if cell_id == self.cell_b:
-            return self.cell_a
-        raise NotEndpoint("cell %d is not on channel %d" % (cell_id, self.id))
 
-
-def _channel(hv: Hypervisor, ch_id: int) -> Channel:
-    channel = hv.channels.get(ch_id)
-    if channel is None:
+def _refuse(hv: Hypervisor, ch_id: int, cell_id: int) -> None:
+    """Raise why cell_id may not use channel ch_id: NotEnabled on a disabled
+    hypervisor, which has no channels; NoSuchResource; else NotEndpoint."""
+    if ch_id not in hv.channels:
+        hv._require_enabled()
         raise NoSuchResource("no channel with id %d" % ch_id)
-    return channel
+    raise NotEndpoint("cell %d is not on channel %d" % (cell_id, ch_id))
 
 
 def _carve(hv: Hypervisor, cell_id: int, size: int) -> MemRegion:
@@ -144,8 +139,10 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
     peer with latency drawn from the hypervisor-on model and recorded in
     the channel trace.
     """
-    channel = _channel(hv, ch_id)
-    peer = channel.peer_of(from_cell)
+    channel = hv.channels.get(ch_id)
+    if channel is None or from_cell != channel.cell_a and from_cell != channel.cell_b:
+        _refuse(hv, ch_id, from_cell)
+    peer = channel.cell_b if from_cell == channel.cell_a else channel.cell_a
     if offset < 0 or offset + len(payload) > channel.region.size:
         raise OutOfRegion(
             "[0x%x, 0x%x) exceeds channel size 0x%x"
@@ -163,16 +160,16 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
         hv._log(_REINJECT, peer, "doorbell ch=%d vector=%d" % (ch_id, vector))
     channel.buffer[offset:offset + len(payload)] = payload
     channel.pending[peer].append(vector)
-    direction = "a->b" if from_cell == channel.cell_a else "b->a"
     hv.channel_trace.append(
-        {"t": hv.clock, "ch": ch_id, "dir": direction,
+        {"t": hv.clock, "ch": ch_id, "dir": "a->b" if from_cell == channel.cell_a else "b->a",
          "vector": vector, "len": len(payload), "latency_us": latency})
 
 
 def poll(hv: Hypervisor, ch_id: int, cell_id: int) -> list[int]:
     """Drain and return this endpoint's pending vectors, oldest first."""
-    channel = _channel(hv, ch_id)
-    channel.peer_of(cell_id)  # endpoint check
+    channel = hv.channels.get(ch_id)
+    if channel is None or cell_id != channel.cell_a and cell_id != channel.cell_b:
+        _refuse(hv, ch_id, cell_id)
     queue = channel.pending[cell_id]
     drained = list(queue)
     queue.clear()
@@ -182,8 +179,9 @@ def poll(hv: Hypervisor, ch_id: int, cell_id: int) -> list[int]:
 def read_buffer(hv: Hypervisor, ch_id: int, cell_id: int,
                 offset: int, length: int) -> bytes:
     """Endpoint view of the shared buffer."""
-    channel = _channel(hv, ch_id)
-    channel.peer_of(cell_id)
+    channel = hv.channels.get(ch_id)
+    if channel is None or cell_id != channel.cell_a and cell_id != channel.cell_b:
+        _refuse(hv, ch_id, cell_id)
     if offset < 0 or offset + length > channel.region.size:
         raise OutOfRegion("read past the channel window")
     return bytes(channel.buffer[offset:offset + length])

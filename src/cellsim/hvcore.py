@@ -15,7 +15,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import attrgetter, index, itemgetter
 from typing import NamedTuple, Optional
 
 from ._dsl import decode_utf8, iter_directives, parse_number
@@ -35,6 +35,7 @@ ROOT_CELL: CellId = 0
 # step() turn takes.
 SENSITIVE_INSTRUCTIONS = frozenset({"cpuid"})
 STEP_NS = 1000
+CLOCK_MAX = 2 ** 63 - 1  # ns: the clock is int64, as raise_irqs and Scenario hold it
 
 
 class CellState(Enum):
@@ -99,11 +100,6 @@ class Access(Value):
             raise InvariantViolation("sensitive-instruction access needs a name")
         self._freeze(kind, addr_or_port, width, instr)
 
-    def describe(self) -> str:
-        if self.kind is AccessKind.SENSITIVE_INSTR:
-            return "instr %s" % self.instr
-        return "%s 0x%x width %d" % (self.kind.value, self.addr_or_port, self.width)
-
 
 class AccessOutcome(Enum):
     DIRECT = "direct"
@@ -119,7 +115,7 @@ _MEM_WRITE, _SENSITIVE_INSTR = AccessKind.MEM_WRITE, AccessKind.SENSITIVE_INSTR
 _DIRECT, _EMULATED = AccessOutcome.DIRECT, AccessOutcome.EMULATED
 _VIOLATION, _VIOLATE = AccessOutcome.VIOLATION, TrapKind.ACCESS_VIOLATION
 _EMULATE_DIST, _EMULATE_INSTR = TrapKind.DISTRIBUTOR_EMULATION, TrapKind.INSTRUCTION_EMULATION
-_REINJECT = TrapKind.IRQ_REINJECTION
+_REINJECT, _MANAGE = TrapKind.IRQ_REINJECTION, TrapKind.MANAGEMENT
 
 # Rights of an access-map entry, as plain ints (an IntFlag & costs about
 # 1.5 us): READ and WRITE match PermFlags' bits.
@@ -402,10 +398,15 @@ def parse_script(text: str) -> list[tuple]:
 
 
 def check_script(ops: list[tuple], platform: MachinePlatform) -> None:
-    """Refuse a distwrite on a platform without a gic-dist window, naming its line."""
-    for op in ops:
-        if op[0] == "distwrite" and platform.gic_dist_window is None:
-            raise ConfigSemanticError("platform %s has no gic-dist window" % platform.name, op[2])
+    """Resolve each distwrite in ops to its access of the platform's gic-dist
+    window; refuse one on a platform without a window, naming its line."""
+    window = platform.gic_dist_window
+    for at, op in enumerate(ops):
+        if op[0] == "distwrite":
+            if window is None:
+                raise ConfigSemanticError("platform %s has no gic-dist window" % platform.name,
+                                          op[2])
+            ops[at] = ("access", Access(_MEM_WRITE, window.base + op[1], 4))
 
 
 def read_script(workload: Workload) -> str:
@@ -466,17 +467,17 @@ class Hypervisor:
 
     def _log(self, kind: TrapKind, cell: CellId, detail: str,
              time_ns: Optional[int] = None) -> TrapEvent:
-        event = TrapEvent(self.clock if time_ns is None else time_ns, cell, kind, detail)
+        # tuple.__new__ skips NamedTuple's Python __new__, as load_session's does
+        event = tuple.__new__(TrapEvent, (self.clock if time_ns is None else time_ns, cell,
+                                          kind, detail))
         self.events.append(event)
-        self._count(kind, cell)
+        counters = self.exits.get(cell) or self.exits.setdefault(cell, [0] * len(EXIT_SLOT))
+        counters[EXIT_SLOT[kind]] += 1
         return event
 
     def _count(self, kind: TrapKind, cell: CellId, n: int = 1) -> None:
         """Add n exits of one kind to a cell's counters."""
-        counters = self.exits.get(cell)
-        if counters is None:
-            counters = self.exits[cell] = [0] * len(EXIT_SLOT)
-        counters[EXIT_SLOT[kind]] += n
+        self.exits.setdefault(cell, [0] * len(EXIT_SLOT))[EXIT_SLOT[kind]] += n
 
     def _cell(self, cell_id: CellId) -> Cell:
         cell = self.cells.get(cell_id)
@@ -592,11 +593,13 @@ class Hypervisor:
         self._log(TrapKind.MANAGEMENT, cell_id, "destroy %s" % cell.name)
 
     def relaunch_cell(self, cell_id: CellId) -> None:
-        cell = self._cell_for("relaunch", cell_id)
+        cell = self.cells.get(cell_id)
+        if cell is None or cell_id == ROOT_CELL or cell.state is _CREATED:  # as _LIFECYCLE says
+            self._cell_for("relaunch", cell_id)  # raises
         cell.memory_image = {}
         cell.script_pos = 0
         cell.state = _RUNNING
-        self._log(TrapKind.MANAGEMENT, cell_id, "relaunch %s" % cell.name)
+        self._log(_MANAGE, cell_id, "relaunch %s" % cell.config.name)
 
     def disable(self) -> None:
         self._require_enabled()
@@ -664,7 +667,9 @@ class Hypervisor:
     # -- trap engine
 
     def handle_access(self, cell_id: CellId, access: Access) -> AccessOutcome:
-        cell = self._running(cell_id)
+        cell = self.cells.get(cell_id)
+        if cell is None or cell.state is not _RUNNING:
+            self._running(cell_id)  # raises
         kind = access.kind
         if kind is _SENSITIVE_INSTR:
             if access.instr in SENSITIVE_INSTRUCTIONS:
@@ -710,7 +715,9 @@ class Hypervisor:
         return AccessMap(sorted(mem, key=_LO), sorted(io, key=_LO))
 
     def _violate(self, cell: Cell, access: Access) -> AccessOutcome:
-        self._log(_VIOLATE, cell.id, access.describe())
+        # handle_access violates only memory and I/O accesses; _value_ skips Enum's Python getter
+        self._log(_VIOLATE, cell.id, "%s 0x%x width %d" % (
+            access.kind._value_, access.addr_or_port, access.width))
         cell.state = _FAILED
         return _VIOLATION
 
@@ -723,7 +730,11 @@ class Hypervisor:
         go through handle_access. Any other guest touches its own RAM once
         a turn, which the MMU answers without an exit, so step counts it.
         """
-        self._require_enabled()
+        if self.ledger is None:
+            self._require_enabled()  # raises
+        n = max(index(n), 0)
+        if self.clock + n * STEP_NS > CLOCK_MAX:
+            raise InvariantViolation("step(%d) would carry the clock past 2^63 - 1 ns" % n)
         touches, scripts = 0, []
         for cell in self.cells.values():  # one pass, in id order
             if cell.state is _RUNNING and cell.id != ROOT_CELL:
@@ -732,33 +743,25 @@ class Hypervisor:
                     scripts.append(cell)
         # DIRECT without asking handle_access: audit checks that each
         # non-root cell's claims equal its configured regions with their flags.
-        issued = max(n, 0) * touches
+        issued = n * touches
+        if not scripts:
+            self.clock += n * STEP_NS
+            return issued
         for _ in range(n):
             self.clock += STEP_NS
-            for cell in scripts:
-                if cell.state is _RUNNING:  # a violation stops it from the next turn
-                    issued += self._step_script(cell)
+            for cell in scripts:  # its next op; a violation stops it from the next turn
+                ops, pos = cell.script_ops, cell.script_pos
+                if cell.state is not _RUNNING or pos >= len(ops):
+                    continue
+                op = ops[pos]
+                cell.script_pos = pos + 1
+                if op[0] == "repeat":
+                    op = ops[0]
+                    cell.script_pos = 1 if op[0] != "repeat" else 0
+                if op[0] == "access":  # not idle, nor a script of repeat alone
+                    issued += 1
+                    self.handle_access(cell.id, op[1])  # check_script resolved each distwrite
         return issued
-
-    def _step_script(self, cell: Cell) -> int:
-        if cell.script_pos >= len(cell.script_ops):
-            return 0
-        op = cell.script_ops[cell.script_pos]
-        cell.script_pos += 1
-        if op[0] == "repeat":
-            cell.script_pos = 0
-            if not cell.script_ops or cell.script_ops[0][0] == "repeat":
-                return 0
-            op = cell.script_ops[0]
-            cell.script_pos = 1
-        if op[0] == "idle":
-            return 0
-        if op[0] == "distwrite":  # create_cell and load_session refuse it without a window
-            access = Access(_MEM_WRITE, self.platform.gic_dist_window.base + op[1], 4)
-        else:
-            access = op[1]
-        self.handle_access(cell.id, access)
-        return 1
 
 
 def enable(platform: MachinePlatform, root_cfg: CellConfig,

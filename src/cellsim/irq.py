@@ -17,15 +17,7 @@ import numpy as np
 
 from ._value import Value
 from .errors import InvariantViolation, NoSuchLine, NoSuchResource, UnownedIrq
-from .hvcore import (
-    _MEM_WRITE,
-    ROOT_CELL,
-    Access,
-    AccessOutcome,
-    CellState,
-    Hypervisor,
-    TrapKind,
-)
+from .hvcore import _MEM_WRITE, ROOT_CELL, Access, AccessOutcome, CellState, Hypervisor, TrapKind
 from .machine import BusModel, DistParams, bus_load
 from .rng import make_stream
 
@@ -104,8 +96,8 @@ def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
 
 
 class _Blocks:
-    """One stream's values, drawn fill(n) at a time with n = 16, 32, ... up
-    to 1024 (a session that rings once draws few) and taken one at a time."""
+    """One stream's values, drawn fill(n) at a time with n = 16, 32, ... up to 1024
+    (a session that rings once draws few); a ring pops values and calls take to refill."""
 
     __slots__ = ("fill", "size", "values")
 
@@ -113,7 +105,7 @@ class _Blocks:
         self.fill, self.size, self.values = fill, 16, []
 
     def take(self) -> float:
-        if not self.values:
+        if not self.values:  # a fresh list per block: refilling one in place fragments the heap
             with np.errstate(over="ignore", invalid="ignore"):  # a ring refuses an overflow
                 self.values = self.fill(self.size).tolist()[::-1]  # taken from the end
             self.size = min(2 * self.size, 1024)
@@ -136,16 +128,20 @@ class DoorbellLatencies:
         self.jitter = _Blocks(partial(_phase, jitter))
 
     def ring(self, stressed: bool) -> float:
-        bus = self.bus
-        latency = bus.base_latency_us + self.overhead.take()
+        bus, overhead, jitter = self.bus, self.overhead.values, self.jitter.values
+        latency = bus.base_latency_us + (overhead.pop() if overhead else self.overhead.take())
         if stressed:
-            extra = self.contention.take()
-            extra *= self.trigger.take() < bus.contention_prob
+            contention, trigger = self.contention.values, self.trigger.values
+            extra = contention.pop() if contention else self.contention.take()
+            extra *= (trigger.pop() if trigger else self.trigger.take()) < bus.contention_prob
             latency += extra
         if bus.phase_jitter_enabled:
-            latency += self.jitter.take()
+            latency += jitter.pop() if jitter else self.jitter.take()
         latency = max(latency, 0.0)
-        return _check_fits(quantize_62_5ns(latency) if bus.quantize_enabled else latency, 0)
+        if bus.quantize_enabled:  # quantize_62_5ns's scalar rule, as latency is not negative
+            latency = (latency / LATTICE_US + 0.5) // 1 * LATTICE_US
+        # _check_fits's test at raise time 0, which is called only to refuse
+        return latency if latency * 1000.0 + 0.5 < 2 ** 63 else _check_fits(latency, 0)
 
 
 def _check_fits(top_us: float, last_ns: int) -> float:

@@ -28,7 +28,7 @@ from .errors import (
     BadMagic, ConfigSemanticError, ConfigSyntaxError, InvariantViolation, UnsupportedVersion,
     ValidationFailed)
 from .hvcore import (
-    EXIT_SLOT, Cell, CellState, Hypervisor, OwnershipLedger, TrapEvent, check_script)
+    CLOCK_MAX, EXIT_SLOT, Cell, CellState, Hypervisor, OwnershipLedger, TrapEvent, check_script)
 from .machine import BusModel, DistParams, GicVersion, MachinePlatform
 
 MAGIC = 0x4A485353
@@ -116,6 +116,8 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         return platform, None
 
     clock, seed, n_events = reader.take(_SESSION)
+    if clock > CLOCK_MAX:  # the u64 holds more than the int64 clock step and raise_irqs keep
+        raise InvariantViolation("snapshot clock %d ns is past 2^63 - 1 ns" % clock)
     # The events in one pass, all it reads in locals: unpack_from refuses a cut record, one test
     # each its trap code and detail length, and tuple.__new__ skips NamedTuple's Python __new__.
     data, at, events, new, traps = reader.data, reader.offset, [], tuple.__new__, _TRAPS

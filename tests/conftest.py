@@ -1,4 +1,7 @@
+import gc
+import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -62,3 +65,20 @@ def canonical_results(jetson):
         stats, _ = run_scenario(jetson, sc)
         rows[(sc.vmm_on, sc.freq_hz, sc.stress)] = stats
     return rows, time.monotonic() - started
+
+
+def _python_calls(fn, *args) -> Counter:
+    """The Python functions fn(*args) enters, fn included, by code object, with their
+    counts; the collector is off, so that no gc callback of another library is counted."""
+    calls: Counter = Counter()
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(lambda frame, event, arg: calls.update((frame.f_code,))
+                   if event == "call" else None)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls

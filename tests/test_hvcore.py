@@ -54,7 +54,7 @@ from cellsim.errors import (
     RootCellImmortal,
     ValidationFailed,
 )
-from cellsim.comm import create_channel, pci_cfg_read
+from cellsim.comm import create_channel, pci_cfg_read, poll, read_buffer, send
 from cellsim.cellconfig import validate_against
 from cellsim import hvcore
 from cellsim.hvcore import STEP_NS, parse_script
@@ -416,6 +416,9 @@ class TestDisabledRefusesFirst:
         "create_channel": lambda hv, c: create_channel(hv, c, 1, 0x1000, 1),
         "create_channel_to_self": lambda hv, c: create_channel(hv, c, c, 0x1000, 1),
         "create_cell": lambda hv, c: hv.create_cell(small_cell()),
+        "send": lambda hv, c: send(hv, 0, c, 0, b"x", 0),
+        "poll": lambda hv, c: poll(hv, 0, c),
+        "read_buffer": lambda hv, c: read_buffer(hv, 0, c, 0, 1),
     }
 
     @pytest.fixture(params=["never-enabled", "disabled"])
@@ -696,6 +699,36 @@ class TestStep:
         hv.start_cell(cell_id)
         hv.stop_cell(cell_id)
         assert hv.step(10) == 0
+
+    def test_without_a_script_cell_n_turns_are_one_addition(self):
+        # 10^9 turns one at a time would take minutes; each guest's touches are n times its count
+        hv = tiny_hv()
+        assert (hv.step(10 ** 9), hv.clock) == (0, 10 ** 9 * STEP_NS)
+        hv.start_cell(hv.create_cell(small_cell(workload=Workload(WorkloadKind.STRESS))))
+        before = len(hv.events)
+        assert (hv.step(10 ** 9), hv.clock) == (10 ** 9, 2 * 10 ** 9 * STEP_NS)
+        assert len(hv.events) == before
+
+    @pytest.mark.parametrize("scripted", [False, True])
+    def test_the_clock_stops_at_the_int64_bound(self, scripted, tmp_path):
+        # the bound raise_irqs and Scenario hold; save_session stores the clock in a u64
+        hv = tiny_hv()
+        if scripted:
+            script = tmp_path / "ops.txt"
+            script.write_text("instr cpuid\nrepeat\n")
+            hv.start_cell(hv.create_cell(small_cell(
+                workload=Workload(WorkloadKind.SCRIPT, str(script)))))
+        hv.step(3)
+        before = (hv.clock, list(hv.events), copy.deepcopy(hv.exits))
+        most = (2 ** 63 - 1 - hv.clock) // STEP_NS  # the most turns the clock holds
+        for n in (2 ** 62, most + 1):
+            with pytest.raises(InvariantViolation, match=r"past 2\^63 - 1 ns"):
+                hv.step(n)
+            assert (hv.clock, hv.events, hv.exits) == before
+        if not scripted:
+            hv.step(most)
+            assert 2 ** 63 - STEP_NS <= hv.clock < 2 ** 63
+            assert load_session(save_session(hv.platform, hv))[1].clock == hv.clock
 
 
 class TestScripts:
@@ -1010,7 +1043,7 @@ class TestEnumMembers:
             AccessKind.MEM_WRITE, AccessKind.SENSITIVE_INSTR)
         assert (hvcore._DIRECT, hvcore._EMULATED, hvcore._VIOLATION) == tuple(AccessOutcome)
         assert (hvcore._REINJECT, hvcore._EMULATE_DIST, hvcore._EMULATE_INSTR,
-                hvcore._VIOLATE) == tuple(TrapKind)[:4]
+                hvcore._VIOLATE, hvcore._MANAGE) == tuple(TrapKind)
 
 
 class TestEvents:

@@ -1,9 +1,6 @@
-import gc
 import hashlib
 import random
 import struct
-import sys
-from collections import Counter
 from itertools import groupby
 
 import pytest
@@ -55,7 +52,7 @@ from cellsim.cli import main
 from cellsim.machine import MMIO_NAME_BYTES, resource_layout
 from cellsim.snapshot import MAGIC, VERSION
 
-from conftest import config_with, make_tiny_platform, with_bus
+from conftest import _python_calls, config_with, make_tiny_platform, with_bus
 from gen import random_config, random_platform
 from test_hvcore import RAM, small_cell, tiny_hv, windowless_hv
 
@@ -452,6 +449,19 @@ class TestStatesNoCallMakes:
         hv.cells[gap].memory_image = {RAM + 0x9_0FFC: b"\1" * 0x1008}
         with pytest.raises(InvariantViolation, match="snapshot cell %d image chunk" % gap):
             load_session(save_session(hv.platform, hv))
+
+
+@pytest.mark.parametrize("clock", [2 ** 63, 2 ** 64 - 1])
+def test_a_clock_past_the_int64_bound_is_refused(clock):
+    # step refuses to carry the clock there, so only a corrupt snapshot holds one
+    hv = tiny_hv()
+    offset = len(save_session(hv.platform, None))  # the clock leads the session record
+    hv.clock = 2 ** 63 - 1
+    blob = save_session(hv.platform, hv)
+    assert load_session(blob)[1].clock == 2 ** 63 - 1
+    with pytest.raises(InvariantViolation, match=r"snapshot clock %d ns is past 2\^63 - 1 ns"
+                       % clock):
+        load_session(blob[:offset] + struct.pack("<Q", clock) + blob[offset + 8:])
 
 
 def _exit_section(hv):
@@ -905,23 +915,6 @@ class TestPinnedJetsonSession:
             == self.ROOT_CONFIG
         assert hashlib.sha256(emit_binary(hv.find_cell("rtos").config)).hexdigest() \
             == self.RTOS_CONFIG
-
-
-def _python_calls(fn, *args) -> Counter:
-    """The Python functions fn(*args) enters, by code object, with their counts;
-    the collector is off, so that no gc callback of another library is counted."""
-    calls: Counter = Counter()
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(lambda frame, event, arg: calls.update((frame.f_code,))
-                   if event == "call" else None)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-        if collecting:
-            gc.enable()
-    return calls
 
 
 def test_a_stored_event_costs_at_most_one_python_call_to_load():
