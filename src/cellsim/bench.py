@@ -77,8 +77,7 @@ def _row_setup(platform: MachinePlatform, vmm_on: bool, stress: bool) -> tuple:
     return line, (full_platform_config(platform), responder_config(platform, line))
 
 
-def run_scenario(platform: MachinePlatform,
-                 sc: Scenario) -> tuple[LatencyStats, IrqDeliveries]:
+def run_scenario(platform: MachinePlatform, sc: Scenario) -> tuple[LatencyStats, IrqDeliveries]:
     """Run one scenario on a fresh hypervisor instance.
 
     Pure in (platform, sc): the RNG streams derive from sc.seed and the
@@ -91,8 +90,8 @@ def run_scenario(platform: MachinePlatform,
         hv.enable(configs[0])
     for cfg in configs[1:]:
         hv.start_cell(hv.create_cell(cfg))
-
-    times = np.arange(sc.n_samples, dtype=np.int64) * sc.period_ns
+    times = np.arange(sc.n_samples, dtype=np.int64)
+    times *= sc.period_ns  # in place; an arange up to n * period would size itself in floats
     deliveries = raise_irqs(hv, line, times, latency_streams(sc.seed, sc.tag()))
     return summarize(deliveries.latency_us), deliveries
 

@@ -19,21 +19,24 @@ from ._value import Value
 from .errors import InvariantViolation, NoSuchLine, NoSuchResource, UnownedIrq
 from .hvcore import _MEM_WRITE, ROOT_CELL, Access, AccessOutcome, CellState, Hypervisor, TrapKind
 from .machine import BusModel, DistParams, bus_load
-from .rng import make_stream
+from .rng import entropy_words, h64, pcg64
 
 LATTICE_US = 0.0625  # 62.5 ns timer resolution
 
 
 def quantize_62_5ns(t_us):
-    """Snap a latency, or an array into one new array, to the lattice; ties round up."""
+    """Snap a latency, or a copy of an array, to the lattice; ties round up."""
     batch = isinstance(t_us, np.ndarray)
     if (t_us.min(initial=0.0) if batch else t_us) < 0:
         raise InvariantViolation("cannot quantize a negative time")
-    if not batch:
-        return (t_us / LATTICE_US + 0.5) // 1 * LATTICE_US  # a float's // 1 is its floor
-    snapped = t_us / LATTICE_US
-    snapped += 0.5
-    return np.multiply(np.floor(snapped, out=snapped), LATTICE_US, out=snapped)
+    return _snap(t_us, None) if batch else (t_us / LATTICE_US + 0.5) // 1 * LATTICE_US
+
+
+def _snap(t_us: np.ndarray, out) -> np.ndarray:
+    """Snap t_us, not negative, into out (None: a new array); floor is a float's // 1."""
+    ticks = np.multiply(t_us, 16.0, out=out)  # exactly t_us / LATTICE_US, a power of 2
+    ticks += 0.5
+    return np.multiply(np.floor(ticks, out=ticks), LATTICE_US, out=ticks)
 
 
 class latency_streams:  # lower case like functools.partial: called as a function
@@ -41,15 +44,15 @@ class latency_streams:  # lower case like functools.partial: called as a functio
     contention trigger, contention size, phase jitter. Stream i is built when
     first indexed, so a row builds only the streams it draws from."""
 
-    def __init__(self, seed: int, tag: str = ""):
-        self.seed, self.tag, self.built = seed, tag, [None] * 4
+    def __init__(self, seed: int, tag: str = ""):  # the (seed, tag) words are derived once
+        self.words, self.built = entropy_words(seed, h64(tag)), [None] * 4
 
     def __len__(self) -> int:
         return 4
 
     def __getitem__(self, i: int):
         if self.built[i] is None:  # past the end, the IndexError that ends an unpacking
-            self.built[i] = make_stream(self.seed, self.tag, range(4)[i])
+            self.built[i] = pcg64(self.words, (range(4)[i],))
         return self.built[i]
 
 
@@ -72,8 +75,7 @@ def _phase(jitter, size: int) -> np.ndarray:
     return phase
 
 
-def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
-                   size: int) -> np.ndarray:
+def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams, size: int) -> np.ndarray:
     """Draw size measured latencies in microseconds, as one array.
 
     latency = base + H[vmm on] + C[vmm on and stressed, with probability
@@ -82,17 +84,17 @@ def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams,
     takes one draw per sample from its own stream, indexed only when used (the
     contention size even when the trigger does not fire); raise_irqs checks fit.
     """
-    latency = np.full(size, bus.base_latency_us)
-    if vmm_on:  # summed in place, a term at a time, in this order
-        latency += draw(bus.hv_overhead, streams[0], size)
-        if stressed:
-            extra = draw(bus.contention, streams[2], size)
-            extra *= streams[1].random(size) < bus.contention_prob
-            latency += extra
+    # summed in place, in the overhead's buffer when vmm_on: + commutes, and -0.0 + base is base
+    latency = draw(bus.hv_overhead, streams[0], size) if vmm_on else np.full(size, -0.0)
+    latency += bus.base_latency_us
+    if vmm_on and stressed:
+        extra = draw(bus.contention, streams[2], size)
+        extra *= streams[1].random(size) < bus.contention_prob
+        latency += extra
     if bus.phase_jitter_enabled:
         latency += _phase(streams[3], size)
     np.maximum(latency, 0.0, out=latency)
-    return quantize_62_5ns(latency) if bus.quantize_enabled else latency
+    return _snap(latency, latency) if bus.quantize_enabled else latency
 
 
 class _Blocks:
@@ -163,8 +165,7 @@ class IrqDeliveries(Value):
         span = delivered_at - raised_at
         if span.min(initial=0) < 0:
             raise InvariantViolation("delivery before raise")
-        # timestamps are whole ns, so allow half an ns of rounding
-        gap = latency_us * 1000.0
+        gap = latency_us * 1000.0  # timestamps are whole ns, so allow half an ns of rounding
         np.subtract(span, gap, out=gap)
         if np.abs(gap, out=gap).max(initial=0.0) > 0.5:
             raise InvariantViolation("timestamps disagree with latency")
@@ -196,8 +197,7 @@ class Scenario(Value):
     def tag(self) -> str:
         """Stream tag; a function of the scenario settings, not of any
         position in a scenario list."""
-        return "scenario vmm=%d freq=%r stress=%d" % (
-            self.vmm_on, float(self.freq_hz), self.stress)
+        return "scenario vmm=%d freq=%r stress=%d" % (self.vmm_on, float(self.freq_hz), self.stress)
 
 
 class LatencyStats(Value):
@@ -208,8 +208,7 @@ class LatencyStats(Value):
             raise InvariantViolation("stats need at least one sample")
         if mean_us < 0 or sigma_us < 0:
             raise InvariantViolation("negative latency statistics")
-        # tiny slack: float summation can push a constant-sample mean
-        # a few ulps past the maximum
+        # tiny slack: float summation can push a constant-sample mean a few ulps past the maximum
         if mean_us > max_us * (1 + 1e-12) + 1e-15:
             raise InvariantViolation("mean exceeds maximum")
         self._freeze(mean_us, sigma_us, max_us, n)
@@ -252,7 +251,7 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
     _check_fits(float(latency.max()), last)
     delivered = latency * 1000.0  # whole ns, in one float buffer freed by the cast
     delivered += 0.5
-    delivered = np.floor(delivered, out=delivered).astype(np.int64)
+    delivered = delivered.astype(np.int64)  # truncates, which floors as latency is >= 0
     delivered += raised
     hv.clock = max(hv.clock, last)
     if hv.enabled:
@@ -267,10 +266,11 @@ def distributor_access(hv: Hypervisor, cell_id: int, offset: int) -> AccessOutco
     an offset past the window falls through to the plain access check
     and violates like any other bad address.
     """
+    if hv.ledger is None:
+        hv._require_enabled()  # raises, before the window and offset checks
     window = hv.platform.gic_dist_window
     if window is None:
         raise NoSuchResource("platform has no gic-dist window")
     if offset < 0:
         raise InvariantViolation("negative distributor offset")
-    return hv.handle_access(
-        cell_id, Access(_MEM_WRITE, window.base + offset, 4))
+    return hv.handle_access(cell_id, Access(_MEM_WRITE, window.base + offset, 4))

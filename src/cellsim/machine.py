@@ -50,12 +50,7 @@ class PermFlags(IntFlag):
     DMA = 8
 
 
-_PERM_LETTERS = {
-    "r": PermFlags.READ,
-    "w": PermFlags.WRITE,
-    "x": PermFlags.EXECUTE,
-    "d": PermFlags.DMA,
-}
+_PERM_LETTERS = dict(zip("rwxd", PermFlags))  # READ, WRITE, EXECUTE, DMA, in that order
 _PERMS = tuple(map(PermFlags, range(16)))  # by bits: a PermFlags call runs Enum's Python code
 
 

@@ -23,23 +23,29 @@ def h64(tag: str) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "little")
 
 
-def _seed_sequence(seed: int, tag: str, spawn_key: tuple = ()) -> np.random.SeedSequence:
-    """Pure in (seed, tag), which enter as two words: no XOR or mask lets two collide."""
+def entropy_words(seed: int, h: int) -> np.ndarray:
+    """[seed, h] as the uint32 words SeedSequence makes of it: no XOR or mask lets two collide."""
     if not 0 <= seed <= U64_MAX:
         raise InvariantViolation("seed %d outside [0, 2^64)" % seed)
-    return np.random.SeedSequence([seed, h64(tag)], spawn_key=spawn_key)
+    return np.array([n >> shift & 0xFFFFFFFF for n in (seed, h)  # least significant first,
+                     for shift in range(0, n.bit_length() or 1, 32)], np.uint32)  # >= 1 each
+
+
+def pcg64(words, spawn_key: tuple = ()) -> np.random.Generator:  # key (i,): spawn's child i
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words, spawn_key=spawn_key)))
 
 
 def make_rng(seed: int, tag: str = "") -> np.random.Generator:
     """Build the canonical generator for a seed and optional stream tag."""
-    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, tag)))
+    return pcg64(entropy_words(seed, h64(tag)))
 
 
 def make_stream(seed: int, tag: str, i: int) -> np.random.Generator:
     """Child i of the (seed, tag) sequence: exactly the i-th of its spawn(n), n > i."""
-    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, tag, (i,))))
+    return pcg64(entropy_words(seed, h64(tag)), (i,))
 
 
 def make_streams(seed: int, tag: str, n: int) -> list[np.random.Generator]:
     """n independent generators spawned from the (seed, tag) sequence."""
-    return [make_stream(seed, tag, i) for i in range(n)]
+    words = entropy_words(seed, h64(tag))
+    return [pcg64(words, (i,)) for i in range(n)]

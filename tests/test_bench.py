@@ -143,6 +143,13 @@ class TestScenarioRuns:
         assert deliveries.raised_at.tolist() == [
             0, 20_000_000, 40_000_000, 60_000_000, 80_000_000]
 
+    def test_raise_times_are_exact_at_a_2_62_ns_period(self, jetson):
+        # k * period in int64, not a float-sized arange: np.arange(0, 2**62 + 1, 2**62)
+        # has one element
+        sc = Scenario(False, 1e9 / 2**62, False, 2, seed=7)
+        assert sc.period_ns == 2**62
+        assert run_scenario(jetson, sc)[1].raised_at.tolist() == [0, 2**62]
+
     def test_scenario_order_does_not_matter(self, jetson):
         forward = [run_scenario(jetson, sc)[0]
                    for sc in canonical_scenarios(n_samples=300)]

@@ -31,6 +31,7 @@ from cellsim import (
     Workload,
     WorkloadKind,
     build_platform,
+    distributor_access,
     enable,
     full_platform_config,
     latency_streams,
@@ -419,6 +420,7 @@ class TestDisabledRefusesFirst:
         "send": lambda hv, c: send(hv, 0, c, 0, b"x", 0),
         "poll": lambda hv, c: poll(hv, 0, c),
         "read_buffer": lambda hv, c: read_buffer(hv, 0, c, 0, 1),
+        "distributor_access": lambda hv, c: distributor_access(hv, c, -4),
     }
 
     @pytest.fixture(params=["never-enabled", "disabled"])

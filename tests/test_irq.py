@@ -38,7 +38,7 @@ from cellsim.comm import create_channel, send
 from cellsim.hvcore import EXIT_SLOT, Access, AccessKind
 from cellsim.irq import LATTICE_US, DoorbellLatencies, distributor_access, draw
 from cellsim.machine import bus_load, parse_platform
-from cellsim.rng import h64, make_rng, make_stream, make_streams
+from cellsim.rng import entropy_words, h64, make_rng, make_stream, make_streams, pcg64
 
 from conftest import make_tiny_platform, with_bus
 from test_hvcore import RAM, small_cell, tiny_hv
@@ -82,6 +82,21 @@ class TestQuantize:
         with pytest.raises(InvariantViolation):
             quantize_62_5ns(np.array([0.5, -0.001]))
 
+    def test_in_place_snap_is_the_scalar_rule(self):
+        # 0, the smallest subnormal, every tie (2k+1)/32 us up to k = 10^6, a huge
+        # finite time and inf, snapped in the buffer sample_latency snaps in
+        ties = (2 * np.arange(10**6 + 1) + 1) / 32
+        t = np.concatenate([[0.0, 5e-324], ties, [1e300, math.inf]])
+        kept = t.tolist()
+        snapped = t.copy()
+        assert irq._snap(snapped, snapped) is snapped
+        got, want = snapped.tolist(), [quantize_62_5ns(x) for x in kept]
+        assert got[:-1] == want[:-1]
+        assert got[2:-2] == ((np.arange(10**6 + 1) + 1) * LATTICE_US).tolist()  # ties round up
+        # inf stays inf in the array and is NaN by // 1; _check_fits refuses either
+        assert got[-1] == math.inf and math.isnan(want[-1])
+        assert quantize_62_5ns(t).tolist() == got and t.tolist() == kept
+
 
 class TestStreams:
     def test_xor_partner_seed_does_not_collide(self):
@@ -101,6 +116,18 @@ class TestStreams:
         streams = latency_streams(5, "x")
         assert len(streams) == 4
         assert [g.random() for g in streams] == [g.random() for g in make_streams(5, "x", 4)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("h", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_entropy_words_are_numpys_own_coercion(self, seed, h):
+        words = entropy_words(seed, h)
+        assert words.dtype == np.uint32
+        assert words.tolist() == [seed & 0xFFFFFFFF] + [seed >> 32] * (seed >= 2**32) + [
+            h & 0xFFFFFFFF] + [h >> 32] * (h >= 2**32)
+        for i in range(4):
+            assert np.array_equal(
+                np.random.SeedSequence(words, spawn_key=(i,)).generate_state(4, np.uint64),
+                np.random.SeedSequence([seed, h], spawn_key=(i,)).generate_state(4, np.uint64))
 
     SEEDS = (0, 7, 2**64 - 1)
     TAGS = ("", "hv-doorbell", "scenario vmm=1 freq=50.0 stress=1", "stre\u00df \u2192 \u00fc")
@@ -144,10 +171,10 @@ class TestStreams:
         eager = sample_latency(vmm_on, stressed, bus, self.spawned(seed, "row"), 3000)
         built = []
 
-        def counted(seed, tag, i):
-            built.append(i)
-            return make_stream(seed, tag, i)
-        monkeypatch.setattr(irq, "make_stream", counted)
+        def counted(words, spawn_key):
+            built.extend(spawn_key)
+            return pcg64(words, spawn_key)
+        monkeypatch.setattr(irq, "pcg64", counted)
         lazy = sample_latency(vmm_on, stressed, bus, latency_streams(seed, "row"), 3000)
         assert lazy.tolist() == eager.tolist()
         assert sorted(built) == drawn
@@ -183,6 +210,13 @@ class TestDraw:
 
 
 class TestSampleLatency:
+    @pytest.mark.parametrize("base", [5e-324, 0.45, 1e300])
+    def test_an_off_row_is_its_base_bit_for_bit(self, base):
+        bus = BusModel(base, *BusModel.default()._key[1:4], quantize_enabled=False,
+                       phase_jitter_enabled=False)
+        values = sample_latency(False, False, bus, latency_streams(1), 7)
+        assert values.tobytes() == np.full(7, base).tobytes()
+
     def test_off_raw_is_exactly_base(self):
         bus = BusModel.default().without_measurement()
         rng = latency_streams(1)
@@ -739,6 +773,16 @@ class TestKernelLeavesCallerArraysAlone:
         assert np.array_equal(times, kept)
         assert all(np.array_equal(now, then) for now, then in zip(
             (first.raised_at, first.delivered_at, first.latency_us), seen))
+
+    @pytest.mark.parametrize("vmm_on, stressed", [(False, False), (True, False), (True, True)])
+    @pytest.mark.parametrize("measured", [True, False])
+    def test_sample_latency_returns_an_array_of_its_own(self, vmm_on, stressed, measured):
+        bus = BusModel.default() if measured else BusModel.default().without_measurement()
+        first = sample_latency(vmm_on, stressed, bus, latency_streams(4, "own"), 2000)
+        kept = first.copy()
+        second = sample_latency(vmm_on, stressed, bus, latency_streams(4, "own"), 2000)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes() == second.tobytes()
 
     def test_quantize_returns_a_new_array(self):
         t = np.array([0.0, 0.03125, 0.45, 1.27, 5.3])
