@@ -15,7 +15,8 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
-from operator import attrgetter, index, itemgetter
+from itertools import chain
+from operator import attrgetter, countOf, index, itemgetter
 from typing import NamedTuple, Optional
 
 from ._dsl import decode_utf8, iter_directives, parse_number
@@ -256,14 +257,17 @@ class OwnershipLedger:
         """The cells the ledger names: root, which always has masks, and each holder."""
         return {*self._cpus, *self._irqs, *self._devices.values(), *map(_OWNER, self._claims)}
 
+    def units_of(self, cell: CellId) -> list:
+        """The CPUs, devices and IRQ lines the cell holds; CPUs and IRQ lines built from masks."""
+        cpus, irqs = self._cpus.get(cell, 0), self._irqs.get(cell, 0)
+        return ([Cpu(bit) for bit in range(cpus.bit_length()) if cpus >> bit & 1]
+                + [device for device, owner in self._devices.items() if owner == cell]
+                + [IrqLine(n) for bit, n in enumerate(self._platform.irq_order) if irqs >> bit & 1])
+
     def keys_multiset(self) -> Counter:
-        """Ledger keys as a multiset: CPUs and IRQ lines built from each mask,
-        devices, claims and root's share of RAM (no claims: the platform's)."""
-        keys = Counter(self._devices.keys())
-        for kind, order, masks in ((Cpu, range(len(self._platform.cpus)), self._cpus),
-                                   (IrqLine, self._platform.irq_order, self._irqs)):
-            keys.update(kind(unit) for mask in masks.values()
-                        for bit, unit in enumerate(order) if mask >> bit & 1)
+        """Ledger keys as a multiset: each holder's units, claims and root's share
+        of RAM (no claims: the platform's)."""
+        keys = Counter(chain.from_iterable(map(self.units_of, self.owners())))
         keys.update(MemRegion(lo, hi - lo, flags) for lo, hi, _, flags in self._claims)
         keys.update(self.ram_of(ROOT_CELL))
         return keys
@@ -633,18 +637,26 @@ class Hypervisor:
         stray = self.ledger.owners() - live
         if stray:
             raise InvariantViolation("resources owned by dead cells %s" % sorted(stray))
-        configured = set()
+        configured, ledger, platform = set(), self.ledger, self.platform
         for cell_id, cell in self.cells.items():
             if cell_id == ROOT_CELL:
                 continue
-            held = self.ledger.holds(cell_id, cell.config.cpus, cell.config.irqs)  # by the masks
-            for resource in cell.config.devices if held else cell.config.units():
-                if self.ledger.owner_of_unit(resource) != cell_id:
-                    raise InvariantViolation(
-                        "cell %d lost %s" % (cell_id, _describe(resource)))
+            # exactly its config's units, asked of the masks; units are built only to name a failure
+            cfg = cell.config
+            cpus, irqs = platform.cpu_bits(cfg.cpus), platform.irq_bits(cfg.irqs)
+            if (ledger._cpus.get(cell_id, 0) != cpus or ledger._irqs.get(cell_id, 0) != irqs
+                    or cpus.bit_count() != len(cfg.cpus) or irqs.bit_count() != len(cfg.irqs)
+                    or countOf(ledger._devices.values(), cell_id) != len(cfg.devices)
+                    or any(ledger._devices.get(device) != cell_id for device in cfg.devices)):
+                units = cfg.units()
+                lost = [unit for unit in units if ledger.owner_of_unit(unit) != cell_id]
+                extra = [unit for unit in ledger.units_of(cell_id) if unit not in units]
+                what = "lost" if lost else "holds unconfigured"
+                raise InvariantViolation(
+                    "cell %d %s %s" % (cell_id, what, _describe((lost or extra)[0])))
             configured.update((region.base, region.end, cell_id, region.flags)
-                              for region in cell.config.mem)
-        claims = set(self.ledger._claims)
+                              for region in cfg.mem)
+        claims = set(ledger._claims)
         if claims != configured:
             lost = configured - claims
             lo, hi, cell_id, flags = min(lost or claims - configured)

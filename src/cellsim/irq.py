@@ -82,7 +82,7 @@ def sample_latency(vmm_on: bool, stressed: bool, bus: BusModel, streams, size: i
     contention_prob], observed through jitter and quantization when the
     bus model has them enabled, and never below 0. Each active component
     takes one draw per sample from its own stream, indexed only when used (the
-    contention size even when the trigger does not fire); raise_irqs checks fit.
+    contention size even when the trigger does not fire); IrqDeliveries checks fit.
     """
     # summed in place, in the overhead's buffer when vmm_on: + commutes, and -0.0 + base is base
     latency = draw(bus.hv_overhead, streams[0], size) if vmm_on else np.full(size, -0.0)
@@ -156,20 +156,24 @@ def _check_fits(top_us: float, last_ns: int) -> float:
 
 
 class IrqDeliveries(Value):
-    """One line's deliveries: path "bare-metal" or "reinjected", times (ns), latencies (us)."""
+    """A line's deliveries: path "bare-metal" or "reinjected", raise times (ns), latencies (us)."""
 
-    __slots__ = ("line", "owner", "path", "raised_at", "delivered_at", "latency_us")
+    __slots__ = ("line", "owner", "path", "raised_at", "latency_us")
     __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: arrays have no truth value
 
-    def __init__(self, line, owner, path, raised_at, delivered_at, latency_us):
-        span = delivered_at - raised_at
-        if span.min(initial=0) < 0:
-            raise InvariantViolation("delivery before raise")
-        gap = latency_us * 1000.0  # timestamps are whole ns, so allow half an ns of rounding
-        np.subtract(span, gap, out=gap)
-        if np.abs(gap, out=gap).max(initial=0.0) > 0.5:
-            raise InvariantViolation("timestamps disagree with latency")
-        self._freeze(line, owner, path, raised_at, delivered_at, latency_us)
+    def __init__(self, line, owner, path, raised_at, latency_us):
+        # NaN fails _check_fits; an empty row, or one raised before 0 ns, counts from 0
+        _check_fits(float(latency_us.max(initial=0.0)), int(raised_at.max(initial=0)))
+        if latency_us.min(initial=0.0) < 0:
+            raise InvariantViolation("negative latency")
+        self._freeze(line, owner, path, raised_at, latency_us)
+
+    @property
+    def delivered_at(self) -> np.ndarray:
+        """Delivery times (ns), derived: each raise plus trunc(latency * 1000 + 0.5) in float64."""
+        delivered = (self.latency_us * 1000.0 + 0.5).astype(np.int64)  # floors, as latency >= 0
+        delivered += self.raised_at
+        return delivered
 
 
 class Scenario(Value):
@@ -225,8 +229,8 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
     Disabled hypervisor: the line fires straight into the machine (no
     trap). Enabled: the owning running cell gets a reinjected virtual IRQ
     per raise, each adding one to its IrqReinjection exit counter; no
-    event is logged, as the returned arrays hold every raise and delivery
-    time. A line owned by a non-running cell is spurious: a
+    event is logged, as the returned record holds every raise time and
+    latency. A line owned by a non-running cell is spurious: a
     violation-class event is logged at the first raise time and nothing
     is delivered.
     """
@@ -245,18 +249,13 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
             raise UnownedIrq(
                 "line %d owned by cell %d in state %s" % (line, owner, cell.state.value))
         path, stressed = "reinjected", bus_load(hv, cell)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # the record refuses an overflow
         latency = sample_latency(hv.enabled, stressed, hv.platform.bus, streams, raised.size)
-    last = int(raised.max())
-    _check_fits(float(latency.max()), last)
-    delivered = latency * 1000.0  # whole ns, in one float buffer freed by the cast
-    delivered += 0.5
-    delivered = delivered.astype(np.int64)  # truncates, which floors as latency is >= 0
-    delivered += raised
-    hv.clock = max(hv.clock, last)
+    deliveries = IrqDeliveries(line, owner, path, raised, latency)
+    hv.clock = max(hv.clock, int(raised.max()))
     if hv.enabled:
         hv._count(TrapKind.IRQ_REINJECTION, owner, raised.size)
-    return IrqDeliveries(line, owner, path, raised, delivered, latency)
+    return deliveries
 
 
 def distributor_access(hv: Hypervisor, cell_id: int, offset: int) -> AccessOutcome:

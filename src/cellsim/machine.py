@@ -400,6 +400,9 @@ class MachinePlatform(Value):
         # Views and hash, derived once into further slots that equality and repr skip; the
         # hash is of name, CPU count and IRQ numbers, which equal platforms share, all in C.
         order = tuple(sorted(irqs))
+        for end in order[:1] + order[-1:]:  # IrqLine's range check, on the sorted ends alone
+            if not 0 <= end <= 0xFFFFFFFF:
+                raise InvariantViolation("irq number out of range: %d" % end)
         self._freeze(name, layout, gic_version, bus)
         for attr, value in dict(
             _hash=hash((name, len(cpus), order)),
@@ -490,10 +493,11 @@ def bus_load(hv: "Hypervisor", measured: "Cell") -> bool:
 
 # --- platform file format ---------------------------------------------------
 
-_BUS_KEYS = {
-    "base", "hv-shift", "hv-logmu", "hv-logsigma",
-    "cont-prob", "cont-mean", "cont-logsigma", "quantize", "jitter",
-}
+# Each bus key and what its value must be: a number, or on or off for the measurement layer.
+_BUS_KEYS = {**dict.fromkeys(("base", "hv-shift", "hv-logmu", "hv-logsigma", "cont-prob",
+                              "cont-mean", "cont-logsigma"), "a number"),
+             "quantize": "on or off", "jitter": "on or off"}
+_ON_OFF = {"on": True, "off": False}
 
 
 def parse_platform(text: str) -> PlatformSpec:
@@ -504,7 +508,7 @@ def parse_platform(text: str) -> PlatformSpec:
         bus <key>=<value> ...           # latency model overrides
     """
     gic: list = []
-    bus_kv: dict[str, str] = {}
+    bus_kv: dict = {}  # key -> its value, converted on its line
 
     def read_gic(tokens, lineno):
         require_args(tokens, lineno, 1)
@@ -527,52 +531,34 @@ def parse_platform(text: str) -> PlatformSpec:
                     % (text_val, ", ".join(sorted(_BUS_KEYS))))
             if key in bus_kv:
                 raise ConfigSemanticError("bus %s given twice" % key, lineno)
-            bus_kv[key] = value
+            must = _BUS_KEYS[key]
+            try:
+                bus_kv[key] = _ON_OFF[value] if must == "on or off" else float(value)
+            except (KeyError, ValueError):
+                raise ConfigSemanticError("bus %s must be %s, got %r" % (key, must, value), lineno)
 
     name, runs = read_directives(text, "platform", {"gic": read_gic, "bus": read_bus})
     return PlatformSpec(name=name, resources=list(layout_resources(runs)),
                         gic_version=gic[0] if gic else GicVersion.V2, bus=_bus_from_kv(bus_kv))
 
 
-def _bus_from_kv(kv: dict[str, str]) -> Optional[BusModel]:
+def _bus_from_kv(kv: dict) -> Optional[BusModel]:
+    """The bus model of the given values, each one not given at its default; None for none."""
     if not kv:
         return None
     default = BusModel.default()
-
-    def num(key, fallback):
-        if key not in kv:
-            return fallback
-        try:
-            return float(kv[key])
-        except ValueError:
-            raise ConfigSemanticError("bus %s must be a number, got %r" % (key, kv[key]))
-
-    def flag(key, fallback):
-        if key not in kv:
-            return fallback
-        if kv[key] not in ("on", "off"):
-            raise ConfigSemanticError("bus %s must be on or off" % key)
-        return kv[key] == "on"
-
-    overhead = DistParams(
-        shift_us=num("hv-shift", default.hv_overhead.shift_us),
-        log_mu=num("hv-logmu", default.hv_overhead.log_mu),
-        log_sigma=num("hv-logsigma", default.hv_overhead.log_sigma),
-    )
+    hv_overhead, contention = default.hv_overhead, default.contention
+    overhead = DistParams(shift_us=kv.get("hv-shift", hv_overhead.shift_us),
+                          log_mu=kv.get("hv-logmu", hv_overhead.log_mu),
+                          log_sigma=kv.get("hv-logsigma", hv_overhead.log_sigma))
     if "cont-mean" in kv or "cont-logsigma" in kv:
-        contention = DistParams.from_mean(
-            num("cont-mean", default.contention.mean_us),
-            log_sigma=num("cont-logsigma", default.contention.log_sigma))
-    else:
-        contention = default.contention
-    return BusModel(
-        base_latency_us=num("base", default.base_latency_us),
-        hv_overhead=overhead,
-        contention=contention,
-        contention_prob=num("cont-prob", default.contention_prob),
-        quantize_enabled=flag("quantize", True),
-        phase_jitter_enabled=flag("jitter", True),
-    )
+        contention = DistParams.from_mean(kv.get("cont-mean", contention.mean_us),
+                                          log_sigma=kv.get("cont-logsigma", contention.log_sigma))
+    return BusModel(base_latency_us=kv.get("base", default.base_latency_us),
+                    hv_overhead=overhead, contention=contention,
+                    contention_prob=kv.get("cont-prob", default.contention_prob),
+                    quantize_enabled=kv.get("quantize", True),
+                    phase_jitter_enabled=kv.get("jitter", True))
 
 
 def jetson_tk1() -> MachinePlatform:

@@ -319,7 +319,8 @@ class TestNoTracebacks:
     def test_non_numeric_bus_value(self, ws, capsys):
         (ws / "board.platform").write_text(PLATFORM_TEXT + "bus base=abc\n")
         assert enable_board(ws) == 1
-        assert capsys.readouterr().err == "error: bus base must be a number, got 'abc'\n"
+        # refused on its line, as a repeated bus key is
+        assert capsys.readouterr().err == "error: line 8: bus base must be a number, got 'abc'\n"
 
     def test_non_utf8_platform_file(self, ws, capsys):
         (ws / "board.platform").write_bytes(b"\xfe" + PLATFORM_TEXT.encode())

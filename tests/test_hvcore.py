@@ -1094,6 +1094,36 @@ class TestAudit:
         with pytest.raises(InvariantViolation, match="cell %d lost %s" % (cell_id, text)):
             hv.audit()
 
+    @pytest.mark.parametrize("unit, text", [
+        (IrqLine(35), "irq 35"), (UART, "mmio uart@0x70006000"), (Cpu(2), "cpu 2")])
+    def test_unit_taken_from_root_is_caught(self, unit, text):
+        # the guest keeps all its own units and also holds one of root's, which
+        # would, for the uart, map it read-write into the guest
+        hv = tiny_hv()
+        cell_id = hv.create_cell(small_cell(irqs=[33]))
+        ledger = hv.ledger  # simulate corruption: hand root's device, or the unit's bit, over
+        if isinstance(unit, MmioDevice):
+            ledger._devices[unit] = cell_id
+        else:
+            masks, bit = ((ledger._irqs, hv.platform.irq_bits([35])) if isinstance(unit, IrqLine)
+                          else (ledger._cpus, hv.platform.cpu_bits([2])))
+            masks[ROOT_CELL] &= ~bit
+            masks[cell_id] |= bit
+        assert ledger.owner_of_unit(unit) == cell_id
+        with pytest.raises(InvariantViolation,
+                           match="^cell %d holds unconfigured %s$" % (cell_id, text)):
+            hv.audit()
+
+    def test_lost_unit_is_named_before_an_extra_one(self):
+        hv = tiny_hv()
+        cell_id = hv.create_cell(small_cell(irqs=[33]))
+        ledger = hv.ledger  # the guest's irq 33 swapped for root's irq 35
+        lost, extra = hv.platform.irq_bits([33]), hv.platform.irq_bits([35])
+        ledger._irqs[cell_id] ^= lost | extra
+        ledger._irqs[ROOT_CELL] ^= lost | extra
+        with pytest.raises(InvariantViolation, match="^cell %d lost irq 33$" % cell_id):
+            hv.audit()
+
     @pytest.mark.parametrize("state", [CellState.CREATED, CellState.STOPPED])
     def test_root_neither_running_nor_failed_is_caught(self, state):
         hv = tiny_hv()

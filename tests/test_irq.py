@@ -27,6 +27,7 @@ from cellsim import (
     sample_latency,
 )
 from cellsim.errors import (
+    CellSimError,
     InvariantViolation,
     NoSuchLine,
     NoSuchResource,
@@ -656,14 +657,63 @@ class TestRecordTypes:
             LatencyStats(1.0, 0.1, 2.0, 0)
 
     def test_irq_deliveries_consistency(self):
-        def deliveries(delivered, latency):
-            return IrqDeliveries(33, 0, "reinjected", np.array([1000, 2000]),
-                                 np.array(delivered), np.array(latency))
-        deliveries([1450, 2500], [0.45, 0.5])
-        with pytest.raises(InvariantViolation):
-            deliveries([1450, 1900], [0.45, 0.5])
-        with pytest.raises(InvariantViolation):
-            deliveries([1450, 3000], [0.45, 0.5])
+        # the delivery times are derived from the latencies, so they cannot disagree
+        def deliveries(latency):
+            return IrqDeliveries(33, 0, "reinjected", np.array([1000, 2000]), np.array(latency))
+        assert deliveries([0.45, 0.5]).delivered_at.tolist() == [1450, 2500]
+        with pytest.raises(InvariantViolation, match="negative latency"):
+            deliveries([0.45, -0.5])
+
+
+class TestDerivedDeliveryTimes:
+    """delivered_at is raised_at plus the latency in ns rounded half up, which
+    a reader can check in integers wherever the latency is exact in ns."""
+
+    def test_rounding_edges_match_integer_arithmetic(self):
+        # k/2000 us is k/2 ns; a float holds it exactly when 125 divides k, so
+        # these are the 62.5 ns lattice, whose odd steps are ties that round up
+        k = 125 * np.arange(10**5 + 1)
+        raised = np.arange(k.size, dtype=np.int64) * 7919
+        deliveries = IrqDeliveries(33, 0, "reinjected", raised, k / 2000)
+        want = [t + (kk + 1) // 2 for t, kk in zip(raised.tolist(), k.tolist())]
+        assert deliveries.delivered_at.tolist() == want
+        assert deliveries.delivered_at.dtype == np.int64
+
+    def test_zero_latency_delivers_at_the_raise(self):
+        raised = np.array([0, 5, 2 ** 63 - 1])
+        deliveries = IrqDeliveries(33, 0, "bare-metal", raised, np.zeros(3))
+        assert deliveries.delivered_at.tolist() == raised.tolist()
+
+    def test_last_nanosecond_of_the_clock(self):
+        # 10^12 us is exactly 10^15 ns: this delivery is at 2^63 - 1 ns, one later overflows
+        last = 2 ** 63 - 1 - 10 ** 15
+        fits = IrqDeliveries(33, 0, "reinjected", np.array([0, last]), np.array([1e12, 1e12]))
+        assert fits.delivered_at.tolist() == [10 ** 15, 2 ** 63 - 1]
+        with pytest.raises(CellSimError, match="int64 ns clock"):
+            IrqDeliveries(33, 0, "reinjected", np.array([0, last + 1]), np.array([1e12, 1e12]))
+
+    @pytest.mark.parametrize("bad, text", [
+        (-0.0625, "negative latency"), (-5e-324, "negative latency"),
+        (math.nan, "not finite"), (math.inf, "not finite"),
+        (9.3e15, "delivers past the int64 ns clock")])
+    def test_constructor_refuses_a_bad_latency(self, bad, text):
+        latency = np.array([0.5, bad, 1.0])
+        with pytest.raises(CellSimError, match=text):
+            IrqDeliveries(33, 0, "reinjected", np.array([0, 1000, 2000]), latency)
+
+    @pytest.mark.parametrize("row", ["off", "on", "stressed"])
+    def test_record_holds_only_raise_times_and_latencies(self, row):
+        deliveries = raise_irqs(_twin(row, True), 33, range(0, 10**6, 1000), latency_streams(5))
+        assert IrqDeliveries.__slots__ == ("line", "owner", "path", "raised_at", "latency_us")
+        assert not hasattr(deliveries, "__dict__")
+        held = [name for name in IrqDeliveries.__slots__
+                if isinstance(getattr(deliveries, name), np.ndarray)]
+        assert held == ["raised_at", "latency_us"]
+        assert [id(value) for value in deliveries._key if isinstance(value, np.ndarray)] == [
+            id(deliveries.raised_at), id(deliveries.latency_us)]
+        # each array owns its buffer, so no larger one is kept alive behind it
+        assert deliveries.raised_at.base is None and deliveries.latency_us.base is None
+        assert deliveries.delivered_at is not deliveries.delivered_at  # derived on each read
 
 
 def _twin(row, measured, bus=None):
@@ -792,8 +842,7 @@ class TestKernelLeavesCallerArraysAlone:
         assert snapped.tolist() == [0.0, 0.0625, 0.4375, 1.25, 5.3125]
 
     def test_delivery_checks_write_nothing(self):
-        raised, delivered = np.array([1000, 2000]), np.array([1450, 2500])
-        latency = np.array([0.45, 0.5])
-        IrqDeliveries(33, 0, "reinjected", raised, delivered, latency)
-        assert (raised.tolist(), delivered.tolist(), latency.tolist()) == (
-            [1000, 2000], [1450, 2500], [0.45, 0.5])
+        raised, latency = np.array([1000, 2000]), np.array([0.45, 0.5])
+        deliveries = IrqDeliveries(33, 0, "reinjected", raised, latency)
+        assert deliveries.delivered_at.tolist() == [1450, 2500]
+        assert (raised.tolist(), latency.tolist()) == ([1000, 2000], [0.45, 0.5])

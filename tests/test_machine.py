@@ -194,6 +194,17 @@ class TestBuildPlatform:
         assert build_platform(PlatformSpec(name="p", resources=[
             Cpu(0), MemRegion(0, 0x1000), IoPortRange(0, 8)])).io_port_ranges == (IoPortRange(0, 8),)
 
+    @pytest.mark.parametrize("number", [-1, 2 ** 32])
+    def test_layout_irq_number_out_of_range_is_refused(self, number):
+        # the constructor a snapshot load and the presets use; such a platform
+        # used to be accepted, and saving a session on it raised a struct.error
+        layout = ((Cpu, (0,)), (IrqLine, (32, number, 40)))
+        with pytest.raises(InvariantViolation, match="^irq number out of range: %d$" % number):
+            MachinePlatform("p", layout, GicVersion.V2, BusModel.default())
+        edges = MachinePlatform("p", ((Cpu, (0,)), (IrqLine, (0, 2 ** 32 - 1))),
+                                GicVersion.V2, BusModel.default())
+        assert edges.irq_order == (0, 2 ** 32 - 1)
+
     @pytest.mark.parametrize("stray", ["cpu 1", 7, None, MachinePlatform])
     def test_unknown_resource_type_is_rejected(self, stray):
         with pytest.raises(InvariantViolation, match="unknown platform resource"):
@@ -423,6 +434,22 @@ class TestPlatformParsing:
         # the first one used to be replaced silently by the last
         with pytest.raises(ConfigSemanticError, match="^%s$" % text):
             parse_platform('platform "p"\ncpu 0\n%s\n' % lines)
+
+    @pytest.mark.parametrize("lines, text", [
+        ("bus base=abc", "line 3: bus base must be a number, got 'abc'"),
+        ("bus base=0.5\nbus quantize=off cont-prob=1/2",
+         "line 4: bus cont-prob must be a number, got '1/2'"),
+        ("bus jitter=yes", "line 3: bus jitter must be on or off, got 'yes'"),
+        ("bus quantize=ON", "line 3: bus quantize must be on or off, got 'ON'"),
+    ])
+    def test_bad_bus_value_is_refused_on_its_line(self, lines, text):
+        with pytest.raises(ConfigSemanticError, match="^%s$" % text):
+            parse_platform('platform "p"\ncpu 0\n%s\n' % lines)
+
+    def test_bus_range_error_names_no_line(self):
+        # the model's own range checks run once the file is read
+        with pytest.raises(InvariantViolation, match="^log_sigma must not be negative$"):
+            parse_platform('platform "p"\ncpu 0\nbus hv-logsigma=-1\n')
 
     def test_bus_keys_may_span_lines(self):
         bus = parse_platform('platform "p"\ncpu 0\nbus base=0.5\nbus quantize=off\n').bus

@@ -85,10 +85,9 @@ CASES = [
      "Scenario(vmm_on=True, freq_hz=10.0, stress=False, n_samples=5, seed=7)"),
     (LatencyStats, lambda cls: cls(1.0, 0.1, 2.0, 3), "mean_us",
      "LatencyStats(mean_us=1.0, sigma_us=0.1, max_us=2.0, n=3)"),
-    (IrqDeliveries, lambda cls: cls(33, 0, "reinjected", np.array([1000]), np.array([2000]),
-                                    np.array([1.0])), "line",
-     "IrqDeliveries(line=33, owner=0, path='reinjected', raised_at=array([1000]),"
-     " delivered_at=array([2000]), latency_us=array([1.]))"),
+    (IrqDeliveries, lambda cls: cls(33, 0, "reinjected", np.array([1000]), np.array([1.0])),
+     "line", "IrqDeliveries(line=33, owner=0, path='reinjected', raised_at=array([1000]),"
+     " latency_us=array([1.]))"),
     (BenchReport, lambda cls: cls((1, 2), "p"), "rows", "BenchReport(rows=(1, 2), platform_name='p')"),
     (Channel, lambda cls: cls(3, 1, 2, MemRegion(0x2000, 0x1000), 2, 8, 16, bytearray(b"ab")), "id",
      "Channel(id=3, cell_a=1, cell_b=2, region=MemRegion(base=8192, size=4096,"
