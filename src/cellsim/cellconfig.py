@@ -20,9 +20,9 @@ from .errors import (
     BadMagic, ConfigSemanticError, ConfigSyntaxError, InvariantViolation, TruncatedRecord,
     UnsupportedVersion)
 from .machine import (
-    BASE, MAX_NAME_BYTES, MMIO_NAME_BYTES, Cpu, IoPortRange, IrqLine, MachinePlatform,
-    MemRegion, MmioDevice, PciDevice, check_ids, check_no_overlap, perms_from_bits,
-    read_directives, resource_layout)
+    BASE, CPU, DEVICE, DEVICE_KEY, IRQ, MAX_NAME_BYTES, MMIO_NAME_BYTES, Cpu,
+    IoPortRange, IrqLine, MachinePlatform, MemRegion, MmioDevice, PciDevice, _device_sort_key,
+    check_ids, check_no_overlap, perms_from_bits, read_directives, resource_layout)
 
 if TYPE_CHECKING:
     from .hvcore import OwnershipLedger
@@ -53,19 +53,6 @@ class Workload(Value):
         self._freeze(kind, script_path)
 
 
-# the devices a config can hold, each kind with its canonical sort key
-_DEVICE_SORT_KEY = {MmioDevice: lambda dev: (0, dev.name, dev.base),
-                    PciDevice: lambda dev: (1, "", dev.bdf),
-                    IoPortRange: lambda dev: (2, "", dev.base)}
-
-
-def _device_sort_key(dev):
-    key = _DEVICE_SORT_KEY.get(type(dev))
-    if key is None:
-        raise InvariantViolation("unsupported device type %r" % type(dev).__name__)
-    return key(dev)
-
-
 class CellConfig(Value):
     """Immutable, canonically ordered cell description.
 
@@ -74,7 +61,8 @@ class CellConfig(Value):
     and canonical serialization coincide.
     """
 
-    __slots__ = ("name", "cpus", "mem", "devices", "irqs", "workload")
+    # _masks, the last platform masks() was asked for and its masks, neither compares nor prints
+    __slots__ = ("name", "cpus", "mem", "devices", "irqs", "workload", "_masks")
 
     def __init__(self, name, cpus=frozenset(), mem=(), devices=(), irqs=frozenset(),
                  workload=Workload()):
@@ -94,10 +82,20 @@ class CellConfig(Value):
         for region in self.mem:
             if not isinstance(region, MemRegion):
                 raise InvariantViolation("mem entries must be memory regions")
-        if len(set(self.devices)) != len(self.devices):
+        if len(self.devices) > 1 and len(set(map(DEVICE_KEY, self.devices))) != len(self.devices):
             raise InvariantViolation("a device is listed twice")
         check_no_overlap(self.mem + tuple([d for d in self.devices if type(d) is MmioDevice]))
         check_no_overlap([d for d in self.devices if type(d) is IoPortRange])
+        CellConfig._masks.__set__(self, (None, None))  # the slot's setter: Value refuses
+
+    def masks(self, platform: MachinePlatform) -> tuple:
+        """The CPU, device and IRQ masks of its units on the platform (MachinePlatform.bits),
+        derived once per platform: a claim's validation and its transfer share them."""
+        if self._masks[0] is not platform:
+            bits = platform.bits
+            CellConfig._masks.__set__(self, (platform, (
+                bits(CPU, self.cpus), bits(DEVICE, self.devices), bits(IRQ, self.irqs))))
+        return self._masks[1]
 
     def units(self) -> tuple:
         """The unit resources the cell owns: its CPUs, devices and IRQ lines."""
@@ -192,18 +190,19 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
                      ledger: Optional["OwnershipLedger"] = None) -> list[Violation]:
     """One violation per requested resource the platform lacks or does not
     grant these permissions on and, given a ledger, per one root does not
-    own: an empty list means a create with this config would succeed. CPUs and IRQ
-    lines are asked of the masks and built only to be reported: a load builds none."""
-    missing = ([Cpu(index) for index in sorted(cfg.cpus) if index >= platform.cpu_mask.bit_length()]
-               + [dev for dev in cfg.devices if dev not in platform.units]
+    own: an empty list means a create with this config would succeed. The
+    platform is asked by id, with no mask built; root, of the config's masks
+    (CellConfig.masks), each unit built only to be reported."""
+    cpu_count, device_masks = platform.full_masks[CPU].bit_length(), platform.device_masks
+    missing = ([Cpu(index) for index in sorted(cfg.cpus) if index >= cpu_count]
+               + [dev for dev in cfg.devices if DEVICE_KEY(dev) not in device_masks]
                + [IrqLine(number) for number in sorted(cfg.irqs - platform.irq_numbers)])
     violations = [Violation(ViolationKind.NO_SUCH_RESOURCE, resource) for resource in missing]
-    if ledger is not None:  # root (0) holding each CPU and IRQ line leaves the devices to ask
-        for resource in cfg.devices if ledger.holds(0, cfg.cpus, cfg.irqs) else cfg.units():
-            owner = ledger.owner_of_unit(resource)
-            if owner:  # None for a unit the platform lacks, reported above; 0 for root
-                violations.append(Violation(ViolationKind.NOT_OWNED_BY_ROOT, resource,
-                                            "owned by cell %d" % owner))
+    if ledger is not None:  # the units root (0) lacks, in the order the config lists them
+        for kind, (mask, held) in enumerate(zip(cfg.masks(platform), ledger.masks_of(0))):
+            for unit in platform.units(kind, mask & ~held) if mask & ~held else ():
+                violations.append(Violation(ViolationKind.NOT_OWNED_BY_ROOT, unit,
+                                            "owned by cell %d" % ledger.owner_of_unit(unit)))
 
     for region in cfg.mem:
         host = platform.host_region(region.base, region.end)

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
 from itertools import chain
-from operator import attrgetter, countOf, index, itemgetter
+from operator import attrgetter, index, itemgetter
 from typing import NamedTuple, Optional
 
 from ._dsl import decode_utf8, iter_directives, parse_number
@@ -27,7 +27,9 @@ from .errors import (
     AlreadyEnabled, BadState, CellsStillExist, ConfigMismatch, ConfigSemanticError,
     ConfigSyntaxError, InvariantViolation, NameCollision, NoSuchCell, NoSuchResource, NotEnabled,
     OutOfRegion, RootCellImmortal, ValidationFailed)
-from .machine import U64_MAX, Cpu, IrqLine, MachinePlatform, MemRegion, PermFlags
+from .machine import (
+    CPU, DEVICE, IRQ, U64_MAX, UNIT_KINDS, IoPortRange, MachinePlatform, MemRegion, MmioDevice,
+    PermFlags)
 
 CellId = int
 ROOT_CELL: CellId = 0
@@ -138,48 +140,32 @@ _LO, _OWNER = itemgetter(0), itemgetter(2)
 class OwnershipLedger:
     """Exclusive owner map over one platform's resources.
 
-    Each holder has a CPU mask and an IRQ mask (MachinePlatform.cpu_bits,
-    irq_bits); root's are the platform's minus the others'. Devices map to an
-    owner. Memory is one address-sorted list of claims, (lo, hi, owner, flags)
-    for each RAM range a non-root cell holds; root owns the rest of platform
-    RAM, with the region's flags. A claim moves whole, between root and one cell.
+    Each holder has a mask of each unit kind, CPU, DEVICE and IRQ, whose bit
+    i is the platform's i-th unit of that kind (MachinePlatform.bits); root's
+    are the platform's full masks minus the others'. Memory is one
+    address-sorted list of claims, (lo, hi, owner, flags) for each RAM range a
+    non-root cell holds; root owns the rest of platform RAM, with the region's
+    flags. A claim moves whole, between root and one cell.
     """
 
     def __init__(self, platform: MachinePlatform):
         self._platform = platform
-        self._cpus = {ROOT_CELL: platform.cpu_mask}  # holder -> CPU mask
-        self._irqs = {ROOT_CELL: platform.irq_mask}  # holder -> IRQ mask
-        self._devices = dict.fromkeys(platform.units, ROOT_CELL)
+        # per kind, holder -> mask: {ROOT_CELL: full} for each full mask, built in C
+        self._masks = tuple(map(dict.fromkeys, [(ROOT_CELL,)] * 3, platform.full_masks))
         self._claims: list[tuple[int, int, CellId, PermFlags]] = []
 
     def owner_of_unit(self, resource) -> Optional[CellId]:
-        """Owner of a CPU, IRQ line or device; None if the platform lacks it."""
-        if type(resource) is Cpu:  # CPU i is bit i, which no mask has if the platform lacks it
-            return self._holder(self._cpus, resource.index)
-        if type(resource) is IrqLine:
-            return self.irq_owner(resource.number)
-        return self._devices.get(resource)
-
-    def irq_owner(self, number: int) -> Optional[CellId]:
-        """Owner of IRQ line number; None if the platform lacks it."""
-        order = self._platform.irq_order
-        bit = bisect_left(order, number)
-        return self._holder(self._irqs, bit if order[bit:bit + 1] == (number,) else None)
-
-    def holds(self, cell: CellId, cpus, irqs) -> bool:
-        """Whether the cell owns each of the distinct CPU indices and IRQ numbers."""
-        cpu_bits, irq_bits = self._platform.cpu_bits(cpus), self._platform.irq_bits(irqs)
-        return (cpu_bits.bit_count() == len(cpus) and irq_bits.bit_count() == len(irqs)
-                and not cpu_bits & ~self._cpus.get(cell, 0) | irq_bits & ~self._irqs.get(cell, 0))
-
-    @staticmethod
-    def _holder(masks: dict, bit: Optional[int]) -> Optional[CellId]:
-        """The cell whose mask has bit, None if none has or bit is None."""
-        if bit is not None:
-            for cell, mask in masks.items():
-                if mask >> bit & 1:
-                    return cell
+        """Owner of a CPU, device or IRQ line; None if the platform lacks it."""
+        kind, bit = self._platform.locate(resource)
+        for cell, mask in self._masks[kind].items():
+            if mask & bit:
+                return cell
         return None
+
+    def masks_of(self, cell: CellId) -> list:
+        """The cell's CPU, device and IRQ masks."""
+        cpus, devices, irqs = self._masks
+        return [cpus.get(cell, 0), devices.get(cell, 0), irqs.get(cell, 0)]
 
     def range_owner(self, lo: int, hi: int) -> Optional[CellId]:
         """Owner of [lo, hi) if it lies in one claim, or in one platform
@@ -196,18 +182,14 @@ class OwnershipLedger:
             return None
         return None if self._platform.host_region(lo, hi) is None else ROOT_CELL
 
-    def transfer_units(self, cell: CellId, cpus: int, irqs: int, devices) -> None:
-        """Give a non-root cell root's CPUs and IRQ lines in two masks, and devices: all or none."""
-        platform, owners = self._platform, {self._devices.get(device) for device in devices}
-        units = cpus, irqs, devices
-        if None in owners or cpus & ~platform.cpu_mask or irqs & ~platform.irq_mask:
-            raise NoSuchResource("cpus 0x%x, irqs 0x%x, %r: not all on the platform" % units)
-        if owners - {ROOT_CELL} or cpus & ~self._cpus[ROOT_CELL] or irqs & ~self._irqs[ROOT_CELL]:
-            raise InvariantViolation("cpus 0x%x, irqs 0x%x, %r: not all root's" % units)
-        for masks, mask in ((self._cpus, cpus), (self._irqs, irqs)):
+    def transfer_units(self, cell: CellId, units) -> None:
+        """Give a non-root cell root's units in a CPU, a device and an IRQ mask: all or none."""
+        if list(map(int.__and__, units, self.masks_of(ROOT_CELL))) != list(units):
+            raise InvariantViolation("cpus 0x%x, devices 0x%x, irqs 0x%x: not all root's, or not"
+                                     " all on the platform" % tuple(units))
+        for masks, mask in zip(self._masks, units):
             masks[ROOT_CELL] &= ~mask
             masks[cell] = masks.get(cell, 0) | mask
-        self._devices.update(dict.fromkeys(devices, cell))
 
     def transfer_range(self, region: MemRegion, frm: CellId, to: CellId) -> None:
         """Give region to a cell as one claim, or take that whole claim back."""
@@ -229,11 +211,8 @@ class OwnershipLedger:
 
     def release_all(self, cell: CellId) -> None:
         """Hand everything the cell owns back to the root cell."""
-        for masks in (self._cpus, self._irqs):
+        for masks in self._masks:
             masks[ROOT_CELL] |= masks.pop(cell, 0)
-        for device, owner in self._devices.items():
-            if owner == cell:
-                self._devices[device] = ROOT_CELL
         self._claims = [claim for claim in self._claims if claim[2] != cell]
 
     def ram_of(self, cell: CellId):
@@ -255,14 +234,11 @@ class OwnershipLedger:
 
     def owners(self) -> set:
         """The cells the ledger names: root, which always has masks, and each holder."""
-        return {*self._cpus, *self._irqs, *self._devices.values(), *map(_OWNER, self._claims)}
+        return set().union(*self._masks, map(_OWNER, self._claims))
 
     def units_of(self, cell: CellId) -> list:
-        """The CPUs, devices and IRQ lines the cell holds; CPUs and IRQ lines built from masks."""
-        cpus, irqs = self._cpus.get(cell, 0), self._irqs.get(cell, 0)
-        return ([Cpu(bit) for bit in range(cpus.bit_length()) if cpus >> bit & 1]
-                + [device for device, owner in self._devices.items() if owner == cell]
-                + [IrqLine(n) for bit, n in enumerate(self._platform.irq_order) if irqs >> bit & 1])
+        """The CPUs, devices and IRQ lines the cell holds, built from its masks."""
+        return list(chain.from_iterable(map(self._platform.units, UNIT_KINDS, self.masks_of(cell))))
 
     def keys_multiset(self) -> Counter:
         """Ledger keys as a multiset: each holder's units, claims and root's share
@@ -273,16 +249,13 @@ class OwnershipLedger:
         return keys
 
     def audit(self) -> None:
-        """Raise unless the devices match the platform, each kind's masks part
-        the platform's, and the claims are ordered, disjoint and in one region's flags."""
+        """Raise unless each kind's masks part the platform's, and the claims
+        are ordered, disjoint and in one region's flags."""
         platform = self._platform
-        if frozenset(self._devices) != platform.units:
-            raise InvariantViolation("unit ledger keys diverge from platform")
-        for what, masks, full in (("cpu", self._cpus, platform.cpu_mask),
-                                  ("irq", self._irqs, platform.irq_mask)):
+        for what, masks, full in zip(("cpu", "device", "irq"), self._masks, platform.full_masks):
             # pairwise disjoint iff their sum carries nowhere: as many bits as the parts
             if (sum(masks.values()) != full
-                    or sum(mask.bit_count() for mask in masks.values()) != full.bit_count()):
+                    or sum(map(int.bit_count, masks.values())) != full.bit_count()):
                 held = ", ".join("cell %d: 0x%x" % item for item in masks.items())
                 raise InvariantViolation("%s masks (%s) overlap, or their union is not the"
                                          " platform's 0x%x" % (what, held, full))
@@ -562,8 +535,7 @@ class Hypervisor:
         self._access_maps.clear()
         if cell_id == ROOT_CELL:
             return  # root keeps what it has, so its own config need only fit
-        self.ledger.transfer_units(cell_id, self.platform.cpu_bits(cfg.cpus),
-                                   self.platform.irq_bits(cfg.irqs), cfg.devices)
+        self.ledger.transfer_units(cell_id, cfg.masks(self.platform))  # the masks just validated
         for region in cfg.mem:
             self.ledger.transfer_range(region, ROOT_CELL, cell_id)
 
@@ -641,13 +613,12 @@ class Hypervisor:
         for cell_id, cell in self.cells.items():
             if cell_id == ROOT_CELL:
                 continue
-            # exactly its config's units, asked of the masks; units are built only to name a failure
-            cfg = cell.config
-            cpus, irqs = platform.cpu_bits(cfg.cpus), platform.irq_bits(cfg.irqs)
-            if (ledger._cpus.get(cell_id, 0) != cpus or ledger._irqs.get(cell_id, 0) != irqs
-                    or cpus.bit_count() != len(cfg.cpus) or irqs.bit_count() != len(cfg.irqs)
-                    or countOf(ledger._devices.values(), cell_id) != len(cfg.devices)
-                    or any(ledger._devices.get(device) != cell_id for device in cfg.devices)):
+            # exactly its config's units, asked of masks computed anew, not of cfg.masks;
+            # a bit for each id, none missing; units are built only to name a failure
+            cfg, (cpus, devices, irqs), bits = cell.config, ledger.masks_of(cell_id), platform.bits
+            if (bits(CPU, cfg.cpus) != cpus or bits(DEVICE, cfg.devices) != devices
+                    or bits(IRQ, cfg.irqs) != irqs or cpus.bit_count() + devices.bit_count()
+                    + irqs.bit_count() != len(cfg.cpus) + len(cfg.devices) + len(cfg.irqs)):
                 units = cfg.units()
                 lost = [unit for unit in units if ledger.owner_of_unit(unit) != cell_id]
                 extra = [unit for unit in ledger.units_of(cell_id) if unit not in units]
@@ -720,10 +691,10 @@ class Hypervisor:
                 for region in ledger.ram_of(cell_id)]
         mem += [(ch.region.base, ch.region.end, _RW)
                 for ch in self.channels.values() if ch.cell_b == cell_id]
-        mem += [(dev.base, dev.end, _RW) for dev in platform.mmio_devices
-                if dev is not window and ledger.owner_of_unit(dev) == cell_id]
-        io = [(ports.base, ports.end, _RW) for ports in platform.io_port_ranges
-              if ledger.owner_of_unit(ports) == cell_id]
+        owned = platform.units(DEVICE, ledger.masks_of(cell_id)[DEVICE])
+        mem += [(dev.base, dev.end, _RW) for dev in owned
+                if type(dev) is MmioDevice and dev is not window]
+        io = [(ports.base, ports.end, _RW) for ports in owned if type(ports) is IoPortRange]
         return AccessMap(sorted(mem, key=_LO), sorted(io, key=_LO))
 
     def _violate(self, cell: Cell, access: Access) -> AccessOutcome:

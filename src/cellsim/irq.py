@@ -18,7 +18,7 @@ import numpy as np
 from ._value import Value
 from .errors import InvariantViolation, NoSuchLine, NoSuchResource, UnownedIrq
 from .hvcore import _MEM_WRITE, ROOT_CELL, Access, AccessOutcome, CellState, Hypervisor, TrapKind
-from .machine import BusModel, DistParams, bus_load
+from .machine import BusModel, DistParams, IrqLine, bus_load
 from .rng import entropy_words, h64, pcg64
 
 LATTICE_US = 0.0625  # 62.5 ns timer resolution
@@ -237,11 +237,14 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
     raised = np.array(times, dtype=np.int64)  # a copy: the record must outlive the caller's array
     if raised.ndim != 1 or raised.size == 0:
         raise InvariantViolation("raise_irqs needs a non-empty sequence of raise times")
+    first = int(raised.min())
+    if first < 0:  # before anything is logged or counted: the clock and the log start at 0
+        raise InvariantViolation("raise time %d ns is before 0 ns" % first)
     if line not in hv.platform.irq_numbers:
         raise NoSuchLine("platform has no irq line %d" % line)
     owner, path, stressed = ROOT_CELL, "bare-metal", False
     if hv.enabled:
-        owner = hv.ledger.irq_owner(line)
+        owner = hv.ledger.owner_of_unit(IrqLine(line))
         cell = hv.cells[owner]
         if cell.state is not CellState.RUNNING:
             hv._log(TrapKind.ACCESS_VIOLATION, owner,

@@ -157,6 +157,19 @@ def _check_region(base: int, size: int, what: str) -> int:
     return base + size
 
 
+# the devices a config can hold, each kind with its canonical sort key
+_DEVICE_SORT_KEY = {MmioDevice: lambda dev: (0, dev.name, dev.base),
+                    PciDevice: lambda dev: (1, "", dev.bdf),
+                    IoPortRange: lambda dev: (2, "", dev.base)}
+
+
+def _device_sort_key(dev):
+    key = _DEVICE_SORT_KEY.get(type(dev))
+    if key is None:
+        raise InvariantViolation("unsupported device type %r" % type(dev).__name__)
+    return key(dev)
+
+
 def check_ids(ids, what: str) -> None:
     """Refuse an id outside [0, 2^32), the first named; one sort bounds them all in C."""
     ordered = sorted(ids)
@@ -345,14 +358,20 @@ class PlatformSpec(Record):
         self.name, self.resources, self.gic_version, self.bus = name, resources, gic_version, bus
 
 
-# The unit kinds a layout keeps as plain ints: a CPU's index, an IRQ line's number.
-_INT_KINDS = {Cpu: attrgetter("index"), IrqLine: attrgetter("number")}
+# The ledger's unit kinds, in the order a config lists its units. A holder has one mask of
+# each kind, whose bit i is the platform's i-th unit of that kind (MachinePlatform.bits).
+UNIT_KINDS = CPU, DEVICE, IRQ = 0, 1, 2
+# A device's key: its type and fields, hashed and compared in C, as Value's methods are not.
+DEVICE_KEY = attrgetter("__class__", "_key")
+
+# The kinds a layout keeps as ints (a CPU's index, an IRQ line's number) and their ledger kinds.
+_INT_KINDS = {Cpu: (CPU, attrgetter("index")), IrqLine: (IRQ, attrgetter("number"))}
 
 
 def resource_layout(resources) -> tuple:
     """Resources as runs of consecutive resources of one kind, (kind, items),
     in their order: a run of CPUs or IRQ lines holds plain ints."""
-    return tuple((kind, tuple(map(_INT_KINDS[kind], group) if kind in _INT_KINDS else group))
+    return tuple((kind, tuple(map(_INT_KINDS[kind][1], group) if kind in _INT_KINDS else group))
                  for kind, group in groupby(resources, type))
 
 
@@ -368,7 +387,7 @@ class MachinePlatform(Value):
 
     __slots__ = ("name", "layout", "gic_version", "bus", "_cpus", "_mem_regions",
                  "_mmio_devices", "_io_port_ranges", "_pci_devices", "_irq_numbers", "irq_order",
-                 "cpu_mask", "irq_mask", "_units", "_gic_dist_window", "_hash")
+                 "full_masks", "_devices", "device_masks", "_gic_dist_window", "_hash")
 
     def __init__(self, name: str, layout: tuple, gic_version: GicVersion, bus: BusModel):
         if not NAME_RE.match(name):
@@ -403,24 +422,27 @@ class MachinePlatform(Value):
         for end in order[:1] + order[-1:]:  # IrqLine's range check, on the sorted ends alone
             if not 0 <= end <= 0xFFFFFFFF:
                 raise InvariantViolation("irq number out of range: %d" % end)
+        devices = mmio + pci + ports
         self._freeze(name, layout, gic_version, bus)
         for attr, value in dict(
             _hash=hash((name, len(cpus), order)),
             _cpus=None, _mem_regions=tuple(mem), _mmio_devices=tuple(mmio),
             _io_port_ranges=tuple(ports), _pci_devices=tuple(pci), _irq_numbers=irq_numbers,
             irq_order=order,
-            cpu_mask=(1 << len(cpus)) - 1, irq_mask=(1 << len(irqs)) - 1,
-            _units=frozenset(mmio + pci + ports),
+            full_masks=((1 << len(cpus)) - 1, (1 << len(devices)) - 1, (1 << len(irqs)) - 1),
+            # a device's one-bit mask by DEVICE_KEY, as irq_order gives an IRQ number's bit by
+            # bisection: each snapshot load builds a platform, and an index of every line costs more
+            _devices=tuple(devices),
+            device_masks={key: 1 << bit for bit, key in enumerate(map(DEVICE_KEY, devices))},
             _gic_dist_window=next((dev for dev in mmio if dev.name == GIC_DIST_NAME), None),
         ).items():
             object.__setattr__(self, attr, value)
 
-    # Public views: plain properties over derived attributes, so a tracer can
-    # wrap the getters. units, the devices, is hashed once, for every ledger.
+    # Public views: plain properties over derived attributes, so a tracer can wrap the getters.
     @property
     def cpus(self) -> tuple:  # built at the first read, which a snapshot load never makes
-        if self._cpus is None:  # CPU i is bit i of cpu_mask
-            object.__setattr__(self, "_cpus", tuple(map(Cpu, range(self.cpu_mask.bit_length()))))
+        if self._cpus is None:
+            object.__setattr__(self, "_cpus", tuple(self.units(CPU, self.full_masks[CPU])))
         return self._cpus
 
     mem_regions = property(attrgetter("_mem_regions"))
@@ -429,7 +451,6 @@ class MachinePlatform(Value):
     io_port_ranges = property(attrgetter("_io_port_ranges"))
     pci_devices = property(attrgetter("_pci_devices"))
     gic_dist_window = property(attrgetter("_gic_dist_window"))  # Optional[MmioDevice]
-    units = property(attrgetter("_units"))
 
     def __hash__(self):
         return self._hash
@@ -439,13 +460,30 @@ class MachinePlatform(Value):
         """The resources in their order, CPUs and IRQ lines built on each read."""
         return tuple(layout_resources(self.layout))
 
-    def cpu_bits(self, indices) -> int:
-        """The mask of those of the distinct CPU indices the platform has: bit i is CPU i."""
-        return sum([1 << index for index in indices if 0 <= index < self.cpu_mask.bit_length()])
+    def bits(self, kind: int, ids) -> int:
+        """The mask of those of the distinct ids of one kind the platform has: CPU indices
+        (bit i is CPU i), devices (bit i is the i-th of the MMIO, PCI and port range views)
+        or IRQ numbers (bit i is irq_order[i]), with no Python call per id."""
+        if kind == CPU:
+            count = self.full_masks[CPU].bit_length()
+            return sum([1 << index for index in ids if 0 <= index < count])
+        if kind == IRQ:
+            order, numbers = self.irq_order, self._irq_numbers
+            return sum([1 << bisect_left(order, number) for number in ids if number in numbers])
+        return sum([self.device_masks.get(key, 0) for key in map(DEVICE_KEY, ids)])
 
-    def irq_bits(self, numbers) -> int:
-        """The mask of those of the distinct IRQ numbers the platform has: bit i is irq_order[i]."""
-        return sum([1 << bisect_left(self.irq_order, n) for n in numbers if n in self._irq_numbers])
+    def locate(self, unit) -> tuple:
+        """A CPU's, device's or IRQ line's kind and its one-bit mask, 0 if the platform lacks it."""
+        kind, unit_id = _INT_KINDS.get(type(unit), (DEVICE, None))
+        return kind, self.bits(kind, (unit if unit_id is None else unit_id(unit),))
+
+    def units(self, kind: int, mask: int) -> list:
+        """The units of a kind at the set bits of a mask of it, devices in a config's order."""
+        bits = [bit for bit in range(mask.bit_length()) if mask >> bit & 1]
+        if kind == DEVICE:
+            return sorted(map(self._devices.__getitem__, bits), key=_device_sort_key)
+        return list(map(Cpu, bits) if kind == CPU
+                    else map(IrqLine, map(self.irq_order.__getitem__, bits)))
 
     def host_region(self, lo: int, hi: int) -> Optional[MemRegion]:
         """The platform RAM region that contains [lo, hi), or None."""
@@ -470,23 +508,16 @@ def check_no_overlap(ranges) -> None:
             raise OverlapError("%r overlaps %r" % (prev, cur))
 
 
-_LOADS_BUS = None  # (RUNNING, STRESS) from hvcore, which imports this module
-
-
 def bus_load(hv: "Hypervisor", measured: "Cell") -> bool:
     """Whether the measured cell sees a loaded bus.
 
     True iff at least one *other* running cell runs a stress workload.
     """
-    global _LOADS_BUS
     if hv.ledger is None:
         raise NotEnabled("bus load is defined only while the hypervisor runs")
-    if _LOADS_BUS is None:
-        from .hvcore import _RUNNING, _STRESS
-        _LOADS_BUS = _RUNNING, _STRESS
-    running, stress = _LOADS_BUS
-    for cell in hv.cells.values():
-        if cell.state is running and cell.config.workload.kind is stress and cell is not measured:
+    for cell in hv.cells.values():  # by value: hvcore, which defines the states, imports this
+        if (cell.state._value_ == "running" and cell.config.workload.kind._value_ == "stress"
+                and cell is not measured):
             return True
     return False
 

@@ -40,11 +40,6 @@ def make_rng(seed: int, tag: str = "") -> np.random.Generator:
     return pcg64(entropy_words(seed, h64(tag)))
 
 
-def make_stream(seed: int, tag: str, i: int) -> np.random.Generator:
-    """Child i of the (seed, tag) sequence: exactly the i-th of its spawn(n), n > i."""
-    return pcg64(entropy_words(seed, h64(tag)), (i,))
-
-
 def make_streams(seed: int, tag: str, n: int) -> list[np.random.Generator]:
     """n independent generators spawned from the (seed, tag) sequence."""
     words = entropy_words(seed, h64(tag))

@@ -14,9 +14,11 @@ from cellsim import (
     MmioDevice,
     PciDevice,
     PermFlags,
+    PlatformSpec,
     ViolationKind,
     Workload,
     WorkloadKind,
+    build_platform,
     emit_binary,
     full_platform_config,
     load_binary,
@@ -287,6 +289,22 @@ class TestValidateAgainst:
                                 mem=[MemRegion(0x1007_F000, 0x2000)])
         violations = validate_against(straddling, tiny, hv.ledger)
         assert [v.kind for v in violations] == [ViolationKind.NOT_OWNED_BY_ROOT]
+
+    def test_devices_root_lacks_are_named_in_config_order(self):
+        # device bits follow the platform's layout, here zz before aa; a refusal
+        # names the devices in the order the config lists them
+        zz, aa = MmioDevice("zz", 0x2000_0000, 0x1000), MmioDevice("aa", 0x3000_0000, 0x1000)
+        platform = build_platform(PlatformSpec("p", [
+            Cpu(0), Cpu(1), Cpu(2), MemRegion(0x1000_0000, 0x10_0000), zz, aa]))
+        hv = Hypervisor(platform).enable(full_platform_config(platform))
+        for cpu, dev in ((1, zz), (2, aa)):
+            hv.create_cell(CellConfig(name=dev.name, cpus=[cpu], devices=[dev],
+                                      mem=[MemRegion(0x1000_0000 + cpu * 0x1000, 0x1000)]))
+        wanting = CellConfig(name="c", cpus=[0], mem=[MemRegion(0x1000_0000, 0x1000)],
+                             devices=[zz, aa])
+        assert list(map(str, validate_against(wanting, platform, hv.ledger))) == [
+            "NotOwnedByRoot(mmio aa@0x30000000): owned by cell 2",
+            "NotOwnedByRoot(mmio zz@0x20000000): owned by cell 1"]
 
     def test_violation_str_is_descriptive(self, tiny):
         hv = _enabled_tiny_hv(tiny)

@@ -57,6 +57,7 @@ from cellsim.errors import (
 )
 from cellsim.comm import create_channel, pci_cfg_read, poll, read_buffer, send
 from cellsim.cellconfig import validate_against
+from cellsim.machine import CPU, DEVICE, IRQ
 from cellsim import hvcore
 from cellsim.hvcore import STEP_NS, parse_script
 
@@ -81,8 +82,7 @@ def windowless_hv():
 def session_facts(hv):
     """Copies of what a refused create must leave as it was."""
     return (hv._next_cell_id, list(hv.events), copy.deepcopy(hv.exits),
-            list(hv.ledger._claims), dict(hv.ledger._cpus), dict(hv.ledger._irqs),
-            dict(hv.ledger._devices), list(hv.cells))
+            list(hv.ledger._claims), list(map(dict, hv.ledger._masks)), list(hv.cells))
 
 
 def small_cell(name="guest", cpu=1, base=RAM + 0x8_0000, size=0x2000,
@@ -1065,10 +1065,12 @@ class TestEvents:
         hv = tiny_hv()
         assert hv.ledger.owner_of_unit(Cpu(9)) is None
         assert hv.ledger.range_owner(0xF000_0000, 0xF000_1000) is None
-        with pytest.raises(NoSuchResource):
-            hv.ledger.transfer_units(1, 1 << 9, 0, ())  # the tiny platform has 4 CPUs
-        with pytest.raises(NoSuchResource):
-            hv.ledger.transfer_units(1, 0, 0, [MmioDevice("nope", 0xF000_0000, 0x1000)])
+        nope = MmioDevice("nope", 0xF000_0000, 0x1000)
+        assert hv.ledger.owner_of_unit(nope) is None
+        assert hv.platform.locate(nope) == (DEVICE, 0)
+        for units in (1 << 9, 0, 0), (0, 1 << 4, 0):  # the tiny platform has 4 CPUs, 4 devices
+            with pytest.raises(InvariantViolation, match="not all on the platform"):
+                hv.ledger.transfer_units(1, units)
         with pytest.raises(NoSuchResource):
             hv.ledger.transfer_range(MemRegion(0xF000_0000, 0x1000), ROOT_CELL, 1)
 
@@ -1082,14 +1084,11 @@ class TestAudit:
         hv = tiny_hv()
         cell_id = hv.create_cell(small_cell(irqs=[33], devices=[self.UART]))
         hv.audit()
-        ledger = hv.ledger  # simulate corruption: hand the device, or the unit's bit, to root
-        if isinstance(unit, MmioDevice):
-            ledger._devices[unit] = ROOT_CELL
-        else:
-            masks, bit = ((ledger._irqs, hv.platform.irq_bits([33])) if isinstance(unit, IrqLine)
-                          else (ledger._cpus, hv.platform.cpu_bits([1])))
-            masks[cell_id] &= ~bit
-            masks[ROOT_CELL] |= bit
+        kind, bit = hv.platform.locate(unit)  # simulate corruption: hand the unit's bit to root
+        masks = hv.ledger._masks[kind]
+        masks[cell_id] &= ~bit
+        masks[ROOT_CELL] |= bit
+        ledger = hv.ledger
         assert ledger.owner_of_unit(unit) == ROOT_CELL
         with pytest.raises(InvariantViolation, match="cell %d lost %s" % (cell_id, text)):
             hv.audit()
@@ -1101,14 +1100,11 @@ class TestAudit:
         # would, for the uart, map it read-write into the guest
         hv = tiny_hv()
         cell_id = hv.create_cell(small_cell(irqs=[33]))
-        ledger = hv.ledger  # simulate corruption: hand root's device, or the unit's bit, over
-        if isinstance(unit, MmioDevice):
-            ledger._devices[unit] = cell_id
-        else:
-            masks, bit = ((ledger._irqs, hv.platform.irq_bits([35])) if isinstance(unit, IrqLine)
-                          else (ledger._cpus, hv.platform.cpu_bits([2])))
-            masks[ROOT_CELL] &= ~bit
-            masks[cell_id] |= bit
+        kind, bit = hv.platform.locate(unit)  # simulate corruption: hand root's unit's bit over
+        masks = hv.ledger._masks[kind]
+        masks[ROOT_CELL] &= ~bit
+        masks[cell_id] |= bit
+        ledger = hv.ledger
         assert ledger.owner_of_unit(unit) == cell_id
         with pytest.raises(InvariantViolation,
                            match="^cell %d holds unconfigured %s$" % (cell_id, text)):
@@ -1117,10 +1113,10 @@ class TestAudit:
     def test_lost_unit_is_named_before_an_extra_one(self):
         hv = tiny_hv()
         cell_id = hv.create_cell(small_cell(irqs=[33]))
-        ledger = hv.ledger  # the guest's irq 33 swapped for root's irq 35
-        lost, extra = hv.platform.irq_bits([33]), hv.platform.irq_bits([35])
-        ledger._irqs[cell_id] ^= lost | extra
-        ledger._irqs[ROOT_CELL] ^= lost | extra
+        masks = hv.ledger._masks[IRQ]  # the guest's irq 33 swapped for root's irq 35
+        swap = hv.platform.bits(IRQ, [33, 35])
+        masks[cell_id] ^= swap
+        masks[ROOT_CELL] ^= swap
         with pytest.raises(InvariantViolation, match="^cell %d lost irq 33$" % cell_id):
             hv.audit()
 
@@ -1279,9 +1275,11 @@ class TestLedger:
         ledger = OwnershipLedger(tiny)
         with pytest.raises(InvariantViolation):
             ledger.transfer_range(MemRegion(RAM, 0x1000), 3, 4)
-        ledger.transfer_units(2, 0b1, 0, ())
-        with pytest.raises(InvariantViolation):  # cpu 0 is cell 2's now, not root's
-            ledger.transfer_units(3, 0b1, 0, ())
+        ledger.transfer_units(2, (0b1, 0b1, 0b1))
+        for units in (0b1, 0, 0), (0, 0b1, 0), (0, 0, 0b1):  # each kind's bit 0 is cell 2's now
+            with pytest.raises(InvariantViolation, match="not all root's"):
+                ledger.transfer_units(3, tuple(mask | 0b10 for mask in units))
+        assert ledger.owners() == {0, 2}  # all or none: cell 3 got none of the other bits
 
     def test_transfer_range_needs_single_region(self, tiny):
         ledger = OwnershipLedger(tiny)
@@ -1290,12 +1288,13 @@ class TestLedger:
 
     def test_release_all(self, tiny):
         ledger = OwnershipLedger(tiny)
-        ledger.transfer_units(4, 0b10, tiny.irq_bits([33, 39]), tiny.units)
+        ledger.transfer_units(4, (0b10, tiny.full_masks[DEVICE], tiny.bits(IRQ, [33, 39])))
         ledger.transfer_range(MemRegion(RAM, 0x4000), 0, 4)
         assert ledger.owners() == {0, 4}
+        assert ledger.masks_of(4) == [0b10, 0b1111, 0b1000_0010]
         ledger.release_all(4)
         assert ledger.owners() == {0}
-        assert (ledger._cpus, ledger._irqs) == ({0: tiny.cpu_mask}, {0: tiny.irq_mask})
+        assert ledger._masks == tuple({0: full} for full in tiny.full_masks)
         assert {ledger.owner_of_unit(unit) for unit in tiny.resources
                 if not isinstance(unit, MemRegion)} == {0}
         ledger.audit()
@@ -1309,16 +1308,17 @@ class TestLedger:
         cell_id = hv.create_cell(small_cell(irqs=[0xFFFF_FFFF]))
         hv.start_cell(cell_id)
         ledger = hv.ledger
-        assert ledger._irqs == {ROOT_CELL: 0b01, cell_id: 0b10}
-        assert max(mask.bit_length() for mask in ledger._irqs.values()) <= 2
-        assert (ledger.irq_owner(0xFFFF_FFFF), ledger.irq_owner(0)) == (cell_id, ROOT_CELL)
+        assert ledger._masks[IRQ] == {ROOT_CELL: 0b01, cell_id: 0b10}
+        assert max(mask.bit_length() for mask in ledger._masks[IRQ].values()) <= 2
+        assert (ledger.owner_of_unit(IrqLine(0xFFFF_FFFF)), ledger.owner_of_unit(IrqLine(0))) == (
+            cell_id, ROOT_CELL)
         assert ledger.owner_of_unit(IrqLine(0xFFFF_FFFE)) is None
         hv.audit()
         assert raise_irqs(hv, 0xFFFF_FFFF, [0], latency_streams(1)).owner == cell_id
         _, restored = load_session(save_session(platform, hv))
-        assert restored.ledger._irqs == ledger._irqs
+        assert restored.ledger._masks == ledger._masks
         hv.destroy_cell(cell_id)
-        assert ledger._irqs == {ROOT_CELL: 0b11}
+        assert ledger._masks[IRQ] == {ROOT_CELL: 0b11}
 
     def test_claims_move_whole(self, tiny):
         ledger = OwnershipLedger(tiny)

@@ -39,7 +39,8 @@ from cellsim.comm import create_channel, send
 from cellsim.hvcore import EXIT_SLOT, Access, AccessKind
 from cellsim.irq import LATTICE_US, DoorbellLatencies, distributor_access, draw
 from cellsim.machine import bus_load, parse_platform
-from cellsim.rng import entropy_words, h64, make_rng, make_stream, make_streams, pcg64
+from cellsim.rng import entropy_words, h64, make_rng, make_streams, pcg64
+from cellsim.snapshot import load_session, save_session
 
 from conftest import make_tiny_platform, with_bus
 from test_hvcore import RAM, small_cell, tiny_hv
@@ -147,7 +148,7 @@ class TestStreams:
         for i in range(4):  # stream i first, then all four in order
             assert latency_streams(seed, tag)[i].bit_generator.state == spawned[i]
         assert [g.bit_generator.state for g in latency_streams(seed, tag)] == spawned
-        assert make_stream(seed, tag, 2).bit_generator.state == spawned[2]
+        assert make_streams(seed, tag, 3)[2].bit_generator.state == spawned[2]
         streams = latency_streams(seed, tag)
         assert streams[-1] is streams[3]
         with pytest.raises(IndexError):
@@ -155,9 +156,9 @@ class TestStreams:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize("build", [
-        lambda seed: make_rng(seed, "x"), lambda seed: make_stream(seed, "x", 0),
+        lambda seed: make_rng(seed, "x"), lambda seed: pcg64(entropy_words(seed, h64("x")), (0,)),
         lambda seed: make_streams(seed, "x", 4), lambda seed: tuple(latency_streams(seed, "x"))],
-        ids=["make_rng", "make_stream", "make_streams", "latency_streams"])
+        ids=["make_rng", "pcg64", "make_streams", "latency_streams"])
     def test_a_seed_outside_u64_is_refused_not_aliased(self, seed, build):
         # masked to 64 bits, 2^64 drew what 0 draws and -1 what 2^64 - 1 draws
         with pytest.raises(InvariantViolation, match=r"^seed %d outside \[0, 2\^64\)$" % seed):
@@ -425,6 +426,21 @@ class TestRaiseIrq:
             with pytest.raises(InvariantViolation):
                 raise_irqs(hv, 33, times, latency_streams(0))
         assert hv.events[-1].kind is TrapKind.MANAGEMENT
+
+    @pytest.mark.parametrize("times", [[-5], [0, 1000, -1]])
+    @pytest.mark.parametrize("start", [False, True], ids=["spurious", "running"])
+    def test_a_raise_time_before_0_is_refused_before_anything_is_logged(self, times, start):
+        # a spurious line logged its event at -5 ns, which save_session then
+        # failed to pack with a raw struct.error
+        hv = tiny_hv()
+        cell_id = hv.create_cell(small_cell(irqs=[33]))
+        if start:
+            hv.start_cell(cell_id)
+        before = (list(hv.events), copy.deepcopy(hv.exits), hv.clock)
+        with pytest.raises(InvariantViolation, match=r"^raise time -\d+ ns is before 0 ns$"):
+            raise_irqs(hv, 33, times, latency_streams(4))
+        assert (hv.events, hv.exits, hv.clock) == before
+        load_session(save_session(hv.platform, hv))
 
     def test_raise_irqs_spurious_line_of_stopped_owner(self):
         hv = tiny_hv()

@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,7 +32,8 @@ from cellsim.errors import (
     OverlapError,
 )
 from cellsim.machine import (
-    GIC_DIST_NAME, MachinePlatform, parse_perms, perms_to_str, resource_layout)
+    DEVICE, GIC_DIST_NAME, UNIT_KINDS, MachinePlatform, _device_sort_key, parse_perms,
+    perms_to_str, resource_layout)
 
 from conftest import make_tiny_platform
 from gen import random_platform
@@ -250,11 +252,19 @@ class TestPlatformViews:
         assert platform.gic_dist_window == next(
             (r for r in platform.resources
              if isinstance(r, MmioDevice) and r.name == GIC_DIST_NAME), None)
-        # units are the devices the ledger keeps by object; CPUs and IRQ
-        # lines it keeps as masks
-        assert isinstance(platform.units, frozenset)
-        assert platform.units == set(
-            platform.mmio_devices + platform.pci_devices + platform.io_port_ranges)
+        # the ledger's kinds, CPU, DEVICE and IRQ, each unit one bit of its kind's masks:
+        # CPUs by index, devices in layout order, IRQ lines by number; units() names the
+        # devices of a mask in the order a config lists them
+        devices = platform.mmio_devices + platform.pci_devices + platform.io_port_ranges
+        ids = ([cpu.index for cpu in platform.cpus], devices, sorted(platform.irq_numbers))
+        units = (platform.cpus, devices, tuple(map(IrqLine, ids[2])))
+        for kind, full, kind_ids, kind_units in zip(UNIT_KINDS, platform.full_masks, ids, units):
+            named = partial(sorted, key=_device_sort_key) if kind == DEVICE else list
+            assert full == (1 << len(kind_units)) - 1 == platform.bits(kind, kind_ids)
+            assert platform.units(kind, full) == named(kind_units)
+            assert platform.units(kind, full & 0b101) == named(kind_units[0:3:2])
+            assert [platform.locate(unit) for unit in kind_units] == [
+                (kind, 1 << bit) for bit in range(len(kind_units))]
 
     def test_views_are_the_type_filters_in_order(self):
         for platform in _sample_platforms():
@@ -262,13 +272,13 @@ class TestPlatformViews:
 
     def test_second_read_returns_the_same_object(self):
         for platform in _sample_platforms():
-            for name in list(_VIEW_TYPES) + ["irq_numbers", "gic_dist_window", "units"]:
+            for name in list(_VIEW_TYPES) + ["irq_numbers", "gic_dist_window"]:
                 assert getattr(platform, name) is getattr(platform, name)
 
     def test_views_stay_plain_properties(self):
         # A layer tracer wraps these by name on the class; a
         # cached_property would be read once and then bypass it.
-        for name in list(_VIEW_TYPES) + ["irq_numbers", "gic_dist_window", "units"]:
+        for name in list(_VIEW_TYPES) + ["irq_numbers", "gic_dist_window"]:
             assert type(MachinePlatform.__dict__[name]) is property
 
     def test_equal_specs_compare_and_hash_equal(self):
