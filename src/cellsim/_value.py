@@ -1,13 +1,18 @@
 """The base of cellsim's record types: plain slotted classes that run no
 generated code, so that importing the package stays cheap."""
 
+from operator import attrgetter
+
 
 class Value:
     """An immutable value. A subclass names its fields in __slots__, in constructor
     order, and its __init__ hands them to _freeze; their tuple, held once as _key,
-    serves equality (of the same type only), hashing, repr, copy and pickle."""
+    serves equality (of the same type only), hashing, copy and pickle. repr shows
+    _args by the names in _fields: _key by __slots__, unless a type that keeps its
+    fields in another form states both."""
 
     __slots__ = ("_key",)
+    _fields, _args = property(attrgetter("__slots__")), property(attrgetter("_key"))
 
     def __init_subclass__(cls):  # _key's and the slots' own setters skip the refusing __setattr__
         cls._setters = Value._key.__set__, tuple(getattr(cls, n).__set__ for n in cls.__slots__)
@@ -32,7 +37,7 @@ class Value:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__,
-                           ", ".join(map("%s=%r".__mod__, zip(self.__slots__, self._key))))
+                           ", ".join(map("%s=%r".__mod__, zip(self._fields, self._args))))
 
     def __reduce__(self):  # a copy is built anew from its fields, checked and derived again
         return type(self), self._key

@@ -9,20 +9,23 @@ format.
 
 from __future__ import annotations
 
+import re
 import struct
 from enum import Enum
-from itertools import starmap
+from itertools import repeat, starmap
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
-from ._dsl import NAME_RE, decode_utf8, require_args
+from ._dsl import MAX_ID, NAME_RE, decode_utf8, require_args
 from ._value import Value
 from .errors import (
     BadMagic, ConfigSemanticError, ConfigSyntaxError, InvariantViolation, TruncatedRecord,
     UnsupportedVersion)
 from .machine import (
-    BASE, CPU, DEVICE, DEVICE_KEY, IRQ, MAX_NAME_BYTES, MMIO_NAME_BYTES, Cpu,
-    IoPortRange, IrqLine, MachinePlatform, MemRegion, MmioDevice, PciDevice, _device_sort_key,
-    check_ids, check_no_overlap, perms_from_bits, read_directives, resource_layout)
+    CPU, MAX_NAME_BYTES, MMIO_NAME_BYTES, PAGE_SIZE, U64_MAX, Cpu, IoPortRange,
+    IrqLine, MachinePlatform, MemRegion, MmioDevice, PciDevice, PermFlags, check_ids,
+    check_no_overlap, gather, layout_resources, perms_from_bits, read_directives, region_of,
+    sort_devices)
 
 if TYPE_CHECKING:
     from .hvcore import OwnershipLedger
@@ -56,45 +59,82 @@ class Workload(Value):
 class CellConfig(Value):
     """Immutable, canonically ordered cell description.
 
-    Field order is normalized on construction (cpus/irqs as frozensets,
-    regions sorted by base, devices by kind) so that structural equality
-    and canonical serialization coincide.
+    Its CPUs and IRQ lines are frozensets of ints. Its regions are (base,
+    size, flags) rows sorted by base, and its MMIO devices, PCI devices and
+    I/O port ranges are rows of their fields (machine.resource_layout),
+    sorted by name, bdf and base: the runs the binary codec writes, in its
+    order, so that structural equality and canonical serialization coincide.
+    mem and devices are those rows' value objects, built at the first read
+    of either, which no load or save makes.
     """
 
-    # _masks, the last platform masks() was asked for and its masks, neither compares nor prints
-    __slots__ = ("name", "cpus", "mem", "devices", "irqs", "workload", "_masks")
+    # _views, (mem, devices) once read, and _masks, the last platform masks() was asked for
+    # and its masks, neither compare nor print
+    __slots__ = ("name", "cpus", "regions", "mmio", "pci", "ports", "irqs", "workload",
+                 "_views", "_masks")
+    _fields = ("name", "cpus", "mem", "devices", "irqs", "workload")
 
     def __init__(self, name, cpus=frozenset(), mem=(), devices=(), irqs=frozenset(),
                  workload=Workload()):
-        # the device sort key checks each device's type, before the checks below
-        self._freeze(name, frozenset(cpus), tuple(sorted(mem, key=BASE)),
-                     tuple(sorted(devices, key=_device_sort_key)), frozenset(irqs), workload)
-        if not NAME_RE.match(self.name):
+        rows = {MmioDevice: [], PciDevice: [], IoPortRange: []}
+        for dev in devices:  # each device's type, before the checks of _settle
+            if type(dev) not in rows:
+                raise InvariantViolation("unsupported device type %r" % type(dev).__name__)
+            rows[type(dev)].append(dev._key)
+        # a mem entry of another type is refused in _settle's order, as None
+        regions = tuple([(r.base, r.size, int(r.flags)) if isinstance(r, MemRegion) else None
+                         for r in mem])
+        self._settle(name, frozenset(cpus), regions, *map(tuple, rows.values()), frozenset(irqs),
+                     workload)
+
+    def _settle(self, name, cpus, regions, mmio, pci, ports, irqs, workload) -> None:
+        """Check the config whose rows, in tuples, each passed their kind's checks,
+        and set its fields, the rows sorted into the canonical order."""
+        if not NAME_RE.match(name):
             raise InvariantViolation("cell name must match [A-Za-z0-9_-]+")
-        if len(self.name.encode()) > MAX_NAME_BYTES:
+        if len(name.encode()) > MAX_NAME_BYTES:
             raise InvariantViolation("cell name longer than %d bytes" % MAX_NAME_BYTES)
-        if not self.cpus:
+        if not cpus:
             raise InvariantViolation("a cell needs at least one CPU")
-        if not self.mem:
+        if not regions:
             raise InvariantViolation("a cell needs memory")
-        check_ids(self.cpus, "cpu id")
-        check_ids(self.irqs, "irq number")
-        for region in self.mem:
-            if not isinstance(region, MemRegion):
-                raise InvariantViolation("mem entries must be memory regions")
-        if len(self.devices) > 1 and len(set(map(DEVICE_KEY, self.devices))) != len(self.devices):
+        for ids, what in (cpus, "cpu id"), (irqs, "irq number"):
+            if ids and not 0 <= min(ids) <= max(ids) <= MAX_ID:
+                check_ids(ids, what)  # names the first out of range
+        if None in regions:
+            raise InvariantViolation("mem entries must be memory regions")
+        if len(regions) > 1:  # a single row is sorted
+            regions = tuple(sorted(regions, key=itemgetter(0)))
+        mmio, pci, ports = sort_devices(mmio, pci, ports)
+        if len(set(mmio)) != len(mmio) or len(set(pci)) != len(pci) or len(set(ports)) != len(ports):
             raise InvariantViolation("a device is listed twice")
-        check_no_overlap(self.mem + tuple([d for d in self.devices if type(d) is MmioDevice]))
-        check_no_overlap([d for d in self.devices if type(d) is IoPortRange])
-        CellConfig._masks.__set__(self, (None, None))  # the slot's setter: Value refuses
+        check_no_overlap(regions, mmio, ports)
+        self._freeze(name, cpus, regions, mmio, pci, ports, irqs, workload)
+        CellConfig._views.__set__(self, None)  # the slots' setters: Value refuses
+        CellConfig._masks.__set__(self, (None, None))
+
+    def _build_views(self) -> tuple:  # mem, and the devices: MMIO, PCI, then port ranges
+        CellConfig._views.__set__(self, (tuple(map(region_of, self.regions)), tuple(
+            layout_resources(((MmioDevice, self.mmio), (PciDevice, self.pci),
+                              (IoPortRange, self.ports))))))
+        return self._views
+
+    mem = property(lambda self: (self._views or self._build_views())[0])
+    devices = property(lambda self: (self._views or self._build_views())[1])
+
+    @property
+    def _args(self) -> tuple:
+        return self.name, self.cpus, self.mem, self.devices, self.irqs, self.workload
+
+    def __reduce__(self):  # built anew from the value objects the constructor takes
+        return type(self), self._args
 
     def masks(self, platform: MachinePlatform) -> tuple:
-        """The CPU, device and IRQ masks of its units on the platform (MachinePlatform.bits),
+        """The CPU, device and IRQ masks of its units on the platform (MachinePlatform.masks),
         derived once per platform: a claim's validation and its transfer share them."""
         if self._masks[0] is not platform:
-            bits = platform.bits
-            CellConfig._masks.__set__(self, (platform, (
-                bits(CPU, self.cpus), bits(DEVICE, self.devices), bits(IRQ, self.irqs))))
+            CellConfig._masks.__set__(self, (platform, platform.masks(
+                self.cpus, self.mmio + self.pci + self.ports, self.irqs)))
         return self._masks[1]
 
     def units(self) -> tuple:
@@ -134,25 +174,26 @@ def parse_config(text: str) -> CellConfig:
             raise ConfigSemanticError(str(exc), lineno)
 
     name, runs = read_directives(text, "cell", {"run": read_run})
-    cpus, irqs, mem, devices = _gather(runs)
-    if not cpus:
+    rows = gather(runs)
+    if not rows.get(Cpu):
         raise ConfigSemanticError("config declares no CPUs")
-    if not mem:
+    if not rows.get(MemRegion):
         raise ConfigSemanticError("config declares no memory")
     try:
-        return CellConfig(name=name, cpus=cpus, mem=mem, devices=devices, irqs=irqs,
-                          workload=workload[0] if workload else Workload())
+        return _config(name, frozenset(rows[Cpu]), rows, frozenset(rows.get(IrqLine, ())),
+                       workload[0] if workload else Workload())
     except InvariantViolation as exc:
         raise ConfigSemanticError(str(exc))
 
 
-def _gather(runs) -> tuple:
-    """The CPU ids, IRQ numbers, memory regions and devices of (kind, items) runs."""
-    cpus, irqs, mem, devices = [], [], [], []
-    parts = {Cpu: cpus, IrqLine: irqs, MemRegion: mem}
-    for kind, items in runs:
-        parts.get(kind, devices).extend(items)
-    return cpus, irqs, mem, devices
+def _config(name, cpus, rows: dict, irqs, workload) -> CellConfig:
+    """The config of gather()'s rows, each checked as its kind's constructor checks it."""
+    cfg = CellConfig.__new__(CellConfig)
+    cfg._settle(name, cpus, *map(tuple, map(rows.get, _ROW_KINDS, repeat(()))), irqs, workload)
+    return cfg
+
+
+_ROW_KINDS = (MemRegion, MmioDevice, PciDevice, IoPortRange)  # _settle's row arguments
 
 
 # --- validation against a platform ------------------------------------------
@@ -190,32 +231,39 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
                      ledger: Optional["OwnershipLedger"] = None) -> list[Violation]:
     """One violation per requested resource the platform lacks or does not
     grant these permissions on and, given a ledger, per one root does not
-    own: an empty list means a create with this config would succeed. The
-    platform is asked by id, with no mask built; root, of the config's masks
-    (CellConfig.masks), each unit built only to be reported."""
-    cpu_count, device_masks = platform.full_masks[CPU].bit_length(), platform.device_masks
-    missing = ([Cpu(index) for index in sorted(cfg.cpus) if index >= cpu_count]
-               + [dev for dev in cfg.devices if DEVICE_KEY(dev) not in device_masks]
-               + [IrqLine(number) for number in sorted(cfg.irqs - platform.irq_numbers)])
-    violations = [Violation(ViolationKind.NO_SUCH_RESOURCE, resource) for resource in missing]
+    own: an empty list means a create with this config would succeed. Units
+    are asked of the config's masks (CellConfig.masks), regions of the
+    platform's and the ledger's rows; a value object is built only to be
+    reported."""
+    masks, rows = cfg.masks(platform), cfg.mmio + cfg.pci + cfg.ports
+    violations = []
+    if list(map(int.bit_count, masks)) != [len(cfg.cpus), len(rows), len(cfg.irqs)]:
+        cpu_count, device_bits = platform.full_masks[CPU].bit_length(), platform.device_bits
+        missing = ([Cpu(index) for index in sorted(cfg.cpus) if index >= cpu_count]
+                   + [dev for dev, row in zip(cfg.devices, rows) if row not in device_bits]
+                   + [IrqLine(number) for number in sorted(cfg.irqs - platform.irq_numbers)])
+        violations = [Violation(ViolationKind.NO_SUCH_RESOURCE, resource) for resource in missing]
     if ledger is not None:  # the units root (0) lacks, in the order the config lists them
-        for kind, (mask, held) in enumerate(zip(cfg.masks(platform), ledger.masks_of(0))):
+        for kind, (mask, held) in enumerate(zip(masks, ledger.masks_of(0))):
             for unit in platform.units(kind, mask & ~held) if mask & ~held else ():
+                owner = ledger.owner_of_unit(unit)  # None if the ledger's masks lost it
                 violations.append(Violation(ViolationKind.NOT_OWNED_BY_ROOT, unit,
-                                            "owned by cell %d" % ledger.owner_of_unit(unit)))
+                                            "held by no cell" if owner is None
+                                            else "owned by cell %d" % owner))
 
-    for region in cfg.mem:
-        host = platform.host_region(region.base, region.end)
+    for row in cfg.regions:
+        base, size, flags = row
+        host = platform.host_region(base, base + size)
         if host is None:
-            violations.append(Violation(ViolationKind.NO_SUCH_RESOURCE, region))
-        elif int(region.flags) & ~int(host.flags):  # an IntFlag & costs ~1.5 us
-            violations.append(Violation(ViolationKind.PERMISSION_EXCEEDED, region,
-                                        "platform region allows only %r" % host.flags))
+            violations.append(Violation(ViolationKind.NO_SUCH_RESOURCE, region_of(row)))
+        elif flags & ~host[2]:
+            violations.append(Violation(ViolationKind.PERMISSION_EXCEEDED, region_of(row),
+                                        "platform region allows only %r" % PermFlags(host[2])))
         elif ledger is not None:
-            owner = ledger.range_owner(region.base, region.end)
+            owner = ledger.range_owner(base, base + size)
             if owner != 0:
                 violations.append(Violation(
-                    ViolationKind.NOT_OWNED_BY_ROOT, region,
+                    ViolationKind.NOT_OWNED_BY_ROOT, region_of(row),
                     "not root-owned" if owner is None else "owned by cell %d" % owner))
     return violations
 
@@ -231,37 +279,42 @@ _RUN = struct.Struct("<BI")
 _WORKLOAD = struct.Struct("<BH")
 
 # A resource list is a u32 run count and runs of consecutive resources of
-# one kind, (kind, items) as a platform's layout holds them. A run is a kind
+# one kind, (kind, rows) as a platform's layout holds them. A run is a kind
 # byte (the index here), a u32 count and that many bodies: a CPU's or IRQ
-# line's u32, or the kind's fields in constructor order, an MMIO name
-# NUL-padded to 16 bytes, with a getter of the fields and a builder here.
+# line's u32, or the kind's row, an MMIO name NUL-padded to 16 bytes.
 _KINDS = (
-    (Cpu, _U32, None, None),
-    (MemRegion, struct.Struct("<QQB"), lambda r: (r.base, r.size, r.flags),
-     lambda base, size, bits: MemRegion(base, size, perms_from_bits(bits))),
-    (MmioDevice, struct.Struct("<%dsQQ" % (MMIO_NAME_BYTES + 1)),
-     lambda r: (r.name.encode("utf-8"), r.base, r.size),
-     lambda raw, base, size: MmioDevice(_unpad(raw, "device name"), base, size)),
-    (PciDevice, struct.Struct("<H"), lambda r: (r.bdf,), PciDevice),
-    # a port range may span all 0x10000 ports
-    (IoPortRange, struct.Struct("<HI"), lambda r: (r.base, r.length), IoPortRange),
-    (IrqLine, _U32, None, None),
+    (Cpu, _U32),
+    (MemRegion, struct.Struct("<QQB")),
+    (MmioDevice, struct.Struct("<%dsQQ" % (MMIO_NAME_BYTES + 1))),
+    (PciDevice, struct.Struct("<H")),
+    (IoPortRange, struct.Struct("<HI")),  # a port range may span all 0x10000 ports
+    (IrqLine, _U32),
 )
-_KIND_CODES = {kind: code for code, (kind, *_) in enumerate(_KINDS)}
+_KIND_CODES = {kind: code for code, (kind, _) in enumerate(_KINDS)}
+_N_KINDS = len(_KINDS)
+# A name field MmioDevice takes: its name rule and length, then NUL padding.
+_MMIO_FIELD = re.compile(rb"[A-Za-z0-9_-]{1,%d}\0*" % MMIO_NAME_BYTES)
 
 _WORKLOADS = tuple(WorkloadKind)
+# by code: each workload without a path, built once, as hashing an Enum member is Python code
+_PLAIN_WORKLOADS = tuple(None if kind is WorkloadKind.SCRIPT else Workload(kind)
+                         for kind in _WORKLOADS)
 
 
 def put_runs(out: bytearray, runs) -> None:
-    """Append the resource list of (kind, items) runs; empty runs are left out."""
+    """Append the resource list of (kind, rows) runs; empty runs are left out."""
     runs = [run for run in runs if run[1]]
     out += _U32.pack(len(runs))
-    for kind, items in runs:
+    for kind, rows in runs:
         code = _KIND_CODES[kind]
-        _, body, fields, _ = _KINDS[code]
-        out += _RUN.pack(code, len(items))
-        out += (struct.pack("<%dI" % len(items), *items) if fields is None
-                else b"".join(body.pack(*fields(item)) for item in items))
+        body = _KINDS[code][1]
+        out += _RUN.pack(code, len(rows))
+        if body is _U32:
+            out += struct.pack("<%dI" % len(rows), *rows)
+        elif kind is MmioDevice:
+            out += b"".join(body.pack(name.encode(), base, size) for name, base, size in rows)
+        else:
+            out += b"".join(starmap(body.pack, rows))
 
 
 def emit_binary(cfg: CellConfig) -> bytes:
@@ -271,11 +324,17 @@ def emit_binary(cfg: CellConfig) -> bytes:
     load reproduces the input byte-for-byte.
     """
     out = bytearray(_HEADER.pack(MAGIC, VERSION, cfg.name.encode("utf-8")))
-    put_runs(out, ((Cpu, sorted(cfg.cpus)),) + resource_layout(cfg.mem + cfg.devices)
-             + ((IrqLine, sorted(cfg.irqs)),))
+    put_runs(out, ((Cpu, sorted(cfg.cpus)), (MemRegion, cfg.regions), (MmioDevice, cfg.mmio),
+                   (PciDevice, cfg.pci), (IoPortRange, cfg.ports), (IrqLine, sorted(cfg.irqs))))
     path = (cfg.workload.script_path or "").encode("utf-8")
     out += _WORKLOAD.pack(_WORKLOADS.index(cfg.workload.kind), len(path)) + path
     return bytes(out)
+
+
+def short(data: bytes, count: int, start: int) -> TruncatedRecord:
+    """The refusal of count bytes at start, past the end of the data."""
+    return TruncatedRecord("need %d bytes at offset %d, have %d"
+                           % (count, start, len(data) - start))
 
 
 class _Reader:
@@ -287,21 +346,16 @@ class _Reader:
         try:
             fields = spec.unpack_from(self.data, self.offset)
         except struct.error:  # fewer than spec.size bytes left
-            raise self.short(spec.size, self.offset) from None
+            raise short(self.data, spec.size, self.offset) from None
         self.offset += spec.size
         return fields
 
     def take_raw(self, count: int) -> bytes:
         start = self.offset
         if start + count > len(self.data):
-            raise self.short(count, start)
+            raise short(self.data, count, start)
         self.offset = start + count
         return self.data[start:start + count]
-
-    def short(self, count: int, start: int) -> TruncatedRecord:
-        """The refusal of count bytes at start, past the end of the data."""
-        return TruncatedRecord("need %d bytes at offset %d, have %d"
-                               % (count, start, len(self.data) - start))
 
 
 def from_code(table: tuple, code: int, what: str):
@@ -315,43 +369,93 @@ def _unpad(raw: bytes, what: str) -> str:
     name, _, padding = raw.partition(b"\0")
     if padding.strip(b"\0"):
         raise InvariantViolation("%s padding must be zero" % what)
-    return decode_utf8(name, what)
+    try:  # decode_utf8's, without its call
+        return name.decode()
+    except UnicodeDecodeError:
+        raise InvariantViolation("%s is not valid UTF-8" % what) from None
 
 
-def take_runs(reader: _Reader) -> list:
-    """The (kind, items) runs of the resource list at the reader."""
-    (n_runs,) = reader.take(_U32)
-    runs = []
-    for _ in range(n_runs):
-        code, count = reader.take(_RUN)
-        kind, body, _, make = from_code(_KINDS, code, "resource kind")
-        raw = reader.take_raw(count * body.size)
-        runs.append((kind, struct.unpack("<%dI" % count, raw) if make is None
-                     else tuple(starmap(make, body.iter_unpack(raw)))))
-    return runs
+def take_runs(data: bytes, at: int) -> tuple:
+    """The (kind, rows) runs of the resource list at offset at, and the offset
+    after it. Each run is read with one unpack and each row checked as its
+    kind's constructor checks it, with no Python call per run or row: a row
+    that fails the test is handed to the constructor, which refuses it."""
+    end, need = len(data), _U32.size
+    try:
+        (n_runs,) = _U32.unpack_from(data, at)
+        at += need
+        runs, need = [], _RUN.size
+        for _ in range(n_runs):
+            code, count = _RUN.unpack_from(data, at)
+            at += need
+            if code >= _N_KINDS:
+                raise InvariantViolation("unknown resource kind %d" % code)
+            kind, body = _KINDS[code]
+            nbytes = count * body.size
+            if at + nbytes > end:
+                raise short(data, nbytes, at)
+            raw, at = data[at:at + nbytes], at + nbytes
+            if body is _U32:
+                runs.append((kind, struct.unpack("<%dI" % count, raw)))
+                continue
+            rows = tuple(body.iter_unpack(raw))
+            if kind is MemRegion:  # perms_from_bits', then _check_region's rules
+                for base, size, bits in rows:
+                    if (bits > 0xF or size <= 0 or (base | size) % PAGE_SIZE
+                            or base + size > U64_MAX):
+                        MemRegion(base, size, perms_from_bits(bits))
+            elif kind is MmioDevice:  # the name field's rules, then the region's
+                named = []
+                for field, base, size in rows:
+                    if (_MMIO_FIELD.fullmatch(field) is None or size <= 0
+                            or (base | size) % PAGE_SIZE or base + size > U64_MAX):
+                        MmioDevice(_unpad(field, "device name"), base, size)
+                    named.append((field.rstrip(b"\0").decode(), base, size))
+                rows = tuple(named)
+            elif kind is IoPortRange:
+                for base, length in rows:
+                    if not 0 < length <= 0x10000 - base:
+                        IoPortRange(base, length)
+            runs.append((kind, rows))
+    except struct.error:  # at is the cut record's start
+        raise short(data, need, at) from None
+    return runs, at
 
 
 def load_binary(data: bytes) -> CellConfig:
     """Decode a byte stream produced by emit_binary."""
-    reader = _Reader(data)
-    magic, version, raw_name = reader.take(_HEADER)
+    end = len(data)
+    if end < _HEADER.size:
+        raise short(data, _HEADER.size, 0)
+    magic, version, raw_name = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise BadMagic("magic 0x%08x, expected 0x%08x" % (magic, MAGIC))
     if version != VERSION:
         raise UnsupportedVersion("version %d, expected %d" % (version, VERSION))
     name = _unpad(raw_name, "cell name")
 
-    cpus, irqs, mem, devices = _gather(take_runs(reader))
-    workload_code, path_len = reader.take(_WORKLOAD)
-    kind = from_code(_WORKLOADS, workload_code, "workload code")
-    raw_path = reader.take_raw(path_len)
-    if reader.offset != len(data):
+    runs, at = take_runs(data, _HEADER.size)
+    if at + _WORKLOAD.size > end:
+        raise short(data, _WORKLOAD.size, at)
+    code, path_len = _WORKLOAD.unpack_from(data, at)
+    kind = _WORKLOADS[code] if code < len(_WORKLOADS) else from_code(
+        _WORKLOADS, code, "workload code")
+    at += _WORKLOAD.size
+    if at + path_len > end:
+        raise short(data, path_len, at)
+    if at + path_len != end:
         raise InvariantViolation(
-            "%d trailing bytes after the workload record" % (len(data) - reader.offset))
+            "%d trailing bytes after the workload record" % (end - at - path_len))
     # Workload refuses a script without a path and a path on any other kind
-    workload = Workload(kind, decode_utf8(raw_path, "script path") if raw_path else None)
+    workload = None if path_len else _PLAIN_WORKLOADS[code]
+    if workload is None:
+        raw_path = data[at:]
+        workload = Workload(kind, decode_utf8(raw_path, "script path") if raw_path else None)
+    rows = gather(runs)
+    cpus, irqs = rows.get(Cpu, ()), rows.get(IrqLine, ())
     cpu_set, irq_set = frozenset(cpus), frozenset(irqs)  # CellConfig keeps these very sets
-    for what, ids, unique in (("cpu ids", cpus, cpu_set), ("irq numbers", irqs, irq_set)):
-        if len(unique) != len(ids):
-            raise InvariantViolation("duplicate %s in stream" % what)
-    return CellConfig(name, cpu_set, mem, devices, irq_set, workload)
+    if len(cpu_set) != len(cpus):
+        raise InvariantViolation("duplicate cpu ids in stream")
+    if len(irq_set) != len(irqs):
+        raise InvariantViolation("duplicate irq numbers in stream")
+    return _config(name, cpu_set, rows, irq_set, workload)

@@ -116,7 +116,7 @@ def _cmd_cell_load(args) -> int:
         cell_id = session.resolve_cell(args.cell)
         with open(args.image, "rb") as handle:
             data = handle.read()
-        addr = hv.cells[cell_id].config.mem[0].base if args.addr is None else args.addr
+        addr = hv.cells[cell_id].config.regions[0][0] if args.addr is None else args.addr
         hv.load_image(cell_id, addr, data)
     print("loaded %d bytes into cell %d at 0x%x" % (len(data), cell_id, addr))
     return 0

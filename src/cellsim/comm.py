@@ -76,8 +76,8 @@ def _carve(hv: Hypervisor, cell_id: int, size: int) -> MemRegion:
     window is free again once its channel closes.
     """
     windows = sorted((ch.region.base, ch.region.end) for ch in hv.channels.values())
-    spans = sorted(((region.base, region.end) for region in hv.ledger.ram_of(cell_id)
-                    if (region.flags & _RW) == _RW), reverse=True)
+    spans = sorted(((base, base + size) for base, size, flags in hv.ledger.ram_of(cell_id)
+                    if (flags & _RW) == _RW), reverse=True)
     for base, top in spans:
         for w_lo, w_hi in reversed(windows):  # disjoint, so both ends descend
             if w_hi <= base or top - w_hi >= size:

@@ -15,8 +15,8 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
-from itertools import chain
-from operator import attrgetter, index, itemgetter
+from itertools import chain, repeat
+from operator import add, attrgetter, index, itemgetter
 from typing import NamedTuple, Optional
 
 from ._dsl import decode_utf8, iter_directives, parse_number
@@ -28,8 +28,7 @@ from .errors import (
     ConfigSyntaxError, InvariantViolation, NameCollision, NoSuchCell, NoSuchResource, NotEnabled,
     OutOfRegion, RootCellImmortal, ValidationFailed)
 from .machine import (
-    CPU, DEVICE, IRQ, U64_MAX, UNIT_KINDS, IoPortRange, MachinePlatform, MemRegion, MmioDevice,
-    PermFlags)
+    CPU, DEVICE, IRQ, U64_MAX, UNIT_KINDS, MachinePlatform, PermFlags, region_of)
 
 CellId = int
 ROOT_CELL: CellId = 0
@@ -135,13 +134,14 @@ AccessMap = NamedTuple("AccessMap", [("mem", list), ("io", list)])
 
 # Ledger claims, (lo, hi, owner, flags), and access-map entries, (lo, hi, rights), sort by lo.
 _LO, _OWNER = itemgetter(0), itemgetter(2)
+_FLAGS = itemgetter(2)  # of a (base, size, flags) region row
 
 
 class OwnershipLedger:
     """Exclusive owner map over one platform's resources.
 
     Each holder has a mask of each unit kind, CPU, DEVICE and IRQ, whose bit
-    i is the platform's i-th unit of that kind (MachinePlatform.bits); root's
+    i is the platform's i-th unit of that kind (MachinePlatform.masks); root's
     are the platform's full masks minus the others'. Memory is one
     address-sorted list of claims, (lo, hi, owner, flags) for each RAM range a
     non-root cell holds; root owns the rest of platform RAM, with the region's
@@ -191,19 +191,22 @@ class OwnershipLedger:
             masks[ROOT_CELL] &= ~mask
             masks[cell] = masks.get(cell, 0) | mask
 
-    def transfer_range(self, region: MemRegion, frm: CellId, to: CellId) -> None:
-        """Give region to a cell as one claim, or take that whole claim back."""
-        lo, hi = region.base, region.end
-        if self._platform.host_region(lo, hi) is None:
-            raise NoSuchResource(
-                "[0x%x, 0x%x) not within one platform memory region" % (lo, hi))
+    def transfer_range(self, region: tuple, frm: CellId, to: CellId) -> None:
+        """Give a (base, size, flags) region to a cell as one claim, or take that
+        whole claim back."""
+        lo, size, flags = region
+        hi = lo + size
         claims = self._claims
         index = bisect_left(claims, lo, key=_LO)
-        claim = (lo, hi, to if frm == ROOT_CELL else frm, region.flags)
+        claim = (lo, hi, to if frm == ROOT_CELL else frm, flags)
+        # root owns a range only inside platform RAM, and a claim lies inside it
         if frm == ROOT_CELL != to and self.range_owner(lo, hi) == ROOT_CELL:
             claims.insert(index, claim)
         elif to == ROOT_CELL and claims[index:index + 1] == [claim]:
             del claims[index]
+        elif self._platform.host_region(lo, hi) is None:
+            raise NoSuchResource(
+                "[0x%x, 0x%x) not within one platform memory region" % (lo, hi))
         else:
             raise InvariantViolation(
                 "cannot move [0x%x, 0x%x) from cell %d to %d: memory moves as one"
@@ -216,21 +219,21 @@ class OwnershipLedger:
         self._claims = [claim for claim in self._claims if claim[2] != cell]
 
     def ram_of(self, cell: CellId):
-        """The RAM a cell owns, as MemRegions with their flags: its claims,
-        or for root, each part of platform RAM that no claim covers."""
+        """The RAM a cell owns, as (base, size, flags) rows: its claims, or for
+        root, each part of platform RAM that no claim covers."""
         if cell != ROOT_CELL:
-            yield from (MemRegion(lo, hi - lo, flags)
+            yield from ((lo, hi - lo, flags)
                         for lo, hi, owner, flags in self._claims if owner == cell)
             return
-        for region in self._platform.mem_regions:
-            lo = region.base
+        for base, size, flags in self._platform.ram:
+            lo, end = base, base + size
             for c_lo, c_hi, _, _ in self._claims:
-                if region.base <= c_lo < region.end:
+                if base <= c_lo < end:
                     if lo < c_lo:
-                        yield MemRegion(lo, c_lo - lo, region.flags)
+                        yield lo, c_lo - lo, flags
                     lo = c_hi
-            if lo < region.end:
-                yield MemRegion(lo, region.end - lo, region.flags)
+            if lo < end:
+                yield lo, end - lo, flags
 
     def owners(self) -> set:
         """The cells the ledger names: root, which always has masks, and each holder."""
@@ -244,8 +247,8 @@ class OwnershipLedger:
         """Ledger keys as a multiset: each holder's units, claims and root's share
         of RAM (no claims: the platform's)."""
         keys = Counter(chain.from_iterable(map(self.units_of, self.owners())))
-        keys.update(MemRegion(lo, hi - lo, flags) for lo, hi, _, flags in self._claims)
-        keys.update(self.ram_of(ROOT_CELL))
+        keys.update(region_of((lo, hi - lo, flags)) for lo, hi, _, flags in self._claims)
+        keys.update(map(region_of, self.ram_of(ROOT_CELL)))
         return keys
 
     def audit(self) -> None:
@@ -264,10 +267,10 @@ class OwnershipLedger:
             if lo < prev_hi:
                 raise InvariantViolation("claim [0x%x, 0x%x) overlaps the one before" % (lo, hi))
             host = platform.host_region(lo, hi)
-            if host is None or int(flags) & ~int(host.flags):  # an IntFlag & costs ~1.5 us
+            if host is None or flags & ~host[2]:
                 raise InvariantViolation(
                     "claim [0x%x, 0x%x) %r is not within one platform region's flags"
-                    % (lo, hi, flags))
+                    % (lo, hi, PermFlags(flags)))
             prev_hi = hi
 
 
@@ -299,11 +302,12 @@ class Cell(Record):
     def __init__(self, id, config, state=CellState.CREATED, memory_image=None, script="",
                  script_pos=0):
         self.id, self.config, self.state, self.memory_image = id, config, state, memory_image or {}
-        self.script, self.script_pos, self.script_ops = script, script_pos, parse_script(script)
+        self.script, self.script_pos = script, script_pos
+        self.script_ops = parse_script(script) if script else []
         kind = config.workload.kind
         need = _RW if kind is _STRESS else _READ
-        self.touches = int(kind is not WorkloadKind.SCRIPT and any(
-            int(region.flags) & need for region in config.mem))
+        self.touches = int(kind is not WorkloadKind.SCRIPT
+                           and any(map(need.__and__, map(_FLAGS, config.regions))))
 
     @property
     def name(self) -> str:
@@ -377,13 +381,13 @@ def parse_script(text: str) -> list[tuple]:
 def check_script(ops: list[tuple], platform: MachinePlatform) -> None:
     """Resolve each distwrite in ops to its access of the platform's gic-dist
     window; refuse one on a platform without a window, naming its line."""
-    window = platform.gic_dist_window
+    window = platform.window
     for at, op in enumerate(ops):
         if op[0] == "distwrite":
             if window is None:
                 raise ConfigSemanticError("platform %s has no gic-dist window" % platform.name,
                                           op[2])
-            ops[at] = ("access", Access(_MEM_WRITE, window.base + op[1], 4))
+            ops[at] = ("access", Access(_MEM_WRITE, window[1] + op[1], 4))
 
 
 def read_script(workload: Workload) -> str:
@@ -525,24 +529,26 @@ class Hypervisor:
         none. Root's config need only fit the platform. A channel window
         carved from root's share stays root's while its channel lives."""
         violations = validate_against(
-            cfg, self.platform, None if cell_id == ROOT_CELL else self.ledger) + [
-            Violation(ViolationKind.NOT_OWNED_BY_ROOT, region,
-                      "holds the window of channel %d" % ch.id)
-            for region in cfg.mem for ch in self.channels.values() if ch.cell_a == ROOT_CELL
-            and region.base < ch.region.end and ch.region.base < region.end]
+            cfg, self.platform, None if cell_id == ROOT_CELL else self.ledger)
+        if self.channels:
+            violations += [
+                Violation(ViolationKind.NOT_OWNED_BY_ROOT, region_of(row),
+                          "holds the window of channel %d" % ch.id)
+                for row in cfg.regions for ch in self.channels.values() if ch.cell_a == ROOT_CELL
+                and row[0] < ch.region.end and ch.region.base < row[0] + row[1]]
         if violations:
             raise ValidationFailed(violations)
         self._access_maps.clear()
         if cell_id == ROOT_CELL:
             return  # root keeps what it has, so its own config need only fit
         self.ledger.transfer_units(cell_id, cfg.masks(self.platform))  # the masks just validated
-        for region in cfg.mem:
-            self.ledger.transfer_range(region, ROOT_CELL, cell_id)
+        for row in cfg.regions:
+            self.ledger.transfer_range(row, ROOT_CELL, cell_id)
 
     def load_image(self, cell_id: CellId, addr: int, data: bytes) -> None:
         cell = self._cell_for("load", cell_id)
         end = addr + len(data)
-        if not any(r.base <= addr and end <= r.end for r in cell.config.mem):
+        if not any(base <= addr and end <= base + size for base, size, _ in cell.config.regions):
             raise OutOfRegion("[0x%x, 0x%x) not within one region owned by cell %d"
                               % (addr, end, cell_id))
         cell.write_image(addr, data)
@@ -615,24 +621,24 @@ class Hypervisor:
                 continue
             # exactly its config's units, asked of masks computed anew, not of cfg.masks;
             # a bit for each id, none missing; units are built only to name a failure
-            cfg, (cpus, devices, irqs), bits = cell.config, ledger.masks_of(cell_id), platform.bits
-            if (bits(CPU, cfg.cpus) != cpus or bits(DEVICE, cfg.devices) != devices
-                    or bits(IRQ, cfg.irqs) != irqs or cpus.bit_count() + devices.bit_count()
-                    + irqs.bit_count() != len(cfg.cpus) + len(cfg.devices) + len(cfg.irqs)):
+            cfg, held = cell.config, ledger.masks_of(cell_id)
+            rows = cfg.mmio + cfg.pci + cfg.ports
+            if (list(platform.masks(cfg.cpus, rows, cfg.irqs)) != held or sum(map(
+                    int.bit_count, held)) != len(cfg.cpus) + len(rows) + len(cfg.irqs)):
                 units = cfg.units()
                 lost = [unit for unit in units if ledger.owner_of_unit(unit) != cell_id]
                 extra = [unit for unit in ledger.units_of(cell_id) if unit not in units]
                 what = "lost" if lost else "holds unconfigured"
                 raise InvariantViolation(
                     "cell %d %s %s" % (cell_id, what, _describe((lost or extra)[0])))
-            configured.update((region.base, region.end, cell_id, region.flags)
-                              for region in cfg.mem)
+            bases, sizes, flags = zip(*cfg.regions)  # its claims, (lo, hi, owner, flags)
+            configured.update(zip(bases, map(add, bases, sizes), repeat(cell_id), flags))
         claims = set(ledger._claims)
         if claims != configured:
             lost = configured - claims
             lo, hi, cell_id, flags = min(lost or claims - configured)
             raise InvariantViolation("cell %d %s mem [0x%x, 0x%x) %r" % (
-                cell_id, "lost" if lost else "holds unconfigured", lo, hi, flags))
+                cell_id, "lost" if lost else "holds unconfigured", lo, hi, PermFlags(flags)))
         windows = sorted(self.channels.values(), key=lambda ch: ch.region.base)
         for prev, ch in zip([None] + windows, windows):
             if (self.ledger.range_owner(ch.region.base, ch.region.end) != ch.cell_a
@@ -685,16 +691,19 @@ class Hypervisor:
         is carved from its cell_a's RAM, and the platform refuses overlapping
         RAM and MMIO devices and overlapping port ranges."""
         ledger, platform = self.ledger, self.platform
-        window = platform.gic_dist_window
-        mem = [] if window is None else [(window.base, window.end, _EMULATE)]
-        mem += [(region.base, region.end, int(region.flags) & _RW)
-                for region in ledger.ram_of(cell_id)]
+        window = platform.window
+        mem = [] if window is None else [(window[1], window[1] + window[2], _EMULATE)]
+        mem += [(base, base + size, flags & _RW) for base, size, flags in ledger.ram_of(cell_id)]
         mem += [(ch.region.base, ch.region.end, _RW)
                 for ch in self.channels.values() if ch.cell_b == cell_id]
-        owned = platform.units(DEVICE, ledger.masks_of(cell_id)[DEVICE])
-        mem += [(dev.base, dev.end, _RW) for dev in owned
-                if type(dev) is MmioDevice and dev is not window]
-        io = [(ports.base, ports.end, _RW) for ports in owned if type(ports) is IoPortRange]
+        owned, io = ledger.masks_of(cell_id)[DEVICE], []
+        first_port = len(platform.mmio) + len(platform.pci)
+        for bit, row in enumerate(platform.devices):  # the MMIO, PCI and port range rows
+            if owned >> bit & 1 and row is not window:
+                if bit < len(platform.mmio):
+                    mem.append((row[1], row[1] + row[2], _RW))
+                elif bit >= first_port:
+                    io.append((row[0], row[0] + row[1], _RW))
         return AccessMap(sorted(mem, key=_LO), sorted(io, key=_LO))
 
     def _violate(self, cell: Cell, access: Access) -> AccessOutcome:

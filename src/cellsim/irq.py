@@ -17,7 +17,9 @@ import numpy as np
 
 from ._value import Value
 from .errors import InvariantViolation, NoSuchLine, NoSuchResource, UnownedIrq
-from .hvcore import _MEM_WRITE, ROOT_CELL, Access, AccessOutcome, CellState, Hypervisor, TrapKind
+from .hvcore import (
+    _EMULATE_DIST, _EMULATED, _MEM_WRITE, _RUNNING, ROOT_CELL, Access, AccessOutcome, CellState,
+    Hypervisor, TrapKind)
 from .machine import BusModel, DistParams, IrqLine, bus_load
 from .rng import entropy_words, h64, pcg64
 
@@ -264,15 +266,23 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
 def distributor_access(hv: Hypervisor, cell_id: int, offset: int) -> AccessOutcome:
     """Access the virtualized interrupt distributor at a byte offset.
 
-    Offsets inside the window are always emulated and counted per cell;
-    an offset past the window falls through to the plain access check
-    and violates like any other bad address.
+    Offsets inside the window are always emulated and counted per cell,
+    as handle_access emulates them: every access map holds the window,
+    and no other entry overlaps it. So the write builds no Access. An
+    offset past the window falls through to the plain access check and
+    violates like any other bad address.
     """
     if hv.ledger is None:
         hv._require_enabled()  # raises, before the window and offset checks
-    window = hv.platform.gic_dist_window
+    window = hv.platform.window  # the gic-dist row: name, base, size
     if window is None:
         raise NoSuchResource("platform has no gic-dist window")
     if offset < 0:
         raise InvariantViolation("negative distributor offset")
-    return hv.handle_access(cell_id, Access(_MEM_WRITE, window.base + offset, 4))
+    if offset % 4 or offset + 4 > window[2]:  # Access refuses the first; the second violates
+        return hv.handle_access(cell_id, Access(_MEM_WRITE, window[1] + offset, 4))
+    cell = hv.cells.get(cell_id)
+    if cell is None or cell.state is not _RUNNING:
+        hv._running(cell_id)  # raises
+    hv._log(_EMULATE_DIST, cell_id, "offset 0x%x" % offset)
+    return _EMULATED

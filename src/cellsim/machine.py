@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from enum import Enum, IntFlag
-from itertools import chain, groupby
-from operator import attrgetter
+from itertools import chain, count, groupby, repeat, starmap
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from ._dsl import (
@@ -157,19 +157,6 @@ def _check_region(base: int, size: int, what: str) -> int:
     return base + size
 
 
-# the devices a config can hold, each kind with its canonical sort key
-_DEVICE_SORT_KEY = {MmioDevice: lambda dev: (0, dev.name, dev.base),
-                    PciDevice: lambda dev: (1, "", dev.bdf),
-                    IoPortRange: lambda dev: (2, "", dev.base)}
-
-
-def _device_sort_key(dev):
-    key = _DEVICE_SORT_KEY.get(type(dev))
-    if key is None:
-        raise InvariantViolation("unsupported device type %r" % type(dev).__name__)
-    return key(dev)
-
-
 def check_ids(ids, what: str) -> None:
     """Refuse an id outside [0, 2^32), the first named; one sort bounds them all in C."""
     ordered = sorted(ids)
@@ -178,14 +165,13 @@ def check_ids(ids, what: str) -> None:
                                  % (what, next(i for i in ids if not 0 <= i <= MAX_ID)))
 
 
-BASE = attrgetter("base")  # a sort key in C
 _RESOURCE_ARITY = {"cpu": 1, "mem": 3, "mmio": 3, "pci": 1, "ioport": 2, "irq": 1}
 _ID_KINDS = {"cpu": (Cpu, "cpu index"), "irq": (IrqLine, "irq number")}
 
 
 def parse_resource(tokens: list[Token], lineno: int) -> tuple:
     """The resources one directive line names, in either text format, as one
-    (kind, items) run of `resource_layout`: a cpu or irq line's ids stay ints.
+    (kind, rows) run of `resource_layout`, each checked by its kind's constructor.
 
     Platform files and cell configs share these directives; any other
     keyword is an unknown directive:
@@ -215,17 +201,20 @@ def parse_resource(tokens: list[Token], lineno: int) -> tuple:
                 flags = parse_perms(perm_text)
             except ValueError as exc:
                 raise ConfigSyntaxError(lineno, perm_col, str(exc))
-            return MemRegion, [MemRegion(base, size, flags)]
-        if keyword == "mmio":
-            return MmioDevice, [MmioDevice(parse_plain_name(tokens[1], lineno, "mmio name"),
-                                           parse_number(tokens[2], lineno, "mmio base"),
-                                           parse_number(tokens[3], lineno, "mmio size"))]
-        if keyword == "pci":
-            return PciDevice, [PciDevice(parse_number(tokens[1], lineno, "pci bdf"))]
-        return IoPortRange, [IoPortRange(parse_number(tokens[1], lineno, "ioport base"),
-                                         parse_number(tokens[2], lineno, "ioport len"))]
+            resource = MemRegion(base, size, flags)
+        elif keyword == "mmio":
+            resource = MmioDevice(parse_plain_name(tokens[1], lineno, "mmio name"),
+                                  parse_number(tokens[2], lineno, "mmio base"),
+                                  parse_number(tokens[3], lineno, "mmio size"))
+        elif keyword == "pci":
+            resource = PciDevice(parse_number(tokens[1], lineno, "pci bdf"))
+        else:
+            resource = IoPortRange(parse_number(tokens[1], lineno, "ioport base"),
+                                   parse_number(tokens[2], lineno, "ioport len"))
     except InvariantViolation as exc:
         raise ConfigSemanticError(str(exc), lineno)
+    kind = type(resource)
+    return kind, [_ROWS[kind](resource)]
 
 
 # A span's address space: RAM and MMIO share one; I/O ports have their own.
@@ -244,7 +233,7 @@ def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
     name = None
     runs: list = []
     listed: dict = {Cpu: set(), IrqLine: set()}  # the ids of each kind listed so far
-    spans: dict = {"address": [], "port": []}  # space -> [(span, line text, lineno)]
+    spans: dict = {"address": [], "port": []}  # space -> [(base, end, line text, lineno)]
     for lineno, tokens in iter_directives(text):
         keyword = tokens[0][0]
         if keyword == head:
@@ -266,13 +255,15 @@ def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
                 seen.add(number)
             space = spans.get(_SPACE.get(keyword))
             if space is not None:
-                (span,) = items
+                (row,) = items
+                at, size = _SPAN_FIELDS[kind]
+                base, end = row[at], row[at] + row[size]
                 line = " ".join(word for word, _ in tokens)  # as written, in hex
-                for other, other_line, at in space:
-                    if span.base < other.end and other.base < span.end:
+                for other_base, other_end, other_line, other_lineno in space:
+                    if base < other_end and other_base < end:
                         raise ConfigSemanticError("%s overlaps %s on line %d"
-                                                  % (line, other_line, at), lineno)
-                space.append((span, line, lineno))
+                                                  % (line, other_line, other_lineno), lineno)
+                space.append((base, end, line, lineno))
             runs.append((kind, items))
     if name is None:
         raise ConfigSemanticError('missing %s "<name>" directive' % head)
@@ -359,48 +350,110 @@ class PlatformSpec(Record):
 
 
 # The ledger's unit kinds, in the order a config lists its units. A holder has one mask of
-# each kind, whose bit i is the platform's i-th unit of that kind (MachinePlatform.bits).
+# each kind, whose bit i is the platform's i-th unit of that kind (MachinePlatform.masks).
 UNIT_KINDS = CPU, DEVICE, IRQ = 0, 1, 2
-# A device's key: its type and fields, hashed and compared in C, as Value's methods are not.
-DEVICE_KEY = attrgetter("__class__", "_key")
 
-# The kinds a layout keeps as ints (a CPU's index, an IRQ line's number) and their ledger kinds.
-_INT_KINDS = {Cpu: (CPU, attrgetter("index")), IrqLine: (IRQ, attrgetter("number"))}
+# A resource's row: the plain ints (and an MMIO device's name) the binary codec stores for
+# it, which are also its value object's fields. A CPU or IRQ line is its int, a MemRegion
+# (base, size, flags), a device (name, base, size), (bdf,) or (base, length). Device rows of
+# different kinds differ in length, so one dict keys them all.
+_ROWS = {Cpu: attrgetter("index"), IrqLine: attrgetter("number"),
+         MemRegion: lambda region: (region.base, region.size, int(region.flags)),
+         MmioDevice: attrgetter("_key"), PciDevice: attrgetter("_key"),
+         IoPortRange: attrgetter("_key")}
+_KINDS = (Cpu, MemRegion, MmioDevice, IoPortRange, PciDevice, IrqLine)  # a platform's
+_SPAN_FIELDS = {MemRegion: (0, 1), MmioDevice: (1, 2), IoPortRange: (0, 1)}  # base, size
+_FIRST, _NAME_BASE = itemgetter(0), itemgetter(0, 1)  # row sort keys, in C
+_UNIT_KIND = {Cpu: CPU, IrqLine: IRQ}  # any other unit is a device
+
+
+def region_of(row) -> MemRegion:
+    """The MemRegion of a (base, size, flags) row."""
+    base, size, flags = row
+    return MemRegion(base, size, PermFlags(flags))
 
 
 def resource_layout(resources) -> tuple:
-    """Resources as runs of consecutive resources of one kind, (kind, items),
-    in their order: a run of CPUs or IRQ lines holds plain ints."""
-    return tuple((kind, tuple(map(_INT_KINDS[kind][1], group) if kind in _INT_KINDS else group))
+    """Resources as runs of consecutive resources of one kind, (kind, rows), in
+    their order; a run of a type that has no row keeps its items."""
+    return tuple((kind, tuple(map(_ROWS[kind], group)) if kind in _ROWS else tuple(group))
                  for kind, group in groupby(resources, type))
 
 
 def layout_resources(runs):
-    """The resources of (kind, items) runs, in their order, CPUs and IRQ lines built."""
-    return chain.from_iterable(map(kind, items) if kind in _INT_KINDS else items
-                               for kind, items in runs)
+    """The value objects of (kind, rows) runs, in their order."""
+    return chain.from_iterable(
+        map(kind, rows) if kind in (Cpu, IrqLine) else map(region_of, rows)
+        if kind is MemRegion else starmap(kind, rows) for kind, rows in runs)
+
+
+def gather(runs) -> dict:
+    """Each kind's rows of (kind, rows) runs, in their order: dict(runs) when each
+    kind has one run, as the codec writes them."""
+    kinds = dict(runs)
+    if len(kinds) < len(runs):
+        kinds = {}
+        for kind, rows in runs:
+            kinds[kind] = kinds.get(kind, ()) + tuple(rows)
+    return kinds
+
+
+def sort_devices(mmio, pci, ports) -> tuple:
+    """MMIO, PCI and I/O port range rows in a config's order: by name, bdf and base."""
+    return (tuple(sorted(mmio, key=_NAME_BASE)), tuple(sorted(pci)),
+            tuple(sorted(ports, key=_FIRST)))
+
+
+def check_no_overlap(ram, mmio, ports) -> None:
+    """Refuse two RAM region and MMIO device rows that share an address, then two
+    port range rows that share a port: each space's spans, sorted by base (in that
+    order where bases tie), are each checked against the one before."""
+    if len(ram) + len(mmio) < 2 and len(ports) < 2:
+        return  # at most one span in each space: nothing to compare
+    for space in ((MemRegion, ram), (MmioDevice, mmio)), ((IoPortRange, ports),):
+        spans = []  # (base, end, kind, row)
+        for kind, rows in space:
+            at, size = _SPAN_FIELDS[kind]
+            for row in rows:
+                spans.append((row[at], row[at] + row[size], kind, row))
+        spans.sort(key=_FIRST)
+        for prev, cur in zip(spans, spans[1:]):
+            if cur[0] < prev[1]:
+                raise OverlapError("%r overlaps %r" % tuple(layout_resources(
+                    ((prev[2], (prev[3],)), (cur[2], (cur[3],))))))
+
+
+def _view(build):
+    """A property whose value, build(platform), is made at the first read, which no
+    snapshot load or save makes, and kept."""
+    def get(self):
+        if build not in self._views:
+            self._views[build] = build(self)
+        return self._views[build]
+    return property(get)
 
 
 class MachinePlatform(Value):
-    """A checked platform. Its layout holds its resources as resource_layout
-    gives them, which the snapshot codec writes and reads as they are."""
+    """A checked platform. Its layout holds its resources as (kind, rows) runs,
+    checked as their kinds' constructors check them (take_runs and
+    resource_layout give such runs); the codec writes and reads them as they
+    are. ram, mmio, pci and ports hold each kind's rows in layout order, and
+    the typed views are built from them."""
 
-    __slots__ = ("name", "layout", "gic_version", "bus", "_cpus", "_mem_regions",
-                 "_mmio_devices", "_io_port_ranges", "_pci_devices", "_irq_numbers", "irq_order",
-                 "full_masks", "_devices", "device_masks", "_gic_dist_window", "_hash")
+    __slots__ = ("name", "layout", "gic_version", "bus", "ram", "mmio", "pci", "ports",
+                 "_irq_numbers", "irq_order", "full_masks", "devices", "device_bits", "window",
+                 "_views", "_hash")
 
     def __init__(self, name: str, layout: tuple, gic_version: GicVersion, bus: BusModel):
         if not NAME_RE.match(name):
             raise InvariantViolation("platform name %r must match [A-Za-z0-9_-]+" % (name,))
         if len(name.encode()) > MAX_NAME_BYTES:
             raise InvariantViolation("platform name longer than %d bytes" % MAX_NAME_BYTES)
-        views = {kind: [] for kind in (Cpu, MemRegion, MmioDevice, IoPortRange, PciDevice, IrqLine)}
-        for kind, items in layout:
-            view = views.get(kind)
-            if view is None:
-                raise InvariantViolation("unknown platform resource %r" % (items[0],))
-            view += items
-        cpus, mem, mmio, ports, pci, irqs = views.values()
+        kinds = gather(layout)
+        for kind, rows in layout if len(kinds.keys() - _KINDS) else ():
+            if kind not in _KINDS:
+                raise InvariantViolation("unknown platform resource %r" % (rows[0],))
+        cpus, ram, mmio, ports, pci, irqs = map(kinds.get, _KINDS, repeat(()))
         if not cpus:
             raise EmptyCpuSet("platform %r declares no CPUs" % name)
         if sorted(cpus) != list(range(len(cpus))):
@@ -410,86 +463,99 @@ class MachinePlatform(Value):
         if len(irq_numbers) != len(irqs):
             dupes = sorted({n for n in irqs if irqs.count(n) > 1})
             raise DuplicateIrq("irq lines listed twice: %s" % dupes)
-        check_no_overlap(mem + mmio)
-        check_no_overlap(ports)
-        if len({dev.name for dev in mmio}) != len(mmio):
+        check_no_overlap(ram, mmio, ports)
+        named = dict(zip(map(_FIRST, mmio), mmio))
+        if len(named) != len(mmio):
             raise InvariantViolation("mmio device names must be unique")
-        if len({dev.bdf for dev in pci}) != len(pci):
+        if len(set(pci)) != len(pci):
             raise InvariantViolation("pci bdfs must be unique")
-        # Views and hash, derived once into further slots that equality and repr skip; the
-        # hash is of name, CPU count and IRQ numbers, which equal platforms share, all in C.
         order = tuple(sorted(irqs))
         for end in order[:1] + order[-1:]:  # IrqLine's range check, on the sorted ends alone
             if not 0 <= end <= 0xFFFFFFFF:
                 raise InvariantViolation("irq number out of range: %d" % end)
-        devices = mmio + pci + ports
+        devices = tuple(mmio) + tuple(pci) + tuple(ports)  # bit i of a device mask is devices[i]
         self._freeze(name, layout, gic_version, bus)
-        for attr, value in dict(
-            _hash=hash((name, len(cpus), order)),
-            _cpus=None, _mem_regions=tuple(mem), _mmio_devices=tuple(mmio),
-            _io_port_ranges=tuple(ports), _pci_devices=tuple(pci), _irq_numbers=irq_numbers,
-            irq_order=order,
-            full_masks=((1 << len(cpus)) - 1, (1 << len(devices)) - 1, (1 << len(irqs)) - 1),
-            # a device's one-bit mask by DEVICE_KEY, as irq_order gives an IRQ number's bit by
-            # bisection: each snapshot load builds a platform, and an index of every line costs more
-            _devices=tuple(devices),
-            device_masks={key: 1 << bit for bit, key in enumerate(map(DEVICE_KEY, devices))},
-            _gic_dist_window=next((dev for dev in mmio if dev.name == GIC_DIST_NAME), None),
-        ).items():
-            object.__setattr__(self, attr, value)
+        for set_slot, value in zip(self._setters[1][4:], (  # derived: equality and repr skip them
+                tuple(ram), tuple(mmio), tuple(pci), tuple(ports), irq_numbers, order,
+                ((1 << len(cpus)) - 1, (1 << len(devices)) - 1, (1 << len(irqs)) - 1),
+                devices, dict(zip(devices, map((1).__lshift__, count()))),
+                named.get(GIC_DIST_NAME), {}, None)):
+            set_slot(self, value)
 
-    # Public views: plain properties over derived attributes, so a tracer can wrap the getters.
-    @property
-    def cpus(self) -> tuple:  # built at the first read, which a snapshot load never makes
-        if self._cpus is None:
-            object.__setattr__(self, "_cpus", tuple(self.units(CPU, self.full_masks[CPU])))
-        return self._cpus
-
-    mem_regions = property(attrgetter("_mem_regions"))
-    mmio_devices = property(attrgetter("_mmio_devices"))
+    # Public views: plain properties, so that a tracer can wrap the getters.
+    cpus = _view(lambda self: tuple(map(Cpu, range(self.full_masks[CPU].bit_length()))))
+    mem_regions = _view(lambda self: tuple(map(region_of, self.ram)))
+    mmio_devices = _view(lambda self: tuple(starmap(MmioDevice, self.mmio)))
+    io_port_ranges = _view(lambda self: tuple(starmap(IoPortRange, self.ports)))
+    pci_devices = _view(lambda self: tuple(starmap(PciDevice, self.pci)))
+    gic_dist_window = _view(lambda self: next(  # Optional[MmioDevice]
+        (dev for dev in self.mmio_devices if dev.name == GIC_DIST_NAME), None))
     irq_numbers = property(attrgetter("_irq_numbers"))
-    io_port_ranges = property(attrgetter("_io_port_ranges"))
-    pci_devices = property(attrgetter("_pci_devices"))
-    gic_dist_window = property(attrgetter("_gic_dist_window"))  # Optional[MmioDevice]
 
-    def __hash__(self):
+    @property
+    def _args(self) -> tuple:  # repr shows the layout's value objects
+        return (self.name, tuple((kind, rows if kind in (Cpu, IrqLine)
+                                  else tuple(layout_resources(((kind, rows),))))
+                                 for kind, rows in self.layout), self.gic_version, self.bus)
+
+    def __hash__(self):  # of name, CPUs and IRQ numbers, which equal platforms share
+        if self._hash is None:  # at the first hash, which no CLI command makes
+            MachinePlatform._hash.__set__(self, hash((self.name, self.full_masks[CPU],
+                                                      self.irq_order)))
         return self._hash
 
     @property
     def resources(self) -> tuple:
-        """The resources in their order, CPUs and IRQ lines built on each read."""
+        """The resources in their order, built on each read."""
         return tuple(layout_resources(self.layout))
 
-    def bits(self, kind: int, ids) -> int:
-        """The mask of those of the distinct ids of one kind the platform has: CPU indices
-        (bit i is CPU i), devices (bit i is the i-th of the MMIO, PCI and port range views)
-        or IRQ numbers (bit i is irq_order[i]), with no Python call per id."""
-        if kind == CPU:
-            count = self.full_masks[CPU].bit_length()
-            return sum([1 << index for index in ids if 0 <= index < count])
-        if kind == IRQ:
-            order, numbers = self.irq_order, self._irq_numbers
-            return sum([1 << bisect_left(order, number) for number in ids if number in numbers])
-        return sum([self.device_masks.get(key, 0) for key in map(DEVICE_KEY, ids)])
+    def masks(self, cpus, devices, irqs) -> tuple:
+        """The CPU, device and IRQ masks of those of the distinct ids the platform
+        has: CPU indices (bit i is CPU i), device rows (bit i is devices[i]) and IRQ
+        numbers (bit i is irq_order[i]), each in a loop with no Python call, which
+        beats a map chain on a config's few ids."""
+        count, device_bits = self.full_masks[CPU].bit_length(), self.device_bits
+        cpu_mask = device_mask = irq_mask = 0
+        for index in cpus:
+            if 0 <= index < count:
+                cpu_mask |= 1 << index
+        for row in devices:
+            device_mask |= device_bits.get(row, 0)
+        order, numbers = self.irq_order, self._irq_numbers
+        # a bisection per number costs more than a set difference: a root config names
+        # most of the platform's lines, so its mask is the full one less those it leaves out
+        fewer = 2 * len(irqs) <= len(numbers)
+        for number in irqs if fewer else numbers.difference(irqs):
+            if number in numbers:
+                irq_mask |= 1 << bisect_left(order, number)
+        return cpu_mask, device_mask, irq_mask if fewer else self.full_masks[IRQ] - irq_mask
 
     def locate(self, unit) -> tuple:
         """A CPU's, device's or IRQ line's kind and its one-bit mask, 0 if the platform lacks it."""
-        kind, unit_id = _INT_KINDS.get(type(unit), (DEVICE, None))
-        return kind, self.bits(kind, (unit if unit_id is None else unit_id(unit),))
+        kind, row = _UNIT_KIND.get(type(unit), DEVICE), _ROWS.get(type(unit))
+        ids = [(), (), ()]
+        ids[kind] = () if row is None else (row(unit),)
+        return kind, self.masks(*ids)[kind]
 
     def units(self, kind: int, mask: int) -> list:
         """The units of a kind at the set bits of a mask of it, devices in a config's order."""
         bits = [bit for bit in range(mask.bit_length()) if mask >> bit & 1]
-        if kind == DEVICE:
-            return sorted(map(self._devices.__getitem__, bits), key=_device_sort_key)
-        return list(map(Cpu, bits) if kind == CPU
-                    else map(IrqLine, map(self.irq_order.__getitem__, bits)))
+        if kind == CPU:
+            return list(map(Cpu, bits))
+        if kind == IRQ:
+            return list(map(IrqLine, map(self.irq_order.__getitem__, bits)))
+        chosen, first_pci = ([], [], []), len(self.mmio)  # MMIO, PCI and port range rows
+        for bit in bits:
+            chosen[(bit >= first_pci) + (bit >= first_pci + len(self.pci))].append(
+                self.devices[bit])
+        return list(layout_resources(zip((MmioDevice, PciDevice, IoPortRange),
+                                          sort_devices(*chosen))))
 
-    def host_region(self, lo: int, hi: int) -> Optional[MemRegion]:
-        """The platform RAM region that contains [lo, hi), or None."""
-        for region in self._mem_regions:
-            if region.base <= lo and hi <= region.end:
-                return region
+    def host_region(self, lo: int, hi: int) -> Optional[tuple]:
+        """The platform RAM row (base, size, flags) that contains [lo, hi), or None."""
+        for row in self.ram:
+            if row[0] <= lo and hi <= row[0] + row[1]:
+                return row
         return None
 
 
@@ -498,14 +564,6 @@ def build_platform(spec: PlatformSpec) -> MachinePlatform:
     specs give equal platforms, whose resources keep their given order."""
     return MachinePlatform(spec.name, resource_layout(spec.resources), spec.gic_version,
                            spec.bus if spec.bus is not None else BusModel.default())
-
-
-def check_no_overlap(ranges) -> None:
-    """Refuse two of ranges (each with a base and an end) that share an address."""
-    ordered = sorted(ranges, key=BASE)
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur.base < prev.end:
-            raise OverlapError("%r overlaps %r" % (prev, cur))
 
 
 def bus_load(hv: "Hypervisor", measured: "Cell") -> bool:
@@ -601,10 +659,9 @@ def jetson_tk1() -> MachinePlatform:
     rwxd = PermFlags.READ | PermFlags.WRITE | PermFlags.EXECUTE | PermFlags.DMA
     return MachinePlatform("jetson-tk1", (
         (Cpu, (0, 1, 2, 3)),
-        (MemRegion, (MemRegion(0x8000_0000, 0x8000_0000, rwxd),)),
-        (MmioDevice, (MmioDevice(GIC_DIST_NAME, 0x5004_1000, 0x1000),
-                      MmioDevice("gpio", 0x6000_D000, 0x1000),
-                      MmioDevice("uart-a", 0x7000_6000, 0x1000))),
+        (MemRegion, ((0x8000_0000, 0x8000_0000, rwxd.value),)),
+        (MmioDevice, ((GIC_DIST_NAME, 0x5004_1000, 0x1000), ("gpio", 0x6000_D000, 0x1000),
+                      ("uart-a", 0x7000_6000, 0x1000))),
         (IrqLine, tuple(range(32, 161))),
     ), GicVersion.V2, BusModel.default())
 

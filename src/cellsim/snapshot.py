@@ -23,7 +23,7 @@ from typing import Optional
 
 from ._dsl import decode_utf8
 from .cellconfig import (
-    WorkloadKind, _Reader, emit_binary, from_code, load_binary, put_runs, take_runs)
+    WorkloadKind, _Reader, emit_binary, from_code, load_binary, put_runs, short, take_runs)
 from .errors import (
     BadMagic, ConfigSemanticError, ConfigSyntaxError, InvariantViolation, UnsupportedVersion,
     ValidationFailed)
@@ -49,18 +49,26 @@ _SCRIPT = struct.Struct("<II")  # a script cell's position, script text length
 
 _GICS = (None, None, GicVersion.V2, GicVersion.V3)
 _TRAPS = tuple(EXIT_SLOT)
+_N_TRAPS = len(_TRAPS)
 _STATES = tuple(CellState)
+
+
+def _platform_record(gic: GicVersion, bus: BusModel) -> bytes:
+    return _PLATFORM.pack(
+        _GICS.index(gic), bus.base_latency_us, *bus.hv_overhead._key, *bus.contention._key,
+        bus.contention_prob, bus.quantize_enabled, bus.phase_jitter_enabled)
+
+
+# The default bus, which most sessions keep, is read as the one model built here: a record
+# whose bus bytes, after the gic code, are its bytes.
+_DEFAULT_BUS = BusModel.default()
+_DEFAULT_BUS_BYTES = _platform_record(GicVersion.V2, _DEFAULT_BUS)[1:]
 
 
 def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
     name = platform.name.encode("utf-8")
-    bus = platform.bus
     out = bytearray(_HEADER.pack(MAGIC, VERSION) + _NAME.pack(len(name)) + name)
-    out += _PLATFORM.pack(
-        _GICS.index(platform.gic_version), bus.base_latency_us, bus.hv_overhead.shift_us,
-        bus.hv_overhead.log_mu, bus.hv_overhead.log_sigma, bus.contention.shift_us,
-        bus.contention.log_mu, bus.contention.log_sigma, bus.contention_prob,
-        bus.quantize_enabled, bus.phase_jitter_enabled)
+    out += _platform_record(platform.gic_version, platform.bus)
     put_runs(out, platform.layout)
     out += _FLAG.pack(hv is not None)
     if hv is None:
@@ -106,9 +114,12 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     (gic_code, base_us, hv_shift, hv_mu, hv_sigma, c_shift, c_mu, c_sigma, prob,
      quantize, jitter) = reader.take(_PLATFORM)
     gic = from_code(_GICS, gic_code, "gic code")
-    bus = BusModel(base_us, DistParams(hv_shift, hv_mu, hv_sigma),
-                   DistParams(c_shift, c_mu, c_sigma), prob, bool(quantize), bool(jitter))
-    platform = MachinePlatform(name, tuple(take_runs(reader)), gic, bus)
+    bus = (_DEFAULT_BUS if data[reader.offset - _PLATFORM.size + 1:reader.offset]
+           == _DEFAULT_BUS_BYTES else
+           BusModel(base_us, DistParams(hv_shift, hv_mu, hv_sigma),
+                    DistParams(c_shift, c_mu, c_sigma), prob, bool(quantize), bool(jitter)))
+    layout, reader.offset = take_runs(data, reader.offset)
+    platform = MachinePlatform(name, tuple(layout), gic, bus)
 
     (have_hv,) = reader.take(_FLAG)
     if not have_hv:
@@ -125,13 +136,13 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     try:
         for _ in range(n_events):
             time_ns, cell, code, length = unpack(data, at)
-            kind = traps[code] if code < len(traps) else from_code(traps, code, "trap code")
+            kind = traps[code] if code < _N_TRAPS else from_code(traps, code, "trap code")
             start, at = at + size, at + size + length
             if at > end:
-                raise reader.short(length, start)
+                raise short(data, length, start)
             append(new(TrapEvent, (time_ns, cell, kind, data[start:at].decode())))
     except struct.error:  # at is the cut record's start
-        raise reader.short(size, at) from None
+        raise short(data, size, at) from None
     except UnicodeDecodeError:
         raise InvariantViolation("snapshot string is not valid UTF-8") from None
     reader.offset = at
@@ -140,12 +151,18 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     hv.clock = clock
     hv.events = events
     (n_exit_records,) = reader.take(_COUNT)
-    for _ in range(n_exit_records):
-        cell_id, *counters = reader.take(_EXITS)
-        if cell_id in hv.exits:
-            raise InvariantViolation(
-                "exit counters of cell %d appear twice in snapshot" % cell_id)
-        hv.exits[cell_id] = counters
+    at, size, exits = reader.offset, _EXITS.size, hv.exits
+    try:  # as the events: one unpack a record, no call
+        for _ in range(n_exit_records):
+            cell_id, *counters = _EXITS.unpack_from(data, at)
+            at += size
+            if cell_id in exits:
+                raise InvariantViolation(
+                    "exit counters of cell %d appear twice in snapshot" % cell_id)
+            exits[cell_id] = counters
+    except struct.error:
+        raise short(data, size, at) from None
+    reader.offset = at
     hv._next_cell_id, enabled = reader.take(_NEXT)
     if not enabled:
         _expect_end(reader)
@@ -158,7 +175,8 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         cell_id, state_code, length = reader.take(_CELL)
         if cell_id in hv.cells:
             raise InvariantViolation("cell %d appears twice in snapshot" % cell_id)
-        state = from_code(_STATES, state_code, "cell state")
+        state = (_STATES[state_code] if state_code < len(_STATES)
+                 else from_code(_STATES, state_code, "cell state"))
         config = load_binary(reader.take_raw(length))
         twin = ids_by_name.setdefault(config.name, cell_id)
         if twin != cell_id:
@@ -173,7 +191,9 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
             addr, length = reader.take(_CHUNK)
             image[addr] = reader.take_raw(length)
             end = addr + length
-            inside = sum(max(0, min(end, r.end) - max(addr, r.base)) for r in config.mem)
+            inside = 0  # the chunk's bytes inside the regions, summed with no call per region
+            for base, size, _ in config.regions:
+                inside += max(0, min(end, base + size) - max(addr, base))
             if not (prev_end < addr < end and inside == end - addr):
                 raise InvariantViolation("snapshot cell %d image chunk [0x%x, 0x%x) is empty, not"
                                          " after the last one or outside the cell's memory"
@@ -185,7 +205,8 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
             script = decode_utf8(reader.take_raw(length), "snapshot script")
         try:
             cell = Cell(cell_id, config, state, image, script=script, script_pos=script_pos)
-            check_script(cell.script_ops, platform)
+            if cell.script_ops:
+                check_script(cell.script_ops, platform)
         except (ConfigSyntaxError, ConfigSemanticError) as exc:
             raise InvariantViolation("snapshot cell %d script, %s" % (cell_id, exc))
         if script_pos > len(cell.script_ops):

@@ -72,8 +72,8 @@ def scan_owner_and_flags(ledger, lo, hi):
             return (owner, flags) if hi <= c_hi else None
     if index < len(claims) and claims[index][0] < hi:
         return None
-    region = ledger._platform.host_region(lo, hi)
-    return None if region is None else (ROOT_CELL, region.flags)
+    region = ledger._platform.host_region(lo, hi)  # a (base, size, flags) row
+    return None if region is None else (ROOT_CELL, region[2])
 
 
 def scan_mem_allowed(hv, cell_id, lo, hi, write):

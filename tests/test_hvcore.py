@@ -65,6 +65,7 @@ from conftest import make_tiny_platform
 from gen import config_from_units, random_config, random_platform
 
 RAM = 0x1000_0000
+RW = 3  # a (base, size, flags) row's flags: PermFlags.READ | PermFlags.WRITE
 
 
 def tiny_hv(seed=0):
@@ -1072,7 +1073,7 @@ class TestEvents:
             with pytest.raises(InvariantViolation, match="not all on the platform"):
                 hv.ledger.transfer_units(1, units)
         with pytest.raises(NoSuchResource):
-            hv.ledger.transfer_range(MemRegion(0xF000_0000, 0x1000), ROOT_CELL, 1)
+            hv.ledger.transfer_range((0xF000_0000, 0x1000, RW), ROOT_CELL, 1)
 
 
 class TestAudit:
@@ -1110,11 +1111,24 @@ class TestAudit:
                            match="^cell %d holds unconfigured %s$" % (cell_id, text)):
             hv.audit()
 
+    def test_a_unit_no_cell_holds_is_a_violation_not_a_type_error(self):
+        # a ledger whose masks lost root's CPU 1 (audit refuses it): validation
+        # formatted the missing owner with %d and raised a raw TypeError
+        hv = tiny_hv()
+        hv.ledger._masks[CPU][ROOT_CELL] &= ~0b10
+        assert hv.ledger.owner_of_unit(Cpu(1)) is None
+        (violation,) = validate_against(small_cell(cpu=1), hv.platform, hv.ledger)
+        assert str(violation) == "NotOwnedByRoot(cpu 1): held by no cell"
+        with pytest.raises(ValidationFailed, match="held by no cell"):
+            hv.create_cell(small_cell(cpu=1))
+        with pytest.raises(InvariantViolation, match="cpu masks"):
+            hv.audit()
+
     def test_lost_unit_is_named_before_an_extra_one(self):
         hv = tiny_hv()
         cell_id = hv.create_cell(small_cell(irqs=[33]))
         masks = hv.ledger._masks[IRQ]  # the guest's irq 33 swapped for root's irq 35
-        swap = hv.platform.bits(IRQ, [33, 35])
+        swap = hv.platform.masks((), (), [33, 35])[IRQ]
         masks[cell_id] ^= swap
         masks[ROOT_CELL] ^= swap
         with pytest.raises(InvariantViolation, match="^cell %d lost irq 33$" % cell_id):
@@ -1178,7 +1192,7 @@ def old_mem_allowed(hv, cell_id, lo, hi, write):
                       for guest_id, guest in hv.cells.items() if guest_id != ROOT_CELL
                       for region in guest.config.mem)
         if host is not None and not claimed:
-            return bool(host.flags & need)
+            return bool(host[2] & need)  # the row's flags
     else:
         for region in hv.cells[cell_id].config.mem:
             if region.base <= lo and hi <= region.end:
@@ -1264,17 +1278,17 @@ class TestLedger:
     def test_transfer_and_return_coalesces(self, tiny):
         ledger = OwnershipLedger(tiny)
         baseline = ledger.keys_multiset()
-        ledger.transfer_range(MemRegion(RAM + 0x1000, 0x2000), 0, 5)
+        ledger.transfer_range((RAM + 0x1000, 0x2000, RW), 0, 5)
         assert ledger.range_owner(RAM + 0x1000, RAM + 0x3000) == 5
         assert ledger.range_owner(RAM, RAM + 0x2000) is None
-        ledger.transfer_range(MemRegion(RAM + 0x1000, 0x2000), 5, 0)
+        ledger.transfer_range((RAM + 0x1000, 0x2000, RW), 5, 0)
         assert ledger.keys_multiset() == baseline
         ledger.audit()
 
     def test_transfer_verifies_current_owner(self, tiny):
         ledger = OwnershipLedger(tiny)
         with pytest.raises(InvariantViolation):
-            ledger.transfer_range(MemRegion(RAM, 0x1000), 3, 4)
+            ledger.transfer_range((RAM, 0x1000, RW), 3, 4)
         ledger.transfer_units(2, (0b1, 0b1, 0b1))
         for units in (0b1, 0, 0), (0, 0b1, 0), (0, 0, 0b1):  # each kind's bit 0 is cell 2's now
             with pytest.raises(InvariantViolation, match="not all root's"):
@@ -1284,12 +1298,12 @@ class TestLedger:
     def test_transfer_range_needs_single_region(self, tiny):
         ledger = OwnershipLedger(tiny)
         with pytest.raises(NoSuchResource):
-            ledger.transfer_range(MemRegion(0x1000, 0x1000), 0, 1)
+            ledger.transfer_range((0x1000, 0x1000, RW), 0, 1)
 
     def test_release_all(self, tiny):
         ledger = OwnershipLedger(tiny)
-        ledger.transfer_units(4, (0b10, tiny.full_masks[DEVICE], tiny.bits(IRQ, [33, 39])))
-        ledger.transfer_range(MemRegion(RAM, 0x4000), 0, 4)
+        ledger.transfer_units(4, (0b10, tiny.full_masks[DEVICE], tiny.masks((), (), [33, 39])[IRQ]))
+        ledger.transfer_range((RAM, 0x4000, RW), 0, 4)
         assert ledger.owners() == {0, 4}
         assert ledger.masks_of(4) == [0b10, 0b1111, 0b1000_0010]
         ledger.release_all(4)
@@ -1322,22 +1336,22 @@ class TestLedger:
 
     def test_claims_move_whole(self, tiny):
         ledger = OwnershipLedger(tiny)
-        ledger.transfer_range(MemRegion(RAM, 0x4000), 0, 4)
+        ledger.transfer_range((RAM, 0x4000, RW), 0, 4)
         for frm, to, region in [
-                (4, 0, MemRegion(RAM, 0x1000)),          # part of the claim
-                (4, 0, MemRegion(RAM, 0x8000)),          # more than the claim
-                (3, 0, MemRegion(RAM, 0x4000)),          # not the holder
-                (4, 5, MemRegion(RAM, 0x4000)),          # cell to cell
-                (0, 5, MemRegion(RAM + 0x2000, 0x4000)),  # overlaps a claim
-                (0, 0, MemRegion(RAM + 0x8000, 0x1000))]:
+                (4, 0, (RAM, 0x1000, RW)),           # part of the claim
+                (4, 0, (RAM, 0x8000, RW)),           # more than the claim
+                (3, 0, (RAM, 0x4000, RW)),           # not the holder
+                (4, 5, (RAM, 0x4000, RW)),           # cell to cell
+                (0, 5, (RAM + 0x2000, 0x4000, RW)),  # overlaps a claim
+                (0, 0, (RAM + 0x8000, 0x1000, RW))]:
             with pytest.raises(InvariantViolation):
                 ledger.transfer_range(region, frm, to)
         assert ledger.range_owner(RAM, RAM + 0x4000) == 4
 
     def test_adjacent_claims_answer_one_at_a_time(self, tiny):
         ledger = OwnershipLedger(tiny)
-        ledger.transfer_range(MemRegion(RAM, 0x1000), 0, 4)
-        ledger.transfer_range(MemRegion(RAM + 0x1000, 0x1000, PermFlags.READ), 0, 4)
+        ledger.transfer_range((RAM, 0x1000, RW), 0, 4)
+        ledger.transfer_range((RAM + 0x1000, 0x1000, PermFlags.READ.value), 0, 4)
         assert ledger.range_owner(RAM, RAM + 8) == 4
         assert ledger.range_owner(RAM + 0x1000, RAM + 0x1008) == 4
         assert ledger.range_owner(RAM + 0xFFC, RAM + 0x1004) is None
@@ -1365,9 +1379,10 @@ class TestLedger:
 
     def test_root_owns_what_no_claim_covers(self, tiny):
         ledger = OwnershipLedger(tiny)
-        ledger.transfer_range(MemRegion(RAM + 0x1000, 0x1000), 0, 4)
-        ledger.transfer_range(MemRegion(RAM + 0x3000, 0x1000), 0, 5)
-        end = tiny.host_region(RAM, RAM + 1).end
+        ledger.transfer_range((RAM + 0x1000, 0x1000, RW), 0, 4)
+        ledger.transfer_range((RAM + 0x3000, 0x1000, RW), 0, 5)
+        base, size, _ = tiny.host_region(RAM, RAM + 1)
+        end = base + size
         mem = sorted((key.base, key.end) for key in ledger.keys_multiset()
                      if isinstance(key, MemRegion))
         bounds = [RAM, RAM + 0x1000, RAM + 0x2000, RAM + 0x3000, RAM + 0x4000, end]

@@ -608,6 +608,28 @@ class TestDistributorAccess:
         with pytest.raises(InvariantViolation):
             distributor_access(hv, 0, -4)
 
+    @pytest.mark.parametrize("offset", [0, 0x100, 0xFFC, 0x2, 0xFFE, 0x1000, 0x2000])
+    @pytest.mark.parametrize("cell", ["root", "running", "created", "absent"])
+    def test_a_write_answers_as_the_access_it_stands_for(self, offset, cell):
+        # an in-window write is emulated without building an Access; it must answer,
+        # refuse, log and count as handle_access does for that access
+        seen = []
+        for write in (lambda hv, cell_id: distributor_access(hv, cell_id, offset),
+                      lambda hv, cell_id: hv.handle_access(cell_id, Access(
+                          AccessKind.MEM_WRITE, hv.platform.gic_dist_window.base + offset, 4))):
+            hv = tiny_hv()
+            guest = hv.create_cell(small_cell())
+            if cell == "running":
+                hv.start_cell(guest)
+            cell_id = {"root": 0, "absent": 9}.get(cell, guest)
+            try:
+                answer = write(hv, cell_id)
+            except CellSimError as exc:
+                answer = (type(exc), str(exc))
+            seen.append((answer, hv.events, hv.exits,
+                         {i: c.state for i, c in hv.cells.items()}))
+        assert seen[0] == seen[1]
+
     def test_platform_without_window(self):
         from cellsim import Cpu, MemRegion, PlatformSpec, build_platform
         platform = build_platform(PlatformSpec(

@@ -32,7 +32,7 @@ from cellsim.errors import (
     OverlapError,
 )
 from cellsim.machine import (
-    DEVICE, GIC_DIST_NAME, UNIT_KINDS, MachinePlatform, _device_sort_key, parse_perms,
+    DEVICE, GIC_DIST_NAME, UNIT_KINDS, MachinePlatform, parse_perms,
     perms_to_str, resource_layout)
 
 from conftest import make_tiny_platform
@@ -241,6 +241,12 @@ def _sample_platforms():
     return [make_tiny_platform(), jetson_tk1()] + [random_platform(rnd) for _ in range(40)]
 
 
+def config_order(dev):
+    """The order a config lists devices in: MMIO by name, PCI by bdf, port ranges by base."""
+    kinds = [MmioDevice, PciDevice, IoPortRange]
+    return kinds.index(type(dev)), getattr(dev, "name", ""), getattr(dev, "base", 0), dev._key
+
+
 class TestPlatformViews:
     @staticmethod
     def _check_views(platform):
@@ -256,11 +262,14 @@ class TestPlatformViews:
         # CPUs by index, devices in layout order, IRQ lines by number; units() names the
         # devices of a mask in the order a config lists them
         devices = platform.mmio_devices + platform.pci_devices + platform.io_port_ranges
-        ids = ([cpu.index for cpu in platform.cpus], devices, sorted(platform.irq_numbers))
+        rows = tuple(row for _, run in resource_layout(devices) for row in run)  # devices' ids
+        assert rows == platform.devices
+        ids = ([cpu.index for cpu in platform.cpus], rows, sorted(platform.irq_numbers))
         units = (platform.cpus, devices, tuple(map(IrqLine, ids[2])))
-        for kind, full, kind_ids, kind_units in zip(UNIT_KINDS, platform.full_masks, ids, units):
-            named = partial(sorted, key=_device_sort_key) if kind == DEVICE else list
-            assert full == (1 << len(kind_units)) - 1 == platform.bits(kind, kind_ids)
+        masks = platform.masks(*ids)
+        for kind, full, kind_units in zip(UNIT_KINDS, platform.full_masks, units):
+            named = partial(sorted, key=config_order) if kind == DEVICE else list
+            assert full == (1 << len(kind_units)) - 1 == masks[kind]
             assert platform.units(kind, full) == named(kind_units)
             assert platform.units(kind, full & 0b101) == named(kind_units[0:3:2])
             assert [platform.locate(unit) for unit in kind_units] == [
@@ -296,18 +305,21 @@ class TestPlatformViews:
         rebuilt = MachinePlatform(first.name, first.layout, first.gic_version, first.bus)
         assert rebuilt == first and hash(rebuilt) == hash(first) and repr(rebuilt) == repr(first)
 
-    def test_hash_is_computed_once_at_construction(self):
-        # a bench row's cache hit hashes the platform; it re-hashes no layout
+    def test_hash_is_computed_once(self):
+        # a bench row's cache hit hashes the platform; it re-hashes no layout, and a
+        # snapshot load, which never hashes its platform, does not compute it at all
         platform = jetson_tk1()
-        calls = []
-        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code)
-                       if event == "call" else None)
-        try:
-            value = hash(platform)
-        finally:
-            sys.setprofile(None)
-        assert calls == [type(platform).__hash__.__code__]
-        assert value == hash(jetson_tk1())
+        assert platform._hash is None
+        for _ in range(2):
+            calls = []
+            sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code)
+                           if event == "call" else None)
+            try:
+                value = hash(platform)
+            finally:
+                sys.setprofile(None)
+            assert calls == [type(platform).__hash__.__code__]
+            assert value == hash(jetson_tk1()) == platform._hash
 
     def test_replace_recomputes_the_views(self):
         platform = random_platform(random.Random(5))
@@ -328,7 +340,7 @@ class TestHostRegion:
 
     def test_finds_the_containing_region(self):
         platform = self._platform()
-        low, high = platform.mem_regions
+        low, high = platform.ram  # host_region answers a (base, size, flags) row
         assert platform.host_region(0x1000, 0x3000) is low
         assert platform.host_region(0x2000, 0x2008) is low
         assert platform.host_region(0x3000, 0x4000) is high
@@ -347,10 +359,11 @@ class TestHostRegion:
                 near = rnd.choice(platform.mem_regions)
                 lo = near.base + rnd.randrange(-0x2000, near.size + 0x2000, 8)
                 hi = lo + rnd.choice((1, 8, 0x1000, 0x10_0000))
-                hosts = [r for r in platform.mem_regions if r.base <= lo and hi <= r.end]
+                hosts = [r for r in platform.ram if r[0] <= lo and hi <= r[0] + r[1]]
                 assert platform.host_region(lo, hi) == (hosts[0] if hosts else None)
-            for region in platform.mem_regions:
-                assert platform.host_region(region.base, region.end) is region
+            for region, row in zip(platform.mem_regions, platform.ram):
+                assert row == (region.base, region.size, region.flags)
+                assert platform.host_region(region.base, region.end) is row
 
 
 class TestJetsonPreset:

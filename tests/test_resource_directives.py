@@ -103,8 +103,9 @@ def test_a_line_is_one_run_with_cpu_and_irq_ids_as_ints(line):
     if kind in (Cpu, IrqLine):
         assert all(type(item) is int for item in items)
         assert [kind(item) for item in items] == _named(line)
-    else:
-        assert [type(item) for item in items] == [kind]
+    else:  # any other kind's one row is its value object's fields
+        assert [kind(*item) for item in items] == _named(line)
+        assert [type(item) for item in items] == [tuple]
 
 
 def test_parsing_the_root_config_builds_no_cpu_or_irq_line(monkeypatch):
@@ -212,7 +213,7 @@ def test_mmio_name_longer_than_15_bytes_is_refused_in_both_formats():
         assert isinstance(exc, ConfigSemanticError)
         assert str(exc) == message
     kind, fits = parse_resource(split_tokens("mmio uart-controller 0x70006000 0x1000"), 2)
-    assert kind is MmioDevice and [dev.name for dev in fits] == ["uart-controller"]
+    assert kind is MmioDevice and fits == [("uart-controller", 0x70006000, 0x1000)]
 
 
 def test_cli_refuses_long_mmio_name_before_enable(tmp_path, capsys):

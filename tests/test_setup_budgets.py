@@ -4,13 +4,16 @@ Each CLI command loads its session once, and each latency row builds a
 hypervisor, enables it and creates and starts its guests. Both are
 counted as `tests/test_trap_budgets.py` counts the trap path: every
 Python function entered, the standard library's included. Each budget
-is the count the code made before the ledger held devices as masks, on
-Python 3.11; Python 3.12 makes fewer, as it inlines comprehensions.
+is the count the code makes since configs and platforms hold the binary
+codec's int rows, the same on Python 3.10 to 3.13: a load decodes each
+resource run with one unpack and checks its rows with no call per run or
+row, and it builds no value object for a resource.
 """
 
 from cellsim import (
-    CellConfig, Hypervisor, MemRegion, MmioDevice, PermFlags, Workload, WorkloadKind, enable,
-    jetson_tk1, load_session, save_session)
+    CellConfig, Cpu, Hypervisor, IoPortRange, IrqLine, MemRegion, MmioDevice, PciDevice,
+    PermFlags, Workload, WorkloadKind, emit_binary, enable, jetson_tk1, load_binary,
+    load_session, save_session)
 from cellsim._value import Value
 from cellsim.bench import _row_setup, full_platform_config
 
@@ -18,10 +21,10 @@ from conftest import _python_calls
 
 RW = PermFlags.READ | PermFlags.WRITE
 
-# A device lookup in a Python dict keyed by value objects ran Value.__hash__ and, where a
-# config's device is another object than the platform's, Value.__eq__: 21 and 13 of them.
-LOAD_BUDGET = 397
-ROW_BUDGET = 104
+# 397 and 104 when a config and a platform held value objects: 356 and 89 calls, 23 of a
+# load's Value._freeze, and 21 Value.__hash__ and 13 Value.__eq__ before devices were masks.
+LOAD_BUDGET = 114
+ROW_BUDGET = 61
 
 
 def jetson_session() -> bytes:
@@ -64,3 +67,28 @@ def test_a_stressed_rows_set_up_stays_in_its_budget():
     set_up()  # the warm-up, as every row after a table's first
     calls = _python_calls(set_up)
     assert sum(calls.values()) <= ROW_BUDGET, sum(calls.values())
+
+
+def test_a_config_decodes_with_as_many_calls_for_one_region_as_for_many():
+    # each run is read with one unpack and each row tested inline: a row costs no call
+    one = CellConfig("one", {1}, [MemRegion(0x9000_0000, 0x1000, RW)])
+    many = CellConfig(
+        "many", {1, 2, 3}, [MemRegion(0x9000_0000 + i * 0x10_0000, 0x1000, RW) for i in range(8)],
+        [MmioDevice("gpio", 0x6000_D000, 0x1000), MmioDevice("uart-a", 0x7000_6000, 0x1000),
+         PciDevice(0x10), IoPortRange(0x3F8, 8)], set(range(40, 52)),
+        Workload(WorkloadKind.STRESS))
+    counts = []
+    for cfg in (one, many):
+        blob = emit_binary(cfg)
+        assert load_binary(blob) == cfg
+        counts.append(sum(_python_calls(load_binary, blob).values()))
+    assert counts[0] == counts[1], counts
+
+
+def test_a_snapshot_load_builds_no_resource_value_object():
+    blob = jetson_session()
+    load_session(blob)
+    calls = _python_calls(load_session, blob)
+    built = {kind.__name__: calls[kind.__init__.__code__]
+             for kind in (Cpu, IrqLine, MemRegion, MmioDevice, PciDevice, IoPortRange)}
+    assert built == dict.fromkeys(built, 0), built

@@ -15,6 +15,7 @@ from cellsim import (
     CellConfig,
     CellState,
     Cpu,
+    DistParams,
     GicVersion,
     Hypervisor,
     IoPortRange,
@@ -100,6 +101,15 @@ class TestPlatformOnly:
     def test_jetson_round_trip(self, jetson):
         platform, _ = load_session(save_session(jetson, None))
         assert platform == jetson
+
+    def test_a_bus_equal_to_the_default_but_in_its_bytes_keeps_them(self, tiny):
+        # -0.0 == 0.0: a bus told from the default by value would save a 0.0 back
+        bus = tiny.bus
+        signed = with_bus(tiny, BusModel(bus.base_latency_us, bus.hv_overhead, DistParams(
+            -0.0, bus.contention.log_mu, bus.contention.log_sigma), bus.contention_prob))
+        assert signed.bus == bus
+        blob = save_session(signed, None)
+        assert save_session(load_session(blob)[0], None) == blob != save_session(tiny, None)
 
 
 class TestDisabledSession:

@@ -26,7 +26,7 @@ WINDOW = 0x1000  # the channel's, carved from the top of the responder's RAM
 
 # The most Python functions one item of each kind may enter; a doorbell's
 # figure is a mean over the stream, as its streams refill a block at a time.
-BUDGETS = {"direct": 1, "wfi": 1, "cpuid": 2, "poll": 1, "dist": 5, "send": 6, "violate": 5,
+BUDGETS = {"direct": 1, "wfi": 1, "cpuid": 2, "poll": 1, "dist": 2, "send": 6, "violate": 5,
            "step": 4}
 MEAN_ONLY = {"send"}
 

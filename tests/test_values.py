@@ -36,6 +36,7 @@ from cellsim import (
 from cellsim.bench import BenchReport
 from cellsim.comm import Channel
 from cellsim.irq import IrqDeliveries, LatencyStats, Scenario
+from cellsim.machine import resource_layout
 
 BUS = BusModel(0.45, DistParams(0.7, -2.3, 0.6), DistParams(0.0, -0.1, 0.38), 0.1)
 CONFIG = CellConfig(name="g", cpus={1}, mem=(MemRegion(0x1000, 0x1000),), irqs={33})
@@ -63,8 +64,8 @@ CASES = [
     (PlatformSpec, lambda cls: cls("p", [Cpu(0)], GicVersion.V3), "name",
      "PlatformSpec(name='p', resources=[Cpu(index=0)], gic_version=<GicVersion.V3: 'v3'>,"
      " bus=None)"),
-    (MachinePlatform, lambda cls: cls("p", ((Cpu, (0, 1)), (MemRegion, (MemRegion(0x1000, 0x1000),)),
-                                            (IrqLine, (32,))), GicVersion.V2, BUS), "name",
+    (MachinePlatform, lambda cls: cls("p", resource_layout([Cpu(0), Cpu(1), MemRegion(0x1000, 0x1000),
+                                                            IrqLine(32)]), GicVersion.V2, BUS), "name",
      "MachinePlatform(name='p', layout=((<class 'cellsim.machine.Cpu'>, (0, 1)),"
      " (<class 'cellsim.machine.MemRegion'>, (MemRegion(base=4096, size=4096,"
      " flags=<PermFlags.READ|WRITE: 3>),)), (<class 'cellsim.machine.IrqLine'>, (32,))),"
