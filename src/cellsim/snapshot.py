@@ -192,8 +192,8 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
             image[addr] = reader.take_raw(length)
             end = addr + length
             inside = 0  # the chunk's bytes inside the regions, summed with no call per region
-            for base, size, _ in config.regions:
-                inside += max(0, min(end, base + size) - max(addr, base))
+            for base, span, _ in config.regions:
+                inside += max(0, min(end, base + span) - max(addr, base))
             if not (prev_end < addr < end and inside == end - addr):
                 raise InvariantViolation("snapshot cell %d image chunk [0x%x, 0x%x) is empty, not"
                                          " after the last one or outside the cell's memory"
