@@ -450,9 +450,9 @@ class MachinePlatform(Value):
         if len(name.encode()) > MAX_NAME_BYTES:
             raise InvariantViolation("platform name longer than %d bytes" % MAX_NAME_BYTES)
         kinds = gather(layout)
-        for kind, rows in layout if len(kinds.keys() - _KINDS) else ():
-            if kind not in _KINDS:
-                raise InvariantViolation("unknown platform resource %r" % (rows[0],))
+        if kinds.keys() - _KINDS:  # a run of a type that is no resource: name the first
+            rows = next(rows for kind, rows in layout if kind not in _KINDS)
+            raise InvariantViolation("unknown platform resource %r" % (rows[0],))
         cpus, ram, mmio, ports, pci, irqs = map(kinds.get, _KINDS, repeat(()))
         if not cpus:
             raise EmptyCpuSet("platform %r declares no CPUs" % name)

@@ -21,8 +21,8 @@ from conftest import _python_calls
 
 RW = PermFlags.READ | PermFlags.WRITE
 
-# 397 and 104 when a config and a platform held value objects: 356 and 89 calls, 23 of a
-# load's Value._freeze, and 21 Value.__hash__ and 13 Value.__eq__ before devices were masks.
+# While configs and platforms held value objects a load made 356 calls, 23 of them
+# Value._freeze, and a row's set-up 89; the budgets were 397 and 104.
 LOAD_BUDGET = 114
 ROW_BUDGET = 61
 
