@@ -106,7 +106,8 @@ class CellConfig(Value):
         if len(regions) > 1:  # a single row is sorted
             regions = tuple(sorted(regions, key=itemgetter(0)))
         mmio, pci, ports = sort_devices(mmio, pci, ports)
-        if len(set(mmio)) != len(mmio) or len(set(pci)) != len(pci) or len(set(ports)) != len(ports):
+        if (len(set(mmio)) != len(mmio) or len(set(pci)) != len(pci)
+                or len(set(ports)) != len(ports)):
             raise InvariantViolation("a device is listed twice")
         check_no_overlap(regions, mmio, ports)
         self._freeze(name, cpus, regions, mmio, pci, ports, irqs, workload)

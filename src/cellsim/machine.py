@@ -361,7 +361,8 @@ _ROWS = {Cpu: attrgetter("index"), IrqLine: attrgetter("number"),
          MemRegion: lambda region: (region.base, region.size, int(region.flags)),
          MmioDevice: attrgetter("_key"), PciDevice: attrgetter("_key"),
          IoPortRange: attrgetter("_key")}
-_KINDS = (Cpu, MemRegion, MmioDevice, IoPortRange, PciDevice, IrqLine)  # a platform's
+# A platform's kinds, in the order its __init__ unpacks their rows.
+_KINDS = (Cpu, MemRegion, MmioDevice, IoPortRange, PciDevice, IrqLine)
 _SPAN_FIELDS = {MemRegion: (0, 1), MmioDevice: (1, 2), IoPortRange: (0, 1)}  # base, size
 _FIRST, _NAME_BASE = itemgetter(0), itemgetter(0, 1)  # row sort keys, in C
 _UNIT_KIND = {Cpu: CPU, IrqLine: IRQ}  # any other unit is a device

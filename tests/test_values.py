@@ -64,8 +64,8 @@ CASES = [
     (PlatformSpec, lambda cls: cls("p", [Cpu(0)], GicVersion.V3), "name",
      "PlatformSpec(name='p', resources=[Cpu(index=0)], gic_version=<GicVersion.V3: 'v3'>,"
      " bus=None)"),
-    (MachinePlatform, lambda cls: cls("p", resource_layout([Cpu(0), Cpu(1), MemRegion(0x1000, 0x1000),
-                                                            IrqLine(32)]), GicVersion.V2, BUS), "name",
+    (MachinePlatform, lambda cls: cls("p", resource_layout(
+        [Cpu(0), Cpu(1), MemRegion(0x1000, 0x1000), IrqLine(32)]), GicVersion.V2, BUS), "name",
      "MachinePlatform(name='p', layout=((<class 'cellsim.machine.Cpu'>, (0, 1)),"
      " (<class 'cellsim.machine.MemRegion'>, (MemRegion(base=4096, size=4096,"
      " flags=<PermFlags.READ|WRITE: 3>),)), (<class 'cellsim.machine.IrqLine'>, (32,))),"
