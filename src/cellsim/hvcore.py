@@ -28,7 +28,7 @@ from .errors import (
     ConfigSyntaxError, InvariantViolation, NameCollision, NoSuchCell, NoSuchResource, NotEnabled,
     OutOfRegion, RootCellImmortal, ValidationFailed)
 from .machine import (
-    CPU, DEVICE, IRQ, U64_MAX, UNIT_KINDS, MachinePlatform, PermFlags, region_of)
+    DEVICE, U64_MAX, UNIT_KINDS, MachinePlatform, PermFlags, region_of)
 
 CellId = int
 ROOT_CELL: CellId = 0
