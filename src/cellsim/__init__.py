@@ -65,7 +65,7 @@ _LAZY = {name: module for module, names in (
     ("comm", "create_channel pci_cfg_read poll read_buffer send"),
     ("irq", "IrqDeliveries LatencyStats Scenario distributor_access latency_streams"
             " quantize_62_5ns raise_irq raise_irqs sample_latency"),
-    ("rng", "GENERATOR_NAME make_rng make_streams"),
+    ("rng", "GENERATOR_NAME make_rng"),
 ) for name in names.split()}
 
 

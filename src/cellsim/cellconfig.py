@@ -24,8 +24,7 @@ from .errors import (
 from .machine import (
     CPU, MAX_NAME_BYTES, MMIO_NAME_BYTES, PAGE_SIZE, U64_MAX, Cpu, IoPortRange,
     IrqLine, MachinePlatform, MemRegion, MmioDevice, PciDevice, PermFlags, check_ids,
-    check_no_overlap, gather, layout_resources, perms_from_bits, read_directives, region_of,
-    sort_devices)
+    check_no_overlap, gather, layout_resources, read_directives, sort_devices)
 
 if TYPE_CHECKING:
     from .hvcore import OwnershipLedger
@@ -64,14 +63,12 @@ class CellConfig(Value):
     I/O port ranges are rows of their fields (machine.resource_layout),
     sorted by name, bdf and base: the runs the binary codec writes, in its
     order, so that structural equality and canonical serialization coincide.
-    mem and devices are those rows' value objects, built at the first read
-    of either, which no load or save makes.
+    mem and devices are those rows' value objects, built on each read, which
+    no load, save, claim or trap makes.
     """
 
-    # _views, (mem, devices) once read, and _masks, the last platform masks() was asked for
-    # and its masks, neither compare nor print
-    __slots__ = ("name", "cpus", "regions", "mmio", "pci", "ports", "irqs", "workload",
-                 "_views", "_masks")
+    # _masks: the last platform masks() was asked for and its masks; it neither compares nor prints
+    __slots__ = ("name", "cpus", "regions", "mmio", "pci", "ports", "irqs", "workload", "_masks")
     _fields = ("name", "cpus", "mem", "devices", "irqs", "workload")
 
     def __init__(self, name, cpus=frozenset(), mem=(), devices=(), irqs=frozenset(),
@@ -111,17 +108,11 @@ class CellConfig(Value):
             raise InvariantViolation("a device is listed twice")
         check_no_overlap(regions, mmio, ports)
         self._freeze(name, cpus, regions, mmio, pci, ports, irqs, workload)
-        CellConfig._views.__set__(self, None)  # the slots' setters: Value refuses
-        CellConfig._masks.__set__(self, (None, None))
+        CellConfig._masks.__set__(self, (None, None))  # the slot's setter: Value refuses
 
-    def _build_views(self) -> tuple:  # mem, and the devices: MMIO, PCI, then port ranges
-        CellConfig._views.__set__(self, (tuple(map(region_of, self.regions)), tuple(
-            layout_resources(((MmioDevice, self.mmio), (PciDevice, self.pci),
-                              (IoPortRange, self.ports))))))
-        return self._views
-
-    mem = property(lambda self: (self._views or self._build_views())[0])
-    devices = property(lambda self: (self._views or self._build_views())[1])
+    mem = property(lambda self: tuple(starmap(MemRegion, self.regions)))
+    devices = property(lambda self: tuple(layout_resources(  # MMIO, PCI, then port ranges
+        ((MmioDevice, self.mmio), (PciDevice, self.pci), (IoPortRange, self.ports)))))
 
     @property
     def _args(self) -> tuple:
@@ -256,15 +247,15 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
         base, size, flags = row
         host = platform.host_region(base, base + size)
         if host is None:
-            violations.append(Violation(ViolationKind.NO_SUCH_RESOURCE, region_of(row)))
+            violations.append(Violation(ViolationKind.NO_SUCH_RESOURCE, MemRegion(*row)))
         elif flags & ~host[2]:
-            violations.append(Violation(ViolationKind.PERMISSION_EXCEEDED, region_of(row),
+            violations.append(Violation(ViolationKind.PERMISSION_EXCEEDED, MemRegion(*row),
                                         "platform region allows only %r" % PermFlags(host[2])))
         elif ledger is not None:
             owner = ledger.range_owner(base, base + size)
             if owner != 0:
                 violations.append(Violation(
-                    ViolationKind.NOT_OWNED_BY_ROOT, region_of(row),
+                    ViolationKind.NOT_OWNED_BY_ROOT, MemRegion(*row),
                     "not root-owned" if owner is None else "owned by cell %d" % owner))
     return violations
 
@@ -404,7 +395,7 @@ def take_runs(data: bytes, at: int) -> tuple:
                 for base, size, bits in rows:
                     if (bits > 0xF or size <= 0 or (base | size) % PAGE_SIZE
                             or base + size > U64_MAX):
-                        MemRegion(base, size, perms_from_bits(bits))
+                        MemRegion(base, size, bits)
             elif kind is MmioDevice:  # the name field's rules, then the region's
                 named = []
                 for field, base, size in rows:

@@ -15,7 +15,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from operator import add, attrgetter, index, itemgetter
 from typing import NamedTuple, Optional
 
@@ -28,7 +28,7 @@ from .errors import (
     ConfigSyntaxError, InvariantViolation, NameCollision, NoSuchCell, NoSuchResource, NotEnabled,
     OutOfRegion, RootCellImmortal, ValidationFailed)
 from .machine import (
-    DEVICE, U64_MAX, UNIT_KINDS, MachinePlatform, PermFlags, region_of)
+    DEVICE, U64_MAX, UNIT_KINDS, MachinePlatform, MemRegion, PermFlags)
 
 CellId = int
 ROOT_CELL: CellId = 0
@@ -95,6 +95,8 @@ class Access(Value):
             raise InvariantViolation("access width must be 1, 2, 4 or 8")
         if addr_or_port < 0:
             raise InvariantViolation("address must be non-negative")
+        if addr_or_port > U64_MAX:
+            raise InvariantViolation("address must fit in 64 bits")
         if kind in _MEM_KINDS and addr_or_port % width:
             raise InvariantViolation(
                 "memory access at 0x%x not aligned to width %d" % (addr_or_port, width))
@@ -247,8 +249,8 @@ class OwnershipLedger:
         """Ledger keys as a multiset: each holder's units, claims and root's share
         of RAM (no claims: the platform's)."""
         keys = Counter(chain.from_iterable(map(self.units_of, self.owners())))
-        keys.update(region_of((lo, hi - lo, flags)) for lo, hi, _, flags in self._claims)
-        keys.update(map(region_of, self.ram_of(ROOT_CELL)))
+        keys.update(MemRegion(lo, hi - lo, flags) for lo, hi, _, flags in self._claims)
+        keys.update(starmap(MemRegion, self.ram_of(ROOT_CELL)))
         return keys
 
     def audit(self) -> None:
@@ -387,7 +389,10 @@ def check_script(ops: list[tuple], platform: MachinePlatform) -> None:
             if window is None:
                 raise ConfigSemanticError("platform %s has no gic-dist window" % platform.name,
                                           op[2])
-            ops[at] = ("access", Access(_MEM_WRITE, window[1] + op[1], 4))
+            try:  # an offset that carries the window's base past 64 bits
+                ops[at] = ("access", Access(_MEM_WRITE, window[1] + op[1], 4))
+            except InvariantViolation as exc:
+                raise ConfigSemanticError(str(exc), op[2])
 
 
 def read_script(workload: Workload) -> str:
@@ -532,7 +537,7 @@ class Hypervisor:
             cfg, self.platform, None if cell_id == ROOT_CELL else self.ledger)
         if self.channels:
             violations += [
-                Violation(ViolationKind.NOT_OWNED_BY_ROOT, region_of(row),
+                Violation(ViolationKind.NOT_OWNED_BY_ROOT, MemRegion(*row),
                           "holds the window of channel %d" % ch.id)
                 for row in cfg.regions for ch in self.channels.values() if ch.cell_a == ROOT_CELL
                 and row[0] < ch.region.end and ch.region.base < row[0] + row[1]]

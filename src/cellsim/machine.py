@@ -69,7 +69,7 @@ def parse_perms(text: str) -> PermFlags:
 
 def perms_from_bits(bits: int) -> PermFlags:
     """Permission flags from their binary encoding, rejecting unknown bits."""
-    if bits & ~0xF:
+    if not 0 <= bits <= 0xF:  # an int test, in C: an IntFlag's & is Python code
         raise InvariantViolation("unknown permission bits 0x%x" % bits)
     return _PERMS[bits]
 
@@ -87,16 +87,17 @@ class Cpu(Value):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
-        if not 0 <= index <= 0xFFFFFFFF:
-            raise InvariantViolation("cpu index out of range: %d" % index)
+        check_ids((index,), "cpu index")
         self._freeze(index)
 
 
 # A span's end (base + size or length) is a further slot that equality and repr skip.
+# A MemRegion takes its flags as PermFlags or as their bits, as its row holds them.
 class MemRegion(Value):
     __slots__ = ("base", "size", "flags", "end")
 
-    def __init__(self, base: int, size: int, flags: PermFlags = PermFlags.READ | PermFlags.WRITE):
+    def __init__(self, base: int, size: int, flags: int = PermFlags.READ | PermFlags.WRITE):
+        flags = perms_from_bits(flags)
         end = _check_region(base, size, "memory region")
         self._freeze(base, size, flags)
         object.__setattr__(self, "end", end)
@@ -142,8 +143,7 @@ class IrqLine(Value):
     __slots__ = ("number",)
 
     def __init__(self, number: int):
-        if not 0 <= number <= 0xFFFFFFFF:
-            raise InvariantViolation("irq number out of range: %d" % number)
+        check_ids((number,), "irq number")
         self._freeze(number)
 
 
@@ -368,12 +368,6 @@ _FIRST, _NAME_BASE = itemgetter(0), itemgetter(0, 1)  # row sort keys, in C
 _UNIT_KIND = {Cpu: CPU, IrqLine: IRQ}  # any other unit is a device
 
 
-def region_of(row) -> MemRegion:
-    """The MemRegion of a (base, size, flags) row."""
-    base, size, flags = row
-    return MemRegion(base, size, PermFlags(flags))
-
-
 def resource_layout(resources) -> tuple:
     """Resources as runs of consecutive resources of one kind, (kind, rows), in
     their order; a run of a type that has no row keeps its items."""
@@ -383,9 +377,8 @@ def resource_layout(resources) -> tuple:
 
 def layout_resources(runs):
     """The value objects of (kind, rows) runs, in their order."""
-    return chain.from_iterable(
-        map(kind, rows) if kind in (Cpu, IrqLine) else map(region_of, rows)
-        if kind is MemRegion else starmap(kind, rows) for kind, rows in runs)
+    return chain.from_iterable(map(kind, rows) if kind in (Cpu, IrqLine) else starmap(kind, rows)
+                               for kind, rows in runs)
 
 
 def gather(runs) -> dict:
@@ -472,7 +465,7 @@ class MachinePlatform(Value):
             raise InvariantViolation("pci bdfs must be unique")
         order = tuple(sorted(irqs))
         for end in order[:1] + order[-1:]:  # IrqLine's range check, on the sorted ends alone
-            if not 0 <= end <= 0xFFFFFFFF:
+            if not 0 <= end <= MAX_ID:
                 raise InvariantViolation("irq number out of range: %d" % end)
         devices = tuple(mmio) + tuple(pci) + tuple(ports)  # bit i of a device mask is devices[i]
         self._freeze(name, layout, gic_version, bus)
@@ -485,7 +478,7 @@ class MachinePlatform(Value):
 
     # Public views: plain properties, so that a tracer can wrap the getters.
     cpus = _view(lambda self: tuple(map(Cpu, range(self.full_masks[CPU].bit_length()))))
-    mem_regions = _view(lambda self: tuple(map(region_of, self.ram)))
+    mem_regions = _view(lambda self: tuple(starmap(MemRegion, self.ram)))
     mmio_devices = _view(lambda self: tuple(starmap(MmioDevice, self.mmio)))
     io_port_ranges = _view(lambda self: tuple(starmap(IoPortRange, self.ports)))
     pci_devices = _view(lambda self: tuple(starmap(PciDevice, self.pci)))

@@ -38,9 +38,3 @@ def pcg64(words, spawn_key: tuple = ()) -> np.random.Generator:  # key (i,): spa
 def make_rng(seed: int, tag: str = "") -> np.random.Generator:
     """Build the canonical generator for a seed and optional stream tag."""
     return pcg64(entropy_words(seed, h64(tag)))
-
-
-def make_streams(seed: int, tag: str, n: int) -> list[np.random.Generator]:
-    """n independent generators spawned from the (seed, tag) sequence."""
-    words = entropy_words(seed, h64(tag))
-    return [pcg64(words, (i,)) for i in range(n)]

@@ -28,6 +28,7 @@ from cellsim import (
 from cellsim.cellconfig import MAGIC
 from cellsim.errors import (
     BadMagic,
+    CellSimError,
     ConfigSemanticError,
     ConfigSyntaxError,
     InvariantViolation,
@@ -37,6 +38,7 @@ from cellsim.errors import (
 )
 
 from gen import random_config
+from test_refusal_table import config as config_blob
 
 
 FULL_TEXT = """
@@ -453,3 +455,60 @@ class TestCodec:
         irqs = data.draw(st.sets(st.integers(0, 0xFFFFFFFF), max_size=4))
         cfg = CellConfig(name=name, cpus=cpus, mem=mem, irqs=irqs)
         assert load_binary(emit_binary(cfg)) == cfg
+
+
+class TestMemRegionFlags:
+    """A region's flags are its row's bits: a value the codec cannot write, or
+    writes and then refuses to read, is refused when the region is built."""
+
+    @pytest.mark.parametrize("bits", [0x11, 0x10, 256, -1])
+    def test_unknown_bits_are_refused_as_the_codec_refuses_them(self, bits):
+        with pytest.raises(InvariantViolation) as built:
+            MemRegion(0x9000_0000, 0x1000, bits)
+        assert str(built.value) == "unknown permission bits 0x%x" % bits
+
+    def test_bad_flags_are_named_before_a_bad_size_as_the_binary_path_names_them(self):
+        with pytest.raises(InvariantViolation) as built:
+            MemRegion(0x9000_0000, 0, 0x11)
+        with pytest.raises(InvariantViolation) as loaded:
+            load_binary(config_blob(mem=[(0x9000_0000, 0, 0x11)]))
+        assert str(built.value) == str(loaded.value) == "unknown permission bits 0x11"
+
+    @pytest.mark.parametrize("bits", range(16))
+    def test_known_bits_build_the_region_of_their_flags(self, bits):
+        region = MemRegion(0x9000_0000, 0x1000, bits)
+        assert region == MemRegion(0x9000_0000, 0x1000, PermFlags(bits))
+        assert type(region.flags) is PermFlags
+        cfg = CellConfig("g", {1}, [region])
+        assert load_binary(emit_binary(cfg)) == cfg and cfg.mem == (region,)
+
+
+# Each int field of a resource is drawn from the edges of the codec's u8, u16, u32 and u64
+# fields and of the page grid, one past each, and -1; flags also from every small value.
+EDGES = (-1, 0, 1, 4096, 2**16 - 1, 2**16, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 8192,
+         2**64 - 1, 2**64)
+FLAGS = (*EDGES, *range(17), 255, 256)
+RESOURCE_FIELDS = {Cpu: (EDGES,), IrqLine: (EDGES,), MemRegion: (EDGES, EDGES, FLAGS),
+                   MmioDevice: (("uart",), EDGES, EDGES), PciDevice: (EDGES,),
+                   IoPortRange: (EDGES, EDGES)}
+RAM = MemRegion(0x1000_0000, 0x1000)
+
+
+@pytest.mark.parametrize("kind", RESOURCE_FIELDS, ids=lambda kind: kind.__name__)
+@given(data=st.data())
+def test_a_resource_at_the_field_edges_is_refused_or_round_trips(kind, data):
+    fields = data.draw(st.tuples(*map(st.sampled_from, RESOURCE_FIELDS[kind])))
+    try:
+        value = kind(*fields)
+        if kind in (Cpu, IrqLine):
+            cfg = CellConfig("g", {fields[0]} if kind is Cpu else {0}, [RAM],
+                             irqs={fields[0]} if kind is IrqLine else ())
+        elif kind is MemRegion:
+            cfg = CellConfig("g", {0}, [value])
+        else:
+            cfg = CellConfig("g", {0}, [RAM], [value])
+    except CellSimError:
+        return
+    loaded = load_binary(emit_binary(cfg))
+    assert loaded == cfg
+    assert value in loaded.mem + loaded.units()  # as rebuilt from the decoded rows

@@ -839,11 +839,44 @@ class TestScripts:
         ("write 0x10 3", "line 2: access width must be 1, 2, 4 or 8"),
         ("iowrite 0x3f8 16", "line 2: access width must be 1, 2, 4 or 8"),
         ("distwrite 0x3", "line 2: distwrite offset 0x3 not aligned to 4"),
+        ("read 0x%x 4" % 2**64, "line 2: address must fit in 64 bits"),
+        ("ioread 0x%x 1" % 2**80, "line 2: address must fit in 64 bits"),
     ])
     def test_bad_access_names_its_line(self, line, text):
         with pytest.raises(ConfigSemanticError, match=text) as excinfo:
             parse_script("idle\n%s\nrepeat\n" % line)
         assert excinfo.value.line == 2
+
+    def test_a_distwrite_past_64_bits_is_refused_at_create_with_its_line(self, tmp_path):
+        script = tmp_path / "ops.txt"
+        script.write_text("idle\ndistwrite 0x%x\nrepeat\n" % (2**64 - 4))
+        hv = tiny_hv()
+        before = session_facts(hv)
+        with pytest.raises(ConfigSemanticError, match="^line 2: address must fit in 64 bits$"):
+            hv.create_cell(small_cell(workload=Workload(WorkloadKind.SCRIPT, str(script))))
+        assert session_facts(hv) == before
+
+
+class TestAccessAddressBound:
+    """An access names a 64-bit address or port: a larger one was logged in
+    full, and a detail past 65535 bytes made save_session raise struct.error."""
+
+    @pytest.mark.parametrize("kind", [AccessKind.MEM_READ, AccessKind.IO_WRITE])
+    def test_an_address_past_64_bits_is_refused(self, kind):
+        for addr in (2**64, 16**70000):
+            with pytest.raises(InvariantViolation, match="^address must fit in 64 bits$"):
+                Access(kind, addr, 4)
+        with pytest.raises(InvariantViolation, match="^address must be non-negative$"):
+            Access(kind, -4, 4)
+
+    def test_the_last_address_traps_and_its_session_saves(self):
+        hv = tiny_hv()
+        guest = hv.create_cell(small_cell())
+        hv.start_cell(guest)
+        assert hv.handle_access(guest, Access(AccessKind.MEM_READ, 2**64 - 8, 8)) is (
+            AccessOutcome.VIOLATION)
+        assert hv.events[-1].detail == "MemRead 0x%x width 8" % (2**64 - 8)
+        assert load_session(save_session(hv.platform, hv))[1].events == hv.events
 
 
 class TestTouchOwnMemory:

@@ -39,7 +39,7 @@ from cellsim.comm import create_channel, send
 from cellsim.hvcore import EXIT_SLOT, Access, AccessKind
 from cellsim.irq import LATTICE_US, DoorbellLatencies, distributor_access, draw
 from cellsim.machine import bus_load, parse_platform
-from cellsim.rng import entropy_words, h64, make_rng, make_streams, pcg64
+from cellsim.rng import entropy_words, h64, make_rng, pcg64
 from cellsim.snapshot import load_session, save_session
 
 from conftest import make_tiny_platform, with_bus
@@ -109,15 +109,16 @@ class TestStreams:
             assert a.random(4).tolist() != b.random(4).tolist()
 
     def test_streams_are_pure_and_distinct(self):
-        first = [g.random(4).tolist() for g in make_streams(5, "x", 3)]
-        assert first == [g.random(4).tolist() for g in make_streams(5, "x", 3)]
+        first = [g.random(4).tolist() for g in latency_streams(5, "x")]
+        assert first == [g.random(4).tolist() for g in latency_streams(5, "x")]
         draws = first + [make_rng(5, "x").random(4).tolist()]
-        assert len({tuple(d) for d in draws}) == 4
+        assert len({tuple(d) for d in draws}) == 5
 
     def test_latency_streams_are_four_spawned_children(self):
         streams = latency_streams(5, "x")
         assert len(streams) == 4
-        assert [g.random() for g in streams] == [g.random() for g in make_streams(5, "x", 4)]
+        words = entropy_words(5, h64("x"))
+        assert [g.random() for g in streams] == [pcg64(words, (i,)).random() for i in range(4)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("h", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
@@ -144,11 +145,11 @@ class TestStreams:
     @pytest.mark.parametrize("tag", TAGS)
     def test_a_stream_built_alone_is_the_spawned_child(self, seed, tag):
         spawned = [g.bit_generator.state for g in self.spawned(seed, tag)]
-        assert [g.bit_generator.state for g in make_streams(seed, tag, 4)] == spawned
+        words = entropy_words(seed, h64(tag))
+        assert [pcg64(words, (i,)).bit_generator.state for i in range(4)] == spawned
         for i in range(4):  # stream i first, then all four in order
             assert latency_streams(seed, tag)[i].bit_generator.state == spawned[i]
         assert [g.bit_generator.state for g in latency_streams(seed, tag)] == spawned
-        assert make_streams(seed, tag, 3)[2].bit_generator.state == spawned[2]
         streams = latency_streams(seed, tag)
         assert streams[-1] is streams[3]
         with pytest.raises(IndexError):
@@ -157,8 +158,8 @@ class TestStreams:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize("build", [
         lambda seed: make_rng(seed, "x"), lambda seed: pcg64(entropy_words(seed, h64("x")), (0,)),
-        lambda seed: make_streams(seed, "x", 4), lambda seed: tuple(latency_streams(seed, "x"))],
-        ids=["make_rng", "pcg64", "make_streams", "latency_streams"])
+        lambda seed: tuple(latency_streams(seed, "x"))],
+        ids=["make_rng", "pcg64", "latency_streams"])
     def test_a_seed_outside_u64_is_refused_not_aliased(self, seed, build):
         # masked to 64 bits, 2^64 drew what 0 draws and -1 what 2^64 - 1 draws
         with pytest.raises(InvariantViolation, match=r"^seed %d outside \[0, 2\^64\)$" % seed):

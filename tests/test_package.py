@@ -1,3 +1,4 @@
+import ast
 import importlib
 from pathlib import Path
 
@@ -42,3 +43,40 @@ def test_readme_library_use_block_prints_what_it_shows(capsys):
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out == "1.3125 us via reinjected\n"
     assert block.endswith("\n# 1.3125 us via reinjected\n")
+
+
+# --- source hygiene, checked with the standard library alone ----------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MAX_COLUMNS = 100
+
+
+def _names_in_string_annotations(tree) -> set:
+    """The names that annotations written as strings, such as "Hypervisor", mention."""
+    names = set()
+    for node in ast.walk(tree):
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(note) if note is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    names.update(name.id for name in ast.walk(ast.parse(part.value, mode="eval"))
+                                 if isinstance(name, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in (SRC / "cellsim").glob("*.py") if path.name != "__init__.py"))
+def test_a_module_imports_no_name_it_leaves_unused(name):
+    tree = ast.parse((SRC / "cellsim" / name).read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names if alias.name != "annotations"}  # a __future__ flag
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - _names_in_string_annotations(tree)) == []
+
+
+def test_no_source_line_is_longer_than_the_limit():
+    long = ["%s:%d" % (path.relative_to(SRC), lineno)
+            for path in sorted(SRC.rglob("*.py"))
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > MAX_COLUMNS]
+    assert long == []
