@@ -22,7 +22,7 @@ from .errors import (
     BadMagic, ConfigSemanticError, ConfigSyntaxError, InvariantViolation, TruncatedRecord,
     UnsupportedVersion)
 from .machine import (
-    CPU, MAX_NAME_BYTES, MMIO_NAME_BYTES, PAGE_SIZE, U64_MAX, Cpu, IoPortRange,
+    CPU, INT_TYPE, MAX_NAME_BYTES, MMIO_NAME_BYTES, PAGE_SIZE, U64_MAX, Cpu, IoPortRange,
     IrqLine, MachinePlatform, MemRegion, MmioDevice, PciDevice, PermFlags, check_ids,
     check_no_overlap, gather, layout_resources, read_directives, sort_devices)
 
@@ -96,8 +96,9 @@ class CellConfig(Value):
         if not regions:
             raise InvariantViolation("a cell needs memory")
         for ids, what in (cpus, "cpu id"), (irqs, "irq number"):
-            if ids and not 0 <= min(ids) <= max(ids) <= MAX_ID:
-                check_ids(ids, what)  # names the first out of range
+            if ids and not (0 <= min(ids) <= max(ids) <= MAX_ID
+                            and INT_TYPE.issuperset(map(type, ids))):
+                check_ids(ids, what)  # names the first that is no int or out of range
         if None in regions:
             raise InvariantViolation("mem entries must be memory regions")
         if len(regions) > 1:  # a single row is sorted

@@ -91,8 +91,10 @@ class Access(Value):
     __slots__ = ("kind", "addr_or_port", "width", "instr")
 
     def __init__(self, kind, addr_or_port=0, width=4, instr=None):
-        if width not in (1, 2, 4, 8):
+        if width not in (1, 2, 4, 8) or not isinstance(width, int):
             raise InvariantViolation("access width must be 1, 2, 4 or 8")
+        if not isinstance(addr_or_port, int):
+            raise InvariantViolation("address must be an int, not %r" % (addr_or_port,))
         if addr_or_port < 0:
             raise InvariantViolation("address must be non-negative")
         if addr_or_port > U64_MAX:

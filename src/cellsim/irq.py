@@ -277,6 +277,8 @@ def distributor_access(hv: Hypervisor, cell_id: int, offset: int) -> AccessOutco
     window = hv.platform.window  # the gic-dist row: name, base, size
     if window is None:
         raise NoSuchResource("platform has no gic-dist window")
+    if not isinstance(offset, int):
+        raise InvariantViolation("distributor offset must be an int, not %r" % (offset,))
     if offset < 0:
         raise InvariantViolation("negative distributor offset")
     if offset % 4 or offset + 4 > window[2]:  # Access refuses the first; the second violates

@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 
 PAGE_SIZE = 4096
 U64_MAX = (1 << 64) - 1
+INT_TYPE = frozenset({int})  # INT_TYPE.issuperset(map(type, ids)) tests ids' types in C
 
 # Name of the MMIO window that gets distributor emulation.
 GIC_DIST_NAME = "gic-dist"
@@ -69,6 +70,8 @@ def parse_perms(text: str) -> PermFlags:
 
 def perms_from_bits(bits: int) -> PermFlags:
     """Permission flags from their binary encoding, rejecting unknown bits."""
+    if not isinstance(bits, int):
+        raise InvariantViolation("permission bits must be an int, not %r" % (bits,))
     if not 0 <= bits <= 0xF:  # an int test, in C: an IntFlag's & is Python code
         raise InvariantViolation("unknown permission bits 0x%x" % bits)
     return _PERMS[bits]
@@ -121,6 +124,8 @@ class PciDevice(Value):
     __slots__ = ("bdf",)
 
     def __init__(self, bdf: int):
+        if not isinstance(bdf, int):
+            raise InvariantViolation("pci bdf must be an int, not %r" % (bdf,))
         if not 0 <= bdf <= 0xFFFF:
             raise InvariantViolation("pci bdf out of range: 0x%x" % bdf)
         self._freeze(bdf)
@@ -130,6 +135,9 @@ class IoPortRange(Value):
     __slots__ = ("base", "length", "end")
 
     def __init__(self, base: int, length: int):
+        if not (isinstance(base, int) and isinstance(length, int)):
+            raise InvariantViolation("io port range base and length must be ints, not %r and %r"
+                                     % (base, length))
         if length <= 0:
             raise InvariantViolation("io port range must not be empty")
         if base < 0 or base + length > 65536:
@@ -148,6 +156,9 @@ class IrqLine(Value):
 
 
 def _check_region(base: int, size: int, what: str) -> int:
+    if not (isinstance(base, int) and isinstance(size, int)):
+        raise InvariantViolation("%s: base and size must be ints, not %r and %r"
+                                 % (what, base, size))
     if size <= 0:
         raise InvariantViolation("%s: size must be positive" % what)
     if base % PAGE_SIZE or size % PAGE_SIZE:
@@ -158,7 +169,12 @@ def _check_region(base: int, size: int, what: str) -> int:
 
 
 def check_ids(ids, what: str) -> None:
-    """Refuse an id outside [0, 2^32), the first named; one sort bounds them all in C."""
+    """Refuse an id that is no int, then one outside [0, 2^32), the first named; a type
+    test and one sort bound them all in C."""
+    if not INT_TYPE.issuperset(map(type, ids)):  # a bool or an IntFlag passes below
+        for i in ids:
+            if not isinstance(i, int):
+                raise InvariantViolation("%s must be an int, not %r" % (what, i))
     ordered = sorted(ids)
     if ordered and not 0 <= ordered[0] <= ordered[-1] <= MAX_ID:
         raise InvariantViolation("%s out of range: %d"

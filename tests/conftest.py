@@ -4,6 +4,11 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import Phase, settings
+
+# A mutant run (tests/run_mutants.py) needs only to see a test fail, not its
+# smallest falsifying example, so this profile skips the shrink phase.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 from cellsim import (
     CellConfig,

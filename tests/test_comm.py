@@ -6,8 +6,6 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from cellsim import (
     ROOT_CELL,
@@ -467,107 +465,3 @@ class TestDoorbellLatencies:
         assert len(latencies) == 900
         assert (hashlib.sha256(json.dumps(latencies).encode()).hexdigest()
                 == self.TRAP_MIX_SHA256[seed])
-
-
-# --- window and bdf allocation against a page scan ---------------------------
-
-class ChannelAllocMachine(RuleBasedStateMachine):
-    """Creates, destroys and channels on the tiny platform, next to a model
-    of which cell owns each page. Every window must be the highest free span
-    a page-by-page scan finds, and every bdf the lowest free one."""
-
-    def __init__(self):
-        super().__init__()
-        self.hv = tiny_hv()
-        self.configs = {}  # guest id -> config
-        self.windows = {}  # channel id -> (lo, hi, a, b, bdf_a, bdf_b)
-        self.counter = 0
-
-    def spans(self):
-        """Page -> (owner, span) for the read-write RAM a cell owns: each guest
-        region is one span, and root's pages outside every guest region are
-        another; a guest page that is not read-write maps to None."""
-        owners = {page: (ROOT_CELL, None) for page in range(RAM, RAM_END, PAGE)}
-        for cell_id, cfg in self.configs.items():
-            for region in cfg.mem:
-                for page in range(region.base, region.end, PAGE):
-                    owners[page] = (cell_id, region.base) if region.flags == RW else None
-        return owners
-
-    def scan(self, a, size):
-        """The highest base of a free span of size bytes in a's read-write RAM."""
-        owners = self.spans()
-        taken = {page for lo, hi, *_ in self.windows.values() for page in range(lo, hi, PAGE)}
-        for lo in range(RAM_END - size, RAM - 1, -PAGE):
-            pages = range(lo, lo + size, PAGE)
-            found = {owners[page] for page in pages}
-            if (len(found) == 1 and None not in found and found.pop()[0] == a
-                    and taken.isdisjoint(pages)):
-                return lo
-        return None
-
-    def lowest_free_bdf(self, cell_id):
-        used = {bdf for _, _, a, b, bdf_a, bdf_b in self.windows.values()
-                for end, bdf in ((a, bdf_a), (b, bdf_b)) if end == cell_id}
-        return next(bdf for bdf in range(0, 0x10000, 8) if bdf not in used)
-
-    @rule(data=st.data())
-    def create(self, data):
-        # guests live in the top 32 pages, where root's windows start
-        start = data.draw(st.integers(0, 31))
-        pages = data.draw(st.integers(1, min(4, 32 - start)))
-        region = MemRegion(RAM_END - (32 - start) * PAGE, pages * PAGE,
-                           data.draw(st.sampled_from([RW, RW, PermFlags.READ])))
-        self.counter += 1
-        cfg = CellConfig(name="g%d" % self.counter, cpus=[data.draw(st.integers(0, 3))],
-                         mem=[region])
-        held = {page for other in self.configs.values() for r in other.mem
-                for page in range(r.base, r.end, PAGE)}
-        root_windows = {page for lo, hi, a, *_ in self.windows.values() if a == ROOT_CELL
-                        for page in range(lo, hi, PAGE)}
-        own = set(range(region.base, region.end, PAGE))
-        fits = (all(cfg.cpus.isdisjoint(other.cpus) for other in self.configs.values())
-                and own.isdisjoint(held) and own.isdisjoint(root_windows))
-        if not fits:
-            with pytest.raises(ValidationFailed):
-                self.hv.create_cell(cfg)
-            return
-        self.configs[self.hv.create_cell(cfg)] = cfg
-
-    @precondition(lambda self: self.configs)
-    @rule(data=st.data())
-    def destroy(self, data):
-        cell_id = data.draw(st.sampled_from(sorted(self.configs)))
-        self.hv.destroy_cell(cell_id)
-        del self.configs[cell_id]
-        self.windows = {ch: w for ch, w in self.windows.items() if cell_id not in w[2:4]}
-
-    @precondition(lambda self: self.configs)
-    @rule(data=st.data())
-    def channel(self, data):
-        cells = [ROOT_CELL] + sorted(self.configs)
-        a = data.draw(st.sampled_from(cells))
-        b = data.draw(st.sampled_from([cell_id for cell_id in cells if cell_id != a]))
-        size = data.draw(st.integers(1, 8)) * PAGE
-        lo = self.scan(a, size)
-        if lo is None:
-            with pytest.raises(OutOfRegion):
-                create_channel(self.hv, a, b, size, 1)
-            return
-        bdfs = self.lowest_free_bdf(a), self.lowest_free_bdf(b)
-        ch = self.hv.channels[create_channel(self.hv, a, b, size, 1)]
-        assert (ch.region, (ch.bdf_a, ch.bdf_b)) == (MemRegion(lo, size, RW), bdfs)
-        self.windows[ch.id] = (lo, lo + size, a, b) + bdfs
-
-    @invariant()
-    def windows_are_disjoint_and_audited(self):
-        assert {ch.id: (ch.region.base, ch.region.end, ch.cell_a, ch.cell_b, ch.bdf_a, ch.bdf_b)
-                for ch in self.hv.channels.values()} == self.windows
-        spans = sorted(w[:2] for w in self.windows.values())
-        assert all(hi <= next_lo for (_, hi), (next_lo, _) in zip(spans, spans[1:]))
-        self.hv.audit()
-
-
-ChannelAllocMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None)
-TestChannelAllocMatchesThePageScan = ChannelAllocMachine.TestCase

@@ -1,13 +1,10 @@
 import copy
-import itertools
 import json
 import pickle
 import random
-from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis import given, strategies as st
 
 from cellsim import (
     EXIT_SLOT,
@@ -556,6 +553,20 @@ class TestHandleAccess:
         assert hv.exits[ROOT_CELL][EXIT_SLOT[TrapKind.DISTRIBUTOR_EMULATION]] == 1
         assert hv.events[-1].kind is TrapKind.DISTRIBUTOR_EMULATION
 
+    @pytest.mark.parametrize("call", [
+        lambda hv: hv.create_cell(small_cell(cpu=2.0)),
+        lambda hv: hv.handle_access(ROOT_CELL, Access(AccessKind.MEM_READ, 4096.0, 4)),
+        lambda hv: distributor_access(hv, ROOT_CELL, 4.0),
+    ], ids=["create-cpu", "access-address", "distributor-offset"])
+    def test_a_float_is_refused_before_it_reaches_a_mask_or_a_trap(self, call):
+        # each raised a raw TypeError: 1 << 2.0, or "%x" % 4.0 in the event's detail
+        hv = tiny_hv()
+        before = (list(hv.events), copy.deepcopy(hv.exits))
+        with pytest.raises(InvariantViolation, match="must be an int, not"):
+            call(hv)
+        assert (hv.events, hv.exits) == before
+        assert hv.cells[ROOT_CELL].state is CellState.RUNNING
+
     def test_own_memory_runs_direct(self):
         hv = tiny_hv()
         cell_id = hv.create_cell(small_cell())
@@ -903,138 +914,27 @@ class TestTouchOwnMemory:
         assert len(hv.events) == before
 
 
-def reference_script_turn(hv, cell):
-    """One turn of a script cell: its next op, where repeat goes back to the
-    first op; an idle op or a script that ran out issues nothing."""
-    ops = cell.script_ops
-    if cell.script_pos >= len(ops):
-        return 0
-    if ops[cell.script_pos] == ("repeat",):
-        cell.script_pos = 0
-        if ops[0] == ("repeat",):
-            return 0
-    op = ops[cell.script_pos]
-    cell.script_pos += 1
-    if op == ("idle",):
-        return 0
-    window = hv.platform.gic_dist_window
-    access = op[1] if op[0] == "access" else Access(AccessKind.MEM_WRITE, window.base + op[1], 4)
-    hv.handle_access(cell.id, access)
-    return 1
-
-
-def reference_step(hv, n):
-    """step as it was before it counted, turn by turn: each running guest,
-    in id order, either runs its script's next op or, running no script,
-    builds an Access to the first region of its config that grants the flag
-    it needs (a stress guest writes, or else reads) and hands it to
-    handle_access, which must answer DIRECT. A script guest that violates
-    is no longer running, so it issues nothing from the next turn on."""
-    issued = 0
-    for turn in range(n):
-        hv.clock += STEP_NS
-        for cell_id, cell in sorted(hv.cells.items()):
-            if cell_id == ROOT_CELL or cell.state is not CellState.RUNNING:
-                continue
-            if cell.config.workload.kind is WorkloadKind.SCRIPT:
-                issued += reference_script_turn(hv, cell)
-                continue
-            tries = [(AccessKind.MEM_READ, PermFlags.READ)]
-            if cell.config.workload.kind is WorkloadKind.STRESS:
-                tries.insert(0, (AccessKind.MEM_WRITE, PermFlags.WRITE))
-            for kind, need in tries:
-                region = next((r for r in cell.config.mem if r.flags & need), None)
-                if region is not None:
-                    access = Access(kind, region.base + turn * 8 % 4096, 8)
-                    assert hv.handle_access(cell_id, access) is AccessOutcome.DIRECT
-                    issued += 1
-                    break
-    return issued
-
-
-class TestStepCountsOwnedTouches:
-    """step counts what the trap engine would have answered DIRECT, once
-    per turn for each running guest that has a region to touch, and runs
-    one op a turn of each running script guest, in id order."""
-
-    FLAGS = (PermFlags.READ, PermFlags.WRITE, PermFlags.READ | PermFlags.WRITE, PermFlags(0))
-    KINDS = (WorkloadKind.IDLE, WorkloadKind.STRESS, WorkloadKind.LATENCY_RESPONDER,
-             WorkloadKind.SCRIPT, WorkloadKind.SCRIPT)
-    FATES = ("created", "running", "running", "stopped", "failed", "relaunched")
-    GIC = MmioDevice("gic-dist", 0x5004_1000, 0x1000)
-
-    @staticmethod
-    def script(rnd, base):
-        """Random script ops over the guest's first page: emulated and direct
-        ones, idles, and with some luck a read of root's RAM, which violates."""
-        pool = ["read 0x%x 8" % (base + 8 * k) for k in range(4)] + [
-            "instr cpuid", "instr wfi", "distwrite 0x%x" % (4 * rnd.randrange(64)), "idle",
-            "read 0x%x 4" % (RAM + 0xF_F000)]
-        weights = [3, 3, 3, 3, 4, 2, 4, 3, 1]
-        ops = rnd.choices(pool, weights, k=rnd.randint(0, 8))
-        return "\n".join(ops + ["repeat"] * rnd.randint(0, 1)) + "\n"
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_step_matches_the_trap_engine(self, seed, tmp_path):
-        rnd = random.Random(seed)
-        platform = build_platform(PlatformSpec(name="steps", resources=[
-            Cpu(i) for i in range(13)] + [MemRegion(RAM, 0x10_0000), self.GIC]))
-        hv = enable(platform, full_platform_config(platform))
-        for index in range(rnd.randint(1, 12)):
-            base = RAM + index * 0x4000
-            kind, path = rnd.choice(self.KINDS), None
-            if kind is WorkloadKind.SCRIPT:
-                path = tmp_path / ("g%d.txt" % index)
-                path.write_text(self.script(rnd, base))
-            cell_id = hv.create_cell(CellConfig(
-                name="g%d" % index, cpus=[index + 1],
-                mem=[MemRegion(base + k * 0x2000, 0x1000, rnd.choice(self.FLAGS))
-                     for k in range(rnd.randint(1, 2))],
-                workload=Workload(kind, path and str(path))))
-            fate = rnd.choice(self.FATES)
-            if fate != "created":
-                hv.start_cell(cell_id)
-            if fate == "stopped":
-                hv.stop_cell(cell_id)
-            if fate in ("failed", "relaunched"):
-                assert hv.handle_access(cell_id, Access(AccessKind.MEM_READ, 0, 8)) \
-                    is AccessOutcome.VIOLATION
-            if fate == "relaunched":
-                hv.relaunch_cell(cell_id)
-        twin = copy.deepcopy(hv)
-        events, exits = list(hv.events), copy.deepcopy(hv.exits)
-        scripted = any(c.script_ops for c in hv.cells.values())
-        for n in (rnd.randint(2, 40), rnd.randint(0, 5)):
-            assert hv.step(n) == reference_step(twin, n)
-            assert hv.clock == twin.clock
-            assert (hv.events, hv.exits) == (twin.events, twin.exits)
-            assert [(c.id, c.state, c.script_pos) for c in hv.cells.values()] == \
-                [(c.id, c.state, c.script_pos) for c in twin.cells.values()]
-        if not scripted:  # only a script reaches the trap engine
-            assert (hv.events, hv.exits) == (events, exits)
-        hv.audit()
-
-    def test_script_guests_step_in_id_order_and_stop_at_a_violation(self, tmp_path):
-        """Two script guests trap in every turn, so the event log gives their
-        order; the second violates on its third op and issues nothing after."""
-        (tmp_path / "a.txt").write_text("instr cpuid\nrepeat\n")
-        (tmp_path / "b.txt").write_text("distwrite 0x0\nidle\nread 0x%x 8\ninstr cpuid\n" % RAM)
-        hv = tiny_hv()
-        ids = [hv.create_cell(small_cell(
-            name, cpu=cpu, base=RAM + 0x8_0000 + cpu * 0x2000,
-            workload=Workload(WorkloadKind.SCRIPT, str(tmp_path / ("%s.txt" % name)))))
-            for name, cpu in (("a", 1), ("b", 2))]
-        for cell_id in reversed(ids):
-            hv.start_cell(cell_id)
-        before = len(hv.events)
-        assert hv.step(5) == 5 + 2
-        assert [(e.time_ns, e.cell, e.kind) for e in hv.events[before:]] == [
-            (1000, 1, TrapKind.INSTRUCTION_EMULATION), (1000, 2, TrapKind.DISTRIBUTOR_EMULATION),
-            (2000, 1, TrapKind.INSTRUCTION_EMULATION),
-            (3000, 1, TrapKind.INSTRUCTION_EMULATION), (3000, 2, TrapKind.ACCESS_VIOLATION),
-            (4000, 1, TrapKind.INSTRUCTION_EMULATION), (5000, 1, TrapKind.INSTRUCTION_EMULATION)]
-        assert [hv.cells[i].script_pos for i in ids] == [1, 3]
-        assert hv.cells[2].state is CellState.FAILED
+def test_script_guests_step_in_id_order_and_stop_at_a_violation(tmp_path):
+    """Two script guests trap in every turn, so the event log gives their
+    order; the second violates on its third op and issues nothing after."""
+    (tmp_path / "a.txt").write_text("instr cpuid\nrepeat\n")
+    (tmp_path / "b.txt").write_text("distwrite 0x0\nidle\nread 0x%x 8\ninstr cpuid\n" % RAM)
+    hv = tiny_hv()
+    ids = [hv.create_cell(small_cell(
+        name, cpu=cpu, base=RAM + 0x8_0000 + cpu * 0x2000,
+        workload=Workload(WorkloadKind.SCRIPT, str(tmp_path / ("%s.txt" % name)))))
+        for name, cpu in (("a", 1), ("b", 2))]
+    for cell_id in reversed(ids):
+        hv.start_cell(cell_id)
+    before = len(hv.events)
+    assert hv.step(5) == 5 + 2
+    assert [(e.time_ns, e.cell, e.kind) for e in hv.events[before:]] == [
+        (1000, 1, TrapKind.INSTRUCTION_EMULATION), (1000, 2, TrapKind.DISTRIBUTOR_EMULATION),
+        (2000, 1, TrapKind.INSTRUCTION_EMULATION),
+        (3000, 1, TrapKind.INSTRUCTION_EMULATION), (3000, 2, TrapKind.ACCESS_VIOLATION),
+        (4000, 1, TrapKind.INSTRUCTION_EMULATION), (5000, 1, TrapKind.INSTRUCTION_EMULATION)]
+    assert [hv.cells[i].script_pos for i in ids] == [1, 3]
+    assert hv.cells[2].state is CellState.FAILED
 
 
 class TestEnumMembers:
@@ -1215,98 +1115,6 @@ class TestAudit:
             two_guests.audit()
 
 
-def old_mem_allowed(hv, cell_id, lo, hi, write):
-    """_mem_allowed as it was before the claim list: the root cell asked a
-    coalescing segment ledger, a guest scanned its own config."""
-    need = PermFlags.WRITE if write else PermFlags.READ
-    if cell_id == ROOT_CELL:
-        host = hv.platform.host_region(lo, hi)
-        claimed = any(region.base < hi and lo < region.end
-                      for guest_id, guest in hv.cells.items() if guest_id != ROOT_CELL
-                      for region in guest.config.mem)
-        if host is not None and not claimed:
-            return bool(host[2] & need)  # the row's flags
-    else:
-        for region in hv.cells[cell_id].config.mem:
-            if region.base <= lo and hi <= region.end:
-                return bool(region.flags & need)
-    for channel in hv.channels.values():
-        window = channel.region
-        if channel.cell_b == cell_id and window.base <= lo and hi <= window.end:
-            return True
-    for dev in hv.platform.mmio_devices:
-        if dev.base <= lo and hi <= dev.end:
-            return hv.ledger.owner_of_unit(dev) == cell_id
-    return False
-
-
-def map_outcome(hv, cell_id, lo, hi, write):
-    """What the cell's access map answers for [lo, hi): the rights of the
-    one memory entry that holds it, as handle_access reads them."""
-    table = hv._build_access_map(cell_id).mem
-    index = bisect_right([entry[0] for entry in table], lo)
-    if index and hi <= table[index - 1][1]:
-        rights = table[index - 1][2]
-        if rights & (2 if write else 1):
-            return AccessOutcome.DIRECT
-        if rights & 4:
-            return AccessOutcome.EMULATED
-    return AccessOutcome.VIOLATION
-
-
-class TestAccessRuleMatchesTheConfigScan:
-    """Criterion 5's partitions plus a channel: the access map allows
-    exactly what the root segment ledger and the guest config scan did."""
-
-    RW = PermFlags.READ | PermFlags.WRITE
-
-    @settings(max_examples=40, deadline=None)
-    @given(a_page=st.integers(4, 200),
-           a_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=2),
-           a_flags=st.lists(st.sampled_from([RW, PermFlags.READ, PermFlags.WRITE]),
-                            min_size=2, max_size=2),
-           gap=st.integers(0, 2), b_pages=st.integers(2, 6))
-    def test_outcomes_match(self, a_page, a_sizes, a_flags, gap, b_pages):
-        page = 0x1000
-        hv = tiny_hv()
-        bases = [a_page, a_page + a_sizes[0]][:len(a_sizes)]
-        attacker = hv.create_cell(CellConfig(
-            name="attacker", cpus=[1],
-            mem=[MemRegion(RAM + base * page, size * page, flags)
-                 for base, size, flags in zip(bases, a_sizes, a_flags)]))
-        b_base = RAM + (a_page + sum(a_sizes) + gap) * page
-        victim = hv.create_cell(CellConfig(
-            name="victim", cpus=[3], mem=[MemRegion(b_base, b_pages * page, self.RW)],
-            devices=[MmioDevice("uart", 0x7000_6000, 0x1000), IoPortRange(0x3F8, 0x8)]))
-        window = hv.channels[create_channel(hv, victim, attacker, page, 1)].region
-        for cell_id in (attacker, victim):
-            hv.start_cell(cell_id)
-
-        a_lo, a_hi = RAM + a_page * page, RAM + (a_page + sum(a_sizes)) * page
-        edges = {RAM, RAM + 0x20_0000, a_lo, a_hi, RAM + bases[-1] * page, b_base,
-                 b_base + b_pages * page, window.base, 0x7000_6000, 0x5004_1000}
-        spans = [(a_lo, a_hi), (b_base, b_base + b_pages * page), (RAM, a_lo)]
-        for edge in edges:
-            spans += [(edge - 8, edge), (edge - 8, edge + 8), (edge, edge + 8),
-                      (edge - page, edge + page)]
-        for cell_id in (ROOT_CELL, attacker, victim):
-            cell = hv.cells[cell_id]
-            for (lo, hi), write in itertools.product(spans, (False, True)):
-                emulated = 0x5004_1000 <= lo and hi <= 0x5004_2000
-                want = (AccessOutcome.EMULATED if emulated else AccessOutcome.DIRECT
-                        if old_mem_allowed(hv, cell_id, lo, hi, write)
-                        else AccessOutcome.VIOLATION)
-                assert map_outcome(hv, cell_id, lo, hi, write) is want, (cell_id, lo, hi, write)
-                if hi - lo != 8:
-                    continue
-                kind = AccessKind.MEM_WRITE if write else AccessKind.MEM_READ
-                assert hv.handle_access(cell_id, Access(kind, lo, 8)) is want
-                cell.state = CellState.RUNNING
-        if len(a_sizes) == 2:  # one span over both of the attacker's regions
-            assert hv.ledger.range_owner(a_lo, a_hi) is None
-            assert map_outcome(hv, attacker, a_lo, a_hi, False) is AccessOutcome.VIOLATION
-
-
 class TestLedger:
     def test_transfer_and_return_coalesces(self, tiny):
         ledger = OwnershipLedger(tiny)
@@ -1421,84 +1229,6 @@ class TestLedger:
         bounds = [RAM, RAM + 0x1000, RAM + 0x2000, RAM + 0x3000, RAM + 0x4000, end]
         assert mem == list(zip(bounds, bounds[1:]))
         assert [ledger.range_owner(lo, hi) for lo, hi in mem] == [0, 4, 0, 5, 0]
-
-
-class LifecycleMachine(RuleBasedStateMachine):
-    """Random walk over management operations; ownership must stay conserved."""
-
-    def __init__(self):
-        super().__init__()
-        platform = make_tiny_platform()
-        self.hv = enable(platform, full_platform_config(platform))
-        self.baseline = self.hv.ledger.keys_multiset()
-        self.counter = 0
-
-    def _free_page(self):
-        for page in range(0, 0x10_0000, 0x1000):
-            base = RAM + page
-            if self.hv.ledger.range_owner(base, base + 0x1000) == ROOT_CELL:
-                return base
-        return None
-
-    @rule(cpu=st.sampled_from([1, 2, 3]))
-    def create(self, cpu):
-        base = self._free_page()
-        if base is None or self.hv.ledger.owner_of_unit(Cpu(cpu)) != ROOT_CELL:
-            return
-        self.counter += 1
-        self.hv.create_cell(CellConfig(
-            name="g%d" % self.counter, cpus=[cpu],
-            mem=[MemRegion(base, 0x1000)]))
-
-    def _pick(self, wanted):
-        for cell_id, cell in sorted(self.hv.cells.items()):
-            if cell_id != ROOT_CELL and cell.state in wanted:
-                return cell_id
-        return None
-
-    @rule()
-    def start(self):
-        cell_id = self._pick((CellState.CREATED, CellState.STOPPED))
-        if cell_id is not None:
-            self.hv.start_cell(cell_id)
-
-    @rule()
-    def stop(self):
-        cell_id = self._pick((CellState.RUNNING, CellState.FAILED))
-        if cell_id is not None:
-            self.hv.stop_cell(cell_id)
-
-    @rule()
-    def relaunch(self):
-        cell_id = self._pick(
-            (CellState.RUNNING, CellState.STOPPED, CellState.FAILED))
-        if cell_id is not None:
-            self.hv.relaunch_cell(cell_id)
-
-    @rule()
-    def destroy(self):
-        cell_id = self._pick(tuple(CellState))
-        if cell_id is not None:
-            self.hv.destroy_cell(cell_id)
-
-    @invariant()
-    def conserved(self):
-        self.hv.audit()
-        if len(self.hv.cells) == 1:
-            # root's share is the whole platform RAM again once no claim is left
-            assert self.hv.ledger.keys_multiset() == self.baseline
-
-    def teardown(self):
-        for cell_id in sorted(self.hv.cells):
-            if cell_id != ROOT_CELL:
-                self.hv.destroy_cell(cell_id)
-        self.hv.audit()
-        assert self.hv.ledger.keys_multiset() == self.baseline
-
-
-LifecycleMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None)
-TestLifecycleWalk = LifecycleMachine.TestCase
 
 
 def test_random_platform_create_destroy_conserves():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from cellsim import (
     BusModel,
+    CellConfig,
     Cpu,
     DistParams,
     GicVersion,
@@ -76,6 +77,19 @@ class TestResources:
         # the rule of both text formats: ASCII letters, digits, _ and -
         with pytest.raises(InvariantViolation, match="must match"):
             MmioDevice(name, 0x1000, 0x1000)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Cpu(1.5), lambda: IrqLine(33.0), lambda: PciDevice(2.0),
+        lambda: MemRegion(4096.0, 0x1000), lambda: MemRegion(0x1000, 0x1000, 3.0),
+        lambda: IoPortRange(0x60, 4.0), lambda: MmioDevice("u", 0x3000, 4096.0),
+        lambda: CellConfig("g", {1.5}, [MemRegion(0x1000, 0x1000)]),
+        lambda: CellConfig("g", {1}, [MemRegion(0x1000, 0x1000)], irqs={33.0}),
+    ], ids=["cpu", "irq", "pci", "mem-base", "mem-flags", "ports", "mmio", "config-cpu",
+            "config-irq"])
+    def test_a_float_where_an_int_is_stored_is_refused(self, build):
+        # emit_binary could not write it: struct refuses a float for an integer field
+        with pytest.raises(InvariantViolation, match="must be (an int|ints), not"):
+            build()
 
     def test_ioport_range(self):
         ports = IoPortRange(0x3F8, 8)

@@ -11,6 +11,7 @@ from cellsim import (
     ROOT_CELL,
     Access,
     AccessKind,
+    AccessOutcome,
     BusModel,
     CellConfig,
     CellState,
@@ -31,6 +32,7 @@ from cellsim import (
     Workload,
     WorkloadKind,
     build_platform,
+    create_channel,
     emit_binary,
     full_platform_config,
     jetson_tk1,
@@ -167,6 +169,20 @@ class TestEnabledSession:
         _, restored = load_session(save_session(hv.platform, hv))
         new_id = restored.create_cell(small_cell("later", cpu=0, base=RAM + 0xE_0000))
         assert new_id == expected_next
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: save_session writes no channels")
+    def test_a_channel_peer_reaches_the_window_after_a_reload(self):
+        hv = tiny_hv()
+        alpha = hv.create_cell(small_cell("alpha", cpu=1, base=RAM + 0x8_0000))
+        beta = hv.create_cell(small_cell("beta", cpu=2, base=RAM + 0xA_0000))
+        ch = create_channel(hv, alpha, beta, 0x1000, 1)
+        for cell_id in (alpha, beta):
+            hv.start_cell(cell_id)
+        read = Access(AccessKind.MEM_READ, hv.channels[ch].region.base, 8)
+        assert hv.handle_access(beta, read) is AccessOutcome.DIRECT
+        _, restored = load_session(save_session(hv.platform, hv))
+        assert restored.handle_access(beta, read) is AccessOutcome.DIRECT  # VIOLATION today
+        assert restored.cells[beta].state is CellState.RUNNING
 
     def test_restored_session_keeps_working(self):
         hv = populated_hv()
