@@ -60,6 +60,7 @@ from cellsim.hvcore import STEP_NS, parse_script
 
 from conftest import make_tiny_platform
 from gen import config_from_units, random_config, random_platform
+from oracle import Oracle
 
 RAM = 0x1000_0000
 RW = 3  # a (base, size, flags) row's flags: PermFlags.READ | PermFlags.WRITE
@@ -912,6 +913,68 @@ class TestTouchOwnMemory:
         assert hv.step(4) == 0
         assert hv.clock == 4 * STEP_NS
         assert len(hv.events) == before
+
+
+class TestStepAgreesWithTheOracle:
+    """Up to twelve guests of every workload and state on a 13-CPU platform,
+    stepped for up to 40 turns in one call: step's count, the clock, events,
+    exits, states and script positions are those of the model in oracle.py."""
+
+    FLAGS = (PermFlags.READ, PermFlags.WRITE, PermFlags.READ | PermFlags.WRITE, PermFlags(0))
+    KINDS = (WorkloadKind.IDLE, WorkloadKind.STRESS, WorkloadKind.LATENCY_RESPONDER,
+             WorkloadKind.SCRIPT, WorkloadKind.SCRIPT)
+    FATES = ("created", "running", "running", "stopped", "failed", "relaunched")
+    TEXT = {"read": "read 0x%x %d", "instr": "instr %s", "distwrite": "distwrite 0x%x",
+            "idle": "idle", "repeat": "repeat"}
+
+    @staticmethod
+    def script(rnd, base):
+        """Random ops over the guest's first page: emulated and direct ones,
+        idles, and with some luck a read of root's RAM, which violates."""
+        pool = [("read", base + 8 * k, 8) for k in range(4)] + [
+            ("instr", "cpuid"), ("instr", "wfi"), ("distwrite", 4 * rnd.randrange(64)), ("idle",),
+            ("read", RAM + 0xF_F000, 4)]
+        ops = rnd.choices(pool, [3, 3, 3, 3, 4, 2, 4, 3, 1], k=rnd.randint(0, 8))
+        return ops + [("repeat",)] * rnd.randint(0, 1)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_many_guests_step_as_the_model_does(self, seed, tmp_path):
+        rnd = random.Random(seed)
+        resources = [Cpu(i) for i in range(13)] + [
+            MemRegion(RAM, 0x10_0000), MmioDevice("gic-dist", 0x5004_1000, 0x1000)]
+        platform = build_platform(PlatformSpec(name="steps", resources=resources))
+        root = full_platform_config(platform)
+        hv, model = enable(platform, root), Oracle(resources, root.name)
+        for index in range(rnd.randint(1, 12)):
+            base, kind, ops, path = RAM + index * 0x4000, rnd.choice(self.KINDS), [], None
+            if kind is WorkloadKind.SCRIPT:
+                ops, path = self.script(rnd, base), tmp_path / ("g%d.txt" % index)
+                path.write_text("".join(self.TEXT[op[0]] % op[1:] + "\n" for op in ops))
+            cfg = CellConfig(
+                name="g%d" % index, cpus=[index + 1],
+                mem=[MemRegion(base + k * 0x2000, 0x1000, rnd.choice(self.FLAGS))
+                     for k in range(rnd.randint(1, 2))],
+                workload=Workload(kind, path and str(path)))
+            cell_id = hv.create_cell(cfg)
+            assert model.create(cfg, ops) == cell_id
+            fate = rnd.choice(self.FATES)
+            for op in {"created": (), "running": ("start",), "stopped": ("start", "stop"),
+                       "failed": ("start",), "relaunched": ("start",)}[fate]:
+                getattr(hv, op + "_cell")(cell_id)
+                model.lifecycle(op, cell_id)
+            if fate in ("failed", "relaunched"):  # address 0 is no RAM
+                fatal = Access(AccessKind.MEM_READ, 0, 8)
+                assert hv.handle_access(cell_id, fatal) is model.access(cell_id, fatal) \
+                    is AccessOutcome.VIOLATION
+            if fate == "relaunched":
+                hv.relaunch_cell(cell_id)
+                model.lifecycle("relaunch", cell_id)
+        for n in (rnd.randint(2, 40), rnd.randint(0, 5)):
+            assert hv.step(n) == model.step(n)
+            assert (hv.clock, hv.events, hv.exits) == (model.clock, model.events, model.exits)
+            assert {cell_id: (cell.state, cell.script_pos) for cell_id, cell in hv.cells.items()} \
+                == {cell_id: (cell.state, cell.pos) for cell_id, cell in model.cells.items()}
+        hv.audit()
 
 
 def test_script_guests_step_in_id_order_and_stop_at_a_violation(tmp_path):
