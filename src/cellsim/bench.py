@@ -93,7 +93,7 @@ def run_scenario(platform: MachinePlatform, sc: Scenario) -> tuple[LatencyStats,
     times = np.arange(sc.n_samples, dtype=np.int64)
     times *= sc.period_ns  # in place; an arange up to n * period would size itself in floats
     deliveries = raise_irqs(hv, line, times, latency_streams(sc.seed, sc.tag()))
-    return summarize(deliveries.latency_us), deliveries
+    return _moments(deliveries.latency_us, deliveries.max_us), deliveries
 
 
 def summarize(samples) -> LatencyStats:
@@ -104,8 +104,14 @@ def summarize(samples) -> LatencyStats:
     top = float(arr.max())  # a NaN or an infinity reaches the max or the min
     if not (math.isfinite(top) and math.isfinite(arr.min())):
         raise EmptySamples("samples must be finite")
-    mean = arr.sum() / arr.size  # the steps of arr.mean() and then arr.std(),
-    dev = arr - mean  # bit for bit, with one pass over the samples fewer
+    return _moments(arr, top)
+
+
+def _moments(arr: np.ndarray, top: float) -> LatencyStats:
+    """Stats of finite float64 samples whose maximum is top, as a checked IrqDeliveries' are:
+    the steps of arr.mean() and then arr.std(), bit for bit, with one pass fewer."""
+    mean = arr.sum() / arr.size
+    dev = arr - mean
     dev *= dev
     return LatencyStats(mean_us=float(mean), sigma_us=math.sqrt(dev.sum() / arr.size),
                         max_us=top, n=int(arr.size))

@@ -221,13 +221,14 @@ def _describe(resource) -> str:  # how a violation or an audit names a resource
 
 
 def validate_against(cfg: CellConfig, platform: MachinePlatform,
-                     ledger: Optional["OwnershipLedger"] = None) -> list[Violation]:
+                     ledger: Optional["OwnershipLedger"] = None,
+                     hosts: Optional[list] = None) -> list[Violation]:
     """One violation per requested resource the platform lacks or does not
     grant these permissions on and, given a ledger, per one root does not
     own: an empty list means a create with this config would succeed. Units
     are asked of the config's masks (CellConfig.masks), regions of the
     platform's and the ledger's rows; a value object is built only to be
-    reported."""
+    reported. Given a list, hosts gets each region's platform RAM row, or None."""
     masks, rows = cfg.masks(platform), cfg.mmio + cfg.pci + cfg.ports
     violations = []
     if list(map(int.bit_count, masks)) != [len(cfg.cpus), len(rows), len(cfg.irqs)]:
@@ -247,13 +248,15 @@ def validate_against(cfg: CellConfig, platform: MachinePlatform,
     for row in cfg.regions:
         base, size, flags = row
         host = platform.host_region(base, base + size)
+        if hosts is not None:
+            hosts.append(host)
         if host is None:
             violations.append(Violation(ViolationKind.NO_SUCH_RESOURCE, MemRegion(*row)))
         elif flags & ~host[2]:
             violations.append(Violation(ViolationKind.PERMISSION_EXCEEDED, MemRegion(*row),
                                         "platform region allows only %r" % PermFlags(host[2])))
         elif ledger is not None:
-            owner = ledger.range_owner(base, base + size)
+            owner = ledger.range_owner(base, base + size, host)
             if owner != 0:
                 violations.append(Violation(
                     ViolationKind.NOT_OWNED_BY_ROOT, MemRegion(*row),

@@ -160,7 +160,10 @@ class OwnershipLedger:
 
     def owner_of_unit(self, resource) -> Optional[CellId]:
         """Owner of a CPU, device or IRQ line; None if the platform lacks it."""
-        kind, bit = self._platform.locate(resource)
+        return self.holder_of(*self._platform.locate(resource))
+
+    def holder_of(self, kind: int, bit: int) -> Optional[CellId]:
+        """The cell whose mask of the kind has the one-bit mask bit set; None if none has it."""
         for cell, mask in self._masks[kind].items():
             if mask & bit:
                 return cell
@@ -171,9 +174,9 @@ class OwnershipLedger:
         cpus, devices, irqs = self._masks
         return [cpus.get(cell, 0), devices.get(cell, 0), irqs.get(cell, 0)]
 
-    def range_owner(self, lo: int, hi: int) -> Optional[CellId]:
-        """Owner of [lo, hi) if it lies in one claim, or in one platform
-        region where no claim is; None otherwise."""
+    def range_owner(self, lo: int, hi: int, host=None) -> Optional[CellId]:
+        """Owner of [lo, hi) if it lies in one claim, or in one platform region where no
+        claim is (host: that region's row, if the caller has found it); None otherwise."""
         if lo >= hi:
             raise InvariantViolation("empty range [0x%x, 0x%x)" % (lo, hi))
         claims = self._claims
@@ -184,7 +187,7 @@ class OwnershipLedger:
                 return owner if hi <= c_hi else None
         if index < len(claims) and claims[index][0] < hi:
             return None
-        return None if self._platform.host_region(lo, hi) is None else ROOT_CELL
+        return None if (host or self._platform.host_region(lo, hi)) is None else ROOT_CELL
 
     def transfer_units(self, cell: CellId, units) -> None:
         """Give a non-root cell root's units in a CPU, a device and an IRQ mask: all or none."""
@@ -195,20 +198,20 @@ class OwnershipLedger:
             masks[ROOT_CELL] &= ~mask
             masks[cell] = masks.get(cell, 0) | mask
 
-    def transfer_range(self, region: tuple, frm: CellId, to: CellId) -> None:
+    def transfer_range(self, region: tuple, frm: CellId, to: CellId, host=None) -> None:
         """Give a (base, size, flags) region to a cell as one claim, or take that
-        whole claim back."""
+        whole claim back; host as range_owner takes it."""
         lo, size, flags = region
         hi = lo + size
         claims = self._claims
         index = bisect_left(claims, lo, key=_LO)
         claim = (lo, hi, to if frm == ROOT_CELL else frm, flags)
         # root owns a range only inside platform RAM, and a claim lies inside it
-        if frm == ROOT_CELL != to and self.range_owner(lo, hi) == ROOT_CELL:
+        if frm == ROOT_CELL != to and self.range_owner(lo, hi, host) == ROOT_CELL:
             claims.insert(index, claim)
         elif to == ROOT_CELL and claims[index:index + 1] == [claim]:
             del claims[index]
-        elif self._platform.host_region(lo, hi) is None:
+        elif (host or self._platform.host_region(lo, hi)) is None:
             raise NoSuchResource(
                 "[0x%x, 0x%x) not within one platform memory region" % (lo, hi))
         else:
@@ -373,10 +376,8 @@ def parse_script(text: str) -> list[tuple]:
             if offset % 4:
                 raise ConfigSemanticError("distwrite offset 0x%x not aligned to 4" % offset, lineno)
             ops.append(("distwrite", offset, lineno))
-        elif keyword == "idle":
-            ops.append(("idle",))
-        elif keyword == "repeat":
-            ops.append(("repeat",))
+        elif keyword in ("idle", "repeat"):
+            ops.append((keyword,))
         else:
             raise ConfigSyntaxError(lineno, col, "unknown script op %r" % keyword)
     return ops
@@ -454,14 +455,12 @@ class Hypervisor:
             raise NotEnabled("hypervisor is disabled")
 
     def _log(self, kind: TrapKind, cell: CellId, detail: str,
-             time_ns: Optional[int] = None) -> TrapEvent:
+             time_ns: Optional[int] = None) -> None:
         # tuple.__new__ skips NamedTuple's Python __new__, as load_session's does
-        event = tuple.__new__(TrapEvent, (self.clock if time_ns is None else time_ns, cell,
-                                          kind, detail))
-        self.events.append(event)
+        self.events.append(tuple.__new__(TrapEvent, (
+            self.clock if time_ns is None else time_ns, cell, kind, detail)))
         counters = self.exits.get(cell) or self.exits.setdefault(cell, [0] * len(EXIT_SLOT))
         counters[EXIT_SLOT[kind]] += 1
-        return event
 
     def _count(self, kind: TrapKind, cell: CellId, n: int = 1) -> None:
         """Add n exits of one kind to a cell's counters."""
@@ -535,8 +534,9 @@ class Hypervisor:
         """Move cfg's resources from root to cell_id; on any violation, move
         none. Root's config need only fit the platform. A channel window
         carved from root's share stays root's while its channel lives."""
+        hosts = []  # each region's platform RAM row, found once for the checks and the moves
         violations = validate_against(
-            cfg, self.platform, None if cell_id == ROOT_CELL else self.ledger)
+            cfg, self.platform, None if cell_id == ROOT_CELL else self.ledger, hosts)
         if self.channels:
             violations += [
                 Violation(ViolationKind.NOT_OWNED_BY_ROOT, MemRegion(*row),
@@ -549,8 +549,8 @@ class Hypervisor:
         if cell_id == ROOT_CELL:
             return  # root keeps what it has, so its own config need only fit
         self.ledger.transfer_units(cell_id, cfg.masks(self.platform))  # the masks just validated
-        for row in cfg.regions:
-            self.ledger.transfer_range(row, ROOT_CELL, cell_id)
+        for row, host in zip(cfg.regions, hosts):
+            self.ledger.transfer_range(row, ROOT_CELL, cell_id, host)
 
     def load_image(self, cell_id: CellId, addr: int, data: bytes) -> None:
         cell = self._cell_for("load", cell_id)
@@ -575,7 +575,7 @@ class Hypervisor:
     def destroy_cell(self, cell_id: CellId) -> None:
         cell = self._cell_for("destroy", cell_id)
         self.channels = {ch_id: ch for ch_id, ch in self.channels.items()
-                         if cell_id not in ch.endpoints()}
+                         if cell_id not in (ch.cell_a, ch.cell_b)}
         self.ledger.release_all(cell_id)
         self._access_maps.clear()
         del self.cells[cell_id]
@@ -687,7 +687,10 @@ class Hypervisor:
                 if rights & _EMULATE:
                     self._log(_EMULATE_DIST, cell_id, "offset 0x%x" % (lo - e_lo))
                     return _EMULATED
-        return self._violate(cell, access)
+        self._log(_VIOLATE, cell_id, "%s 0x%x width %d" % (  # _value_: no Enum Python getter
+            kind._value_, access.addr_or_port, access.width))
+        cell.state = _FAILED
+        return _VIOLATION
 
     def _build_access_map(self, cell_id: CellId) -> AccessMap:
         """The trap rule: the distributor window is emulated; the cell's own
@@ -712,13 +715,6 @@ class Hypervisor:
                 elif bit >= first_port:
                     io.append((row[0], row[0] + row[1], _RW))
         return AccessMap(sorted(mem, key=_LO), sorted(io, key=_LO))
-
-    def _violate(self, cell: Cell, access: Access) -> AccessOutcome:
-        # handle_access violates only memory and I/O accesses; _value_ skips Enum's Python getter
-        self._log(_VIOLATE, cell.id, "%s 0x%x width %d" % (
-            access.kind._value_, access.addr_or_port, access.width))
-        cell.state = _FAILED
-        return _VIOLATION
 
     # -- turn-based guest stepping
 

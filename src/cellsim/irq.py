@@ -20,7 +20,7 @@ from .errors import InvariantViolation, NoSuchLine, NoSuchResource, UnownedIrq
 from .hvcore import (
     _EMULATE_DIST, _EMULATED, _MEM_WRITE, _RUNNING, ROOT_CELL, Access, AccessOutcome, CellState,
     Hypervisor, TrapKind)
-from .machine import BusModel, DistParams, IrqLine, bus_load
+from .machine import IRQ, BusModel, DistParams, bus_load
 from .rng import entropy_words, h64, pcg64
 
 LATTICE_US = 0.0625  # 62.5 ns timer resolution
@@ -160,15 +160,19 @@ def _check_fits(top_us: float, last_ns: int) -> float:
 class IrqDeliveries(Value):
     """A line's deliveries: path "bare-metal" or "reinjected", raise times (ns), latencies (us)."""
 
-    __slots__ = ("line", "owner", "path", "raised_at", "latency_us")
+    __slots__ = ("line", "owner", "path", "raised_at", "latency_us", "max_us")
+    _fields = __slots__[:5]  # max_us (the largest latency, 0.0 of none) neither compares nor prints
     __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: arrays have no truth value
 
-    def __init__(self, line, owner, path, raised_at, latency_us):
+    def __init__(self, line, owner, path, raised_at, latency_us, last_ns=None):
+        # last_ns: the latest raise time, not below 0, from a caller that has reduced raised_at.
         # NaN fails _check_fits; an empty row, or one raised before 0 ns, counts from 0
-        _check_fits(float(latency_us.max(initial=0.0)), int(raised_at.max(initial=0)))
+        top = float(latency_us.max(initial=0.0))
+        _check_fits(top, int(raised_at.max(initial=0)) if last_ns is None else last_ns)
         if latency_us.min(initial=0.0) < 0:
             raise InvariantViolation("negative latency")
         self._freeze(line, owner, path, raised_at, latency_us)
+        IrqDeliveries.max_us.__set__(self, top)  # the slot's setter: Value refuses
 
     @property
     def delivered_at(self) -> np.ndarray:
@@ -246,7 +250,7 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
         raise NoSuchLine("platform has no irq line %d" % line)
     owner, path, stressed = ROOT_CELL, "bare-metal", False
     if hv.enabled:
-        owner = hv.ledger.owner_of_unit(IrqLine(line))
+        owner = hv.ledger.holder_of(IRQ, 1 << hv.platform.irq_order.index(line))
         cell = hv.cells[owner]
         if cell.state is not CellState.RUNNING:
             hv._log(TrapKind.ACCESS_VIOLATION, owner,
@@ -256,8 +260,9 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
         path, stressed = "reinjected", bus_load(hv, cell)
     with np.errstate(over="ignore", invalid="ignore"):  # the record refuses an overflow
         latency = sample_latency(hv.enabled, stressed, hv.platform.bus, streams, raised.size)
-    deliveries = IrqDeliveries(line, owner, path, raised, latency)
-    hv.clock = max(hv.clock, int(raised.max()))
+    last = int(raised.max())  # the record's check and the clock share it
+    deliveries = IrqDeliveries(line, owner, path, raised, latency, last)
+    hv.clock = max(hv.clock, last)
     if hv.enabled:
         hv._count(TrapKind.IRQ_REINJECTION, owner, raised.size)
     return deliveries

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,15 +15,18 @@ from cellsim import (
     export_csv,
     full_platform_config,
     jetson_tk1,
+    load_platform,
     render_table,
     run_report,
     run_scenario,
     summarize,
 )
 from cellsim.bench import RESPONDER_BYTES, responder_config, stress_config
-from cellsim.errors import EmptyCpuSet, EmptySamples, OutOfRegion
+from cellsim.errors import EmptyCpuSet, EmptySamples, InvariantViolation, OutOfRegion
 
 from conftest import make_tiny_platform
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestSummarize:
@@ -161,6 +165,32 @@ class TestScenarioRuns:
         platform = make_tiny_platform()
         stats, _ = run_scenario(platform, Scenario(True, 10.0, True, 100, seed=1))
         assert stats.n == 100
+
+    def test_row_stats_equal_summarize_of_its_latencies_bit_for_bit(self, jetson):
+        # a row's stats take the maximum its record's check took; summarize finds its own
+        for seed in range(20):
+            for sc in canonical_scenarios(n_samples=700, seed=seed):
+                stats, deliveries = run_scenario(jetson, sc)
+                want = summarize(deliveries.latency_us)
+                assert [x.hex() for x in (stats.mean_us, stats.sigma_us, stats.max_us)] == [
+                    x.hex() for x in (want.mean_us, want.sigma_us, want.max_us)], (seed, sc)
+                assert stats == want
+
+    @pytest.mark.parametrize("extra, value", [
+        ("hv-logmu=800", "inf"), ("base=1e300", "1e+300"),
+        ("cont-mean=1e300 cont-prob=1", "2.8286726005809695e+300")])
+    def test_an_overflowing_board_is_refused_with_one_error(self, tmp_path, extra, value):
+        # the boards of CI's overflow step: the jetson root config's resources and one bus line
+        with open(ROOT / "configs" / "root-jetson.cfg") as handle:
+            resources = [line for line in handle if not line.startswith(("cell", "#"))]
+        board = tmp_path / "overflow.platform"
+        board.write_text('platform "overflow"\n' + "".join(resources) + "bus %s\n" % extra)
+        platform = load_platform(str(board))
+        with pytest.raises(InvariantViolation) as refused:
+            run_report(platform, canonical_scenarios(n_samples=1000))
+        assert type(refused.value) is InvariantViolation
+        assert str(refused.value) == (
+            "latency %s us is not finite or delivers past the int64 ns clock" % value)
 
 
 def one_cpu_board():

@@ -465,6 +465,13 @@ class TestRaiseIrq:
         assert [e.time_ns for e in hv.events[-2:]] == [9000, 4000]
         assert hv.clock >= 9000
 
+    def test_the_clock_moves_to_the_latest_of_several_raises(self):
+        hv = tiny_hv()
+        raise_irqs(hv, 32, [5000, 9000, 7000], latency_streams(6))
+        assert hv.clock == 9000  # neither the first raise nor the earliest
+        raise_irqs(hv, 32, [3000, 4000], latency_streams(6))
+        assert hv.clock == 9000  # a batch raised before the clock leaves it
+
 
 REINJECTION = EXIT_SLOT[TrapKind.IRQ_REINJECTION]
 
@@ -743,7 +750,11 @@ class TestDerivedDeliveryTimes:
     @pytest.mark.parametrize("row", ["off", "on", "stressed"])
     def test_record_holds_only_raise_times_and_latencies(self, row):
         deliveries = raise_irqs(_twin(row, True), 33, range(0, 10**6, 1000), latency_streams(5))
-        assert IrqDeliveries.__slots__ == ("line", "owner", "path", "raised_at", "latency_us")
+        # built from five fields; the one derived slot is the maximum its check took, a float
+        assert IrqDeliveries.__slots__ == (
+            "line", "owner", "path", "raised_at", "latency_us", "max_us")
+        assert IrqDeliveries._fields == IrqDeliveries.__slots__[:5]
+        assert deliveries.max_us == float(deliveries.latency_us.max())
         assert not hasattr(deliveries, "__dict__")
         held = [name for name in IrqDeliveries.__slots__
                 if isinstance(getattr(deliveries, name), np.ndarray)]

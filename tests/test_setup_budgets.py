@@ -1,4 +1,4 @@
-"""Python-level calls of a snapshot load and of a latency row's set-up.
+"""Python-level calls of a snapshot load and of a latency row.
 
 Each CLI command loads its session once, and each latency row builds a
 hypervisor, enables it and creates and starts its guests. Both are
@@ -7,13 +7,20 @@ Python function entered, the standard library's included. Each budget
 is the count the code makes since configs and platforms hold the binary
 codec's int rows, the same on Python 3.10 to 3.13: a load decodes each
 resource run with one unpack and checks its rows with no call per run or
-row, and it builds no value object for a resource.
+row, it builds no value object for a resource, and it looks each claimed
+region's host RAM row up once. A whole row is also held to numpy's
+reductions: it reduces its raise times and its latencies once each.
 """
 
+try:
+    from numpy._core import _methods  # the Python wrappers of ndarray.max, .min and .sum
+except ImportError:  # numpy 1.x
+    from numpy.core import _methods
+
 from cellsim import (
-    CellConfig, Cpu, Hypervisor, IoPortRange, IrqLine, MemRegion, MmioDevice, PciDevice,
-    PermFlags, Workload, WorkloadKind, emit_binary, enable, jetson_tk1, load_binary,
-    load_session, save_session)
+    CellConfig, Cpu, Hypervisor, IoPortRange, IrqLine, MachinePlatform, MemRegion, MmioDevice,
+    PciDevice, PermFlags, Scenario, Workload, WorkloadKind, emit_binary, enable, jetson_tk1,
+    load_binary, load_session, run_scenario, save_session)
 from cellsim._value import Value
 from cellsim.bench import _row_setup, full_platform_config
 
@@ -22,9 +29,19 @@ from conftest import _python_calls
 RW = PermFlags.READ | PermFlags.WRITE
 
 # While configs and platforms held value objects a load made 356 calls, 23 of them
-# Value._freeze, and a row's set-up 89; the budgets were 397 and 104.
-LOAD_BUDGET = 114
-ROW_BUDGET = 61
+# Value._freeze, and a row's set-up 89; the budgets were 397 and 104. Looking each
+# region's host RAM row up again in range_owner and transfer_range cost 114 and 61.
+LOAD_BUDGET = 108
+ROW_BUDGET = 57
+# host_region calls: once per claimed region (a load's 3 are audit's), where the checks
+# and the moves each looked it up again (13 and 7).
+LOAD_HOST_LOOKUPS = 7
+ROW_HOST_LOOKUPS = 3
+# A stressed 5,000-sample run_scenario, numpy's Python wrappers included (numpy 2.4): the
+# raise times' min and max, the record's latency max and min, and the stats' two sums.
+# Checking and summarizing a row apart took 4 maxima, 3 minima and 135 calls.
+SCENARIO_BUDGET = 123
+REDUCTIONS = {"_amax": 2, "_amin": 2, "_sum": 2}  # the most of each
 
 
 def jetson_session() -> bytes:
@@ -52,6 +69,7 @@ def test_a_snapshot_load_stays_in_its_budget_and_compares_no_value():
     assert sum(calls.values()) <= LOAD_BUDGET, sum(calls.values())
     assert calls[Value.__eq__.__code__] == 0
     assert calls[Value.__hash__.__code__] == 0
+    assert calls[MachinePlatform.host_region.__code__] == LOAD_HOST_LOOKUPS
 
 
 def test_a_stressed_rows_set_up_stays_in_its_budget():
@@ -67,6 +85,17 @@ def test_a_stressed_rows_set_up_stays_in_its_budget():
     set_up()  # the warm-up, as every row after a table's first
     calls = _python_calls(set_up)
     assert sum(calls.values()) <= ROW_BUDGET, sum(calls.values())
+    assert calls[MachinePlatform.host_region.__code__] == ROW_HOST_LOOKUPS
+
+
+def test_a_stressed_row_reduces_each_array_once():
+    platform, sc = jetson_tk1(), Scenario(True, 10.0, True, 5000, seed=11)
+    _row_setup.cache_clear()  # else an equal platform cached first is compared, 4 calls
+    run_scenario(platform, sc)  # the warm-up: the row's set-up is cached for this platform
+    calls = _python_calls(run_scenario, platform, sc)
+    reductions = {name: calls[getattr(_methods, name).__code__] for name in REDUCTIONS}
+    assert all(reductions[name] <= most for name, most in REDUCTIONS.items()), reductions
+    assert sum(calls.values()) <= SCENARIO_BUDGET, sum(calls.values())
 
 
 def test_a_config_decodes_with_as_many_calls_for_one_region_as_for_many():
