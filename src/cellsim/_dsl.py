@@ -91,7 +91,10 @@ def parse_quoted_name(token: Token, lineno: int, what: str) -> str:
     text, col = token
     if len(text) < 2 or text[0] != '"' or text[-1] != '"':
         raise ConfigSyntaxError(lineno, col, '%s: expected quoted name, got %r' % (what, text))
-    return parse_plain_name((text[1:-1], col), lineno, what)
+    name = text[1:-1]
+    if not NAME_RE.match(name):
+        raise ConfigSyntaxError(lineno, col, "%s: name must match [A-Za-z0-9_-]+" % what)
+    return name
 
 
 def parse_plain_name(token: Token, lineno: int, what: str) -> str:

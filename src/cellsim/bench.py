@@ -108,8 +108,7 @@ def summarize(samples) -> LatencyStats:
 
 
 def _moments(arr: np.ndarray, top: float) -> LatencyStats:
-    """Stats of finite float64 samples whose maximum is top, as a checked IrqDeliveries' are:
-    the steps of arr.mean() and then arr.std(), bit for bit, with one pass fewer."""
+    """Stats of finite samples with maximum top: arr.mean()'s and arr.std()'s steps, bit for bit."""
     mean = arr.sum() / arr.size
     dev = arr - mean
     dev *= dev

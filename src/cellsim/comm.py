@@ -54,6 +54,9 @@ class Channel(Record):
         self.buffer = buffer or bytearray(region.size)
         self.pending = pending or {cell_a: deque(), cell_b: deque()}
 
+    def endpoints(self) -> tuple[int, int]:
+        return (self.cell_a, self.cell_b)
+
 
 def _refuse(hv: Hypervisor, ch_id: int, cell_id: int) -> None:
     """Raise why cell_id may not use channel ch_id: NotEnabled on a disabled
@@ -198,4 +201,10 @@ def pci_cfg_read(hv: Hypervisor, cell_id: int, bdf: int, offset: int) -> int:
     channel = _devices(hv, cell_id).get(bdf)
     if channel is None:
         return ABSENT
-    return {0: (DEVICE_ID << 16) | VENDOR_ID, 8: 0xFF000000, 0x40: channel.vectors}.get(offset, 0)
+    if offset == 0:
+        return (DEVICE_ID << 16) | VENDOR_ID
+    if offset == 8:
+        return 0xFF000000  # class: unassigned
+    if offset == 0x40:
+        return channel.vectors
+    return 0

@@ -376,8 +376,10 @@ def parse_script(text: str) -> list[tuple]:
             if offset % 4:
                 raise ConfigSemanticError("distwrite offset 0x%x not aligned to 4" % offset, lineno)
             ops.append(("distwrite", offset, lineno))
-        elif keyword in ("idle", "repeat"):
-            ops.append((keyword,))
+        elif keyword == "idle":
+            ops.append(("idle",))
+        elif keyword == "repeat":
+            ops.append(("repeat",))
         else:
             raise ConfigSyntaxError(lineno, col, "unknown script op %r" % keyword)
     return ops
@@ -455,12 +457,14 @@ class Hypervisor:
             raise NotEnabled("hypervisor is disabled")
 
     def _log(self, kind: TrapKind, cell: CellId, detail: str,
-             time_ns: Optional[int] = None) -> None:
+             time_ns: Optional[int] = None) -> TrapEvent:
         # tuple.__new__ skips NamedTuple's Python __new__, as load_session's does
-        self.events.append(tuple.__new__(TrapEvent, (
-            self.clock if time_ns is None else time_ns, cell, kind, detail)))
+        event = tuple.__new__(TrapEvent, (self.clock if time_ns is None else time_ns, cell,
+                                          kind, detail))
+        self.events.append(event)
         counters = self.exits.get(cell) or self.exits.setdefault(cell, [0] * len(EXIT_SLOT))
         counters[EXIT_SLOT[kind]] += 1
+        return event
 
     def _count(self, kind: TrapKind, cell: CellId, n: int = 1) -> None:
         """Add n exits of one kind to a cell's counters."""
@@ -575,7 +579,7 @@ class Hypervisor:
     def destroy_cell(self, cell_id: CellId) -> None:
         cell = self._cell_for("destroy", cell_id)
         self.channels = {ch_id: ch for ch_id, ch in self.channels.items()
-                         if cell_id not in (ch.cell_a, ch.cell_b)}
+                         if cell_id not in ch.endpoints()}
         self.ledger.release_all(cell_id)
         self._access_maps.clear()
         del self.cells[cell_id]
@@ -687,10 +691,7 @@ class Hypervisor:
                 if rights & _EMULATE:
                     self._log(_EMULATE_DIST, cell_id, "offset 0x%x" % (lo - e_lo))
                     return _EMULATED
-        self._log(_VIOLATE, cell_id, "%s 0x%x width %d" % (  # _value_: no Enum Python getter
-            kind._value_, access.addr_or_port, access.width))
-        cell.state = _FAILED
-        return _VIOLATION
+        return self._violate(cell, access)
 
     def _build_access_map(self, cell_id: CellId) -> AccessMap:
         """The trap rule: the distributor window is emulated; the cell's own
@@ -715,6 +716,13 @@ class Hypervisor:
                 elif bit >= first_port:
                     io.append((row[0], row[0] + row[1], _RW))
         return AccessMap(sorted(mem, key=_LO), sorted(io, key=_LO))
+
+    def _violate(self, cell: Cell, access: Access) -> AccessOutcome:
+        # handle_access violates only memory and I/O accesses; _value_ skips Enum's Python getter
+        self._log(_VIOLATE, cell.id, "%s 0x%x width %d" % (
+            access.kind._value_, access.addr_or_port, access.width))
+        cell.state = _FAILED
+        return _VIOLATION
 
     # -- turn-based guest stepping
 

@@ -160,19 +160,19 @@ def _check_fits(top_us: float, last_ns: int) -> float:
 class IrqDeliveries(Value):
     """A line's deliveries: path "bare-metal" or "reinjected", raise times (ns), latencies (us)."""
 
-    __slots__ = ("line", "owner", "path", "raised_at", "latency_us", "max_us")
-    _fields = __slots__[:5]  # max_us (the largest latency, 0.0 of none) neither compares nor prints
+    __slots__ = ("line", "owner", "path", "raised_at", "latency_us", "max_us", "last_ns")
+    _fields = __slots__[:5]  # the check's largest latency and raise time (0 of none): derived
     __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: arrays have no truth value
 
-    def __init__(self, line, owner, path, raised_at, latency_us, last_ns=None):
-        # last_ns: the latest raise time, not below 0, from a caller that has reduced raised_at.
+    def __init__(self, line, owner, path, raised_at, latency_us):
         # NaN fails _check_fits; an empty row, or one raised before 0 ns, counts from 0
-        top = float(latency_us.max(initial=0.0))
-        _check_fits(top, int(raised_at.max(initial=0)) if last_ns is None else last_ns)
+        top, last = float(latency_us.max(initial=0.0)), int(raised_at.max(initial=0))
+        _check_fits(top, last)
         if latency_us.min(initial=0.0) < 0:
             raise InvariantViolation("negative latency")
         self._freeze(line, owner, path, raised_at, latency_us)
-        IrqDeliveries.max_us.__set__(self, top)  # the slot's setter: Value refuses
+        IrqDeliveries.max_us.__set__(self, top)  # the slots' own setters: Value refuses
+        IrqDeliveries.last_ns.__set__(self, last)
 
     @property
     def delivered_at(self) -> np.ndarray:
@@ -260,9 +260,8 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
         path, stressed = "reinjected", bus_load(hv, cell)
     with np.errstate(over="ignore", invalid="ignore"):  # the record refuses an overflow
         latency = sample_latency(hv.enabled, stressed, hv.platform.bus, streams, raised.size)
-    last = int(raised.max())  # the record's check and the clock share it
-    deliveries = IrqDeliveries(line, owner, path, raised, latency, last)
-    hv.clock = max(hv.clock, last)
+    deliveries = IrqDeliveries(line, owner, path, raised, latency)
+    hv.clock = max(hv.clock, deliveries.last_ns)
     if hv.enabled:
         hv._count(TrapKind.IRQ_REINJECTION, owner, raised.size)
     return deliveries

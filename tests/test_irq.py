@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -738,6 +739,11 @@ class TestDerivedDeliveryTimes:
         with pytest.raises(CellSimError, match="int64 ns clock"):
             IrqDeliveries(33, 0, "reinjected", np.array([0, last + 1]), np.array([1e12, 1e12]))
 
+    def test_a_copy_derives_its_maxima_again(self):
+        deliveries = raise_irqs(_twin("on", True), 33, [4000, 9000, 2000], latency_streams(5))
+        for twin in (copy.copy(deliveries), pickle.loads(pickle.dumps(deliveries))):
+            assert (twin.max_us, twin.last_ns) == (deliveries.max_us, 9000)
+
     @pytest.mark.parametrize("bad, text", [
         (-0.0625, "negative latency"), (-5e-324, "negative latency"),
         (math.nan, "not finite"), (math.inf, "not finite"),
@@ -750,11 +756,12 @@ class TestDerivedDeliveryTimes:
     @pytest.mark.parametrize("row", ["off", "on", "stressed"])
     def test_record_holds_only_raise_times_and_latencies(self, row):
         deliveries = raise_irqs(_twin(row, True), 33, range(0, 10**6, 1000), latency_streams(5))
-        # built from five fields; the one derived slot is the maximum its check took, a float
+        # built from five fields; the two derived slots are the maxima its check took
         assert IrqDeliveries.__slots__ == (
-            "line", "owner", "path", "raised_at", "latency_us", "max_us")
+            "line", "owner", "path", "raised_at", "latency_us", "max_us", "last_ns")
         assert IrqDeliveries._fields == IrqDeliveries.__slots__[:5]
         assert deliveries.max_us == float(deliveries.latency_us.max())
+        assert deliveries.last_ns == 999_000 and type(deliveries.last_ns) is int
         assert not hasattr(deliveries, "__dict__")
         held = [name for name in IrqDeliveries.__slots__
                 if isinstance(getattr(deliveries, name), np.ndarray)]
