@@ -22,9 +22,9 @@ from .errors import (
     BadMagic, ConfigSemanticError, ConfigSyntaxError, InvariantViolation, TruncatedRecord,
     UnsupportedVersion)
 from .machine import (
-    CPU, INT_TYPE, MAX_NAME_BYTES, MMIO_NAME_BYTES, PAGE_SIZE, U64_MAX, Cpu, IoPortRange,
-    IrqLine, MachinePlatform, MemRegion, MmioDevice, PciDevice, PermFlags, check_ids,
-    check_no_overlap, gather, layout_resources, read_directives, sort_devices)
+    CPU, INT_TYPE, MAX_NAME_BYTES, MMIO_NAME_BYTES, PAGE_SIZE, RESOURCE_KINDS, U64_MAX, Cpu,
+    IoPortRange, IrqLine, MachinePlatform, MemRegion, MmioDevice, PciDevice, PermFlags,
+    check_ids, check_no_overlap, gather, layout_resources, read_directives, sort_devices)
 
 if TYPE_CHECKING:
     from .hvcore import OwnershipLedger
@@ -101,8 +101,8 @@ class CellConfig(Value):
                 check_ids(ids, what)  # names the first that is no int or out of range
         if None in regions:
             raise InvariantViolation("mem entries must be memory regions")
-        if len(regions) > 1:  # a single row is sorted
-            regions = tuple(sorted(regions, key=itemgetter(0)))
+        # a single row is sorted
+        regions = tuple(sorted(regions, key=itemgetter(0))) if len(regions) > 1 else tuple(regions)
         mmio, pci, ports = sort_devices(mmio, pci, ports)
         if (len(set(mmio)) != len(mmio) or len(set(pci)) != len(pci)
                 or len(set(ports)) != len(ports)):
@@ -172,21 +172,18 @@ def parse_config(text: str) -> CellConfig:
         raise ConfigSemanticError("config declares no CPUs")
     if not rows.get(MemRegion):
         raise ConfigSemanticError("config declares no memory")
+    rows[Cpu], rows[IrqLine] = frozenset(rows[Cpu]), frozenset(rows.get(IrqLine, ()))
     try:
-        return _config(name, frozenset(rows[Cpu]), rows, frozenset(rows.get(IrqLine, ())),
-                       workload[0] if workload else Workload())
+        return _config(name, rows, workload[0] if workload else Workload())
     except InvariantViolation as exc:
         raise ConfigSemanticError(str(exc))
 
 
-def _config(name, cpus, rows: dict, irqs, workload) -> CellConfig:
-    """The config of gather()'s rows, each checked as its kind's constructor checks it."""
+def _config(name, rows: dict, workload) -> CellConfig:
+    """The config of gather()'s rows, each checked by its kind's rules, ids in frozensets."""
     cfg = CellConfig.__new__(CellConfig)
-    cfg._settle(name, cpus, *map(tuple, map(rows.get, _ROW_KINDS, repeat(()))), irqs, workload)
+    cfg._settle(name, *map(rows.get, RESOURCE_KINDS, repeat(())), workload)
     return cfg
-
-
-_ROW_KINDS = (MemRegion, MmioDevice, PciDevice, IoPortRange)  # _settle's row arguments
 
 
 # --- validation against a platform ------------------------------------------
@@ -274,20 +271,13 @@ _U32 = struct.Struct("<I")
 _RUN = struct.Struct("<BI")
 _WORKLOAD = struct.Struct("<BH")
 
-# A resource list is a u32 run count and runs of consecutive resources of
-# one kind, (kind, rows) as a platform's layout holds them. A run is a kind
-# byte (the index here), a u32 count and that many bodies: a CPU's or IRQ
-# line's u32, or the kind's row, an MMIO name NUL-padded to 16 bytes.
-_KINDS = (
-    (Cpu, _U32),
-    (MemRegion, struct.Struct("<QQB")),
-    (MmioDevice, struct.Struct("<%dsQQ" % (MMIO_NAME_BYTES + 1))),
-    (PciDevice, struct.Struct("<H")),
-    (IoPortRange, struct.Struct("<HI")),  # a port range may span all 0x10000 ports
-    (IrqLine, _U32),
-)
+# A resource list is a u32 run count and runs of consecutive resources of one kind, (kind,
+# rows) as a platform's layout holds them. A run is a kind byte (the index of the kind in
+# machine.RESOURCE_KINDS), a u32 count and that many bodies, of the struct codes of the kind's
+# fields there: a CPU's or IRQ line's u32, or the row, an MMIO name NUL-padded to 16 bytes.
+_KINDS = tuple((kind, struct.Struct("<" + "".join(code for _, code in fields)))
+               for kind, (_, fields, _) in RESOURCE_KINDS.items())
 _KIND_CODES = {kind: code for code, (kind, _) in enumerate(_KINDS)}
-_N_KINDS = len(_KINDS)
 # A name field MmioDevice takes: its name rule and length, then NUL padding.
 _MMIO_FIELD = re.compile(rb"[A-Za-z0-9_-]{1,%d}\0*" % MMIO_NAME_BYTES)
 
@@ -305,7 +295,7 @@ def put_runs(out: bytearray, runs) -> None:
         code = _KIND_CODES[kind]
         body = _KINDS[code][1]
         out += _RUN.pack(code, len(rows))
-        if body is _U32:
+        if kind is Cpu or kind is IrqLine:
             out += struct.pack("<%dI" % len(rows), *rows)
         elif kind is MmioDevice:
             out += b"".join(body.pack(name.encode(), base, size) for name, base, size in rows)
@@ -320,8 +310,8 @@ def emit_binary(cfg: CellConfig) -> bytes:
     load reproduces the input byte-for-byte.
     """
     out = bytearray(_HEADER.pack(MAGIC, VERSION, cfg.name.encode("utf-8")))
-    put_runs(out, ((Cpu, sorted(cfg.cpus)), (MemRegion, cfg.regions), (MmioDevice, cfg.mmio),
-                   (PciDevice, cfg.pci), (IoPortRange, cfg.ports), (IrqLine, sorted(cfg.irqs))))
+    put_runs(out, zip(RESOURCE_KINDS, (sorted(cfg.cpus), cfg.regions, cfg.mmio, cfg.pci,
+                                       cfg.ports, sorted(cfg.irqs))))
     path = (cfg.workload.script_path or "").encode("utf-8")
     out += _WORKLOAD.pack(_WORKLOADS.index(cfg.workload.kind), len(path)) + path
     return bytes(out)
@@ -384,14 +374,14 @@ def take_runs(data: bytes, at: int) -> tuple:
         for _ in range(n_runs):
             code, count = _RUN.unpack_from(data, at)
             at += need
-            if code >= _N_KINDS:
+            if code >= len(_KINDS):
                 raise InvariantViolation("unknown resource kind %d" % code)
             kind, body = _KINDS[code]
             nbytes = count * body.size
             if at + nbytes > end:
                 raise short(data, nbytes, at)
             raw, at = data[at:at + nbytes], at + nbytes
-            if body is _U32:
+            if kind is Cpu or kind is IrqLine:
                 runs.append((kind, struct.unpack("<%dI" % count, raw)))
                 continue
             rows = tuple(body.iter_unpack(raw))
@@ -449,9 +439,9 @@ def load_binary(data: bytes) -> CellConfig:
         workload = Workload(kind, decode_utf8(raw_path, "script path") if raw_path else None)
     rows = gather(runs)
     cpus, irqs = rows.get(Cpu, ()), rows.get(IrqLine, ())
-    cpu_set, irq_set = frozenset(cpus), frozenset(irqs)  # CellConfig keeps these very sets
-    if len(cpu_set) != len(cpus):
+    rows[Cpu], rows[IrqLine] = frozenset(cpus), frozenset(irqs)  # CellConfig keeps these very sets
+    if len(rows[Cpu]) != len(cpus):
         raise InvariantViolation("duplicate cpu ids in stream")
-    if len(irq_set) != len(irqs):
+    if len(rows[IrqLine]) != len(irqs):
         raise InvariantViolation("duplicate irq numbers in stream")
-    return _config(name, cpu_set, rows, irq_set, workload)
+    return _config(name, rows, workload)

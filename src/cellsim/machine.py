@@ -181,8 +181,23 @@ def check_ids(ids, what: str) -> None:
                                  % (what, next(i for i in ids if not 0 <= i <= MAX_ID)))
 
 
-_RESOURCE_ARITY = {"cpu": 1, "mem": 3, "mmio": 3, "pci": 1, "ioport": 2, "irq": 1}
-_ID_KINDS = {"cpu": (Cpu, "cpu index"), "irq": (IrqLine, "irq number")}
+# Each resource kind, in the binary codec's kind-code order: its directive keyword; the label
+# a parse error names each field of its row by, and the field's struct code (a CPU's or IRQ
+# line's one field is an id list, each id checked as its label says, and a port range's length
+# a u32, as one may span all 0x10000 ports); and a span's (base, size) row fields and space:
+# RAM and MMIO share one address space; I/O ports have their own.
+RESOURCE_KINDS = {
+    Cpu: ("cpu", (("cpu index", "I"),), None),
+    MemRegion: ("mem", (("mem base", "Q"), ("mem size", "Q"), ("mem perms", "B")), (0, 1, "addr")),
+    MmioDevice: ("mmio", (("mmio name", "%ds" % (MMIO_NAME_BYTES + 1)), ("mmio base", "Q"),
+                          ("mmio size", "Q")), (1, 2, "addr")),
+    PciDevice: ("pci", (("pci bdf", "H"),), None),
+    IoPortRange: ("ioport", (("ioport base", "H"), ("ioport len", "I")), (0, 1, "port")),
+    IrqLine: ("irq", (("irq number", "I"),), None),
+}
+_DIRECTIVES = {keyword: kind for kind, (keyword, _, _) in RESOURCE_KINDS.items()}
+# (kind, base field, size field, space) of each span kind: RAM, MMIO, then port ranges
+_SPANS = [(kind, *span) for kind, (_, _, span) in RESOURCE_KINDS.items() if span]
 
 
 def parse_resource(tokens: list[Token], lineno: int) -> tuple:
@@ -200,41 +215,30 @@ def parse_resource(tokens: list[Token], lineno: int) -> tuple:
         irq <list>
     """
     keyword, col = tokens[0]
-    if keyword not in _RESOURCE_ARITY:
+    kind = _DIRECTIVES.get(keyword)
+    if kind is None:
         raise ConfigSyntaxError(lineno, col, "unknown directive %r" % keyword)
-    require_args(tokens, lineno, _RESOURCE_ARITY[keyword])
+    fields = RESOURCE_KINDS[kind][1]
+    require_args(tokens, lineno, len(fields))
     try:
-        if keyword in _ID_KINDS:
-            kind, what = _ID_KINDS[keyword]
+        if kind in (Cpu, IrqLine):
             ids = parse_id_list(tokens[1], lineno, "%s list" % keyword)
-            check_ids(ids, what)
+            check_ids(ids, fields[0][0])
             return kind, ids
-        if keyword == "mem":
-            base = parse_number(tokens[1], lineno, "mem base")
-            size = parse_number(tokens[2], lineno, "mem size")
-            perm_text, perm_col = tokens[3]
-            try:
-                flags = parse_perms(perm_text)
-            except ValueError as exc:
-                raise ConfigSyntaxError(lineno, perm_col, str(exc))
-            resource = MemRegion(base, size, flags)
-        elif keyword == "mmio":
-            resource = MmioDevice(parse_plain_name(tokens[1], lineno, "mmio name"),
-                                  parse_number(tokens[2], lineno, "mmio base"),
-                                  parse_number(tokens[3], lineno, "mmio size"))
-        elif keyword == "pci":
-            resource = PciDevice(parse_number(tokens[1], lineno, "pci bdf"))
-        else:
-            resource = IoPortRange(parse_number(tokens[1], lineno, "ioport base"),
-                                   parse_number(tokens[2], lineno, "ioport len"))
+        values = []  # each field's, in the row's order
+        for (label, code), token in zip(fields, tokens[1:]):
+            if code == "B":  # a permission string, refused with no label
+                try:
+                    values.append(parse_perms(token[0]))
+                except ValueError as exc:
+                    raise ConfigSyntaxError(lineno, token[1], str(exc))
+            else:
+                parse = parse_plain_name if code.endswith("s") else parse_number
+                values.append(parse(token, lineno, label))
+        resource = kind(*values)
     except InvariantViolation as exc:
         raise ConfigSemanticError(str(exc), lineno)
-    kind = type(resource)
     return kind, [_ROWS[kind](resource)]
-
-
-# A span's address space: RAM and MMIO share one; I/O ports have their own.
-_SPACE = {"mem": "address", "mmio": "address", "ioport": "port"}
 
 
 def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
@@ -249,7 +253,7 @@ def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
     name = None
     runs: list = []
     listed: dict = {Cpu: set(), IrqLine: set()}  # the ids of each kind listed so far
-    spans: dict = {"address": [], "port": []}  # space -> [(base, end, line text, lineno)]
+    spans: dict = {}  # space -> [(base, end, line text, lineno)]
     for lineno, tokens in iter_directives(text):
         keyword = tokens[0][0]
         if keyword == head:
@@ -269,11 +273,11 @@ def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
                 if number in seen:
                     raise ConfigSemanticError("%s %d listed twice" % (keyword, number), lineno)
                 seen.add(number)
-            space = spans.get(_SPACE.get(keyword))
-            if space is not None:
+            span = RESOURCE_KINDS[kind][2]
+            if span is not None:
                 (row,) = items
-                at, size = _SPAN_FIELDS[kind]
-                base, end = row[at], row[at] + row[size]
+                at, size, space_name = span
+                base, end, space = row[at], row[at] + row[size], spans.setdefault(space_name, [])
                 line = " ".join(word for word, _ in tokens)  # as written, in hex
                 for other_base, other_end, other_line, other_lineno in space:
                     if base < other_end and other_base < end:
@@ -377,9 +381,6 @@ _ROWS = {Cpu: attrgetter("index"), IrqLine: attrgetter("number"),
          MemRegion: lambda region: (region.base, region.size, int(region.flags)),
          MmioDevice: attrgetter("_key"), PciDevice: attrgetter("_key"),
          IoPortRange: attrgetter("_key")}
-# A platform's kinds, in the order its __init__ unpacks their rows.
-_KINDS = (Cpu, MemRegion, MmioDevice, IoPortRange, PciDevice, IrqLine)
-_SPAN_FIELDS = {MemRegion: (0, 1), MmioDevice: (1, 2), IoPortRange: (0, 1)}  # base, size
 _FIRST, _NAME_BASE = itemgetter(0), itemgetter(0, 1)  # row sort keys, in C
 _UNIT_KIND = {Cpu: CPU, IrqLine: IRQ}  # any other unit is a device
 
@@ -416,16 +417,14 @@ def sort_devices(mmio, pci, ports) -> tuple:
 
 def check_no_overlap(ram, mmio, ports) -> None:
     """Refuse two RAM region and MMIO device rows that share an address, then two
-    port range rows that share a port: each space's spans, sorted by base (in that
-    order where bases tie), are each checked against the one before."""
-    if len(ram) + len(mmio) < 2 and len(ports) < 2:
-        return  # at most one span in each space: nothing to compare
-    for space in ((MemRegion, ram), (MmioDevice, mmio)), ((IoPortRange, ports),):
-        spans = []  # (base, end, kind, row)
-        for kind, rows in space:
-            at, size = _SPAN_FIELDS[kind]
-            for row in rows:
-                spans.append((row[at], row[at] + row[size], kind, row))
+    port range rows that share a port: each space's spans, sorted by base (in the
+    table's order where bases tie), are each checked against the one before."""
+    spaces: dict = {}  # space -> [(base, end, kind, row)], in RESOURCE_KINDS' order
+    for (kind, at, size, space), rows in zip(_SPANS, (ram, mmio, ports)):
+        spans = spaces.setdefault(space, [])
+        for row in rows:
+            spans.append((row[at], row[at] + row[size], kind, row))
+    for spans in spaces.values():
         spans.sort(key=_FIRST)
         for prev, cur in zip(spans, spans[1:]):
             if cur[0] < prev[1]:
@@ -460,10 +459,10 @@ class MachinePlatform(Value):
         if len(name.encode()) > MAX_NAME_BYTES:
             raise InvariantViolation("platform name longer than %d bytes" % MAX_NAME_BYTES)
         kinds = gather(layout)
-        if kinds.keys() - _KINDS:  # a run of a type that is no resource: name the first
-            rows = next(rows for kind, rows in layout if kind not in _KINDS)
+        if kinds.keys() - RESOURCE_KINDS:  # a run of a type that is no resource: name the first
+            rows = next(rows for kind, rows in layout if kind not in RESOURCE_KINDS)
             raise InvariantViolation("unknown platform resource %r" % (rows[0],))
-        cpus, ram, mmio, ports, pci, irqs = map(kinds.get, _KINDS, repeat(()))
+        cpus, ram, mmio, pci, ports, irqs = map(kinds.get, RESOURCE_KINDS, repeat(()))
         if not cpus:
             raise EmptyCpuSet("platform %r declares no CPUs" % name)
         if sorted(cpus) != list(range(len(cpus))):
