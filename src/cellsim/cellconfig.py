@@ -101,8 +101,7 @@ class CellConfig(Value):
                 check_ids(ids, what)  # names the first that is no int or out of range
         if None in regions:
             raise InvariantViolation("mem entries must be memory regions")
-        # a single row is sorted
-        regions = tuple(sorted(regions, key=itemgetter(0))) if len(regions) > 1 else tuple(regions)
+        regions = tuple(sorted(regions, key=itemgetter(0)))
         mmio, pci, ports = sort_devices(mmio, pci, ports)
         if (len(set(mmio)) != len(mmio) or len(set(pci)) != len(pci)
                 or len(set(ports)) != len(ports)):
@@ -295,7 +294,7 @@ def put_runs(out: bytearray, runs) -> None:
         code = _KIND_CODES[kind]
         body = _KINDS[code][1]
         out += _RUN.pack(code, len(rows))
-        if kind is Cpu or kind is IrqLine:
+        if kind in (Cpu, IrqLine):
             out += struct.pack("<%dI" % len(rows), *rows)
         elif kind is MmioDevice:
             out += b"".join(body.pack(name.encode(), base, size) for name, base, size in rows)
@@ -381,7 +380,7 @@ def take_runs(data: bytes, at: int) -> tuple:
             if at + nbytes > end:
                 raise short(data, nbytes, at)
             raw, at = data[at:at + nbytes], at + nbytes
-            if kind is Cpu or kind is IrqLine:
+            if kind in (Cpu, IrqLine):
                 runs.append((kind, struct.unpack("<%dI" % count, raw)))
                 continue
             rows = tuple(body.iter_unpack(raw))

@@ -114,6 +114,9 @@ def create_channel(hv: Hypervisor, a: int, b: int, size: int, vectors: int) -> i
     if a == b:
         raise SelfChannel("a channel needs two distinct cells")
     cell_a, cell_b = hv._cell(a), hv._cell(b)
+    if not (isinstance(size, int) and isinstance(vectors, int)):
+        raise InvariantViolation("channel size and vector count must be ints, not %r and %r"
+                                 % (size, vectors))
     if size <= 0 or size % PAGE_SIZE:
         raise BadSize("channel size must be positive and page-aligned")
     if not 1 <= vectors <= 0xFFFF:
@@ -143,6 +146,8 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
     if channel is None or from_cell != channel.cell_a and from_cell != channel.cell_b:
         _refuse(hv, ch_id, from_cell)
     peer = channel.cell_b if from_cell == channel.cell_a else channel.cell_a
+    if not (isinstance(offset, int) and isinstance(vector, int)):
+        raise InvariantViolation("offset and vector must be ints, not %r and %r" % (offset, vector))
     if offset < 0 or offset + len(payload) > channel.region.size:
         raise OutOfRegion(
             "[0x%x, 0x%x) exceeds channel size 0x%x"
@@ -182,6 +187,8 @@ def read_buffer(hv: Hypervisor, ch_id: int, cell_id: int,
     channel = hv.channels.get(ch_id)
     if channel is None or cell_id != channel.cell_a and cell_id != channel.cell_b:
         _refuse(hv, ch_id, cell_id)
+    if not (isinstance(offset, int) and isinstance(length, int)):
+        raise InvariantViolation("offset and length must be ints, not %r and %r" % (offset, length))
     if offset < 0 or offset + length > channel.region.size:
         raise OutOfRegion("read past the channel window")
     return bytes(channel.buffer[offset:offset + length])

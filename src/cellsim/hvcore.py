@@ -421,6 +421,8 @@ class Hypervisor:
     """
 
     def __init__(self, platform: MachinePlatform, seed: int = 0):
+        if not isinstance(seed, int):
+            raise InvariantViolation("seed must be an int, not %r" % (seed,))
         if not 0 <= seed <= U64_MAX:
             raise InvariantViolation("seed %d outside [0, 2^64)" % seed)
         self.platform = platform
@@ -558,6 +560,10 @@ class Hypervisor:
 
     def load_image(self, cell_id: CellId, addr: int, data: bytes) -> None:
         cell = self._cell_for("load", cell_id)
+        if not isinstance(addr, int):
+            raise InvariantViolation("image address must be an int, not %r" % (addr,))
+        if not isinstance(data, (bytes, bytearray)):
+            raise InvariantViolation("image data must be bytes, not %s" % type(data).__name__)
         end = addr + len(data)
         if not any(base <= addr and end <= base + size for base, size, _ in cell.config.regions):
             raise OutOfRegion("[0x%x, 0x%x) not within one region owned by cell %d"
@@ -735,6 +741,8 @@ class Hypervisor:
         """
         if self.ledger is None:
             self._require_enabled()  # raises
+        if not isinstance(n, int):
+            raise InvariantViolation("step count must be an int, not %r" % (n,))
         n = max(index(n), 0)
         if self.clock + n * STEP_NS > CLOCK_MAX:
             raise InvariantViolation("step(%d) would carry the clock past 2^63 - 1 ns" % n)

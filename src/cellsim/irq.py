@@ -188,8 +188,12 @@ class Scenario(Value):
     def __init__(self, vmm_on: bool, freq_hz: float, stress: bool, n_samples: int, seed: int):
         if not (freq_hz > 0 and math.isfinite(freq_hz)):
             raise InvariantViolation("freq_hz must be positive and finite")
+        if not isinstance(n_samples, int):
+            raise InvariantViolation("n_samples must be an int, not %r" % (n_samples,))
         if n_samples < 1:
             raise InvariantViolation("n_samples must be at least 1")
+        if not isinstance(seed, int):
+            raise InvariantViolation("seed must be an int, not %r" % (seed,))
         if seed < 0:
             raise InvariantViolation("seed must be non-negative")
         self._freeze(vmm_on, freq_hz, stress, n_samples, seed)
@@ -240,9 +244,19 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
     violation-class event is logged at the first raise time and nothing
     is delivered.
     """
-    raised = np.array(times, dtype=np.int64)  # a copy: the record must outlive the caller's array
+    raised = np.array(times)  # a copy: the record must outlive the caller's array
     if raised.ndim != 1 or raised.size == 0:
         raise InvariantViolation("raise_irqs needs a non-empty sequence of raise times")
+    if raised.dtype != np.int64:  # each tested in Python: an int64 cast floors a float
+        values = raised.tolist() if isinstance(times, np.ndarray) else list(times)
+        for t in values:
+            if not isinstance(t, int):  # a bool or an IntFlag passes
+                raise InvariantViolation("raise time %r is not an int" % (t,))
+        try:
+            raised = np.array(values, dtype=np.int64)
+        except OverflowError:
+            raise InvariantViolation("raise time %d ns does not fit the int64 ns clock"
+                                     % max(values, key=abs)) from None
     first = int(raised.min())
     if first < 0:  # before anything is logged or counted: the clock and the log start at 0
         raise InvariantViolation("raise time %d ns is before 0 ns" % first)

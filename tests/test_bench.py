@@ -22,7 +22,7 @@ from cellsim import (
     summarize,
 )
 from cellsim.bench import RESPONDER_BYTES, responder_config, stress_config
-from cellsim.errors import EmptyCpuSet, EmptySamples, InvariantViolation, OutOfRegion
+from cellsim.errors import EmptyCpuSet, EmptySamples, InvariantViolation, NoSuchLine, OutOfRegion
 
 from conftest import make_tiny_platform
 
@@ -242,6 +242,16 @@ class TestRowSetup:
         with pytest.raises(EmptyCpuSet, match="^platform has too few CPUs for the benchmark"
                                               " cells$"):
             run_scenario(board, stressed)
+
+    def test_a_board_with_no_irq_lines_is_refused_at_its_first_row(self):
+        from cellsim import Cpu, MemRegion, PlatformSpec, build_platform
+        board = build_platform(PlatformSpec(name="quiet", resources=[
+            Cpu(0), Cpu(1), Cpu(2), MemRegion(0x1000_0000, 0x40_0000)]))
+        for sc in canonical_scenarios(n_samples=5)[::2]:  # an off, a calm and a stressed row
+            with pytest.raises(NoSuchLine) as refused:
+                run_scenario(board, sc)
+            assert type(refused.value) is NoSuchLine
+            assert str(refused.value) == "platform has no irq lines to raise"
 
     def test_a_report_a_row_does_not_fit_is_refused_before_any_row_draws(self, monkeypatch):
         raised, real = [], bench.raise_irqs

@@ -115,6 +115,19 @@ class TestDsl:
             parse_config('cell "s"\ncpu 0\nmem 0x10000000 0x1000 rw\n'
                          "comm peer=x size=0x1000 vectors=4\n")
 
+    def test_a_pci_device_listed_twice_is_refused_with_no_line(self):
+        # unlike a repeated cpu or irq, the repeat is found once the file is read
+        with pytest.raises(ConfigSemanticError) as refused:
+            parse_config('cell "s"\ncpu 0\nmem 0x10000000 0x1000 rw\npci 0x10\npci 0x10\n')
+        assert type(refused.value) is ConfigSemanticError
+        assert str(refused.value) == "a device is listed twice" and refused.value.line is None
+
+    def test_run_with_no_workload_is_refused(self):
+        with pytest.raises(ConfigSyntaxError) as refused:
+            parse_config('cell "s"\ncpu 0\nmem 0x10000000 0x1000 rw\nrun\n')
+        assert type(refused.value) is ConfigSyntaxError
+        assert str(refused.value) == "line 4, col 1: run needs a workload name"
+
     def test_unknown_workload(self):
         with pytest.raises(ConfigSyntaxError):
             parse_config('cell "s"\ncpu 0\nmem 0x10000000 0x1000 rw\nrun spin\n')
@@ -216,6 +229,16 @@ class TestCellConfigInvariants:
     def test_bad_name_rejected(self):
         with pytest.raises(InvariantViolation):
             CellConfig(name="has space", cpus=[0], mem=[MemRegion(0x1000, 0x1000)])
+
+    @pytest.mark.parametrize("build, text", [
+        (lambda: CellConfig("n" * 32, {0}, [MemRegion(0x1000, 0x1000)]),
+         "cell name longer than 31 bytes"),
+        (lambda: CellConfig("c", {0}, [Cpu(0)]), "mem entries must be memory regions"),
+    ], ids=["name-of-32-bytes", "mem-of-a-cpu"])
+    def test_a_bad_name_or_mem_entry_is_refused_with_its_text(self, build, text):
+        with pytest.raises(InvariantViolation) as refused:
+            build()
+        assert type(refused.value) is InvariantViolation and str(refused.value) == text
 
     def test_needs_cpu_and_mem(self):
         with pytest.raises(InvariantViolation):

@@ -508,6 +508,11 @@ class TestUsageErrors:
         assert run(ws, "cell", "start", "guest") == 1
         assert "not enabled" in capsys.readouterr().err
 
+    def test_events_export_with_no_state_file(self, ws, capsys):
+        assert run(ws, "events", "export") == 1
+        assert capsys.readouterr() == ("", "error: no session; nothing to export\n")
+        assert not (ws / "cellsim.state").exists()
+
 
 class TestBadArguments:
     """Malformed argument values end in one error line, never a traceback."""

@@ -130,6 +130,17 @@ class TestCreateChannel:
         with pytest.raises(BadVector):
             create_channel(hv, a, b, PAGE, 0)
 
+    @pytest.mark.parametrize("size, vectors, text", [
+        (PAGE, 2.0, "4096 and 2.0"), (float(PAGE), 2, "4096.0 and 2")], ids=["vectors", "size"])
+    def test_a_float_size_or_vector_count_is_refused(self, size, vectors, text):
+        # 2.0 vectors were kept, and pci_cfg_read then answered 2.0
+        hv, a, b = _pair_without_channel()
+        before = list(hv.events)
+        with pytest.raises(InvariantViolation, match="^channel size and vector count must be"
+                                                     " ints, not %s$" % text):
+            create_channel(hv, a, b, size, vectors)
+        assert hv.channels == {} and hv.events == before
+
     def test_carve_exhaustion(self):
         hv, a, b = _pair_without_channel()
         with pytest.raises(OutOfRegion):
@@ -267,6 +278,40 @@ class TestSendPoll:
             send(hv, ch, a, 0, b"x", 2)
         with pytest.raises(BadVector):
             send(hv, ch, a, 0, b"x", -1)
+
+    @pytest.mark.parametrize("offset, vector, text", [
+        (0, 1.0, "0 and 1.0"), (0.0, 1, "0.0 and 1")], ids=["vector", "offset"])
+    def test_a_float_offset_or_vector_is_refused_before_anything_is_sent(self, offset, vector,
+                                                                          text):
+        # a vector of 1.0 was queued, and poll then returned [1.0]; an offset of 0.0
+        # raised a raw TypeError slicing the buffer
+        hv, a, b, ch = channel_pair()
+        before = (list(hv.events), list(hv.channel_trace))
+        with pytest.raises(InvariantViolation, match="^offset and vector must be ints, not %s$"
+                           % text):
+            send(hv, ch, a, offset, b"x", vector)
+        assert (list(hv.events), hv.channel_trace, poll(hv, ch, b)) == (*before, [])
+        assert read_buffer(hv, ch, b, 0, 1) == b"\0"
+
+    def test_a_bool_vector_and_offset_pass(self):
+        hv, a, b, ch = channel_pair()
+        send(hv, ch, a, True, b"x", True)
+        assert poll(hv, ch, b) == [1] and read_buffer(hv, ch, b, 0, 2) == b"\0x"
+
+    def test_read_buffer_refuses_a_read_past_the_window(self):
+        hv, a, b, ch = channel_pair(size=PAGE)
+        for offset, length in (PAGE - 1, 2), (-1, 1):
+            with pytest.raises(OutOfRegion) as refused:
+                read_buffer(hv, ch, b, offset, length)
+            assert type(refused.value) is OutOfRegion
+            assert str(refused.value) == "read past the channel window"
+
+    def test_read_buffer_refuses_a_float_offset(self):
+        # it raised a raw TypeError slicing the buffer
+        hv, a, b, ch = channel_pair()
+        with pytest.raises(InvariantViolation, match=r"^offset and length must be ints, not 0\.0"
+                                                     " and 1$"):
+            read_buffer(hv, ch, b, 0.0, 1)
 
     def test_send_rejects_overflowing_payload(self):
         hv, a, b, ch = channel_pair(size=PAGE)

@@ -170,6 +170,13 @@ class TestEnable:
             Hypervisor(tiny, seed=seed)
         assert Hypervisor(tiny, seed=2**64 - 1).seed == 2**64 - 1
 
+    def test_a_float_seed_is_refused_and_a_bool_passes(self, tiny):
+        # 1.5 was kept, and save_session then raised a raw struct.error packing it
+        with pytest.raises(InvariantViolation, match=r"^seed must be an int, not 1\.5$"):
+            enable(tiny, full_platform_config(tiny), seed=1.5)
+        hv = enable(tiny, full_platform_config(tiny), seed=True)
+        assert load_session(save_session(tiny, hv))[1].seed == 1
+
 
 class TestCreate:
     def test_ids_are_sequential(self):
@@ -489,6 +496,21 @@ class TestLoadImage:
         with pytest.raises(OutOfRegion):
             hv.load_image(cell_id, RAM, b"x")
 
+    @pytest.mark.parametrize("addr, data, text", [
+        (RAM + 0x8_0000 + 0.0, b"ab", "image address must be an int, not 268959744.0"),
+        (RAM + 0x8_0000, "ab", "image data must be bytes, not str"),
+    ], ids=["float-address", "str-data"])
+    def test_a_float_address_or_str_data_is_refused_before_it_is_stored(self, addr, data, text):
+        # each raised a raw TypeError, slicing with a float or storing a str into bytes
+        hv = tiny_hv()
+        cell_id = hv.create_cell(small_cell())
+        before = list(hv.events)
+        with pytest.raises(InvariantViolation, match="^%s$" % text):
+            hv.load_image(cell_id, addr, data)
+        assert hv.events == before and hv.cells[cell_id].memory_image == {}
+        hv.load_image(cell_id, RAM + 0x8_0000, bytearray(b"ab"))
+        assert hv.cells[cell_id].memory_image == {RAM + 0x8_0000: b"ab"}
+
 
 class TestImageChunks:
     def test_overlapping_writes_merge(self):
@@ -558,9 +580,11 @@ class TestHandleAccess:
         lambda hv: hv.create_cell(small_cell(cpu=2.0)),
         lambda hv: hv.handle_access(ROOT_CELL, Access(AccessKind.MEM_READ, 4096.0, 4)),
         lambda hv: distributor_access(hv, ROOT_CELL, 4.0),
-    ], ids=["create-cpu", "access-address", "distributor-offset"])
+        lambda hv: hv.step(1.5),
+    ], ids=["create-cpu", "access-address", "distributor-offset", "step-count"])
     def test_a_float_is_refused_before_it_reaches_a_mask_or_a_trap(self, call):
-        # each raised a raw TypeError: 1 << 2.0, or "%x" % 4.0 in the event's detail
+        # each raised a raw TypeError: 1 << 2.0, "%x" % 4.0 in the event's detail, or
+        # operator.index(1.5)
         hv = tiny_hv()
         before = (list(hv.events), copy.deepcopy(hv.exits))
         with pytest.raises(InvariantViolation, match="must be an int, not"):
@@ -881,6 +905,12 @@ class TestAccessAddressBound:
         with pytest.raises(InvariantViolation, match="^address must be non-negative$"):
             Access(kind, -4, 4)
 
+    def test_a_sensitive_instruction_with_no_name_is_refused(self):
+        with pytest.raises(InvariantViolation) as refused:
+            Access(AccessKind.SENSITIVE_INSTR)
+        assert type(refused.value) is InvariantViolation
+        assert str(refused.value) == "sensitive-instruction access needs a name"
+
     def test_the_last_address_traps_and_its_session_saves(self):
         hv = tiny_hv()
         guest = hv.create_cell(small_cell())
@@ -1188,6 +1218,12 @@ class TestLedger:
         ledger.transfer_range((RAM + 0x1000, 0x2000, RW), 5, 0)
         assert ledger.keys_multiset() == baseline
         ledger.audit()
+
+    def test_an_empty_range_is_refused(self, tiny):
+        with pytest.raises(InvariantViolation) as refused:
+            OwnershipLedger(tiny).range_owner(RAM, RAM)
+        assert type(refused.value) is InvariantViolation
+        assert str(refused.value) == "empty range [0x10000000, 0x10000000)"
 
     def test_transfer_verifies_current_owner(self, tiny):
         ledger = OwnershipLedger(tiny)

@@ -444,6 +444,34 @@ class TestRaiseIrq:
         assert (hv.events, hv.exits, hv.clock) == before
         load_session(save_session(hv.platform, hv))
 
+    @pytest.mark.parametrize("times, text", [
+        ([1.7], "raise time 1.7 is not an int"),
+        (["a"], "raise time 'a' is not an int"),
+        ([0, 2**63], "raise time 9223372036854775808 ns does not fit the int64 ns clock"),
+        (np.array([0.5]), "raise time 0.5 is not an int"),
+        (np.array([2**63], dtype=np.uint64),
+         "raise time 9223372036854775808 ns does not fit the int64 ns clock"),
+    ], ids=["float", "str", "past-int64", "float-array", "uint64-array"])
+    @pytest.mark.parametrize("start", [False, True], ids=["spurious", "running"])
+    def test_a_raise_time_that_is_no_int64_is_refused_before_anything_is_logged(
+            self, times, text, start):
+        # 1.7 was recorded as a raise at 1 ns; 2**63 and "a" raised a raw OverflowError and
+        # a raw ValueError
+        hv = tiny_hv()
+        cell_id = hv.create_cell(small_cell(irqs=[33]))
+        if start:
+            hv.start_cell(cell_id)
+        before = (list(hv.events), copy.deepcopy(hv.exits), hv.clock)
+        with pytest.raises(InvariantViolation, match="^%s$" % text):
+            raise_irqs(hv, 33, times, latency_streams(4))
+        assert (hv.events, hv.exits, hv.clock) == before
+
+    def test_a_bool_or_an_unsigned_raise_time_passes(self):
+        hv = tiny_hv()
+        hv.start_cell(hv.create_cell(small_cell(irqs=[33])))
+        for times in [True, 5], np.array([1, 5], dtype=np.uint64):
+            assert raise_irqs(hv, 33, times, latency_streams(4)).raised_at.tolist() == [1, 5]
+
     def test_raise_irqs_spurious_line_of_stopped_owner(self):
         hv = tiny_hv()
         cell_id = hv.create_cell(small_cell(irqs=[34]))
@@ -667,6 +695,16 @@ class TestScenario:
             Scenario(True, 10.0, False, 0, 0)
         with pytest.raises(InvariantViolation):
             Scenario(True, 10.0, False, 1, -1)
+
+    @pytest.mark.parametrize("n_samples, seed, text", [
+        (5.5, 1, r"n_samples must be an int, not 5\.5"),
+        (5, 1.5, r"seed must be an int, not 1\.5"),
+    ], ids=["n_samples", "seed"])
+    def test_a_float_sample_count_or_seed_is_refused(self, n_samples, seed, text):
+        # run_scenario drew 6 samples for 5.5, and raised a raw AttributeError for a seed of 1.5
+        with pytest.raises(InvariantViolation, match="^%s$" % text):
+            Scenario(True, 10.0, False, n_samples, seed)
+        assert Scenario(True, 10.0, False, True, True).n_samples == 1
 
     @pytest.mark.parametrize("freq_hz", [10.0, 50.0])
     def test_last_raise_time_must_fit_the_int64_clock(self, freq_hz):

@@ -456,10 +456,15 @@ class TestPlatformParsing:
         ("bus base", ConfigSyntaxError, "bad bus parameter 'base'"),
         ("bus cont-logsigma=wide", ConfigSemanticError, "cont-logsigma must be a number"),
         ("bus jitter=yes", ConfigSemanticError, "jitter must be on or off"),
+        # the model's own range checks, once the file is read: no line is named
+        ("bus base=0", InvariantViolation, "^base latency must be positive and finite$"),
+        ("bus hv-logmu=inf", InvariantViolation, "^distribution parameters must be finite$"),
+        ("bus cont-mean=0", InvariantViolation, "^mean must exceed the shift$"),
     ])
     def test_bad_gic_and_bus_lines_are_refused(self, line, error, text):
-        with pytest.raises(error, match=text):
+        with pytest.raises(error, match=text) as refused:
             parse_platform('platform "p"\ncpu 0\n%s\n' % line)
+        assert type(refused.value) is error
 
     @pytest.mark.parametrize("lines, text", [
         ('platform "q"', "line 3: duplicate platform directive"),

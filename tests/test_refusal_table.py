@@ -87,6 +87,8 @@ CONFIG_REFUSALS = [
      InvariantViolation, "device name is not valid UTF-8"),
     ("cell-name-padding", config(name=b"guest\0x"),
      InvariantViolation, "cell name padding must be zero"),
+    ("cell-name-no-nul", config(name=b"n" * 32),
+     InvariantViolation, "cell name longer than 31 bytes"),
     ("empty-port-range", config(ports=[(0x60, 0)]),
      InvariantViolation, "io port range must not be empty"),
     ("port-range-past-0x10000", config(ports=[(0xFFF8, 0x10)]),

@@ -29,7 +29,7 @@ from cellsim.errors import (
     ConfigSyntaxError,
     DuplicateIrq,
 )
-from cellsim.machine import layout_resources, parse_resource
+from cellsim.machine import RESOURCE_KINDS, layout_resources, parse_resource
 
 # A cell config must name a CPU and memory; both formats get the same
 # filler after the line under test so the line stays on line 2.
@@ -199,6 +199,43 @@ def test_id_list_limits_are_inclusive():
     kind, ids = parse_resource(split_tokens("irq 0-65535"), 1)
     assert kind is IrqLine and len(ids) == 0x10000
     assert parse_resource(split_tokens("cpu 4294967295"), 1) == (Cpu, [0xFFFFFFFF])
+
+
+# (label, line, message): one malformed field of a resource directive, refused with the label
+# RESOURCE_KINDS gives the field. A CPU or IRQ id list is read as `<keyword> list` and each id
+# checked as the label says, with no column; a permission string is refused with no label.
+FIELD_REFUSALS = [
+    ("cpu index", "cpu x", "line 2, col 5: cpu list: bad id 'x'"),
+    ("cpu index", "cpu 4294967296", "line 2: cpu index out of range: 4294967296"),
+    ("mem base", "mem zz 0x1000 r", "line 2, col 5: mem base: expected hex number, got 'zz'"),
+    ("mem size", "mem 0x1000 zz r", "line 2, col 12: mem size: expected hex number, got 'zz'"),
+    ("mem perms", "mem 0x1000 0x1000 rq", "line 2, col 19: unknown permission letter 'q'"),
+    ("mmio name", "mmio ua!rt 0x70006000 0x1000",
+     "line 2, col 6: mmio name: name must match [A-Za-z0-9_-]+"),
+    ("mmio base", "mmio uart zz 0x1000",
+     "line 2, col 11: mmio base: expected hex number, got 'zz'"),
+    ("mmio size", "mmio uart 0x70006000 zz",
+     "line 2, col 22: mmio size: expected hex number, got 'zz'"),
+    ("pci bdf", "pci zz", "line 2, col 5: pci bdf: expected hex number, got 'zz'"),
+    ("ioport base", "ioport zz 0x8", "line 2, col 8: ioport base: expected hex number, got 'zz'"),
+    ("ioport len", "ioport 0x3f8 zz",
+     "line 2, col 14: ioport len: expected hex number, got 'zz'"),
+    ("irq number", "irq a", "line 2, col 5: irq list: bad id 'a'"),
+    ("irq number", "irq 4294967296", "line 2: irq number out of range: 4294967296"),
+]
+
+
+@pytest.mark.parametrize("label, line, message", FIELD_REFUSALS,
+                         ids=[line for _, line, _ in FIELD_REFUSALS])
+def test_a_malformed_field_is_refused_with_its_label_in_both_formats(label, line, message):
+    for exc in _parse_both(line):
+        assert type(exc) is (ConfigSyntaxError if ", col " in message else ConfigSemanticError)
+        assert str(exc) == message
+
+
+def test_every_field_of_every_resource_directive_has_a_refusal():
+    labels = [label for _, fields, _ in RESOURCE_KINDS.values() for label, _ in fields]
+    assert sorted(set(label for label, _, _ in FIELD_REFUSALS)) == sorted(labels)
 
 
 # 17 bytes; the binary config's 16-byte name field holds 15 and a NUL
