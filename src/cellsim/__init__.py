@@ -22,6 +22,7 @@ from .cellconfig import (
 )
 from .errors import CellSimError
 from .hvcore import (
+    EVENT_FORMS,
     EXIT_SLOT,
     ROOT_CELL,
     Access,

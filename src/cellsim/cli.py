@@ -87,7 +87,8 @@ def _cmd_enable(args) -> int:
         if session.hv is not None:  # the log and counters survive re-enabling
             old = session.hv
             hv.events, hv.exits, hv.clock = old.events, old.exits, old.clock
-            hv._next_cell_id = old._next_cell_id  # ids in them stay unique
+            # the cell and channel ids in them stay unique
+            hv._next_cell_id, hv._next_channel_id = old._next_cell_id, old._next_channel_id
         hv.enable(cfg)
         session.platform, session.hv = platform, hv
     print("enabled: platform %s, root cell 0 running" % platform.name)

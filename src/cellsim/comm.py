@@ -24,7 +24,7 @@ from .errors import (
     OutOfRegion,
     SelfChannel,
 )
-from .hvcore import _REINJECT, _RUNNING, Hypervisor, TrapKind
+from .hvcore import _EMULATE_INSTR, _FORM, _MANAGE, _REINJECT, _RUNNING, Hypervisor
 from .irq import DoorbellLatencies
 from .machine import PAGE_SIZE, MemRegion, PermFlags, bus_load
 
@@ -33,6 +33,7 @@ DEVICE_ID = 0x0001
 ABSENT = 0xFFFFFFFF
 
 _RW = PermFlags.READ | PermFlags.WRITE
+_CHANNEL, _DOORBELL = _FORM["channel"], _FORM["doorbell"]
 
 
 class Channel(Record):
@@ -129,7 +130,7 @@ def create_channel(hv: Hypervisor, a: int, b: int, size: int, vectors: int) -> i
     hv.channels[channel.id] = channel
     hv._access_maps.clear()  # b may now access the window
     hv._next_channel_id += 1
-    hv._log(TrapKind.MANAGEMENT, a, "channel %s-%s" % (cell_a.name, cell_b.name))
+    hv._log(_MANAGE, cell_a.id, _CHANNEL, cell_a.name, cell_b.name)
     return channel.id
 
 
@@ -162,7 +163,7 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
             hv._doorbell_streams = DoorbellLatencies(hv.platform.bus, hv.seed)
         # drawn first, so that a refused latency leaves the channel as it was
         latency = hv._doorbell_streams.ring(bus_load(hv, peer_cell))
-        hv._log(_REINJECT, peer, "doorbell ch=%d vector=%d" % (ch_id, vector))
+        hv._log(_REINJECT, peer_cell.id, _DOORBELL, channel.id, vector)
     channel.buffer[offset:offset + len(payload)] = payload
     channel.pending[peer].append(vector)
     hv.channel_trace.append(
@@ -201,10 +202,10 @@ def pci_cfg_read(hv: Hypervisor, cell_id: int, bdf: int, offset: int) -> int:
     offset 8 reports an unassigned class code; offset 0x40 reports the
     MSI-X vector count. Reads of absent devices answer all-ones.
     """
-    hv._running(cell_id)
+    cell = hv._running(cell_id)
     if offset % 4:
         raise BadAlignment("config space reads must be 4-byte aligned")
-    hv._log(TrapKind.INSTRUCTION_EMULATION, cell_id, "pci-cfg")
+    hv._log(_EMULATE_INSTR, cell.id, _FORM["pci-cfg"])
     channel = _devices(hv, cell_id).get(bdf)
     if channel is None:
         return ABSENT

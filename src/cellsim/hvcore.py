@@ -63,11 +63,48 @@ class TrapKind(Enum):
 EXIT_SLOT = {kind: slot for slot, kind in enumerate(TrapKind)}
 
 
+_TRAP_KINDS = tuple(TrapKind)  # each kind at its code, its EXIT_SLOT
+
+# The text of each event form, at its form code. An event's detail is its form's
+# template filled in with the event's a and b, as many as the template takes: a %s
+# takes a cell's name, the str its config holds, and every other conversion an int.
+# So an exit stores codes and ints, as Jailhouse keeps its JAILHOUSE_CPU_STAT_*
+# exit statistics as counters, and text is built only when an event is read.
+# Keys name the forms: a lifecycle operation's, an access kind's value for a
+# violation, a sensitive instruction's name for its emulation.
+_TEMPLATES = {
+    "enable": "enable", "disable": "disable", "create": "create %s", "load": "load %s",
+    "start": "start %s", "stop": "stop %s", "destroy": "destroy %s",
+    "relaunch": "relaunch %s", "channel": "channel %s-%s", "offset": "offset 0x%x",
+    "doorbell": "doorbell ch=%d vector=%d", "pci-cfg": "pci-cfg",
+    "spurious": "spurious irq line %d", "MemRead": "MemRead 0x%x width %d",
+    "MemWrite": "MemWrite 0x%x width %d", "IoRead": "IoRead 0x%x width %d",
+    "IoWrite": "IoWrite 0x%x width %d", "cpuid": "cpuid",
+}
+EVENT_FORMS = tuple(_TEMPLATES.values())
+_FORM = {key: code for code, key in enumerate(_TEMPLATES)}
+_ARITY = tuple(template.count("%") for template in EVENT_FORMS)
+_NAME_FIELDS = tuple(template.count("%s") for template in EVENT_FORMS)  # a, or a and b
+
+
 class TrapEvent(NamedTuple):
+    """One logged exit: code is its trap kind's EXIT_SLOT, form its EVENT_FORMS
+    code, and a and b the values its text takes (0 where it takes none)."""
+
     time_ns: int
     cell: CellId
-    kind: TrapKind
-    detail: str
+    code: int
+    form: int
+    a: object
+    b: object
+
+    @property
+    def kind(self) -> TrapKind:
+        return _TRAP_KINDS[self.code]
+
+    @property
+    def detail(self) -> str:
+        return EVENT_FORMS[self.form] % (self.a, self.b)[:_ARITY[self.form]]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -119,9 +156,11 @@ class AccessOutcome(Enum):
 _RUNNING, _FAILED, _STRESS = CellState.RUNNING, CellState.FAILED, WorkloadKind.STRESS
 _MEM_WRITE, _SENSITIVE_INSTR = AccessKind.MEM_WRITE, AccessKind.SENSITIVE_INSTR
 _DIRECT, _EMULATED = AccessOutcome.DIRECT, AccessOutcome.EMULATED
-_VIOLATION, _VIOLATE = AccessOutcome.VIOLATION, TrapKind.ACCESS_VIOLATION
-_EMULATE_DIST, _EMULATE_INSTR = TrapKind.DISTRIBUTOR_EMULATION, TrapKind.INSTRUCTION_EMULATION
-_REINJECT, _MANAGE = TrapKind.IRQ_REINJECTION, TrapKind.MANAGEMENT
+_VIOLATION = AccessOutcome.VIOLATION
+# the trap kinds' codes, which _log takes, and the forms the trap path logs
+_REINJECT, _EMULATE_DIST, _EMULATE_INSTR, _VIOLATE, _MANAGE = EXIT_SLOT.values()
+_OFFSET, _RELAUNCH = _FORM["offset"], _FORM["relaunch"]
+_INSTR_FORM = {name: _FORM[name] for name in SENSITIVE_INSTRUCTIONS}
 
 # Rights of an access-map entry, as plain ints (an IntFlag & costs about
 # 1.5 us): READ and WRITE match PermFlags' bits.
@@ -415,9 +454,10 @@ class Hypervisor:
 
     Construct disabled, then call enable() with a root config; or use the
     module-level enable() which does both. All mutating operations append
-    Management events so hypercall traffic can be audited. Cell ids are
-    not reused, even across disable and enable, so an id in the event log
-    or the exit counters names one cell.
+    Management events so hypercall traffic can be audited. Cell and
+    channel ids are not reused, even across disable and enable or a
+    snapshot, so an id in the event log or the exit counters names one
+    cell, and a doorbell event's channel id one channel.
     """
 
     def __init__(self, platform: MachinePlatform, seed: int = 0):
@@ -458,21 +498,23 @@ class Hypervisor:
         if not self.enabled:
             raise NotEnabled("hypervisor is disabled")
 
-    def _log(self, kind: TrapKind, cell: CellId, detail: str,
-             time_ns: Optional[int] = None) -> TrapEvent:
+    def _log(self, code: int, cell: CellId, form: int, a=0, b=0,
+             time_ns: Optional[int] = None) -> None:
+        """Log an exit of the trap kind whose EXIT_SLOT is code, in a form of
+        EVENT_FORMS with the values its text takes, and count it."""
         # tuple.__new__ skips NamedTuple's Python __new__, as load_session's does
-        event = tuple.__new__(TrapEvent, (self.clock if time_ns is None else time_ns, cell,
-                                          kind, detail))
-        self.events.append(event)
+        self.events.append(tuple.__new__(TrapEvent, (
+            self.clock if time_ns is None else time_ns, cell, code, form, a, b)))
         counters = self.exits.get(cell) or self.exits.setdefault(cell, [0] * len(EXIT_SLOT))
-        counters[EXIT_SLOT[kind]] += 1
-        return event
+        counters[code] += 1
 
-    def _count(self, kind: TrapKind, cell: CellId, n: int = 1) -> None:
-        """Add n exits of one kind to a cell's counters."""
-        self.exits.setdefault(cell, [0] * len(EXIT_SLOT))[EXIT_SLOT[kind]] += n
+    def _count(self, code: int, cell: CellId, n: int = 1) -> None:
+        """Add n exits of the trap kind whose EXIT_SLOT is code to a cell's counters."""
+        self.exits.setdefault(cell, [0] * len(EXIT_SLOT))[code] += n
 
     def _cell(self, cell_id: CellId) -> Cell:
+        if not isinstance(cell_id, int):  # 1.0 would find cell 1, and be logged as 1.0
+            raise InvariantViolation("cell id must be an int, not %r" % (cell_id,))
         cell = self.cells.get(cell_id)
         if cell is None:
             self._require_enabled()  # a disabled hypervisor has no cells
@@ -480,7 +522,7 @@ class Hypervisor:
         return cell
 
     def _running(self, cell_id: CellId) -> Cell:
-        cell = self.cells.get(cell_id) or self._cell(cell_id)  # _cell raises on a miss
+        cell = self._cell(cell_id)
         if cell.state is not _RUNNING:
             raise BadState("cell %d is %s, not running" % (cell_id, cell.state.value))
         return cell
@@ -518,7 +560,7 @@ class Hypervisor:
         self.ledger = OwnershipLedger(self.platform)
         root = Cell(ROOT_CELL, root_cfg, _RUNNING)
         self.cells = {ROOT_CELL: root}
-        self._log(TrapKind.MANAGEMENT, ROOT_CELL, "enable")
+        self._log(_MANAGE, ROOT_CELL, _FORM["enable"])
         return self
 
     def create_cell(self, cfg: CellConfig) -> CellId:
@@ -533,7 +575,7 @@ class Hypervisor:
         self._claim(cell.id, cfg)
         self._next_cell_id += 1
         self.cells[cell.id] = cell
-        self._log(TrapKind.MANAGEMENT, cell.id, "create %s" % cfg.name)
+        self._log(_MANAGE, cell.id, _FORM["create"], cfg.name)
         return cell.id
 
     def _claim(self, cell_id: CellId, cfg: CellConfig) -> None:
@@ -569,18 +611,18 @@ class Hypervisor:
             raise OutOfRegion("[0x%x, 0x%x) not within one region owned by cell %d"
                               % (addr, end, cell_id))
         cell.write_image(addr, data)
-        self._log(TrapKind.MANAGEMENT, cell_id, "load %s" % cell.name)
+        self._log(_MANAGE, cell.id, _FORM["load"], cell.name)
 
     def start_cell(self, cell_id: CellId) -> None:
         cell = self._cell_for("start", cell_id)
         cell.script_pos = 0
         cell.state = _RUNNING
-        self._log(TrapKind.MANAGEMENT, cell_id, "start %s" % cell.name)
+        self._log(_MANAGE, cell.id, _FORM["start"], cell.name)
 
     def stop_cell(self, cell_id: CellId) -> None:
         cell = self._cell_for("stop", cell_id)
         cell.state = _STOPPED
-        self._log(TrapKind.MANAGEMENT, cell_id, "stop %s" % cell.name)
+        self._log(_MANAGE, cell.id, _FORM["stop"], cell.name)
 
     def destroy_cell(self, cell_id: CellId) -> None:
         cell = self._cell_for("destroy", cell_id)
@@ -589,7 +631,7 @@ class Hypervisor:
         self.ledger.release_all(cell_id)
         self._access_maps.clear()
         del self.cells[cell_id]
-        self._log(TrapKind.MANAGEMENT, cell_id, "destroy %s" % cell.name)
+        self._log(_MANAGE, cell.id, _FORM["destroy"], cell.name)
 
     def relaunch_cell(self, cell_id: CellId) -> None:
         cell = self.cells.get(cell_id)
@@ -598,14 +640,14 @@ class Hypervisor:
         cell.memory_image = {}
         cell.script_pos = 0
         cell.state = _RUNNING
-        self._log(_MANAGE, cell_id, "relaunch %s" % cell.config.name)
+        self._log(_MANAGE, cell.id, _RELAUNCH, cell.config.name)
 
     def disable(self) -> None:
         self._require_enabled()
         others = [c for c in self.cells if c != ROOT_CELL]
         if others:
             raise CellsStillExist("cells still exist: %s" % sorted(others))
-        self._log(TrapKind.MANAGEMENT, ROOT_CELL, "disable")
+        self._log(_MANAGE, ROOT_CELL, _FORM["disable"])
         self.cells = {}
         self.ledger = None
         self.channels = {}
@@ -678,15 +720,16 @@ class Hypervisor:
             self._running(cell_id)  # raises
         kind = access.kind
         if kind is _SENSITIVE_INSTR:
-            if access.instr in SENSITIVE_INSTRUCTIONS:
-                self._log(_EMULATE_INSTR, cell_id, access.instr)
+            form = _INSTR_FORM.get(access.instr)
+            if form is not None:
+                self._log(_EMULATE_INSTR, cell.id, form)
                 return _EMULATED
             return _DIRECT
 
         lo, hi = access.addr_or_port, access.addr_or_port + access.width
         access_map = self._access_maps.get(cell_id)
         if access_map is None:
-            access_map = self._access_maps[cell_id] = self._build_access_map(cell_id)
+            access_map = self._access_maps[cell.id] = self._build_access_map(cell.id)
         table = access_map.mem if kind in _MEM_KINDS else access_map.io
         index = bisect_right(table, lo, key=_LO)
         if index:
@@ -695,7 +738,7 @@ class Hypervisor:
                 if rights & (_WRITE if kind in _WRITE_KINDS else _READ):
                     return _DIRECT
                 if rights & _EMULATE:
-                    self._log(_EMULATE_DIST, cell_id, "offset 0x%x" % (lo - e_lo))
+                    self._log(_EMULATE_DIST, cell.id, _OFFSET, lo - e_lo)
                     return _EMULATED
         return self._violate(cell, access)
 
@@ -724,9 +767,10 @@ class Hypervisor:
         return AccessMap(sorted(mem, key=_LO), sorted(io, key=_LO))
 
     def _violate(self, cell: Cell, access: Access) -> AccessOutcome:
-        # handle_access violates only memory and I/O accesses; _value_ skips Enum's Python getter
-        self._log(_VIOLATE, cell.id, "%s 0x%x width %d" % (
-            access.kind._value_, access.addr_or_port, access.width))
+        # handle_access violates only memory and I/O accesses, whose forms their kinds' values
+        # key; _value_ skips Enum's Python getter
+        self._log(_VIOLATE, cell.id, _FORM[access.kind._value_], access.addr_or_port,
+                  access.width)
         cell.state = _FAILED
         return _VIOLATION
 

@@ -18,8 +18,8 @@ import numpy as np
 from ._value import Value
 from .errors import InvariantViolation, NoSuchLine, NoSuchResource, UnownedIrq
 from .hvcore import (
-    _EMULATE_DIST, _EMULATED, _MEM_WRITE, _RUNNING, ROOT_CELL, Access, AccessOutcome, CellState,
-    Hypervisor, TrapKind)
+    _EMULATE_DIST, _EMULATED, _FORM, _MEM_WRITE, _OFFSET, _REINJECT, _RUNNING, _VIOLATE, ROOT_CELL,
+    Access, AccessOutcome, CellState, Hypervisor)
 from .machine import IRQ, BusModel, DistParams, bus_load
 from .rng import entropy_words, h64, pcg64
 
@@ -260,6 +260,8 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
     first = int(raised.min())
     if first < 0:  # before anything is logged or counted: the clock and the log start at 0
         raise InvariantViolation("raise time %d ns is before 0 ns" % first)
+    if not isinstance(line, int):  # 33.0 would find line 33, and be logged as 33.0
+        raise InvariantViolation("irq line must be an int, not %r" % (line,))
     if line not in hv.platform.irq_numbers:
         raise NoSuchLine("platform has no irq line %d" % line)
     owner, path, stressed = ROOT_CELL, "bare-metal", False
@@ -267,8 +269,7 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
         owner = hv.ledger.holder_of(IRQ, 1 << hv.platform.irq_order.index(line))
         cell = hv.cells[owner]
         if cell.state is not CellState.RUNNING:
-            hv._log(TrapKind.ACCESS_VIOLATION, owner,
-                    "spurious irq line %d" % line, time_ns=int(raised[0]))
+            hv._log(_VIOLATE, owner, _FORM["spurious"], line, time_ns=int(raised[0]))
             raise UnownedIrq(
                 "line %d owned by cell %d in state %s" % (line, owner, cell.state.value))
         path, stressed = "reinjected", bus_load(hv, cell)
@@ -277,7 +278,7 @@ def raise_irqs(hv: Hypervisor, line: int, times, streams) -> IrqDeliveries:
     deliveries = IrqDeliveries(line, owner, path, raised, latency)
     hv.clock = max(hv.clock, deliveries.last_ns)
     if hv.enabled:
-        hv._count(TrapKind.IRQ_REINJECTION, owner, raised.size)
+        hv._count(_REINJECT, owner, raised.size)
     return deliveries
 
 
@@ -304,5 +305,5 @@ def distributor_access(hv: Hypervisor, cell_id: int, offset: int) -> AccessOutco
     cell = hv.cells.get(cell_id)
     if cell is None or cell.state is not _RUNNING:
         hv._running(cell_id)  # raises
-    hv._log(_EMULATE_DIST, cell_id, "offset 0x%x" % offset)
+    hv._log(_EMULATE_DIST, cell.id, _OFFSET, offset)
     return _EMULATED

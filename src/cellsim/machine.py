@@ -247,12 +247,12 @@ def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
     The head line, `<head> "<name>"`, comes once and names at most
     MAX_NAME_BYTES bytes. Each line of one of the format's own directives
     goes, in line order, to own[keyword](tokens, lineno); every other line
-    is a resource directive of `parse_resource`. A CPU or IRQ listed twice,
-    or a span that overlaps an earlier one, is refused on its second line.
+    is a resource directive of `parse_resource`. A CPU, IRQ or PCI device listed
+    twice, or a span that overlaps an earlier one, is refused on its second line.
     """
     name = None
     runs: list = []
-    listed: dict = {Cpu: set(), IrqLine: set()}  # the ids of each kind listed so far
+    listed: dict = {Cpu: set(), IrqLine: set(), PciDevice: set()}  # ids or rows, so far
     spans: dict = {}  # space -> [(base, end, line text, lineno)]
     for lineno, tokens in iter_directives(text):
         keyword = tokens[0][0]
@@ -269,10 +269,11 @@ def read_directives(text: str, head: str, own: dict) -> tuple[str, list]:
         else:
             kind, items = parse_resource(tokens, lineno)
             seen = listed.get(kind)
-            for number in items if seen is not None else ():
-                if number in seen:
-                    raise ConfigSemanticError("%s %d listed twice" % (keyword, number), lineno)
-                seen.add(number)
+            for item in items if seen is not None else ():
+                if item in seen:  # a PCI device's row is its (bdf,)
+                    raise ConfigSemanticError("%s %s listed twice" % (keyword, (
+                        "0x%x" % item if kind is PciDevice else item)), lineno)
+                seen.add(item)
             span = RESOURCE_KINDS[kind][2]
             if span is not None:
                 (row,) = items

@@ -4,12 +4,14 @@ Persists a platform plus optional hypervisor state between CLI
 invocations as the fixed little-endian records below, one struct each,
 in order; a record that ends in a length is followed by that many bytes.
 A coded enum is a tuple indexed by its code: a trap kind's code is its
-EXIT_SLOT. The platform's layout is a resource list of the config
-codec, which alone knows how a resource is encoded. Ownership is not
-stored: the load path rebuilds the platform through its validator and
-the ledger by claiming each cell's config in id order, root's first,
-then audits the result, so a corrupt snapshot cannot produce an
-inconsistent session. Nothing else that can be derived is stored
+EXIT_SLOT, an event form's its index in EVENT_FORMS. The event log is
+the table of the strings its events name, then one fixed record per
+event, whose name fields hold their strings' indices. The platform's
+layout is a resource list of the config codec, which alone knows how a
+resource is encoded. Ownership is not stored: the load path rebuilds
+the platform through its validator and the ledger by claiming each
+cell's config in id order, root's first, then audits the result, so a
+corrupt snapshot cannot produce an inconsistent session. Nothing else that can be derived is stored
 either: a platform's typed views come from its resources, and a cell's
 distributor emulation count is its exit counter. A script cell's
 script is stored as the text read at cell create, with its position,
@@ -28,29 +30,32 @@ from .errors import (
     BadMagic, ConfigSemanticError, ConfigSyntaxError, InvariantViolation, UnsupportedVersion,
     ValidationFailed)
 from .hvcore import (
-    CLOCK_MAX, EXIT_SLOT, Cell, CellState, Hypervisor, OwnershipLedger, TrapEvent, check_script)
+    _FORM, _NAME_FIELDS, _TRAP_KINDS, CLOCK_MAX, EVENT_FORMS, EXIT_SLOT, Cell, CellState,
+    Hypervisor, OwnershipLedger, TrapEvent, check_script)
 from .machine import BusModel, DistParams, GicVersion, MachinePlatform
 
 MAGIC = 0x4A485353
-VERSION = 8
+VERSION = 9
 
 _HEADER = struct.Struct("<IH")  # magic, version
 _NAME = struct.Struct("<H")  # platform name length, then the UTF-8 name
 _PLATFORM = struct.Struct("<B8d2B")  # gic code, bus model; then the platform's resource list
 _FLAG = struct.Struct("<B")  # 1 if a hypervisor follows, else the end
-_SESSION = struct.Struct("<QQI")  # clock, seed, event count
-_EVENT = struct.Struct("<QIBH")  # per event: time, cell, trap code, detail length
-_COUNT = struct.Struct("<I")  # of exit records, then of cells and of a cell's chunks
+# clock, seed; the counts of the strings the events name, of the events and of the exit
+# records, which follow in that order: a string is a u8 length and its UTF-8 bytes
+_SESSION = struct.Struct("<QQIII")
+_COUNT = struct.Struct("<I")  # of cells and of a cell's chunks
+_EVENT = struct.Struct("<QIBBQQ")  # per event: time, cell, trap code, form, a, b
+_CODE_AT = struct.calcsize("<QI")  # of an event record's trap code
 _EXITS = struct.Struct("<I%dQ" % len(EXIT_SLOT))  # cell id, a counter per trap kind
-_NEXT = struct.Struct("<IB")  # next cell id, enabled; a disabled session ends here
+_NEXT = struct.Struct("<IIB")  # next cell and channel ids, enabled; a disabled session ends here
 _CELL = struct.Struct("<IBI")  # per cell in id order: id, state code, config length
 _CHUNK = struct.Struct("<QI")  # per image chunk in address order: address, length
 _SCRIPT = struct.Struct("<II")  # a script cell's position, script text length
 
 _GICS = (None, None, GicVersion.V2, GicVersion.V3)
-_TRAPS = tuple(EXIT_SLOT)
-_N_TRAPS = len(_TRAPS)
 _STATES = tuple(CellState)
+_DOORBELL = _FORM["doorbell"]
 
 
 def _platform_record(gic: GicVersion, bus: BusModel) -> bytes:
@@ -74,14 +79,25 @@ def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
     if hv is None:
         return bytes(out)
 
-    out += _SESSION.pack(hv.clock, hv.seed, len(hv.events))
+    names: dict = {}  # each string the events name -> its index in the table
+    records, pack, name_fields = bytearray(), _EVENT.pack, _NAME_FIELDS
     for event in hv.events:
-        detail = event.detail.encode("utf-8")
-        out += _EVENT.pack(event.time_ns, event.cell, EXIT_SLOT[event.kind], len(detail)) + detail
-    out += _COUNT.pack(len(hv.exits))
+        n_names = name_fields[event[3]]
+        if n_names:  # a, or a and b, names a cell: store its string's index
+            time_ns, cell, code, form, a, b = event
+            a = names.setdefault(a, len(names))
+            if n_names == 2:
+                b = names.setdefault(b, len(names))
+            event = (time_ns, cell, code, form, a, b)
+        records += pack(*event)
+    out += _SESSION.pack(hv.clock, hv.seed, len(names), len(hv.events), len(hv.exits))
+    for name in names:
+        raw = name.encode("utf-8")
+        out += bytes((len(raw),)) + raw
+    out += records
     for cell_id in sorted(hv.exits):
         out += _EXITS.pack(cell_id, *hv.exits[cell_id])
-    out += _NEXT.pack(hv._next_cell_id, hv.enabled)
+    out += _NEXT.pack(hv._next_cell_id, hv._next_channel_id, hv.enabled)
     if not hv.enabled:
         return bytes(out)
 
@@ -126,33 +142,35 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
         _expect_end(reader)
         return platform, None
 
-    clock, seed, n_events = reader.take(_SESSION)
+    clock, seed, n_strings, n_events, n_exit_records = reader.take(_SESSION)
     if clock > CLOCK_MAX:  # the u64 holds more than the int64 clock step and raise_irqs keep
         raise InvariantViolation("snapshot clock %d ns is past 2^63 - 1 ns" % clock)
-    # The events in one pass, all it reads in locals: unpack_from refuses a cut record, one test
-    # each its trap code and detail length, and tuple.__new__ skips NamedTuple's Python __new__.
-    data, at, events, new, traps = reader.data, reader.offset, [], tuple.__new__, _TRAPS
-    unpack, size, end, append = _EVENT.unpack_from, _EVENT.size, len(data), events.append
-    try:
-        for _ in range(n_events):
-            time_ns, cell, code, length = unpack(data, at)
-            kind = traps[code] if code < _N_TRAPS else from_code(traps, code, "trap code")
-            start, at = at + size, at + size + length
-            if at > end:
-                raise short(data, length, start)
-            append(new(TrapEvent, (time_ns, cell, kind, data[start:at].decode())))
-    except struct.error:  # at is the cut record's start
-        raise short(data, size, at) from None
+    data, at, strings = reader.data, reader.offset, []
+    try:  # one test a string, and no call
+        for _ in range(n_strings):
+            start, at = at + 1, at + 1 + data[at]
+            if at > len(data):
+                raise short(data, at - start, start)
+            strings.append(data[start:at].decode())
+    except IndexError:  # at is the cut string's start
+        raise short(data, 1, at) from None
     except UnicodeDecodeError:
         raise InvariantViolation("snapshot string is not valid UTF-8") from None
-    reader.offset = at
+    # The event records, which _events unpacks, checks and fills in with their names once
+    # everything else has been checked; each record's trap code byte is checked here.
+    start, at = at, at + n_events * _EVENT.size
+    if at > len(data):
+        raise short(data, at - start, start)
+    records = memoryview(data)[start:at]
+    codes = data[start + _CODE_AT:at:_EVENT.size]
+    if codes and max(codes) >= len(_TRAP_KINDS):
+        from_code(_TRAP_KINDS, next(code for code in codes if code >= len(_TRAP_KINDS)),
+                  "trap code")
 
     hv = Hypervisor(platform, seed=seed)
     hv.clock = clock
-    hv.events = events
-    (n_exit_records,) = reader.take(_COUNT)
-    at, size, exits = reader.offset, _EXITS.size, hv.exits
-    try:  # as the events: one unpack a record, no call
+    size, exits = _EXITS.size, hv.exits
+    try:  # one unpack a record, and no call
         for _ in range(n_exit_records):
             cell_id, *counters = _EXITS.unpack_from(data, at)
             at += size
@@ -163,10 +181,11 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     except struct.error:
         raise short(data, size, at) from None
     reader.offset = at
-    hv._next_cell_id, enabled = reader.take(_NEXT)
+    hv._next_cell_id, hv._next_channel_id, enabled = reader.take(_NEXT)
     if not enabled:
         _expect_end(reader)
         _check_exit_cells(hv)
+        hv.events = _events(records, strings, hv._next_channel_id)
         return platform, hv
 
     (n_cells,) = reader.take(_COUNT)
@@ -229,7 +248,35 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
                 cell_id, hv.cells[cell_id].name, "; ".join(map(str, exc.violations))))
     _expect_end(reader)
     hv.audit()
+    hv.events = _events(records, strings, hv._next_channel_id)
     return platform, hv
+
+
+def _events(records, strings: list, next_channel: int) -> list:
+    """The event records, in one iter_unpack, as TrapEvents, each name field's
+    index replaced by its string. Refuses an unknown form, an index past the
+    table and a doorbell of a channel id not yet given; the loop makes no
+    Python call a record, as tuple.__new__ skips NamedTuple's Python __new__."""
+    events, new, event, doorbell = [], tuple.__new__, TrapEvent, _DOORBELL
+    append, name_fields = events.append, _NAME_FIELDS
+    try:
+        for record in _EVENT.iter_unpack(records):
+            n_names = name_fields[record[3]]
+            if n_names:
+                time_ns, cell, code, form, a, b = record
+                record = (time_ns, cell, code, form, strings[a],
+                          strings[b] if n_names == 2 else b)
+            elif record[3] == doorbell and record[4] >= next_channel:
+                raise InvariantViolation(
+                    "snapshot event %d rings channel %d, not below the next channel id %d"
+                    % (len(events), record[4], next_channel))
+            append(new(event, record))
+    except IndexError:  # the record after the last one appended
+        _, _, _, form, a, b = _EVENT.unpack_from(records, len(events) * _EVENT.size)
+        from_code(EVENT_FORMS, form, "event form")
+        raise InvariantViolation("snapshot event %d names string %d, past the %d in its table"
+                                 % (len(events), a if a >= len(strings) else b, len(strings)))
+    return events
 
 
 def _check_exit_cells(hv: Hypervisor) -> None:

@@ -39,6 +39,11 @@ class Refused(Exception):
     """An operation the hypervisor refuses; args[0] names its error class."""
 
 
+def logged(events):
+    """Each TrapEvent as the model logs it: (time_ns, cell, kind, detail)."""
+    return [(e.time_ns, e.cell, e.kind, e.detail) for e in events]
+
+
 class Oracle:
     def __init__(self, resources, root_name):
         self.ram = {}     # page -> (ROOT, ("ram", region base), region flags)
@@ -150,12 +155,6 @@ class Oracle:
         used = {bdf for a, b, _, _, bdf_a, bdf_b in self.channels.values()
                 for end, bdf in ((a, bdf_a), (b, bdf_b)) if end == cell_id}
         return next(bdf for bdf in range(0, 0x10000, 8) if bdf not in used)
-
-    def reload(self):
-        """A saved and loaded session: it keeps no channel state, so the next
-        channel id starts at 0 again (ROADMAP item 5)."""
-        assert not self.channels
-        self.next_channel = 0
 
     # -- traps and stepping
 

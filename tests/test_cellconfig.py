@@ -115,12 +115,12 @@ class TestDsl:
             parse_config('cell "s"\ncpu 0\nmem 0x10000000 0x1000 rw\n'
                          "comm peer=x size=0x1000 vectors=4\n")
 
-    def test_a_pci_device_listed_twice_is_refused_with_no_line(self):
-        # unlike a repeated cpu or irq, the repeat is found once the file is read
+    def test_a_pci_device_listed_twice_is_refused_on_its_line(self):
+        # as a repeated cpu or irq is; the config's own check named no line
         with pytest.raises(ConfigSemanticError) as refused:
             parse_config('cell "s"\ncpu 0\nmem 0x10000000 0x1000 rw\npci 0x10\npci 0x10\n')
         assert type(refused.value) is ConfigSemanticError
-        assert str(refused.value) == "a device is listed twice" and refused.value.line is None
+        assert str(refused.value) == "line 5: pci 0x10 listed twice" and refused.value.line == 5
 
     def test_run_with_no_workload_is_refused(self):
         with pytest.raises(ConfigSyntaxError) as refused:

@@ -10,6 +10,7 @@ import pytest
 from cellsim import (
     TrapKind,
     canonical_scenarios,
+    create_channel,
     distributor_access,
     emit_binary,
     export_csv,
@@ -22,6 +23,7 @@ from cellsim import (
     run_report,
     run_scenario,
     save_session,
+    send,
 )
 from cellsim import cli
 from cellsim.cli import main
@@ -164,6 +166,24 @@ class TestWalkthrough:
         details = [json.loads(line)["detail"]
                    for line in out.read_text().splitlines()]
         assert details == ["enable", "disable", "enable"]
+
+    def test_reenable_keeps_the_next_channel_id(self, ws, capsys):
+        # the log's doorbell names channel 0, and a load refuses a doorbell of a
+        # channel id at or past the next one; channels are made through the API
+        enable_board(ws)
+        state = ws / "cellsim.state"
+        platform, hv = load_session(state.read_bytes())
+        a = hv.create_cell(parse_config(GUEST_TEXT))
+        b = hv.create_cell(parse_config(GUEST_TEXT.replace('"guest"', '"peer"').replace(
+            "cpu 2", "cpu 3").replace("0x10100000", "0x10110000").replace("irq 34", "irq 35")))
+        for cell_id in (a, b):
+            hv.start_cell(cell_id)
+        send(hv, create_channel(hv, a, b, 0x1000, 1), a, 0, b"x", 0)
+        for cell_id in (a, b):
+            hv.destroy_cell(cell_id)
+        state.write_bytes(save_session(platform, hv))
+        assert run(ws, "disable") == 0 and enable_board(ws) == 0
+        assert load_session(state.read_bytes())[1]._next_channel_id == 1
 
     def test_separate_state_files_are_independent(self, ws, tmp_path, capsys):
         enable_board(ws)

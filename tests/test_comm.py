@@ -20,9 +20,11 @@ from cellsim import (
     Workload,
     WorkloadKind,
     create_channel,
+    load_session,
     pci_cfg_read,
     poll,
     read_buffer,
+    save_session,
     send,
 )
 from cellsim.comm import ABSENT, VENDOR_ID
@@ -145,6 +147,28 @@ class TestCreateChannel:
         hv, a, b = _pair_without_channel()
         with pytest.raises(OutOfRegion):
             create_channel(hv, a, b, 0x10_0000, 1)
+
+
+class TestFloatCellIds:
+    # 0.0 and 1.0 found cells 0 and 1 and were logged as 0.0 and 1.0, and
+    # save_session then raised a raw struct.error
+    def test_a_float_endpoint_is_refused(self):
+        hv = tiny_hv()
+        a = hv.create_cell(small_cell("a"))
+        with pytest.raises(InvariantViolation) as refused:
+            create_channel(hv, 0.0, a, 0x1000, 2)
+        assert str(refused.value) == "cell id must be an int, not 0.0"
+        assert hv.channels == {} and hv._next_channel_id == 0
+        assert load_session(save_session(hv.platform, hv))[1].events == hv.events
+
+    def test_a_float_reader_of_config_space_is_refused(self):
+        hv, a, b, ch = channel_pair()
+        before = list(hv.events)
+        with pytest.raises(InvariantViolation) as refused:
+            pci_cfg_read(hv, 1.0, 0, 0)
+        assert str(refused.value) == "cell id must be an int, not 1.0"
+        assert hv.events == before
+        assert load_session(save_session(hv.platform, hv))[1].events == hv.events
 
 
 class TestCarve:

@@ -1,7 +1,11 @@
+import ast
 import copy
+import gc
+import itertools
 import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,7 +64,7 @@ from cellsim.hvcore import STEP_NS, parse_script
 
 from conftest import make_tiny_platform
 from gen import config_from_units, random_config, random_platform
-from oracle import Oracle
+from oracle import Oracle, logged
 
 RAM = 0x1000_0000
 RW = 3  # a (base, size, flags) row's flags: PermFlags.READ | PermFlags.WRITE
@@ -176,6 +180,43 @@ class TestEnable:
             enable(tiny, full_platform_config(tiny), seed=1.5)
         hv = enable(tiny, full_platform_config(tiny), seed=True)
         assert load_session(save_session(tiny, hv))[1].seed == 1
+
+
+class TestCellIds:
+    """A cell id that is no int is refused where a cell is looked up by id; the trap
+    paths, which make no type test, log and count the id of the cell they find. 1.0
+    found cell 1 and was logged as 1.0, and save_session then raised a raw struct.error."""
+
+    def test_a_float_cell_id_is_refused_by_a_lifecycle_operation(self):
+        hv = tiny_hv()
+        hv.start_cell(hv.create_cell(small_cell()))
+        before = (list(hv.events), copy.deepcopy(hv.exits))
+        with pytest.raises(InvariantViolation) as refused:
+            hv.stop_cell(1.0)
+        assert str(refused.value) == "cell id must be an int, not 1.0"
+        assert (hv.events, hv.exits, hv.cells[1].state) == (*before, CellState.RUNNING)
+        assert load_session(save_session(hv.platform, hv))[1].events == hv.events
+
+    def test_a_bool_cell_id_passes_and_is_logged_as_its_cell(self):
+        hv = tiny_hv()
+        hv.start_cell(hv.create_cell(small_cell()))
+        hv.stop_cell(True)
+        assert hv.cells[1].state is CellState.STOPPED
+        assert type(hv.events[-1].cell) is int and hv.events[-1].detail == "stop guest"
+        assert load_session(save_session(hv.platform, hv))[1].events == hv.events
+
+    def test_the_trap_paths_log_and_count_the_cell_they_find(self):
+        hv = tiny_hv()
+        hv.start_cell(hv.create_cell(small_cell()))
+        hv.handle_access(1.0, Access(AccessKind.SENSITIVE_INSTR, instr="cpuid"))
+        distributor_access(hv, 1.0, 0x104)
+        hv.handle_access(1.0, Access(AccessKind.MEM_READ, 0, 8))  # a violation
+        hv.relaunch_cell(1.0)
+        assert [(type(e.cell), e.detail) for e in hv.events[-4:]] == [
+            (int, "cpuid"), (int, "offset 0x104"), (int, "MemRead 0x0 width 8"),
+            (int, "relaunch guest")]
+        assert list(map(type, hv.exits)) == [int, int]
+        assert load_session(save_session(hv.platform, hv))[1].events == hv.events
 
 
 class TestCreate:
@@ -384,8 +425,8 @@ class TestLifecycleTable:
             return
         run_lifecycle_op(hv, op, cell_id)
         assert hv.events[:-1] == events
-        assert hv.events[-1] == hvcore.TrapEvent(
-            hv.clock, cell_id, TrapKind.MANAGEMENT, "%s %s" % (op, cell.name))
+        assert logged(hv.events[-1:]) == [
+            (hv.clock, cell_id, TrapKind.MANAGEMENT, "%s %s" % (op, cell.name))]
         exits[cell_id][EXIT_SLOT[TrapKind.MANAGEMENT]] += 1
         assert hv.exits == exits
         if expected is None:
@@ -1001,7 +1042,8 @@ class TestStepAgreesWithTheOracle:
                 model.lifecycle("relaunch", cell_id)
         for n in (rnd.randint(2, 40), rnd.randint(0, 5)):
             assert hv.step(n) == model.step(n)
-            assert (hv.clock, hv.events, hv.exits) == (model.clock, model.events, model.exits)
+            assert (hv.clock, logged(hv.events), hv.exits) \
+                == (model.clock, model.events, model.exits)
             assert {cell_id: (cell.state, cell.script_pos) for cell_id, cell in hv.cells.items()} \
                 == {cell_id: (cell.state, cell.pos) for cell_id, cell in model.cells.items()}
         hv.audit()
@@ -1072,7 +1114,7 @@ class TestEnumMembers:
             AccessKind.MEM_WRITE, AccessKind.SENSITIVE_INSTR)
         assert (hvcore._DIRECT, hvcore._EMULATED, hvcore._VIOLATION) == tuple(AccessOutcome)
         assert (hvcore._REINJECT, hvcore._EMULATE_DIST, hvcore._EMULATE_INSTR,
-                hvcore._VIOLATE, hvcore._MANAGE) == tuple(TrapKind)
+                hvcore._VIOLATE, hvcore._MANAGE) == tuple(map(EXIT_SLOT.get, TrapKind))
 
 
 class TestEvents:
@@ -1087,6 +1129,29 @@ class TestEvents:
         assert all(set(p) == {"t", "cell", "cause", "detail"} for p in parsed)
         assert [p["t"] for p in parsed] == sorted(p["t"] for p in parsed)
         assert parsed[-1]["cause"] == "AccessViolation"
+
+    def test_no_log_call_formats_text(self):
+        # an event holds the values its text takes, and TrapEvent.detail alone builds
+        # the text, from hvcore.EVENT_FORMS
+        src = Path(hvcore.__file__).parent
+        calls = [node for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_log"]
+        assert len(calls) == 16
+        for call in calls:
+            for arg in itertools.chain.from_iterable(map(ast.walk, call.args)):
+                assert not isinstance(arg, ast.JoinedStr)
+                assert not (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mod))
+                assert getattr(getattr(arg, "func", None), "attr", None) != "format"
+
+    def test_an_event_holds_no_gc_tracked_member(self):
+        hv = tiny_hv()
+        hv.start_cell(hv.create_cell(small_cell()))
+        hv.handle_access(1, Access(AccessKind.SENSITIVE_INSTR, instr="cpuid"))
+        hv.handle_access(1, Access(AccessKind.MEM_READ, 0, 8))
+        assert [e.kind for e in hv.events[-2:]] == [
+            TrapKind.INSTRUCTION_EMULATION, TrapKind.ACCESS_VIOLATION]
+        assert not any(map(gc.is_tracked, itertools.chain.from_iterable(hv.events)))
 
     def test_owner_of_unknown_resource(self):
         hv = tiny_hv()

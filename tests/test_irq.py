@@ -382,6 +382,16 @@ class TestRaiseIrq:
         assert event.cell == cell_id
         assert "34" in event.detail
 
+    def test_a_float_line_is_refused_before_anything_is_logged(self):
+        # 34.0 found line 34, and its spurious event would have held the float
+        hv = tiny_hv()
+        hv.create_cell(small_cell(irqs=[34]))
+        before = list(hv.events)
+        with pytest.raises(InvariantViolation) as refused:
+            raise_irqs(hv, 34.0, [500], latency_streams(4))
+        assert str(refused.value) == "irq line must be an int, not 34.0"
+        assert hv.events == before
+
     def test_stress_neighbour_raises_the_mean(self):
         def mean_latency(with_stress, n=3000):
             hv = tiny_hv()

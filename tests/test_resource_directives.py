@@ -136,7 +136,8 @@ def test_malformed_line_fails_the_same_way(line):
     ("", '{head} "%s"' % ("n" * 32), "line 1: {head} name longer than 31 bytes"),
     ("cpu 1\ncpu 0-1", '{head} "n"', "line 3: cpu 1 listed twice"),
     ("irq 33\nirq 32-33", '{head} "n"', "line 3: irq 33 listed twice"),
-], ids=["repeated head", "missing head", "long name", "cpu twice", "irq twice"])
+    ("pci 0x10\npci 0x10", '{head} "n"', "line 3: pci 0x10 listed twice"),
+], ids=["repeated head", "missing head", "long name", "cpu twice", "irq twice", "pci twice"])
 def test_head_and_unit_rules_are_the_same_in_both_formats(line, head, message):
     # a platform file refused neither a long name nor an irq listed twice
     # itself: build_platform did, without naming the line

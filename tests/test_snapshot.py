@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellsim import (
+    EVENT_FORMS,
     EXIT_SLOT,
     ROOT_CELL,
     Access,
@@ -27,7 +28,6 @@ from cellsim import (
     PciDevice,
     PermFlags,
     PlatformSpec,
-    TrapEvent,
     TrapKind,
     Workload,
     WorkloadKind,
@@ -41,6 +41,7 @@ from cellsim import (
     load_session,
     raise_irqs,
     save_session,
+    send,
 )
 from cellsim.errors import (
     BadMagic,
@@ -48,10 +49,13 @@ from cellsim.errors import (
     ConfigMismatch,
     InvariantViolation,
     TruncatedRecord,
+    UnownedIrq,
     UnsupportedVersion,
 )
 from cellsim import cellconfig, snapshot
 from cellsim.cli import main
+from cellsim.comm import pci_cfg_read
+from cellsim.irq import distributor_access
 from cellsim.machine import CPU, DEVICE, IRQ, MMIO_NAME_BYTES, resource_layout
 from cellsim.snapshot import MAGIC, VERSION
 
@@ -169,6 +173,23 @@ class TestEnabledSession:
         _, restored = load_session(save_session(hv.platform, hv))
         new_id = restored.create_cell(small_cell("later", cpu=0, base=RAM + 0xE_0000))
         assert new_id == expected_next
+
+    def test_channel_id_sequence_continues(self):
+        # channel 0 rang before its peer was destroyed, so the saved log names it; the
+        # next channel after a reload is 1, as it would have been without the reload
+        hv = tiny_hv()
+        a = hv.create_cell(small_cell("a", cpu=1, base=RAM + 0x8_0000))
+        b = hv.create_cell(small_cell("b", cpu=2, base=RAM + 0xA_0000))
+        for cell_id in (a, b):
+            hv.start_cell(cell_id)
+        send(hv, create_channel(hv, a, b, 0x1000, 1), a, 0, b"x", 0)
+        assert hv.events[-1].detail == "doorbell ch=0 vector=0"
+        hv.stop_cell(b)
+        hv.destroy_cell(b)
+        _, restored = load_session(save_session(hv.platform, hv))
+        assert restored._next_channel_id == 1
+        c = restored.create_cell(small_cell("c", cpu=2, base=RAM + 0xA_0000))
+        assert create_channel(restored, a, c, 0x1000, 1) == 1
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: save_session writes no channels")
     def test_a_channel_peer_reaches_the_window_after_a_reload(self):
@@ -327,8 +348,7 @@ class TestRejection:
     def test_unknown_trap_code_rejected(self):
         hv = populated_hv()
         blob = bytearray(save_session(hv.platform, hv))
-        # the first event's kind byte follows its u64 time and u32 cell
-        blob[len(save_session(hv.platform, None)) + 8 + 8 + 4 + 8 + 4] = 0xEE
+        blob[_event_section(hv) + snapshot._CODE_AT] = 0xEE  # the first event's
         with pytest.raises(InvariantViolation, match="unknown trap code 238"):
             load_session(bytes(blob))
 
@@ -385,9 +405,9 @@ class TestCellTable:
     def test_unknown_cell_state_rejected(self):
         hv = populated_hv()
         blob = bytearray(save_session(hv.platform, hv))
-        # exit records, next cell id, enabled flag, cell count, first cell id
-        offset = _exit_section(hv) + 4 + len(hv.exits) * snapshot._EXITS.size
-        blob[offset + 4 + 1 + 4 + 4] = 0xEE
+        # exit records, next ids and enabled flag, cell count, first cell id
+        offset = _exit_section(hv) + len(hv.exits) * snapshot._EXITS.size
+        blob[offset + snapshot._NEXT.size + 4 + 4] = 0xEE
         with pytest.raises(InvariantViolation, match="unknown cell state 238"):
             load_session(bytes(blob))
 
@@ -482,16 +502,23 @@ def test_a_clock_past_the_int64_bound_is_refused(clock):
         load_session(blob[:offset] + struct.pack("<Q", clock) + blob[offset + 8:])
 
 
+def _event_section(hv):
+    """Offset of the event records in hv's snapshot: past the session record and
+    the table of the strings the events name, each a u8 length and its bytes."""
+    names = dict.fromkeys(field for event in hv.events for field in event[4:]
+                          if isinstance(field, str))
+    return (len(save_session(hv.platform, None)) + snapshot._SESSION.size
+            + sum(1 + len(name.encode()) for name in names))
+
+
 def _exit_section(hv):
-    """Offset of the exit-counter section in hv's snapshot."""
-    offset = len(save_session(hv.platform, None)) + 8 + 8 + 4  # clock, seed, event count
-    return offset + sum(snapshot._EVENT.size + len(event.detail.encode())
-                        for event in hv.events)
+    """Offset of the exit records in hv's snapshot."""
+    return _event_section(hv) + len(hv.events) * snapshot._EVENT.size
 
 
 def _with_exit_cell(blob, hv, index, new_id):
     """The snapshot with exit record `index`'s cell id replaced by new_id."""
-    offset = _exit_section(hv) + 4 + index * snapshot._EXITS.size
+    offset = _exit_section(hv) + index * snapshot._EXITS.size
     return blob[:offset] + struct.pack("<I", new_id) + blob[offset + 4:]
 
 
@@ -517,12 +544,15 @@ class TestExitCounters:
         blob = save_session(hv.platform, hv)
         start = _exit_section(hv)
         records = len(hv.exits) * snapshot._EXITS.size
-        for cut in (start + 2, start + 4 + 10, start + 4 + records - 1):
+        for cut in (start + 2, start + 10, start + records - 1):
             with pytest.raises(CellSimError):
                 load_session(blob[:cut])
-        # a count that claims one record more than the section holds
-        (count,) = struct.unpack_from("<I", blob, start)
-        grown = blob[:start] + struct.pack("<I", count + 1) + blob[start + 4:]
+        # a count that claims one record more than the section holds: the session
+        # record's last field
+        at = len(save_session(hv.platform, None)) + snapshot._SESSION.size - 4
+        (count,) = struct.unpack_from("<I", blob, at)
+        assert count == len(hv.exits)
+        grown = blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:]
         with pytest.raises(CellSimError):
             load_session(grown)
 
@@ -543,16 +573,119 @@ class TestExitCounters:
                                % bad_id):
                 load_session(blob)
 
-    @pytest.mark.parametrize("old", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("old", [2, 3, 4, 5, 6, 7, 8])
     def test_older_version_blob_rejected(self, old):
-        # v6 embeds v2 configs, which still carried comm declarations, and
-        # v7 stores no script record
+        # v6 embeds v2 configs, which still carried comm declarations, v7
+        # stores no script record, and v8 stores each event's detail text
         hv = populated_hv()
         blob = bytearray(save_session(hv.platform, hv))
         struct.pack_into("<H", blob, 4, old)
-        with pytest.raises(UnsupportedVersion, match="version %d, expected 8" % old):
+        with pytest.raises(UnsupportedVersion, match="version %d, expected 9" % old):
             load_session(bytes(blob))
 
+
+
+def every_form_hv():
+    """tiny_hv after one event of each form: two guests with a channel that
+    rang, their traps and violations, a spurious IRQ, then their destruction
+    and the disable."""
+    hv = tiny_hv()
+    a = hv.create_cell(small_cell("a", cpu=1, base=RAM + 0x8_0000))
+    b = hv.create_cell(small_cell("b", cpu=2, base=RAM + 0xA_0000, irqs=[33]))
+    hv.load_image(a, RAM + 0x8_0000, b"\x01")
+    for cell_id in (a, b):
+        hv.start_cell(cell_id)
+    send(hv, create_channel(hv, a, b, 0x1000, 1), a, 0, b"x", 0)
+    pci_cfg_read(hv, b, 0, 0)
+    distributor_access(hv, a, 0x104)
+    hv.handle_access(a, Access(AccessKind.SENSITIVE_INSTR, instr="cpuid"))
+    for kind, at in ((AccessKind.MEM_READ, 0), (AccessKind.MEM_WRITE, 8),
+                     (AccessKind.IO_READ, 0x3F8), (AccessKind.IO_WRITE, 0x3F9)):
+        hv.handle_access(a, Access(kind, at, 1 if kind.value.startswith("Io") else 8))
+        hv.relaunch_cell(a)
+    hv.stop_cell(b)
+    with pytest.raises(UnownedIrq):
+        raise_irqs(hv, 33, [7000], latency_streams(4))
+    for cell_id in (a, b):
+        hv.destroy_cell(cell_id)
+    hv.disable()
+    return hv
+
+
+def _with_field(blob, hv, event, at, fmt, value):
+    """The snapshot with a field of event record `event`, at byte `at` of the record,
+    packed anew as fmt."""
+    offset = _event_section(hv) + event * snapshot._EVENT.size + at
+    return blob[:offset] + struct.pack(fmt, value) + blob[offset + struct.calcsize(fmt):]
+
+
+def _refused(blob, text):
+    with pytest.raises(InvariantViolation) as refused:
+        load_session(blob)
+    assert type(refused.value) is InvariantViolation and str(refused.value) == text
+
+
+FORM_AT, A_AT = snapshot._CODE_AT + 1, snapshot._CODE_AT + 2  # of an event record's fields
+
+
+class TestEventRecords:
+    """Snapshot v9 keeps the event log as the table of the strings its events
+    name, then one fixed record per event: time, cell, trap code, form, a, b."""
+
+    def test_every_form_round_trips(self):
+        hv = every_form_hv()
+        assert sorted({event.form for event in hv.events}) == list(range(len(EVENT_FORMS)))
+        blob = save_session(hv.platform, hv)
+        _, restored = load_session(blob)
+        assert restored.events == hv.events
+        assert restored.export_events() == hv.export_events()
+        assert save_session(restored.platform, restored) == blob
+
+    def test_each_name_is_stored_once(self):
+        hv = populated_hv()  # its guests' names, each in several events
+        blob = save_session(hv.platform, hv)
+        at = len(save_session(hv.platform, None))
+        assert struct.unpack_from("<QQIII", blob, at)[2:4] == (3, len(hv.events))
+        assert blob[at + snapshot._SESSION.size:_event_section(hv)] \
+            == b"\x07running\x07stopped\x05fresh"
+
+    def test_unknown_form_rejected(self):
+        hv = populated_hv()
+        blob = _with_field(save_session(hv.platform, hv), hv, 1, FORM_AT, "<B", len(EVENT_FORMS))
+        _refused(blob, "unknown event form %d" % len(EVENT_FORMS))
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["a", "b"])
+    def test_string_index_past_the_table_rejected(self, field):
+        hv = every_form_hv()  # its log names 2 strings: "a" and "b"
+        event = next(i for i, e in enumerate(hv.events) if e.detail == "channel a-b")
+        blob = _with_field(save_session(hv.platform, hv), hv, event, A_AT + 8 * field, "<Q", 2)
+        _refused(blob, "snapshot event %d names string 2, past the 2 in its table" % event)
+
+    @pytest.mark.parametrize("rung, given", [(0, 0), (1, 1), (7, 1)])
+    def test_doorbell_of_a_channel_not_yet_given_rejected(self, rung, given):
+        hv = every_form_hv()  # channel 0 rang, and the next channel id is 1
+        event = next(i for i, e in enumerate(hv.events) if e.form == EVENT_FORMS.index(
+            "doorbell ch=%d vector=%d"))
+        blob = _with_field(save_session(hv.platform, hv), hv, event, A_AT, "<Q", rung)
+        at = _exit_section(hv) + len(hv.exits) * snapshot._EXITS.size + 4  # next channel id
+        blob = blob[:at] + struct.pack("<I", given) + blob[at + 4:]
+        _refused(blob, "snapshot event %d rings channel %d, not below the next channel id %d"
+                 % (event, rung, given))
+
+    def test_table_string_that_is_not_utf8_rejected(self):
+        hv = populated_hv()
+        blob = bytearray(save_session(hv.platform, hv))
+        at = len(save_session(hv.platform, None)) + snapshot._SESSION.size + 1
+        assert blob[at:at + 7] == b"running"
+        blob[at] = 0xFF
+        _refused(bytes(blob), "snapshot string is not valid UTF-8")
+
+    def test_the_event_checks_come_after_every_other_refusal(self):
+        hv = populated_hv()
+        blob = _with_field(save_session(hv.platform, hv), hv, 1, FORM_AT, "<B", 0xEE)
+        _refused(blob + b"\0", "1 trailing bytes in snapshot")
+        blob = _with_exit_cell(blob, hv, 0, 9)
+        _refused(blob, "snapshot's next cell id 4 is not above exit counters of cell 9")
 
 SCRIPT_BASE = RAM + 0xD_0000  # above populated_hv's cells
 # Six ops: two direct accesses to the cell's own RAM, a distributor write and
@@ -887,11 +1020,13 @@ def pinned_jetson_hv():
 
 
 class TestPinnedJetsonSession:
-    """The bytes of a jetson session's snapshot and of its configs, as the
-    object-per-IRQ-line ledger wrote them: keeping CPU and IRQ ownership
-    as masks changed no byte of either format."""
+    """The bytes of a jetson session's snapshot, of its configs and of its
+    exported events. The configs are as the object-per-IRQ-line ledger wrote
+    them, and the export as snapshot v8, which stored each event's text, gave
+    it: keeping events as codes and ints changed no byte of it."""
 
-    SNAPSHOT = "8e25f39b21fb078c8ca0840322b28e55942f8eb54688e212219d34b9720c31d9"
+    SNAPSHOT = "c0ea6f04922a28098add7c3a68b6762031353562244e0727b62654374fece09e"
+    EVENTS = "0a0b441ba69054c0c5116abcfb09c5a2bb61fc2e0941956d36f156dd3a6a5408"
     ROOT_CONFIG = "07357837766ad91049872f2ef24342297d07e155687b600cef22b2c0bf85853f"
     RTOS_CONFIG = "2fe864d3f2e8244638e585fa611ca2c79c4035c80e8d450eea820f52816e3a36"
 
@@ -903,6 +1038,11 @@ class TestPinnedJetsonSession:
     def test_snapshot_bytes(self, hv):
         blob = save_session(hv.platform, hv)
         assert hashlib.sha256(blob).hexdigest() == self.SNAPSHOT
+
+    def test_exported_events_before_and_after_a_reload(self, hv):
+        _, restored = load_session(save_session(hv.platform, hv))
+        for session in (hv, restored):
+            assert hashlib.sha256(session.export_events().encode()).hexdigest() == self.EVENTS
 
     def test_every_strict_prefix_is_refused_as_truncated(self, hv):
         blob = save_session(hv.platform, hv)
@@ -935,16 +1075,20 @@ class TestPinnedJetsonSession:
             == self.RTOS_CONFIG
 
 
-def test_a_stored_event_costs_at_most_one_python_call_to_load():
-    # the event section is decoded in one loop: no helper call per record,
-    # at most the TrapEvent's own __new__
+def test_a_stored_event_costs_no_python_call_to_load():
+    # the event records are read by one iter_unpack and filled in by one loop: no
+    # helper call per record, and no TrapEvent.__new__, which tuple.__new__ skips
     jetson = jetson_tk1()
     hv = Hypervisor(jetson, seed=5).enable(full_platform_config(jetson))
     short = save_session(jetson, hv)
-    for index in range(1000):
-        hv._log(TrapKind.MANAGEMENT, ROOT_CELL, "note %d" % index)
+    hv._next_channel_id = 1  # the doorbells below ring channel 0
+    for index in range(1000):  # every form, names and ints alike
+        form = index % len(EVENT_FORMS)
+        names = ["guest%d" % (index % 7), "root"][:EVENT_FORMS[form].count("%s")]
+        hv._log(index % len(TrapKind), ROOT_CELL, form, *(names + [0, index])[:2])
     long = save_session(jetson, hv)
-    assert len(load_session(long)[1].events) == 1001
+    restored = load_session(long)[1]
+    assert restored.events == hv.events and len(hv.events) == 1001
+    assert restored.export_events() == hv.export_events()
     extra = _python_calls(load_session, long) - _python_calls(load_session, short)
-    assert sum(extra.values()) <= 1000
-    assert set(extra) <= {TrapEvent.__new__.__code__}
+    assert sum(extra.values()) == 0, extra
