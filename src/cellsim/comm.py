@@ -143,6 +143,8 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
     peer with latency drawn from the hypervisor-on model and recorded in
     the channel trace.
     """
+    if not isinstance(ch_id, int):  # 0.0 would find channel 0, as _cell refuses 1.0
+        raise InvariantViolation("channel id must be an int, not %r" % (ch_id,))
     channel = hv.channels.get(ch_id)
     if channel is None or from_cell != channel.cell_a and from_cell != channel.cell_b:
         _refuse(hv, ch_id, from_cell)
@@ -173,6 +175,8 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
 
 def poll(hv: Hypervisor, ch_id: int, cell_id: int) -> list[int]:
     """Drain and return this endpoint's pending vectors, oldest first."""
+    if not isinstance(ch_id, int):  # 0.0 would find channel 0, as _cell refuses 1.0
+        raise InvariantViolation("channel id must be an int, not %r" % (ch_id,))
     channel = hv.channels.get(ch_id)
     if channel is None or cell_id != channel.cell_a and cell_id != channel.cell_b:
         _refuse(hv, ch_id, cell_id)
@@ -185,6 +189,8 @@ def poll(hv: Hypervisor, ch_id: int, cell_id: int) -> list[int]:
 def read_buffer(hv: Hypervisor, ch_id: int, cell_id: int,
                 offset: int, length: int) -> bytes:
     """Endpoint view of the shared buffer."""
+    if not isinstance(ch_id, int):  # 0.0 would find channel 0, as _cell refuses 1.0
+        raise InvariantViolation("channel id must be an int, not %r" % (ch_id,))
     channel = hv.channels.get(ch_id)
     if channel is None or cell_id != channel.cell_a and cell_id != channel.cell_b:
         _refuse(hv, ch_id, cell_id)

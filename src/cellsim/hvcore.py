@@ -121,13 +121,21 @@ class AccessKind(Enum):
     SENSITIVE_INSTR = "SensitiveInstr"
 
 
-_MEM_KINDS = (AccessKind.MEM_READ, AccessKind.MEM_WRITE)
+# Each kind's space, the AccessMap table it is looked up in: None for an instruction.
+_SPACE = {AccessKind.MEM_READ: 0, AccessKind.MEM_WRITE: 0,
+          AccessKind.IO_READ: 1, AccessKind.IO_WRITE: 1, AccessKind.SENSITIVE_INSTR: None}
 
 
 class Access(Value):
-    __slots__ = ("kind", "addr_or_port", "width", "instr")
+    """end, space and need, derived once for the trap path, are the first address past the
+    access, its kind's _SPACE and the right it needs; they neither compare nor print."""
+
+    __slots__ = ("kind", "addr_or_port", "width", "instr", "end", "space", "need")
+    _fields = __slots__[:4]
 
     def __init__(self, kind, addr_or_port=0, width=4, instr=None):
+        if kind.__class__ is not AccessKind:
+            raise InvariantViolation("access kind must be an AccessKind, not %r" % (kind,))
         if width not in (1, 2, 4, 8) or not isinstance(width, int):
             raise InvariantViolation("access width must be 1, 2, 4 or 8")
         if not isinstance(addr_or_port, int):
@@ -136,12 +144,16 @@ class Access(Value):
             raise InvariantViolation("address must be non-negative")
         if addr_or_port > U64_MAX:
             raise InvariantViolation("address must fit in 64 bits")
-        if kind in _MEM_KINDS and addr_or_port % width:
+        space = _SPACE[kind]
+        if space == 0 and addr_or_port % width:
             raise InvariantViolation(
                 "memory access at 0x%x not aligned to width %d" % (addr_or_port, width))
         if kind is _SENSITIVE_INSTR and not instr:
             raise InvariantViolation("sensitive-instruction access needs a name")
         self._freeze(kind, addr_or_port, width, instr)
+        Access.end.__set__(self, addr_or_port + width)  # the slots' own setters: Value refuses
+        Access.space.__set__(self, space)
+        Access.need.__set__(self, _WRITE if kind in _WRITE_KINDS else _READ)
 
 
 class AccessOutcome(Enum):
@@ -168,9 +180,10 @@ _READ, _WRITE, _RW, _EMULATE = 1, 2, 3, 4
 _WRITE_KINDS = (AccessKind.MEM_WRITE, AccessKind.IO_WRITE)
 
 
-# One cell's view of memory and of I/O ports, like the stage-2 tables
-# Jailhouse builds per cell: two lists of sorted, disjoint entries.
-AccessMap = NamedTuple("AccessMap", [("mem", list), ("io", list)])
+# One cell's view of memory and of I/O ports, like the stage-2 tables Jailhouse builds per
+# cell: at each _SPACE index, sorted, disjoint entries and, apart, their bases for a bisect
+# with no key, as Jailhouse keeps a cell's mmio_locations apart from its mmio_handlers.
+AccessMap = NamedTuple("AccessMap", [("mem", tuple), ("io", tuple)])
 
 
 # --- ownership ledger -------------------------------------------------------
@@ -340,10 +353,11 @@ ROOT_STATES = (_RUNNING, _FAILED)  # enable starts root; a violation fails it
 class Cell(Record):
     # script is the script read at create; script_ops, parsed from it here, run from 0 at
     # start and relaunch. touches, a step() turn's own-RAM touches, is 1 for a guest with no
-    # script and a region granting READ (stress: READ or WRITE).
+    # script and a region granting READ (stress: READ or WRITE); stresses, whether it runs
+    # a stress workload.
     __slots__ = ("id", "config", "state", "memory_image", "script", "script_pos",
-                 "script_ops", "touches")
-    _key = property(attrgetter(*__slots__[:6]))  # script_ops and touches neither compare nor print
+                 "script_ops", "touches", "stresses")
+    _key = property(attrgetter(*__slots__[:6]))  # the derived slots neither compare nor print
 
     def __init__(self, id, config, state=CellState.CREATED, memory_image=None, script="",
                  script_pos=0):
@@ -351,6 +365,7 @@ class Cell(Record):
         self.script, self.script_pos = script, script_pos
         self.script_ops = parse_script(script) if script else []
         kind = config.workload.kind
+        self.stresses = kind is _STRESS  # bus_load asks it of every neighbour
         need = _RW if kind is _STRESS else _READ
         self.touches = int(kind is not WorkloadKind.SCRIPT
                            and any(map(need.__and__, map(_FLAGS, config.regions))))
@@ -705,7 +720,7 @@ class Hypervisor:
                 raise InvariantViolation("channel %d window %r is not cell %d's memory,"
                                          " or overlaps another" % (ch.id, ch.region, ch.cell_a))
         for cell_id, access_map in self._access_maps.items():
-            if not (all(lo < hi <= next_lo for table in access_map
+            if not (all(lo < hi <= next_lo for table, _ in access_map
                         for (lo, hi, _), (next_lo, _, _) in zip(table, table[1:]))
                     and cell_id in self.cells and access_map == self._build_access_map(cell_id)):
                 raise InvariantViolation("cell %d access map is not sorted and disjoint, or"
@@ -718,24 +733,24 @@ class Hypervisor:
         cell = self.cells.get(cell_id)
         if cell is None or cell.state is not _RUNNING:
             self._running(cell_id)  # raises
-        kind = access.kind
-        if kind is _SENSITIVE_INSTR:
+        space = access.space
+        if space is None:  # a sensitive instruction
             form = _INSTR_FORM.get(access.instr)
             if form is not None:
                 self._log(_EMULATE_INSTR, cell.id, form)
                 return _EMULATED
             return _DIRECT
 
-        lo, hi = access.addr_or_port, access.addr_or_port + access.width
         access_map = self._access_maps.get(cell_id)
         if access_map is None:
             access_map = self._access_maps[cell.id] = self._build_access_map(cell.id)
-        table = access_map.mem if kind in _MEM_KINDS else access_map.io
-        index = bisect_right(table, lo, key=_LO)
+        table, bases = access_map[space]
+        lo = access.addr_or_port
+        index = bisect_right(bases, lo)
         if index:
             e_lo, e_hi, rights = table[index - 1]
-            if hi <= e_hi:
-                if rights & (_WRITE if kind in _WRITE_KINDS else _READ):
+            if access.end <= e_hi:
+                if rights & access.need:
                     return _DIRECT
                 if rights & _EMULATE:
                     self._log(_EMULATE_DIST, cell.id, _OFFSET, lo - e_lo)
@@ -764,7 +779,8 @@ class Hypervisor:
                     mem.append((row[1], row[1] + row[2], _RW))
                 elif bit >= first_port:
                     io.append((row[0], row[0] + row[1], _RW))
-        return AccessMap(sorted(mem, key=_LO), sorted(io, key=_LO))
+        tables = sorted(mem, key=_LO), sorted(io, key=_LO)
+        return AccessMap(*[(table, list(map(_LO, table))) for table in tables])
 
     def _violate(self, cell: Cell, access: Access) -> AccessOutcome:
         # handle_access violates only memory and I/O accesses, whose forms their kinds' values

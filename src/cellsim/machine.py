@@ -584,8 +584,7 @@ def bus_load(hv: "Hypervisor", measured: "Cell") -> bool:
     if hv.ledger is None:
         raise NotEnabled("bus load is defined only while the hypervisor runs")
     for cell in hv.cells.values():  # by value: hvcore, which defines the states, imports this
-        if (cell.state._value_ == "running" and cell.config.workload.kind._value_ == "stress"
-                and cell is not measured):
+        if cell.stresses and cell.state._value_ == "running" and cell is not measured:
             return True
     return False
 

@@ -61,20 +61,26 @@ def test_maps_are_built_at_the_first_trap_only():
     assert hv._access_maps == {}
     assert hv.handle_access(guest, Access(AccessKind.MEM_READ, RAM + PAGE, 8)) \
         is AccessOutcome.DIRECT
+    # per space, (lo, hi, rights) entries sorted by lo, and apart, their bases
+    mem = [(RAM, RAM + PAGE, 3), (RAM + PAGE, RAM + 2 * PAGE, 1), (DIST.base, DIST.end, 4),
+           (0x7000_6000, 0x7000_7000, 3)]
+    io = [(0x3F8, 0x400, 3)]
     assert hv._access_maps == {guest: (
-        [(RAM, RAM + PAGE, 3), (RAM + PAGE, RAM + 2 * PAGE, 1), (DIST.base, DIST.end, 4),
-         (0x7000_6000, 0x7000_7000, 3)],
-        [(0x3F8, 0x400, 3)])}
+        (mem, [RAM, RAM + PAGE, DIST.base, 0x7000_6000]), (io, [0x3F8]))}
+    assert hv._access_maps[guest].mem is hv._access_maps[guest][0]  # Access.space 0
     hv.audit()
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda maps, guest: maps[guest].mem.reverse(),
-    lambda maps, guest: maps[guest].mem.__setitem__(0, (RAM, RAM + 2 * PAGE, 3)),
-    lambda maps, guest: maps[guest].mem.__setitem__(1, (RAM + PAGE, RAM + 2 * PAGE, 3)),
-    lambda maps, guest: maps[guest].io.clear(),
+    lambda maps, guest: maps[guest].mem[0].reverse(),
+    lambda maps, guest: maps[guest].mem[0].__setitem__(0, (RAM, RAM + 2 * PAGE, 3)),
+    lambda maps, guest: maps[guest].mem[0].__setitem__(1, (RAM + PAGE, RAM + 2 * PAGE, 3)),
+    lambda maps, guest: maps[guest].io[0].clear(),
+    lambda maps, guest: maps[guest].mem[1].__setitem__(1, RAM + 2 * PAGE),
+    lambda maps, guest: maps[guest].io[1].clear(),
     lambda maps, guest: maps.__setitem__(99, maps[guest]),
-], ids=["unsorted", "overlap", "read-only-writable", "lost-ports", "dead-cell"])
+], ids=["unsorted", "overlap", "read-only-writable", "lost-ports", "moved-base", "lost-bases",
+        "dead-cell"])
 def test_audit_catches_a_corrupt_map(corrupt):
     hv, guest = guest_hv()
     hv.handle_access(guest, Access(AccessKind.IO_READ, 0x3F8, 1))

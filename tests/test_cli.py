@@ -185,6 +185,24 @@ class TestWalkthrough:
         assert run(ws, "disable") == 0 and enable_board(ws) == 0
         assert load_session(state.read_bytes())[1]._next_channel_id == 1
 
+    def test_reenable_keeps_each_cells_stress_flag(self, ws, capsys):
+        # bus_load asks Cell.stresses, which each cell states at create and at load
+        (ws / "stress.cfg").write_text(GUEST_TEXT.replace('"guest"', '"stress"').replace(
+            "cpu 2", "cpu 3").replace("0x10100000", "0x10110000").replace("irq 34", "irq 35")
+            + "run stress\n")
+        flags = []
+        for _ in range(2):  # the second pass runs on the carried-over log and ids
+            assert enable_board(ws) == 0
+            assert run(ws, "cell", "create", str(ws / "stress.cfg")) == 0
+            assert run(ws, "cell", "create", str(ws / "guest.cfg")) == 0
+            hv = load_session((ws / "cellsim.state").read_bytes())[1]
+            flags.append({cell.name: cell.stresses for cell in hv.cells.values()})
+            for name in ("stress", "guest"):
+                assert run(ws, "cell", "destroy", name) == 0
+            assert run(ws, "disable") == 0
+        assert flags == [{"root": False, "stress": True, "guest": False}] * 2
+        assert max(hv.cells) == 4  # the ids went on from the first pass's
+
     def test_separate_state_files_are_independent(self, ws, tmp_path, capsys):
         enable_board(ws)
         other_state = tmp_path / "other.state"

@@ -14,6 +14,7 @@ from cellsim import (
     AccessOutcome,
     CellConfig,
     CellState,
+    Hypervisor,
     MemRegion,
     PermFlags,
     TrapKind,
@@ -43,6 +44,7 @@ from cellsim.errors import (
 )
 from cellsim.irq import DoorbellLatencies, latency_streams, sample_latency
 
+from conftest import make_tiny_platform
 from test_hvcore import RAM, small_cell, tiny_hv
 
 PAGE = 0x1000
@@ -169,6 +171,46 @@ class TestFloatCellIds:
         assert str(refused.value) == "cell id must be an int, not 1.0"
         assert hv.events == before
         assert load_session(save_session(hv.platform, hv))[1].events == hv.events
+
+
+class TestFloatChannelIds:
+    # hv.channels.get(0.0) finds channel 0: send succeeded and traced the
+    # channel as 0.0, poll drained its queue and read_buffer read its window
+    CALLS = {
+        "send": lambda hv, ch, a, b: send(hv, ch, a, 0, b"new", 1),
+        "poll": lambda hv, ch, a, b: poll(hv, ch, b),
+        "read_buffer": lambda hv, ch, a, b: read_buffer(hv, ch, b, 0, 3),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS.values()), ids=list(CALLS))
+    @pytest.mark.parametrize("ch_id", [0.0, 0.5, "0", None])
+    def test_a_channel_id_that_is_no_int_is_refused_before_anything_changes(self, call,
+                                                                           ch_id):
+        hv, a, b, ch = channel_pair()
+        send(hv, ch, a, 0, b"old", 0)
+        before = (list(hv.events), copy.deepcopy(hv.exits), list(hv.channel_trace),
+                  bytes(hv.channels[ch].buffer), copy.deepcopy(hv.channels[ch].pending))
+        with pytest.raises(InvariantViolation) as refused:
+            call(hv, ch_id, a, b)
+        assert type(refused.value) is InvariantViolation
+        assert str(refused.value) == "channel id must be an int, not %r" % (ch_id,)
+        assert (hv.events, hv.exits, hv.channel_trace, bytes(hv.channels[ch].buffer),
+                hv.channels[ch].pending) == before
+
+    @pytest.mark.parametrize("call", list(CALLS.values()), ids=list(CALLS))
+    def test_the_type_test_comes_first(self, call):
+        # as _cell's: before the channel lookup, so before NotEnabled and NoSuchResource
+        with pytest.raises(InvariantViolation, match="^channel id must be an int, not 7.0$"):
+            call(Hypervisor(make_tiny_platform()), 7.0, 1, 2)
+        with pytest.raises(InvariantViolation, match="^channel id must be an int, not 7.0$"):
+            call(channel_pair()[0], 7.0, 1, 2)
+
+    def test_a_bool_passes(self):
+        hv, a, b, ch = channel_pair()
+        assert ch == 0
+        send(hv, False, a, 0, b"abc", 1)
+        assert read_buffer(hv, False, b, 0, 3) == b"abc"
+        assert poll(hv, False, b) == [1]
 
 
 class TestCarve:

@@ -962,6 +962,76 @@ class TestAccessAddressBound:
         assert load_session(save_session(hv.platform, hv))[1].events == hv.events
 
 
+def _any_access(kind, width):
+    if kind is AccessKind.SENSITIVE_INSTR:
+        return Access(kind, 0x40, width, instr="cpuid")
+    return Access(kind, 0x40, width)
+
+
+class TestAccessDerivedFields:
+    """end, space and need are what handle_access asks of an access, worked out
+    once at construction; they are no fields of the value."""
+
+    SPACE_AND_NEED = {AccessKind.MEM_READ: (0, 1), AccessKind.MEM_WRITE: (0, 2),
+                      AccessKind.IO_READ: (1, 1), AccessKind.IO_WRITE: (1, 2),
+                      AccessKind.SENSITIVE_INSTR: (None, 1)}
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    @pytest.mark.parametrize("kind", list(AccessKind))
+    def test_each_kind_and_width_derives_its_span_space_and_right(self, kind, width):
+        access = _any_access(kind, width)
+        assert (access.end, access.space, access.need) == (0x40 + width,
+                                                           *self.SPACE_AND_NEED[kind])
+
+    @pytest.mark.parametrize("rebuild", [copy.copy, copy.deepcopy,
+                                         lambda access: pickle.loads(pickle.dumps(access))],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("kind", list(AccessKind))
+    def test_a_copy_derives_them_again(self, kind, rebuild):
+        access = _any_access(kind, 4)
+        twin = rebuild(access)
+        assert twin is not access
+        assert (twin.end, twin.space, twin.need) == (access.end, access.space, access.need)
+
+    def test_equality_hash_and_repr_ignore_them(self):
+        access = Access(AccessKind.IO_WRITE, 0x3F8, 2)
+        assert Access._fields == ("kind", "addr_or_port", "width", "instr")
+        assert access._key == (AccessKind.IO_WRITE, 0x3F8, 2, None)
+        assert hash(access) == hash(access._key)
+        assert access == Access(AccessKind.IO_WRITE, 0x3F8, 2)
+        assert access != Access(AccessKind.IO_WRITE, 0x3F8, 1)  # another end
+        assert access != Access(AccessKind.IO_READ, 0x3F8, 2)   # another right
+        assert repr(access) == ("Access(kind=<AccessKind.IO_WRITE: 'IoWrite'>,"
+                                " addr_or_port=1016, width=2, instr=None)")
+        with pytest.raises(AttributeError, match="cannot assign to field 'end'"):
+            access.end = 0x3F9
+
+    @pytest.mark.parametrize("kind", ["MemRead", None, 0])
+    def test_a_kind_that_is_no_access_kind_is_refused(self, kind):
+        with pytest.raises(InvariantViolation) as refused:
+            Access(kind, 0x40, 4)
+        assert str(refused.value) == "access kind must be an AccessKind, not %r" % (kind,)
+
+
+class TestCellStresses:
+    """A cell states once whether it runs a stress workload, which bus_load
+    asks of every neighbour of a cell that takes a doorbell or an IRQ."""
+
+    @pytest.mark.parametrize("kind", list(WorkloadKind))
+    def test_the_flag_follows_the_workload_after_create_and_load(self, kind, tmp_path):
+        script = tmp_path / "ops.txt"
+        script.write_text("idle\nrepeat\n")
+        hv = tiny_hv()
+        guest = hv.create_cell(small_cell(workload=Workload(
+            kind, str(script) if kind is WorkloadKind.SCRIPT else None)))
+        expected = {ROOT_CELL: False, guest: kind is WorkloadKind.STRESS}
+        assert {cell.id: cell.stresses for cell in hv.cells.values()} == expected
+        loaded = load_session(save_session(hv.platform, hv))[1]
+        assert {cell.id: cell.stresses for cell in loaded.cells.values()} == expected
+        assert "stresses" not in repr(hv.cells[guest])
+        assert hv.cells[guest] == loaded.cells[guest]
+
+
 class TestTouchOwnMemory:
     def test_stress_on_read_only_memory_reads(self):
         hv = tiny_hv()
