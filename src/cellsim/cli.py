@@ -86,7 +86,7 @@ def _cmd_enable(args) -> int:
         hv = Hypervisor(platform, seed=args.seed)
         if session.hv is not None:  # the log and counters survive re-enabling
             old = session.hv
-            hv.events, hv.exits, hv.clock = old.events, old.exits, old.clock
+            hv._events, hv.exits, hv.clock = old._events, old.exits, old.clock
             # the cell and channel ids in them stay unique
             hv._next_cell_id, hv._next_channel_id = old._next_cell_id, old._next_channel_id
         hv.enable(cfg)

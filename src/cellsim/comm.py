@@ -168,9 +168,7 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
         hv._log(_REINJECT, peer_cell.id, _DOORBELL, channel.id, vector)
     channel.buffer[offset:offset + len(payload)] = payload
     channel.pending[peer].append(vector)
-    hv.channel_trace.append(
-        {"t": hv.clock, "ch": ch_id, "dir": "a->b" if from_cell == channel.cell_a else "b->a",
-         "vector": vector, "len": len(payload), "latency_us": latency})
+    hv._trace.append((hv.clock, ch_id, from_cell == channel.cell_a, vector, len(payload), latency))
 
 
 def poll(hv: Hypervisor, ch_id: int, cell_id: int) -> list[int]:

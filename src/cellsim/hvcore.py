@@ -472,7 +472,10 @@ class Hypervisor:
     Management events so hypercall traffic can be audited. Cell and
     channel ids are not reused, even across disable and enable or a
     snapshot, so an id in the event log or the exit counters names one
-    cell, and a doorbell event's channel id one channel.
+    cell, and a doorbell event's channel id one channel. The trap path logs
+    plain tuples, (time_ns, cell, code, form, a, b) per exit in _events and
+    (t, ch, a_to_b, vector, len, latency_us) per doorbell in _trace; events
+    and channel_trace build a fresh list of TrapEvents and dicts at each read.
     """
 
     def __init__(self, platform: MachinePlatform, seed: int = 0):
@@ -483,7 +486,7 @@ class Hypervisor:
         self.platform = platform
         self.cells: dict[CellId, Cell] = {}
         self.ledger: Optional[OwnershipLedger] = None  # None while disabled
-        self.events: list[TrapEvent] = []
+        self._events: list[tuple] = []
         # Per-cell exit counters, like Jailhouse's per-CPU
         # JAILHOUSE_CPU_STAT_VMEXITS_* statistics: cell id -> one count per
         # TrapKind, in EXIT_SLOT order. Kept for every cell that ever
@@ -492,7 +495,7 @@ class Hypervisor:
         self.clock: int = 0
         self.seed = seed
         self.channels: dict = {}
-        self.channel_trace: list[dict] = []
+        self._trace: list[tuple] = []
         self._next_cell_id: CellId = 1
         self._next_channel_id: int = 0
         # Per-cell access maps, each built at the cell's first trap and
@@ -506,6 +509,16 @@ class Hypervisor:
     # -- plumbing
 
     @property
+    def events(self) -> list[TrapEvent]:
+        return list(map(TrapEvent._make, self._events))
+
+    @property
+    def channel_trace(self) -> list[dict]:
+        return [{"t": t, "ch": ch, "dir": "a->b" if a_to_b else "b->a", "vector": vector,
+                 "len": n, "latency_us": latency}
+                for t, ch, a_to_b, vector, n, latency in self._trace]
+
+    @property
     def enabled(self) -> bool:
         return self.ledger is not None
 
@@ -517,9 +530,7 @@ class Hypervisor:
              time_ns: Optional[int] = None) -> None:
         """Log an exit of the trap kind whose EXIT_SLOT is code, in a form of
         EVENT_FORMS with the values its text takes, and count it."""
-        # tuple.__new__ skips NamedTuple's Python __new__, as load_session's does
-        self.events.append(tuple.__new__(TrapEvent, (
-            self.clock if time_ns is None else time_ns, cell, code, form, a, b)))
+        self._events.append((self.clock if time_ns is None else time_ns, cell, code, form, a, b))
         counters = self.exits.get(cell) or self.exits.setdefault(cell, [0] * len(EXIT_SLOT))
         counters[code] += 1
 
@@ -561,7 +572,7 @@ class Hypervisor:
 
     def export_events(self) -> str:
         """Event log as JSON lines, one object per trap."""
-        return "\n".join(e.to_json() for e in self.events) + ("\n" if self.events else "")
+        return "".join(event.to_json() + "\n" for event in map(TrapEvent._make, self._events))
 
     # -- lifecycle operations
 

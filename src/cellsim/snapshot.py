@@ -31,7 +31,7 @@ from .errors import (
     ValidationFailed)
 from .hvcore import (
     _FORM, _NAME_FIELDS, _TRAP_KINDS, CLOCK_MAX, EVENT_FORMS, EXIT_SLOT, Cell, CellState,
-    Hypervisor, OwnershipLedger, TrapEvent, check_script)
+    Hypervisor, OwnershipLedger, check_script)
 from .machine import BusModel, DistParams, GicVersion, MachinePlatform
 
 MAGIC = 0x4A485353
@@ -81,7 +81,7 @@ def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
 
     names: dict = {}  # each string the events name -> its index in the table
     records, pack, name_fields = bytearray(), _EVENT.pack, _NAME_FIELDS
-    for event in hv.events:
+    for event in hv._events:
         n_names = name_fields[event[3]]
         if n_names:  # a, or a and b, names a cell: store its string's index
             time_ns, cell, code, form, a, b = event
@@ -90,7 +90,7 @@ def save_session(platform: MachinePlatform, hv: Optional[Hypervisor]) -> bytes:
                 b = names.setdefault(b, len(names))
             event = (time_ns, cell, code, form, a, b)
         records += pack(*event)
-    out += _SESSION.pack(hv.clock, hv.seed, len(names), len(hv.events), len(hv.exits))
+    out += _SESSION.pack(hv.clock, hv.seed, len(names), len(hv._events), len(hv.exits))
     for name in names:
         raw = name.encode("utf-8")
         out += bytes((len(raw),)) + raw
@@ -185,7 +185,7 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
     if not enabled:
         _expect_end(reader)
         _check_exit_cells(hv)
-        hv.events = _events(records, strings, hv._next_channel_id)
+        hv._events = _events(records, strings, hv._next_channel_id)
         return platform, hv
 
     (n_cells,) = reader.take(_COUNT)
@@ -248,17 +248,17 @@ def load_session(data: bytes) -> tuple[MachinePlatform, Optional[Hypervisor]]:
                 cell_id, hv.cells[cell_id].name, "; ".join(map(str, exc.violations))))
     _expect_end(reader)
     hv.audit()
-    hv.events = _events(records, strings, hv._next_channel_id)
+    hv._events = _events(records, strings, hv._next_channel_id)
     return platform, hv
 
 
 def _events(records, strings: list, next_channel: int) -> list:
-    """The event records, in one iter_unpack, as TrapEvents, each name field's
-    index replaced by its string. Refuses an unknown form, an index past the
-    table and a doorbell of a channel id not yet given; the loop makes no
-    Python call a record, as tuple.__new__ skips NamedTuple's Python __new__."""
-    events, new, event, doorbell = [], tuple.__new__, TrapEvent, _DOORBELL
-    append, name_fields = events.append, _NAME_FIELDS
+    """The event records, in one iter_unpack, as the plain tuples Hypervisor._events
+    holds, each name field's index replaced by its string. Refuses an unknown form,
+    an index past the table and a doorbell of a channel id not yet given; the loop
+    makes no Python call a record."""
+    events, doorbell, name_fields = [], _DOORBELL, _NAME_FIELDS
+    append = events.append
     try:
         for record in _EVENT.iter_unpack(records):
             n_names = name_fields[record[3]]
@@ -270,7 +270,7 @@ def _events(records, strings: list, next_channel: int) -> list:
                 raise InvariantViolation(
                     "snapshot event %d rings channel %d, not below the next channel id %d"
                     % (len(events), record[4], next_channel))
-            append(new(event, record))
+            append(record)
     except IndexError:  # the record after the last one appended
         _, _, _, form, a, b = _EVENT.unpack_from(records, len(events) * _EVENT.size)
         from_code(EVENT_FORMS, form, "event form")

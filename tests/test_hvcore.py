@@ -28,6 +28,7 @@ from cellsim import (
     OwnershipLedger,
     PermFlags,
     PlatformSpec,
+    TrapEvent,
     TrapKind,
     Workload,
     WorkloadKind,
@@ -554,6 +555,17 @@ class TestLoadImage:
 
 
 class TestImageChunks:
+    def test_an_empty_write_stores_no_chunk(self):
+        # an empty chunk would be saved, and then refused by load_session
+        hv = tiny_hv()
+        cell_id = hv.create_cell(small_cell())
+        hv.load_image(cell_id, RAM + 0x8_0040, b"")
+        assert hv.cells[cell_id].memory_image == {}
+        hv.load_image(cell_id, RAM + 0x8_0000, b"ab")
+        hv.load_image(cell_id, RAM + 0x8_0002, b"")  # adjacent to the chunk, as well
+        restored = load_session(save_session(hv.platform, hv))[1]
+        assert restored.cells[cell_id].memory_image == {RAM + 0x8_0000: b"ab"}
+
     def test_overlapping_writes_merge(self):
         cell = Cell(1, small_cell())
         cell.write_image(0x1000, b"aaaa")
@@ -1237,6 +1249,68 @@ class TestEvents:
             hv.ledger.transfer_range((0xF000_0000, 0x1000, RW), ROOT_CELL, 1)
 
 
+class TestPlainLog:
+    """The trap path logs one plain tuple per exit and per doorbell; events and
+    channel_trace build TrapEvents and trace dicts from them at each read."""
+
+    @staticmethod
+    def rung_hv():
+        hv = tiny_hv()
+        a = hv.create_cell(small_cell("a", cpu=1, base=RAM + 0x8_0000, size=0x4000))
+        b = hv.create_cell(small_cell("b", cpu=2, base=RAM + 0xC_0000, size=0x4000))
+        hv.start_cell(a)
+        hv.start_cell(b)
+        ch = create_channel(hv, a, b, 0x1000, 2)
+        hv.handle_access(a, Access(AccessKind.SENSITIVE_INSTR, instr="cpuid"))
+        send(hv, ch, a, 0, b"ring", 1)
+        send(hv, ch, b, 8, b"!", 0)
+        return hv, a, b, ch
+
+    def test_a_trap_and_a_doorbell_log_plain_tuples(self):
+        hv, a, b, ch = self.rung_hv()
+        assert {type(record) for record in hv._events + hv._trace} == {tuple}
+        assert [type(event) for event in hv.events] == [TrapEvent] * len(hv._events)
+        assert hv.events == hv._events
+        assert [event.detail for event in hv.events[-3:]] == [
+            "cpuid", "doorbell ch=%d vector=1" % ch, "doorbell ch=%d vector=0" % ch]
+        # test_comm.py::TestTrace checks the dicts these give
+        latencies = [record["latency_us"] for record in hv.channel_trace]
+        assert hv._trace == [(hv.clock, ch, True, 1, 4, latencies[0]),
+                             (hv.clock, ch, False, 0, 1, latencies[1])]
+
+    def test_each_read_is_a_fresh_list(self):
+        hv, *_ = self.rung_hv()
+        events, trace = hv.events, hv.channel_trace
+        hv.events.append(events[0])
+        hv.events.clear()
+        hv.channel_trace.append(trace[0])
+        hv.channel_trace[0]["len"] = 99
+        assert (hv.events, hv.channel_trace) == (events, trace)
+        assert hv.channel_trace[0]["len"] == 4
+        with pytest.raises(AttributeError):
+            hv.events = []
+        with pytest.raises(AttributeError):
+            hv.channel_trace = []
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda hv: pickle.loads(pickle.dumps(hv))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copy_reads_the_same_logs(self, clone):
+        hv, *_ = self.rung_hv()
+        twin = clone(hv)
+        assert (twin.events, twin.channel_trace) == (hv.events, hv.channel_trace)
+        assert twin.export_events() == hv.export_events()
+        assert twin._events is not hv._events and twin._trace is not hv._trace
+
+    def test_a_reload_reads_the_same_events(self):
+        hv, *_ = self.rung_hv()
+        restored = load_session(save_session(hv.platform, hv))[1]
+        assert restored.events == hv.events
+        assert {type(event) for event in restored._events} == {tuple}
+        assert restored.export_events() == hv.export_events()
+        # a snapshot stores no channels, so a reloaded session starts a trace of its own
+        assert restored.channel_trace == []
+
+
 class TestAudit:
     UART = MmioDevice("uart", 0x7000_6000, 0x1000)
 
@@ -1314,6 +1388,17 @@ class TestAudit:
         hv.handle_access(ROOT_CELL, Access(AccessKind.MEM_READ, 0xDEAD_0000))
         assert hv.cells[ROOT_CELL].state is CellState.FAILED
         hv.audit()
+
+    def test_cells_out_of_id_order_are_caught(self):
+        # load_session and create_cell keep hv.cells in id order, which step walks
+        hv = tiny_hv()
+        for name, cpu in (("a", 1), ("b", 2), ("c", 3)):
+            hv.create_cell(small_cell(name, cpu=cpu, base=RAM + 0x8_0000 + cpu * 0x2_0000))
+        hv.audit()
+        hv.cells = dict(reversed(hv.cells.items()))
+        with pytest.raises(InvariantViolation,
+                           match=r"^cells \[3, 2, 1, 0\] are not in id order$"):
+            hv.audit()
 
     @pytest.fixture()
     def two_guests(self):

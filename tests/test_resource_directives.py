@@ -148,6 +148,13 @@ def test_head_and_unit_rules_are_the_same_in_both_formats(line, head, message):
     assert from_config.line == from_platform.line
 
 
+def test_a_head_name_outside_the_name_rule_is_refused_at_its_column():
+    from_config, from_platform = _parse_both("", '{head} "a.b"')
+    assert str(from_config) == "line 1, col 6: cell name: name must match [A-Za-z0-9_-]+"
+    assert str(from_platform) == "line 1, col 10: platform name: name must match [A-Za-z0-9_-]+"
+    assert type(from_config) is type(from_platform) is ConfigSyntaxError
+
+
 def test_name_of_31_bytes_is_read_in_both_formats():
     cfg, spec = _parse_both("", '{head} "%s"' % ("n" * 31))
     assert cfg.name == spec.name == "n" * 31

@@ -1077,7 +1077,7 @@ class TestPinnedJetsonSession:
 
 def test_a_stored_event_costs_no_python_call_to_load():
     # the event records are read by one iter_unpack and filled in by one loop: no
-    # helper call per record, and no TrapEvent.__new__, which tuple.__new__ skips
+    # helper call per record, and no TrapEvent, as a load keeps the plain records
     jetson = jetson_tk1()
     hv = Hypervisor(jetson, seed=5).enable(full_platform_config(jetson))
     short = save_session(jetson, hv)
