@@ -37,6 +37,9 @@ class WorkloadKind(Enum):
     SCRIPT = "script"
 
 
+_STRESS, _SCRIPT = WorkloadKind.STRESS, WorkloadKind.SCRIPT
+_READ, _RW = int(PermFlags.READ), int(PermFlags.READ | PermFlags.WRITE)  # a region row's bits
+
 # Longest script path, in UTF-8 bytes: the binary codec stores its length in a u16.
 MAX_PATH_BYTES = 0xFFFF
 
@@ -64,11 +67,15 @@ class CellConfig(Value):
     sorted by name, bdf and base: the runs the binary codec writes, in its
     order, so that structural equality and canonical serialization coincide.
     mem and devices are those rows' value objects, built on each read, which
-    no load, save, claim or trap makes.
+    no load, save, claim or trap makes. Derived once: touches, a step() turn's
+    own-RAM touches, 1 for a guest with no script and a region granting READ (stress:
+    READ or WRITE); stresses, whether it runs a stress workload, which bus_load asks
+    of every neighbour; _masks, the last platform masks() was asked for and its masks.
     """
 
-    # _masks: the last platform masks() was asked for and its masks; it neither compares nor prints
-    __slots__ = ("name", "cpus", "regions", "mmio", "pci", "ports", "irqs", "workload", "_masks")
+    __slots__ = ("name", "cpus", "regions", "mmio", "pci", "ports", "irqs", "workload",
+                 "touches", "stresses", "_masks")
+    _derived = __slots__[8:]
     _fields = ("name", "cpus", "mem", "devices", "irqs", "workload")
 
     def __init__(self, name, cpus=frozenset(), mem=(), devices=(), irqs=frozenset(),
@@ -107,8 +114,11 @@ class CellConfig(Value):
                 or len(set(ports)) != len(ports)):
             raise InvariantViolation("a device is listed twice")
         check_no_overlap(regions, mmio, ports)
-        self._freeze(name, cpus, regions, mmio, pci, ports, irqs, workload)
-        CellConfig._masks.__set__(self, (None, None))  # the slot's setter: Value refuses
+        kind = workload.kind
+        need = _RW if kind is _STRESS else _READ
+        touches = int(kind is not _SCRIPT and any(map(need.__and__, map(itemgetter(2), regions))))
+        self._freeze(name, cpus, regions, mmio, pci, ports, irqs, workload,
+                     touches, kind is _STRESS, [None, None])
 
     mem = property(lambda self: tuple(starmap(MemRegion, self.regions)))
     devices = property(lambda self: tuple(layout_resources(  # MMIO, PCI, then port ranges
@@ -125,8 +135,8 @@ class CellConfig(Value):
         """The CPU, device and IRQ masks of its units on the platform (MachinePlatform.masks),
         derived once per platform: a claim's validation and its transfer share them."""
         if self._masks[0] is not platform:
-            CellConfig._masks.__set__(self, (platform, platform.masks(
-                self.cpus, self.mmio + self.pci + self.ports, self.irqs)))
+            self._masks[:] = platform, platform.masks(
+                self.cpus, self.mmio + self.pci + self.ports, self.irqs)
         return self._masks[1]
 
     def units(self) -> tuple:

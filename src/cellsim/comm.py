@@ -11,7 +11,6 @@ emulated minimal host controller's config space.
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
 
 from ._value import Record
 from .errors import (
@@ -42,7 +41,6 @@ class Channel(Record):
 
     __slots__ = ("id", "cell_a", "cell_b", "region", "vectors", "bdf_a", "bdf_b", "buffer",
                  "pending")
-    _key = property(attrgetter(*__slots__))
 
     def __init__(self, id, cell_a, cell_b, region, vectors, bdf_a, bdf_b, buffer=None,
                  pending=None):
@@ -168,7 +166,7 @@ def send(hv: Hypervisor, ch_id: int, from_cell: int, offset: int,
         hv._log(_REINJECT, peer_cell.id, _DOORBELL, channel.id, vector)
     channel.buffer[offset:offset + len(payload)] = payload
     channel.pending[peer].append(vector)
-    hv._trace.append((hv.clock, ch_id, from_cell == channel.cell_a, vector, len(payload), latency))
+    hv._trace.append((hv.clock, channel.id, peer == channel.cell_b, vector, len(payload), latency))
 
 
 def poll(hv: Hypervisor, ch_id: int, cell_id: int) -> list[int]:

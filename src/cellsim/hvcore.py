@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
 from itertools import chain, repeat, starmap
-from operator import add, attrgetter, index, itemgetter
+from operator import add, index, itemgetter
 from typing import NamedTuple, Optional
 
 from ._dsl import decode_utf8, iter_directives, parse_number
@@ -131,7 +131,7 @@ class Access(Value):
     access, its kind's _SPACE and the right it needs; they neither compare nor print."""
 
     __slots__ = ("kind", "addr_or_port", "width", "instr", "end", "space", "need")
-    _fields = __slots__[:4]
+    _derived = __slots__[4:]
 
     def __init__(self, kind, addr_or_port=0, width=4, instr=None):
         if kind.__class__ is not AccessKind:
@@ -150,10 +150,8 @@ class Access(Value):
                 "memory access at 0x%x not aligned to width %d" % (addr_or_port, width))
         if kind is _SENSITIVE_INSTR and not instr:
             raise InvariantViolation("sensitive-instruction access needs a name")
-        self._freeze(kind, addr_or_port, width, instr)
-        Access.end.__set__(self, addr_or_port + width)  # the slots' own setters: Value refuses
-        Access.space.__set__(self, space)
-        Access.need.__set__(self, _WRITE if kind in _WRITE_KINDS else _READ)
+        self._freeze(kind, addr_or_port, width, instr,
+                     addr_or_port + width, space, _WRITE if kind in _WRITE_KINDS else _READ)
 
 
 class AccessOutcome(Enum):
@@ -165,7 +163,7 @@ class AccessOutcome(Enum):
 # Members the trap path reads, as module constants: on Python 3.10 and 3.11
 # a class-level lookup such as CellState.RUNNING runs EnumType's __getattr__
 # hook, about 125 ns against 10 ns for a global (timeit, Python 3.11.7).
-_RUNNING, _FAILED, _STRESS = CellState.RUNNING, CellState.FAILED, WorkloadKind.STRESS
+_RUNNING, _FAILED = CellState.RUNNING, CellState.FAILED
 _MEM_WRITE, _SENSITIVE_INSTR = AccessKind.MEM_WRITE, AccessKind.SENSITIVE_INSTR
 _DIRECT, _EMULATED = AccessOutcome.DIRECT, AccessOutcome.EMULATED
 _VIOLATION = AccessOutcome.VIOLATION
@@ -190,7 +188,6 @@ AccessMap = NamedTuple("AccessMap", [("mem", tuple), ("io", tuple)])
 
 # Ledger claims, (lo, hi, owner, flags), and access-map entries, (lo, hi, rights), sort by lo.
 _LO, _OWNER = itemgetter(0), itemgetter(2)
-_FLAGS = itemgetter(2)  # of a (base, size, flags) region row
 
 
 class OwnershipLedger:
@@ -351,24 +348,15 @@ ROOT_STATES = (_RUNNING, _FAILED)  # enable starts root; a violation fails it
 
 
 class Cell(Record):
-    # script is the script read at create; script_ops, parsed from it here, run from 0 at
-    # start and relaunch. touches, a step() turn's own-RAM touches, is 1 for a guest with no
-    # script and a region granting READ (stress: READ or WRITE); stresses, whether it runs
-    # a stress workload.
-    __slots__ = ("id", "config", "state", "memory_image", "script", "script_pos",
-                 "script_ops", "touches", "stresses")
-    _key = property(attrgetter(*__slots__[:6]))  # the derived slots neither compare nor print
+    # script, read at create, is parsed into script_ops, which run from 0 at start and relaunch
+    __slots__ = ("id", "config", "state", "memory_image", "script", "script_pos", "script_ops")
+    _derived = __slots__[6:]
 
     def __init__(self, id, config, state=CellState.CREATED, memory_image=None, script="",
                  script_pos=0):
         self.id, self.config, self.state, self.memory_image = id, config, state, memory_image or {}
         self.script, self.script_pos = script, script_pos
         self.script_ops = parse_script(script) if script else []
-        kind = config.workload.kind
-        self.stresses = kind is _STRESS  # bus_load asks it of every neighbour
-        need = _RW if kind is _STRESS else _READ
-        self.touches = int(kind is not WorkloadKind.SCRIPT
-                           and any(map(need.__and__, map(_FLAGS, config.regions))))
 
     @property
     def name(self) -> str:
@@ -820,7 +808,7 @@ class Hypervisor:
         touches, scripts = 0, []
         for cell in self.cells.values():  # one pass, in id order
             if cell.state is _RUNNING and cell.id != ROOT_CELL:
-                touches += cell.touches  # 0 for a script cell
+                touches += cell.config.touches  # 0 for a script cell
                 if cell.script_ops:  # only a script cell has ops
                     scripts.append(cell)
         # DIRECT without asking handle_access: audit checks that each

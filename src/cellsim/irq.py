@@ -161,7 +161,7 @@ class IrqDeliveries(Value):
     """A line's deliveries: path "bare-metal" or "reinjected", raise times (ns), latencies (us)."""
 
     __slots__ = ("line", "owner", "path", "raised_at", "latency_us", "max_us", "last_ns")
-    _fields = __slots__[:5]  # the check's largest latency and raise time (0 of none): derived
+    _derived = __slots__[5:]  # the check's largest latency and raise time (0 of none)
     __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: arrays have no truth value
 
     def __init__(self, line, owner, path, raised_at, latency_us):
@@ -170,9 +170,7 @@ class IrqDeliveries(Value):
         _check_fits(top, last)
         if latency_us.min(initial=0.0) < 0:
             raise InvariantViolation("negative latency")
-        self._freeze(line, owner, path, raised_at, latency_us)
-        IrqDeliveries.max_us.__set__(self, top)  # the slots' own setters: Value refuses
-        IrqDeliveries.last_ns.__set__(self, last)
+        self._freeze(line, owner, path, raised_at, latency_us, top, last)
 
     @property
     def delivered_at(self) -> np.ndarray:

@@ -94,20 +94,19 @@ class Cpu(Value):
         self._freeze(index)
 
 
-# A span's end (base + size or length) is a further slot that equality and repr skip.
-# A MemRegion takes its flags as PermFlags or as their bits, as its row holds them.
+# A span's end is derived. A MemRegion takes its flags as PermFlags or as their bits.
 class MemRegion(Value):
     __slots__ = ("base", "size", "flags", "end")
+    _derived = __slots__[3:]
 
     def __init__(self, base: int, size: int, flags: int = PermFlags.READ | PermFlags.WRITE):
         flags = perms_from_bits(flags)
-        end = _check_region(base, size, "memory region")
-        self._freeze(base, size, flags)
-        object.__setattr__(self, "end", end)
+        self._freeze(base, size, flags, _check_region(base, size, "memory region"))
 
 
 class MmioDevice(Value):
     __slots__ = ("name", "base", "size", "end")
+    _derived = __slots__[3:]
 
     def __init__(self, name: str, base: int, size: int):
         if not NAME_RE.match(name):
@@ -115,9 +114,7 @@ class MmioDevice(Value):
         if len(name) > MMIO_NAME_BYTES:  # ASCII: one byte per character
             raise InvariantViolation("mmio device name %r longer than %d bytes"
                                      % (name, MMIO_NAME_BYTES))
-        end = _check_region(base, size, "mmio device %r" % name)
-        self._freeze(name, base, size)
-        object.__setattr__(self, "end", end)
+        self._freeze(name, base, size, _check_region(base, size, "mmio device %r" % name))
 
 
 class PciDevice(Value):
@@ -133,6 +130,7 @@ class PciDevice(Value):
 
 class IoPortRange(Value):
     __slots__ = ("base", "length", "end")
+    _derived = __slots__[2:]
 
     def __init__(self, base: int, length: int):
         if not (isinstance(base, int) and isinstance(length, int)):
@@ -143,8 +141,7 @@ class IoPortRange(Value):
         if base < 0 or base + length > 65536:
             raise InvariantViolation("io port range [0x%x, 0x%x) exceeds the 16-bit port space"
                                      % (base, base + length))
-        self._freeze(base, length)
-        object.__setattr__(self, "end", base + length)
+        self._freeze(base, length, base + length)
 
 
 class IrqLine(Value):
@@ -364,7 +361,6 @@ class PlatformSpec(Record):
     """Unvalidated platform description, as read from a file or built in code."""
 
     __slots__ = ("name", "resources", "gic_version", "bus")
-    _key = property(attrgetter(*__slots__))
 
     def __init__(self, name, resources, gic_version=GicVersion.V2, bus=None):
         self.name, self.resources, self.gic_version, self.bus = name, resources, gic_version, bus
@@ -452,7 +448,8 @@ class MachinePlatform(Value):
 
     __slots__ = ("name", "layout", "gic_version", "bus", "ram", "mmio", "pci", "ports",
                  "_irq_numbers", "irq_order", "full_masks", "devices", "device_bits", "window",
-                 "_views", "_hash")
+                 "_views")
+    _derived = __slots__[4:]
 
     def __init__(self, name: str, layout: tuple, gic_version: GicVersion, bus: BusModel):
         if not NAME_RE.match(name):
@@ -484,13 +481,11 @@ class MachinePlatform(Value):
             if not 0 <= end <= MAX_ID:
                 raise InvariantViolation("irq number out of range: %d" % end)
         devices = tuple(mmio) + tuple(pci) + tuple(ports)  # bit i of a device mask is devices[i]
-        self._freeze(name, layout, gic_version, bus)
-        for set_slot, value in zip(self._setters[1][4:], (  # derived: equality and repr skip them
-                tuple(ram), tuple(mmio), tuple(pci), tuple(ports), irq_numbers, order,
-                ((1 << len(cpus)) - 1, (1 << len(devices)) - 1, (1 << len(irqs)) - 1),
-                devices, dict(zip(devices, map((1).__lshift__, count()))),
-                named.get(GIC_DIST_NAME), {}, None)):
-            set_slot(self, value)
+        self._freeze(name, layout, gic_version, bus,
+                     tuple(ram), tuple(mmio), tuple(pci), tuple(ports), irq_numbers, order,
+                     ((1 << len(cpus)) - 1, (1 << len(devices)) - 1, (1 << len(irqs)) - 1),
+                     devices, dict(zip(devices, map((1).__lshift__, count()))),
+                     named.get(GIC_DIST_NAME), {})
 
     # Public views: plain properties, so that a tracer can wrap the getters.
     cpus = _view(lambda self: tuple(map(Cpu, range(self.full_masks[CPU].bit_length()))))
@@ -509,10 +504,7 @@ class MachinePlatform(Value):
                                  for kind, rows in self.layout), self.gic_version, self.bus)
 
     def __hash__(self):  # of name, CPUs and IRQ numbers, which equal platforms share
-        if self._hash is None:  # at the first hash, which no CLI command makes
-            MachinePlatform._hash.__set__(self, hash((self.name, self.full_masks[CPU],
-                                                      self.irq_order)))
-        return self._hash
+        return hash((self.name, self.full_masks[CPU], self.irq_order))
 
     @property
     def resources(self) -> tuple:
@@ -584,7 +576,7 @@ def bus_load(hv: "Hypervisor", measured: "Cell") -> bool:
     if hv.ledger is None:
         raise NotEnabled("bus load is defined only while the hypervisor runs")
     for cell in hv.cells.values():  # by value: hvcore, which defines the states, imports this
-        if cell.stresses and cell.state._value_ == "running" and cell is not measured:
+        if cell.config.stresses and cell.state._value_ == "running" and cell is not measured:
             return True
     return False
 

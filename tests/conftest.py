@@ -1,7 +1,9 @@
 import gc
+import json
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, settings
@@ -25,6 +27,9 @@ from cellsim import (
     jetson_tk1,
     run_scenario,
 )
+
+# The pinned outputs; test_pins.py checks that a test reads each of them.
+PINS = json.loads(Path(__file__).with_name("pins.json").read_text())
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from cellsim import (
 from cellsim.bench import RESPONDER_BYTES, responder_config, stress_config
 from cellsim.errors import EmptyCpuSet, EmptySamples, InvariantViolation, NoSuchLine, OutOfRegion
 
-from conftest import make_tiny_platform
+from conftest import PINS, make_tiny_platform
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,15 +113,9 @@ class TestScenarioRuns:
     # each latency component got its own SeedSequence stream.  A change
     # that only makes the code faster must reproduce these floats
     # exactly; a change that alters the streams on purpose updates them
-    # and says so.
-    PINNED_SEED_7 = {
-        (False, 10.0, False): (0.4498125, 0.024858270127866903, 0.5),
-        (False, 50.0, False): (0.4499375, 0.024953002700075992, 0.5),
-        (True, 10.0, False): (1.27278125, 0.08742496224441565, 2.1875),
-        (True, 50.0, False): (1.268625, 0.07834209835714129, 1.8125),
-        (True, 10.0, True): (1.3659375, 0.3337697501178769, 4.0),
-        (True, 50.0, True): (1.38065625, 0.35779986194929914, 4.5),
-    }
+    # and says so. pins.json holds each row as (vmm_on, freq_hz, stress,
+    # mean_us, sigma_us, max_us), its floats as JSON numbers, which round-trip.
+    PINNED_SEED_7 = {tuple(row[:3]): tuple(row[3:]) for row in PINS["seed7_table_2000_samples"]}
 
     def test_seed_7_table_is_pinned(self, jetson):
         for sc in canonical_scenarios(n_samples=2000, seed=7):

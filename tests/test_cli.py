@@ -186,7 +186,7 @@ class TestWalkthrough:
         assert load_session(state.read_bytes())[1]._next_channel_id == 1
 
     def test_reenable_keeps_each_cells_stress_flag(self, ws, capsys):
-        # bus_load asks Cell.stresses, which each cell states at create and at load
+        # bus_load asks CellConfig.stresses, which each config derives when it is built
         (ws / "stress.cfg").write_text(GUEST_TEXT.replace('"guest"', '"stress"').replace(
             "cpu 2", "cpu 3").replace("0x10100000", "0x10110000").replace("irq 34", "irq 35")
             + "run stress\n")
@@ -196,7 +196,7 @@ class TestWalkthrough:
             assert run(ws, "cell", "create", str(ws / "stress.cfg")) == 0
             assert run(ws, "cell", "create", str(ws / "guest.cfg")) == 0
             hv = load_session((ws / "cellsim.state").read_bytes())[1]
-            flags.append({cell.name: cell.stresses for cell in hv.cells.values()})
+            flags.append({cell.name: cell.config.stresses for cell in hv.cells.values()})
             for name in ("stress", "guest"):
                 assert run(ws, "cell", "destroy", name) == 0
             assert run(ws, "disable") == 0

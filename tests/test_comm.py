@@ -44,7 +44,7 @@ from cellsim.errors import (
 )
 from cellsim.irq import DoorbellLatencies, latency_streams, sample_latency
 
-from conftest import make_tiny_platform
+from conftest import PINS, make_tiny_platform
 from test_hvcore import RAM, small_cell, tiny_hv
 
 PAGE = 0x1000
@@ -211,6 +211,13 @@ class TestFloatChannelIds:
         send(hv, False, a, 0, b"abc", 1)
         assert read_buffer(hv, False, b, 0, 3) == b"abc"
         assert poll(hv, False, b) == [1]
+
+    def test_a_bool_is_traced_as_the_channel_it_finds(self):
+        # True finds channel 1; the trace, like the event log, names channel.id
+        hv, a, b, _ = channel_pair()
+        assert create_channel(hv, a, b, PAGE, 4) == 1
+        send(hv, True, a, 0, b"x", 0)
+        assert type(hv.channel_trace[-1]["ch"]) is int and hv.channel_trace[-1]["ch"] == 1
 
 
 class TestCarve:
@@ -551,9 +558,7 @@ class TestDoorbellLatencies:
                 send(each, ch, b, 0, b"y", 0)
         assert twin.channel_trace == hv.channel_trace
 
-    TRAP_MIX_SHA256 = {
-        1: "bae032d2f48f2a86591fae83dfe3e14c657994b217587ec0dc841fb0fc41ef62",
-        31: "7d2fd002fcf12f30a6d3cff8d5de5857f726e00d46f3ec420ea7c2b581036e3b"}
+    TRAP_MIX_SHA256 = {int(seed): pin for seed, pin in PINS["trap_mix_doorbell_sha256"].items()}
 
     @pytest.mark.parametrize("seed", sorted(TRAP_MIX_SHA256))
     def test_trap_mix_doorbells_are_pinned(self, seed, tmp_path, monkeypatch):

@@ -59,8 +59,8 @@ from cellsim.errors import (
 )
 from cellsim.comm import create_channel, pci_cfg_read, poll, read_buffer, send
 from cellsim.cellconfig import validate_against
-from cellsim.machine import CPU, DEVICE, IRQ
-from cellsim import hvcore
+from cellsim.machine import CPU, DEVICE, IRQ, bus_load
+from cellsim import cellconfig, hvcore
 from cellsim.hvcore import STEP_NS, parse_script
 
 from conftest import make_tiny_platform
@@ -1026,8 +1026,9 @@ class TestAccessDerivedFields:
 
 
 class TestCellStresses:
-    """A cell states once whether it runs a stress workload, which bus_load
-    asks of every neighbour of a cell that takes a doorbell or an IRQ."""
+    """A config states once whether it runs a stress workload, which bus_load
+    asks of every neighbour of a cell that takes a doorbell or an IRQ, and how
+    often a step() turn touches its own RAM; a cell reads both from its config."""
 
     @pytest.mark.parametrize("kind", list(WorkloadKind))
     def test_the_flag_follows_the_workload_after_create_and_load(self, kind, tmp_path):
@@ -1037,11 +1038,38 @@ class TestCellStresses:
         guest = hv.create_cell(small_cell(workload=Workload(
             kind, str(script) if kind is WorkloadKind.SCRIPT else None)))
         expected = {ROOT_CELL: False, guest: kind is WorkloadKind.STRESS}
-        assert {cell.id: cell.stresses for cell in hv.cells.values()} == expected
+        assert {cell.id: cell.config.stresses for cell in hv.cells.values()} == expected
         loaded = load_session(save_session(hv.platform, hv))[1]
-        assert {cell.id: cell.stresses for cell in loaded.cells.values()} == expected
-        assert "stresses" not in repr(hv.cells[guest])
+        assert {cell.id: cell.config.stresses for cell in loaded.cells.values()} == expected
+        assert "stresses" not in repr(hv.cells[guest].config)
+        assert not {"touches", "stresses"} & set(Cell.__slots__)
         assert hv.cells[guest] == loaded.cells[guest]
+
+    def test_an_assigned_stress_config_loads_the_bus_before_and_after_a_reload(self):
+        hv = tiny_hv()
+        responder = hv.create_cell(small_cell(
+            "rtos", workload=Workload(WorkloadKind.LATENCY_RESPONDER)))
+        idle = hv.create_cell(small_cell(cpu=2, base=RAM + 0xA_0000))
+        for cell_id in (responder, idle):
+            hv.start_cell(cell_id)
+        assert bus_load(hv, hv.cells[responder]) is False
+        hv.cells[idle].config = small_cell(cpu=2, base=RAM + 0xA_0000,
+                                           workload=Workload(WorkloadKind.STRESS))
+        loaded = load_session(save_session(hv.platform, hv))[1]
+        assert bus_load(hv, hv.cells[responder]) is True
+        assert bus_load(loaded, loaded.cells[responder]) is True
+
+    def test_an_assigned_config_brings_its_touches_before_and_after_a_reload(self):
+        # a write-only region: an idle guest, which reads, touches nothing; a stress
+        # guest, which reads or writes, touches it once a turn
+        hv = tiny_hv()
+        guest = hv.create_cell(small_cell(flags=PermFlags.WRITE))
+        hv.start_cell(guest)
+        assert hv.step(1) == 0
+        hv.cells[guest].config = small_cell(flags=PermFlags.WRITE,
+                                            workload=Workload(WorkloadKind.STRESS))
+        loaded = load_session(save_session(hv.platform, hv))[1]
+        assert hv.step(1) == loaded.step(1) == 1
 
 
 class TestTouchOwnMemory:
@@ -1190,8 +1218,9 @@ class TestEnumMembers:
             assert {kind: 1}.get(TrapKind(kind.value)) == 1
 
     def test_trap_path_constants_are_the_members(self):
-        assert (hvcore._RUNNING, hvcore._FAILED, hvcore._STRESS) == (
-            CellState.RUNNING, CellState.FAILED, WorkloadKind.STRESS)
+        assert (hvcore._RUNNING, hvcore._FAILED) == (CellState.RUNNING, CellState.FAILED)
+        assert (cellconfig._STRESS, cellconfig._SCRIPT) == (WorkloadKind.STRESS,
+                                                            WorkloadKind.SCRIPT)
         assert (hvcore._MEM_WRITE, hvcore._SENSITIVE_INSTR) == (
             AccessKind.MEM_WRITE, AccessKind.SENSITIVE_INSTR)
         assert (hvcore._DIRECT, hvcore._EMULATED, hvcore._VIOLATION) == tuple(AccessOutcome)

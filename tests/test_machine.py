@@ -33,7 +33,7 @@ from cellsim.errors import (
     OverlapError,
 )
 from cellsim.machine import (
-    DEVICE, GIC_DIST_NAME, UNIT_KINDS, MachinePlatform, parse_perms,
+    CPU, DEVICE, GIC_DIST_NAME, UNIT_KINDS, MachinePlatform, parse_perms,
     perms_to_str, resource_layout)
 
 from conftest import make_tiny_platform
@@ -319,11 +319,11 @@ class TestPlatformViews:
         rebuilt = MachinePlatform(first.name, first.layout, first.gic_version, first.bus)
         assert rebuilt == first and hash(rebuilt) == hash(first) and repr(rebuilt) == repr(first)
 
-    def test_hash_is_computed_once(self):
-        # a bench row's cache hit hashes the platform; it re-hashes no layout, and a
-        # snapshot load, which never hashes its platform, does not compute it at all
+    def test_hash_reads_no_layout_and_calls_no_python_code(self):
+        # a bench row's cache hit hashes the platform: each hash takes its name, CPU mask
+        # and sorted IRQ numbers, which no slot keeps, and re-hashes no layout
         platform = jetson_tk1()
-        assert platform._hash is None
+        assert "_hash" not in MachinePlatform.__slots__
         for _ in range(2):
             calls = []
             sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code)
@@ -333,7 +333,8 @@ class TestPlatformViews:
             finally:
                 sys.setprofile(None)
             assert calls == [type(platform).__hash__.__code__]
-            assert value == hash(jetson_tk1()) == platform._hash
+            assert value == hash(jetson_tk1()) == hash(
+                (platform.name, platform.full_masks[CPU], platform.irq_order))
 
     def test_replace_recomputes_the_views(self):
         platform = random_platform(random.Random(5))

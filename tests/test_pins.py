@@ -4,18 +4,21 @@ seed31_digest_sha256 holds the simulated digest `perfbench/run.py --seed 31`
 prints for each workload, which is the digest of the run's first episode;
 four_hour_csv_sha256 the sha256 of `cellsim bench csv`, the seed-7 table at
 the paper's four-hour scale. CI reads the same file for its run.py and
-entry-point checks. A change that moves a pin edits pins.json.
+entry-point checks. The other pins are checked where their code is tested:
+seed7_table_2000_samples in test_bench.py, jetson_session_sha256 in
+test_snapshot.py and trap_mix_doorbell_sha256 in test_comm.py. A change
+that moves a pin edits pins.json.
 """
 
+import ast
 import hashlib
-import json
 from pathlib import Path
 
 import pytest
 
 from cellsim import cli
+from conftest import PINS
 
-PINS = json.loads(Path(__file__).with_name("pins.json").read_text())
 DIGESTS = PINS["seed31_digest_sha256"]
 
 
@@ -41,3 +44,12 @@ def test_four_hour_csv_is_pinned(tmp_path):
     table = tmp_path / "table.csv"
     assert cli.main(["bench", "csv", "--out", str(table)]) == 0
     assert hashlib.sha256(table.read_bytes()).hexdigest() == PINS["four_hour_csv_sha256"]
+
+
+def test_every_pin_is_read_by_a_test():
+    # each key of pins.json is read as PINS["key"] in some test module
+    read = {node.slice.value for path in Path(__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "PINS"
+            and isinstance(node.slice, ast.Constant)}
+    assert read == set(PINS)

@@ -59,7 +59,7 @@ from cellsim.irq import distributor_access
 from cellsim.machine import CPU, DEVICE, IRQ, MMIO_NAME_BYTES, resource_layout
 from cellsim.snapshot import MAGIC, VERSION
 
-from conftest import _python_calls, config_with, make_tiny_platform, with_bus
+from conftest import PINS, _python_calls, config_with, make_tiny_platform, with_bus
 from gen import random_config, random_platform
 from test_hvcore import RAM, small_cell, tiny_hv, windowless_hv
 
@@ -1025,10 +1025,7 @@ class TestPinnedJetsonSession:
     them, and the export as snapshot v8, which stored each event's text, gave
     it: keeping events as codes and ints changed no byte of it."""
 
-    SNAPSHOT = "c0ea6f04922a28098add7c3a68b6762031353562244e0727b62654374fece09e"
-    EVENTS = "0a0b441ba69054c0c5116abcfb09c5a2bb61fc2e0941956d36f156dd3a6a5408"
-    ROOT_CONFIG = "07357837766ad91049872f2ef24342297d07e155687b600cef22b2c0bf85853f"
-    RTOS_CONFIG = "2fe864d3f2e8244638e585fa611ca2c79c4035c80e8d450eea820f52816e3a36"
+    PIN = PINS["jetson_session_sha256"]  # snapshot, events, root_config and rtos_config
 
     @pytest.fixture()
     def hv(self, tmp_path, monkeypatch):
@@ -1037,12 +1034,13 @@ class TestPinnedJetsonSession:
 
     def test_snapshot_bytes(self, hv):
         blob = save_session(hv.platform, hv)
-        assert hashlib.sha256(blob).hexdigest() == self.SNAPSHOT
+        assert hashlib.sha256(blob).hexdigest() == self.PIN["snapshot"]
 
     def test_exported_events_before_and_after_a_reload(self, hv):
         _, restored = load_session(save_session(hv.platform, hv))
         for session in (hv, restored):
-            assert hashlib.sha256(session.export_events().encode()).hexdigest() == self.EVENTS
+            export = session.export_events().encode()
+            assert hashlib.sha256(export).hexdigest() == self.PIN["events"]
 
     def test_every_strict_prefix_is_refused_as_truncated(self, hv):
         blob = save_session(hv.platform, hv)
@@ -1070,9 +1068,9 @@ class TestPinnedJetsonSession:
 
     def test_config_bytes(self, hv):
         assert hashlib.sha256(emit_binary(hv.cells[ROOT_CELL].config)).hexdigest() \
-            == self.ROOT_CONFIG
+            == self.PIN["root_config"]
         assert hashlib.sha256(emit_binary(hv.find_cell("rtos").config)).hexdigest() \
-            == self.RTOS_CONFIG
+            == self.PIN["rtos_config"]
 
 
 def test_a_stored_event_costs_no_python_call_to_load():

@@ -5,12 +5,16 @@ so that a subclass with the same fields can be built the same way. The
 repr literals are the texts the types have always printed.
 """
 
+import ast
 import copy
+import operator
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cellsim
 from cellsim import (
     Access,
     AccessKind,
@@ -37,6 +41,7 @@ from cellsim.bench import BenchReport
 from cellsim.comm import Channel
 from cellsim.irq import IrqDeliveries, LatencyStats, Scenario
 from cellsim.machine import resource_layout
+from cellsim._value import Record, Value
 
 BUS = BusModel(0.45, DistParams(0.7, -2.3, 0.6), DistParams(0.0, -0.1, 0.38), 0.1)
 CONFIG = CellConfig(name="g", cpus={1}, mem=(MemRegion(0x1000, 0x1000),), irqs={33})
@@ -131,3 +136,68 @@ def test_unit_types_compare_by_type():
     assert Cpu(1) != IrqLine(1) and IrqLine(1) != Cpu(1)
     assert PciDevice(1) != Cpu(1)
     assert len({Cpu(1), IrqLine(1), PciDevice(1)}) == 3
+
+
+@pytest.mark.parametrize("kind, build, field, text", CASES, ids=[case[0].__name__ for case in CASES])
+def test_the_key_holds_the_fields_and_every_derived_slot_is_set(kind, build, field, text):
+    # _derived names the last slots; the rest, in order, are _key, read or frozen
+    value = build(kind)
+    keyed = kind.__slots__[:len(kind.__slots__) - len(kind._derived)]
+    assert keyed + kind._derived == kind.__slots__
+    assert len(value._key) == len(keyed)
+    assert all(map(operator.is_, value._key, map(value.__getattribute__, keyed)))
+    for name in kind._derived:
+        getattr(value, name)  # set at construction: no AttributeError
+
+
+class Pair(Value):
+    __slots__ = ("a", "b", "total")
+    _derived = __slots__[2:]
+
+    def __init__(self, a, b):
+        self._freeze(a, b, a + b)
+
+
+class Box(Record):
+    __slots__ = ("a", "b", "size")
+    _derived = __slots__[2:]
+
+
+def test_derived_slots_are_the_last_and_neither_compare_nor_print():
+    with pytest.raises(TypeError, match="^Bad._derived must name its last slots$"):
+        type("Bad", (Value,), {"__slots__": ("a", "b"), "_derived": ("a",)})
+    pair, box = Pair(1, 2), Box()
+    box.a, box.b, box.size = 1, 2, 3
+    assert (pair._key, pair.total, Pair._fields, repr(pair)) == ((1, 2), 3, ("a", "b"),
+                                                                 "Pair(a=1, b=2)")
+    assert (box._key, Box._fields, repr(box)) == ((1, 2), ("a", "b"), "Box(a=1, b=2)")
+    twin = pickle.loads(pickle.dumps(pair))
+    assert twin == pair and twin.total == 3
+
+
+def _slot_bypasses(text: str) -> list:
+    """The lines of text that write a slot past Value's refusal by hand: a call of a
+    slot's own __set__ or of __setattr__, a read of _setters or a _key = property(...)."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("__set__", "__setattr__")):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "_setters":
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "id", None) == "property"
+              and any(getattr(target, "id", None) == "_key" for target in node.targets)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_value_holds_derived_slots():
+    # one way to hold derived slots: _derived and _freeze, which _value.py alone implements
+    assert _slot_bypasses("A.end.__set__(self, 1)\nobject.__setattr__(self, 'e', 1)\n"
+                          "_key = property(attrgetter('a', 'b'))\nself._setters[1]\n") == [
+        1, 2, 3, 4]
+    src = Path(cellsim.__file__).parent
+    found = {path.name: _slot_bypasses(path.read_text())
+             for path in sorted(src.glob("*.py")) if path.name != "_value.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
